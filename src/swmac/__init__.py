@@ -52,6 +52,7 @@ from .outage import (
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
+    outage_monte_carlo_grid,
     outage_point_to_point,
     outage_quadrature,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "outage_closed_form",
     "outage_quadrature",
     "outage_monte_carlo",
+    "outage_monte_carlo_grid",
     "outage_point_to_point",
     # streams
     "substream",

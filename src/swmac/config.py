@@ -18,8 +18,10 @@ keys::
     output      = sweep.csv          # optional
 
 Lists are comma-separated.  Unknown or duplicate keys are parse errors;
-values violating a domain invariant are validation errors.  The values
-shown above are the defaults, applied when a key is omitted.
+values violating a domain invariant are validation errors (among them a
+non-finite rate value, or a rate axis of more than ``MAX_RATE_POINTS``
+points).  The values shown above are the defaults, applied when a key is
+omitted.
 
 The ``fig2``/``fig3``/``fig4`` presets carry the power pairs of the
 standard two-transmitter scenarios (noise 1e-5 W) plus inert annotations
@@ -51,6 +53,7 @@ __all__ = [
     "preset_description",
     "DEFAULT_THETAS",
     "DEFAULT_RATE_GRID",
+    "MAX_RATE_POINTS",
 ]
 
 
@@ -70,15 +73,23 @@ class ValidationError(ConfigError):
     """A parsed value violates a domain invariant."""
 
 
+#: Largest number of points a rate axis may have.
+MAX_RATE_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class RateGrid:
-    """Inclusive rate axis {start, start + step, ..., stop}."""
+    """Inclusive rate axis {start, start + step, ..., stop} of at most
+    :data:`MAX_RATE_POINTS` points."""
 
     start: float
     stop: float
     step: float
 
     def __post_init__(self) -> None:
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"rate {name} must be finite, got {getattr(self, name)}")
         if not self.step > 0.0:
             raise ValidationError(f"rate step must be > 0, got {self.step}")
         if not self.start >= 0.0:
@@ -86,6 +97,12 @@ class RateGrid:
         if not self.start <= self.stop:
             raise ValidationError(
                 f"rate start must not exceed stop, got {self.start} > {self.stop}"
+            )
+        # values() has at most ratio + 1 points.
+        if not (self.stop - self.start) / self.step <= MAX_RATE_POINTS - 1:
+            raise ValidationError(
+                f"rate axis from {self.start} to {self.stop} in steps of {self.step} "
+                f"has more than {MAX_RATE_POINTS} points"
             )
 
     def values(self) -> tuple[float, ...]:

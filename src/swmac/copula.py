@@ -143,24 +143,46 @@ def _invert_conditional(theta, u1, v):
     algebraically identical conjugate form 2*v / ((1 + a) + sqrt(disc)),
     which is stable for all a (a -> 0 gives u2 = v exactly, so no
     degenerate-case branch is needed).
+
+    Every step writes into one of three preallocated buffers; the
+    operations, and so the bits, are those of the plain expression
+    theta*(1 - 2*u1), (1 + a)^2 - 4*a*v, ... evaluated left to right.
     """
     u1 = np.asarray(u1, dtype=float)
     v = np.asarray(v, dtype=float)
-    a = theta * (1.0 - 2.0 * u1)
-    disc = (1.0 + a) * (1.0 + a) - 4.0 * a * v
-    den = (1.0 + a) + np.sqrt(np.maximum(disc, 0.0))
+    shape = np.broadcast_shapes(u1.shape, v.shape)
+    a, den, u2 = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(u1, 2.0, out=a)
+    np.subtract(1.0, a, out=a)
+    np.multiply(a, theta, out=a)  # a = theta*(1 - 2*u1)
+    np.add(a, 1.0, out=den)  # 1 + a
+    np.multiply(a, 4.0, out=a)
+    np.multiply(a, v, out=a)  # 4*a*v
+    np.multiply(den, den, out=u2)
+    np.subtract(u2, a, out=u2)  # disc
+    np.maximum(u2, 0.0, out=u2)
+    np.sqrt(u2, out=u2)
+    np.add(den, u2, out=den)
+    np.multiply(v, 2.0, out=u2)
     # den == 0 only at (a, v) = (-1, 0), where the root is 0.
-    u2 = np.where(den > 0.0, 2.0 * v / np.where(den > 0.0, den, 1.0), 0.0)
-    return np.clip(u2, 0.0, 1.0)
+    positive = np.greater(den, 0.0)
+    np.divide(u2, den, out=u2, where=positive)
+    np.copyto(u2, 0.0, where=~positive)
+    return np.clip(u2, 0.0, 1.0, out=u2)
 
 
 def _exp_cdf(lam, g):
     return -np.expm1(-lam * np.asarray(g, dtype=float))
 
 
-def _exp_inverse(lam, u):
-    # Quantile of Exp(lam): g = -ln(1 - u)/lam.
-    return -np.log1p(-np.asarray(u, dtype=float)) / lam
+def _exp_inverse_pairs(lam1, lam2, u):
+    # Quantiles of Exp(lam1) and Exp(lam2) for the two columns of the
+    # (n, 2) array u, in place: u[:, i] <- -ln(1 - u[:, i])/lam_i.
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    for col, lam in enumerate((lam1, lam2)):
+        np.divide(u[:, col], lam, out=u[:, col])
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +230,8 @@ def sample_unit_pairs(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     w = rng.random((n, 2))
-    u1 = w[:, 0]
-    u2 = _invert_conditional(theta.theta, u1, w[:, 1])
-    return np.column_stack((u1, u2))
+    w[:, 1] = _invert_conditional(theta.theta, w[:, 0], w[:, 1])
+    return w
 
 
 def sample_unit_pair(theta: DependenceParameter, rng: np.random.Generator) -> UnitPair:
@@ -230,10 +251,9 @@ def sample_gain_pairs(
     Returns an (n, 2) array; marginal of column i is Exp(lambda_i) and the
     joint density is :func:`joint_gain_pdf`.
     """
-    u = sample_unit_pairs(theta, n, rng)
-    g1 = _exp_inverse(marginals.lambda1, u[:, 0])
-    g2 = _exp_inverse(marginals.lambda2, u[:, 1])
-    return np.column_stack((g1, g2))
+    g = sample_unit_pairs(theta, n, rng)
+    _exp_inverse_pairs(marginals.lambda1, marginals.lambda2, g)
+    return g
 
 
 def sample_gain_pair(

@@ -18,6 +18,8 @@ Three evaluators are provided and cross-validated:
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.
+  :func:`outage_monte_carlo_grid` scores one such draw set against a whole
+  (budget x rate) grid; each entry equals the single-point estimate.
 
 :func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -49,6 +51,7 @@ __all__ = [
     "outage_closed_form",
     "outage_quadrature",
     "outage_monte_carlo",
+    "outage_monte_carlo_grid",
     "outage_point_to_point",
 ]
 
@@ -258,13 +261,47 @@ def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageEstimate:
     degree of parallelism or chunk traversal order.  Ties (the event
     holding with equality) count as outage.
     """
+    return outage_monte_carlo_grid(
+        query.theta, query.marginals, (query.budget,), (query.rate_threshold,), n, seed
+    )[0][0]
+
+
+def outage_monte_carlo_grid(
+    theta: DependenceParameter,
+    marginals: FadingMarginals,
+    budgets: Sequence[PowerBudget],
+    rates: Sequence[float],
+    n: int,
+    seed: int,
+) -> list[list[OutageEstimate]]:
+    """Monte Carlo outage at every (budget, rate) pair from one draw set.
+
+    The ``n`` gain pairs are drawn once, chunk by chunk, from the substreams
+    of ``seed``.  For each chunk and budget the weighted sums
+    A*g1 + B*g2 are sorted once and counted at or below every gamma by
+    binary search, so ties count as outage.  Entry ``[i][j]`` equals
+    ``outage_monte_carlo`` at (``budgets[i]``, ``rates[j]``) with the same
+    (n, seed) exactly.  Entries share their draws (common random numbers):
+    they are correlated with one another, and each count is still
+    Binomial(n, p) on its own.
+    """
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
-    gamma = query.gamma
-    a, b = query.weight1, query.weight2
-    count = 0
-    for chunk in iter_gain_pair_chunks(query.theta, query.marginals, n, seed):
-        count += int(np.count_nonzero(a * chunk[:, 0] + b * chunk[:, 1] <= gamma))
+    for budget in budgets:
+        if not budget.p0 < min(budget.p1, budget.p2):
+            raise ValueError(f"outage needs p0 < min(p1, p2) strictly, got {budget}")
+    gammas = np.array([[gamma_threshold(r, budget.noise) for r in rates] for budget in budgets])
+    counts = np.zeros(gammas.shape, dtype=np.int64)
+    for chunk in iter_gain_pair_chunks(theta, marginals, n, seed):
+        for i, budget in enumerate(budgets):
+            a, b = budget.p1 - budget.p0, budget.p2 - budget.p0
+            s = a * chunk[:, 0] + b * chunk[:, 1]
+            s.sort()
+            counts[i] += np.searchsorted(s, gammas[i], side="right")
+    return [[_monte_carlo_estimate(count, n) for count in row] for row in counts.tolist()]
+
+
+def _monte_carlo_estimate(count: int, n: int) -> OutageEstimate:
     p_hat = count / n
     return OutageEstimate(
         value=p_hat,

@@ -1,9 +1,11 @@
 """Sweep execution, cross-method comparison, and deterministic CSV output.
 
 A sweep evaluates every (budget, theta, rate, method) combination of a
-config in lexicographic index order.  Monte Carlo rows derive their seed
-from (master seed, budget index, theta index, rate index), so row values
-do not depend on execution order or worker count, and two runs of the same
+config and returns the rows in lexicographic index order.  Its unit of
+work is one theta: the gain law depends on theta alone, so the Monte Carlo
+rows at one theta share a single draw set, seeded by (master seed, theta
+index) and scored against every budget and rate.  Row values therefore do
+not depend on execution order or worker count, and two runs of the same
 config produce byte-identical CSV.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
@@ -28,10 +30,11 @@ from .outage import (
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
+    OutageEstimate,
     OutageQuery,
     QuadratureNonConvergence,
     outage_closed_form,
-    outage_monte_carlo,
+    outage_monte_carlo_grid,
     outage_quadrature,
 )
 from .regions import (
@@ -85,50 +88,70 @@ class SweepRow:
     flag: str
 
 
-def _evaluate(config: ExperimentConfig, index: tuple[int, int, int, int]) -> SweepRow:
-    b_i, t_i, r_i, m_i = index
-    theta = config.thetas[t_i]
-    rate = config.rate_grid.values()[r_i]
-    method = config.methods[m_i]
-    query = OutageQuery(
-        rate_threshold=rate,
-        budget=config.budgets[b_i],
-        marginals=config.marginals,
-        theta=theta,
-    )
+def _row(b_i: int, theta: float, rate: float, est: OutageEstimate) -> SweepRow:
+    flag = est.flag if est.flag is not None else FLAG_OK
+    return SweepRow(b_i, theta, rate, est.method, est.value, est.std_error, flag)
+
+
+def _analytic_row(b_i: int, query: OutageQuery, method: str, quad_tol: float) -> SweepRow:
+    theta, rate = query.theta.theta, query.rate_threshold
     try:
         if method == CLOSED_FORM:
             est = outage_closed_form(query)
-        elif method == QUADRATURE:
-            est = outage_quadrature(query, tol=config.quad_tol)
         else:
-            est = outage_monte_carlo(
-                query, config.mc_samples, derive_seed(config.seed, b_i, t_i, r_i)
-            )
+            est = outage_quadrature(query, tol=quad_tol)
     except DegenerateDenominator:
-        return SweepRow(b_i, theta.theta, rate, method, None, None, FLAG_DEGENERATE)
+        return SweepRow(b_i, theta, rate, method, None, None, FLAG_DEGENERATE)
     except QuadratureNonConvergence:
-        return SweepRow(b_i, theta.theta, rate, method, None, None, FLAG_NONCONVERGENCE)
-    return SweepRow(
-        b_i,
-        theta.theta,
-        rate,
-        method,
-        est.value,
-        est.std_error,
-        est.flag if est.flag is not None else FLAG_OK,
-    )
+        return SweepRow(b_i, theta, rate, method, None, None, FLAG_NONCONVERGENCE)
+    return _row(b_i, theta, rate, est)
 
 
-def _evaluate_star(args: tuple[ExperimentConfig, tuple[int, int, int, int]]) -> SweepRow:
-    return _evaluate(*args)
+def _theta_block(
+    config: ExperimentConfig, t_i: int, rates: tuple[float, ...]
+) -> list[list[SweepRow]]:
+    """Every row at theta index ``t_i``: one list per budget, each in
+    (rate, method) order."""
+    theta = config.thetas[t_i]
+    if MONTE_CARLO in config.methods:
+        mc = outage_monte_carlo_grid(
+            theta,
+            config.marginals,
+            config.budgets,
+            rates,
+            config.mc_samples,
+            derive_seed(config.seed, t_i),
+        )
+    blocks = []
+    for b_i, budget in enumerate(config.budgets):
+        rows = []
+        for r_i, rate in enumerate(rates):
+            query = None
+            for method in config.methods:
+                if method == MONTE_CARLO:
+                    rows.append(_row(b_i, theta.theta, rate, mc[b_i][r_i]))
+                else:
+                    query = query or OutageQuery(rate, budget, config.marginals, theta)
+                    rows.append(_analytic_row(b_i, query, method, config.quad_tol))
+        blocks.append(rows)
+    return blocks
+
+
+def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
+    """Processes to start for ``tasks`` independent tasks: ``workers``
+    (0 = one per CPU), capped at the CPU count and at the task count."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    cpus = cpus or 1
+    return max(1, min(workers or cpus, cpus, tasks))
 
 
 def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     """Evaluate the full sweep; returns rows in lexicographic
     (budget, theta, rate, method) index order.
 
-    ``workers`` > 1 fans rows out across processes; 0 means one per CPU.
+    ``workers`` > 1 fans theta blocks out across processes; 0 means one per
+    CPU.  The pool never exceeds the CPU count or the number of thetas.
     Results are identical for any worker count.
     """
     for i, budget in enumerate(config.budgets):
@@ -137,23 +160,17 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRo
                 f"budget {i}: outage sweeps need p0 < min(p1, p2) strictly, "
                 f"got p0={budget.p0}, p1={budget.p1}, p2={budget.p2}"
             )
-    indices = [
-        (b, t, r, m)
-        for b in range(len(config.budgets))
-        for t in range(len(config.thetas))
-        for r in range(len(config.rate_grid.values()))
-        for m in range(len(config.methods))
-    ]
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
-    if workers == 1 or len(indices) <= 1:
-        return [_evaluate(config, idx) for idx in indices]
-    tasks = [(config, idx) for idx in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunksize = max(1, len(tasks) // (workers * 4))
-        return list(pool.map(_evaluate_star, tasks, chunksize=chunksize))
+    rates = config.rate_grid.values()
+    n_thetas = len(config.thetas)
+    pool_size = _pool_size(workers, n_thetas, os.cpu_count())
+    if pool_size == 1:
+        blocks = [_theta_block(config, t_i, rates) for t_i in range(n_thetas)]
+    else:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            blocks = list(
+                pool.map(_theta_block, [config] * n_thetas, range(n_thetas), [rates] * n_thetas)
+            )
+    return [row for b_i in range(len(config.budgets)) for block in blocks for row in block[b_i]]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,41 @@ def test_exit_1_on_single_method_compare(config_file, tmp_path):
         ["compare", "--config", config_file, "--methods", "quadrature", "--out", str(tmp_path / "c.csv")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "rate_lines",
+    [
+        "rate_start = 0.1\nrate_stop = inf\nrate_step = 0.1\n",
+        "rate_start = 0.1\nrate_stop = 3.0\nrate_step = 1e-9\n",
+    ],
+    ids=["infinite-stop", "tiny-step"],
+)
+def test_exit_1_on_unbounded_rate_axis(rate_lines, tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(rate_lines + "[budget]\np1 = 1\np2 = 5\nnoise = 1\n")
+    out = tmp_path / "x.csv"
+    assert main(["outage", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swmac", "preset", "list"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("fig2: ")
 
 
 def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys):

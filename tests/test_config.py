@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from swmac import ExperimentConfig, ParseError, PowerBudget, ValidationError
 from swmac.config import (
     DEFAULT_RATE_GRID,
+    MAX_RATE_POINTS,
     RateGrid,
     load_config,
     parse_config,
@@ -137,6 +140,32 @@ def test_rate_grid_lands_exactly_on_stop():
 
 def test_rate_grid_partial_final_step():
     assert RateGrid(0.0, 0.25, 0.1).values() == (0.0, 0.1, 0.2)
+
+
+@pytest.mark.parametrize(
+    "start,stop,step",
+    [
+        (0.1, math.inf, 0.1),
+        (0.1, math.nan, 0.1),
+        (math.inf, math.inf, 0.1),
+        (0.1, 3.0, math.inf),
+        (0.1, 3.0, math.nan),
+    ],
+)
+def test_rate_grid_rejects_non_finite_values(start, stop, step):
+    with pytest.raises(ValidationError):
+        RateGrid(start, stop, step)
+
+
+def test_rate_grid_caps_the_number_of_points():
+    # The cap is checked without building the axis.
+    RateGrid(0.0, MAX_RATE_POINTS - 1.0, 1.0)
+    with pytest.raises(ValidationError, match="points"):
+        RateGrid(0.0, float(MAX_RATE_POINTS), 1.0)
+    with pytest.raises(ValidationError, match="points"):
+        RateGrid(0.0, 3.0, 1e-9)
+    with pytest.raises(ValidationError, match="points"):
+        RateGrid(0.0, 3.0, 5e-324)  # (stop - start)/step overflows to inf
 
 
 def test_experiment_config_validation():

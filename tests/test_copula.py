@@ -209,6 +209,63 @@ def test_sampler_inversion_round_trip(theta_value, u1, v):
     assert conditional_cdf(th, u1, u2) == pytest.approx(v, abs=1e-12)
 
 
+def _invert_conditional_reference(theta, u1, v):
+    # Frozen copy of the sampler's original allocating expression.
+    u1 = np.asarray(u1, dtype=float)
+    v = np.asarray(v, dtype=float)
+    a = theta * (1.0 - 2.0 * u1)
+    disc = (1.0 + a) * (1.0 + a) - 4.0 * a * v
+    den = (1.0 + a) + np.sqrt(np.maximum(disc, 0.0))
+    u2 = np.where(den > 0.0, 2.0 * v / np.where(den > 0.0, den, 1.0), 0.0)
+    return np.clip(u2, 0.0, 1.0)
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("theta_value", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_invert_conditional_bitwise_matches_reference_expression(theta_value):
+    from swmac.copula import _invert_conditional
+
+    rng = np.random.default_rng(17)
+    # Random interior points plus every combination of the edges
+    # u1 in {0, 0.5, 1} and v in {0, 1}; at theta = +-1 these include the
+    # (a, v) = (-1, 0) root where the conjugate denominator vanishes.
+    edges_u1, edges_v = np.meshgrid([0.0, 0.5, 1.0], [0.0, 1.0])
+    u1 = np.concatenate([rng.random(10_000), edges_u1.ravel()])
+    v = np.concatenate([rng.random(10_000), edges_v.ravel()])
+    got = _invert_conditional(theta_value, u1, v)
+    want = _invert_conditional_reference(theta_value, u1, v)
+    assert np.array_equal(_bits(got), _bits(want))
+    # Strided column views, as the sampler passes them.
+    w = np.column_stack((u1, v))
+    assert np.array_equal(_bits(_invert_conditional(theta_value, w[:, 0], w[:, 1])), _bits(want))
+
+
+@pytest.mark.parametrize("theta_value", [-1.0, 1.0])
+def test_invert_conditional_denominator_root(theta_value):
+    from swmac.copula import _invert_conditional
+
+    # a = theta*(1 - 2*u1) = -1 needs u1 = 0 at theta = -1, u1 = 1 at theta = 1.
+    u1 = 0.0 if theta_value < 0 else 1.0
+    assert float(_invert_conditional(theta_value, u1, 0.0)) == 0.0
+    assert float(_invert_conditional_reference(theta_value, u1, 0.0)) == 0.0
+
+
+def test_sample_gain_pairs_bitwise_matches_reference_composition(theta):
+    marginals = FadingMarginals(0.7, 2.5)
+    n = 5000
+    w = substream(23).random((n, 2))
+    u2 = _invert_conditional_reference(theta.theta, w[:, 0], w[:, 1])
+    want = np.column_stack(
+        (-np.log1p(-w[:, 0]) / marginals.lambda1, -np.log1p(-u2) / marginals.lambda2)
+    )
+    got = sample_gain_pairs(theta, marginals, n, substream(23))
+    assert got.shape == (n, 2)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_sample_unit_pair_consumes_two_draws_and_matches_vector_path():
     th = DependenceParameter(0.7)
     scalar_rng = substream(11)

@@ -17,6 +17,7 @@ from swmac import (
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
+    outage_monte_carlo_grid,
     outage_point_to_point,
     outage_quadrature,
 )
@@ -252,6 +253,44 @@ def test_monte_carlo_matches_manual_chunk_accumulation():
         for c in reversed(chunks)
     )
     assert est.value == count / n
+
+
+def test_monte_carlo_grid_entries_equal_single_point_estimates():
+    theta, marginals = DependenceParameter(0.6), FadingMarginals(1.0, 2.0)
+    budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5))
+    rates = (0.0, 0.25, 0.8, 1.5)
+    n, seed = 70_000, 19  # two chunks, the second partial
+    grid = outage_monte_carlo_grid(theta, marginals, budgets, rates, n, seed)
+    assert [len(row) for row in grid] == [len(rates)] * len(budgets)
+    for budget, row in zip(budgets, grid):
+        for rate, est in zip(rates, row):
+            single = outage_monte_carlo(OutageQuery(rate, budget, marginals, theta), n, seed)
+            assert est == single
+    assert grid[0][0].value == 0.0
+    assert [e.value for e in grid[0]] == sorted(e.value for e in grid[0])
+
+
+def test_monte_carlo_grid_counts_ties_as_outage():
+    # At R = 0.5, gamma = noise*(2^1 - 1) = noise exactly, so noise set to
+    # the 500th smallest drawn sum puts gamma on that sum.
+    from swmac.copula import iter_gain_pair_chunks
+
+    theta, marginals = DependenceParameter(0.2), FadingMarginals(1.0, 1.0)
+    (chunk,) = iter_gain_pair_chunks(theta, marginals, 1000, 5)
+    sums = np.sort(1.0 * chunk[:, 0] + 5.0 * chunk[:, 1])
+    assert len(np.unique(sums)) == 1000
+    budget = PowerBudget(0.0, 1.0, 5.0, float(sums[499]))
+    assert gamma_threshold(0.5, budget.noise) == sums[499]
+    ((est,),) = outage_monte_carlo_grid(theta, marginals, (budget,), (0.5,), 1000, 5)
+    assert est.value == 0.5
+
+
+def test_monte_carlo_grid_validation():
+    theta, marginals = DependenceParameter(0.0), FadingMarginals(1.0, 1.0)
+    with pytest.raises(ValueError):
+        outage_monte_carlo_grid(theta, marginals, (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,), 999, 1)
+    with pytest.raises(ValueError):
+        outage_monte_carlo_grid(theta, marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
 
 
 # ---------------------------------------------------------------------------

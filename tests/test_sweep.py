@@ -16,11 +16,14 @@ from swmac import (
     wireless_region_bounds,
 )
 from swmac.config import RateGrid, preset_config
+from swmac.outage import OutageQuery, outage_monte_carlo
+from swmac.streams import derive_seed
 from swmac.sweep import (
     FLAG_DEGENERATE,
     FLAG_OK,
     SWEEP_HEADER,
     SweepRow,
+    _pool_size,
     compare_methods,
     emit_comparison_csv,
     emit_csv,
@@ -75,9 +78,9 @@ def test_sweep_rejects_budget_without_strict_common_power_margin():
 
 
 def test_monte_carlo_rows_use_per_row_substreams():
-    # The Monte Carlo value at a sweep point depends only on
-    # (seed, budget index, theta index, rate index), not on which other
-    # methods run in the same sweep.
+    # Monte Carlo draws are keyed by (seed, theta index), so the value at a
+    # sweep point depends only on the seed, the theta index and the point
+    # itself, not on which other methods run in the same sweep.
     all_methods = run_outage_sweep(small_config())
     mc_only = run_outage_sweep(small_config(methods=("monte-carlo",)))
     mc_from_full = [r for r in all_methods if r.method == "monte-carlo"]
@@ -91,6 +94,53 @@ def test_parallel_sweep_matches_serial():
     assert serial == parallel
     with pytest.raises(ValueError):
         run_outage_sweep(cfg, workers=-1)
+
+
+def test_monte_carlo_rows_equal_per_query_estimates():
+    # One draw set per theta, keyed by (seed, theta index), scores every
+    # budget and rate; each row equals the per-query estimate on that key.
+    # n = 150,000 is three chunks, the last one partial.
+    n = 150_000
+    cfg = small_config(
+        budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)),
+        methods=("quadrature", "monte-carlo"),
+        mc_samples=n,
+    )
+    rows = [r for r in run_outage_sweep(cfg) if r.method == "monte-carlo"]
+    assert len(rows) == 2 * 3 * 3
+    for row in rows:
+        t_i = cfg.thetas.index(DependenceParameter(row.theta))
+        query = OutageQuery(row.rate, cfg.budgets[row.budget_id], cfg.marginals, cfg.thetas[t_i])
+        est = outage_monte_carlo(query, n, derive_seed(cfg.seed, t_i))
+        assert (row.op, row.std_err, row.flag) == (est.value, est.std_error, FLAG_OK)
+
+
+@pytest.mark.parametrize("workers", [2, 5])
+def test_parallel_theta_blocks_match_serial(workers):
+    # 5 workers exceeds the 3 thetas; the pool is clamped, rows unchanged.
+    cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0)))
+    assert run_outage_sweep(cfg, workers=workers) == run_outage_sweep(cfg, workers=1)
+
+
+@pytest.mark.parametrize(
+    "workers,tasks,cpus,expected",
+    [
+        (1, 5, 8, 1),
+        (4, 5, 2, 2),  # capped at the CPU count
+        (8, 3, 16, 3),  # capped at the task count
+        (0, 5, 4, 4),  # 0 = one per CPU
+        (0, 2, 4, 2),
+        (10**6, 5, 2, 2),
+        (3, 5, None, 1),  # unknown CPU count counts as one
+    ],
+)
+def test_pool_size_clamp(workers, tasks, cpus, expected):
+    assert _pool_size(workers, tasks, cpus) == expected
+
+
+def test_pool_size_rejects_negative_workers():
+    with pytest.raises(ValueError):
+        _pool_size(-1, 5, 2)
 
 
 def test_degenerate_closed_form_rows_are_annotated_not_fatal():
