@@ -61,6 +61,7 @@ from .regions import (
     RatePoint,
     RegionBounds,
     ScalingFactors,
+    VertexMembershipError,
     contains,
     gaussian_region_bounds,
     region_vertices,
@@ -100,6 +101,7 @@ __all__ = [
     "RatePoint",
     "RegionBounds",
     "ScalingFactors",
+    "VertexMembershipError",
     "gaussian_region_bounds",
     "wireless_region_bounds",
     "contains",

@@ -1,7 +1,8 @@
 """Command-line harness for sweeps, regions, sampling, and comparisons.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-evaluator failure.
+evaluator failure (an outage evaluator, or a region vertex that fails its
+membership check).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .config import (
 )
 from .copula import GainPair
 from .outage import OutageEvaluationError
+from .regions import VertexMembershipError
 from .sweep import (
     compare_methods,
     emit_comparison_csv,
@@ -213,7 +215,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OutageEvaluationError as exc:
+    except (OutageEvaluationError, VertexMembershipError) as exc:
         print(f"evaluation failed: {exc}", file=sys.stderr)
         return 2
 

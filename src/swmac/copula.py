@@ -17,6 +17,7 @@ generator passed in; concurrent sampling requires independent substreams
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -75,19 +76,19 @@ class FadingMarginals:
     """Exponential rate parameters of the two squared Rayleigh gains.
 
     ``lambda_i = 1/(2*sigma_i^2)`` where ``sigma_i^2`` is the per-branch
-    Rayleigh variance; the mean power gain is ``1/lambda_i``.
+    Rayleigh variance; the mean power gain is ``1/lambda_i``.  Both rates
+    are finite and positive.
     """
 
     lambda1: float
     lambda2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lambda1", float(self.lambda1))
-        object.__setattr__(self, "lambda2", float(self.lambda2))
-        if not self.lambda1 > 0.0:
-            raise ValueError(f"lambda1 must be > 0, got {self.lambda1}")
-        if not self.lambda2 > 0.0:
-            raise ValueError(f"lambda2 must be > 0, got {self.lambda2}")
+        for name in ("lambda1", "lambda2"):
+            value = float(getattr(self, name))
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_sigmas(cls, sigma1_sq: float, sigma2_sq: float) -> "FadingMarginals":

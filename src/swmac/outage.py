@@ -13,13 +13,20 @@ Three evaluators are provided and cross-validated:
   gamma; such results are flagged ``out-of-range`` rather than rejected.
 * :func:`outage_quadrature` - exact evaluation of the defining integral
   over the triangle A*g1 + B*g2 <= gamma in the positive quadrant (the
-  inner gain integral is elementary; the outer one uses adaptive
-  quadrature).  This is the reference.
+  inner gain integral is elementary; the outer one is QUADPACK's 21-point
+  Gauss-Kronrod panel over the whole rate axis at once, with adaptive
+  quadrature for the points that panel does not settle).  This is the
+  reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.
   :func:`outage_monte_carlo_grid` scores one such draw set against a whole
   (budget x rate) grid; each entry equals the single-point estimate.
+
+A query's ``rate_threshold`` is one rate or a tuple of rates (a rate
+axis).  Every evaluator answers a float query with one
+:class:`OutageEstimate` and a tuple query with a list of estimates in rate
+order; each entry equals the estimate of the one-rate query.
 
 :func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy import integrate
@@ -69,6 +76,59 @@ DEFAULT_QUAD_TOL = 1e-10
 #: denominator counts as degenerate.
 _DENOM_EPS_REL = 1e-9
 
+#: Relative tolerance handed to QUADPACK alongside the absolute ``tol``.
+_QUAD_EPSREL = 1e-12
+
+# QUADPACK dqk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae
+# xgk(1..11) on [0, 1), descending to the centre, their Kronrod weights, and
+# the 10-point Gauss weights on the same abscissae (zero on the Kronrod-only
+# ones).
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.0,
+    0.066671344308688137593568809893332,
+    0.0,
+    0.149451349150580593145776339657697,
+    0.0,
+    0.219086362515982043995534934228163,
+    0.0,
+    0.269266719309996355091226921569469,
+    0.0,
+    0.295524224714752870173892994651338,
+    0.0,
+)
+# The 21 nodes on [-1, 1] in ascending order, with their weights.
+_GK_NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+_GK_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_G_WEIGHTS = np.array(_WG[:-1] + _WG[::-1])
+_EPMACH = float(np.finfo(float).eps)
+_UFLOW = float(np.finfo(float).tiny)
+
 
 class OutageEvaluationError(RuntimeError):
     """An outage evaluator could not produce a value."""
@@ -85,26 +145,34 @@ class QuadratureNonConvergence(OutageEvaluationError):
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """One outage-probability evaluation point.
+    """One outage-probability evaluation point, or one curve of them.
 
-    Requires p0 strictly below min(p1, p2) so both gain weights are
-    positive.
+    ``rate_threshold`` is a rate or a tuple of rates (a tuple, not an
+    array, so queries stay hashable and comparable).  Requires p0 strictly
+    below min(p1, p2) so both gain weights are positive.
     """
 
-    rate_threshold: float
+    rate_threshold: Union[float, tuple[float, ...]]
     budget: PowerBudget
     marginals: FadingMarginals
     theta: DependenceParameter
 
     def __post_init__(self) -> None:
-        if not self.rate_threshold >= 0.0:
-            raise ValueError(f"rate_threshold must be >= 0, got {self.rate_threshold}")
+        for rate in self.rates:
+            if not rate >= 0.0:
+                raise ValueError(f"rate_threshold must be >= 0, got {rate}")
         if not self.budget.p0 < min(self.budget.p1, self.budget.p2):
             raise ValueError(
                 "outage queries need p0 < min(p1, p2) strictly so both gain "
                 f"weights are positive; got p0={self.budget.p0}, "
                 f"p1={self.budget.p1}, p2={self.budget.p2}"
             )
+
+    @property
+    def rates(self) -> tuple[float, ...]:
+        """The rate axis: ``rate_threshold`` as a tuple."""
+        r = self.rate_threshold
+        return r if isinstance(r, tuple) else (r,)
 
     @property
     def weight1(self) -> float:
@@ -122,9 +190,17 @@ class OutageQuery:
         return self.weight2 / self.weight1
 
     @property
-    def gamma(self) -> float:
-        """Received-power threshold N*(2^(2R) - 1)."""
+    def gamma(self) -> Union[float, np.ndarray]:
+        """Received-power threshold N*(2^(2R) - 1), an array for a tuple query."""
         return gamma_threshold(self.rate_threshold, self.budget.noise)
+
+
+def _per_query(
+    query: OutageQuery, estimates: list[OutageEstimate]
+) -> Union[OutageEstimate, list[OutageEstimate]]:
+    """The estimates of ``query.rates`` shaped like the query: a list for a
+    tuple query, the one estimate for a float query."""
+    return estimates if isinstance(query.rate_threshold, tuple) else estimates[0]
 
 
 @dataclass(frozen=True)
@@ -154,20 +230,36 @@ class OutageEstimate:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
 
 
-def gamma_threshold(rate_threshold: float, noise: float) -> float:
+def gamma_threshold(
+    rate_threshold: Union[float, tuple[float, ...]], noise: float
+) -> Union[float, np.ndarray]:
     """Received-power threshold gamma = N*(2^(2R) - 1).
 
-    Zero at R = 0 and strictly increasing in R.
+    Zero at R = 0 and strictly increasing in R.  A tuple of rates gives an
+    array whose entries equal the scalar results bit for bit.
     """
-    if not rate_threshold >= 0.0:
-        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
     if not noise > 0.0:
         raise ValueError(f"noise must be > 0, got {noise}")
+    if isinstance(rate_threshold, tuple):
+        rates = np.array(rate_threshold, dtype=float)
+        if not (rates >= 0.0).all():
+            raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
+        # Python's ** is libm's pow, as on the scalar path; numpy's SIMD
+        # power can differ from it in the last bit.
+        return noise * (np.array([2.0 ** x for x in (2.0 * rates).tolist()]) - 1.0)
+    if not rate_threshold >= 0.0:
+        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
     return noise * (2.0 ** (2.0 * rate_threshold) - 1.0)
 
 
-def outage_closed_form(query: OutageQuery) -> OutageEstimate:
-    """Analytic sum-rate outage expression.
+def _libm_exp(x: np.ndarray) -> np.ndarray:
+    """exp of each entry through libm, bit-identical to ``math.exp``
+    (numpy's SIMD exp can differ from it in the last bit)."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
+def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, list[OutageEstimate]]:
+    """Analytic sum-rate outage expression, over the query's whole rate axis.
 
     With P = B/A, gamma = N*(2^(2R) - 1) and exponential rates
     (lambda1, lambda2):
@@ -185,7 +277,9 @@ def outage_closed_form(query: OutageQuery) -> OutageEstimate:
     flagged ``out-of-range``.
 
     Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
-    (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero.
+    (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
+    (lambda, P) only, so the whole curve is degenerate or none of it.
+    Returns an :class:`OutageEstimate`, or a list of them for a tuple query.
     """
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     p = query.power_ratio
@@ -199,71 +293,142 @@ def outage_closed_form(query: OutageQuery) -> OutageEstimate:
                 f"denominator {name} = {d} is within {eps} of zero "
                 f"(lambda1={l1}, lambda2={l2}, P={p})"
             )
-    gamma = query.gamma
-    e1 = math.exp(-l1 * gamma / query.weight1)
-    e2 = math.exp(-2.0 * l1 * gamma / query.weight1)
+    gamma = gamma_threshold(query.rates, query.budget.noise)
+    e1 = _libm_exp(-l1 * gamma / query.weight1)
+    e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
     base = l2 * e1 / d1
     bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
-    value = 1.0 - (base + query.theta.theta * bracket)
-    flag = FLAG_OUT_OF_RANGE if (value < 0.0 or value > 1.0) else None
-    return OutageEstimate(value=value, method=CLOSED_FORM, flag=flag)
+    values = 1.0 - (base + query.theta.theta * bracket)
+    return _per_query(
+        query,
+        [
+            OutageEstimate(
+                value=value,
+                method=CLOSED_FORM,
+                flag=FLAG_OUT_OF_RANGE if (value < 0.0 or value > 1.0) else None,
+            )
+            for value in values.tolist()
+        ],
+    )
 
 
 def outage_quadrature(
     query: OutageQuery, tol: float = DEFAULT_QUAD_TOL
-) -> OutageEstimate:
+) -> Union[OutageEstimate, list[OutageEstimate]]:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
-    The inner g1 integral is elementary; the outer g2 integral is computed
-    with adaptive quadrature to absolute tolerance ``tol`` (in (0, 1e-2]).
+    The inner g1 integral is elementary.  The outer g2 integral over
+    [0, gamma/B] is QUADPACK's first step evaluated for every rate of the
+    query at once: one 21-point Gauss-Kronrod panel with dqk21's error
+    estimate, accepted by dqagse's first-panel test.  A point the panel does
+    not settle goes through adaptive quadrature (``scipy.integrate.quad``)
+    on its own.  The absolute tolerance is ``tol`` (in (0, 1e-2]).
+    Returns an :class:`OutageEstimate`, or a list of them for a tuple query.
 
-    Raises :class:`QuadratureNonConvergence` if the error estimate cannot
-    meet ``tol``.
+    Raises :class:`QuadratureNonConvergence` if the error estimate of any
+    point cannot meet ``tol``.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
-    gamma = query.gamma
-    if gamma <= 0.0:
-        return OutageEstimate(value=0.0, method=QUADRATURE)
+    gamma = gamma_threshold(query.rates, query.budget.noise)
     a, b = query.weight1, query.weight2
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     th = query.theta.theta
 
-    def inner(d: float) -> float:
-        # integral of the joint density over g1 in [0, (gamma - B*d)/A]
-        c_star = (gamma - b * d) / a
-        t = 2.0 * math.exp(-l2 * d) - 1.0
-        q1 = -math.expm1(-l1 * c_star)
-        q2 = -math.expm1(-2.0 * l1 * c_star)
-        return l2 * math.exp(-l2 * d) * ((1.0 - th * t) * q1 + th * t * q2)
+    def integrand(d, g, exp=np.exp, expm1=np.expm1):
+        # integral of the joint density over g1 in [0, (g - B*d)/A]; the
+        # same expression on node arrays (numpy) and on one node (math)
+        c_star = (g - b * d) / a
+        e = exp(-l2 * d)
+        t = 2.0 * e - 1.0
+        q1 = -expm1(-l1 * c_star)
+        q2 = -expm1(-2.0 * l1 * c_star)
+        return l2 * e * ((1.0 - th * t) * q1 + th * t * q2)
 
-    value, abserr = integrate.quad(
-        inner, 0.0, gamma / b, epsabs=tol, epsrel=1e-12, limit=200
+    values, abserr, settled = _gauss_kronrod_panel(integrand, gamma, gamma / b, tol)
+    for i in np.flatnonzero(~settled).tolist():
+        g = float(gamma[i])
+        values[i], abserr[i] = integrate.quad(
+            lambda d: integrand(d, g, math.exp, math.expm1),
+            0.0,
+            g / b,
+            epsabs=tol,
+            epsrel=_QUAD_EPSREL,
+            limit=200,
+        )
+    failed = np.flatnonzero((abserr > tol) | (values < -tol) | (values > 1.0 + tol))
+    if failed.size:
+        i = failed[0]
+        if abserr[i] > tol:
+            raise QuadratureNonConvergence(
+                f"error estimate {abserr[i]} exceeds tol {tol} for gamma={gamma[i]}, "
+                f"A={a}, B={b}, theta={th}"
+            )
+        raise QuadratureNonConvergence(
+            f"integral {values[i]} is outside [0, 1] beyond tol {tol}"
+        )
+    return _per_query(
+        query,
+        [
+            OutageEstimate(value=min(max(value, 0.0), 1.0), method=QUADRATURE)
+            for value in values.tolist()
+        ],
     )
-    if abserr > tol:
-        raise QuadratureNonConvergence(
-            f"error estimate {abserr} exceeds tol {tol} for gamma={gamma}, "
-            f"A={a}, B={b}, theta={th}"
-        )
-    if value < -tol or value > 1.0 + tol:
-        raise QuadratureNonConvergence(
-            f"integral {value} is outside [0, 1] beyond tol {tol}"
-        )
-    return OutageEstimate(value=min(max(value, 0.0), 1.0), method=QUADRATURE)
 
 
-def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageEstimate:
+def _gauss_kronrod_panel(
+    f, gamma: np.ndarray, upper: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QUADPACK's first step on [0, upper[i]] for every i at once.
+
+    ``f(d, gamma)`` is evaluated on the (n x 21) node array, with ``gamma``
+    as an (n x 1) column.  Returns (result, abserr, settled): dqk21's
+    Gauss-Kronrod result and error estimate per interval, and whether
+    dqagse would return after this panel, that is abserr <= max(tol,
+    1e-12*|result|) with abserr != resasc, or abserr == 0.  Every sum runs
+    along the 21 nodes of one interval in a fixed order, so an entry does
+    not depend on the other intervals.
+    """
+    hlgth = 0.5 * upper[:, None]
+    fv = f(hlgth + hlgth * _GK_NODES, gamma[:, None])
+    resk = (fv * _GK_WEIGHTS).sum(axis=1)
+    resg = (fv * _G_WEIGHTS).sum(axis=1)
+    resabs = (np.abs(fv) * _GK_WEIGHTS).sum(axis=1)
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1)
+    hlgth = hlgth[:, 0]
+    result = resk * hlgth
+    resabs *= hlgth
+    resasc *= hlgth
+    abserr = np.abs((resk - resg) * hlgth)
+    scaled = (resasc != 0.0) & (abserr != 0.0)
+    abserr[scaled] = resasc[scaled] * np.minimum(
+        1.0, (200.0 * abserr[scaled] / resasc[scaled]) ** 1.5
+    )
+    floored = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[floored] = np.maximum(_EPMACH * 50.0 * resabs[floored], abserr[floored])
+    errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(result))
+    settled = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    return result, abserr, settled
+
+
+def outage_monte_carlo(
+    query: OutageQuery, n: int, seed: int
+) -> Union[OutageEstimate, list[OutageEstimate]]:
     """Empirical outage frequency over ``n`` correlated gain pairs.
 
     Samples are drawn in fixed-size chunks from per-chunk substreams of
     ``seed``, so the estimate is bit-stable for a fixed (seed, n) under any
     degree of parallelism or chunk traversal order.  Ties (the event
-    holding with equality) count as outage.
+    holding with equality) count as outage.  Returns an
+    :class:`OutageEstimate`, or a list of them for a tuple query.
     """
-    return outage_monte_carlo_grid(
-        query.theta, query.marginals, (query.budget,), (query.rate_threshold,), n, seed
-    )[0][0]
+    return _per_query(
+        query,
+        outage_monte_carlo_grid(
+            query.theta, query.marginals, (query.budget,), query.rates, n, seed
+        )[0],
+    )
 
 
 def outage_monte_carlo_grid(
@@ -290,7 +455,8 @@ def outage_monte_carlo_grid(
     for budget in budgets:
         if not budget.p0 < min(budget.p1, budget.p2):
             raise ValueError(f"outage needs p0 < min(p1, p2) strictly, got {budget}")
-    gammas = np.array([[gamma_threshold(r, budget.noise) for r in rates] for budget in budgets])
+    rates = tuple(rates)
+    gammas = np.array([gamma_threshold(rates, budget.noise) for budget in budgets])
     counts = np.zeros(gammas.shape, dtype=np.int64)
     for chunk in iter_gain_pair_chunks(theta, marginals, n, seed):
         for i, budget in enumerate(budgets):

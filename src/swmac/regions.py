@@ -26,6 +26,7 @@ __all__ = [
     "RatePoint",
     "RegionBounds",
     "ScalingFactors",
+    "VertexMembershipError",
     "gaussian_region_bounds",
     "wireless_region_bounds",
     "contains",
@@ -34,13 +35,17 @@ __all__ = [
 ]
 
 
+class VertexMembershipError(RuntimeError):
+    """A computed region vertex fails the exact membership test."""
+
+
 @dataclass(frozen=True)
 class PowerBudget:
     """Transmit powers (watts): common-message power p0, per-transmitter
     caps p1 and p2, and receiver noise variance.
 
-    Requires 0 <= p0 <= min(p1, p2) so both private-power differences
-    p_i - p0 are nonnegative.
+    All four are finite.  Requires 0 <= p0 <= min(p1, p2) so both
+    private-power differences p_i - p0 are nonnegative.
     """
 
     p0: float
@@ -50,7 +55,10 @@ class PowerBudget:
 
     def __post_init__(self) -> None:
         for name in ("p0", "p1", "p2", "noise"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not self.p1 > 0.0:
             raise ValueError(f"p1 must be > 0, got {self.p1}")
         if not self.p2 > 0.0:
@@ -189,7 +197,7 @@ def _snap_inside(
             x = math.nextafter(x, 0.0)
         else:
             break
-    raise AssertionError(f"could not snap vertex ({x}, {y}) into region {bounds}")
+    raise VertexMembershipError(f"could not snap vertex ({x}, {y}) into region {bounds}")
 
 
 def region_vertices(bounds: RegionBounds, r0: float) -> list[tuple[float, float]]:
@@ -200,7 +208,8 @@ def region_vertices(bounds: RegionBounds, r0: float) -> list[tuple[float, float]
     Vertices are returned counterclockwise starting at (0, 0), without
     duplicates; every returned vertex satisfies :func:`contains` at r0.
 
-    Raises ValueError when r0 > b012 (region empty at that common rate).
+    Raises ValueError when r0 > b012 (region empty at that common rate), and
+    :class:`VertexMembershipError` if a vertex cannot be placed inside.
     """
     if not r0 >= 0.0:
         raise ValueError(f"r0 must be >= 0, got {r0}")

@@ -19,7 +19,7 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,6 +40,7 @@ from .outage import (
 from .regions import (
     PowerBudget,
     RatePoint,
+    VertexMembershipError,
     contains,
     gaussian_region_bounds,
     region_vertices,
@@ -93,25 +94,36 @@ def _row(b_i: int, theta: float, rate: float, est: OutageEstimate) -> SweepRow:
     return SweepRow(b_i, theta, rate, est.method, est.value, est.std_error, flag)
 
 
-def _analytic_row(b_i: int, query: OutageQuery, method: str, quad_tol: float) -> SweepRow:
-    theta, rate = query.theta.theta, query.rate_threshold
+def _analytic_rows(b_i: int, query: OutageQuery, method: str, quad_tol: float) -> list[SweepRow]:
+    """Rows of one (budget, theta) curve for an analytic method, in the
+    order of the query's rate tuple.  A degenerate closed form flags the
+    whole curve; a quadrature failure is re-evaluated rate by rate, so only
+    the failing rows are flagged."""
+    theta, rates = query.theta.theta, query.rate_threshold
     try:
         if method == CLOSED_FORM:
-            est = outage_closed_form(query)
+            estimates = outage_closed_form(query)
         else:
-            est = outage_quadrature(query, tol=quad_tol)
+            estimates = outage_quadrature(query, tol=quad_tol)
     except DegenerateDenominator:
-        return SweepRow(b_i, theta, rate, method, None, None, FLAG_DEGENERATE)
+        return [SweepRow(b_i, theta, rate, method, None, None, FLAG_DEGENERATE) for rate in rates]
     except QuadratureNonConvergence:
-        return SweepRow(b_i, theta, rate, method, None, None, FLAG_NONCONVERGENCE)
-    return _row(b_i, theta, rate, est)
+        if len(rates) == 1:
+            return [SweepRow(b_i, theta, rates[0], method, None, None, FLAG_NONCONVERGENCE)]
+        return [
+            row
+            for rate in rates
+            for row in _analytic_rows(b_i, replace(query, rate_threshold=(rate,)), method, quad_tol)
+        ]
+    return [_row(b_i, theta, rate, est) for rate, est in zip(rates, estimates)]
 
 
 def _theta_block(
     config: ExperimentConfig, t_i: int, rates: tuple[float, ...]
 ) -> list[list[SweepRow]]:
     """Every row at theta index ``t_i``: one list per budget, each in
-    (rate, method) order."""
+    (rate, method) order.  Each method evaluates a whole (budget, theta)
+    curve in one call."""
     theta = config.thetas[t_i]
     if MONTE_CARLO in config.methods:
         mc = outage_monte_carlo_grid(
@@ -124,16 +136,14 @@ def _theta_block(
         )
     blocks = []
     for b_i, budget in enumerate(config.budgets):
-        rows = []
-        for r_i, rate in enumerate(rates):
-            query = None
-            for method in config.methods:
-                if method == MONTE_CARLO:
-                    rows.append(_row(b_i, theta.theta, rate, mc[b_i][r_i]))
-                else:
-                    query = query or OutageQuery(rate, budget, config.marginals, theta)
-                    rows.append(_analytic_row(b_i, query, method, config.quad_tol))
-        blocks.append(rows)
+        query = OutageQuery(rates, budget, config.marginals, theta)
+        columns = [
+            [_row(b_i, theta.theta, rate, est) for rate, est in zip(rates, mc[b_i])]
+            if method == MONTE_CARLO
+            else _analytic_rows(b_i, query, method, config.quad_tol)
+            for method in config.methods
+        ]
+        blocks.append([row for per_rate in zip(*columns) for row in per_rate])
     return blocks
 
 
@@ -332,7 +342,8 @@ def emit_region(
     Uses the instantaneous region when ``gains`` is given, else the
     Gaussian region.  Coordinates are written with full round-trip
     precision so re-reading and re-checking membership is exact.  Returns
-    the vertex list.
+    the vertex list; raises :class:`VertexMembershipError`, before writing
+    anything, if a vertex fails that check.
     """
     bounds = (
         wireless_region_bounds(budget, gains)
@@ -341,7 +352,10 @@ def emit_region(
     )
     vertices = region_vertices(bounds, r0)
     for x, y in vertices:
-        assert contains(bounds, RatePoint(r0, x, y))
+        if not contains(bounds, RatePoint(r0, x, y)):
+            raise VertexMembershipError(
+                f"vertex ({x!r}, {y!r}) lies outside region {bounds} at r0={r0!r}"
+            )
     with open(path, "w", newline="") as fh:
         fh.write("r1,r2\n")
         for x, y in vertices:

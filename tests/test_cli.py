@@ -171,14 +171,73 @@ def test_exit_1_on_unbounded_rate_axis(rate_lines, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_python_dash_m_runs_the_cli(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[budget]\np1 = 1\np2 = 5\nnoise = inf\n",
+        "[budget]\np1 = inf\np2 = 5\nnoise = 1\n",
+        "[budget]\np1 = 1\np2 = 5\nnoise = nan\n",
+        "lambda1 = inf\n[budget]\np1 = 1\np2 = 5\nnoise = 1\n",
+        "sigma1_sq = 1e-320\n[budget]\np1 = 1\np2 = 5\nnoise = 1\n",  # lambda1 = inf
+    ],
+    ids=["noise-inf", "p1-inf", "noise-nan", "lambda1-inf", "sigma1-subnormal"],
+)
+def test_exit_1_on_non_finite_inputs(text, tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    out = tmp_path / "x.csv"
+    assert main(["outage", "--config", str(path), "--methods", "quadrature", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _src_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+# Runs `swmac region` with a membership test that rejects every point, in the
+# module named by argv[1]: swmac.sweep (the check on the emitted vertices) or
+# swmac.regions (the vertex snapping).
+_REJECTING_REGION_RUN = """
+import sys
+import importlib
+import swmac.cli
+module = importlib.import_module(sys.argv[1])
+module.contains = lambda bounds, point: False
+code = swmac.cli.main(["region", "--preset", "fig2", "--r0", "0.5", "--out", sys.argv[2]])
+print(__debug__, code)
+"""
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "python-O"])
+@pytest.mark.parametrize("module", ["swmac.sweep", "swmac.regions"])
+def test_exit_2_when_a_region_vertex_fails_membership(module, optimize, tmp_path):
+    out = tmp_path / "region.csv"
+    proc = subprocess.run(
+        [sys.executable, *optimize, "-c", _REJECTING_REGION_RUN, module, str(out)],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(not optimize), "2"]
+    assert proc.stderr.startswith("evaluation failed: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "swmac", "preset", "list"],
         cwd=tmp_path,
-        env=env,
+        env=_src_env(),
         capture_output=True,
         text=True,
         timeout=60,

@@ -52,7 +52,9 @@ def test_unit_pair_rejects_out_of_range(u1, u2):
         UnitPair(u1, u2)
 
 
-@pytest.mark.parametrize("l1,l2", [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)])
+@pytest.mark.parametrize(
+    "l1,l2", [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("inf"))]
+)
 def test_marginals_reject_nonpositive_rates(l1, l2):
     with pytest.raises(ValueError):
         FadingMarginals(l1, l2)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from swmac import (
     CLOSED_FORM,
@@ -348,3 +349,144 @@ def test_point_to_point_validation():
         outage_point_to_point(0.5, power=0.0, noise=1.0, lam=1.0)
     with pytest.raises(ValueError):
         outage_point_to_point(0.5, power=1.0, noise=1.0, lam=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Rate-axis queries and the vectorised first quadrature panel
+# ---------------------------------------------------------------------------
+
+# Unit noise: the closed form leaves [0, 1] at the small rates of the
+# (1, 5) budget, and quadrature settles the small rates in the first panel
+# and sends the larger ones through adaptive quadrature.
+AXIS = (0.0, 0.05, 0.3, 0.75, 1.5, 2.5)
+
+
+def test_gamma_threshold_tuple_equals_scalar_calls():
+    rates = (0.0, 0.1, 0.30000000000000004, 1.7, 3.0)
+    for noise in (1e-5, 1.0):
+        got = gamma_threshold(rates, noise)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [gamma_threshold(r, noise) for r in rates]
+    for bad_rates, noise in (((0.1, -0.1), 1.0), ((0.1, math.nan), 1.0), ((0.1,), 0.0)):
+        with pytest.raises(ValueError):
+            gamma_threshold(bad_rates, noise)
+
+
+def test_tuple_query_is_hashable_and_validated():
+    q = make_query(rate=(0.1, 0.2))
+    assert q == make_query(rate=(0.1, 0.2))
+    assert hash(q) == hash(make_query(rate=(0.1, 0.2)))
+    assert q.rates == (0.1, 0.2)
+    assert make_query(rate=0.1).rates == (0.1,)
+    assert q.gamma.tolist() == [make_query(rate=r).gamma for r in (0.1, 0.2)]
+    with pytest.raises(ValueError):
+        make_query(rate=(0.1, -0.2))
+
+
+@pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7])
+@pytest.mark.parametrize(
+    "p1,p2", [(1.0, 5.0), (1.0, 1.0)], ids=["out-of-range-budget", "degenerate-budget"]
+)
+def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
+    curve = make_query(rate=AXIS, p1=p1, p2=p2, noise=1.0, theta=theta)
+    points = [make_query(rate=r, p1=p1, p2=p2, noise=1.0, theta=theta) for r in AXIS]
+    if p1 == p2:  # l2 - l1*P = 0 for the whole curve and at every point
+        with pytest.raises(DegenerateDenominator):
+            outage_closed_form(curve)
+        for q in points:
+            with pytest.raises(DegenerateDenominator):
+                outage_closed_form(q)
+    else:
+        closed = outage_closed_form(curve)
+        assert closed == [outage_closed_form(q) for q in points]
+        assert any(e.flag == "out-of-range" for e in closed)
+    quad = outage_quadrature(curve)
+    assert isinstance(quad, list) and len(quad) == len(AXIS)
+    assert quad == [outage_quadrature(q) for q in points]
+    mc = outage_monte_carlo(curve, 2000, seed=4)
+    assert mc == [outage_monte_carlo(q, 2000, seed=4) for q in points]
+
+
+def test_first_panel_matches_quadpack_first_step():
+    from swmac.outage import _gauss_kronrod_panel
+
+    for f, upper in (
+        (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0),  # settled by the panel
+        (lambda x: x**7 - 2.0 * x**3, 1.3),  # polynomial, degree below 31
+        (lambda x: 1.0 / (1.0 + x * x), 5.0),  # needs subdivision
+        (np.sqrt, 1.0),  # endpoint singularity
+    ):
+        with pytest.warns(integrate.IntegrationWarning):  # limit=1 stops after one panel
+            first_step = integrate.quad(lambda x: float(f(x)), 0.0, upper, limit=1)
+        _, _, info = integrate.quad(
+            lambda x: float(f(x)), 0.0, upper, epsabs=1e-10, epsrel=1e-12, full_output=1
+        )[:3]
+        result, abserr, settled = _gauss_kronrod_panel(
+            lambda d, g: f(d), np.zeros(1), np.array([upper]), 1e-10
+        )
+        assert result[0] == pytest.approx(first_step[0], rel=1e-14)
+        assert abserr[0] == pytest.approx(first_step[1], rel=1e-6)
+        assert bool(settled[0]) == (info["neval"] == 21)
+
+
+def _quadpack_reference(q, tol):
+    a, b = q.weight1, q.weight2
+    l1, l2 = q.marginals.lambda1, q.marginals.lambda2
+    th, gamma = q.theta.theta, q.gamma
+
+    def inner(d):
+        c_star = (gamma - b * d) / a
+        e = math.exp(-l2 * d)
+        t = 2.0 * e - 1.0
+        q1 = -math.expm1(-l1 * c_star)
+        q2 = -math.expm1(-2.0 * l1 * c_star)
+        return l2 * e * ((1.0 - th * t) * q1 + th * t * q2)
+
+    return integrate.quad(inner, 0.0, gamma / b, epsabs=tol, epsrel=1e-12, limit=200)[0]
+
+
+def test_first_panel_acceptance_compares_against_resasc():
+    # gamma/B is about 8,800 and the mass sits near 0, so one 21-point panel
+    # over [0, gamma/B] sees almost none of it.  QUADPACK rejects that panel
+    # because its error estimate equals dqk21's resasc; testing against
+    # resabs instead would accept a value near 3e-11.
+    q = make_query(rate=5.55, p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, theta=-1.0)
+    assert q.gamma / q.weight2 == pytest.approx(8776.0, rel=1e-3)
+    reference = _quadpack_reference(q, 1e-10)
+    got = outage_quadrature(q, tol=1e-10).value
+    assert got == pytest.approx(1.0, abs=1e-9)
+    assert got == min(max(reference, 0.0), 1.0)
+
+
+def test_rejected_first_panel_takes_the_quadpack_path(monkeypatch):
+    import swmac.outage as outage_module
+
+    calls = []
+    quad = outage_module.integrate.quad
+
+    def spy(f, lo, hi, **kwargs):
+        calls.append(hi)
+        return quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(outage_module.integrate, "quad", spy)
+    # At preset noise every rate is settled by the panel.
+    preset = make_query(rate=tuple(r / 10 for r in range(1, 31)), noise=1e-5, theta=0.5)
+    assert len(outage_quadrature(preset)) == 30
+    assert calls == []
+    # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled.
+    curve = make_query(rate=(0.05, 2.5), noise=1.0, theta=0.5)
+    small, large = outage_quadrature(curve)
+    assert calls == [pytest.approx(31.0 / 5.0)]
+    point = make_query(rate=2.5, noise=1.0, theta=0.5)
+    assert large.value == _quadpack_reference(point, 1e-10)
+    reference = _quadpack_reference(make_query(rate=0.05, theta=0.5), 1e-10)
+    assert small.value == pytest.approx(reference, rel=1e-13)
+
+
+def test_nonconvergence_of_one_point_fails_the_curve():
+    # At tol = 1e-13 the error estimate is met at R = 0.05 and missed at 1.55.
+    outage_quadrature(make_query(rate=0.05, noise=1.0, theta=-1.0), tol=1e-13)
+    with pytest.raises(QuadratureNonConvergence):
+        outage_quadrature(make_query(rate=1.55, noise=1.0, theta=-1.0), tol=1e-13)
+    with pytest.raises(QuadratureNonConvergence):
+        outage_quadrature(make_query(rate=(0.05, 1.55), noise=1.0, theta=-1.0), tol=1e-13)

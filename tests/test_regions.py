@@ -50,6 +50,10 @@ def gain_pairs(draw):
         (2.0, 1, 5, 1),  # p0 above min(p1, p2)
         (0, 0, 1, 1),  # p1 not positive
         (0, 1, 1, 0),  # noise not positive
+        (0, math.inf, 1, 1),  # non-finite values
+        (0, 1, math.inf, 1),
+        (0, 1, 1, math.inf),
+        (math.nan, 1, 1, 1),
     ],
 )
 def test_power_budget_rejects_invalid(p0, p1, p2, noise):

@@ -16,10 +16,16 @@ from swmac import (
     wireless_region_bounds,
 )
 from swmac.config import RateGrid, preset_config
-from swmac.outage import OutageQuery, outage_monte_carlo
+from swmac.outage import (
+    OutageQuery,
+    QuadratureNonConvergence,
+    outage_monte_carlo,
+    outage_quadrature,
+)
 from swmac.streams import derive_seed
 from swmac.sweep import (
     FLAG_DEGENERATE,
+    FLAG_NONCONVERGENCE,
     FLAG_OK,
     SWEEP_HEADER,
     SweepRow,
@@ -165,6 +171,82 @@ def test_out_of_range_closed_form_rows_keep_value():
     assert any(r.flag == "out-of-range" for r in rows)
     for r in rows:
         assert r.op is not None
+
+
+def _flagged_config(**overrides):
+    # Unit noise at tol 1e-13: budget 0 has out-of-range closed-form rows
+    # and scattered quadrature nonconvergence, budget 1 (P = 1 with equal
+    # rates) a degenerate closed form.
+    return small_config(
+        budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 1.0, 1.0)),
+        thetas=(DependenceParameter(-1.0), DependenceParameter(0.5)),
+        rate_grid=RateGrid(0.05, 2.1, 0.05),
+        marginals=FadingMarginals(1.0, 1.0),
+        quad_tol=1e-13,
+        mc_samples=2000,
+        **overrides,
+    )
+
+
+def test_quadrature_nonconvergence_flags_only_the_failing_rows():
+    cfg = _flagged_config(methods=("quadrature",))
+    rows = run_outage_sweep(cfg)
+    flags = {r.flag for r in rows}
+    assert flags == {FLAG_OK, FLAG_NONCONVERGENCE}
+    for row in rows:
+        theta = DependenceParameter(row.theta)
+        query = OutageQuery(row.rate, cfg.budgets[row.budget_id], cfg.marginals, theta)
+        if row.flag == FLAG_OK:
+            assert row.op == outage_quadrature(query, tol=cfg.quad_tol).value
+        else:
+            assert row.op is None and row.std_err is None
+            with pytest.raises(QuadratureNonConvergence):
+                outage_quadrature(query, tol=cfg.quad_tol)
+
+
+def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path):
+    cfg = _flagged_config()
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    rows = run_outage_sweep(cfg, workers=1)
+    emit_csv(rows, serial)
+    emit_csv(run_outage_sweep(cfg, workers=2), parallel)
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert {r.flag for r in rows} == {
+        FLAG_OK,
+        FLAG_DEGENERATE,
+        FLAG_NONCONVERGENCE,
+        "out-of-range",
+    }
+
+
+def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
+    # perfbench/run.py reads per-layer metrics from spans of these names and
+    # takes percentiles and medians over them, which fail on an empty list:
+    # outage.closed_form_us_p50/_p99/_calls (outage.outage_closed_form),
+    # outage.quadrature_us_p50/_p99/_calls (outage.outage_quadrature),
+    # config.rate_values_us (config.RateGrid.values), all on analytic-grid,
+    # and streams.substream_us (streams.substream) on mc-sweep.  A sweep that
+    # stops calling one of them must fail here, not in the benchmark.
+    import swmac.copula as copula_module
+    import swmac.sweep as sweep_module
+
+    calls = {}
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(sweep_module, "outage_closed_form")
+    spy(sweep_module, "outage_quadrature")
+    spy(RateGrid, "values")
+    spy(copula_module, "substream")
+    run_outage_sweep(small_config(mc_samples=1000))
+    assert set(calls) == {"outage_closed_form", "outage_quadrature", "values", "substream"}
 
 
 # ---------------------------------------------------------------------------
