@@ -32,11 +32,8 @@ from .copula import (
     conditional_cdf,
     copula_cdf,
     copula_density,
-    joint_gain_cdf,
     joint_gain_pdf,
-    sample_gain_pair,
     sample_gain_pairs,
-    sample_unit_pair,
     sample_unit_pairs,
 )
 from .outage import (
@@ -60,12 +57,10 @@ from .regions import (
     PowerBudget,
     RatePoint,
     RegionBounds,
-    ScalingFactors,
     VertexMembershipError,
     contains,
     gaussian_region_bounds,
     region_vertices,
-    scaling_factors,
     wireless_region_bounds,
 )
 from .streams import derive_seed, substream
@@ -90,23 +85,18 @@ __all__ = [
     "copula_cdf",
     "copula_density",
     "conditional_cdf",
-    "sample_unit_pair",
     "sample_unit_pairs",
-    "sample_gain_pair",
     "sample_gain_pairs",
-    "joint_gain_cdf",
     "joint_gain_pdf",
     # regions
     "PowerBudget",
     "RatePoint",
     "RegionBounds",
-    "ScalingFactors",
     "VertexMembershipError",
     "gaussian_region_bounds",
     "wireless_region_bounds",
     "contains",
     "region_vertices",
-    "scaling_factors",
     # outage
     "CLOSED_FORM",
     "QUADRATURE",

@@ -187,7 +187,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     report = compare_methods(config, workers=args.workers)
     path = _out_path(config, "compare")
-    emit_comparison_csv(report, config.methods, path)
+    emit_comparison_csv(report, path)
     for line in report.summary_lines():
         print(line)
     print(f"wrote {len(report.points)} comparison rows to {path}")

@@ -24,17 +24,15 @@ points).  The values shown above are the defaults, applied when a key is
 omitted.
 
 The ``fig2``/``fig3``/``fig4`` presets carry the power pairs of the
-standard two-transmitter scenarios (noise 1e-5 W) plus inert annotations
-(path-loss exponent, per-transmitter rates in Mbps) that no computation
-consumes.
+standard two-transmitter scenarios (noise 1e-5 W).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 from .copula import DependenceParameter, FadingMarginals
 from .outage import METHODS
@@ -139,7 +137,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = METHODS
     quad_tol: float = DEFAULT_QUAD_TOL
     output_path: Optional[str] = None
-    annotations: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.budgets:
@@ -342,13 +339,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 _NOISE_W = 1e-5
 
-# Inert scenario metadata (no computation consumes these).
-_SCENARIO_ANNOTATIONS = {
-    "path_loss_exponent": "2.8",
-    "rate1_mbps": "0.44",
-    "rate2_mbps": "1.75",
-}
-
 _PRESETS: dict[str, dict] = {
     "fig2": {
         "description": "p1 = 1 W against p2 = 5 and 10 W, noise 1e-5 W, unit-mean gains",
@@ -396,8 +386,4 @@ def preset_config(name: str) -> ExperimentConfig:
     if name not in _PRESETS:
         raise ValidationError(f"unknown preset {name!r}; expected one of {preset_names()}")
     entry = _PRESETS[name]
-    return ExperimentConfig(
-        budgets=entry["budgets"],
-        marginals=entry["marginals"],
-        annotations=dict(_SCENARIO_ANNOTATIONS, preset=name),
-    )
+    return ExperimentConfig(budgets=entry["budgets"], marginals=entry["marginals"])

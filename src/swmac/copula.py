@@ -33,12 +33,9 @@ __all__ = [
     "copula_cdf",
     "copula_density",
     "conditional_cdf",
-    "sample_unit_pair",
     "sample_unit_pairs",
-    "sample_gain_pair",
     "sample_gain_pairs",
     "iter_gain_pair_chunks",
-    "joint_gain_cdf",
     "joint_gain_pdf",
 ]
 
@@ -235,12 +232,6 @@ def sample_unit_pairs(
     return w
 
 
-def sample_unit_pair(theta: DependenceParameter, rng: np.random.Generator) -> UnitPair:
-    """Draw one FGM-distributed pair; consumes exactly two uniforms."""
-    pair = sample_unit_pairs(theta, 1, rng)[0]
-    return UnitPair(float(pair[0]), float(pair[1]))
-
-
 def sample_gain_pairs(
     theta: DependenceParameter,
     marginals: FadingMarginals,
@@ -255,16 +246,6 @@ def sample_gain_pairs(
     g = sample_unit_pairs(theta, n, rng)
     _exp_inverse_pairs(marginals.lambda1, marginals.lambda2, g)
     return g
-
-
-def sample_gain_pair(
-    theta: DependenceParameter,
-    marginals: FadingMarginals,
-    rng: np.random.Generator,
-) -> GainPair:
-    """Draw one correlated gain pair; consumes exactly two uniforms."""
-    g = sample_gain_pairs(theta, marginals, 1, rng)[0]
-    return GainPair(float(g[0]), float(g[1]))
 
 
 def iter_gain_pair_chunks(
@@ -287,21 +268,6 @@ def iter_gain_pair_chunks(
     for k in range((n + chunk_size - 1) // chunk_size):
         m = min(chunk_size, n - k * chunk_size)
         yield sample_gain_pairs(theta, marginals, m, substream(seed, k))
-
-
-def joint_gain_cdf(
-    theta: DependenceParameter, marginals: FadingMarginals, g: GainPair
-) -> float:
-    """Joint CDF of the correlated gain pair: C(F1(g1), F2(g2)).
-
-    Shares the implementation path with :func:`copula_cdf`, so the two are
-    bit-identical by construction.
-    """
-    u = UnitPair(
-        float(_exp_cdf(marginals.lambda1, g.g1)),
-        float(_exp_cdf(marginals.lambda2, g.g2)),
-    )
-    return copula_cdf(theta, u)
 
 
 def joint_gain_pdf(

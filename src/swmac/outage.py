@@ -236,20 +236,34 @@ def gamma_threshold(
     """Received-power threshold gamma = N*(2^(2R) - 1).
 
     Zero at R = 0 and strictly increasing in R.  A tuple of rates gives an
-    array whose entries equal the scalar results bit for bit.
+    array whose entries equal the scalar results bit for bit.  Raises
+    ValueError when gamma is not finite (2^(2R) or its product with N
+    overflows).
     """
     if not noise > 0.0:
         raise ValueError(f"noise must be > 0, got {noise}")
-    if isinstance(rate_threshold, tuple):
-        rates = np.array(rate_threshold, dtype=float)
-        if not (rates >= 0.0).all():
-            raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-        # Python's ** is libm's pow, as on the scalar path; numpy's SIMD
-        # power can differ from it in the last bit.
-        return noise * (np.array([2.0 ** x for x in (2.0 * rates).tolist()]) - 1.0)
-    if not rate_threshold >= 0.0:
-        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-    return noise * (2.0 ** (2.0 * rate_threshold) - 1.0)
+    try:
+        if isinstance(rate_threshold, tuple):
+            rates = np.array(rate_threshold, dtype=float)
+            if not (rates >= 0.0).all():
+                raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
+            # Python's ** is libm's pow, as on the scalar path; numpy's SIMD
+            # power can differ from it in the last bit.
+            powers = np.array([2.0 ** x for x in (2.0 * rates).tolist()])
+            with np.errstate(over="ignore"):
+                gamma = noise * (powers - 1.0)
+            finite = np.isfinite(gamma).all()
+        else:
+            if not rate_threshold >= 0.0:
+                raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
+            gamma = noise * (2.0 ** (2.0 * rate_threshold) - 1.0)
+            finite = math.isfinite(gamma)
+    except OverflowError:
+        finite = False
+    if not finite:
+        r_max = max(rate_threshold) if isinstance(rate_threshold, tuple) else rate_threshold
+        raise ValueError(f"gamma = N*(2^(2R) - 1) overflows for noise {noise} at rate {r_max}")
+    return gamma
 
 
 def _libm_exp(x: np.ndarray) -> np.ndarray:

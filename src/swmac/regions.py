@@ -25,13 +25,11 @@ __all__ = [
     "PowerBudget",
     "RatePoint",
     "RegionBounds",
-    "ScalingFactors",
     "VertexMembershipError",
     "gaussian_region_bounds",
     "wireless_region_bounds",
     "contains",
     "region_vertices",
-    "scaling_factors",
 ]
 
 
@@ -109,22 +107,6 @@ class RegionBounds:
             raise ValueError(f"b2={self.b2} must not exceed b12={self.b12}")
         if not self.b12 <= self.b012:
             raise ValueError(f"b12={self.b12} must not exceed b012={self.b012}")
-
-
-@dataclass(frozen=True)
-class ScalingFactors:
-    """Private-message amplitude scalings a_i = sqrt((p_i - p0)/p_i1)."""
-
-    a1: float
-    a2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a1", float(self.a1))
-        object.__setattr__(self, "a2", float(self.a2))
-        if not self.a1 >= 0.0:
-            raise ValueError(f"a1 must be >= 0, got {self.a1}")
-        if not self.a2 >= 0.0:
-            raise ValueError(f"a2 must be >= 0, got {self.a2}")
 
 
 def gaussian_region_bounds(budget: PowerBudget) -> RegionBounds:
@@ -243,19 +225,3 @@ def region_vertices(bounds: RegionBounds, r0: float) -> list[tuple[float, float]
     rest = [v for v in vertices if v != origin]
     rest.sort(key=lambda v: (math.atan2(v[1], v[0]), v[0] * v[0] + v[1] * v[1]))
     return [origin] + rest
-
-
-def scaling_factors(budget: PowerBudget, p11: float, p21: float) -> ScalingFactors:
-    """Amplitudes a_i = sqrt((p_i - p0)/p_i1) for private powers p11, p21.
-
-    These meet the transmit-power constraints with equality:
-    p0 + a1^2*p11 = p1 and p0 + a2^2*p21 = p2.
-    """
-    if not p11 > 0.0:
-        raise ValueError(f"p11 must be > 0, got {p11}")
-    if not p21 > 0.0:
-        raise ValueError(f"p21 must be > 0, got {p21}")
-    return ScalingFactors(
-        a1=math.sqrt((budget.p1 - budget.p0) / p11),
-        a2=math.sqrt((budget.p2 - budget.p0) / p21),
-    )

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from .config import ExperimentConfig, ValidationError
 from .copula import DependenceParameter, GainPair, iter_gain_pair_chunks
 from .outage import (
     CLOSED_FORM,
+    METHODS,
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
@@ -183,12 +185,19 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRo
     return [row for b_i in range(len(config.budgets)) for block in blocks for row in block[b_i]]
 
 
+def _method_pairs(methods: Sequence[str]) -> tuple[tuple[str, str], ...]:
+    """Every pair of the given methods, each pair and its sides in
+    :data:`METHODS` order."""
+    ordered = [m for m in METHODS if m in methods]
+    return tuple((a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :])
+
+
 @dataclass(frozen=True)
 class ComparisonPoint:
     """Pairwise method differences at one (budget, theta, rate) point.
 
-    ``diffs`` maps "methodA|methodB" to value(A) - value(B) for method
-    pairs where both rows produced a value.  ``z_quad_mc`` is
+    ``diffs[i]`` is value(A) - value(B) for the i-th (A, B) of the report's
+    ``pairs``, or None where either row has no value.  ``z_quad_mc`` is
     (quadrature - monte-carlo)/std_err when both are present (infinite if
     std_err is 0 and the difference is not).  ``flags`` collects
     noteworthy conditions at this point.
@@ -197,7 +206,7 @@ class ComparisonPoint:
     budget_id: int
     theta: float
     rate: float
-    diffs: dict[str, float]
+    diffs: tuple[Optional[float], ...]
     z_quad_mc: Optional[float]
     closed_form_deviation: Optional[float]
     flags: tuple[str, ...]
@@ -205,98 +214,93 @@ class ComparisonPoint:
 
 @dataclass(frozen=True)
 class ComparisonReport:
+    """Comparison points in sweep row order, with the method ``pairs``
+    their ``diffs`` are aligned with."""
+
     points: tuple[ComparisonPoint, ...]
-    flag_counts: dict[str, int]
+    pairs: tuple[tuple[str, str], ...]
+
+    @property
+    def flag_counts(self) -> dict[str, int]:
+        """Number of points carrying each flag."""
+        return dict(Counter(flag for p in self.points for flag in p.flags))
 
     def summary_lines(self) -> list[str]:
         lines = [f"points compared: {len(self.points)}"]
-        for flag in sorted(self.flag_counts):
-            lines.append(f"  {flag}: {self.flag_counts[flag]}")
-        zs = [abs(p.z_quad_mc) for p in self.points if p.z_quad_mc is not None and math.isfinite(p.z_quad_mc)]
-        if zs:
-            lines.append(f"max |z| (quadrature vs monte-carlo): {max(zs):.3f}")
+        flag_counts = self.flag_counts
+        for flag in sorted(flag_counts):
+            lines.append(f"  {flag}: {flag_counts[flag]}")
+        zs = [abs(p.z_quad_mc) for p in self.points if p.z_quad_mc is not None]
+        finite = [z for z in zs if math.isfinite(z)]
+        if finite:
+            lines.append(f"max |z| (quadrature vs monte-carlo): {max(finite):.3f}")
+        n_infinite = len(zs) - len(finite)
+        if n_infinite:
+            lines.append(f"non-finite z (quadrature vs monte-carlo): {n_infinite} points")
         devs = [abs(p.closed_form_deviation) for p in self.points if p.closed_form_deviation is not None]
         if devs:
             lines.append(f"max |closed-form - quadrature|: {max(devs):.6e}")
         return lines
 
 
-def compare_methods(
-    config: ExperimentConfig,
-    rows: Optional[Sequence[SweepRow]] = None,
-    workers: int = 1,
-) -> ComparisonReport:
-    """Cross-method comparison over a sweep.
+def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonReport:
+    """Cross-method comparison over the config's sweep.
 
-    Runs the sweep if ``rows`` is not supplied.  Requires at least two
-    methods in the config.  A closed-form row deviating from quadrature by
-    more than 10x the quadrature tolerance is flagged
+    Requires at least two methods in the config.  One point per sweep
+    point, in sweep row order.  A closed-form row deviating from quadrature
+    by more than 10x the quadrature tolerance is flagged
     ``closed-form-deviation``; a |z| above 3.29 is flagged ``large-z``;
     row-level error and out-of-range flags are propagated and counted.
     """
     if len(config.methods) < 2:
         raise ValidationError("comparison requires at least two methods")
-    if rows is None:
-        rows = run_outage_sweep(config, workers=workers)
-
-    by_point: dict[tuple[int, float, float], dict[str, SweepRow]] = {}
-    for row in rows:
-        by_point.setdefault((row.budget_id, row.theta, row.rate), {})[row.method] = row
-
+    rows = run_outage_sweep(config, workers=workers)
+    pairs = _method_pairs(config.methods)
+    # The sweep emits the rows of one (budget, theta, rate) point together,
+    # one per method.
+    k = len(config.methods)
     points = []
-    flag_counts: dict[str, int] = {}
-
-    def bump(flag: str) -> None:
-        flag_counts[flag] = flag_counts.get(flag, 0) + 1
-
-    for key in sorted(by_point):
-        budget_id, theta, rate = key
-        group = by_point[key]
-        point_flags: list[str] = []
-        for row in group.values():
-            if row.flag != FLAG_OK:
-                point_flags.append(f"{row.method}:{row.flag}")
-        diffs: dict[str, float] = {}
-        methods = [m for m in (CLOSED_FORM, QUADRATURE, MONTE_CARLO) if m in group]
-        for i, m_a in enumerate(methods):
-            for m_b in methods[i + 1 :]:
-                row_a, row_b = group[m_a], group[m_b]
-                if row_a.op is not None and row_b.op is not None:
-                    diffs[f"{m_a}|{m_b}"] = row_a.op - row_b.op
+    for i in range(0, len(rows), k):
+        block = rows[i : i + k]
+        group = {row.method: row for row in block}
+        ops = {method: row.op for method, row in group.items()}
+        point_flags = [f"{row.method}:{row.flag}" for row in block if row.flag != FLAG_OK]
+        diffs = tuple(
+            ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
+            for a, b in pairs
+        )
 
         z: Optional[float] = None
-        quad = group.get(QUADRATURE)
-        mc = group.get(MONTE_CARLO)
-        if quad is not None and mc is not None and quad.op is not None and mc.op is not None:
-            diff = quad.op - mc.op
-            if mc.std_err and mc.std_err > 0.0:
-                z = diff / mc.std_err
+        quad, mc = ops.get(QUADRATURE), ops.get(MONTE_CARLO)
+        if quad is not None and mc is not None:
+            diff = quad - mc
+            std_err = group[MONTE_CARLO].std_err
+            if std_err and std_err > 0.0:
+                z = diff / std_err
             else:
                 z = 0.0 if diff == 0.0 else math.inf
             if abs(z) > Z_FLAG_THRESHOLD:
                 point_flags.append("large-z")
 
         deviation: Optional[float] = None
-        cf = group.get(CLOSED_FORM)
-        if cf is not None and quad is not None and cf.op is not None and quad.op is not None:
-            deviation = cf.op - quad.op
+        cf = ops.get(CLOSED_FORM)
+        if cf is not None and quad is not None:
+            deviation = cf - quad
             if abs(deviation) > 10.0 * config.quad_tol:
                 point_flags.append("closed-form-deviation")
 
-        for flag in point_flags:
-            bump(flag)
         points.append(
             ComparisonPoint(
-                budget_id=budget_id,
-                theta=theta,
-                rate=rate,
+                budget_id=block[0].budget_id,
+                theta=block[0].theta,
+                rate=block[0].rate,
                 diffs=diffs,
                 z_quad_mc=z,
                 closed_form_deviation=deviation,
                 flags=tuple(point_flags),
             )
         )
-    return ComparisonReport(points=tuple(points), flag_counts=flag_counts)
+    return ComparisonReport(points=tuple(points), pairs=pairs)
 
 
 def format_value(x: Optional[float]) -> str:
@@ -377,19 +381,11 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
                 fh.write(f"{float(g1)!r},{float(g2)!r}\n")
 
 
-def _method_pairs(methods: Sequence[str]) -> list[tuple[str, str]]:
-    ordered = [m for m in (CLOSED_FORM, QUADRATURE, MONTE_CARLO) if m in methods]
-    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]]
-
-
-def emit_comparison_csv(
-    report: ComparisonReport, methods: Sequence[str], path: str | Path
-) -> None:
+def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
     """Write a comparison report as CSV with one row per sweep point."""
-    pairs = _method_pairs(methods)
     header = (
         ["budget_id", "theta", "rate"]
-        + [f"diff_{a}_{b}" for a, b in pairs]
+        + [f"diff_{a}_{b}" for a, b in report.pairs]
         + ["z_quad_mc", "flags"]
     )
     with open(path, "w", newline="") as fh:
@@ -397,8 +393,7 @@ def emit_comparison_csv(
         writer.writerow(header)
         for p in report.points:
             row = [str(p.budget_id), format_value(p.theta), format_value(p.rate)]
-            for a, b in pairs:
-                row.append(format_value(p.diffs.get(f"{a}|{b}")))
+            row.extend(format_value(d) for d in p.diffs)
             if p.z_quad_mc is None:
                 row.append("")
             elif math.isinf(p.z_quad_mc):

@@ -117,6 +117,28 @@ def test_compare_subcommand(config_file, tmp_path, capsys):
     assert len(read_csv(out)) == 7
 
 
+def test_compare_calls_the_spans_the_benchmark_traces(config_file, tmp_path, monkeypatch):
+    # perfbench/run.py reads sweep.compare_ms and sweep.emit_comparison_csv_us
+    # from the spans of sweep.compare_methods and sweep.emit_comparison_csv,
+    # which its tracer wraps under these names in the swmac.cli namespace.
+    # A compare that stops calling one of them must fail here, not read 0 in
+    # the benchmark.
+    import swmac.cli as cli_module
+
+    calls = []
+    for name in ("compare_methods", "emit_comparison_csv"):
+        original = getattr(cli_module, name)
+        assert (original.__module__, original.__qualname__) == ("swmac.sweep", name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    assert main(["compare", "--config", config_file, "--out", str(tmp_path / "c.csv")]) == 0
+    assert calls == ["compare_methods", "emit_comparison_csv"]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -179,8 +201,18 @@ def test_exit_1_on_unbounded_rate_axis(rate_lines, tmp_path, capsys):
         "[budget]\np1 = 1\np2 = 5\nnoise = nan\n",
         "lambda1 = inf\n[budget]\np1 = 1\np2 = 5\nnoise = 1\n",
         "sigma1_sq = 1e-320\n[budget]\np1 = 1\np2 = 5\nnoise = 1\n",  # lambda1 = inf
+        "rate_start = 600\nrate_stop = 600\n[budget]\np1 = 1\np2 = 5\nnoise = 1\n",
+        "rate_start = 14\nrate_stop = 14\n[budget]\np1 = 1\np2 = 5\nnoise = 1e300\n",
     ],
-    ids=["noise-inf", "p1-inf", "noise-nan", "lambda1-inf", "sigma1-subnormal"],
+    ids=[
+        "noise-inf",
+        "p1-inf",
+        "noise-nan",
+        "lambda1-inf",
+        "sigma1-subnormal",
+        "rate-overflow",  # 2^(2R) overflows
+        "gamma-overflow",  # N*(2^(2R) - 1) overflows
+    ],
 )
 def test_exit_1_on_non_finite_inputs(text, tmp_path, capsys):
     path = tmp_path / "cfg.txt"

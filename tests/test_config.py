@@ -232,9 +232,3 @@ def test_fig4_preset_budgets():
         PowerBudget(0.0, 10.0, 1.0, 1e-5),
     )
 
-
-def test_presets_carry_inert_annotations():
-    cfg = preset_config("fig2")
-    assert cfg.annotations["path_loss_exponent"] == "2.8"
-    assert cfg.annotations["rate1_mbps"] == "0.44"
-    assert cfg.annotations["rate2_mbps"] == "1.75"

@@ -14,11 +14,8 @@ from swmac import (
     conditional_cdf,
     copula_cdf,
     copula_density,
-    joint_gain_cdf,
     joint_gain_pdf,
-    sample_gain_pair,
     sample_gain_pairs,
-    sample_unit_pair,
     sample_unit_pairs,
 )
 from swmac.copula import iter_gain_pair_chunks
@@ -271,11 +268,9 @@ def test_sample_gain_pairs_bitwise_matches_reference_composition(theta):
 def test_sample_unit_pair_consumes_two_draws_and_matches_vector_path():
     th = DependenceParameter(0.7)
     scalar_rng = substream(11)
-    singles = [sample_unit_pair(th, scalar_rng) for _ in range(5)]
+    singles = [sample_unit_pairs(th, 1, scalar_rng) for _ in range(5)]
     block = sample_unit_pairs(th, 5, substream(11))
-    for pair, row in zip(singles, block):
-        assert pair.u1 == row[0]
-        assert pair.u2 == row[1]
+    assert np.array_equal(np.concatenate(singles), block)
 
 
 def test_sampled_round_trip_recovers_uniform_exactly():
@@ -322,11 +317,6 @@ def test_gain_sample_matches_unit_sample_through_quantile(unit_marginals):
     np.testing.assert_array_equal(g, -np.log1p(-u))
 
 
-def test_gain_pair_scalar_draw(unit_marginals):
-    g = sample_gain_pair(DependenceParameter(0.0), unit_marginals, substream(31))
-    assert g.g1 >= 0.0 and g.g2 >= 0.0
-
-
 def test_gain_mean_independent_case(unit_marginals):
     g = sample_gain_pairs(DependenceParameter(0.0), unit_marginals, 1_000_000, substream(7))
     assert g[:, 0].mean() == pytest.approx(1.0, abs=0.01)
@@ -354,26 +344,8 @@ def test_chunked_sampler_is_traversal_invariant(unit_marginals):
 
 
 # ---------------------------------------------------------------------------
-# Joint CDF / PDF
+# Joint PDF
 # ---------------------------------------------------------------------------
-
-
-def test_joint_gain_cdf_examples(unit_marginals):
-    th0 = DependenceParameter(0.0)
-    assert joint_gain_cdf(th0, unit_marginals, GainPair(0.0, 3.0)) == 0.0
-    g = GainPair(0.7, 1.3)
-    product = (1 - math.exp(-0.7)) * (1 - math.exp(-1.3))
-    assert joint_gain_cdf(th0, unit_marginals, g) == pytest.approx(product, rel=1e-12)
-    ln2 = math.log(2.0)
-    assert joint_gain_cdf(
-        DependenceParameter(1.0), unit_marginals, GainPair(ln2, ln2)
-    ) == pytest.approx(0.3125, abs=1e-12)
-
-
-def test_joint_gain_cdf_shares_copula_path_bitwise(theta, unit_marginals):
-    for g1, g2 in [(0.1, 2.0), (1.0, 1.0), (5.0, 0.01)]:
-        u = UnitPair(-math.expm1(-g1), -math.expm1(-g2))
-        assert joint_gain_cdf(theta, unit_marginals, GainPair(g1, g2)) == copula_cdf(theta, u)
 
 
 def test_joint_gain_pdf_examples(unit_marginals):
@@ -413,6 +385,5 @@ def test_joint_pdf_integral_reproduces_joint_cdf(theta):
             g2,
             epsabs=1e-12,
         )
-        assert box == pytest.approx(
-            joint_gain_cdf(theta, m, GainPair(g1, g2)), abs=1e-8
-        )
+        u = UnitPair(-math.expm1(-m.lambda1 * g1), -math.expm1(-m.lambda2 * g2))
+        assert box == pytest.approx(copula_cdf(theta, u), abs=1e-8)

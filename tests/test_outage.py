@@ -60,6 +60,20 @@ def test_gamma_threshold_validation():
         gamma_threshold(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "rate, noise",
+    [(600.0, 1.0), (14.0, 1e300)],
+    ids=["power-overflow", "product-overflow"],
+)
+def test_gamma_threshold_rejects_non_finite_gamma(rate, noise):
+    # 2^1200 overflows in pow; 1e300*(2^28 - 1) overflows in the product.
+    with pytest.raises(ValueError, match="overflows"):
+        gamma_threshold(rate, noise)
+    with pytest.raises(ValueError, match="overflows"):
+        gamma_threshold((0.5, rate), noise)
+    assert gamma_threshold((0.5,), noise)[0] == gamma_threshold(0.5, noise)
+
+
 def test_query_rejects_common_power_reaching_either_cap():
     with pytest.raises(ValueError):
         make_query(p0=1.0, p1=1.0, p2=5.0)

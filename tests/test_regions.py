@@ -10,11 +10,9 @@ from swmac import (
     PowerBudget,
     RatePoint,
     RegionBounds,
-    ScalingFactors,
     contains,
     gaussian_region_bounds,
     region_vertices,
-    scaling_factors,
     wireless_region_bounds,
 )
 
@@ -75,11 +73,6 @@ def test_region_bounds_ordering_enforced():
         RegionBounds(b1=2.0, b2=0.5, b12=1.0, b012=1.5)
     with pytest.raises(ValueError):
         RegionBounds(b1=0.5, b2=0.5, b12=2.0, b012=1.0)
-
-
-def test_scaling_factors_reject_negative():
-    with pytest.raises(ValueError):
-        ScalingFactors(-0.1, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,39 +285,3 @@ def test_vertices_counterclockwise(budget, gains, frac):
     vertices = region_vertices(bounds, frac * bounds.b012)
     angles = [math.atan2(y, x) for x, y in vertices[1:]]
     assert angles == sorted(angles)
-
-
-# ---------------------------------------------------------------------------
-# scaling_factors
-# ---------------------------------------------------------------------------
-
-
-def test_scaling_all_power_common_gives_zero():
-    s = scaling_factors(PowerBudget(2.0, 2.0, 3.0, 1.0), p11=1.0, p21=1.0)
-    assert s.a1 == 0.0
-
-
-def test_scaling_unit_when_private_power_matches():
-    s = scaling_factors(PowerBudget(1.0, 3.0, 4.0, 1.0), p11=2.0, p21=3.0)
-    assert s.a1 == 1.0
-    assert s.a2 == 1.0
-
-
-def test_scaling_example_with_power_accounting():
-    budget = PowerBudget(1.0, 5.0, 5.0, 1.0)
-    s = scaling_factors(budget, p11=2.0, p21=2.0)
-    assert s.a1 == pytest.approx(math.sqrt(2.0), rel=1e-15)
-    assert budget.p0 + s.a1**2 * 2.0 == pytest.approx(5.0, rel=1e-12)
-
-
-def test_scaling_rejects_nonpositive_private_power():
-    with pytest.raises(ValueError):
-        scaling_factors(PowerBudget(0.0, 1.0, 1.0, 1.0), p11=0.0, p21=1.0)
-
-
-@settings(max_examples=150)
-@given(budgets(), st.floats(min_value=1e-3, max_value=50.0), st.floats(min_value=1e-3, max_value=50.0))
-def test_scaling_power_identity(budget, p11, p21):
-    s = scaling_factors(budget, p11, p21)
-    assert budget.p0 + s.a1**2 * p11 == pytest.approx(budget.p1, rel=1e-12)
-    assert budget.p0 + s.a2**2 * p21 == pytest.approx(budget.p2, rel=1e-12)

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -28,6 +29,8 @@ from swmac.sweep import (
     FLAG_NONCONVERGENCE,
     FLAG_OK,
     SWEEP_HEADER,
+    ComparisonPoint,
+    ComparisonReport,
     SweepRow,
     _pool_size,
     compare_methods,
@@ -346,7 +349,8 @@ def test_compare_theta_zero_deviation_equals_residual():
     for point in report.points:
         gamma = budget.noise * (2.0 ** (2.0 * point.rate) - 1.0)
         residual = closed_form_residual(1.0, 2.0, 1.0, 5.0, gamma)
-        got = point.diffs["closed-form|quadrature"]
+        assert report.pairs == (("closed-form", "quadrature"),)
+        (got,) = point.diffs
         assert got == pytest.approx(-residual, abs=10.0 * cfg.quad_tol)
         assert point.closed_form_deviation == pytest.approx(got)
 
@@ -361,20 +365,57 @@ def test_compare_z_scores_and_flags():
     assert lines[0] == "points compared: 9"
 
 
-def test_compare_accepts_precomputed_rows():
+def test_compare_quadrature_against_monte_carlo():
     cfg = small_config(methods=("quadrature", "monte-carlo"))
-    rows = run_outage_sweep(cfg)
-    report = compare_methods(cfg, rows=rows)
+    report = compare_methods(cfg)
     assert len(report.points) == 9
     for p in report.points:
         assert abs(p.z_quad_mc) <= 6.0
+
+
+def test_compare_keeps_every_point_of_a_duplicated_theta():
+    # The sweep draws MC rows per theta index, so the two theta = 0.5 blocks
+    # carry different MC values; each point must be built from its own rows.
+    cfg = small_config(thetas=(DependenceParameter(0.5), DependenceParameter(0.5)))
+    rows = run_outage_sweep(cfg)
+    report = compare_methods(cfg)
+    k = len(cfg.methods)
+    assert len(report.points) == len(rows) // k == 6
+    for i, point in enumerate(report.points):
+        ops = {row.method: row.op for row in rows[i * k : (i + 1) * k]}
+        assert (point.budget_id, point.theta, point.rate) == (
+            rows[i * k].budget_id,
+            rows[i * k].theta,
+            rows[i * k].rate,
+        )
+        assert point.diffs == tuple(
+            ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
+            for a, b in report.pairs
+        )
+    mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in report.points]
+    assert mc[:3] != mc[3:]
+
+
+def test_summary_counts_points_with_non_finite_z():
+    point = ComparisonPoint(0, 0.0, 0.5, (), None, None, ())
+    finite = replace(point, z_quad_mc=-1.5)
+    infinite = replace(point, z_quad_mc=math.inf, flags=("large-z",))
+    report = ComparisonReport(points=(point, finite, infinite, infinite), pairs=())
+    assert report.flag_counts == {"large-z": 2}
+    assert report.summary_lines() == [
+        "points compared: 4",
+        "  large-z: 2",
+        "max |z| (quadrature vs monte-carlo): 1.500",
+        "non-finite z (quadrature vs monte-carlo): 2 points",
+    ]
+    assert "non-finite" not in "".join(replace(report, points=(point, finite)).summary_lines())
 
 
 def test_emit_comparison_csv(tmp_path):
     cfg = small_config(mc_samples=10_000)
     report = compare_methods(cfg)
     path = tmp_path / "cmp.csv"
-    emit_comparison_csv(report, cfg.methods, path)
+    emit_comparison_csv(report, path)
     with open(path, newline="") as fh:
         parsed = list(csv.reader(fh))
     assert parsed[0] == [
