@@ -42,6 +42,7 @@ from .outage import (
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
+    OutageCurve,
     OutageEstimate,
     OutageEvaluationError,
     OutageQuery,
@@ -66,6 +67,7 @@ from .regions import (
 from .streams import derive_seed, substream
 from .sweep import (
     SweepRow,
+    SweepTable,
     compare_methods,
     emit_csv,
     emit_region,
@@ -104,6 +106,7 @@ __all__ = [
     "METHODS",
     "OutageQuery",
     "OutageEstimate",
+    "OutageCurve",
     "OutageEvaluationError",
     "DegenerateDenominator",
     "QuadratureNonConvergence",
@@ -127,6 +130,7 @@ __all__ = [
     "preset_config",
     "preset_names",
     "SweepRow",
+    "SweepTable",
     "run_outage_sweep",
     "compare_methods",
     "emit_csv",

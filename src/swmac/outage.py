@@ -25,8 +25,9 @@ Three evaluators are provided and cross-validated:
 
 A query's ``rate_threshold`` is one rate or a tuple of rates (a rate
 axis).  Every evaluator answers a float query with one
-:class:`OutageEstimate` and a tuple query with a list of estimates in rate
-order; each entry equals the estimate of the one-rate query.
+:class:`OutageEstimate` and a tuple query with one :class:`OutageCurve`, a
+set of arrays along the rate axis; entry ``i`` of a curve equals the
+estimate of the one-rate query at ``rates[i]``.
 
 :func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from .copula import DependenceParameter, FadingMarginals, iter_gain_pair_chunks
 from .regions import PowerBudget
@@ -54,6 +54,7 @@ __all__ = [
     "QuadratureNonConvergence",
     "OutageQuery",
     "OutageEstimate",
+    "OutageCurve",
     "gamma_threshold",
     "outage_closed_form",
     "outage_quadrature",
@@ -78,6 +79,10 @@ _DENOM_EPS_REL = 1e-9
 
 #: Relative tolerance handed to QUADPACK alongside the absolute ``tol``.
 _QUAD_EPSREL = 1e-12
+
+#: Quadrature splits the g2 axis at this many mean lengths 1/lambda2; the
+#: Exp(lambda2) mass beyond is exp(-40), about 4e-18.
+_G2_SPAN = 40.0
 
 # QUADPACK dqk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae
 # xgk(1..11) on [0, 1), descending to the centre, their Kronrod weights, and
@@ -195,14 +200,6 @@ class OutageQuery:
         return gamma_threshold(self.rate_threshold, self.budget.noise)
 
 
-def _per_query(
-    query: OutageQuery, estimates: list[OutageEstimate]
-) -> Union[OutageEstimate, list[OutageEstimate]]:
-    """The estimates of ``query.rates`` shaped like the query: a list for a
-    tuple query, the one estimate for a float query."""
-    return estimates if isinstance(query.rate_threshold, tuple) else estimates[0]
-
-
 @dataclass(frozen=True)
 class OutageEstimate:
     """An outage probability with its provenance.
@@ -228,6 +225,49 @@ class OutageEstimate:
             )
         if self.std_error is not None and not self.std_error >= 0.0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+
+
+@dataclass(frozen=True, eq=False)
+class OutageCurve(Sequence[OutageEstimate]):
+    """Outage estimates along a rate axis, one array entry per rate.
+
+    ``value`` holds the probabilities, ``std_error`` (Monte Carlo only) their
+    standard errors, and ``out_of_range`` marks the closed-form values
+    outside [0, 1].  The checks of :class:`OutageEstimate` hold entrywise.
+    Indexing or iterating yields the per-rate :class:`OutageEstimate`.
+    """
+
+    method: str
+    value: np.ndarray
+    out_of_range: np.ndarray
+    std_error: Optional[np.ndarray] = None
+    samples: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if self.method != CLOSED_FORM and not ((self.value >= 0.0) & (self.value <= 1.0)).all():
+            raise ValueError(f"{self.method} estimates must be in [0, 1], got {self.value}")
+        if self.std_error is not None and not (self.std_error >= 0.0).all():
+            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> OutageEstimate:
+        return OutageEstimate(
+            value=float(self.value[i]),
+            method=self.method,
+            std_error=None if self.std_error is None else float(self.std_error[i]),
+            samples=self.samples,
+            flag=FLAG_OUT_OF_RANGE if self.out_of_range[i] else None,
+        )
+
+
+def _per_query(query: OutageQuery, curve: OutageCurve) -> Union[OutageEstimate, OutageCurve]:
+    """``curve`` shaped like the query: the curve for a tuple query, its one
+    estimate for a float query."""
+    return curve if isinstance(query.rate_threshold, tuple) else curve[0]
 
 
 def gamma_threshold(
@@ -272,7 +312,7 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, list[OutageEstimate]]:
+def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, OutageCurve]:
     """Analytic sum-rate outage expression, over the query's whole rate axis.
 
     With P = B/A, gamma = N*(2^(2R) - 1) and exponential rates
@@ -293,7 +333,8 @@ def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, list[OutageE
     Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
     (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
     (lambda, P) only, so the whole curve is degenerate or none of it.
-    Returns an :class:`OutageEstimate`, or a list of them for a tuple query.
+    Returns an :class:`OutageEstimate`, or an :class:`OutageCurve` for a
+    tuple query.
     """
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     p = query.power_ratio
@@ -314,21 +355,13 @@ def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, list[OutageE
     bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
     values = 1.0 - (base + query.theta.theta * bracket)
     return _per_query(
-        query,
-        [
-            OutageEstimate(
-                value=value,
-                method=CLOSED_FORM,
-                flag=FLAG_OUT_OF_RANGE if (value < 0.0 or value > 1.0) else None,
-            )
-            for value in values.tolist()
-        ],
+        query, OutageCurve(CLOSED_FORM, values, out_of_range=(values < 0.0) | (values > 1.0))
     )
 
 
 def outage_quadrature(
     query: OutageQuery, tol: float = DEFAULT_QUAD_TOL
-) -> Union[OutageEstimate, list[OutageEstimate]]:
+) -> Union[OutageEstimate, OutageCurve]:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
@@ -337,8 +370,12 @@ def outage_quadrature(
     query at once: one 21-point Gauss-Kronrod panel with dqk21's error
     estimate, accepted by dqagse's first-panel test.  A point the panel does
     not settle goes through adaptive quadrature (``scipy.integrate.quad``)
-    on its own.  The absolute tolerance is ``tol`` (in (0, 1e-2]).
-    Returns an :class:`OutageEstimate`, or a list of them for a tuple query.
+    on its own, and so does every point whose upper limit gamma/B exceeds
+    40/lambda2: g2 ~ Exp(lambda2) puts almost all its mass below that, where
+    one panel over a much longer interval can place no node and report a
+    zero error.  Such a point is split at 40/lambda2.  The absolute
+    tolerance is ``tol`` (in (0, 1e-2]).  Returns an
+    :class:`OutageEstimate`, or an :class:`OutageCurve` for a tuple query.
 
     Raises :class:`QuadratureNonConvergence` if the error estimate of any
     point cannot meet ``tol``.
@@ -360,8 +397,12 @@ def outage_quadrature(
         q2 = -expm1(-2.0 * l1 * c_star)
         return l2 * e * ((1.0 - th * t) * q1 + th * t * q2)
 
-    values, abserr, settled = _gauss_kronrod_panel(integrand, gamma, gamma / b, tol)
-    for i in np.flatnonzero(~settled).tolist():
+    upper = gamma / b
+    split = _G2_SPAN / l2
+    values, abserr, settled = _gauss_kronrod_panel(integrand, gamma, upper, tol)
+    for i in np.flatnonzero(~settled | (upper > split)).tolist():
+        from scipy import integrate  # only this fallback needs scipy
+
         g = float(gamma[i])
         values[i], abserr[i] = integrate.quad(
             lambda d: integrand(d, g, math.exp, math.expm1),
@@ -370,6 +411,7 @@ def outage_quadrature(
             epsabs=tol,
             epsrel=_QUAD_EPSREL,
             limit=200,
+            points=(split,) if upper[i] > split else None,
         )
     failed = np.flatnonzero((abserr > tol) | (values < -tol) | (values > 1.0 + tol))
     if failed.size:
@@ -382,12 +424,10 @@ def outage_quadrature(
         raise QuadratureNonConvergence(
             f"integral {values[i]} is outside [0, 1] beyond tol {tol}"
         )
+    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
+    values = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
     return _per_query(
-        query,
-        [
-            OutageEstimate(value=min(max(value, 0.0), 1.0), method=QUADRATURE)
-            for value in values.tolist()
-        ],
+        query, OutageCurve(QUADRATURE, values, out_of_range=np.zeros(len(values), dtype=bool))
     )
 
 
@@ -428,14 +468,14 @@ def _gauss_kronrod_panel(
 
 def outage_monte_carlo(
     query: OutageQuery, n: int, seed: int
-) -> Union[OutageEstimate, list[OutageEstimate]]:
+) -> Union[OutageEstimate, OutageCurve]:
     """Empirical outage frequency over ``n`` correlated gain pairs.
 
     Samples are drawn in fixed-size chunks from per-chunk substreams of
     ``seed``, so the estimate is bit-stable for a fixed (seed, n) under any
     degree of parallelism or chunk traversal order.  Ties (the event
     holding with equality) count as outage.  Returns an
-    :class:`OutageEstimate`, or a list of them for a tuple query.
+    :class:`OutageEstimate`, or an :class:`OutageCurve` for a tuple query.
     """
     return _per_query(
         query,
@@ -452,8 +492,9 @@ def outage_monte_carlo_grid(
     rates: Sequence[float],
     n: int,
     seed: int,
-) -> list[list[OutageEstimate]]:
-    """Monte Carlo outage at every (budget, rate) pair from one draw set.
+) -> list[OutageCurve]:
+    """Monte Carlo outage at every (budget, rate) pair from one draw set,
+    as one :class:`OutageCurve` per budget.
 
     The ``n`` gain pairs are drawn once, chunk by chunk, from the substreams
     of ``seed``.  For each chunk and budget the weighted sums
@@ -478,17 +519,13 @@ def outage_monte_carlo_grid(
             s = a * chunk[:, 0] + b * chunk[:, 1]
             s.sort()
             counts[i] += np.searchsorted(s, gammas[i], side="right")
-    return [[_monte_carlo_estimate(count, n) for count in row] for row in counts.tolist()]
-
-
-def _monte_carlo_estimate(count: int, n: int) -> OutageEstimate:
-    p_hat = count / n
-    return OutageEstimate(
-        value=p_hat,
-        method=MONTE_CARLO,
-        std_error=math.sqrt(p_hat * (1.0 - p_hat) / n),
-        samples=n,
-    )
+    p_hat = counts / n
+    std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
+    no_flag = np.zeros(len(rates), dtype=bool)
+    return [
+        OutageCurve(MONTE_CARLO, value, out_of_range=no_flag, std_error=se, samples=n)
+        for value, se in zip(p_hat, std_error)
+    ]
 
 
 def outage_point_to_point(

@@ -24,15 +24,17 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .config import ExperimentConfig, ValidationError
 from .copula import DependenceParameter, GainPair, iter_gain_pair_chunks
 from .outage import (
     CLOSED_FORM,
+    FLAG_OUT_OF_RANGE,
     METHODS,
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
-    OutageEstimate,
     OutageQuery,
     QuadratureNonConvergence,
     outage_closed_form,
@@ -54,6 +56,7 @@ __all__ = [
     "FLAG_OK",
     "SWEEP_HEADER",
     "SweepRow",
+    "SweepTable",
     "ComparisonPoint",
     "ComparisonReport",
     "run_outage_sweep",
@@ -71,6 +74,9 @@ FLAG_NONCONVERGENCE = "quadrature-nonconvergence"
 
 #: Bit-exact sweep CSV header.
 SWEEP_HEADER = "budget_id,theta,rate,method,op,std_err,flag"
+
+#: Rows :func:`emit_csv` formats per write, which bounds its text buffers.
+_CSV_BLOCK_ROWS = 1 << 16
 
 #: z-score magnitude beyond which a quadrature/Monte-Carlo pair is flagged
 #: (two-sided normal 99.9% point).
@@ -91,42 +97,113 @@ class SweepRow:
     flag: str
 
 
-def _row(b_i: int, theta: float, rate: float, est: OutageEstimate) -> SweepRow:
-    flag = est.flag if est.flag is not None else FLAG_OK
-    return SweepRow(b_i, theta, rate, est.method, est.value, est.std_error, flag)
+#: Flags a sweep row can carry; a theta block stores a row's flag as its
+#: position in this tuple.
+_FLAGS = (FLAG_OK, FLAG_OUT_OF_RANGE, FLAG_DEGENERATE, FLAG_NONCONVERGENCE)
+_OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENCE = range(len(_FLAGS))
 
 
-def _analytic_rows(b_i: int, query: OutageQuery, method: str, quad_tol: float) -> list[SweepRow]:
-    """Rows of one (budget, theta) curve for an analytic method, in the
-    order of the query's rate tuple.  A degenerate closed form flags the
-    whole curve; a quadrature failure is re-evaluated rate by rate, so only
-    the failing rows are flagged."""
-    theta, rates = query.theta.theta, query.rate_threshold
+class SweepTable(Sequence[SweepRow]):
+    """Sweep rows stored column by column; a read-only sequence of
+    :class:`SweepRow` that builds rows only when indexed or iterated.
+
+    ``budget_id``, ``theta``, ``rate``, ``method`` and ``flag`` are each kept
+    as a tuple of values (``levels``) and, per row, a position in it
+    (``codes``, one row of the array per column).  ``op`` and ``std_err``
+    are float arrays with NaN where the row holds None.
+    """
+
+    def __init__(
+        self,
+        levels: tuple[tuple, tuple, tuple, tuple, tuple],
+        codes: np.ndarray,
+        op: np.ndarray,
+        std_err: np.ndarray,
+    ) -> None:
+        self._levels = levels
+        self._codes = codes
+        self._op = op
+        self._std_err = std_err
+
+    def __len__(self) -> int:
+        return len(self._op)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        b, t, r, m, f = (level[c] for level, c in zip(self._levels, self._codes[:, i].tolist()))
+        return SweepRow(b, t, r, m, _none_if_nan(self._op[i]), _none_if_nan(self._std_err[i]), f)
+
+    def __iter__(self):
+        b, t, r, m, f = map(_decode, self._levels, self._codes.tolist())
+        op = map(_none_if_nan, self._op.tolist())
+        std_err = map(_none_if_nan, self._std_err.tolist())
+        return map(SweepRow, b, t, r, m, op, std_err, f)
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepTable):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+def _decode(level: Sequence, codes: list[int]) -> list:
+    """The per-row values of a column stored as ``level`` and ``codes``."""
+    return list(map(level.__getitem__, codes))
+
+
+def _none_if_nan(x: float) -> Optional[float]:
+    return None if math.isnan(x) else float(x)
+
+
+def _table_from_rows(rows: Sequence[SweepRow]) -> SweepTable:
+    """A table of arbitrary rows: each row has its own entry in every level."""
+    columns = ("budget_id", "theta", "rate", "method", "flag")
+    levels = tuple(tuple(getattr(row, key) for row in rows) for key in columns)
+    codes = np.tile(np.arange(len(rows)), (len(columns), 1))
+    op = np.array([np.nan if row.op is None else row.op for row in rows], dtype=float)
+    std_err = np.array([np.nan if row.std_err is None else row.std_err for row in rows], dtype=float)
+    return SweepTable(levels, codes, op, std_err)
+
+
+def _analytic_column(
+    query: OutageQuery, method: str, quad_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values (NaN where a row has none) and flag codes of one
+    (budget, theta) curve of an analytic method, in the order of the
+    query's rate tuple.  A degenerate closed form flags the whole curve; a
+    quadrature failure is re-evaluated rate by rate, so only the failing
+    rows are flagged."""
+    n = len(query.rates)
     try:
         if method == CLOSED_FORM:
-            estimates = outage_closed_form(query)
-        else:
-            estimates = outage_quadrature(query, tol=quad_tol)
+            curve = outage_closed_form(query)
+            return curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
+        return outage_quadrature(query, tol=quad_tol).value, np.full(n, _OK)
     except DegenerateDenominator:
-        return [SweepRow(b_i, theta, rate, method, None, None, FLAG_DEGENERATE) for rate in rates]
+        return np.full(n, np.nan), np.full(n, _DEGENERATE)
     except QuadratureNonConvergence:
-        if len(rates) == 1:
-            return [SweepRow(b_i, theta, rates[0], method, None, None, FLAG_NONCONVERGENCE)]
-        return [
-            row
-            for rate in rates
-            for row in _analytic_rows(b_i, replace(query, rate_threshold=(rate,)), method, quad_tol)
+        if n == 1:
+            return np.full(1, np.nan), np.full(1, _NONCONVERGENCE)
+        per_rate = [
+            _analytic_column(replace(query, rate_threshold=(rate,)), method, quad_tol)
+            for rate in query.rates
         ]
-    return [_row(b_i, theta, rate, est) for rate, est in zip(rates, estimates)]
+        return tuple(np.concatenate(column) for column in zip(*per_rate))
 
 
 def _theta_block(
     config: ExperimentConfig, t_i: int, rates: tuple[float, ...]
-) -> list[list[SweepRow]]:
-    """Every row at theta index ``t_i``: one list per budget, each in
-    (rate, method) order.  Each method evaluates a whole (budget, theta)
-    curve in one call."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row at theta index ``t_i`` as (budget, rate, method) arrays:
+    op, std_err (NaN where the row holds None) and flag codes.  Each method
+    evaluates a whole (budget, theta) curve in one call."""
     theta = config.thetas[t_i]
+    shape = (len(config.budgets), len(rates), len(config.methods))
+    op = np.full(shape, np.nan)
+    std_err = np.full(shape, np.nan)
+    flag = np.full(shape, _OK, dtype=np.int8)
     if MONTE_CARLO in config.methods:
         mc = outage_monte_carlo_grid(
             theta,
@@ -136,17 +213,17 @@ def _theta_block(
             config.mc_samples,
             derive_seed(config.seed, t_i),
         )
-    blocks = []
     for b_i, budget in enumerate(config.budgets):
         query = OutageQuery(rates, budget, config.marginals, theta)
-        columns = [
-            [_row(b_i, theta.theta, rate, est) for rate, est in zip(rates, mc[b_i])]
-            if method == MONTE_CARLO
-            else _analytic_rows(b_i, query, method, config.quad_tol)
-            for method in config.methods
-        ]
-        blocks.append([row for per_rate in zip(*columns) for row in per_rate])
-    return blocks
+        for m_i, method in enumerate(config.methods):
+            if method == MONTE_CARLO:
+                op[b_i, :, m_i] = mc[b_i].value
+                std_err[b_i, :, m_i] = mc[b_i].std_error
+            else:
+                op[b_i, :, m_i], flag[b_i, :, m_i] = _analytic_column(
+                    query, method, config.quad_tol
+                )
+    return op, std_err, flag
 
 
 def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
@@ -158,9 +235,9 @@ def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     return max(1, min(workers or cpus, cpus, tasks))
 
 
-def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
-    """Evaluate the full sweep; returns rows in lexicographic
-    (budget, theta, rate, method) index order.
+def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
+    """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
+    in lexicographic (budget, theta, rate, method) index order.
 
     ``workers`` > 1 fans theta blocks out across processes; 0 means one per
     CPU.  The pool never exceeds the CPU count or the number of thetas.
@@ -182,7 +259,17 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRo
             blocks = list(
                 pool.map(_theta_block, [config] * n_thetas, range(n_thetas), [rates] * n_thetas)
             )
-    return [row for b_i in range(len(config.budgets)) for block in blocks for row in block[b_i]]
+    # (budget, theta, rate, method) arrays, raveled in row order
+    op, std_err, flag = (np.stack(column, axis=1) for column in zip(*blocks))
+    codes = np.vstack((np.indices(op.shape).reshape(op.ndim, -1), flag.reshape(1, -1)))
+    levels = (
+        tuple(range(len(config.budgets))),
+        tuple(theta.theta for theta in config.thetas),
+        rates,
+        config.methods,
+        _FLAGS,
+    )
+    return SweepTable(levels, codes, op.ravel(), std_err.ravel())
 
 
 def _method_pairs(methods: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -254,7 +341,7 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
     """
     if len(config.methods) < 2:
         raise ValidationError("comparison requires at least two methods")
-    rows = run_outage_sweep(config, workers=workers)
+    rows = list(run_outage_sweep(config, workers=workers))
     pairs = _method_pairs(config.methods)
     # The sweep emits the rows of one (budget, theta, rate) point together,
     # one per method.
@@ -314,25 +401,28 @@ def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Write sweep rows as CSV, byte-deterministic for identical inputs.
 
     Fixed header and column order, 12-significant-digit decimals, line
-    feeds as the only separators.
+    feeds as the only separators.  Works column by column: each level of a
+    :class:`SweepTable` (a theta, a rate, a method) is formatted once.
     """
+    table = rows if isinstance(rows, SweepTable) else _table_from_rows(rows)
+    # each level's text once; the flag, the last column, ends the line
+    texts = (
+        [str(b) for b in table._levels[0]],
+        [format_value(theta) for theta in table._levels[1]],
+        [format_value(rate) for rate in table._levels[2]],
+        table._levels[3],
+        [flag + "\n" for flag in table._levels[4]],
+    )
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    (
-                        str(row.budget_id),
-                        format_value(row.theta),
-                        format_value(row.rate),
-                        row.method,
-                        format_value(row.op),
-                        format_value(row.std_err),
-                        row.flag,
-                    )
-                )
-                + "\n"
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            b, t, r, m, f = map(_decode, texts, table._codes[:, block].tolist())
+            op, std_err = (
+                ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
+                for column in (table._op, table._std_err)
             )
+            fh.write("".join(map(",".join, zip(b, t, r, m, op, std_err, f))))
 
 
 def emit_region(
@@ -377,8 +467,7 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     with open(path, "w", newline="") as fh:
         fh.write("g1,g2\n")
         for chunk in iter_gain_pair_chunks(theta, config.marginals, n, config.seed):
-            for g1, g2 in chunk:
-                fh.write(f"{float(g1)!r},{float(g2)!r}\n")
+            fh.write("".join(f"{g1!r},{g2!r}\n" for g1, g2 in chunk.tolist()))
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

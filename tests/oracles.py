@@ -98,3 +98,16 @@ def empirical_spearman(x: np.ndarray, y: np.ndarray) -> float:
     rx = np.argsort(np.argsort(x))
     ry = np.argsort(np.argsort(y))
     return float(np.corrcoef(rx, ry)[0, 1])
+
+
+def fgm_outage(lam1: float, lam2: float, a: float, b: float, gamma: float, theta: float) -> float:
+    """P[a*g1 + b*g2 <= gamma] under the FGM law from the four-term split of
+    ``gain_density``: (1+theta)*Exp(lam1)xExp(lam2) - theta*Exp(2*lam1)xExp(lam2)
+    - theta*Exp(lam1)xExp(2*lam2) + theta*Exp(2*lam1)xExp(2*lam2), each term an
+    independent pair whose outage is ``convolution_outage``."""
+    return (
+        (1.0 + theta) * convolution_outage(lam1, lam2, a, b, gamma)
+        - theta * convolution_outage(2.0 * lam1, lam2, a, b, gamma)
+        - theta * convolution_outage(lam1, 2.0 * lam2, a, b, gamma)
+        + theta * convolution_outage(2.0 * lam1, 2.0 * lam2, a, b, gamma)
+    )

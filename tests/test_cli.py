@@ -139,6 +139,26 @@ def test_compare_calls_the_spans_the_benchmark_traces(config_file, tmp_path, mon
     assert calls == ["compare_methods", "emit_comparison_csv"]
 
 
+def test_outage_calls_the_spans_the_benchmark_traces(config_file, tmp_path, monkeypatch):
+    # perfbench/run.py reads sweep.row_overhead_us and sweep.emit_csv_us from
+    # the spans of sweep.run_outage_sweep and sweep.emit_csv, wrapped under
+    # these names in the swmac.cli namespace.
+    import swmac.cli as cli_module
+
+    calls = []
+    for name in ("run_outage_sweep", "emit_csv"):
+        original = getattr(cli_module, name)
+        assert (original.__module__, original.__qualname__) == ("swmac.sweep", name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, name, counted)
+    assert main(["outage", "--config", config_file, "--out", str(tmp_path / "o.csv")]) == 0
+    assert calls == ["run_outage_sweep", "emit_csv"]
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -294,3 +314,28 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+# A closed-form and quadrature sweep of a preset never reaches the adaptive
+# fallback, so it must not pay for importing scipy.
+_ANALYTIC_SWEEP_RUN = """
+import sys
+import swmac.cli
+code = swmac.cli.main(
+    ["outage", "--preset", "fig2", "--methods", "closed-form,quadrature", "--out", sys.argv[1]]
+)
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_analytic_preset_sweep_does_not_import_scipy(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _ANALYTIC_SWEEP_RUN, str(tmp_path / "sweep.csv")],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

@@ -11,6 +11,7 @@ from swmac import (
     DegenerateDenominator,
     DependenceParameter,
     FadingMarginals,
+    OutageCurve,
     OutageEstimate,
     OutageQuery,
     PowerBudget,
@@ -24,7 +25,7 @@ from swmac import (
 )
 from swmac.streams import substream
 
-from oracles import brute_force_outage, closed_form_residual, convolution_outage
+from oracles import brute_force_outage, closed_form_residual, convolution_outage, fgm_outage
 
 
 def make_query(rate=0.5, p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, theta=0.0):
@@ -98,6 +99,22 @@ def test_estimate_validation():
         OutageEstimate(value=0.5, method=MONTE_CARLO, std_error=-0.1)
     flagged = OutageEstimate(value=-0.25, method=CLOSED_FORM, flag="out-of-range")
     assert flagged.value == -0.25
+
+
+def test_curve_validation_matches_estimate():
+    ok = np.zeros(2, dtype=bool)
+    for value in ([0.5, 1.2], [0.5, math.nan]):
+        with pytest.raises(ValueError):
+            OutageCurve(QUADRATURE, np.array(value), out_of_range=ok)
+    with pytest.raises(ValueError):
+        OutageCurve("bogus", np.array([0.5, 0.5]), out_of_range=ok)
+    with pytest.raises(ValueError):
+        OutageCurve(MONTE_CARLO, np.array([0.5, 0.5]), ok, std_error=np.array([0.1, -0.1]))
+    flagged = OutageCurve(CLOSED_FORM, np.array([-0.25, 0.5]), np.array([True, False]))
+    assert list(flagged) == [
+        OutageEstimate(value=-0.25, method=CLOSED_FORM, flag="out-of-range"),
+        OutageEstimate(value=0.5, method=CLOSED_FORM),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +429,14 @@ def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
                 outage_closed_form(q)
     else:
         closed = outage_closed_form(curve)
-        assert closed == [outage_closed_form(q) for q in points]
+        assert isinstance(closed, OutageCurve)
+        assert list(closed) == [outage_closed_form(q) for q in points]
         assert any(e.flag == "out-of-range" for e in closed)
     quad = outage_quadrature(curve)
-    assert isinstance(quad, list) and len(quad) == len(AXIS)
-    assert quad == [outage_quadrature(q) for q in points]
+    assert isinstance(quad, OutageCurve) and len(quad) == len(AXIS)
+    assert list(quad) == [outage_quadrature(q) for q in points]
     mc = outage_monte_carlo(curve, 2000, seed=4)
-    assert mc == [outage_monte_carlo(q, 2000, seed=4) for q in points]
+    assert list(mc) == [outage_monte_carlo(q, 2000, seed=4) for q in points]
 
 
 def test_first_panel_matches_quadpack_first_step():
@@ -473,16 +491,14 @@ def test_first_panel_acceptance_compares_against_resasc():
 
 
 def test_rejected_first_panel_takes_the_quadpack_path(monkeypatch):
-    import swmac.outage as outage_module
-
     calls = []
-    quad = outage_module.integrate.quad
+    quad = integrate.quad
 
     def spy(f, lo, hi, **kwargs):
         calls.append(hi)
         return quad(f, lo, hi, **kwargs)
 
-    monkeypatch.setattr(outage_module.integrate, "quad", spy)
+    monkeypatch.setattr(integrate, "quad", spy)
     # At preset noise every rate is settled by the panel.
     preset = make_query(rate=tuple(r / 10 for r in range(1, 31)), noise=1e-5, theta=0.5)
     assert len(outage_quadrature(preset)) == 30
@@ -504,3 +520,30 @@ def test_nonconvergence_of_one_point_fails_the_curve():
         outage_quadrature(make_query(rate=1.55, noise=1.0, theta=-1.0), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
         outage_quadrature(make_query(rate=(0.05, 1.55), noise=1.0, theta=-1.0), tol=1e-13)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
+def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypatch):
+    # gamma/B up to 2e23 at unit noise: one panel over [0, gamma/B] puts no
+    # node where g2 ~ Exp(1) has its mass and used to return about 0,
+    # flagged ok.  With B << A the upper limit is long although the outage
+    # is far from 1; both must take adaptive quadrature split at 40/lambda2.
+    calls = []
+    quad = integrate.quad
+
+    def spy(f, lo, hi, **kwargs):
+        calls.append(kwargs["points"])
+        return quad(f, lo, hi, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", spy)
+    huge = make_query(rate=(10.0, 20.0, 40.0), noise=1.0, theta=theta)
+    got = outage_quadrature(huge).value.tolist()
+    expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in huge.gamma.tolist()]
+    assert got == pytest.approx(expected, abs=1e-10)
+    assert got == pytest.approx([1.0] * 3, abs=1e-10)
+    long_axis = make_query(rate=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, theta=theta)
+    got = outage_quadrature(long_axis).value.tolist()
+    expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in long_axis.gamma.tolist()]
+    assert got == pytest.approx(expected, abs=1e-10)
+    assert 0.3 < got[0] < got[-1] < 0.99
+    assert calls == [(40.0,)] * 3 + [(80.0,)] * 3

@@ -18,8 +18,10 @@ from swmac import (
 )
 from swmac.config import RateGrid, preset_config
 from swmac.outage import (
+    DegenerateDenominator,
     OutageQuery,
     QuadratureNonConvergence,
+    outage_closed_form,
     outage_monte_carlo,
     outage_quadrature,
 )
@@ -32,6 +34,7 @@ from swmac.sweep import (
     ComparisonPoint,
     ComparisonReport,
     SweepRow,
+    SweepTable,
     _pool_size,
     compare_methods,
     emit_comparison_csv,
@@ -222,13 +225,102 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path):
     }
 
 
+def _three_theta_flagged_config():
+    # 2 budgets x 3 thetas with every flag: out-of-range and degenerate
+    # closed forms, quadrature nonconvergence at tol 1e-13.
+    return replace(
+        _flagged_config(),
+        thetas=(DependenceParameter(-1.0), DependenceParameter(0.5), DependenceParameter(1.0)),
+    )
+
+
+def _per_query_row(cfg, b_i, t_i, rate, method):
+    """The sweep row at one point, from the per-query evaluator."""
+    theta = cfg.thetas[t_i]
+    query = OutageQuery(rate, cfg.budgets[b_i], cfg.marginals, theta)
+    row = SweepRow(b_i, theta.theta, rate, method, None, None, FLAG_OK)
+    try:
+        if method == "closed-form":
+            est = outage_closed_form(query)
+        elif method == "quadrature":
+            est = outage_quadrature(query, tol=cfg.quad_tol)
+        else:
+            est = outage_monte_carlo(query, cfg.mc_samples, derive_seed(cfg.seed, t_i))
+    except DegenerateDenominator:
+        return replace(row, flag=FLAG_DEGENERATE)
+    except QuadratureNonConvergence:
+        return replace(row, flag=FLAG_NONCONVERGENCE)
+    return replace(row, op=est.value, std_err=est.std_error, flag=est.flag or FLAG_OK)
+
+
+def test_sweep_table_rows_equal_per_query_results():
+    cfg = _three_theta_flagged_config()
+    table = run_outage_sweep(cfg)
+    assert isinstance(table, SweepTable)
+    rates = cfg.rate_grid.values()
+    expected = [
+        _per_query_row(cfg, b_i, t_i, rate, method)
+        for b_i in range(len(cfg.budgets))
+        for t_i in range(len(cfg.thetas))
+        for rate in rates
+        for method in cfg.methods
+    ]
+    assert len(table) == len(expected) == 2 * 3 * len(rates) * 3
+    assert list(table) == expected
+    assert {row.flag for row in table} == {
+        FLAG_OK,
+        FLAG_DEGENERATE,
+        FLAG_NONCONVERGENCE,
+        "out-of-range",
+    }
+    # indexing builds the same rows as iteration
+    assert [table[i] for i in range(len(table))] == expected
+    assert table[-1] == expected[-1]
+    assert table[5:11] == expected[5:11]
+    assert table[::97] == expected[::97]
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+def test_three_theta_flagged_csv_independent_of_workers_and_row_source(tmp_path, monkeypatch):
+    import swmac.sweep as sweep_module
+
+    cfg = _three_theta_flagged_config()
+    serial, parallel, rows = tmp_path / "serial.csv", tmp_path / "parallel.csv", tmp_path / "rows.csv"
+    table = run_outage_sweep(cfg, workers=1)
+    emit_csv(table, serial)
+    emit_csv(run_outage_sweep(cfg, workers=2), parallel)
+    emit_csv(list(table), rows)  # the same rows, built one by one
+    assert serial.read_bytes() == parallel.read_bytes() == rows.read_bytes()
+    monkeypatch.setattr(sweep_module, "_CSV_BLOCK_ROWS", 7)  # many blocks, one partial
+    emit_csv(table, parallel)
+    assert parallel.read_bytes() == serial.read_bytes()
+    # The row-by-row writer this columnar one replaced, kept as the reference.
+    lines = [SWEEP_HEADER] + [
+        ",".join(
+            (
+                str(r.budget_id),
+                format_value(r.theta),
+                format_value(r.rate),
+                r.method,
+                format_value(r.op),
+                format_value(r.std_err),
+                r.flag,
+            )
+        )
+        for r in table
+    ]
+    assert serial.read_text() == "\n".join(lines) + "\n"
+
+
 def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
     # perfbench/run.py reads per-layer metrics from spans of these names and
     # takes percentiles and medians over them, which fail on an empty list:
     # outage.closed_form_us_p50/_p99/_calls (outage.outage_closed_form),
     # outage.quadrature_us_p50/_p99/_calls (outage.outage_quadrature),
     # config.rate_values_us (config.RateGrid.values), all on analytic-grid,
-    # and streams.substream_us (streams.substream) on mc-sweep.  A sweep that
+    # and streams.substream_us (streams.substream) on mc-sweep; the Monte
+    # Carlo rows come from outage.outage_monte_carlo_grid.  A sweep that
     # stops calling one of them must fail here, not in the benchmark.
     import swmac.copula as copula_module
     import swmac.sweep as sweep_module
@@ -246,10 +338,17 @@ def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
 
     spy(sweep_module, "outage_closed_form")
     spy(sweep_module, "outage_quadrature")
+    spy(sweep_module, "outage_monte_carlo_grid")
     spy(RateGrid, "values")
     spy(copula_module, "substream")
     run_outage_sweep(small_config(mc_samples=1000))
-    assert set(calls) == {"outage_closed_form", "outage_quadrature", "values", "substream"}
+    assert set(calls) == {
+        "outage_closed_form",
+        "outage_quadrature",
+        "outage_monte_carlo_grid",
+        "values",
+        "substream",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +583,19 @@ def test_emit_region_collapses_at_full_common_rate(tmp_path):
     b012 = gaussian_region_bounds(budget).b012
     vertices = emit_region(budget, None, b012, tmp_path / "r.csv")
     assert vertices == [(0.0, 0.0)]
+
+
+def test_emit_samples_equals_pair_by_pair_writer(tmp_path):
+    from swmac.copula import iter_gain_pair_chunks
+
+    cfg = small_config()
+    path = tmp_path / "s.csv"
+    emit_samples(cfg, -0.4, 70_000, path)  # two chunks, the second partial
+    chunks = iter_gain_pair_chunks(DependenceParameter(-0.4), cfg.marginals, 70_000, cfg.seed)
+    expected = "g1,g2\n" + "".join(
+        f"{float(g1)!r},{float(g2)!r}\n" for chunk in chunks for g1, g2 in chunk
+    )
+    assert path.read_text() == expected
 
 
 def test_emit_samples_deterministic(tmp_path):
