@@ -29,6 +29,13 @@ axis).  Every evaluator answers a float query with one
 set of arrays along the rate axis; entry ``i`` of a curve equals the
 estimate of the one-rate query at ``rates[i]``.
 
+A query's ``theta`` is likewise one :class:`DependenceParameter` or a tuple
+of them (a theta axis).  A theta tuple gets a list with one result per
+theta, each shaped as above and equal to the result of the one-theta query
+bit for bit.  The FGM density is affine in theta, so the analytic
+evaluators compute every theta-free exponential once per query and only
+combine them per theta.
+
 :func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
 
@@ -80,9 +87,11 @@ _DENOM_EPS_REL = 1e-9
 #: Relative tolerance handed to QUADPACK alongside the absolute ``tol``.
 _QUAD_EPSREL = 1e-12
 
-#: Quadrature splits the g2 axis at this many mean lengths 1/lambda2; the
-#: Exp(lambda2) mass beyond is exp(-40), about 4e-18.
-_G2_SPAN = 40.0
+#: Mean lengths of an exponential gain beyond which quadrature treats its
+#: mass, exp(-40) or about 4e-18, as settled: the g2 axis is split at
+#: 40/lambda2, and where the g1 range gamma/A exceeds 40/lambda1 the g2 axis
+#: is also split where that range shrinks to 40/lambda1.
+_SPAN = 40.0
 
 # QUADPACK dqk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae
 # xgk(1..11) on [0, 1), descending to the centre, their Kronrod weights, and
@@ -150,17 +159,18 @@ class QuadratureNonConvergence(OutageEvaluationError):
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """One outage-probability evaluation point, or one curve of them.
+    """One outage-probability evaluation point, or a grid of them.
 
-    ``rate_threshold`` is a rate or a tuple of rates (a tuple, not an
-    array, so queries stay hashable and comparable).  Requires p0 strictly
-    below min(p1, p2) so both gain weights are positive.
+    ``rate_threshold`` is a rate or a tuple of rates, and ``theta`` a
+    dependence parameter or a tuple of them (tuples, not arrays, so queries
+    stay hashable and comparable).  Requires p0 strictly below
+    min(p1, p2) so both gain weights are positive.
     """
 
     rate_threshold: Union[float, tuple[float, ...]]
     budget: PowerBudget
     marginals: FadingMarginals
-    theta: DependenceParameter
+    theta: Union[DependenceParameter, tuple[DependenceParameter, ...]]
 
     def __post_init__(self) -> None:
         for rate in self.rates:
@@ -178,6 +188,12 @@ class OutageQuery:
         """The rate axis: ``rate_threshold`` as a tuple."""
         r = self.rate_threshold
         return r if isinstance(r, tuple) else (r,)
+
+    @property
+    def thetas(self) -> tuple[DependenceParameter, ...]:
+        """The theta axis: ``theta`` as a tuple."""
+        t = self.theta
+        return t if isinstance(t, tuple) else (t,)
 
     @property
     def weight1(self) -> float:
@@ -264,10 +280,17 @@ class OutageCurve(Sequence[OutageEstimate]):
         )
 
 
-def _per_query(query: OutageQuery, curve: OutageCurve) -> Union[OutageEstimate, OutageCurve]:
-    """``curve`` shaped like the query: the curve for a tuple query, its one
-    estimate for a float query."""
-    return curve if isinstance(query.rate_threshold, tuple) else curve[0]
+#: An evaluator's answer, shaped like its query (see the module docstring).
+OutageResult = Union[OutageEstimate, OutageCurve, list[OutageEstimate], list[OutageCurve]]
+
+
+def _per_query(query: OutageQuery, curves: Sequence[OutageCurve]) -> OutageResult:
+    """``curves``, one per theta, shaped like the query: a curve for a rate
+    tuple, its one estimate for a float rate; a list of those for a theta
+    tuple, the one entry for a single theta."""
+    if not isinstance(query.rate_threshold, tuple):
+        curves = [curve[0] for curve in curves]
+    return list(curves) if isinstance(query.theta, tuple) else curves[0]
 
 
 def gamma_threshold(
@@ -312,8 +335,9 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, OutageCurve]:
-    """Analytic sum-rate outage expression, over the query's whole rate axis.
+def outage_closed_form(query: OutageQuery) -> OutageResult:
+    """Analytic sum-rate outage expression, over the query's whole
+    (theta x rate) grid.
 
     With P = B/A, gamma = N*(2^(2R) - 1) and exponential rates
     (lambda1, lambda2):
@@ -323,18 +347,18 @@ def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, OutageCurve]
                                 - l2*e2/(l2 - 2*P*l1) + l2*e2/(l2 - l1*P) ) ]
 
     where e1 = exp(-l1*gamma/A) and e2 = exp(-2*l1*gamma/A).  The
-    expression is affine in theta.  Its derivation integrates the first
-    gain from (gamma - B*g2)/A to infinity without clamping that lower
-    limit at zero, so it deviates from the exact probability (see
+    expression is affine in theta: its two terms are computed once per rate
+    and combined per theta.  Its derivation integrates the first gain from
+    (gamma - B*g2)/A to infinity without clamping that lower limit at zero,
+    so it deviates from the exact probability (see
     :func:`outage_quadrature`); at theta = 0 the deviation equals
     l1*P*exp(-l2*gamma/B)/(l2 - l1*P).  Values outside [0, 1] are returned
     flagged ``out-of-range``.
 
     Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
     (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
-    (lambda, P) only, so the whole curve is degenerate or none of it.
-    Returns an :class:`OutageEstimate`, or an :class:`OutageCurve` for a
-    tuple query.
+    (lambda, P) only, so the whole grid is degenerate or none of it.
+    Returns results shaped like the query (see the module docstring).
     """
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     p = query.power_ratio
@@ -353,29 +377,64 @@ def outage_closed_form(query: OutageQuery) -> Union[OutageEstimate, OutageCurve]
     e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
     base = l2 * e1 / d1
     bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
-    values = 1.0 - (base + query.theta.theta * bracket)
+    thetas = np.array([theta.theta for theta in query.thetas])
+    values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
+    out_of_range = (values < 0.0) | (values > 1.0)
     return _per_query(
-        query, OutageCurve(CLOSED_FORM, values, out_of_range=(values < 0.0) | (values > 1.0))
+        query, [OutageCurve(CLOSED_FORM, v, out_of_range=o) for v, o in zip(values, out_of_range)]
     )
 
 
-def outage_quadrature(
-    query: OutageQuery, tol: float = DEFAULT_QUAD_TOL
-) -> Union[OutageEstimate, OutageCurve]:
+def _conditional_terms(d, gamma, a, b, l1, l2, exp=np.exp, expm1=np.expm1):
+    """The theta-free terms of the quadrature integrand at g2 = ``d``.
+
+    With e = exp(-l2*d) and c* = (gamma - B*d)/A, the range of g1 left by
+    A*g1 + B*g2 <= gamma, returns (l2*e, t, q1, q2): the Exp(lambda2)
+    density of g2, t = 2*e - 1, and P[g1 <= c*] under Exp(lambda1) and
+    Exp(2*lambda1).  The same expression serves node arrays (numpy) and one
+    node (``math.exp``, ``math.expm1``).
+    """
+    c_star = (gamma - b * d) / a
+    e = exp(-l2 * d)
+    t = 2.0 * e - 1.0
+    q1 = -expm1(-l1 * c_star)
+    q2 = -expm1(-2.0 * l1 * c_star)
+    return l2 * e, t, q1, q2
+
+
+def _conditional_integrand(th, density, t, q1, q2):
+    """The quadrature integrand at theta = ``th`` from
+    :func:`_conditional_terms`: the density of g2 times the FGM conditional
+    probability P[g1 <= c* | g2], (1 - th*t)*q1 + th*t*q2."""
+    return density * ((1.0 - th * t) * q1 + th * t * q2)
+
+
+def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> OutageResult:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
     The inner g1 integral is elementary.  The outer g2 integral over
     [0, gamma/B] is QUADPACK's first step evaluated for every rate of the
     query at once: one 21-point Gauss-Kronrod panel with dqk21's error
-    estimate, accepted by dqagse's first-panel test.  A point the panel does
-    not settle goes through adaptive quadrature (``scipy.integrate.quad``)
-    on its own, and so does every point whose upper limit gamma/B exceeds
-    40/lambda2: g2 ~ Exp(lambda2) puts almost all its mass below that, where
-    one panel over a much longer interval can place no node and report a
-    zero error.  Such a point is split at 40/lambda2.  The absolute
-    tolerance is ``tol`` (in (0, 1e-2]).  Returns an
-    :class:`OutageEstimate`, or an :class:`OutageCurve` for a tuple query.
+    estimate, accepted by dqagse's first-panel test.  The theta-free terms
+    on the panel's nodes are computed once; each theta combines them into
+    its own integrand.
+
+    A point the panel does not settle goes through adaptive quadrature
+    (``scipy.integrate.quad``) on its own, and so does every point where
+    one panel can miss where the integrand changes:
+
+    * where gamma/B exceeds 40/lambda2, since g2 ~ Exp(lambda2) has almost
+      all its mass below that and one panel over a much longer interval can
+      place no node there and report a zero error.  The point is split at
+      40/lambda2.
+    * where gamma/A exceeds 40/lambda1, since P[g1 <= c*] then drops from
+      about 1 to 0 within a few A/(lambda1*B) below gamma/B, which one panel
+      can step over.  The point is split where c* = 40/lambda1, if that lies
+      below 40/lambda2.
+
+    The absolute tolerance is ``tol`` (in (0, 1e-2]).  Returns results
+    shaped like the query (see the module docstring).
 
     Raises :class:`QuadratureNonConvergence` if the error estimate of any
     point cannot meet ``tol``.
@@ -385,72 +444,76 @@ def outage_quadrature(
     gamma = gamma_threshold(query.rates, query.budget.noise)
     a, b = query.weight1, query.weight2
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
-    th = query.theta.theta
-
-    def integrand(d, g, exp=np.exp, expm1=np.expm1):
-        # integral of the joint density over g1 in [0, (g - B*d)/A]; the
-        # same expression on node arrays (numpy) and on one node (math)
-        c_star = (g - b * d) / a
-        e = exp(-l2 * d)
-        t = 2.0 * e - 1.0
-        q1 = -expm1(-l1 * c_star)
-        q2 = -expm1(-2.0 * l1 * c_star)
-        return l2 * e * ((1.0 - th * t) * q1 + th * t * q2)
-
     upper = gamma / b
-    split = _G2_SPAN / l2
-    values, abserr, settled = _gauss_kronrod_panel(integrand, gamma, upper, tol)
-    for i in np.flatnonzero(~settled | (upper > split)).tolist():
-        from scipy import integrate  # only this fallback needs scipy
+    # Each point's breakpoints for adaptive quadrature, None where the panel
+    # may settle it: 40/lambda2, and below it the g2 where c* = 40/lambda1.
+    split = _SPAN / l2
+    drop = (gamma - _SPAN * a / l1) / b
+    breaks = [
+        tuple(x for x in (d if d < split else 0.0, split) if 0.0 < x < u) or None
+        for d, u in zip(drop.tolist(), upper.tolist())
+    ]
+    routed = np.array([x is not None for x in breaks], dtype=bool)
+    hlgth = 0.5 * upper[:, None]
+    terms = _conditional_terms(hlgth + hlgth * _GK_NODES, gamma[:, None], a, b, l1, l2)
+    curves = []
+    for theta in query.thetas:
+        th = theta.theta
+        values, abserr, settled = _gauss_kronrod_panel(
+            _conditional_integrand(th, *terms), upper, tol
+        )
+        for i in np.flatnonzero(~settled | routed).tolist():
+            from scipy import integrate  # only this fallback needs scipy
 
-        g = float(gamma[i])
-        values[i], abserr[i] = integrate.quad(
-            lambda d: integrand(d, g, math.exp, math.expm1),
-            0.0,
-            g / b,
-            epsabs=tol,
-            epsrel=_QUAD_EPSREL,
-            limit=200,
-            points=(split,) if upper[i] > split else None,
-        )
-    failed = np.flatnonzero((abserr > tol) | (values < -tol) | (values > 1.0 + tol))
-    if failed.size:
-        i = failed[0]
-        if abserr[i] > tol:
-            raise QuadratureNonConvergence(
-                f"error estimate {abserr[i]} exceeds tol {tol} for gamma={gamma[i]}, "
-                f"A={a}, B={b}, theta={th}"
+            g = float(gamma[i])
+            values[i], abserr[i] = integrate.quad(
+                lambda d: _conditional_integrand(
+                    th, *_conditional_terms(d, g, a, b, l1, l2, math.exp, math.expm1)
+                ),
+                0.0,
+                g / b,
+                epsabs=tol,
+                epsrel=_QUAD_EPSREL,
+                limit=200,
+                points=breaks[i],
             )
-        raise QuadratureNonConvergence(
-            f"integral {values[i]} is outside [0, 1] beyond tol {tol}"
+        failed = np.flatnonzero((abserr > tol) | (values < -tol) | (values > 1.0 + tol))
+        if failed.size:
+            i = failed[0]
+            if abserr[i] > tol:
+                raise QuadratureNonConvergence(
+                    f"error estimate {abserr[i]} exceeds tol {tol} for gamma={gamma[i]}, "
+                    f"A={a}, B={b}, theta={th}"
+                )
+            raise QuadratureNonConvergence(
+                f"integral {values[i]} is outside [0, 1] beyond tol {tol}"
+            )
+        # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
+        values = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+        curves.append(
+            OutageCurve(QUADRATURE, values, out_of_range=np.zeros(len(values), dtype=bool))
         )
-    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
-    values = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
-    return _per_query(
-        query, OutageCurve(QUADRATURE, values, out_of_range=np.zeros(len(values), dtype=bool))
-    )
+    return _per_query(query, curves)
 
 
 def _gauss_kronrod_panel(
-    f, gamma: np.ndarray, upper: np.ndarray, tol: float
+    fv: np.ndarray, upper: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK's first step on [0, upper[i]] for every i at once.
 
-    ``f(d, gamma)`` is evaluated on the (n x 21) node array, with ``gamma``
-    as an (n x 1) column.  Returns (result, abserr, settled): dqk21's
-    Gauss-Kronrod result and error estimate per interval, and whether
-    dqagse would return after this panel, that is abserr <= max(tol,
-    1e-12*|result|) with abserr != resasc, or abserr == 0.  Every sum runs
-    along the 21 nodes of one interval in a fixed order, so an entry does
-    not depend on the other intervals.
+    ``fv`` holds the integrand on the (n x 21) node array
+    ``h + h*_GK_NODES``, h = upper/2 as an (n x 1) column.  Returns
+    (result, abserr, settled): dqk21's Gauss-Kronrod result and error
+    estimate per interval, and whether dqagse would return after this panel,
+    that is abserr <= max(tol, 1e-12*|result|) with abserr != resasc, or
+    abserr == 0.  Every sum runs along the 21 nodes of one interval in a
+    fixed order, so an entry does not depend on the other intervals.
     """
-    hlgth = 0.5 * upper[:, None]
-    fv = f(hlgth + hlgth * _GK_NODES, gamma[:, None])
     resk = (fv * _GK_WEIGHTS).sum(axis=1)
     resg = (fv * _G_WEIGHTS).sum(axis=1)
     resabs = (np.abs(fv) * _GK_WEIGHTS).sum(axis=1)
     resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1)
-    hlgth = hlgth[:, 0]
+    hlgth = 0.5 * upper
     result = resk * hlgth
     resabs *= hlgth
     resasc *= hlgth
@@ -466,22 +529,22 @@ def _gauss_kronrod_panel(
     return result, abserr, settled
 
 
-def outage_monte_carlo(
-    query: OutageQuery, n: int, seed: int
-) -> Union[OutageEstimate, OutageCurve]:
+def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageResult:
     """Empirical outage frequency over ``n`` correlated gain pairs.
 
     Samples are drawn in fixed-size chunks from per-chunk substreams of
     ``seed``, so the estimate is bit-stable for a fixed (seed, n) under any
     degree of parallelism or chunk traversal order.  Ties (the event
-    holding with equality) count as outage.  Returns an
-    :class:`OutageEstimate`, or an :class:`OutageCurve` for a tuple query.
+    holding with equality) count as outage.  Every theta of a theta tuple is
+    estimated from ``seed``, as its one-theta query would be.  Returns
+    results shaped like the query (see the module docstring).
     """
     return _per_query(
         query,
-        outage_monte_carlo_grid(
-            query.theta, query.marginals, (query.budget,), query.rates, n, seed
-        )[0],
+        [
+            outage_monte_carlo_grid(theta, query.marginals, (query.budget,), query.rates, n, seed)[0]
+            for theta in query.thetas
+        ],
     )
 
 

@@ -1,12 +1,16 @@
 """Sweep execution, cross-method comparison, and deterministic CSV output.
 
 A sweep evaluates every (budget, theta, rate, method) combination of a
-config and returns the rows in lexicographic index order.  Its unit of
-work is one theta: the gain law depends on theta alone, so the Monte Carlo
-rows at one theta share a single draw set, seeded by (master seed, theta
-index) and scored against every budget and rate.  Row values therefore do
-not depend on execution order or worker count, and two runs of the same
-config produce byte-identical CSV.
+config and returns the rows in lexicographic index order.  The analytic
+methods run once per budget over every theta and rate: their values are
+affine in theta, so one call shares every theta-free term.  Monte Carlo
+runs once per theta block: the gain law depends on theta alone, so the
+Monte Carlo rows at one theta share a single draw set, seeded by (master
+seed, theta index) and scored against every budget and rate.  Only the
+theta blocks go to worker processes; the parent evaluates the analytic
+methods meanwhile.  Row values therefore do not depend on execution order
+or worker count, and two runs of the same config produce byte-identical
+CSV.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
 non-convergence) do not abort a sweep; the affected row carries an error
@@ -170,60 +174,47 @@ def _table_from_rows(rows: Sequence[SweepRow]) -> SweepTable:
 def _analytic_column(
     query: OutageQuery, method: str, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values (NaN where a row has none) and flag codes of one
-    (budget, theta) curve of an analytic method, in the order of the
-    query's rate tuple.  A degenerate closed form flags the whole curve; a
-    quadrature failure is re-evaluated rate by rate, so only the failing
-    rows are flagged."""
-    n = len(query.rates)
+    """Values (NaN where a row has none) and flag codes of one budget's
+    curves of an analytic method, as (theta, rate) arrays in the order of
+    the query's theta and rate tuples.  A degenerate closed form flags
+    every curve; a quadrature failure is re-evaluated theta by theta, then
+    rate by rate, so only the failing rows are flagged."""
+    shape = (len(query.thetas), len(query.rates))
     try:
         if method == CLOSED_FORM:
-            curve = outage_closed_form(query)
-            return curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
-        return outage_quadrature(query, tol=quad_tol).value, np.full(n, _OK)
+            curves = outage_closed_form(query)
+            out_of_range = np.array([curve.out_of_range for curve in curves])
+            flags = np.where(out_of_range, _OUT_OF_RANGE, _OK)
+            return np.array([curve.value for curve in curves]), flags
+        curves = outage_quadrature(query, tol=quad_tol)
+        return np.array([curve.value for curve in curves]), np.full(shape, _OK)
     except DegenerateDenominator:
-        return np.full(n, np.nan), np.full(n, _DEGENERATE)
+        return np.full(shape, np.nan), np.full(shape, _DEGENERATE)
     except QuadratureNonConvergence:
-        if n == 1:
-            return np.full(1, np.nan), np.full(1, _NONCONVERGENCE)
-        per_rate = [
-            _analytic_column(replace(query, rate_threshold=(rate,)), method, quad_tol)
-            for rate in query.rates
-        ]
-        return tuple(np.concatenate(column) for column in zip(*per_rate))
+        if len(query.thetas) > 1:
+            parts, axis = [replace(query, theta=(theta,)) for theta in query.thetas], 0
+        elif len(query.rates) > 1:
+            parts, axis = [replace(query, rate_threshold=(rate,)) for rate in query.rates], 1
+        else:
+            return np.full(shape, np.nan), np.full(shape, _NONCONVERGENCE)
+        columns = zip(*(_analytic_column(part, method, quad_tol) for part in parts))
+        return tuple(np.concatenate(column, axis=axis) for column in columns)
 
 
 def _theta_block(
     config: ExperimentConfig, t_i: int, rates: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row at theta index ``t_i`` as (budget, rate, method) arrays:
-    op, std_err (NaN where the row holds None) and flag codes.  Each method
-    evaluates a whole (budget, theta) curve in one call."""
-    theta = config.thetas[t_i]
-    shape = (len(config.budgets), len(rates), len(config.methods))
-    op = np.full(shape, np.nan)
-    std_err = np.full(shape, np.nan)
-    flag = np.full(shape, _OK, dtype=np.int8)
-    if MONTE_CARLO in config.methods:
-        mc = outage_monte_carlo_grid(
-            theta,
-            config.marginals,
-            config.budgets,
-            rates,
-            config.mc_samples,
-            derive_seed(config.seed, t_i),
-        )
-    for b_i, budget in enumerate(config.budgets):
-        query = OutageQuery(rates, budget, config.marginals, theta)
-        for m_i, method in enumerate(config.methods):
-            if method == MONTE_CARLO:
-                op[b_i, :, m_i] = mc[b_i].value
-                std_err[b_i, :, m_i] = mc[b_i].std_error
-            else:
-                op[b_i, :, m_i], flag[b_i, :, m_i] = _analytic_column(
-                    query, method, config.quad_tol
-                )
-    return op, std_err, flag
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo values and standard errors at theta index ``t_i`` as
+    (budget, rate) arrays, from one draw set."""
+    curves = outage_monte_carlo_grid(
+        config.thetas[t_i],
+        config.marginals,
+        config.budgets,
+        rates,
+        config.mc_samples,
+        derive_seed(config.seed, t_i),
+    )
+    return np.array([c.value for c in curves]), np.array([c.std_error for c in curves])
 
 
 def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
@@ -239,9 +230,11 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
     in lexicographic (budget, theta, rate, method) index order.
 
-    ``workers`` > 1 fans theta blocks out across processes; 0 means one per
-    CPU.  The pool never exceeds the CPU count or the number of thetas.
-    Results are identical for any worker count.
+    ``workers`` > 1 fans the Monte Carlo theta blocks out across processes
+    while the parent evaluates the analytic methods; 0 means one per CPU.
+    The pool never exceeds the CPU count or the number of theta blocks, and
+    a sweep without Monte Carlo starts none.  Results are identical for any
+    worker count.
     """
     for i, budget in enumerate(config.budgets):
         if not budget.p0 < min(budget.p1, budget.p2):
@@ -250,18 +243,35 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                 f"got p0={budget.p0}, p1={budget.p1}, p2={budget.p2}"
             )
     rates = config.rate_grid.values()
-    n_thetas = len(config.thetas)
-    pool_size = _pool_size(workers, n_thetas, os.cpu_count())
+    shape = (len(config.budgets), len(config.thetas), len(rates), len(config.methods))
+    op = np.full(shape, np.nan)
+    std_err = np.full(shape, np.nan)
+    flag = np.full(shape, _OK, dtype=np.int8)
+
+    def analytic() -> None:
+        for b_i, budget in enumerate(config.budgets):
+            query = OutageQuery(rates, budget, config.marginals, config.thetas)
+            for m_i, method in enumerate(config.methods):
+                if method != MONTE_CARLO:
+                    op[b_i, ..., m_i], flag[b_i, ..., m_i] = _analytic_column(
+                        query, method, config.quad_tol
+                    )
+
+    mc_blocks = range(len(config.thetas)) if MONTE_CARLO in config.methods else range(0)
+    pool_size = _pool_size(workers, len(mc_blocks), os.cpu_count())
     if pool_size == 1:
-        blocks = [_theta_block(config, t_i, rates) for t_i in range(n_thetas)]
+        analytic()
+        blocks = [_theta_block(config, t_i, rates) for t_i in mc_blocks]
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            blocks = list(
-                pool.map(_theta_block, [config] * n_thetas, range(n_thetas), [rates] * n_thetas)
-            )
+            futures = [pool.submit(_theta_block, config, t_i, rates) for t_i in mc_blocks]
+            analytic()  # in the parent, while the pool draws
+            blocks = [future.result() for future in futures]
+    if blocks:
+        m_i = config.methods.index(MONTE_CARLO)
+        op[..., m_i], std_err[..., m_i] = (np.stack(column, axis=1) for column in zip(*blocks))
     # (budget, theta, rate, method) arrays, raveled in row order
-    op, std_err, flag = (np.stack(column, axis=1) for column in zip(*blocks))
-    codes = np.vstack((np.indices(op.shape).reshape(op.ndim, -1), flag.reshape(1, -1)))
+    codes = np.vstack((np.indices(shape).reshape(len(shape), -1), flag.reshape(1, -1)))
     levels = (
         tuple(range(len(config.budgets))),
         tuple(theta.theta for theta in config.thetas),
@@ -467,7 +477,7 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     with open(path, "w", newline="") as fh:
         fh.write("g1,g2\n")
         for chunk in iter_gain_pair_chunks(theta, config.marginals, n, config.seed):
-            fh.write("".join(f"{g1!r},{g2!r}\n" for g1, g2 in chunk.tolist()))
+            fh.write("%r,%r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

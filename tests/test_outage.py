@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -440,7 +441,7 @@ def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
 
 
 def test_first_panel_matches_quadpack_first_step():
-    from swmac.outage import _gauss_kronrod_panel
+    from swmac.outage import _GK_NODES, _gauss_kronrod_panel
 
     for f, upper in (
         (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0),  # settled by the panel
@@ -453,8 +454,9 @@ def test_first_panel_matches_quadpack_first_step():
         _, _, info = integrate.quad(
             lambda x: float(f(x)), 0.0, upper, epsabs=1e-10, epsrel=1e-12, full_output=1
         )[:3]
+        h = np.array([[0.5 * upper]])
         result, abserr, settled = _gauss_kronrod_panel(
-            lambda d, g: f(d), np.zeros(1), np.array([upper]), 1e-10
+            f(h + h * _GK_NODES), np.array([upper]), 1e-10
         )
         assert result[0] == pytest.approx(first_step[0], rel=1e-14)
         assert abserr[0] == pytest.approx(first_step[1], rel=1e-6)
@@ -547,3 +549,95 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
     assert got == pytest.approx(expected, abs=1e-10)
     assert 0.3 < got[0] < got[-1] < 0.99
     assert calls == [(40.0,)] * 3 + [(80.0,)] * 3
+
+
+# ---------------------------------------------------------------------------
+# Theta-axis queries
+# ---------------------------------------------------------------------------
+
+# Unit noise, (p1, p2) = (1, 5): R = 3 puts gamma/A above 40/lambda1 (the
+# g1 drop split) and R = 10 puts gamma/B beyond the 40/lambda2 split.
+THETA_AXIS_RATES = (0.05, 0.75, 2.5, 3.0, 10.0)
+
+
+def _as_estimates(result):
+    """A curve as its per-rate estimates; an estimate as itself."""
+    return list(result) if isinstance(result, OutageCurve) else result
+
+
+@pytest.mark.parametrize("rate", [THETA_AXIS_RATES, 0.75], ids=["rate-tuple", "float-rate"])
+def test_theta_tuple_query_equals_one_theta_queries(rate):
+    thetas = tuple(DependenceParameter(t) for t in (-1.0, 0.0, 1.0, 0.0))  # 0 repeated
+    grid = replace(make_query(rate=rate, noise=1.0), theta=thetas)
+    assert grid.thetas == thetas
+    one_theta = [replace(grid, theta=t) for t in thetas]
+    assert [q.thetas for q in one_theta] == [(t,) for t in thetas]
+    for evaluate in (outage_closed_form, outage_quadrature, lambda q: outage_monte_carlo(q, 2000, 4)):
+        got = evaluate(grid)
+        assert isinstance(got, list) and len(got) == len(thetas)
+        expected = [evaluate(q) for q in one_theta]
+        assert [type(e) for e in got] == [type(e) for e in expected]
+        assert [_as_estimates(e) for e in got] == [_as_estimates(e) for e in expected]
+        # a one-theta tuple is the length-1 case of the same evaluation
+        assert [_as_estimates(e) for e in evaluate(replace(grid, theta=thetas[1:2]))] == [
+            _as_estimates(expected[1])
+        ]
+
+
+def test_nonconvergence_of_one_theta_fails_the_theta_tuple():
+    # At tol = 1e-13 and R = 1.55, theta = 0 converges and theta = -1 does not.
+    point = make_query(rate=(0.05, 1.55), noise=1.0)
+    outage_quadrature(replace(point, theta=(DependenceParameter(0.0),)), tol=1e-13)
+    both = replace(point, theta=(DependenceParameter(0.0), DependenceParameter(-1.0)))
+    with pytest.raises(QuadratureNonConvergence):
+        outage_quadrature(both, tol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The sharp drop of P[g1 <= c*] just below g2 = gamma/B
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "lam1,lam2,a,b,theta,rate,parent_error",
+    [
+        (7.03, 0.20, 0.256, 9.36, -0.36, 4.0, 2.75e-6),
+        (2.0, 0.3, 1.0, 10.0, -1.0, 4.42, 6.6e-9),
+    ],
+)
+def test_quadrature_resolves_the_g1_drop_below_the_upper_limit(
+    lam1, lam2, a, b, theta, rate, parent_error
+):
+    # P[g1 <= (gamma - B*g2)/A] falls from about 1 to 0 over a width of
+    # about A/(lambda1*B) just below g2 = gamma/B.  One 21-node panel over
+    # [0, gamma/B] stepped over that drop and was accepted, off by
+    # ``parent_error``; splitting where the g1 range is 40/lambda1 fixes it.
+    q = make_query(rate=rate, p1=a, p2=b, lam1=lam1, lam2=lam2, theta=theta)
+    assert lam1 * q.gamma / a > 40.0
+    exact = fgm_outage(lam1, lam2, a, b, q.gamma, theta)
+    assert outage_quadrature(q).value == pytest.approx(exact, abs=1e-10)
+    assert parent_error > 10 * 1e-10
+
+
+def test_quadrature_scan_against_the_four_term_oracle():
+    # 50 seeded draws of (lambda, A, B) where the drop is narrow (lambda1
+    # and B in [1, 10], lambda2 and A in [0.1, 1]), each queried at 2 thetas
+    # and 2 rates with gamma*lambda2/B in [4, 15], where the panel used to
+    # miss it: 200 points.  Without the split, 22 to 41 of 200 such points
+    # missed the oracle by more than 10*tol (seeds 0-4).
+    rng = np.random.default_rng(20261018)
+    tol = 1e-10
+    worst, drops = 0.0, 0
+    for _ in range(50):
+        lam1, b = np.exp(rng.uniform(0.0, math.log(10.0), 2)).tolist()
+        lam2, a = np.exp(rng.uniform(math.log(0.1), 0.0, 2)).tolist()
+        thetas = tuple(DependenceParameter(t) for t in rng.uniform(-1.0, 1.0, 2).tolist())
+        gammas = (np.exp(rng.uniform(math.log(4.0), math.log(15.0), 2)) * b / lam2).tolist()
+        rates = tuple(0.5 * math.log2(g + 1.0) for g in gammas)
+        q = OutageQuery(rates, PowerBudget(0.0, a, b, 1.0), FadingMarginals(lam1, lam2), thetas)
+        for theta, curve in zip(thetas, outage_quadrature(q, tol=tol)):
+            for g, value in zip(q.gamma.tolist(), curve.value.tolist()):
+                worst = max(worst, abs(value - fgm_outage(lam1, lam2, a, b, g, theta.theta)))
+                drops += lam1 * g / a > 40.0
+    assert worst <= 10 * tol
+    assert drops >= 150

@@ -2,6 +2,7 @@ import csv
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swmac import (
@@ -210,6 +211,27 @@ def test_quadrature_nonconvergence_flags_only_the_failing_rows():
                 outage_quadrature(query, tol=cfg.quad_tol)
 
 
+def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows():
+    from swmac.sweep import _NONCONVERGENCE, _OK, _analytic_column
+
+    # At tol 1e-13, R = 1.55 fails for theta = -1 and 0.5 but not for 0;
+    # every other (theta, rate) converges.
+    thetas = tuple(DependenceParameter(t) for t in (-1.0, 0.0, 0.5))
+    rates = (0.05, 1.3, 1.55, 1.8)
+    query = OutageQuery(rates, PowerBudget(0.0, 1.0, 5.0, 1.0), FadingMarginals(1.0, 1.0), thetas)
+    values, flags = _analytic_column(query, "quadrature", 1e-13)
+    expected = np.full((3, 4), _OK)
+    expected[[0, 2], 2] = _NONCONVERGENCE
+    assert flags.tolist() == expected.tolist()
+    for t_i, theta in enumerate(thetas):
+        for r_i, rate in enumerate(rates):
+            point = OutageQuery(rate, query.budget, query.marginals, theta)
+            if flags[t_i, r_i] == _OK:
+                assert values[t_i, r_i] == outage_quadrature(point, tol=1e-13).value
+            else:
+                assert math.isnan(values[t_i, r_i])
+
+
 def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path):
     cfg = _flagged_config()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -349,6 +371,32 @@ def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
         "values",
         "substream",
     }
+
+
+def test_analytic_methods_make_one_call_per_budget(monkeypatch):
+    # The analytic evaluators take the whole (theta x rate) grid of a budget
+    # in one call; one call per (budget, theta) curve would be 5 times as
+    # many on fig2.
+    import swmac.sweep as sweep_module
+
+    calls = {}
+
+    def spy(name):
+        original = getattr(sweep_module, name)
+
+        def counted(query, *args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(query, *args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, name, counted)
+
+    spy("outage_closed_form")
+    spy("outage_quadrature")
+    cfg = preset_config("fig2").with_overrides(methods=("closed-form", "quadrature"))
+    assert len(cfg.budgets) == 2 and len(cfg.thetas) == 5
+    rows = run_outage_sweep(cfg, workers=2)
+    assert calls == {"outage_closed_form": 2, "outage_quadrature": 2}
+    assert len(rows) == 2 * 5 * len(cfg.rate_grid.values()) * 2
 
 
 # ---------------------------------------------------------------------------
