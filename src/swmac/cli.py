@@ -153,13 +153,12 @@ def _cmd_outage(args: argparse.Namespace) -> int:
 
 def _cmd_region(args: argparse.Namespace) -> int:
     config = _load(args)
-    try:
-        budget = config.budgets[args.budget_index]
-    except IndexError:
+    if not 0 <= args.budget_index < len(config.budgets):
         raise ConfigError(
             f"budget index {args.budget_index} out of range "
             f"(config has {len(config.budgets)} budgets)"
-        ) from None
+        )
+    budget = config.budgets[args.budget_index]
     gains = None
     if args.gains:
         parts = args.gains.split(",")

@@ -255,7 +255,8 @@ def iter_gain_pair_chunks(
     seed: int,
     chunk_size: int = CHUNK_SIZE,
 ) -> Iterator[np.ndarray]:
-    """Yield ``n`` correlated gain pairs in fixed-size chunks.
+    """``n`` correlated gain pairs in fixed-size chunks, drawn lazily; ``n``
+    and ``chunk_size`` are checked on the call, before any chunk is drawn.
 
     Chunk ``k`` is drawn from the independent substream ``(seed, k)``, so
     any assignment of chunks to workers (or any traversal order) produces
@@ -265,9 +266,10 @@ def iter_gain_pair_chunks(
         raise ValueError(f"n must be >= 0, got {n}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    for k in range((n + chunk_size - 1) // chunk_size):
-        m = min(chunk_size, n - k * chunk_size)
-        yield sample_gain_pairs(theta, marginals, m, substream(seed, k))
+    return (
+        sample_gain_pairs(theta, marginals, min(chunk_size, n - start), substream(seed, k))
+        for k, start in enumerate(range(0, n, chunk_size))
+    )
 
 
 def joint_gain_pdf(

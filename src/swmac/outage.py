@@ -433,11 +433,13 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
       can step over.  The point is split where c* = 40/lambda1, if that lies
       below 40/lambda2.
 
-    The absolute tolerance is ``tol`` (in (0, 1e-2]).  Returns results
+    The absolute tolerance is ``tol`` (in (0, 1e-2]).  A point is accepted
+    when its error estimate is at most max(tol, 1e-12*|value|), the bound
+    the panel and ``scipy.integrate.quad`` both work to.  Returns results
     shaped like the query (see the module docstring).
 
     Raises :class:`QuadratureNonConvergence` if the error estimate of any
-    point cannot meet ``tol``.
+    point exceeds that bound.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
@@ -477,12 +479,13 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
                 limit=200,
                 points=breaks[i],
             )
-        failed = np.flatnonzero((abserr > tol) | (values < -tol) | (values > 1.0 + tol))
+        errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
+        failed = np.flatnonzero((abserr > errbnd) | (values < -tol) | (values > 1.0 + tol))
         if failed.size:
             i = failed[0]
-            if abserr[i] > tol:
+            if abserr[i] > errbnd[i]:
                 raise QuadratureNonConvergence(
-                    f"error estimate {abserr[i]} exceeds tol {tol} for gamma={gamma[i]}, "
+                    f"error estimate {abserr[i]} exceeds {errbnd[i]} for gamma={gamma[i]}, "
                     f"A={a}, B={b}, theta={th}"
                 )
             raise QuadratureNonConvergence(

@@ -25,6 +25,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -107,68 +108,51 @@ _FLAGS = (FLAG_OK, FLAG_OUT_OF_RANGE, FLAG_DEGENERATE, FLAG_NONCONVERGENCE)
 _OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENCE = range(len(_FLAGS))
 
 
+@dataclass(frozen=True, eq=False)
 class SweepTable(Sequence[SweepRow]):
-    """Sweep rows stored column by column; a read-only sequence of
-    :class:`SweepRow` that builds rows only when indexed or iterated.
+    """Sweep results as the dense grid the sweep fills; a read-only
+    sequence of :class:`SweepRow` that builds rows only when indexed or
+    iterated.
 
-    ``budget_id``, ``theta``, ``rate``, ``method`` and ``flag`` are each kept
-    as a tuple of values (``levels``) and, per row, a position in it
-    (``codes``, one row of the array per column).  ``op`` and ``std_err``
-    are float arrays with NaN where the row holds None.
+    ``axes`` holds the budget ids, theta values, rates and methods.  ``op``,
+    ``std_err`` and ``flag`` are arrays shaped by those axes, (budget,
+    theta, rate, method): ``op`` and ``std_err`` with NaN where the row
+    holds None, ``flag`` with each row's position in ``_FLAGS``.  Rows are
+    the grid's entries in row-major order.
     """
 
-    def __init__(
-        self,
-        levels: tuple[tuple, tuple, tuple, tuple, tuple],
-        codes: np.ndarray,
-        op: np.ndarray,
-        std_err: np.ndarray,
-    ) -> None:
-        self._levels = levels
-        self._codes = codes
-        self._op = op
-        self._std_err = std_err
+    axes: tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], tuple[str, ...]]
+    op: np.ndarray
+    std_err: np.ndarray
+    flag: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._op)
+        return self.op.size
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        b, t, r, m, f = (level[c] for level, c in zip(self._levels, self._codes[:, i].tolist()))
-        return SweepRow(b, t, r, m, _none_if_nan(self._op[i]), _none_if_nan(self._std_err[i]), f)
+        rows = range(len(self))[i]  # IndexError past either end
+        if isinstance(rows, range):
+            return [self[j] for j in rows]
+        index = np.unravel_index(rows, self.op.shape)
+        b, t, r, m = (axis[k] for axis, k in zip(self.axes, index))
+        op, std_err = _none_if_nan(self.op[index]), _none_if_nan(self.std_err[index])
+        return SweepRow(b, t, r, m, op, std_err, _FLAGS[self.flag[index]])
 
     def __iter__(self):
-        b, t, r, m, f = map(_decode, self._levels, self._codes.tolist())
-        op = map(_none_if_nan, self._op.tolist())
-        std_err = map(_none_if_nan, self._std_err.tolist())
-        return map(SweepRow, b, t, r, m, op, std_err, f)
+        op = map(_none_if_nan, self.op.ravel().tolist())
+        std_err = map(_none_if_nan, self.std_err.ravel().tolist())
+        flag = map(_FLAGS.__getitem__, self.flag.ravel().tolist())
+        for key, *values in zip(product(*self.axes), op, std_err, flag):
+            yield SweepRow(*key, *values)
 
     def __eq__(self, other):
         if not isinstance(other, SweepTable):
             return NotImplemented
         return list(self) == list(other)
 
-    __hash__ = None
-
-
-def _decode(level: Sequence, codes: list[int]) -> list:
-    """The per-row values of a column stored as ``level`` and ``codes``."""
-    return list(map(level.__getitem__, codes))
-
 
 def _none_if_nan(x: float) -> Optional[float]:
     return None if math.isnan(x) else float(x)
-
-
-def _table_from_rows(rows: Sequence[SweepRow]) -> SweepTable:
-    """A table of arbitrary rows: each row has its own entry in every level."""
-    columns = ("budget_id", "theta", "rate", "method", "flag")
-    levels = tuple(tuple(getattr(row, key) for row in rows) for key in columns)
-    codes = np.tile(np.arange(len(rows)), (len(columns), 1))
-    op = np.array([np.nan if row.op is None else row.op for row in rows], dtype=float)
-    std_err = np.array([np.nan if row.std_err is None else row.std_err for row in rows], dtype=float)
-    return SweepTable(levels, codes, op, std_err)
 
 
 def _analytic_column(
@@ -270,16 +254,13 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     if blocks:
         m_i = config.methods.index(MONTE_CARLO)
         op[..., m_i], std_err[..., m_i] = (np.stack(column, axis=1) for column in zip(*blocks))
-    # (budget, theta, rate, method) arrays, raveled in row order
-    codes = np.vstack((np.indices(shape).reshape(len(shape), -1), flag.reshape(1, -1)))
-    levels = (
+    axes = (
         tuple(range(len(config.budgets))),
         tuple(theta.theta for theta in config.thetas),
         rates,
         config.methods,
-        _FLAGS,
     )
-    return SweepTable(levels, codes, op.ravel(), std_err.ravel())
+    return SweepTable(axes, op, std_err, flag)
 
 
 def _method_pairs(methods: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -295,8 +276,8 @@ class ComparisonPoint:
 
     ``diffs[i]`` is value(A) - value(B) for the i-th (A, B) of the report's
     ``pairs``, or None where either row has no value.  ``z_quad_mc`` is
-    (quadrature - monte-carlo)/std_err when both are present (infinite if
-    std_err is 0 and the difference is not).  ``flags`` collects
+    (quadrature - monte-carlo)/std_err when both are present (infinite, with
+    the sign of the difference, if std_err is 0 and the difference is not).  ``flags`` collects
     noteworthy conditions at this point.
     """
 
@@ -351,49 +332,43 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
     """
     if len(config.methods) < 2:
         raise ValidationError("comparison requires at least two methods")
-    rows = list(run_outage_sweep(config, workers=workers))
-    pairs = _method_pairs(config.methods)
-    # The sweep emits the rows of one (budget, theta, rate) point together,
-    # one per method.
-    k = len(config.methods)
+    table = run_outage_sweep(config, workers=workers)
+    methods = config.methods
+    # one row per (budget, theta, rate) point, one column per method
+    op, std_err, flag = (a.reshape(-1, len(methods)) for a in (table.op, table.std_err, table.flag))
+    ops, std_errs = (dict(zip(methods, a.T)) for a in (op, std_err))
+    missing = np.full(len(op), np.nan)
+    quad, mc, cf = (ops.get(m, missing) for m in (QUADRATURE, MONTE_CARLO, CLOSED_FORM))
+    pairs = _method_pairs(methods)
+    diffs = zip(*(map(_none_if_nan, (ops[a] - ops[b]).tolist()) for a, b in pairs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero std_err gives an infinite z with the sign of the difference
+        z = np.where(quad == mc, 0.0, (quad - mc) / std_errs.get(MONTE_CARLO, missing))
+    deviation = cf - quad
+    large_z = np.abs(z) > Z_FLAG_THRESHOLD
+    deviates = np.abs(deviation) > 10.0 * config.quad_tol
+    labels = [[f"{method}:{f}" for f in _FLAGS] for method in methods]
+
     points = []
-    for i in range(0, len(rows), k):
-        block = rows[i : i + k]
-        group = {row.method: row for row in block}
-        ops = {method: row.op for method, row in group.items()}
-        point_flags = [f"{row.method}:{row.flag}" for row in block if row.flag != FLAG_OK]
-        diffs = tuple(
-            ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
-            for a, b in pairs
-        )
-
-        z: Optional[float] = None
-        quad, mc = ops.get(QUADRATURE), ops.get(MONTE_CARLO)
-        if quad is not None and mc is not None:
-            diff = quad - mc
-            std_err = group[MONTE_CARLO].std_err
-            if std_err and std_err > 0.0:
-                z = diff / std_err
-            else:
-                z = 0.0 if diff == 0.0 else math.inf
-            if abs(z) > Z_FLAG_THRESHOLD:
-                point_flags.append("large-z")
-
-        deviation: Optional[float] = None
-        cf = ops.get(CLOSED_FORM)
-        if cf is not None and quad is not None:
-            deviation = cf - quad
-            if abs(deviation) > 10.0 * config.quad_tol:
-                point_flags.append("closed-form-deviation")
-
+    for (b, t, r), point_diffs, codes, z_i, dev_i, is_large_z, is_deviation in zip(
+        product(*table.axes[:3]),
+        diffs,
+        flag.tolist(),
+        z.tolist(),
+        deviation.tolist(),
+        large_z.tolist(),
+        deviates.tolist(),
+    ):
+        point_flags = [label[c] for label, c in zip(labels, codes) if c != _OK]
+        point_flags += ["large-z"] * is_large_z + ["closed-form-deviation"] * is_deviation
         points.append(
             ComparisonPoint(
-                budget_id=block[0].budget_id,
-                theta=block[0].theta,
-                rate=block[0].rate,
-                diffs=diffs,
-                z_quad_mc=z,
-                closed_form_deviation=deviation,
+                budget_id=b,
+                theta=t,
+                rate=r,
+                diffs=point_diffs,
+                z_quad_mc=_none_if_nan(z_i),
+                closed_form_deviation=_none_if_nan(dev_i),
                 flags=tuple(point_flags),
             )
         )
@@ -407,32 +382,30 @@ def format_value(x: Optional[float]) -> str:
     return format(float(x), ".12g")
 
 
-def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
-    """Write sweep rows as CSV, byte-deterministic for identical inputs.
+def emit_csv(table: SweepTable, path: str | Path) -> None:
+    """Write a sweep table as CSV, byte-deterministic for identical inputs.
 
     Fixed header and column order, 12-significant-digit decimals, line
-    feeds as the only separators.  Works column by column: each level of a
-    :class:`SweepTable` (a theta, a rate, a method) is formatted once.
+    feeds as the only separators.  Each axis value (a theta, a rate, a
+    method) is formatted once.
     """
-    table = rows if isinstance(rows, SweepTable) else _table_from_rows(rows)
-    # each level's text once; the flag, the last column, ends the line
-    texts = (
-        [str(b) for b in table._levels[0]],
-        [format_value(theta) for theta in table._levels[1]],
-        [format_value(rate) for rate in table._levels[2]],
-        table._levels[3],
-        [flag + "\n" for flag in table._levels[4]],
+    budgets, thetas, rates, methods = table.axes
+    keys = map(
+        ",".join,
+        product(map(str, budgets), map(format_value, thetas), map(format_value, rates), methods),
     )
+    flag_texts = [flag + "\n" for flag in _FLAGS]  # the flag, the last column, ends the line
+    op, std_err, flag = (a.ravel() for a in (table.op, table.std_err, table.flag))
     with open(path, "w", newline="") as fh:
         fh.write(SWEEP_HEADER + "\n")
         for start in range(0, len(table), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
-            b, t, r, m, f = map(_decode, texts, table._codes[:, block].tolist())
-            op, std_err = (
+            values = (
                 ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
-                for column in (table._op, table._std_err)
+                for column in (op, std_err)
             )
-            fh.write("".join(map(",".join, zip(b, t, r, m, op, std_err, f))))
+            flags = map(flag_texts.__getitem__, flag[block].tolist())
+            fh.write("".join(map(",".join, zip(islice(keys, _CSV_BLOCK_ROWS), *values, flags))))
 
 
 def emit_region(
@@ -474,9 +447,10 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     chunked substreams as the Monte Carlo evaluator.
     """
     theta = DependenceParameter(theta_value)
+    chunks = iter_gain_pair_chunks(theta, config.marginals, n, config.seed)  # checks n
     with open(path, "w", newline="") as fh:
         fh.write("g1,g2\n")
-        for chunk in iter_gain_pair_chunks(theta, config.marginals, n, config.seed):
+        for chunk in chunks:
             fh.write("%r,%r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 

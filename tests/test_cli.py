@@ -184,7 +184,15 @@ def test_exit_1_on_region_validation_errors(tmp_path, config_file):
     out = str(tmp_path / "r.csv")
     assert main(["region", "--config", config_file, "--r0", "1e9", "--out", out]) == 1
     assert main(["region", "--config", config_file, "--budget-index", "5", "--out", out]) == 1
+    assert main(["region", "--config", config_file, "--budget-index", "-1", "--out", out]) == 1
     assert main(["region", "--config", config_file, "--gains", "1.0", "--out", out]) == 1
+
+
+def test_exit_1_on_negative_sample_count_writes_no_file(config_file, tmp_path, capsys):
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", config_file, "--samples", "-3", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_1_on_single_method_compare(config_file, tmp_path):

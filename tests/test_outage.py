@@ -222,6 +222,18 @@ def test_quadrature_affine_in_theta_within_tolerance():
         assert got == pytest.approx(at0 + th * (at1 - at0), abs=2.0 * tol)
 
 
+#: QUADPACK warns where its error estimate stalls; these tests expect it.
+_stalls = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+
+
+def _stalled_query(rate=7.8, theta=-1.0):
+    # lambda1/lambda2 = 6e8 with gamma/B near 6e5 at R = 7.8: QUADPACK's error
+    # estimate stalls at 6.5e-5 for theta = -1 and 0, above any smaller tol,
+    # while theta = 0.5 converges to 1e-13.
+    return make_query(rate=rate, p1=2e-4, p2=12.8, noise=144.0, lam1=3e4, lam2=5e-5, theta=theta)
+
+
+@_stalls
 def test_quadrature_tol_validation_and_nonconvergence():
     q = make_query(rate=0.5)
     with pytest.raises(ValueError):
@@ -229,7 +241,17 @@ def test_quadrature_tol_validation_and_nonconvergence():
     with pytest.raises(ValueError):
         outage_quadrature(q, tol=0.5)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(q, tol=1e-30)
+        outage_quadrature(_stalled_query(), tol=1e-13)
+
+
+def test_quadrature_accepts_the_relative_error_bound():
+    # Near 1 the error bound is 1e-12*value, the bound the panel and QUADPACK
+    # work to: these error estimates exceed tol = 1e-13 but meet it.
+    for rate in (2.85, 3.0):
+        q = make_query(rate=rate, p2=1.0, theta=-1.0)
+        got = outage_quadrature(q, tol=1e-13)
+        assert got.flag is None
+        assert got.value == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, q.gamma, -1.0), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -515,13 +537,14 @@ def test_rejected_first_panel_takes_the_quadpack_path(monkeypatch):
     assert small.value == pytest.approx(reference, rel=1e-13)
 
 
+@_stalls
 def test_nonconvergence_of_one_point_fails_the_curve():
-    # At tol = 1e-13 the error estimate is met at R = 0.05 and missed at 1.55.
-    outage_quadrature(make_query(rate=0.05, noise=1.0, theta=-1.0), tol=1e-13)
+    # The error estimate is met at R = 0.05 and missed at 7.8.
+    outage_quadrature(_stalled_query(rate=0.05), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(make_query(rate=1.55, noise=1.0, theta=-1.0), tol=1e-13)
+        outage_quadrature(_stalled_query(rate=7.8), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(make_query(rate=(0.05, 1.55), noise=1.0, theta=-1.0), tol=1e-13)
+        outage_quadrature(_stalled_query(rate=(0.05, 7.8)), tol=1e-13)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
@@ -584,11 +607,12 @@ def test_theta_tuple_query_equals_one_theta_queries(rate):
         ]
 
 
+@_stalls
 def test_nonconvergence_of_one_theta_fails_the_theta_tuple():
-    # At tol = 1e-13 and R = 1.55, theta = 0 converges and theta = -1 does not.
-    point = make_query(rate=(0.05, 1.55), noise=1.0)
-    outage_quadrature(replace(point, theta=(DependenceParameter(0.0),)), tol=1e-13)
-    both = replace(point, theta=(DependenceParameter(0.0), DependenceParameter(-1.0)))
+    # At R = 7.8, theta = 0.5 converges and theta = -1 does not.
+    point = _stalled_query(rate=(0.05, 7.8))
+    outage_quadrature(replace(point, theta=(DependenceParameter(0.5),)), tol=1e-13)
+    both = replace(point, theta=(DependenceParameter(0.5), DependenceParameter(-1.0)))
     with pytest.raises(QuadratureNonConvergence):
         outage_quadrature(both, tol=1e-13)
 

@@ -180,14 +180,40 @@ def test_out_of_range_closed_form_rows_keep_value():
         assert r.op is not None
 
 
+def _fail_quadrature_at(monkeypatch, points):
+    """Make the sweep's quadrature raise QuadratureNonConvergence for every
+    query holding one of ``points``, (theta, rate) pairs, as QUADPACK does
+    where its error estimate stalls (see test_outage's ``_stalled_query``).
+    Per-query checks read ``swmac.sweep.outage_quadrature`` to see the same
+    failures."""
+    import swmac.sweep as sweep_module
+
+    evaluate = sweep_module.outage_quadrature
+
+    def quadrature(query, tol):
+        if any((theta.theta, rate) in points for theta in query.thetas for rate in query.rates):
+            raise QuadratureNonConvergence(f"error estimate stalls at one of {sorted(points)}")
+        return evaluate(query, tol=tol)
+
+    monkeypatch.setattr(sweep_module, "outage_quadrature", quadrature)
+
+
+_FLAGGED_RATES = RateGrid(0.05, 2.1, 0.05)
+
+#: Scattered (theta, rate) points where the flagged configs' quadrature fails.
+_FLAGGED_FAILURES = {
+    (theta, _FLAGGED_RATES.values()[i]) for theta, i in ((-1.0, 30), (0.5, 30), (-1.0, 35), (1.0, 40))
+}
+
+
 def _flagged_config(**overrides):
-    # Unit noise at tol 1e-13: budget 0 has out-of-range closed-form rows
-    # and scattered quadrature nonconvergence, budget 1 (P = 1 with equal
-    # rates) a degenerate closed form.
+    # Unit noise: budget 0 has out-of-range closed-form rows, budget 1 (P = 1
+    # with equal rates) a degenerate closed form.  _FLAGGED_FAILURES adds
+    # scattered quadrature nonconvergence.
     return small_config(
         budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 1.0, 1.0)),
         thetas=(DependenceParameter(-1.0), DependenceParameter(0.5)),
-        rate_grid=RateGrid(0.05, 2.1, 0.05),
+        rate_grid=_FLAGGED_RATES,
         marginals=FadingMarginals(1.0, 1.0),
         quad_tol=1e-13,
         mc_samples=2000,
@@ -195,7 +221,10 @@ def _flagged_config(**overrides):
     )
 
 
-def test_quadrature_nonconvergence_flags_only_the_failing_rows():
+def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
+    import swmac.sweep as sweep_module
+
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _flagged_config(methods=("quadrature",))
     rows = run_outage_sweep(cfg)
     flags = {r.flag for r in rows}
@@ -204,18 +233,19 @@ def test_quadrature_nonconvergence_flags_only_the_failing_rows():
         theta = DependenceParameter(row.theta)
         query = OutageQuery(row.rate, cfg.budgets[row.budget_id], cfg.marginals, theta)
         if row.flag == FLAG_OK:
-            assert row.op == outage_quadrature(query, tol=cfg.quad_tol).value
+            assert row.op == sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value
         else:
             assert row.op is None and row.std_err is None
             with pytest.raises(QuadratureNonConvergence):
-                outage_quadrature(query, tol=cfg.quad_tol)
+                sweep_module.outage_quadrature(query, tol=cfg.quad_tol)
 
 
-def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows():
+def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch):
     from swmac.sweep import _NONCONVERGENCE, _OK, _analytic_column
 
-    # At tol 1e-13, R = 1.55 fails for theta = -1 and 0.5 but not for 0;
-    # every other (theta, rate) converges.
+    # R = 1.55 fails for theta = -1 and 0.5 but not for 0; every other
+    # (theta, rate) converges.
+    _fail_quadrature_at(monkeypatch, {(-1.0, 1.55), (0.5, 1.55)})
     thetas = tuple(DependenceParameter(t) for t in (-1.0, 0.0, 0.5))
     rates = (0.05, 1.3, 1.55, 1.8)
     query = OutageQuery(rates, PowerBudget(0.0, 1.0, 5.0, 1.0), FadingMarginals(1.0, 1.0), thetas)
@@ -232,7 +262,8 @@ def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows():
                 assert math.isnan(values[t_i, r_i])
 
 
-def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path):
+def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monkeypatch):
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _flagged_config()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     rows = run_outage_sweep(cfg, workers=1)
@@ -249,7 +280,7 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path):
 
 def _three_theta_flagged_config():
     # 2 budgets x 3 thetas with every flag: out-of-range and degenerate
-    # closed forms, quadrature nonconvergence at tol 1e-13.
+    # closed forms, and quadrature nonconvergence under _FLAGGED_FAILURES.
     return replace(
         _flagged_config(),
         thetas=(DependenceParameter(-1.0), DependenceParameter(0.5), DependenceParameter(1.0)),
@@ -258,6 +289,8 @@ def _three_theta_flagged_config():
 
 def _per_query_row(cfg, b_i, t_i, rate, method):
     """The sweep row at one point, from the per-query evaluator."""
+    import swmac.sweep as sweep_module
+
     theta = cfg.thetas[t_i]
     query = OutageQuery(rate, cfg.budgets[b_i], cfg.marginals, theta)
     row = SweepRow(b_i, theta.theta, rate, method, None, None, FLAG_OK)
@@ -265,7 +298,7 @@ def _per_query_row(cfg, b_i, t_i, rate, method):
         if method == "closed-form":
             est = outage_closed_form(query)
         elif method == "quadrature":
-            est = outage_quadrature(query, tol=cfg.quad_tol)
+            est = sweep_module.outage_quadrature(query, tol=cfg.quad_tol)
         else:
             est = outage_monte_carlo(query, cfg.mc_samples, derive_seed(cfg.seed, t_i))
     except DegenerateDenominator:
@@ -275,7 +308,8 @@ def _per_query_row(cfg, b_i, t_i, rate, method):
     return replace(row, op=est.value, std_err=est.std_error, flag=est.flag or FLAG_OK)
 
 
-def test_sweep_table_rows_equal_per_query_results():
+def test_sweep_table_rows_equal_per_query_results(monkeypatch):
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _three_theta_flagged_config()
     table = run_outage_sweep(cfg)
     assert isinstance(table, SweepTable)
@@ -307,13 +341,13 @@ def test_sweep_table_rows_equal_per_query_results():
 def test_three_theta_flagged_csv_independent_of_workers_and_row_source(tmp_path, monkeypatch):
     import swmac.sweep as sweep_module
 
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _three_theta_flagged_config()
-    serial, parallel, rows = tmp_path / "serial.csv", tmp_path / "parallel.csv", tmp_path / "rows.csv"
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     table = run_outage_sweep(cfg, workers=1)
     emit_csv(table, serial)
     emit_csv(run_outage_sweep(cfg, workers=2), parallel)
-    emit_csv(list(table), rows)  # the same rows, built one by one
-    assert serial.read_bytes() == parallel.read_bytes() == rows.read_bytes()
+    assert serial.read_bytes() == parallel.read_bytes()
     monkeypatch.setattr(sweep_module, "_CSV_BLOCK_ROWS", 7)  # many blocks, one partial
     emit_csv(table, parallel)
     assert parallel.read_bytes() == serial.read_bytes()
@@ -404,12 +438,6 @@ def test_analytic_methods_make_one_call_per_budget(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_emit_csv_header_only_for_empty_rows(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_csv([], path)
-    assert path.read_bytes() == (SWEEP_HEADER + "\n").encode()
-
-
 def test_emit_csv_deterministic_and_parseable(tmp_path):
     cfg = small_config()
     rows = run_outage_sweep(cfg)
@@ -425,9 +453,18 @@ def test_emit_csv_deterministic_and_parseable(tmp_path):
 
 
 def test_emit_csv_formats_12_significant_digits(tmp_path):
-    row = SweepRow(0, -0.5, 0.30000000000000004, "quadrature", 1.0 / 3.0, None, FLAG_OK)
+    from swmac.sweep import _OK
+
+    one = (1, 1, 1, 1)
+    table = SweepTable(
+        ((0,), (-0.5,), (0.30000000000000004,), ("quadrature",)),
+        np.full(one, 1.0 / 3.0),
+        np.full(one, np.nan),
+        np.full(one, _OK),
+    )
+    assert list(table) == [SweepRow(0, -0.5, 0.30000000000000004, "quadrature", 1.0 / 3.0, None, FLAG_OK)]
     path = tmp_path / "fmt.csv"
-    emit_csv([row], path)
+    emit_csv(table, path)
     line = path.read_text().splitlines()[1]
     assert line == "0,-0.5,0.3,quadrature,0.333333333333,,ok"
 
@@ -541,6 +578,77 @@ def test_compare_keeps_every_point_of_a_duplicated_theta():
         )
     mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in report.points]
     assert mc[:3] != mc[3:]
+
+
+def _row_by_row_comparison(cfg, rows):
+    """The comparison points built one sweep point at a time from plain rows."""
+    k = len(cfg.methods)
+    points = []
+    for i in range(0, len(rows), k):
+        block = rows[i : i + k]
+        ops = {row.method: row.op for row in block}
+        flags = [f"{row.method}:{row.flag}" for row in block if row.flag != FLAG_OK]
+        diffs = tuple(
+            ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
+            for a, b in (("closed-form", "quadrature"), ("closed-form", "monte-carlo"), ("quadrature", "monte-carlo"))
+        )
+        z = None
+        if ops["quadrature"] is not None:
+            diff = ops["quadrature"] - ops["monte-carlo"]
+            std_err = block[2].std_err
+            z = diff / std_err if std_err > 0.0 else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
+            if abs(z) > 3.29:
+                flags.append("large-z")
+        deviation = None
+        if ops["closed-form"] is not None and ops["quadrature"] is not None:
+            deviation = ops["closed-form"] - ops["quadrature"]
+            if abs(deviation) > 10.0 * cfg.quad_tol:
+                flags.append("closed-form-deviation")
+        row = block[0]
+        points.append(ComparisonPoint(row.budget_id, row.theta, row.rate, diffs, z, deviation, tuple(flags)))
+    return points
+
+
+def test_compare_equals_row_by_row_reference(monkeypatch):
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
+    cfg = _three_theta_flagged_config()
+    assert cfg.methods == ("closed-form", "quadrature", "monte-carlo")
+    report = compare_methods(cfg)
+    expected = _row_by_row_comparison(cfg, list(run_outage_sweep(cfg)))
+    assert list(report.points) == expected
+    # every branch of the reference is taken
+    zs = [p.z_quad_mc for p in expected]
+    assert None in zs and math.inf in zs and -math.inf in zs
+    assert any(z is not None and math.isfinite(z) for z in zs)
+    assert {p.closed_form_deviation is None for p in expected} == {True, False}
+    assert {
+        "closed-form:out-of-range",
+        "closed-form:degenerate-denominator",
+        "quadrature:quadrature-nonconvergence",
+        "large-z",
+        "closed-form-deviation",
+    } <= set(report.flag_counts)
+
+
+def test_compare_infinite_z_keeps_the_sign_of_the_difference(tmp_path):
+    # Every Monte Carlo draw is an outage (std_err 0) while quadrature is
+    # just below 1: the difference is negative, so z is -inf.
+    cfg = ExperimentConfig(
+        budgets=(PowerBudget(0.0, 1.0, 2.0, 1.0),),
+        thetas=(DependenceParameter(0.5),),
+        rate_grid=RateGrid(2.45, 2.45, 0.1),
+        marginals=FadingMarginals(1.0, 1.0),
+        methods=("quadrature", "monte-carlo"),
+        mc_samples=1000,
+    )
+    report = compare_methods(cfg)
+    (point,) = report.points
+    (diff,) = point.diffs
+    assert diff < 0.0 and point.z_quad_mc == -math.inf
+    assert point.flags == ("large-z",)
+    path = tmp_path / "cmp.csv"
+    emit_comparison_csv(report, path)
+    assert path.read_text().splitlines()[1] == f"0,0.5,2.45,{format_value(diff)},-inf,large-z"
 
 
 def test_summary_counts_points_with_non_finite_z():
