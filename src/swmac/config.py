@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Optional
 
 from .copula import DependenceParameter, FadingMarginals
-from .outage import METHODS
+from .outage import DEFAULT_QUAD_TOL, METHODS
 from .regions import PowerBudget
 
 __all__ = [
@@ -117,7 +117,6 @@ DEFAULT_RATE_GRID = RateGrid(0.1, 3.0, 0.1)
 DEFAULT_SIGMA_SQ = 0.5
 DEFAULT_SEED = 1
 DEFAULT_MC_SAMPLES = 1_000_000
-DEFAULT_QUAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -253,10 +253,9 @@ def iter_gain_pair_chunks(
     marginals: FadingMarginals,
     n: int,
     seed: int,
-    chunk_size: int = CHUNK_SIZE,
 ) -> Iterator[np.ndarray]:
-    """``n`` correlated gain pairs in fixed-size chunks, drawn lazily; ``n``
-    and ``chunk_size`` are checked on the call, before any chunk is drawn.
+    """``n`` correlated gain pairs in chunks of ``CHUNK_SIZE``, drawn lazily;
+    ``n`` is checked on the call, before any chunk is drawn.
 
     Chunk ``k`` is drawn from the independent substream ``(seed, k)``, so
     any assignment of chunks to workers (or any traversal order) produces
@@ -264,11 +263,9 @@ def iter_gain_pair_chunks(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     return (
-        sample_gain_pairs(theta, marginals, min(chunk_size, n - start), substream(seed, k))
-        for k, start in enumerate(range(0, n, chunk_size))
+        sample_gain_pairs(theta, marginals, min(CHUNK_SIZE, n - start), substream(seed, k))
+        for k, start in enumerate(range(0, n, CHUNK_SIZE))
     )
 
 

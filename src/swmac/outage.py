@@ -24,17 +24,14 @@ Three evaluators are provided and cross-validated:
   (budget x rate) grid; each entry equals the single-point estimate.
 
 A query's ``rate_threshold`` is one rate or a tuple of rates (a rate
-axis).  Every evaluator answers a float query with one
-:class:`OutageEstimate` and a tuple query with one :class:`OutageCurve`, a
-set of arrays along the rate axis; entry ``i`` of a curve equals the
-estimate of the one-rate query at ``rates[i]``.
-
-A query's ``theta`` is likewise one :class:`DependenceParameter` or a tuple
-of them (a theta axis).  A theta tuple gets a list with one result per
-theta, each shaped as above and equal to the result of the one-theta query
-bit for bit.  The FGM density is affine in theta, so the analytic
-evaluators compute every theta-free exponential once per query and only
-combine them per theta.
+axis), and its ``theta`` one :class:`DependenceParameter` or a tuple of
+them (a theta axis).  Every evaluator answers with one
+:class:`OutageCurve` whose arrays have one axis per tuple field of the
+query, theta first; a query with no tuple field gets one
+:class:`OutageEstimate`.  Each entry equals the result of the one-point
+query (one theta, one rate) bit for bit.  The FGM density is affine in
+theta, so the analytic evaluators compute every theta-free exponential once
+per query and only combine them per theta.
 
 :func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
@@ -154,7 +151,18 @@ class DegenerateDenominator(OutageEvaluationError):
 
 
 class QuadratureNonConvergence(OutageEvaluationError):
-    """Adaptive quadrature could not meet the requested tolerance."""
+    """Quadrature could not meet the requested tolerance at some points.
+
+    ``value`` and ``failed`` are (theta, rate) arrays over the query's theta
+    and rate axes, whatever the query's shape: ``failed`` marks the points
+    that missed the tolerance, and ``value`` holds the result of every other
+    point.  The message describes the first failing point.
+    """
+
+    def __init__(self, message: str, value: np.ndarray, failed: np.ndarray) -> None:
+        super().__init__(message)
+        self.value = value
+        self.failed = failed
 
 
 @dataclass(frozen=True)
@@ -244,13 +252,16 @@ class OutageEstimate:
 
 
 @dataclass(frozen=True, eq=False)
-class OutageCurve(Sequence[OutageEstimate]):
-    """Outage estimates along a rate axis, one array entry per rate.
+class OutageCurve(Sequence):
+    """Outage estimates over a grid, one array entry per grid point.
 
     ``value`` holds the probabilities, ``std_error`` (Monte Carlo only) their
     standard errors, and ``out_of_range`` marks the closed-form values
-    outside [0, 1].  The checks of :class:`OutageEstimate` hold entrywise.
-    Indexing or iterating yields the per-rate :class:`OutageEstimate`.
+    outside [0, 1]; all share one shape, an axis per grid axis.  The checks
+    of :class:`OutageEstimate` hold entrywise.  Indexing takes numpy indices:
+    a result with axes left is the curve along them, and a single point is
+    its :class:`OutageEstimate`.  So iterating a 1-D curve yields estimates
+    and iterating a 2-D one yields 1-D curves.
     """
 
     method: str
@@ -270,27 +281,32 @@ class OutageCurve(Sequence[OutageEstimate]):
     def __len__(self) -> int:
         return len(self.value)
 
-    def __getitem__(self, i: int) -> OutageEstimate:
+    def __getitem__(self, i) -> Union[OutageEstimate, OutageCurve]:
+        value = self.value[i]
+        std_error = None if self.std_error is None else self.std_error[i]
+        if np.ndim(value):
+            return OutageCurve(self.method, value, self.out_of_range[i], std_error, self.samples)
         return OutageEstimate(
-            value=float(self.value[i]),
+            value=float(value),
             method=self.method,
-            std_error=None if self.std_error is None else float(self.std_error[i]),
+            std_error=None if std_error is None else float(std_error),
             samples=self.samples,
             flag=FLAG_OUT_OF_RANGE if self.out_of_range[i] else None,
         )
 
 
 #: An evaluator's answer, shaped like its query (see the module docstring).
-OutageResult = Union[OutageEstimate, OutageCurve, list[OutageEstimate], list[OutageCurve]]
+OutageResult = Union[OutageEstimate, OutageCurve]
 
 
-def _per_query(query: OutageQuery, curves: Sequence[OutageCurve]) -> OutageResult:
-    """``curves``, one per theta, shaped like the query: a curve for a rate
-    tuple, its one estimate for a float rate; a list of those for a theta
-    tuple, the one entry for a single theta."""
-    if not isinstance(query.rate_threshold, tuple):
-        curves = [curve[0] for curve in curves]
-    return list(curves) if isinstance(query.theta, tuple) else curves[0]
+def _per_query(query: OutageQuery, curve: OutageCurve) -> OutageResult:
+    """A (theta, rate) ``curve`` shaped like the query: index 0 on each axis
+    whose query field is not a tuple."""
+    index = tuple(
+        slice(None) if isinstance(field, tuple) else 0
+        for field in (query.theta, query.rate_threshold)
+    )
+    return curve[index]
 
 
 def gamma_threshold(
@@ -305,28 +321,23 @@ def gamma_threshold(
     """
     if not noise > 0.0:
         raise ValueError(f"noise must be > 0, got {noise}")
+    is_tuple = isinstance(rate_threshold, tuple)
+    rates = np.array(rate_threshold if is_tuple else (rate_threshold,), dtype=float)
+    if not (rates >= 0.0).all():
+        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
     try:
-        if isinstance(rate_threshold, tuple):
-            rates = np.array(rate_threshold, dtype=float)
-            if not (rates >= 0.0).all():
-                raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-            # Python's ** is libm's pow, as on the scalar path; numpy's SIMD
-            # power can differ from it in the last bit.
-            powers = np.array([2.0 ** x for x in (2.0 * rates).tolist()])
-            with np.errstate(over="ignore"):
-                gamma = noise * (powers - 1.0)
-            finite = np.isfinite(gamma).all()
-        else:
-            if not rate_threshold >= 0.0:
-                raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
-            gamma = noise * (2.0 ** (2.0 * rate_threshold) - 1.0)
-            finite = math.isfinite(gamma)
+        # Python's ** is libm's pow; numpy's SIMD power can differ from it in
+        # the last bit.
+        powers = np.array([2.0 ** x for x in (2.0 * rates).tolist()])
     except OverflowError:
-        finite = False
-    if not finite:
-        r_max = max(rate_threshold) if isinstance(rate_threshold, tuple) else rate_threshold
-        raise ValueError(f"gamma = N*(2^(2R) - 1) overflows for noise {noise} at rate {r_max}")
-    return gamma
+        powers = np.array([math.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = noise * (powers - 1.0)
+    if not np.isfinite(gamma).all():
+        raise ValueError(
+            f"gamma = N*(2^(2R) - 1) overflows for noise {noise} at rate {max(rates.tolist())}"
+        )
+    return gamma if is_tuple else float(gamma[0])
 
 
 def _libm_exp(x: np.ndarray) -> np.ndarray:
@@ -380,9 +391,7 @@ def outage_closed_form(query: OutageQuery) -> OutageResult:
     thetas = np.array([theta.theta for theta in query.thetas])
     values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
     out_of_range = (values < 0.0) | (values > 1.0)
-    return _per_query(
-        query, [OutageCurve(CLOSED_FORM, v, out_of_range=o) for v, o in zip(values, out_of_range)]
-    )
+    return _per_query(query, OutageCurve(CLOSED_FORM, values, out_of_range))
 
 
 def _conditional_terms(d, gamma, a, b, l1, l2, exp=np.exp, expm1=np.expm1):
@@ -438,8 +447,10 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     the panel and ``scipy.integrate.quad`` both work to.  Returns results
     shaped like the query (see the module docstring).
 
-    Raises :class:`QuadratureNonConvergence` if the error estimate of any
-    point exceeds that bound.
+    Every point is evaluated before any failure is raised.  Raises
+    :class:`QuadratureNonConvergence`, with the failing points marked, where
+    the error estimate exceeds that bound or the value leaves [0, 1] by more
+    than it.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
@@ -458,17 +469,17 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     routed = np.array([x is not None for x in breaks], dtype=bool)
     hlgth = 0.5 * upper[:, None]
     terms = _conditional_terms(hlgth + hlgth * _GK_NODES, gamma[:, None], a, b, l1, l2)
-    curves = []
-    for theta in query.thetas:
-        th = theta.theta
-        values, abserr, settled = _gauss_kronrod_panel(
+    thetas = [theta.theta for theta in query.thetas]
+    values, abserr = np.empty((2, len(thetas), len(gamma)))  # (theta, rate)
+    for t_i, th in enumerate(thetas):
+        values[t_i], abserr[t_i], settled = _gauss_kronrod_panel(
             _conditional_integrand(th, *terms), upper, tol
         )
         for i in np.flatnonzero(~settled | routed).tolist():
             from scipy import integrate  # only this fallback needs scipy
 
             g = float(gamma[i])
-            values[i], abserr[i] = integrate.quad(
+            values[t_i, i], abserr[t_i, i] = integrate.quad(
                 lambda d: _conditional_integrand(
                     th, *_conditional_terms(d, g, a, b, l1, l2, math.exp, math.expm1)
                 ),
@@ -479,24 +490,22 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
                 limit=200,
                 points=breaks[i],
             )
-        errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
-        failed = np.flatnonzero((abserr > errbnd) | (values < -tol) | (values > 1.0 + tol))
-        if failed.size:
-            i = failed[0]
-            if abserr[i] > errbnd[i]:
-                raise QuadratureNonConvergence(
-                    f"error estimate {abserr[i]} exceeds {errbnd[i]} for gamma={gamma[i]}, "
-                    f"A={a}, B={b}, theta={th}"
-                )
-            raise QuadratureNonConvergence(
-                f"integral {values[i]} is outside [0, 1] beyond tol {tol}"
-            )
-        # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
-        values = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
-        curves.append(
-            OutageCurve(QUADRATURE, values, out_of_range=np.zeros(len(values), dtype=bool))
+    errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
+    unconverged = abserr > errbnd
+    failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
+    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
+    clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    if failed.any():
+        t_i, i = np.argwhere(failed)[0]
+        raise QuadratureNonConvergence(
+            f"error estimate {abserr[t_i, i]} exceeds {errbnd[t_i, i]} for gamma={gamma[i]}, "
+            f"A={a}, B={b}, theta={thetas[t_i]}"
+            if unconverged[t_i, i]
+            else f"integral {values[t_i, i]} is outside [0, 1] beyond {errbnd[t_i, i]}",
+            clamped,
+            failed,
         )
-    return _per_query(query, curves)
+    return _per_query(query, OutageCurve(QUADRATURE, clamped, np.zeros(clamped.shape, dtype=bool)))
 
 
 def _gauss_kronrod_panel(
@@ -542,12 +551,14 @@ def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageResult:
     estimated from ``seed``, as its one-theta query would be.  Returns
     results shaped like the query (see the module docstring).
     """
+    grids = [
+        outage_monte_carlo_grid(theta, query.marginals, (query.budget,), query.rates, n, seed)
+        for theta in query.thetas
+    ]
+    value = np.concatenate([g.value for g in grids])
+    std_error = np.concatenate([g.std_error for g in grids])
     return _per_query(
-        query,
-        [
-            outage_monte_carlo_grid(theta, query.marginals, (query.budget,), query.rates, n, seed)[0]
-            for theta in query.thetas
-        ],
+        query, OutageCurve(MONTE_CARLO, value, np.zeros(value.shape, dtype=bool), std_error, n)
     )
 
 
@@ -558,9 +569,9 @@ def outage_monte_carlo_grid(
     rates: Sequence[float],
     n: int,
     seed: int,
-) -> list[OutageCurve]:
+) -> OutageCurve:
     """Monte Carlo outage at every (budget, rate) pair from one draw set,
-    as one :class:`OutageCurve` per budget.
+    as one (budget, rate) :class:`OutageCurve`.
 
     The ``n`` gain pairs are drawn once, chunk by chunk, from the substreams
     of ``seed``.  For each chunk and budget the weighted sums
@@ -587,11 +598,7 @@ def outage_monte_carlo_grid(
             counts[i] += np.searchsorted(s, gammas[i], side="right")
     p_hat = counts / n
     std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
-    no_flag = np.zeros(len(rates), dtype=bool)
-    return [
-        OutageCurve(MONTE_CARLO, value, out_of_range=no_flag, std_error=se, samples=n)
-        for value, se in zip(p_hat, std_error)
-    ]
+    return OutageCurve(MONTE_CARLO, p_hat, np.zeros(p_hat.shape, dtype=bool), std_error, n)
 
 
 def outage_point_to_point(

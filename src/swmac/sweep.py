@@ -24,7 +24,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice, product
 from pathlib import Path
 from typing import Optional, Sequence
@@ -159,30 +159,20 @@ def _analytic_column(
     query: OutageQuery, method: str, quad_tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (NaN where a row has none) and flag codes of one budget's
-    curves of an analytic method, as (theta, rate) arrays in the order of
-    the query's theta and rate tuples.  A degenerate closed form flags
-    every curve; a quadrature failure is re-evaluated theta by theta, then
-    rate by rate, so only the failing rows are flagged."""
-    shape = (len(query.thetas), len(query.rates))
+    (theta, rate) grid of an analytic method, from one evaluator call on a
+    query with a theta tuple and a rate tuple.  A degenerate closed form
+    flags the whole grid; quadrature flags the points it marks failed."""
     try:
         if method == CLOSED_FORM:
-            curves = outage_closed_form(query)
-            out_of_range = np.array([curve.out_of_range for curve in curves])
-            flags = np.where(out_of_range, _OUT_OF_RANGE, _OK)
-            return np.array([curve.value for curve in curves]), flags
-        curves = outage_quadrature(query, tol=quad_tol)
-        return np.array([curve.value for curve in curves]), np.full(shape, _OK)
+            curve = outage_closed_form(query)
+            return curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
+        value = outage_quadrature(query, tol=quad_tol).value
+        return value, np.full(value.shape, _OK)
     except DegenerateDenominator:
+        shape = (len(query.thetas), len(query.rates))
         return np.full(shape, np.nan), np.full(shape, _DEGENERATE)
-    except QuadratureNonConvergence:
-        if len(query.thetas) > 1:
-            parts, axis = [replace(query, theta=(theta,)) for theta in query.thetas], 0
-        elif len(query.rates) > 1:
-            parts, axis = [replace(query, rate_threshold=(rate,)) for rate in query.rates], 1
-        else:
-            return np.full(shape, np.nan), np.full(shape, _NONCONVERGENCE)
-        columns = zip(*(_analytic_column(part, method, quad_tol) for part in parts))
-        return tuple(np.concatenate(column, axis=axis) for column in columns)
+    except QuadratureNonConvergence as exc:
+        return np.where(exc.failed, np.nan, exc.value), np.where(exc.failed, _NONCONVERGENCE, _OK)
 
 
 def _theta_block(
@@ -190,7 +180,7 @@ def _theta_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo values and standard errors at theta index ``t_i`` as
     (budget, rate) arrays, from one draw set."""
-    curves = outage_monte_carlo_grid(
+    curve = outage_monte_carlo_grid(
         config.thetas[t_i],
         config.marginals,
         config.budgets,
@@ -198,7 +188,7 @@ def _theta_block(
         config.mc_samples,
         derive_seed(config.seed, t_i),
     )
-    return np.array([c.value for c in curves]), np.array([c.std_error for c in curves])
+    return curve.value, curve.std_error
 
 
 def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:

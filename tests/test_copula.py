@@ -336,8 +336,8 @@ def test_gain_pearson_matches_oracle(unit_marginals, theta_value, expected):
 
 def test_chunked_sampler_is_traversal_invariant(unit_marginals):
     th = DependenceParameter(0.5)
-    chunks = list(iter_gain_pair_chunks(th, unit_marginals, 200_000, 99, chunk_size=2**14))
-    again = list(iter_gain_pair_chunks(th, unit_marginals, 200_000, 99, chunk_size=2**14))
+    chunks = list(iter_gain_pair_chunks(th, unit_marginals, 200_000, 99))
+    again = list(iter_gain_pair_chunks(th, unit_marginals, 200_000, 99))
     for a, b in zip(reversed(chunks), reversed(again)):
         np.testing.assert_array_equal(a, b)
     assert sum(len(c) for c in chunks) == 200_000

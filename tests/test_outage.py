@@ -254,6 +254,14 @@ def test_quadrature_accepts_the_relative_error_bound():
         assert got.value == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, q.gamma, -1.0), abs=1e-13)
 
 
+def test_quadrature_range_check_uses_the_relative_error_bound():
+    # At tol 1e-30 the value comes out 1 ulp above 1, well inside the
+    # 1e-12*value bound of the error check; it used to be rejected as
+    # outside [0, 1] beyond the absolute tol.
+    got = outage_quadrature(make_query(rate=2.7, p2=1.0, theta=-1.0), tol=1e-30)
+    assert got.value == 1.0 and got.flag is None
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -597,7 +605,9 @@ def test_theta_tuple_query_equals_one_theta_queries(rate):
     assert [q.thetas for q in one_theta] == [(t,) for t in thetas]
     for evaluate in (outage_closed_form, outage_quadrature, lambda q: outage_monte_carlo(q, 2000, 4)):
         got = evaluate(grid)
-        assert isinstance(got, list) and len(got) == len(thetas)
+        # one curve with a theta axis first, then a rate axis for a rate tuple
+        assert isinstance(got, OutageCurve) and len(got) == len(thetas)
+        assert got.value.shape == (len(thetas),) + ((len(rate),) if isinstance(rate, tuple) else ())
         expected = [evaluate(q) for q in one_theta]
         assert [type(e) for e in got] == [type(e) for e in expected]
         assert [_as_estimates(e) for e in got] == [_as_estimates(e) for e in expected]
@@ -615,6 +625,30 @@ def test_nonconvergence_of_one_theta_fails_the_theta_tuple():
     both = replace(point, theta=(DependenceParameter(0.5), DependenceParameter(-1.0)))
     with pytest.raises(QuadratureNonConvergence):
         outage_quadrature(both, tol=1e-13)
+
+
+@_stalls
+@pytest.mark.parametrize("rate", [(0.05, 7.8), 7.8], ids=["rate-tuple", "float-rate"])
+def test_nonconvergence_marks_the_failing_points(rate):
+    # Every point is evaluated before the raise; the exception holds the
+    # (theta, rate) grid of values and marks the points that failed, which
+    # are exactly those whose one-point query raises.
+    thetas = (DependenceParameter(0.5), DependenceParameter(-1.0))
+    grid = replace(_stalled_query(rate=rate), theta=thetas)
+    with pytest.raises(QuadratureNonConvergence, match="theta=-1.0") as info:
+        outage_quadrature(grid, tol=1e-13)
+    exc = info.value
+    rates = grid.rates
+    assert exc.value.shape == exc.failed.shape == (len(thetas), len(rates))
+    for t_i, theta in enumerate(thetas):
+        for r_i, r in enumerate(rates):
+            point = replace(grid, rate_threshold=r, theta=theta)
+            if exc.failed[t_i, r_i]:
+                with pytest.raises(QuadratureNonConvergence):
+                    outage_quadrature(point, tol=1e-13)
+            else:
+                assert exc.value[t_i, r_i] == outage_quadrature(point, tol=1e-13).value
+    assert exc.failed[1, -1] and not exc.failed[0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -182,17 +182,22 @@ def test_out_of_range_closed_form_rows_keep_value():
 
 def _fail_quadrature_at(monkeypatch, points):
     """Make the sweep's quadrature raise QuadratureNonConvergence for every
-    query holding one of ``points``, (theta, rate) pairs, as QUADPACK does
-    where its error estimate stalls (see test_outage's ``_stalled_query``).
-    Per-query checks read ``swmac.sweep.outage_quadrature`` to see the same
-    failures."""
+    query holding one of ``points``, (theta, rate) pairs, with those points
+    marked failed, as QUADPACK does where its error estimate stalls (see
+    test_outage's ``_stalled_query``).  Per-query checks read
+    ``swmac.sweep.outage_quadrature`` to see the same failures."""
     import swmac.sweep as sweep_module
 
     evaluate = sweep_module.outage_quadrature
 
     def quadrature(query, tol):
-        if any((theta.theta, rate) in points for theta in query.thetas for rate in query.rates):
-            raise QuadratureNonConvergence(f"error estimate stalls at one of {sorted(points)}")
+        failed = np.array([[(t.theta, r) in points for r in query.rates] for t in query.thetas])
+        if failed.any():
+            grid = replace(query, theta=query.thetas, rate_threshold=query.rates)
+            value = evaluate(grid, tol=tol).value
+            raise QuadratureNonConvergence(
+                f"error estimate stalls at one of {sorted(points)}", value, failed
+            )
         return evaluate(query, tol=tol)
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", quadrature)
@@ -276,6 +281,46 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monk
         FLAG_NONCONVERGENCE,
         "out-of-range",
     }
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(monkeypatch):
+    # The budget and marginals of test_outage's ``_stalled_query``, with no
+    # injected failure: QUADPACK's error estimate stalls above tol 1e-13 at
+    # some of these (theta, rate) points.  One quadrature call per budget
+    # flags exactly the points whose one-point query raises.
+    import swmac.sweep as sweep_module
+
+    calls = []
+    evaluate = sweep_module.outage_quadrature
+
+    def counted(query, tol):
+        calls.append(query)
+        return evaluate(query, tol=tol)
+
+    monkeypatch.setattr(sweep_module, "outage_quadrature", counted)
+    cfg = small_config(
+        budgets=(PowerBudget(0.0, 2e-4, 12.8, 144.0),),
+        thetas=tuple(DependenceParameter(t) for t in (-1.0, 0.0, 0.5)),
+        rate_grid=RateGrid(7.5, 8.0, 0.05),
+        marginals=FadingMarginals(3e4, 5e-5),
+        methods=("quadrature",),
+        quad_tol=1e-13,
+    )
+    table = run_outage_sweep(cfg)
+    assert len(calls) == 1
+    flagged = 0
+    for row in table:
+        theta = DependenceParameter(row.theta)
+        point = OutageQuery(row.rate, cfg.budgets[0], cfg.marginals, theta)
+        try:
+            expected = outage_quadrature(point, tol=cfg.quad_tol).value
+        except QuadratureNonConvergence:
+            assert row.flag == FLAG_NONCONVERGENCE and row.op is None
+            flagged += 1
+        else:
+            assert row.flag == FLAG_OK and row.op == expected
+    assert 0 < flagged < len(table)
 
 
 def _three_theta_flagged_config():
