@@ -51,7 +51,6 @@ from .outage import (
     outage_closed_form,
     outage_monte_carlo,
     outage_monte_carlo_grid,
-    outage_point_to_point,
     outage_quadrature,
 )
 from .regions import (
@@ -115,7 +114,6 @@ __all__ = [
     "outage_quadrature",
     "outage_monte_carlo",
     "outage_monte_carlo_grid",
-    "outage_point_to_point",
     # streams
     "substream",
     "derive_seed",

@@ -189,7 +189,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     emit_comparison_csv(report, path)
     for line in report.summary_lines():
         print(line)
-    print(f"wrote {len(report.points)} comparison rows to {path}")
+    print(f"wrote {len(report)} comparison rows to {path}")
     return 0
 
 

@@ -165,17 +165,17 @@ class ExperimentConfig:
         output_path: Optional[str] = None,
     ) -> "ExperimentConfig":
         """Copy with the given fields replaced (None leaves a field alone)."""
-        changes = {}
-        if seed is not None:
-            changes["seed"] = seed
-        if mc_samples is not None:
-            changes["mc_samples"] = mc_samples
-        if methods is not None:
-            changes["methods"] = methods
-        if quad_tol is not None:
-            changes["quad_tol"] = quad_tol
-        if output_path is not None:
-            changes["output_path"] = output_path
+        changes = {
+            field: value
+            for field, value in (
+                ("seed", seed),
+                ("mc_samples", mc_samples),
+                ("methods", methods),
+                ("quad_tol", quad_tol),
+                ("output_path", output_path),
+            )
+            if value is not None
+        }
         return replace(self, **changes) if changes else self
 
 

@@ -32,8 +32,6 @@ query, theta first; a query with no tuple field gets one
 query (one theta, one rate) bit for bit.  The FGM density is affine in
 theta, so the analytic evaluators compute every theta-free exponential once
 per query and only combine them per theta.
-
-:func:`outage_point_to_point` covers the single-link Rayleigh case.
 """
 
 from __future__ import annotations
@@ -64,7 +62,6 @@ __all__ = [
     "outage_quadrature",
     "outage_monte_carlo",
     "outage_monte_carlo_grid",
-    "outage_point_to_point",
 ]
 
 CLOSED_FORM = "closed-form"
@@ -600,17 +597,3 @@ def outage_monte_carlo_grid(
     std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
     return OutageCurve(MONTE_CARLO, p_hat, np.zeros(p_hat.shape, dtype=bool), std_error, n)
 
-
-def outage_point_to_point(
-    rate_threshold: float, power: float, noise: float, lam: float
-) -> float:
-    """Single-link Rayleigh outage: P[g < N*(2^(2R) - 1)/P] for g ~ Exp(lam).
-
-    Returns 1 - exp(-lam*N*(2^(2R) - 1)/power).
-    """
-    if not power > 0.0:
-        raise ValueError(f"power must be > 0, got {power}")
-    if not lam > 0.0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    gamma = gamma_threshold(rate_threshold, noise)
-    return float(-math.expm1(-lam * gamma / power))

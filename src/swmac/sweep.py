@@ -15,17 +15,19 @@ CSV.
 Evaluator failures (degenerate closed-form denominators, quadrature
 non-convergence) do not abort a sweep; the affected row carries an error
 flag and an empty value instead.
+
+A sweep is a dense (budget, theta, rate, method) grid of arrays, and a
+comparison holds arrays over the same grid's (budget, theta, rate) points;
+one block writer emits both CSVs from those arrays.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import os
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import compress, islice, product
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,7 +64,6 @@ __all__ = [
     "SWEEP_HEADER",
     "SweepRow",
     "SweepTable",
-    "ComparisonPoint",
     "ComparisonReport",
     "run_outage_sweep",
     "compare_methods",
@@ -80,7 +81,7 @@ FLAG_NONCONVERGENCE = "quadrature-nonconvergence"
 #: Bit-exact sweep CSV header.
 SWEEP_HEADER = "budget_id,theta,rate,method,op,std_err,flag"
 
-#: Rows :func:`emit_csv` formats per write, which bounds its text buffers.
+#: Rows :func:`_write_csv` formats per write, which bounds its text buffers.
 _CSV_BLOCK_ROWS = 1 << 16
 
 #: z-score magnitude beyond which a quadrature/Monte-Carlo pair is flagged
@@ -260,54 +261,52 @@ def _method_pairs(methods: Sequence[str]) -> tuple[tuple[str, str], ...]:
     return tuple((a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :])
 
 
-@dataclass(frozen=True)
-class ComparisonPoint:
-    """Pairwise method differences at one (budget, theta, rate) point.
+@dataclass(frozen=True, eq=False)
+class ComparisonReport:
+    """Cross-method comparison as arrays over the sweep's (budget, theta,
+    rate) points, in sweep row order.
 
-    ``diffs[i]`` is value(A) - value(B) for the i-th (A, B) of the report's
-    ``pairs``, or None where either row has no value.  ``z_quad_mc`` is
-    (quadrature - monte-carlo)/std_err when both are present (infinite, with
-    the sign of the difference, if std_err is 0 and the difference is not).  ``flags`` collects
-    noteworthy conditions at this point.
+    ``axes`` holds the budget ids, theta values and rates.  ``diffs[:, i]``
+    is value(A) - value(B) for the i-th (A, B) of ``pairs``.  ``z_quad_mc``
+    is (quadrature - monte-carlo)/std_err (infinite, with the sign of the
+    difference, if std_err is 0 and the difference is not), and
+    ``closed_form_deviation`` is closed-form - quadrature.  All three are
+    NaN where a side has no value.  ``flags[:, j]`` marks the points that
+    carry ``flag_labels[j]``.
     """
 
-    budget_id: int
-    theta: float
-    rate: float
-    diffs: tuple[Optional[float], ...]
-    z_quad_mc: Optional[float]
-    closed_form_deviation: Optional[float]
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Comparison points in sweep row order, with the method ``pairs``
-    their ``diffs`` are aligned with."""
-
-    points: tuple[ComparisonPoint, ...]
+    axes: tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]
     pairs: tuple[tuple[str, str], ...]
+    diffs: np.ndarray
+    z_quad_mc: np.ndarray
+    closed_form_deviation: np.ndarray
+    flag_labels: tuple[str, ...]
+    flags: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.z_quad_mc)
 
     @property
     def flag_counts(self) -> dict[str, int]:
-        """Number of points carrying each flag."""
-        return dict(Counter(flag for p in self.points for flag in p.flags))
+        """Number of points carrying each flag, for the flags some point carries."""
+        counts = self.flags.sum(axis=0).tolist()
+        return {label: n for label, n in zip(self.flag_labels, counts) if n}
 
     def summary_lines(self) -> list[str]:
-        lines = [f"points compared: {len(self.points)}"]
+        lines = [f"points compared: {len(self)}"]
         flag_counts = self.flag_counts
         for flag in sorted(flag_counts):
             lines.append(f"  {flag}: {flag_counts[flag]}")
-        zs = [abs(p.z_quad_mc) for p in self.points if p.z_quad_mc is not None]
-        finite = [z for z in zs if math.isfinite(z)]
-        if finite:
-            lines.append(f"max |z| (quadrature vs monte-carlo): {max(finite):.3f}")
-        n_infinite = len(zs) - len(finite)
+        zs = np.abs(self.z_quad_mc[~np.isnan(self.z_quad_mc)])
+        finite = zs[np.isfinite(zs)]
+        if finite.size:
+            lines.append(f"max |z| (quadrature vs monte-carlo): {finite.max():.3f}")
+        n_infinite = zs.size - finite.size
         if n_infinite:
             lines.append(f"non-finite z (quadrature vs monte-carlo): {n_infinite} points")
-        devs = [abs(p.closed_form_deviation) for p in self.points if p.closed_form_deviation is not None]
-        if devs:
-            lines.append(f"max |closed-form - quadrature|: {max(devs):.6e}")
+        devs = np.abs(self.closed_form_deviation[~np.isnan(self.closed_form_deviation)])
+        if devs.size:
+            lines.append(f"max |closed-form - quadrature|: {devs.max():.6e}")
         return lines
 
 
@@ -318,7 +317,8 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
     point, in sweep row order.  A closed-form row deviating from quadrature
     by more than 10x the quadrature tolerance is flagged
     ``closed-form-deviation``; a |z| above 3.29 is flagged ``large-z``;
-    row-level error and out-of-range flags are propagated and counted.
+    row-level error and out-of-range flags are propagated as
+    ``<method>:<flag>`` and counted.
     """
     if len(config.methods) < 2:
         raise ValidationError("comparison requires at least two methods")
@@ -330,39 +330,29 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
     missing = np.full(len(op), np.nan)
     quad, mc, cf = (ops.get(m, missing) for m in (QUADRATURE, MONTE_CARLO, CLOSED_FORM))
     pairs = _method_pairs(methods)
-    diffs = zip(*(map(_none_if_nan, (ops[a] - ops[b]).tolist()) for a, b in pairs))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a zero std_err gives an infinite z with the sign of the difference
         z = np.where(quad == mc, 0.0, (quad - mc) / std_errs.get(MONTE_CARLO, missing))
     deviation = cf - quad
-    large_z = np.abs(z) > Z_FLAG_THRESHOLD
-    deviates = np.abs(deviation) > 10.0 * config.quad_tol
-    labels = [[f"{method}:{f}" for f in _FLAGS] for method in methods]
-
-    points = []
-    for (b, t, r), point_diffs, codes, z_i, dev_i, is_large_z, is_deviation in zip(
-        product(*table.axes[:3]),
-        diffs,
-        flag.tolist(),
-        z.tolist(),
-        deviation.tolist(),
-        large_z.tolist(),
-        deviates.tolist(),
-    ):
-        point_flags = [label[c] for label, c in zip(labels, codes) if c != _OK]
-        point_flags += ["large-z"] * is_large_z + ["closed-form-deviation"] * is_deviation
-        points.append(
-            ComparisonPoint(
-                budget_id=b,
-                theta=t,
-                rate=r,
-                diffs=point_diffs,
-                z_quad_mc=_none_if_nan(z_i),
-                closed_form_deviation=_none_if_nan(dev_i),
-                flags=tuple(point_flags),
-            )
+    # each method's error flags in config order, then the comparison flags:
+    # a point's flags read in label order, as the CSV writes them
+    flag_labels = tuple(f"{m}:{f}" for m in methods for f in _FLAGS[1:])
+    flags = np.column_stack(
+        (
+            (flag[:, :, None] == np.arange(1, len(_FLAGS))).reshape(len(op), -1),
+            np.abs(z) > Z_FLAG_THRESHOLD,
+            np.abs(deviation) > 10.0 * config.quad_tol,
         )
-    return ComparisonReport(points=tuple(points), pairs=pairs)
+    )
+    return ComparisonReport(
+        axes=table.axes[:3],
+        pairs=pairs,
+        diffs=np.column_stack([ops[a] - ops[b] for a, b in pairs]),
+        z_quad_mc=z,
+        closed_form_deviation=deviation,
+        flag_labels=flag_labels + ("large-z", "closed-form-deviation"),
+        flags=flags,
+    )
 
 
 def format_value(x: Optional[float]) -> str:
@@ -372,6 +362,34 @@ def format_value(x: Optional[float]) -> str:
     return format(float(x), ".12g")
 
 
+def _write_csv(
+    path: str | Path, header: str, axes: tuple, columns: Sequence[np.ndarray],
+    codes: np.ndarray, texts: Sequence[str],
+) -> None:
+    """Write one line per entry of the ``axes`` grid, in row-major order:
+    the entry's key (budget id, theta, rate and any further axes), each of
+    ``columns`` at 12 significant digits (empty where NaN), and last
+    ``texts[code]``.  Each axis value is formatted once, and lines are
+    written in blocks of ``_CSV_BLOCK_ROWS``, which bounds the text buffers.
+    """
+    budgets, thetas, rates, *rest = axes
+    keys = map(
+        ",".join,
+        product(map(str, budgets), map(format_value, thetas), map(format_value, rates), *rest),
+    )
+    endings = [text + "\n" for text in texts]  # the last column ends the line
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(codes), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            values = (
+                ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
+                for column in columns
+            )
+            last = map(endings.__getitem__, codes[block].tolist())
+            fh.write("".join(map(",".join, zip(islice(keys, _CSV_BLOCK_ROWS), *values, last))))
+
+
 def emit_csv(table: SweepTable, path: str | Path) -> None:
     """Write a sweep table as CSV, byte-deterministic for identical inputs.
 
@@ -379,23 +397,8 @@ def emit_csv(table: SweepTable, path: str | Path) -> None:
     feeds as the only separators.  Each axis value (a theta, a rate, a
     method) is formatted once.
     """
-    budgets, thetas, rates, methods = table.axes
-    keys = map(
-        ",".join,
-        product(map(str, budgets), map(format_value, thetas), map(format_value, rates), methods),
-    )
-    flag_texts = [flag + "\n" for flag in _FLAGS]  # the flag, the last column, ends the line
     op, std_err, flag = (a.ravel() for a in (table.op, table.std_err, table.flag))
-    with open(path, "w", newline="") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for start in range(0, len(table), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
-            values = (
-                ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
-                for column in (op, std_err)
-            )
-            flags = map(flag_texts.__getitem__, flag[block].tolist())
-            fh.write("".join(map(",".join, zip(islice(keys, _CSV_BLOCK_ROWS), *values, flags))))
+    _write_csv(path, SWEEP_HEADER, table.axes, (op, std_err), flag, _FLAGS)
 
 
 def emit_region(
@@ -445,23 +448,15 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
-    """Write a comparison report as CSV with one row per sweep point."""
-    header = (
+    """Write a comparison report as CSV with one row per sweep point; the
+    ``flags`` column joins the point's flag labels with ``;``."""
+    header = ",".join(
         ["budget_id", "theta", "rate"]
         + [f"diff_{a}_{b}" for a, b in report.pairs]
         + ["z_quad_mc", "flags"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for p in report.points:
-            row = [str(p.budget_id), format_value(p.theta), format_value(p.rate)]
-            row.extend(format_value(d) for d in p.diffs)
-            if p.z_quad_mc is None:
-                row.append("")
-            elif math.isinf(p.z_quad_mc):
-                row.append("inf" if p.z_quad_mc > 0 else "-inf")
-            else:
-                row.append(format_value(p.z_quad_mc))
-            row.append(";".join(p.flags))
-            writer.writerow(row)
+    # one text per distinct flag set
+    flag_sets, codes = np.unique(report.flags, axis=0, return_inverse=True)
+    texts = [";".join(compress(report.flag_labels, row)) for row in flag_sets.tolist()]
+    columns = (*report.diffs.T, report.z_quad_mc)
+    _write_csv(path, header, report.axes, columns, codes, texts)

@@ -21,10 +21,8 @@ from swmac import (
     outage_closed_form,
     outage_monte_carlo,
     outage_monte_carlo_grid,
-    outage_point_to_point,
     outage_quadrature,
 )
-from swmac.streams import substream
 
 from oracles import brute_force_outage, closed_form_residual, convolution_outage, fgm_outage
 
@@ -380,37 +378,6 @@ def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noi
     ) == pytest.approx(residual, abs=1e-12)
     got = outage_quadrature(q, tol=tol).value - outage_closed_form(q).value
     assert got == pytest.approx(residual, abs=10.0 * tol)
-
-
-# ---------------------------------------------------------------------------
-# Point-to-point outage
-# ---------------------------------------------------------------------------
-
-
-def test_point_to_point_zero_rate():
-    assert outage_point_to_point(0.0, power=1.0, noise=1.0, lam=1.0) == 0.0
-
-
-def test_point_to_point_exponential_median():
-    # Choose R so that N*(2^(2R) - 1)/P = ln 2: outage is the median, 0.5.
-    rate = 0.5 * math.log2(1.0 + math.log(2.0))
-    assert outage_point_to_point(rate, 1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
-
-
-def test_point_to_point_direct_value_and_monte_carlo():
-    got = outage_point_to_point(0.5, power=1.0, noise=1.0, lam=2.0)
-    assert got == pytest.approx(1.0 - math.exp(-2.0), rel=1e-12)
-    g = substream(21).exponential(scale=0.5, size=1_000_000)
-    empirical = float(np.mean(g < 1.0))
-    se = math.sqrt(got * (1.0 - got) / 1_000_000)
-    assert abs(empirical - got) <= 3.29 * se
-
-
-def test_point_to_point_validation():
-    with pytest.raises(ValueError):
-        outage_point_to_point(0.5, power=0.0, noise=1.0, lam=1.0)
-    with pytest.raises(ValueError):
-        outage_point_to_point(0.5, power=1.0, noise=1.0, lam=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import csv
 import math
+from collections import namedtuple
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,10 +34,10 @@ from swmac.sweep import (
     FLAG_NONCONVERGENCE,
     FLAG_OK,
     SWEEP_HEADER,
-    ComparisonPoint,
     ComparisonReport,
     SweepRow,
     SweepTable,
+    _none_if_nan,
     _pool_size,
     compare_methods,
     emit_comparison_csv,
@@ -573,9 +575,9 @@ def test_compare_theta_zero_deviation_equals_residual():
         methods=("closed-form", "quadrature"),
     )
     report = compare_methods(cfg)
-    assert len(report.points) == 3
+    assert len(report) == 3
     budget = cfg.budgets[0]
-    for point in report.points:
+    for point in _report_points(report):
         gamma = budget.noise * (2.0 ** (2.0 * point.rate) - 1.0)
         residual = closed_form_residual(1.0, 2.0, 1.0, 5.0, gamma)
         assert report.pairs == (("closed-form", "quadrature"),)
@@ -586,7 +588,7 @@ def test_compare_theta_zero_deviation_equals_residual():
 
 def test_compare_z_scores_and_flags():
     report = compare_methods(small_config(mc_samples=100_000))
-    zs = [p.z_quad_mc for p in report.points]
+    zs = [p.z_quad_mc for p in _report_points(report)]
     assert all(z is not None for z in zs)
     assert any(math.isfinite(z) for z in zs)
     assert "closed-form:out-of-range" in report.flag_counts
@@ -597,8 +599,8 @@ def test_compare_z_scores_and_flags():
 def test_compare_quadrature_against_monte_carlo():
     cfg = small_config(methods=("quadrature", "monte-carlo"))
     report = compare_methods(cfg)
-    assert len(report.points) == 9
-    for p in report.points:
+    assert len(report) == 9
+    for p in _report_points(report):
         assert abs(p.z_quad_mc) <= 6.0
 
 
@@ -609,8 +611,9 @@ def test_compare_keeps_every_point_of_a_duplicated_theta():
     rows = run_outage_sweep(cfg)
     report = compare_methods(cfg)
     k = len(cfg.methods)
-    assert len(report.points) == len(rows) // k == 6
-    for i, point in enumerate(report.points):
+    points = _report_points(report)
+    assert len(report) == len(points) == len(rows) // k == 6
+    for i, point in enumerate(points):
         ops = {row.method: row.op for row in rows[i * k : (i + 1) * k]}
         assert (point.budget_id, point.theta, point.rate) == (
             rows[i * k].budget_id,
@@ -621,8 +624,32 @@ def test_compare_keeps_every_point_of_a_duplicated_theta():
             ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
             for a, b in report.pairs
         )
-    mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in report.points]
+    mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in points]
     assert mc[:3] != mc[3:]
+
+
+#: One comparison point, None where the report holds NaN.
+_Point = namedtuple("_Point", "budget_id theta rate diffs z_quad_mc closed_form_deviation flags")
+
+
+def _report_points(report):
+    """The report's arrays read back one point at a time."""
+    return [
+        _Point(
+            *key,
+            tuple(map(_none_if_nan, diffs)),
+            _none_if_nan(z),
+            _none_if_nan(deviation),
+            tuple(label for label, on in zip(report.flag_labels, flags) if on),
+        )
+        for key, diffs, z, deviation, flags in zip(
+            product(*report.axes),
+            report.diffs.tolist(),
+            report.z_quad_mc.tolist(),
+            report.closed_form_deviation.tolist(),
+            report.flags.tolist(),
+        )
+    ]
 
 
 def _row_by_row_comparison(cfg, rows):
@@ -650,17 +677,47 @@ def _row_by_row_comparison(cfg, rows):
             if abs(deviation) > 10.0 * cfg.quad_tol:
                 flags.append("closed-form-deviation")
         row = block[0]
-        points.append(ComparisonPoint(row.budget_id, row.theta, row.rate, diffs, z, deviation, tuple(flags)))
+        points.append(_Point(row.budget_id, row.theta, row.rate, diffs, z, deviation, tuple(flags)))
     return points
 
 
-def test_compare_equals_row_by_row_reference(monkeypatch):
+def _csv_writer_comparison(points, pairs, path):
+    """The comparison CSV written point by point through ``csv.writer``, the
+    writer the shared block writer replaced."""
+    header = ["budget_id", "theta", "rate"]
+    header += [f"diff_{a}_{b}" for a, b in pairs] + ["z_quad_mc", "flags"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for p in points:
+            row = [str(p.budget_id), format_value(p.theta), format_value(p.rate)]
+            row.extend(format_value(d) for d in p.diffs)
+            if p.z_quad_mc is None:
+                row.append("")
+            elif math.isinf(p.z_quad_mc):
+                row.append("inf" if p.z_quad_mc > 0 else "-inf")
+            else:
+                row.append(format_value(p.z_quad_mc))
+            row.append(";".join(p.flags))
+            writer.writerow(row)
+
+
+def test_compare_equals_row_by_row_reference(tmp_path, monkeypatch):
+    import swmac.sweep as sweep_module
+
     _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _three_theta_flagged_config()
     assert cfg.methods == ("closed-form", "quadrature", "monte-carlo")
     report = compare_methods(cfg)
     expected = _row_by_row_comparison(cfg, list(run_outage_sweep(cfg)))
-    assert list(report.points) == expected
+    assert _report_points(report) == expected
+    got, reference = tmp_path / "got.csv", tmp_path / "reference.csv"
+    _csv_writer_comparison(expected, report.pairs, reference)
+    emit_comparison_csv(report, got)
+    assert got.read_bytes() == reference.read_bytes()
+    monkeypatch.setattr(sweep_module, "_CSV_BLOCK_ROWS", 7)  # many blocks, one partial
+    emit_comparison_csv(report, got)
+    assert got.read_bytes() == reference.read_bytes()
     # every branch of the reference is taken
     zs = [p.z_quad_mc for p in expected]
     assert None in zs and math.inf in zs and -math.inf in zs
@@ -675,6 +732,16 @@ def test_compare_equals_row_by_row_reference(monkeypatch):
     } <= set(report.flag_counts)
 
 
+def test_flagged_compare_csv_independent_of_workers(tmp_path, monkeypatch):
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
+    cfg = _three_theta_flagged_config()
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    emit_comparison_csv(compare_methods(cfg, workers=1), serial)
+    emit_comparison_csv(compare_methods(cfg, workers=2), parallel)
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert "quadrature:quadrature-nonconvergence" in serial.read_text()
+
+
 def test_compare_infinite_z_keeps_the_sign_of_the_difference(tmp_path):
     # Every Monte Carlo draw is an outage (std_err 0) while quadrature is
     # just below 1: the difference is negative, so z is -inf.
@@ -687,7 +754,7 @@ def test_compare_infinite_z_keeps_the_sign_of_the_difference(tmp_path):
         mc_samples=1000,
     )
     report = compare_methods(cfg)
-    (point,) = report.points
+    (point,) = _report_points(report)
     (diff,) = point.diffs
     assert diff < 0.0 and point.z_quad_mc == -math.inf
     assert point.flags == ("large-z",)
@@ -696,11 +763,22 @@ def test_compare_infinite_z_keeps_the_sign_of_the_difference(tmp_path):
     assert path.read_text().splitlines()[1] == f"0,0.5,2.45,{format_value(diff)},-inf,large-z"
 
 
+def _report(z_quad_mc, large_z):
+    """A report on points with no method pair or closed-form deviation."""
+    n = len(z_quad_mc)
+    return ComparisonReport(
+        axes=((0,), (0.0,), (0.5,) * n),
+        pairs=(),
+        diffs=np.empty((n, 0)),
+        z_quad_mc=np.array(z_quad_mc),
+        closed_form_deviation=np.full(n, np.nan),
+        flag_labels=("large-z",),
+        flags=np.array(large_z).reshape(n, 1),
+    )
+
+
 def test_summary_counts_points_with_non_finite_z():
-    point = ComparisonPoint(0, 0.0, 0.5, (), None, None, ())
-    finite = replace(point, z_quad_mc=-1.5)
-    infinite = replace(point, z_quad_mc=math.inf, flags=("large-z",))
-    report = ComparisonReport(points=(point, finite, infinite, infinite), pairs=())
+    report = _report([math.nan, -1.5, math.inf, math.inf], [False, False, True, True])
     assert report.flag_counts == {"large-z": 2}
     assert report.summary_lines() == [
         "points compared: 4",
@@ -708,7 +786,7 @@ def test_summary_counts_points_with_non_finite_z():
         "max |z| (quadrature vs monte-carlo): 1.500",
         "non-finite z (quadrature vs monte-carlo): 2 points",
     ]
-    assert "non-finite" not in "".join(replace(report, points=(point, finite)).summary_lines())
+    assert "non-finite" not in "".join(_report([math.nan, -1.5], [False, False]).summary_lines())
 
 
 def test_emit_comparison_csv(tmp_path):
@@ -728,7 +806,7 @@ def test_emit_comparison_csv(tmp_path):
         "z_quad_mc",
         "flags",
     ]
-    assert len(parsed) == 1 + len(report.points)
+    assert len(parsed) == 1 + len(report)
 
 
 # ---------------------------------------------------------------------------
