@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace, samples_are_mc: bool = True) -> ExperimentConfig:
     config = preset_config(args.preset) if args.preset else load_config(args.config)
     methods = None
-    if getattr(args, "methods", None):
+    if getattr(args, "methods", None) is not None:
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     return config.with_overrides(
         seed=getattr(args, "seed", None),

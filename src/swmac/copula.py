@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .streams import CHUNK_SIZE, substream
+from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
 __all__ = [
     "DependenceParameter",
@@ -132,6 +132,9 @@ def _conditional(theta, u1, u2):
     return u2 * (1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - u2))
 
 
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
 def _invert_conditional(theta, u1, v):
     """Solve conditional(theta, u1, u2) = v for u2 in [0, 1].
 
@@ -145,10 +148,12 @@ def _invert_conditional(theta, u1, v):
     Every step writes into one of three preallocated buffers; the
     operations, and so the bits, are those of the plain expression
     theta*(1 - 2*u1), (1 + a)^2 - 4*a*v, ... evaluated left to right.
+    The samplers call this once per block, so it keeps its numpy calls
+    few: their fixed cost is a large share of a block's time.
     """
     u1 = np.asarray(u1, dtype=float)
     v = np.asarray(v, dtype=float)
-    shape = np.broadcast_shapes(u1.shape, v.shape)
+    shape = np.broadcast(u1, v).shape
     a, den, u2 = np.empty(shape), np.empty(shape), np.empty(shape)
     np.multiply(u1, 2.0, out=a)
     np.subtract(1.0, a, out=a)
@@ -161,12 +166,13 @@ def _invert_conditional(theta, u1, v):
     np.maximum(u2, 0.0, out=u2)
     np.sqrt(u2, out=u2)
     np.add(den, u2, out=den)
+    # den == 0 only at (a, v) = (-1, 0), where the root 2*v/den is 0.  Any
+    # other den is at least 2**-53 (1 + a) or sqrt(4*v) (a = -1), so
+    # raising den to the smallest subnormal changes no other quotient.
+    np.maximum(den, _SMALLEST_SUBNORMAL, out=den)
     np.multiply(v, 2.0, out=u2)
-    # den == 0 only at (a, v) = (-1, 0), where the root is 0.
-    positive = np.greater(den, 0.0)
-    np.divide(u2, den, out=u2, where=positive)
-    np.copyto(u2, 0.0, where=~positive)
-    return np.clip(u2, 0.0, 1.0, out=u2)
+    np.divide(u2, den, out=u2)
+    return np.minimum(u2, 1.0, out=u2)  # u2 >= 0; rounding may pass 1
 
 
 def _exp_cdf(lam, g):
@@ -175,12 +181,13 @@ def _exp_cdf(lam, g):
 
 def _exp_inverse_pairs(lam1, lam2, u):
     # Quantiles of Exp(lam1) and Exp(lam2) for the two columns of the
-    # (n, 2) array u, in place: u[:, i] <- -ln(1 - u[:, i])/lam_i.
+    # (n, 2) array u, in place: u[:, i] <- -ln(1 - u[:, i])/lam_i, computed
+    # as ln(1 - u[:, i])/(-lam_i), which has the same bits (IEEE division
+    # commutes with negation).
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
     for col, lam in enumerate((lam1, lam2)):
-        np.divide(u[:, col], lam, out=u[:, col])
+        np.divide(u[:, col], -lam, out=u[:, col])
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +261,26 @@ def iter_gain_pair_chunks(
     n: int,
     seed: int,
 ) -> Iterator[np.ndarray]:
-    """``n`` correlated gain pairs in chunks of ``CHUNK_SIZE``, drawn lazily;
-    ``n`` is checked on the call, before any chunk is drawn.
+    """``n`` correlated gain pairs, drawn lazily and yielded in blocks of at
+    most ``BLOCK_SIZE`` pairs; ``n`` is checked on the call, before any
+    pair is drawn.
 
-    Chunk ``k`` is drawn from the independent substream ``(seed, k)``, so
-    any assignment of chunks to workers (or any traversal order) produces
-    the same values for the same logical sample index.
+    The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
+    drawn from the independent substream ``(seed, k)``, so any assignment
+    of chunks to workers (or any traversal order) produces the same values
+    for the same logical sample index.  Each chunk is drawn from its one
+    generator in consecutive blocks, and since :func:`sample_unit_pairs`
+    consumes uniforms in order, the concatenated blocks equal, bit for bit,
+    the whole chunk drawn at once; only the working set is smaller.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    chunks = ((k, substream(seed, k)) for k in range(-(-n // CHUNK_SIZE)))
+    # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
     return (
-        sample_gain_pairs(theta, marginals, min(CHUNK_SIZE, n - start), substream(seed, k))
-        for k, start in enumerate(range(0, n, CHUNK_SIZE))
+        sample_gain_pairs(theta, marginals, min(BLOCK_SIZE, n - start), rng)
+        for k, rng in chunks
+        for start in range(k * CHUNK_SIZE, min((k + 1) * CHUNK_SIZE, n), BLOCK_SIZE)
     )
 
 

@@ -541,9 +541,11 @@ def _gauss_kronrod_panel(
 def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageResult:
     """Empirical outage frequency over ``n`` correlated gain pairs.
 
-    Samples are drawn in fixed-size chunks from per-chunk substreams of
-    ``seed``, so the estimate is bit-stable for a fixed (seed, n) under any
-    degree of parallelism or chunk traversal order.  Ties (the event
+    Samples are addressed in fixed-size chunks, each drawn from its own
+    substream of ``seed``, so the estimate is bit-stable for a fixed
+    (seed, n) under any degree of parallelism or chunk traversal order; they
+    are drawn and counted one block of at most ``streams.BLOCK_SIZE`` pairs
+    at a time, so memory does not grow with ``n``.  Ties (the event
     holding with equality) count as outage.  Every theta of a theta tuple is
     estimated from ``seed``, as its one-theta query would be.  Returns
     results shaped like the query (see the module docstring).
@@ -570,14 +572,16 @@ def outage_monte_carlo_grid(
     """Monte Carlo outage at every (budget, rate) pair from one draw set,
     as one (budget, rate) :class:`OutageCurve`.
 
-    The ``n`` gain pairs are drawn once, chunk by chunk, from the substreams
-    of ``seed``.  For each chunk and budget the weighted sums
-    A*g1 + B*g2 are sorted once and counted at or below every gamma by
-    binary search, so ties count as outage.  Entry ``[i][j]`` equals
-    ``outage_monte_carlo`` at (``budgets[i]``, ``rates[j]``) with the same
-    (n, seed) exactly.  Entries share their draws (common random numbers):
-    they are correlated with one another, and each count is still
-    Binomial(n, p) on its own.
+    The ``n`` gain pairs are drawn once from the per-chunk substreams of
+    ``seed`` (see :func:`~swmac.copula.iter_gain_pair_chunks`), one block
+    of at most ``streams.BLOCK_SIZE`` pairs at a time.  For each block and
+    budget the weighted sums A*g1 + B*g2 are sorted once and counted at or
+    below every gamma by binary search, so ties count as outage; integer
+    counts summed over blocks do not depend on the block size.  Entry
+    ``[i][j]`` equals ``outage_monte_carlo`` at (``budgets[i]``,
+    ``rates[j]``) with the same (n, seed) exactly.  Entries share their
+    draws (common random numbers): they are correlated with one another,
+    and each count is still Binomial(n, p) on its own.
     """
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
@@ -587,10 +591,10 @@ def outage_monte_carlo_grid(
     rates = tuple(rates)
     gammas = np.array([gamma_threshold(rates, budget.noise) for budget in budgets])
     counts = np.zeros(gammas.shape, dtype=np.int64)
-    for chunk in iter_gain_pair_chunks(theta, marginals, n, seed):
+    for block in iter_gain_pair_chunks(theta, marginals, n, seed):
         for i, budget in enumerate(budgets):
             a, b = budget.p1 - budget.p0, budget.p2 - budget.p0
-            s = a * chunk[:, 0] + b * chunk[:, 1]
+            s = a * block[:, 0] + b * block[:, 1]
             s.sort()
             counts[i] += np.searchsorted(s, gammas[i], side="right")
     p_hat = counts / n

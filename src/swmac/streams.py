@@ -14,7 +14,14 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 #: Number of logical draws per substream chunk used by the chunked samplers.
+#: A chunk is the unit of addressing: chunk ``k`` has its own substream.
 CHUNK_SIZE = 1 << 16
+
+#: Entries every streaming loop holds at once (drawn pairs, sorted sums,
+#: CSV rows).  A block is the unit of working set, not of addressing: a
+#: chunk is drawn from its one substream in consecutive blocks, which
+#: consume the generator exactly as one whole-chunk draw would.
+BLOCK_SIZE = 1 << 12
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

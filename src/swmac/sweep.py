@@ -57,7 +57,7 @@ from .regions import (
     region_vertices,
     wireless_region_bounds,
 )
-from .streams import derive_seed
+from .streams import BLOCK_SIZE, derive_seed
 
 __all__ = [
     "FLAG_OK",
@@ -80,9 +80,6 @@ FLAG_NONCONVERGENCE = "quadrature-nonconvergence"
 
 #: Bit-exact sweep CSV header.
 SWEEP_HEADER = "budget_id,theta,rate,method,op,std_err,flag"
-
-#: Rows :func:`_write_csv` formats per write, which bounds its text buffers.
-_CSV_BLOCK_ROWS = 1 << 16
 
 #: z-score magnitude beyond which a quadrature/Monte-Carlo pair is flagged
 #: (two-sided normal 99.9% point).
@@ -370,7 +367,8 @@ def _write_csv(
     the entry's key (budget id, theta, rate and any further axes), each of
     ``columns`` at 12 significant digits (empty where NaN), and last
     ``texts[code]``.  Each axis value is formatted once, and lines are
-    written in blocks of ``_CSV_BLOCK_ROWS``, which bounds the text buffers.
+    formatted and written one block of ``BLOCK_SIZE`` rows at a time, so the
+    text buffers do not grow with the table.
     """
     budgets, thetas, rates, *rest = axes
     keys = map(
@@ -380,14 +378,14 @@ def _write_csv(
     endings = [text + "\n" for text in texts]  # the last column ends the line
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(codes), _CSV_BLOCK_ROWS):
-            block = slice(start, start + _CSV_BLOCK_ROWS)
+        for start in range(0, len(codes), BLOCK_SIZE):
+            block = slice(start, start + BLOCK_SIZE)
             values = (
                 ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
                 for column in columns
             )
             last = map(endings.__getitem__, codes[block].tolist())
-            fh.write("".join(map(",".join, zip(islice(keys, _CSV_BLOCK_ROWS), *values, last))))
+            fh.write("".join(map(",".join, zip(islice(keys, BLOCK_SIZE), *values, last))))
 
 
 def emit_csv(table: SweepTable, path: str | Path) -> None:
@@ -437,14 +435,16 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     """Write ``n`` correlated gain pairs as CSV (columns g1, g2).
 
     Deterministic for a fixed config seed; values come from the same
-    chunked substreams as the Monte Carlo evaluator.
+    chunked substreams as the Monte Carlo evaluator.  Pairs are drawn,
+    formatted and written one block of at most ``BLOCK_SIZE`` at a time, so
+    memory does not grow with ``n``.
     """
     theta = DependenceParameter(theta_value)
-    chunks = iter_gain_pair_chunks(theta, config.marginals, n, config.seed)  # checks n
+    blocks = iter_gain_pair_chunks(theta, config.marginals, n, config.seed)  # checks n
     with open(path, "w", newline="") as fh:
         fh.write("g1,g2\n")
-        for chunk in chunks:
-            fh.write("%r,%r\n" * len(chunk) % tuple(chunk.ravel().tolist()))
+        for block in blocks:
+            fh.write("%r,%r\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

@@ -104,7 +104,12 @@ def fgm_outage(lam1: float, lam2: float, a: float, b: float, gamma: float, theta
     """P[a*g1 + b*g2 <= gamma] under the FGM law from the four-term split of
     ``gain_density``: (1+theta)*Exp(lam1)xExp(lam2) - theta*Exp(2*lam1)xExp(lam2)
     - theta*Exp(lam1)xExp(2*lam2) + theta*Exp(2*lam1)xExp(2*lam2), each term an
-    independent pair whose outage is ``convolution_outage``."""
+    independent pair whose outage is ``convolution_outage``.
+
+    Each term is computed as ``1 - ...``, so the result carries an absolute
+    error of about 1e-16 and loses all relative precision when the outage
+    is tiny: at preset scale (outage from 1e-19 to 8e-8) it is off by up to
+    920x on fig2 rows.  Use it for unit-noise checks only."""
     return (
         (1.0 + theta) * convolution_outage(lam1, lam2, a, b, gamma)
         - theta * convolution_outage(2.0 * lam1, lam2, a, b, gamma)

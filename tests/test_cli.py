@@ -202,6 +202,15 @@ def test_exit_1_on_single_method_compare(config_file, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["outage", "compare"])
+@pytest.mark.parametrize("methods", ["", " , "])
+def test_exit_1_on_empty_methods_writes_no_file(command, methods, config_file, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main([command, "--config", config_file, "--methods", methods, "--out", str(out)]) == 1
+    assert "methods must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "rate_lines",
     [

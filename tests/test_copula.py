@@ -19,7 +19,7 @@ from swmac import (
     sample_unit_pairs,
 )
 from swmac.copula import iter_gain_pair_chunks
-from swmac.streams import substream
+from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
 from oracles import empirical_spearman, pearson_corr_target, spearman_rho_target
 
@@ -341,6 +341,19 @@ def test_chunked_sampler_is_traversal_invariant(unit_marginals):
     for a, b in zip(reversed(chunks), reversed(again)):
         np.testing.assert_array_equal(a, b)
     assert sum(len(c) for c in chunks) == 200_000
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, CHUNK_SIZE + BLOCK_SIZE + 3])
+def test_chunked_sampler_blocks_equal_whole_chunk_draws(unit_marginals, n):
+    th, seed = DependenceParameter(-0.7), 31
+    blocks = list(iter_gain_pair_chunks(th, unit_marginals, n, seed))
+    assert max(len(b) for b in blocks) <= BLOCK_SIZE
+    # chunk k drawn whole from its substream (seed, k)
+    whole = [
+        sample_gain_pairs(th, unit_marginals, min(CHUNK_SIZE, n - start), substream(seed, k))
+        for k, start in enumerate(range(0, n, CHUNK_SIZE))
+    ]
+    np.testing.assert_array_equal(np.concatenate(blocks), np.concatenate(whole))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 
-from swmac.streams import CHUNK_SIZE, derive_seed, substream
+from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, derive_seed, substream
 
 
 def test_same_path_same_stream():
@@ -35,3 +35,8 @@ def test_seed_is_masked_to_64_bits():
 
 def test_chunk_size_is_positive_power_of_two():
     assert CHUNK_SIZE > 0 and CHUNK_SIZE & (CHUNK_SIZE - 1) == 0
+
+
+def test_block_size_is_a_power_of_two_dividing_the_chunk_size():
+    assert BLOCK_SIZE > 0 and BLOCK_SIZE & (BLOCK_SIZE - 1) == 0
+    assert CHUNK_SIZE % BLOCK_SIZE == 0

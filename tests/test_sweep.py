@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
 from itertools import product
@@ -26,9 +27,10 @@ from swmac.outage import (
     QuadratureNonConvergence,
     outage_closed_form,
     outage_monte_carlo,
+    outage_monte_carlo_grid,
     outage_quadrature,
 )
-from swmac.streams import derive_seed
+from swmac.streams import BLOCK_SIZE, derive_seed
 from swmac.sweep import (
     FLAG_DEGENERATE,
     FLAG_NONCONVERGENCE,
@@ -395,7 +397,7 @@ def test_three_theta_flagged_csv_independent_of_workers_and_row_source(tmp_path,
     emit_csv(table, serial)
     emit_csv(run_outage_sweep(cfg, workers=2), parallel)
     assert serial.read_bytes() == parallel.read_bytes()
-    monkeypatch.setattr(sweep_module, "_CSV_BLOCK_ROWS", 7)  # many blocks, one partial
+    monkeypatch.setattr(sweep_module, "BLOCK_SIZE", 7)  # many blocks, one partial
     emit_csv(table, parallel)
     assert parallel.read_bytes() == serial.read_bytes()
     # The row-by-row writer this columnar one replaced, kept as the reference.
@@ -715,7 +717,7 @@ def test_compare_equals_row_by_row_reference(tmp_path, monkeypatch):
     _csv_writer_comparison(expected, report.pairs, reference)
     emit_comparison_csv(report, got)
     assert got.read_bytes() == reference.read_bytes()
-    monkeypatch.setattr(sweep_module, "_CSV_BLOCK_ROWS", 7)  # many blocks, one partial
+    monkeypatch.setattr(sweep_module, "BLOCK_SIZE", 7)  # many blocks, one partial
     emit_comparison_csv(report, got)
     assert got.read_bytes() == reference.read_bytes()
     # every branch of the reference is taken
@@ -889,3 +891,37 @@ def test_emit_samples_deterministic(tmp_path):
     assert len(parsed) == 5001
     values = [(float(x), float(y)) for x, y in parsed[1:]]
     assert all(x >= 0.0 and y >= 0.0 for x, y in values)
+
+
+def _emit_samples_of(n, path):
+    emit_samples(small_config(), 0.9, n, path)
+
+
+def _monte_carlo_grid_of(n, path):
+    cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)))
+    outage_monte_carlo_grid(
+        cfg.thetas[0], cfg.marginals, cfg.budgets, cfg.rate_grid.values(), n, cfg.seed
+    )
+
+
+@pytest.mark.parametrize("run", [_emit_samples_of, _monte_carlo_grid_of])
+def test_streaming_memory_does_not_grow_with_sample_count(run, tmp_path):
+    # Peak traced allocation above the memory held before the call: at
+    # 200,000 pairs (several substream chunks) it stays within 2x of the
+    # peak at two blocks, since at most one block is held at a time.
+    path = tmp_path / "out.csv"
+
+    def peak(n):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        run(n, path)
+        return tracemalloc.get_traced_memory()[1] - held
+
+    tracemalloc.start()
+    try:
+        run(2 * BLOCK_SIZE, path)  # warm-up: imports, caches
+        small = peak(2 * BLOCK_SIZE)
+        large = peak(200_000)
+    finally:
+        tracemalloc.stop()
+    assert large < 2 * small, (small, large)
