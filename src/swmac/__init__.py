@@ -43,14 +43,12 @@ from .outage import (
     QUADRATURE,
     DegenerateDenominator,
     OutageCurve,
-    OutageEstimate,
     OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
-    outage_monte_carlo_grid,
     outage_quadrature,
 )
 from .regions import (
@@ -65,7 +63,6 @@ from .regions import (
 )
 from .streams import derive_seed, substream
 from .sweep import (
-    SweepRow,
     SweepTable,
     compare_methods,
     emit_csv,
@@ -104,7 +101,6 @@ __all__ = [
     "MONTE_CARLO",
     "METHODS",
     "OutageQuery",
-    "OutageEstimate",
     "OutageCurve",
     "OutageEvaluationError",
     "DegenerateDenominator",
@@ -113,7 +109,6 @@ __all__ = [
     "outage_closed_form",
     "outage_quadrature",
     "outage_monte_carlo",
-    "outage_monte_carlo_grid",
     # streams
     "substream",
     "derive_seed",
@@ -127,7 +122,6 @@ __all__ = [
     "parse_config",
     "preset_config",
     "preset_names",
-    "SweepRow",
     "SweepTable",
     "run_outage_sweep",
     "compare_methods",

@@ -99,18 +99,18 @@ class FadingMarginals:
 
 @dataclass(frozen=True)
 class GainPair:
-    """A pair of nonnegative channel power gains (squared magnitudes)."""
+    """A pair of finite, nonnegative channel power gains (squared
+    magnitudes)."""
 
     g1: float
     g2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g1", float(self.g1))
-        object.__setattr__(self, "g2", float(self.g2))
-        if not self.g1 >= 0.0:
-            raise ValueError(f"g1 must be >= 0, got {self.g1}")
-        if not self.g2 >= 0.0:
-            raise ValueError(f"g2 must be >= 0, got {self.g2}")
+        for name in ("g1", "g2"):
+            value = float(getattr(self, name))
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,26 +19,25 @@ Three evaluators are provided and cross-validated:
   reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
-  (seed, n) regardless of execution parallelism.
-  :func:`outage_monte_carlo_grid` scores one such draw set against a whole
-  (budget x rate) grid; each entry equals the single-point estimate.
+  (seed, n) regardless of execution parallelism.  The gain law depends on
+  theta alone, so one draw set at one theta scores a whole (budget x rate)
+  grid.
 
-A query's ``rate_threshold`` is one rate or a tuple of rates (a rate
-axis), and its ``theta`` one :class:`DependenceParameter` or a tuple of
-them (a theta axis).  Every evaluator answers with one
-:class:`OutageCurve` whose arrays have one axis per tuple field of the
-query, theta first; a query with no tuple field gets one
-:class:`OutageEstimate`.  Each entry equals the result of the one-point
-query (one theta, one rate) bit for bit.  The FGM density is affine in
-theta, so the analytic evaluators compute every theta-free exponential once
-per query and only combine them per theta.
+A query holds a tuple of rates (a rate axis) and a tuple of
+:class:`DependenceParameter` (a theta axis).  The closed form and
+quadrature answer with one (theta x rate) :class:`OutageCurve`, and Monte
+Carlo with one (budget x rate) curve at one theta.  Each entry equals the
+result of the 1x1 query (one theta, one rate, one budget) bit for bit.
+The FGM density is affine in theta, so the analytic evaluators compute
+every theta-free exponential once per query and only combine them per
+theta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,18 +49,15 @@ __all__ = [
     "QUADRATURE",
     "MONTE_CARLO",
     "METHODS",
-    "FLAG_OUT_OF_RANGE",
     "OutageEvaluationError",
     "DegenerateDenominator",
     "QuadratureNonConvergence",
     "OutageQuery",
-    "OutageEstimate",
     "OutageCurve",
     "gamma_threshold",
     "outage_closed_form",
     "outage_quadrature",
     "outage_monte_carlo",
-    "outage_monte_carlo_grid",
 ]
 
 CLOSED_FORM = "closed-form"
@@ -69,8 +65,6 @@ QUADRATURE = "quadrature"
 MONTE_CARLO = "monte-carlo"
 #: Canonical evaluator order used by sweeps and reports.
 METHODS = (CLOSED_FORM, QUADRATURE, MONTE_CARLO)
-
-FLAG_OUT_OF_RANGE = "out-of-range"
 
 DEFAULT_QUAD_TOL = 1e-10
 
@@ -151,9 +145,9 @@ class QuadratureNonConvergence(OutageEvaluationError):
     """Quadrature could not meet the requested tolerance at some points.
 
     ``value`` and ``failed`` are (theta, rate) arrays over the query's theta
-    and rate axes, whatever the query's shape: ``failed`` marks the points
-    that missed the tolerance, and ``value`` holds the result of every other
-    point.  The message describes the first failing point.
+    and rate axes: ``failed`` marks the points that missed the tolerance,
+    and ``value`` holds the result of every other point.  The message
+    describes the first failing point.
     """
 
     def __init__(self, message: str, value: np.ndarray, failed: np.ndarray) -> None:
@@ -164,41 +158,29 @@ class QuadratureNonConvergence(OutageEvaluationError):
 
 @dataclass(frozen=True)
 class OutageQuery:
-    """One outage-probability evaluation point, or a grid of them.
+    """A (theta x rate) grid of outage-probability evaluation points.
 
-    ``rate_threshold`` is a rate or a tuple of rates, and ``theta`` a
-    dependence parameter or a tuple of them (tuples, not arrays, so queries
-    stay hashable and comparable).  Requires p0 strictly below
-    min(p1, p2) so both gain weights are positive.
+    ``rates`` is a tuple of rates and ``thetas`` a tuple of dependence
+    parameters (tuples, not arrays, so queries stay hashable and
+    comparable).  Requires p0 strictly below min(p1, p2) so both gain
+    weights are positive.
     """
 
-    rate_threshold: Union[float, tuple[float, ...]]
+    rates: tuple[float, ...]
     budget: PowerBudget
     marginals: FadingMarginals
-    theta: Union[DependenceParameter, tuple[DependenceParameter, ...]]
+    thetas: tuple[DependenceParameter, ...]
 
     def __post_init__(self) -> None:
         for rate in self.rates:
             if not rate >= 0.0:
-                raise ValueError(f"rate_threshold must be >= 0, got {rate}")
+                raise ValueError(f"rates must be >= 0, got {rate}")
         if not self.budget.p0 < min(self.budget.p1, self.budget.p2):
             raise ValueError(
                 "outage queries need p0 < min(p1, p2) strictly so both gain "
                 f"weights are positive; got p0={self.budget.p0}, "
                 f"p1={self.budget.p1}, p2={self.budget.p2}"
             )
-
-    @property
-    def rates(self) -> tuple[float, ...]:
-        """The rate axis: ``rate_threshold`` as a tuple."""
-        r = self.rate_threshold
-        return r if isinstance(r, tuple) else (r,)
-
-    @property
-    def thetas(self) -> tuple[DependenceParameter, ...]:
-        """The theta axis: ``theta`` as a tuple."""
-        t = self.theta
-        return t if isinstance(t, tuple) else (t,)
 
     @property
     def weight1(self) -> float:
@@ -216,49 +198,19 @@ class OutageQuery:
         return self.weight2 / self.weight1
 
     @property
-    def gamma(self) -> Union[float, np.ndarray]:
-        """Received-power threshold N*(2^(2R) - 1), an array for a tuple query."""
-        return gamma_threshold(self.rate_threshold, self.budget.noise)
-
-
-@dataclass(frozen=True)
-class OutageEstimate:
-    """An outage probability with its provenance.
-
-    ``std_error`` and ``samples`` are present only for Monte Carlo.
-    ``flag`` is ``out-of-range`` when a closed-form value falls outside
-    [0, 1] (its known small-gamma regime); quadrature and Monte Carlo
-    values are always valid probabilities.
-    """
-
-    value: float
-    method: str
-    std_error: Optional[float] = None
-    samples: Optional[int] = None
-    flag: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method != CLOSED_FORM and not (0.0 <= self.value <= 1.0):
-            raise ValueError(
-                f"{self.method} estimate must be in [0, 1], got {self.value}"
-            )
-        if self.std_error is not None and not self.std_error >= 0.0:
-            raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+    def gamma(self) -> np.ndarray:
+        """Received-power thresholds N*(2^(2R) - 1), one per rate."""
+        return gamma_threshold(self.rates, self.budget.noise)
 
 
 @dataclass(frozen=True, eq=False)
-class OutageCurve(Sequence):
+class OutageCurve:
     """Outage estimates over a grid, one array entry per grid point.
 
     ``value`` holds the probabilities, ``std_error`` (Monte Carlo only) their
     standard errors, and ``out_of_range`` marks the closed-form values
-    outside [0, 1]; all share one shape, an axis per grid axis.  The checks
-    of :class:`OutageEstimate` hold entrywise.  Indexing takes numpy indices:
-    a result with axes left is the curve along them, and a single point is
-    its :class:`OutageEstimate`.  So iterating a 1-D curve yields estimates
-    and iterating a 2-D one yields 1-D curves.
+    outside [0, 1]; all share one shape, an axis per grid axis.  Every value
+    but a closed-form one lies in [0, 1], and every standard error is >= 0.
     """
 
     method: str
@@ -275,53 +227,18 @@ class OutageCurve(Sequence):
         if self.std_error is not None and not (self.std_error >= 0.0).all():
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
 
-    def __len__(self) -> int:
-        return len(self.value)
 
-    def __getitem__(self, i) -> Union[OutageEstimate, OutageCurve]:
-        value = self.value[i]
-        std_error = None if self.std_error is None else self.std_error[i]
-        if np.ndim(value):
-            return OutageCurve(self.method, value, self.out_of_range[i], std_error, self.samples)
-        return OutageEstimate(
-            value=float(value),
-            method=self.method,
-            std_error=None if std_error is None else float(std_error),
-            samples=self.samples,
-            flag=FLAG_OUT_OF_RANGE if self.out_of_range[i] else None,
-        )
+def gamma_threshold(rates: Sequence[float], noise: float) -> np.ndarray:
+    """Received-power thresholds gamma = N*(2^(2R) - 1), one per rate.
 
-
-#: An evaluator's answer, shaped like its query (see the module docstring).
-OutageResult = Union[OutageEstimate, OutageCurve]
-
-
-def _per_query(query: OutageQuery, curve: OutageCurve) -> OutageResult:
-    """A (theta, rate) ``curve`` shaped like the query: index 0 on each axis
-    whose query field is not a tuple."""
-    index = tuple(
-        slice(None) if isinstance(field, tuple) else 0
-        for field in (query.theta, query.rate_threshold)
-    )
-    return curve[index]
-
-
-def gamma_threshold(
-    rate_threshold: Union[float, tuple[float, ...]], noise: float
-) -> Union[float, np.ndarray]:
-    """Received-power threshold gamma = N*(2^(2R) - 1).
-
-    Zero at R = 0 and strictly increasing in R.  A tuple of rates gives an
-    array whose entries equal the scalar results bit for bit.  Raises
-    ValueError when gamma is not finite (2^(2R) or its product with N
-    overflows).
+    Zero at R = 0 and strictly increasing in R.  Raises ValueError when
+    gamma is not finite (2^(2R) or its product with N overflows).
     """
     if not noise > 0.0:
         raise ValueError(f"noise must be > 0, got {noise}")
-    is_tuple = isinstance(rate_threshold, tuple)
-    rates = np.array(rate_threshold if is_tuple else (rate_threshold,), dtype=float)
+    rates = np.array(rates, dtype=float)
     if not (rates >= 0.0).all():
-        raise ValueError(f"rate_threshold must be >= 0, got {rate_threshold}")
+        raise ValueError(f"rates must be >= 0, got {rates.tolist()}")
     try:
         # Python's ** is libm's pow; numpy's SIMD power can differ from it in
         # the last bit.
@@ -334,7 +251,7 @@ def gamma_threshold(
         raise ValueError(
             f"gamma = N*(2^(2R) - 1) overflows for noise {noise} at rate {max(rates.tolist())}"
         )
-    return gamma if is_tuple else float(gamma[0])
+    return gamma
 
 
 def _libm_exp(x: np.ndarray) -> np.ndarray:
@@ -343,7 +260,7 @@ def _libm_exp(x: np.ndarray) -> np.ndarray:
     return np.array([math.exp(v) for v in x.tolist()])
 
 
-def outage_closed_form(query: OutageQuery) -> OutageResult:
+def outage_closed_form(query: OutageQuery) -> OutageCurve:
     """Analytic sum-rate outage expression, over the query's whole
     (theta x rate) grid.
 
@@ -361,12 +278,11 @@ def outage_closed_form(query: OutageQuery) -> OutageResult:
     so it deviates from the exact probability (see
     :func:`outage_quadrature`); at theta = 0 the deviation equals
     l1*P*exp(-l2*gamma/B)/(l2 - l1*P).  Values outside [0, 1] are returned
-    flagged ``out-of-range``.
+    and marked in ``out_of_range``.
 
     Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
     (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
     (lambda, P) only, so the whole grid is degenerate or none of it.
-    Returns results shaped like the query (see the module docstring).
     """
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     p = query.power_ratio
@@ -388,7 +304,7 @@ def outage_closed_form(query: OutageQuery) -> OutageResult:
     thetas = np.array([theta.theta for theta in query.thetas])
     values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
     out_of_range = (values < 0.0) | (values > 1.0)
-    return _per_query(query, OutageCurve(CLOSED_FORM, values, out_of_range))
+    return OutageCurve(CLOSED_FORM, values, out_of_range)
 
 
 def _conditional_terms(d, gamma, a, b, l1, l2, exp=np.exp, expm1=np.expm1):
@@ -415,7 +331,7 @@ def _conditional_integrand(th, density, t, q1, q2):
     return density * ((1.0 - th * t) * q1 + th * t * q2)
 
 
-def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> OutageResult:
+def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> OutageCurve:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
@@ -441,8 +357,7 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
 
     The absolute tolerance is ``tol`` (in (0, 1e-2]).  A point is accepted
     when its error estimate is at most max(tol, 1e-12*|value|), the bound
-    the panel and ``scipy.integrate.quad`` both work to.  Returns results
-    shaped like the query (see the module docstring).
+    the panel and ``scipy.integrate.quad`` both work to.
 
     Every point is evaluated before any failure is raised.  Raises
     :class:`QuadratureNonConvergence`, with the failing points marked, where
@@ -502,7 +417,7 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
             clamped,
             failed,
         )
-    return _per_query(query, OutageCurve(QUADRATURE, clamped, np.zeros(clamped.shape, dtype=bool)))
+    return OutageCurve(QUADRATURE, clamped, np.zeros(clamped.shape, dtype=bool))
 
 
 def _gauss_kronrod_panel(
@@ -538,30 +453,7 @@ def _gauss_kronrod_panel(
     return result, abserr, settled
 
 
-def outage_monte_carlo(query: OutageQuery, n: int, seed: int) -> OutageResult:
-    """Empirical outage frequency over ``n`` correlated gain pairs.
-
-    Samples are addressed in fixed-size chunks, each drawn from its own
-    substream of ``seed``, so the estimate is bit-stable for a fixed
-    (seed, n) under any degree of parallelism or chunk traversal order; they
-    are drawn and counted one block of at most ``streams.BLOCK_SIZE`` pairs
-    at a time, so memory does not grow with ``n``.  Ties (the event
-    holding with equality) count as outage.  Every theta of a theta tuple is
-    estimated from ``seed``, as its one-theta query would be.  Returns
-    results shaped like the query (see the module docstring).
-    """
-    grids = [
-        outage_monte_carlo_grid(theta, query.marginals, (query.budget,), query.rates, n, seed)
-        for theta in query.thetas
-    ]
-    value = np.concatenate([g.value for g in grids])
-    std_error = np.concatenate([g.std_error for g in grids])
-    return _per_query(
-        query, OutageCurve(MONTE_CARLO, value, np.zeros(value.shape, dtype=bool), std_error, n)
-    )
-
-
-def outage_monte_carlo_grid(
+def outage_monte_carlo(
     theta: DependenceParameter,
     marginals: FadingMarginals,
     budgets: Sequence[PowerBudget],
@@ -578,8 +470,8 @@ def outage_monte_carlo_grid(
     budget the weighted sums A*g1 + B*g2 are sorted once and counted at or
     below every gamma by binary search, so ties count as outage; integer
     counts summed over blocks do not depend on the block size.  Entry
-    ``[i][j]`` equals ``outage_monte_carlo`` at (``budgets[i]``,
-    ``rates[j]``) with the same (n, seed) exactly.  Entries share their
+    ``[i, j]`` equals the 1x1 grid at (``budgets[i]``, ``rates[j]``) with
+    the same (n, seed) exactly.  Entries share their
     draws (common random numbers): they are correlated with one another,
     and each count is still Binomial(n, p) on its own.
     """
@@ -588,7 +480,6 @@ def outage_monte_carlo_grid(
     for budget in budgets:
         if not budget.p0 < min(budget.p1, budget.p2):
             raise ValueError(f"outage needs p0 < min(p1, p2) strictly, got {budget}")
-    rates = tuple(rates)
     gammas = np.array([gamma_threshold(rates, budget.noise) for budget in budgets])
     counts = np.zeros(gammas.shape, dtype=np.int64)
     for block in iter_gain_pair_chunks(theta, marginals, n, seed):

@@ -137,6 +137,9 @@ def wireless_region_bounds(budget: PowerBudget, gains: GainPair) -> RegionBounds
     p0*(g1 + g2 + 2*sqrt(g1*g2)), which is algebraically identical), so
     the orderings b1 <= b12, b2 <= b12 and b12 <= b012 hold exactly in
     floating point, with b12 == b012 bitwise when p0 == 0.
+
+    Raises ValueError, naming the gains, when a bound is not finite (a
+    product or sum of gains and powers overflows).
     """
     g1, g2 = gains.g1, gains.g2
     n = budget.noise
@@ -144,12 +147,12 @@ def wireless_region_bounds(budget: PowerBudget, gains: GainPair) -> RegionBounds
     t2 = g2 * (budget.p2 - budget.p0)
     private_sum = t1 + t2
     common = budget.p0 * (g1 + g2 + 2.0 * math.sqrt(g1 * g2))
-    return RegionBounds(
-        b1=0.5 * math.log2(1.0 + t1 / n),
-        b2=0.5 * math.log2(1.0 + t2 / n),
-        b12=0.5 * math.log2(1.0 + private_sum / n),
-        b012=0.5 * math.log2(1.0 + (private_sum + common) / n),
-    )
+    bounds = [
+        0.5 * math.log2(1.0 + x / n) for x in (t1, t2, private_sum, private_sum + common)
+    ]
+    if not all(map(math.isfinite, bounds)):
+        raise ValueError(f"region bounds overflow for gains g1={g1}, g2={g2} under {budget}")
+    return RegionBounds(*bounds)
 
 
 def contains(bounds: RegionBounds, point: RatePoint) -> bool:

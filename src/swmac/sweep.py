@@ -23,7 +23,6 @@ one block writer emits both CSVs from those arrays.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,7 +36,6 @@ from .config import ExperimentConfig, ValidationError
 from .copula import DependenceParameter, GainPair, iter_gain_pair_chunks
 from .outage import (
     CLOSED_FORM,
-    FLAG_OUT_OF_RANGE,
     METHODS,
     MONTE_CARLO,
     QUADRATURE,
@@ -45,7 +43,7 @@ from .outage import (
     OutageQuery,
     QuadratureNonConvergence,
     outage_closed_form,
-    outage_monte_carlo_grid,
+    outage_monte_carlo,
     outage_quadrature,
 )
 from .regions import (
@@ -61,8 +59,11 @@ from .streams import BLOCK_SIZE, derive_seed
 
 __all__ = [
     "FLAG_OK",
+    "FLAG_OUT_OF_RANGE",
+    "FLAG_DEGENERATE",
+    "FLAG_NONCONVERGENCE",
+    "FLAGS",
     "SWEEP_HEADER",
-    "SweepRow",
     "SweepTable",
     "ComparisonReport",
     "run_outage_sweep",
@@ -75,6 +76,7 @@ __all__ = [
 ]
 
 FLAG_OK = "ok"
+FLAG_OUT_OF_RANGE = "out-of-range"
 FLAG_DEGENERATE = "degenerate-denominator"
 FLAG_NONCONVERGENCE = "quadrature-nonconvergence"
 
@@ -86,37 +88,21 @@ SWEEP_HEADER = "budget_id,theta,rate,method,op,std_err,flag"
 Z_FLAG_THRESHOLD = 3.29
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep result.  ``op`` and ``std_err`` are None when the
-    evaluator failed (see ``flag``) or when inapplicable."""
-
-    budget_id: int
-    theta: float
-    rate: float
-    method: str
-    op: Optional[float]
-    std_err: Optional[float]
-    flag: str
-
-
-#: Flags a sweep row can carry; a theta block stores a row's flag as its
-#: position in this tuple.
-_FLAGS = (FLAG_OK, FLAG_OUT_OF_RANGE, FLAG_DEGENERATE, FLAG_NONCONVERGENCE)
-_OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENCE = range(len(_FLAGS))
+#: Flags a sweep row can carry; a table stores a row's flag as its position
+#: in this tuple.
+FLAGS = (FLAG_OK, FLAG_OUT_OF_RANGE, FLAG_DEGENERATE, FLAG_NONCONVERGENCE)
+_OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENCE = range(len(FLAGS))
 
 
 @dataclass(frozen=True, eq=False)
-class SweepTable(Sequence[SweepRow]):
-    """Sweep results as the dense grid the sweep fills; a read-only
-    sequence of :class:`SweepRow` that builds rows only when indexed or
-    iterated.
+class SweepTable:
+    """Sweep results as the dense grid the sweep fills.
 
     ``axes`` holds the budget ids, theta values, rates and methods.  ``op``,
     ``std_err`` and ``flag`` are arrays shaped by those axes, (budget,
-    theta, rate, method): ``op`` and ``std_err`` with NaN where the row
-    holds None, ``flag`` with each row's position in ``_FLAGS``.  Rows are
-    the grid's entries in row-major order.
+    theta, rate, method): ``op`` and ``std_err`` with NaN where a row has no
+    value, ``flag`` with each row's position in :data:`FLAGS`.  Rows are the
+    grid's entries in row-major order; ``len`` counts them.
     """
 
     axes: tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...], tuple[str, ...]]
@@ -126,31 +112,6 @@ class SweepTable(Sequence[SweepRow]):
 
     def __len__(self) -> int:
         return self.op.size
-
-    def __getitem__(self, i):
-        rows = range(len(self))[i]  # IndexError past either end
-        if isinstance(rows, range):
-            return [self[j] for j in rows]
-        index = np.unravel_index(rows, self.op.shape)
-        b, t, r, m = (axis[k] for axis, k in zip(self.axes, index))
-        op, std_err = _none_if_nan(self.op[index]), _none_if_nan(self.std_err[index])
-        return SweepRow(b, t, r, m, op, std_err, _FLAGS[self.flag[index]])
-
-    def __iter__(self):
-        op = map(_none_if_nan, self.op.ravel().tolist())
-        std_err = map(_none_if_nan, self.std_err.ravel().tolist())
-        flag = map(_FLAGS.__getitem__, self.flag.ravel().tolist())
-        for key, *values in zip(product(*self.axes), op, std_err, flag):
-            yield SweepRow(*key, *values)
-
-    def __eq__(self, other):
-        if not isinstance(other, SweepTable):
-            return NotImplemented
-        return list(self) == list(other)
-
-
-def _none_if_nan(x: float) -> Optional[float]:
-    return None if math.isnan(x) else float(x)
 
 
 def _analytic_column(
@@ -178,7 +139,7 @@ def _theta_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo values and standard errors at theta index ``t_i`` as
     (budget, rate) arrays, from one draw set."""
-    curve = outage_monte_carlo_grid(
+    curve = outage_monte_carlo(
         config.thetas[t_i],
         config.marginals,
         config.budgets,
@@ -203,10 +164,10 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     in lexicographic (budget, theta, rate, method) index order.
 
     ``workers`` > 1 fans the Monte Carlo theta blocks out across processes
-    while the parent evaluates the analytic methods; 0 means one per CPU.
-    The pool never exceeds the CPU count or the number of theta blocks, and
-    a sweep without Monte Carlo starts none.  Results are identical for any
-    worker count.
+    while the parent evaluates the analytic methods; 0 means one per CPU
+    this process may run on.  The pool never exceeds that CPU count or the
+    number of theta blocks, and a sweep without Monte Carlo starts none.
+    Results are identical for any worker count.
     """
     for i, budget in enumerate(config.budgets):
         if not budget.p0 < min(budget.p1, budget.p2):
@@ -230,7 +191,9 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                     )
 
     mc_blocks = range(len(config.thetas)) if MONTE_CARLO in config.methods else range(0)
-    pool_size = _pool_size(workers, len(mc_blocks), os.cpu_count())
+    # the CPUs this process may run on, where the platform reports them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = _pool_size(workers, len(mc_blocks), cpus)
     if pool_size == 1:
         analytic()
         blocks = [_theta_block(config, t_i, rates) for t_i in mc_blocks]
@@ -333,10 +296,10 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
     deviation = cf - quad
     # each method's error flags in config order, then the comparison flags:
     # a point's flags read in label order, as the CSV writes them
-    flag_labels = tuple(f"{m}:{f}" for m in methods for f in _FLAGS[1:])
+    flag_labels = tuple(f"{m}:{f}" for m in methods for f in FLAGS[1:])
     flags = np.column_stack(
         (
-            (flag[:, :, None] == np.arange(1, len(_FLAGS))).reshape(len(op), -1),
+            (flag[:, :, None] == np.arange(1, len(FLAGS))).reshape(len(op), -1),
             np.abs(z) > Z_FLAG_THRESHOLD,
             np.abs(deviation) > 10.0 * config.quad_tol,
         )
@@ -396,7 +359,7 @@ def emit_csv(table: SweepTable, path: str | Path) -> None:
     method) is formatted once.
     """
     op, std_err, flag = (a.ravel() for a in (table.op, table.std_err, table.flag))
-    _write_csv(path, SWEEP_HEADER, table.axes, (op, std_err), flag, _FLAGS)
+    _write_csv(path, SWEEP_HEADER, table.axes, (op, std_err), flag, FLAGS)
 
 
 def emit_region(

@@ -32,7 +32,7 @@ from swmac import (
 from swmac.cli import main
 from swmac.config import preset_config
 from swmac.streams import derive_seed, substream
-from swmac.sweep import run_outage_sweep
+from swmac.sweep import FLAGS, run_outage_sweep
 
 from oracles import (
     closed_form_residual,
@@ -104,13 +104,13 @@ def test_criterion_2_sampler_statistics():
 
 def test_criterion_3_independent_case_exactness():
     unit = OutageQuery(
-        rate_threshold=0.5,  # gamma = 1 at noise 1
+        rates=(0.5,),  # gamma = 1 at noise 1
         budget=PowerBudget(0.0, 1.0, 1.0, 1.0),
         marginals=FadingMarginals(1.0, 1.0),
-        theta=DependenceParameter(0.0),
+        thetas=(DependenceParameter(0.0),),
     )
-    assert unit.gamma == pytest.approx(1.0, rel=1e-15)
-    assert outage_quadrature(unit).value == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
+    assert unit.gamma == pytest.approx([1.0], rel=1e-15)
+    assert outage_quadrature(unit).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
 
     # 20-point (lambda1, lambda2, p1, p2, rate) grid against the
     # convolution formula.
@@ -123,13 +123,13 @@ def test_criterion_3_independent_case_exactness():
     assert len(grid) == 20
     for l1, l2, p1, p2, rate in grid:
         query = OutageQuery(
-            rate_threshold=rate,
+            rates=(rate,),
             budget=PowerBudget(0.0, p1, p2, 1.0),
             marginals=FadingMarginals(l1, l2),
-            theta=DependenceParameter(0.0),
+            thetas=(DependenceParameter(0.0),),
         )
-        expected = convolution_outage(l1, l2, query.weight1, query.weight2, query.gamma)
-        assert outage_quadrature(query).value == pytest.approx(expected, abs=1e-9)
+        expected = convolution_outage(l1, l2, query.weight1, query.weight2, query.gamma.item())
+        assert outage_quadrature(query).value.item() == pytest.approx(expected, abs=1e-9)
     _report(3, "independent-case exactness")
 
 
@@ -145,16 +145,12 @@ def test_criterion_4_cross_method_agreement():
     for b_i, budget in enumerate(budgets):
         for t_i, theta_value in enumerate(THETA_GRID):
             for r_i, rate in enumerate((0.25, 0.5, 1.0, 1.5, 2.0)):
-                query = OutageQuery(
-                    rate_threshold=rate,
-                    budget=budget,
-                    marginals=marginals,
-                    theta=DependenceParameter(theta_value),
-                )
-                mc = outage_monte_carlo(query, 1_000_000, derive_seed(master_seed, b_i, t_i, r_i))
-                quad = outage_quadrature(query)
+                theta = DependenceParameter(theta_value)
+                seed = derive_seed(master_seed, b_i, t_i, r_i)
+                mc = outage_monte_carlo(theta, marginals, (budget,), (rate,), 1_000_000, seed)
+                quad = outage_quadrature(OutageQuery((rate,), budget, marginals, (theta,)))
                 total += 1
-                if abs(quad.value - mc.value) <= 3.29 * mc.std_error:
+                if abs(quad.value.item() - mc.value.item()) <= 3.29 * mc.std_error.item():
                     agreements += 1
     assert total == 50
     assert agreements / total >= 0.99
@@ -169,12 +165,10 @@ def test_criterion_5_closed_form_verbatim_and_defect():
         budget=PowerBudget(0.0, 1.0, 5.0, 1.0),
         marginals=FadingMarginals(1.0, 2.0),
     )
-    values = {
-        th: outage_closed_form(
-            OutageQuery(rate_threshold=0.7, theta=DependenceParameter(th), **base)
-        ).value
-        for th in THETA_GRID
-    }
+    grid = OutageQuery(
+        rates=(0.7,), thetas=tuple(DependenceParameter(th) for th in THETA_GRID), **base
+    )
+    values = dict(zip(THETA_GRID, outage_closed_form(grid).value[:, 0].tolist()))
     slope = values[1.0] - values[0.0]
     for th, value in values.items():
         assert value == pytest.approx(values[0.0] + th * slope, abs=1e-12)
@@ -189,71 +183,56 @@ def test_criterion_5_closed_form_verbatim_and_defect():
         (1.5, 0.7, 2.0, 3.0, 1.0),
     ):
         query = OutageQuery(
-            rate_threshold=rate,
+            rates=(rate,),
             budget=PowerBudget(0.0, p1, p2, 1.0),
             marginals=FadingMarginals(l1, l2),
-            theta=DependenceParameter(0.0),
+            thetas=(DependenceParameter(0.0),),
         )
-        residual = closed_form_residual(l1, l2, query.weight1, query.weight2, query.gamma)
-        oracle_check = convolution_outage(
-            l1, l2, query.weight1, query.weight2, query.gamma
-        ) - outage_closed_form(query).value
+        gamma = query.gamma.item()
+        closed = outage_closed_form(query).value.item()
+        residual = closed_form_residual(l1, l2, query.weight1, query.weight2, gamma)
+        oracle_check = convolution_outage(l1, l2, query.weight1, query.weight2, gamma) - closed
         assert oracle_check == pytest.approx(residual, abs=1e-12)
-        deviation = outage_quadrature(query).value - outage_closed_form(query).value
+        deviation = outage_quadrature(query).value.item() - closed
         assert deviation == pytest.approx(residual, abs=1e-8)
 
     # (c) The small-gamma out-of-range behaviour is reproduced and flagged.
     small_gamma = OutageQuery(
-        rate_threshold=0.0,
+        rates=(0.0,),
         budget=PowerBudget(0.0, 5.0, 1.0, 1.0),
         marginals=FadingMarginals(1.0, 1.0),
-        theta=DependenceParameter(0.0),
+        thetas=(DependenceParameter(0.0),),
     )
     flagged = outage_closed_form(small_gamma)
-    assert flagged.value == pytest.approx(-0.25, abs=1e-15)
-    assert flagged.flag == "out-of-range"
-    assert outage_quadrature(small_gamma).value == 0.0
+    assert flagged.value.item() == pytest.approx(-0.25, abs=1e-15)
+    assert flagged.out_of_range.tolist() == [[True]]
+    assert outage_quadrature(small_gamma).value.tolist() == [[0.0]]
     _report(5, "closed-form fidelity and defect quantification")
 
 
 def test_criterion_6_figure_trend_reproduction():
     start = time.perf_counter()
     tol = 1e-10
-    curves: dict[str, dict[tuple[int, float], list[tuple[float, float]]]] = {}
     for name in ("fig2", "fig3", "fig4"):
         config = preset_config(name).with_overrides(methods=("quadrature",), quad_tol=tol)
-        rows = run_outage_sweep(config)
-        assert all(row.flag == "ok" for row in rows)
-        per_curve: dict[tuple[int, float], list[tuple[float, float]]] = {}
-        per_point: dict[tuple[int, float], dict[float, float]] = {}
-        for row in rows:
-            per_curve.setdefault((row.budget_id, row.theta), []).append((row.rate, row.op))
-            per_point.setdefault((row.budget_id, row.rate), {})[row.theta] = row.op
+        table = run_outage_sweep(config)
+        assert (table.flag == FLAGS.index("ok")).all()
+        _, thetas, rates, _ = table.axes
+        op = table.op[..., 0]  # (budget, theta, rate)
         # (a) OP nondecreasing in the rate threshold along every curve.
-        for points in per_curve.values():
-            ops = [op for _, op in sorted(points)]
-            assert all(a <= b for a, b in zip(ops, ops[1:]))
+        assert list(rates) == sorted(rates)
+        assert (np.diff(op, axis=2) >= 0.0).all()
         # (b) theta ordering matches the sign of OP(1) - OP(0) at every
         # rate, and OP is affine across the theta grid.
-        for by_theta in per_point.values():
-            direction = by_theta[1.0] - by_theta[0.0]
-            ordered = [by_theta[t] for t in THETA_GRID]
-            if direction >= 0.0:
-                assert all(a <= b + 2.0 * tol for a, b in zip(ordered, ordered[1:]))
-            else:
-                assert all(a >= b - 2.0 * tol for a, b in zip(ordered, ordered[1:]))
-            slope = by_theta[1.0] - by_theta[0.0]
-            for t in THETA_GRID:
-                assert by_theta[t] == pytest.approx(by_theta[0.0] + t * slope, abs=2.0 * tol)
-        curves[name] = per_curve
+        at = {t: op[:, thetas.index(t)] for t in THETA_GRID}  # (budget, rate)
+        slope = at[1.0] - at[0.0]
+        for a, b in zip(THETA_GRID, THETA_GRID[1:]):
+            assert np.where(slope >= 0.0, at[a] <= at[b] + 2.0 * tol, at[a] >= at[b] - 2.0 * tol).all()
+        for t in THETA_GRID:
+            assert at[t] == pytest.approx(at[0.0] + t * slope, abs=2.0 * tol)
         # (c) the higher-power budget lowers the curve pointwise.
         if name in ("fig2", "fig4"):
-            for (budget_id, theta), points in per_curve.items():
-                if budget_id != 0:
-                    continue
-                stronger = dict(per_curve[(1, theta)])
-                for rate, op in points:
-                    assert stronger[rate] <= op
+            assert (op[1] <= op[0]).all()
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(6, "figure-trend reproduction", elapsed)

@@ -180,12 +180,24 @@ def test_exit_1_on_usage_error(capsys):
     assert main(["bogus-command"]) == 1
 
 
-def test_exit_1_on_region_validation_errors(tmp_path, config_file):
-    out = str(tmp_path / "r.csv")
-    assert main(["region", "--config", config_file, "--r0", "1e9", "--out", out]) == 1
-    assert main(["region", "--config", config_file, "--budget-index", "5", "--out", out]) == 1
-    assert main(["region", "--config", config_file, "--budget-index", "-1", "--out", out]) == 1
-    assert main(["region", "--config", config_file, "--gains", "1.0", "--out", out]) == 1
+def test_exit_1_on_region_validation_errors(tmp_path, config_file, capsys):
+    out = tmp_path / "r.csv"
+    for args in (["--r0", "1e9"], ["--budget-index", "5"], ["--budget-index", "-1"], ["--gains", "1.0"]):
+        assert main(["region", "--config", config_file, *args, "--out", str(out)]) == 1
+        assert not out.exists()
+    # Non-finite gains, and finite ones whose bounds overflow, name the gains.
+    common_power = tmp_path / "common.txt"
+    common_power.write_text("[budget]\np0 = 0.5\np1 = 1\np2 = 2\nnoise = 1\n")
+    for gains, message in (
+        ("inf,1", "g1 must be finite and >= 0, got inf"),
+        ("1,nan", "g2 must be finite and >= 0, got nan"),
+        ("1e308,1e308", "region bounds overflow for gains g1=1e+308, g2=1e+308"),
+    ):
+        for source in (["--config", str(common_power)], ["--preset", "fig2"]):
+            capsys.readouterr()
+            assert main(["region", *source, "--gains", gains, "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_exit_1_on_negative_sample_count_writes_no_file(config_file, tmp_path, capsys):

@@ -71,6 +71,13 @@ def test_gain_pair_rejects_negative():
     assert GainPair(0.0, 0.0).g1 == 0.0
 
 
+@pytest.mark.parametrize("g1, g2", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, -math.inf)])
+def test_gain_pair_rejects_non_finite(g1, g2):
+    with pytest.raises(ValueError, match="must be finite"):
+        GainPair(g1, g2)
+    assert GainPair(1e308, 1e308).g1 == 1e308
+
+
 # ---------------------------------------------------------------------------
 # copula_cdf
 # ---------------------------------------------------------------------------

@@ -7,33 +7,39 @@ from scipy import integrate
 
 from swmac import (
     CLOSED_FORM,
+    METHODS,
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
     DependenceParameter,
     FadingMarginals,
     OutageCurve,
-    OutageEstimate,
     OutageQuery,
     PowerBudget,
     QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
-    outage_monte_carlo_grid,
     outage_quadrature,
 )
+from swmac.outage import DEFAULT_QUAD_TOL
 
 from oracles import brute_force_outage, closed_form_residual, convolution_outage, fgm_outage
 
 
-def make_query(rate=0.5, p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, theta=0.0):
+def make_query(rates=(0.5,), p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, thetas=(0.0,)):
     return OutageQuery(
-        rate_threshold=rate,
+        rates=rates,
         budget=PowerBudget(p0, p1, p2, noise),
         marginals=FadingMarginals(lam1, lam2),
-        theta=DependenceParameter(theta),
+        thetas=tuple(DependenceParameter(t) for t in thetas),
     )
+
+
+def monte_carlo(q, n, seed):
+    """Monte Carlo at the query's one theta: a (1 x rate) curve."""
+    (theta,) = q.thetas
+    return outage_monte_carlo(theta, q.marginals, (q.budget,), q.rates, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -42,22 +48,21 @@ def make_query(rate=0.5, p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, 
 
 
 def test_gamma_threshold_examples():
-    assert gamma_threshold(0.0, 123.0) == 0.0
-    assert gamma_threshold(1.0, 1e-5) == pytest.approx(3e-5, rel=1e-15)
-    assert gamma_threshold(0.5, 1.0) == pytest.approx(1.0, rel=1e-15)
+    assert gamma_threshold((0.0,), 123.0).tolist() == [0.0]
+    assert gamma_threshold((1.0,), 1e-5) == pytest.approx([3e-5], rel=1e-15)
+    assert gamma_threshold((0.5,), 1.0) == pytest.approx([1.0], rel=1e-15)
 
 
 def test_gamma_threshold_strictly_increasing():
-    rates = np.linspace(0.0, 3.0, 31)
-    gammas = [gamma_threshold(r, 1.0) for r in rates]
-    assert all(a < b for a, b in zip(gammas, gammas[1:]))
+    gammas = gamma_threshold(tuple(np.linspace(0.0, 3.0, 31).tolist()), 1.0)
+    assert (np.diff(gammas) > 0.0).all()
 
 
 def test_gamma_threshold_validation():
     with pytest.raises(ValueError):
-        gamma_threshold(-0.1, 1.0)
+        gamma_threshold((-0.1,), 1.0)
     with pytest.raises(ValueError):
-        gamma_threshold(1.0, 0.0)
+        gamma_threshold((1.0,), 0.0)
 
 
 @pytest.mark.parametrize(
@@ -68,39 +73,42 @@ def test_gamma_threshold_validation():
 def test_gamma_threshold_rejects_non_finite_gamma(rate, noise):
     # 2^1200 overflows in pow; 1e300*(2^28 - 1) overflows in the product.
     with pytest.raises(ValueError, match="overflows"):
-        gamma_threshold(rate, noise)
+        gamma_threshold((rate,), noise)
     with pytest.raises(ValueError, match="overflows"):
         gamma_threshold((0.5, rate), noise)
-    assert gamma_threshold((0.5,), noise)[0] == gamma_threshold(0.5, noise)
+    assert np.isfinite(gamma_threshold((0.5,), noise)).all()
 
 
 def test_query_rejects_common_power_reaching_either_cap():
     with pytest.raises(ValueError):
         make_query(p0=1.0, p1=1.0, p2=5.0)
     with pytest.raises(ValueError):
-        make_query(rate=-0.5)
+        make_query(rates=(-0.5,))
 
 
 def test_query_derived_quantities():
-    q = make_query(rate=1.0, p0=0.5, p1=1.0, p2=5.0, noise=1e-5)
+    q = make_query(rates=(1.0,), p0=0.5, p1=1.0, p2=5.0, noise=1e-5)
     assert q.weight1 == 0.5
     assert q.weight2 == 4.5
     assert q.power_ratio == 9.0
-    assert q.gamma == pytest.approx(3e-5, rel=1e-15)
+    assert q.gamma == pytest.approx([3e-5], rel=1e-15)
 
 
 def test_estimate_validation():
+    # the checks on one point: a 1x1 curve
+    ok = np.zeros((1, 1), dtype=bool)
     with pytest.raises(ValueError):
-        OutageEstimate(value=1.2, method=QUADRATURE)
+        OutageCurve(QUADRATURE, np.array([[1.2]]), ok)
     with pytest.raises(ValueError):
-        OutageEstimate(value=0.5, method="bogus")
+        OutageCurve("bogus", np.array([[0.5]]), ok)
     with pytest.raises(ValueError):
-        OutageEstimate(value=0.5, method=MONTE_CARLO, std_error=-0.1)
-    flagged = OutageEstimate(value=-0.25, method=CLOSED_FORM, flag="out-of-range")
-    assert flagged.value == -0.25
+        OutageCurve(MONTE_CARLO, np.array([[0.5]]), ok, std_error=np.array([[-0.1]]))
+    flagged = OutageCurve(CLOSED_FORM, np.array([[-0.25]]), ~ok)
+    assert flagged.value.item() == -0.25
 
 
 def test_curve_validation_matches_estimate():
+    # the same checks hold entrywise on a grid
     ok = np.zeros(2, dtype=bool)
     for value in ([0.5, 1.2], [0.5, math.nan]):
         with pytest.raises(ValueError):
@@ -110,10 +118,8 @@ def test_curve_validation_matches_estimate():
     with pytest.raises(ValueError):
         OutageCurve(MONTE_CARLO, np.array([0.5, 0.5]), ok, std_error=np.array([0.1, -0.1]))
     flagged = OutageCurve(CLOSED_FORM, np.array([-0.25, 0.5]), np.array([True, False]))
-    assert list(flagged) == [
-        OutageEstimate(value=-0.25, method=CLOSED_FORM, flag="out-of-range"),
-        OutageEstimate(value=0.5, method=CLOSED_FORM),
-    ]
+    assert flagged.value.tolist() == [-0.25, 0.5]
+    assert flagged.out_of_range.tolist() == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +128,21 @@ def test_curve_validation_matches_estimate():
 
 
 def test_closed_form_theta_zero_reduces_to_base_term():
-    q = make_query(rate=0.8, p1=2.0, p2=3.0, lam1=1.0, lam2=2.5, theta=0.0)
-    got = outage_closed_form(q).value
+    q = make_query(rates=(0.8,), p1=2.0, p2=3.0, lam1=1.0, lam2=2.5, thetas=(0.0,))
+    got = outage_closed_form(q).value.item()
     p = q.power_ratio
-    expected = 1.0 - 2.5 * math.exp(-1.0 * q.gamma / q.weight1) / (2.5 - 1.0 * p)
+    expected = 1.0 - 2.5 * math.exp(-1.0 * q.gamma.item() / q.weight1) / (2.5 - 1.0 * p)
     assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_closed_form_small_gamma_out_of_range_example():
     # gamma = 0, theta = 0, unit rates, weight ratio 0.2: the formula gives
     # 1 - 1/0.8 = -0.25 while the true probability is 0.
-    q = make_query(rate=0.0, p1=5.0, p2=1.0, theta=0.0)
+    q = make_query(rates=(0.0,), p1=5.0, p2=1.0, thetas=(0.0,))
     est = outage_closed_form(q)
-    assert est.value == pytest.approx(-0.25, abs=1e-15)
-    assert est.flag == "out-of-range"
-    assert outage_quadrature(q).value == 0.0
+    assert est.value.item() == pytest.approx(-0.25, abs=1e-15)
+    assert est.out_of_range.tolist() == [[True]]
+    assert outage_quadrature(q).value.tolist() == [[0.0]]
 
 
 def test_closed_form_all_three_denominators_checked():
@@ -152,11 +158,9 @@ def test_closed_form_all_three_denominators_checked():
 
 
 def test_closed_form_affine_in_theta_exactly():
-    base = dict(rate=0.7, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0)
-    at = {
-        th: outage_closed_form(make_query(theta=th, **base)).value
-        for th in (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
-    }
+    thetas = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
+    q = make_query(rates=(0.7,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
+    at = dict(zip(thetas, outage_closed_form(q).value[:, 0].tolist()))
     slope = at[1.0] - at[0.0]
     for th, value in at.items():
         assert value == pytest.approx(at[0.0] + th * slope, abs=1e-12)
@@ -168,15 +172,15 @@ def test_closed_form_affine_in_theta_exactly():
 
 
 def test_quadrature_zero_gamma_is_exactly_zero():
-    est = outage_quadrature(make_query(rate=0.0))
-    assert est.value == 0.0
+    est = outage_quadrature(make_query(rates=(0.0,)))
+    assert est.value.tolist() == [[0.0]]
     assert est.method == QUADRATURE
 
 
 def test_quadrature_unit_independent_case():
     # A = B = 1, unit rates, gamma = 1: P[g1 + g2 <= 1] = 1 - 2/e
-    q = make_query(rate=0.5, p1=1.0, p2=1.0, noise=1.0, theta=0.0)
-    assert outage_quadrature(q).value == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
+    q = make_query(rates=(0.5,), p1=1.0, p2=1.0, noise=1.0, thetas=(0.0,))
+    assert outage_quadrature(q).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -189,51 +193,50 @@ def test_quadrature_unit_independent_case():
     ],
 )
 def test_quadrature_matches_convolution_at_theta_zero(lam1, lam2, p1, p2, noise, rate):
-    q = make_query(rate=rate, p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, theta=0.0)
-    expected = convolution_outage(lam1, lam2, q.weight1, q.weight2, q.gamma)
-    assert outage_quadrature(q).value == pytest.approx(expected, abs=1e-9)
+    q = make_query(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
+    expected = convolution_outage(lam1, lam2, q.weight1, q.weight2, q.gamma.item())
+    assert outage_quadrature(q).value.item() == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.6, 1.0])
 def test_quadrature_matches_brute_force_oracle(theta):
-    q = make_query(rate=0.75, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, theta=theta)
-    expected = brute_force_outage(1.0, 2.0, q.weight1, q.weight2, q.gamma, theta)
-    assert outage_quadrature(q).value == pytest.approx(expected, abs=1e-8)
+    q = make_query(rates=(0.75,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=(theta,))
+    expected = brute_force_outage(1.0, 2.0, q.weight1, q.weight2, q.gamma.item(), theta)
+    assert outage_quadrature(q).value.item() == pytest.approx(expected, abs=1e-8)
 
 
 def test_quadrature_nondecreasing_in_rate():
-    values = [
-        outage_quadrature(make_query(rate=r, noise=1.0, theta=0.5)).value
-        for r in np.arange(0.1, 2.1, 0.1)
-    ]
+    rates = tuple(np.arange(0.1, 2.1, 0.1).tolist())
+    (values,) = outage_quadrature(make_query(rates=rates, noise=1.0, thetas=(0.5,))).value.tolist()
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
 def test_quadrature_affine_in_theta_within_tolerance():
     tol = 1e-10
-    base = dict(rate=0.6, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0)
-    at0 = outage_quadrature(make_query(theta=0.0, **base), tol=tol).value
-    at1 = outage_quadrature(make_query(theta=1.0, **base), tol=tol).value
+    thetas = (0.0, 1.0, -1.0, -0.5, 0.5)
+    q = make_query(rates=(0.6,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
+    at = dict(zip(thetas, outage_quadrature(q, tol=tol).value[:, 0].tolist()))
     for th in (-1.0, -0.5, 0.5):
-        got = outage_quadrature(make_query(theta=th, **base), tol=tol).value
-        assert got == pytest.approx(at0 + th * (at1 - at0), abs=2.0 * tol)
+        assert at[th] == pytest.approx(at[0.0] + th * (at[1.0] - at[0.0]), abs=2.0 * tol)
 
 
 #: QUADPACK warns where its error estimate stalls; these tests expect it.
 _stalls = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
 
-def _stalled_query(rate=7.8, theta=-1.0):
+def _stalled_query(rates=(7.8,), thetas=(-1.0,)):
     # lambda1/lambda2 = 6e8 with gamma/B near 6e5 at R = 7.8: QUADPACK's error
     # estimate stalls at 6.5e-5 for theta = -1 and 0, above any smaller tol,
     # while theta = 0.5 converges to 1e-13.
-    return make_query(rate=rate, p1=2e-4, p2=12.8, noise=144.0, lam1=3e4, lam2=5e-5, theta=theta)
+    return make_query(
+        rates=rates, p1=2e-4, p2=12.8, noise=144.0, lam1=3e4, lam2=5e-5, thetas=thetas
+    )
 
 
 @_stalls
 def test_quadrature_tol_validation_and_nonconvergence():
-    q = make_query(rate=0.5)
+    q = make_query(rates=(0.5,))
     with pytest.raises(ValueError):
         outage_quadrature(q, tol=0.0)
     with pytest.raises(ValueError):
@@ -246,18 +249,17 @@ def test_quadrature_accepts_the_relative_error_bound():
     # Near 1 the error bound is 1e-12*value, the bound the panel and QUADPACK
     # work to: these error estimates exceed tol = 1e-13 but meet it.
     for rate in (2.85, 3.0):
-        q = make_query(rate=rate, p2=1.0, theta=-1.0)
-        got = outage_quadrature(q, tol=1e-13)
-        assert got.flag is None
-        assert got.value == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, q.gamma, -1.0), abs=1e-13)
+        q = make_query(rates=(rate,), p2=1.0, thetas=(-1.0,))
+        got = outage_quadrature(q, tol=1e-13).value.item()
+        assert got == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, q.gamma.item(), -1.0), abs=1e-13)
 
 
 def test_quadrature_range_check_uses_the_relative_error_bound():
     # At tol 1e-30 the value comes out 1 ulp above 1, well inside the
     # 1e-12*value bound of the error check; it used to be rejected as
     # outside [0, 1] beyond the absolute tol.
-    got = outage_quadrature(make_query(rate=2.7, p2=1.0, theta=-1.0), tol=1e-30)
-    assert got.value == 1.0 and got.flag is None
+    got = outage_quadrature(make_query(rates=(2.7,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
+    assert got.value.tolist() == [[1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -266,54 +268,55 @@ def test_quadrature_range_check_uses_the_relative_error_bound():
 
 
 def test_monte_carlo_zero_gamma():
-    est = outage_monte_carlo(make_query(rate=0.0), 10_000, seed=1)
-    assert est.value == 0.0
-    assert est.std_error == 0.0
+    est = monte_carlo(make_query(rates=(0.0,)), 10_000, seed=1)
+    assert est.value.tolist() == [[0.0]]
+    assert est.std_error.tolist() == [[0.0]]
     assert est.samples == 10_000
 
 
 def test_monte_carlo_certain_event():
     # gamma = 1000 with unit weights: outage is essentially certain.
-    q = make_query(rate=0.5 * math.log2(1001.0), p1=1.0, p2=1.0, noise=1.0)
-    est = outage_monte_carlo(q, 10_000, seed=2)
-    assert est.value == 1.0
-    assert est.std_error == 0.0
+    q = make_query(rates=(0.5 * math.log2(1001.0),), p1=1.0, p2=1.0, noise=1.0)
+    est = monte_carlo(q, 10_000, seed=2)
+    assert est.value.tolist() == [[1.0]]
+    assert est.std_error.tolist() == [[0.0]]
 
 
 def test_monte_carlo_agrees_with_quadrature():
     # theta = 0.5, unit rates, A = 1, B = 5, gamma = 3
-    q = make_query(rate=0.5 * math.log2(4.0), p1=1.0, p2=5.0, noise=1.0, theta=0.5)
-    assert q.gamma == pytest.approx(3.0, rel=1e-15)
-    mc = outage_monte_carlo(q, 1_000_000, seed=3)
+    q = make_query(rates=(0.5 * math.log2(4.0),), p1=1.0, p2=5.0, noise=1.0, thetas=(0.5,))
+    assert q.gamma == pytest.approx([3.0], rel=1e-15)
+    mc = monte_carlo(q, 1_000_000, seed=3)
     quad = outage_quadrature(q)
-    assert abs(quad.value - mc.value) <= 3.29 * mc.std_error
+    assert abs(quad.value.item() - mc.value.item()) <= 3.29 * mc.std_error.item()
 
 
 def test_monte_carlo_rejects_tiny_sample_count():
     with pytest.raises(ValueError):
-        outage_monte_carlo(make_query(), 999, seed=1)
+        monte_carlo(make_query(), 999, seed=1)
 
 
 def test_monte_carlo_deterministic_for_seed():
-    q = make_query(theta=0.3)
-    a = outage_monte_carlo(q, 50_000, seed=77)
-    b = outage_monte_carlo(q, 50_000, seed=77)
-    assert a.value == b.value
-    assert outage_monte_carlo(q, 50_000, seed=78).value != a.value
+    q = make_query(thetas=(0.3,))
+    a = monte_carlo(q, 50_000, seed=77)
+    b = monte_carlo(q, 50_000, seed=77)
+    assert a.value.tolist() == b.value.tolist()
+    assert monte_carlo(q, 50_000, seed=78).value.tolist() != a.value.tolist()
 
 
 def test_monte_carlo_matches_manual_chunk_accumulation():
     from swmac.copula import iter_gain_pair_chunks
 
-    q = make_query(theta=-0.4, rate=0.6)
+    q = make_query(thetas=(-0.4,), rates=(0.6,))
     n, seed = 150_000, 11
-    est = outage_monte_carlo(q, n, seed)
-    chunks = list(iter_gain_pair_chunks(q.theta, q.marginals, n, seed))
+    est = monte_carlo(q, n, seed)
+    chunks = list(iter_gain_pair_chunks(q.thetas[0], q.marginals, n, seed))
+    gamma = q.gamma.item()
     count = sum(
-        int(np.count_nonzero(q.weight1 * c[:, 0] + q.weight2 * c[:, 1] <= q.gamma))
+        int(np.count_nonzero(q.weight1 * c[:, 0] + q.weight2 * c[:, 1] <= gamma))
         for c in reversed(chunks)
     )
-    assert est.value == count / n
+    assert est.value.item() == count / n
 
 
 def test_monte_carlo_grid_entries_equal_single_point_estimates():
@@ -321,14 +324,17 @@ def test_monte_carlo_grid_entries_equal_single_point_estimates():
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5))
     rates = (0.0, 0.25, 0.8, 1.5)
     n, seed = 70_000, 19  # two chunks, the second partial
-    grid = outage_monte_carlo_grid(theta, marginals, budgets, rates, n, seed)
-    assert [len(row) for row in grid] == [len(rates)] * len(budgets)
-    for budget, row in zip(budgets, grid):
-        for rate, est in zip(rates, row):
-            single = outage_monte_carlo(OutageQuery(rate, budget, marginals, theta), n, seed)
-            assert est == single
-    assert grid[0][0].value == 0.0
-    assert [e.value for e in grid[0]] == sorted(e.value for e in grid[0])
+    grid = outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
+    assert grid.value.shape == grid.std_error.shape == (len(budgets), len(rates))
+    for i, budget in enumerate(budgets):
+        for j, rate in enumerate(rates):
+            single = outage_monte_carlo(theta, marginals, (budget,), (rate,), n, seed)
+            assert (grid.value[i, j], grid.std_error[i, j]) == (
+                single.value.item(),
+                single.std_error.item(),
+            )
+    assert grid.value[0, 0] == 0.0
+    assert grid.value[0].tolist() == sorted(grid.value[0].tolist())
 
 
 def test_monte_carlo_grid_counts_ties_as_outage():
@@ -341,17 +347,17 @@ def test_monte_carlo_grid_counts_ties_as_outage():
     sums = np.sort(1.0 * chunk[:, 0] + 5.0 * chunk[:, 1])
     assert len(np.unique(sums)) == 1000
     budget = PowerBudget(0.0, 1.0, 5.0, float(sums[499]))
-    assert gamma_threshold(0.5, budget.noise) == sums[499]
-    ((est,),) = outage_monte_carlo_grid(theta, marginals, (budget,), (0.5,), 1000, 5)
-    assert est.value == 0.5
+    assert gamma_threshold((0.5,), budget.noise).tolist() == [sums[499]]
+    est = outage_monte_carlo(theta, marginals, (budget,), (0.5,), 1000, 5)
+    assert est.value.tolist() == [[0.5]]
 
 
 def test_monte_carlo_grid_validation():
     theta, marginals = DependenceParameter(0.0), FadingMarginals(1.0, 1.0)
     with pytest.raises(ValueError):
-        outage_monte_carlo_grid(theta, marginals, (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,), 999, 1)
+        outage_monte_carlo(theta, marginals, (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,), 999, 1)
     with pytest.raises(ValueError):
-        outage_monte_carlo_grid(theta, marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
+        outage_monte_carlo(theta, marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +376,20 @@ def test_monte_carlo_grid_validation():
 )
 def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noise, rate):
     tol = 1e-10
-    q = make_query(rate=rate, p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, theta=0.0)
-    residual = closed_form_residual(lam1, lam2, q.weight1, q.weight2, q.gamma)
+    q = make_query(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
+    gamma = q.gamma.item()
+    residual = closed_form_residual(lam1, lam2, q.weight1, q.weight2, gamma)
+    closed = outage_closed_form(q).value.item()
     # The residual formula itself is pre-verified against the convolution oracle.
-    assert convolution_outage(lam1, lam2, q.weight1, q.weight2, q.gamma) - (
-        outage_closed_form(q).value
-    ) == pytest.approx(residual, abs=1e-12)
-    got = outage_quadrature(q, tol=tol).value - outage_closed_form(q).value
+    assert convolution_outage(lam1, lam2, q.weight1, q.weight2, gamma) - closed == pytest.approx(
+        residual, abs=1e-12
+    )
+    got = outage_quadrature(q, tol=tol).value.item() - closed
     assert got == pytest.approx(residual, abs=10.0 * tol)
 
 
 # ---------------------------------------------------------------------------
-# Rate-axis queries and the vectorised first quadrature panel
+# The grid contract: every entry equals its 1x1 query bit for bit
 # ---------------------------------------------------------------------------
 
 # Unit noise: the closed form leaves [0, 1] at the small rates of the
@@ -389,27 +397,94 @@ def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noi
 # and sends the larger ones through adaptive quadrature.
 AXIS = (0.0, 0.05, 0.3, 0.75, 1.5, 2.5)
 
+# A point's flag in :func:`_evaluate`.
+_OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENT = range(4)
+
+
+def _evaluate(method, q, tol=DEFAULT_QUAD_TOL):
+    """(value, std_error, flag) arrays over the (theta, rate) grid of ``q``:
+    NaN where a point has no value, and the evaluator's failure as its flag.
+    Monte Carlo draws 2000 pairs from seed 4 at each theta."""
+    shape = (len(q.thetas), len(q.rates))
+    std_error = np.full(shape, np.nan)
+    flag = np.full(shape, _OK)
+    try:
+        if method == MONTE_CARLO:
+            rows = [monte_carlo(replace(q, thetas=(t,)), 2000, 4) for t in q.thetas]
+            value = np.concatenate([c.value for c in rows])
+            std_error = np.concatenate([c.std_error for c in rows])
+        elif method == CLOSED_FORM:
+            curve = outage_closed_form(q)
+            value, flag = curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
+        else:
+            value = outage_quadrature(q, tol=tol).value
+    except DegenerateDenominator:
+        value, flag = np.full(shape, np.nan), np.full(shape, _DEGENERATE)
+    except QuadratureNonConvergence as exc:
+        value = np.where(exc.failed, np.nan, exc.value)
+        flag = np.where(exc.failed, _NONCONVERGENT, _OK)
+    return value, std_error, flag
+
+
+def _assert_grid_equals_points(method, grid, tol=DEFAULT_QUAD_TOL):
+    """Check every entry of ``grid`` against its 1x1 query, bit for bit
+    (NaN and flag included); returns the grid's arrays."""
+    got = _evaluate(method, grid, tol)
+    assert got[0].shape == (len(grid.thetas), len(grid.rates))
+    for t_i, r_i in np.ndindex(got[0].shape):
+        point = replace(grid, rates=(grid.rates[r_i],), thetas=(grid.thetas[t_i],))
+        expected = _evaluate(method, point, tol)
+        assert [a[t_i, r_i].tobytes() for a in got] == [a[0, 0].tobytes() for a in expected]
+    return got
+
+
+#: 3-theta grids: an out-of-range closed form, a degenerate one (P = 1 with
+#: equal rates), and quadrature that misses tol 1e-13 at R = 7.8 for
+#: theta = -1 and 0 (see ``_stalled_query``).
+_GRIDS = {
+    "out-of-range": (make_query(rates=AXIS, thetas=(-1.0, 0.0, 0.7)), DEFAULT_QUAD_TOL),
+    "degenerate": (make_query(rates=AXIS, p2=1.0, thetas=(-1.0, 0.0, 0.7)), DEFAULT_QUAD_TOL),
+    "nonconvergent": (_stalled_query(rates=(0.05, 7.5, 7.8), thetas=(0.5, -1.0, 0.0)), 1e-13),
+}
+
+#: The flag each grid must show for the method it targets.
+_TARGET_FLAGS = {
+    ("out-of-range", CLOSED_FORM): _OUT_OF_RANGE,
+    ("degenerate", CLOSED_FORM): _DEGENERATE,
+    ("nonconvergent", QUADRATURE): _NONCONVERGENT,
+}
+
+
+@_stalls
+@pytest.mark.parametrize("grid_name", list(_GRIDS))
+@pytest.mark.parametrize("method", METHODS)
+def test_grid_entries_equal_their_1x1_queries(method, grid_name):
+    grid, tol = _GRIDS[grid_name]
+    _, std_error, flag = _assert_grid_equals_points(method, grid, tol)
+    if (grid_name, method) in _TARGET_FLAGS:
+        assert _TARGET_FLAGS[grid_name, method] in flag
+    assert np.isnan(std_error).all() == (method != MONTE_CARLO)
+
 
 def test_gamma_threshold_tuple_equals_scalar_calls():
     rates = (0.0, 0.1, 0.30000000000000004, 1.7, 3.0)
     for noise in (1e-5, 1.0):
         got = gamma_threshold(rates, noise)
         assert isinstance(got, np.ndarray)
-        assert got.tolist() == [gamma_threshold(r, noise) for r in rates]
+        assert got.tolist() == [gamma_threshold((r,), noise).item() for r in rates]
     for bad_rates, noise in (((0.1, -0.1), 1.0), ((0.1, math.nan), 1.0), ((0.1,), 0.0)):
         with pytest.raises(ValueError):
             gamma_threshold(bad_rates, noise)
 
 
 def test_tuple_query_is_hashable_and_validated():
-    q = make_query(rate=(0.1, 0.2))
-    assert q == make_query(rate=(0.1, 0.2))
-    assert hash(q) == hash(make_query(rate=(0.1, 0.2)))
+    q = make_query(rates=(0.1, 0.2))
+    assert q == make_query(rates=(0.1, 0.2))
+    assert hash(q) == hash(make_query(rates=(0.1, 0.2)))
     assert q.rates == (0.1, 0.2)
-    assert make_query(rate=0.1).rates == (0.1,)
-    assert q.gamma.tolist() == [make_query(rate=r).gamma for r in (0.1, 0.2)]
+    assert q.gamma.tolist() == [make_query(rates=(r,)).gamma.item() for r in (0.1, 0.2)]
     with pytest.raises(ValueError):
-        make_query(rate=(0.1, -0.2))
+        make_query(rates=(0.1, -0.2))
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7])
@@ -417,24 +492,17 @@ def test_tuple_query_is_hashable_and_validated():
     "p1,p2", [(1.0, 5.0), (1.0, 1.0)], ids=["out-of-range-budget", "degenerate-budget"]
 )
 def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
-    curve = make_query(rate=AXIS, p1=p1, p2=p2, noise=1.0, theta=theta)
-    points = [make_query(rate=r, p1=p1, p2=p2, noise=1.0, theta=theta) for r in AXIS]
-    if p1 == p2:  # l2 - l1*P = 0 for the whole curve and at every point
-        with pytest.raises(DegenerateDenominator):
-            outage_closed_form(curve)
-        for q in points:
-            with pytest.raises(DegenerateDenominator):
-                outage_closed_form(q)
+    # one theta along the rate axis; the closed form fails for the whole
+    # curve (l2 - l1*P = 0) or leaves [0, 1] at some rates
+    curve = make_query(rates=AXIS, p1=p1, p2=p2, noise=1.0, thetas=(theta,))
+    _, _, closed = _assert_grid_equals_points(CLOSED_FORM, curve)
+    if p1 == p2:
+        assert (closed == _DEGENERATE).all()
     else:
-        closed = outage_closed_form(curve)
-        assert isinstance(closed, OutageCurve)
-        assert list(closed) == [outage_closed_form(q) for q in points]
-        assert any(e.flag == "out-of-range" for e in closed)
-    quad = outage_quadrature(curve)
-    assert isinstance(quad, OutageCurve) and len(quad) == len(AXIS)
-    assert list(quad) == [outage_quadrature(q) for q in points]
-    mc = outage_monte_carlo(curve, 2000, seed=4)
-    assert list(mc) == [outage_monte_carlo(q, 2000, seed=4) for q in points]
+        assert _OUT_OF_RANGE in closed
+    for method in (QUADRATURE, MONTE_CARLO):
+        _, _, flag = _assert_grid_equals_points(method, curve)
+        assert (flag == _OK).all()
 
 
 def test_first_panel_matches_quadpack_first_step():
@@ -463,7 +531,7 @@ def test_first_panel_matches_quadpack_first_step():
 def _quadpack_reference(q, tol):
     a, b = q.weight1, q.weight2
     l1, l2 = q.marginals.lambda1, q.marginals.lambda2
-    th, gamma = q.theta.theta, q.gamma
+    ((th,), (gamma,)) = ([t.theta for t in q.thetas], q.gamma.tolist())
 
     def inner(d):
         c_star = (gamma - b * d) / a
@@ -481,10 +549,12 @@ def test_first_panel_acceptance_compares_against_resasc():
     # over [0, gamma/B] sees almost none of it.  QUADPACK rejects that panel
     # because its error estimate equals dqk21's resasc; testing against
     # resabs instead would accept a value near 3e-11.
-    q = make_query(rate=5.55, p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, theta=-1.0)
-    assert q.gamma / q.weight2 == pytest.approx(8776.0, rel=1e-3)
+    q = make_query(
+        rates=(5.55,), p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, thetas=(-1.0,)
+    )
+    assert q.gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
     reference = _quadpack_reference(q, 1e-10)
-    got = outage_quadrature(q, tol=1e-10).value
+    got = outage_quadrature(q, tol=1e-10).value.item()
     assert got == pytest.approx(1.0, abs=1e-9)
     assert got == min(max(reference, 0.0), 1.0)
 
@@ -499,27 +569,27 @@ def test_rejected_first_panel_takes_the_quadpack_path(monkeypatch):
 
     monkeypatch.setattr(integrate, "quad", spy)
     # At preset noise every rate is settled by the panel.
-    preset = make_query(rate=tuple(r / 10 for r in range(1, 31)), noise=1e-5, theta=0.5)
-    assert len(outage_quadrature(preset)) == 30
+    preset = make_query(rates=tuple(r / 10 for r in range(1, 31)), noise=1e-5, thetas=(0.5,))
+    assert outage_quadrature(preset).value.shape == (1, 30)
     assert calls == []
     # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled.
-    curve = make_query(rate=(0.05, 2.5), noise=1.0, theta=0.5)
-    small, large = outage_quadrature(curve)
+    curve = make_query(rates=(0.05, 2.5), noise=1.0, thetas=(0.5,))
+    ((small, large),) = outage_quadrature(curve).value.tolist()
     assert calls == [pytest.approx(31.0 / 5.0)]
-    point = make_query(rate=2.5, noise=1.0, theta=0.5)
-    assert large.value == _quadpack_reference(point, 1e-10)
-    reference = _quadpack_reference(make_query(rate=0.05, theta=0.5), 1e-10)
-    assert small.value == pytest.approx(reference, rel=1e-13)
+    point = make_query(rates=(2.5,), noise=1.0, thetas=(0.5,))
+    assert large == _quadpack_reference(point, 1e-10)
+    reference = _quadpack_reference(make_query(rates=(0.05,), thetas=(0.5,)), 1e-10)
+    assert small == pytest.approx(reference, rel=1e-13)
 
 
 @_stalls
 def test_nonconvergence_of_one_point_fails_the_curve():
     # The error estimate is met at R = 0.05 and missed at 7.8.
-    outage_quadrature(_stalled_query(rate=0.05), tol=1e-13)
+    outage_quadrature(_stalled_query(rates=(0.05,)), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(rate=7.8), tol=1e-13)
+        outage_quadrature(_stalled_query(rates=(7.8,)), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(rate=(0.05, 7.8)), tol=1e-13)
+        outage_quadrature(_stalled_query(rates=(0.05, 7.8)), tol=1e-13)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
@@ -536,13 +606,13 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
         return quad(f, lo, hi, **kwargs)
 
     monkeypatch.setattr(integrate, "quad", spy)
-    huge = make_query(rate=(10.0, 20.0, 40.0), noise=1.0, theta=theta)
-    got = outage_quadrature(huge).value.tolist()
+    huge = make_query(rates=(10.0, 20.0, 40.0), noise=1.0, thetas=(theta,))
+    (got,) = outage_quadrature(huge).value.tolist()
     expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in huge.gamma.tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx([1.0] * 3, abs=1e-10)
-    long_axis = make_query(rate=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, theta=theta)
-    got = outage_quadrature(long_axis).value.tolist()
+    long_axis = make_query(rates=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, thetas=(theta,))
+    (got,) = outage_quadrature(long_axis).value.tolist()
     expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in long_axis.gamma.tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert 0.3 < got[0] < got[-1] < 0.99
@@ -558,63 +628,46 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
 THETA_AXIS_RATES = (0.05, 0.75, 2.5, 3.0, 10.0)
 
 
-def _as_estimates(result):
-    """A curve as its per-rate estimates; an estimate as itself."""
-    return list(result) if isinstance(result, OutageCurve) else result
-
-
-@pytest.mark.parametrize("rate", [THETA_AXIS_RATES, 0.75], ids=["rate-tuple", "float-rate"])
-def test_theta_tuple_query_equals_one_theta_queries(rate):
-    thetas = tuple(DependenceParameter(t) for t in (-1.0, 0.0, 1.0, 0.0))  # 0 repeated
-    grid = replace(make_query(rate=rate, noise=1.0), theta=thetas)
-    assert grid.thetas == thetas
-    one_theta = [replace(grid, theta=t) for t in thetas]
-    assert [q.thetas for q in one_theta] == [(t,) for t in thetas]
-    for evaluate in (outage_closed_form, outage_quadrature, lambda q: outage_monte_carlo(q, 2000, 4)):
-        got = evaluate(grid)
-        # one curve with a theta axis first, then a rate axis for a rate tuple
-        assert isinstance(got, OutageCurve) and len(got) == len(thetas)
-        assert got.value.shape == (len(thetas),) + ((len(rate),) if isinstance(rate, tuple) else ())
-        expected = [evaluate(q) for q in one_theta]
-        assert [type(e) for e in got] == [type(e) for e in expected]
-        assert [_as_estimates(e) for e in got] == [_as_estimates(e) for e in expected]
-        # a one-theta tuple is the length-1 case of the same evaluation
-        assert [_as_estimates(e) for e in evaluate(replace(grid, theta=thetas[1:2]))] == [
-            _as_estimates(expected[1])
-        ]
+@pytest.mark.parametrize("rates", [THETA_AXIS_RATES, (0.75,)], ids=["rate-tuple", "float-rate"])
+def test_theta_tuple_query_equals_one_theta_queries(rates):
+    # each theta row of the grid equals the one-theta query along the same
+    # rates ("float-rate": a single rate)
+    grid = make_query(rates=rates, noise=1.0, thetas=(-1.0, 0.0, 1.0, 0.0))  # 0 repeated
+    for method in METHODS:
+        got = _evaluate(method, grid)
+        assert got[0].shape == (4, len(rates))
+        for t_i, theta in enumerate(grid.thetas):
+            expected = _evaluate(method, replace(grid, thetas=(theta,)))
+            assert [a[t_i].tobytes() for a in got] == [a[0].tobytes() for a in expected]
 
 
 @_stalls
 def test_nonconvergence_of_one_theta_fails_the_theta_tuple():
     # At R = 7.8, theta = 0.5 converges and theta = -1 does not.
-    point = _stalled_query(rate=(0.05, 7.8))
-    outage_quadrature(replace(point, theta=(DependenceParameter(0.5),)), tol=1e-13)
-    both = replace(point, theta=(DependenceParameter(0.5), DependenceParameter(-1.0)))
+    outage_quadrature(_stalled_query(rates=(0.05, 7.8), thetas=(0.5,)), tol=1e-13)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(both, tol=1e-13)
+        outage_quadrature(_stalled_query(rates=(0.05, 7.8), thetas=(0.5, -1.0)), tol=1e-13)
 
 
 @_stalls
-@pytest.mark.parametrize("rate", [(0.05, 7.8), 7.8], ids=["rate-tuple", "float-rate"])
-def test_nonconvergence_marks_the_failing_points(rate):
+@pytest.mark.parametrize("rates", [(0.05, 7.8), (7.8,)], ids=["rate-tuple", "float-rate"])
+def test_nonconvergence_marks_the_failing_points(rates):
     # Every point is evaluated before the raise; the exception holds the
     # (theta, rate) grid of values and marks the points that failed, which
-    # are exactly those whose one-point query raises.
-    thetas = (DependenceParameter(0.5), DependenceParameter(-1.0))
-    grid = replace(_stalled_query(rate=rate), theta=thetas)
+    # are exactly those whose 1x1 query raises.
+    grid = _stalled_query(rates=rates, thetas=(0.5, -1.0))
     with pytest.raises(QuadratureNonConvergence, match="theta=-1.0") as info:
         outage_quadrature(grid, tol=1e-13)
     exc = info.value
-    rates = grid.rates
-    assert exc.value.shape == exc.failed.shape == (len(thetas), len(rates))
-    for t_i, theta in enumerate(thetas):
+    assert exc.value.shape == exc.failed.shape == (len(grid.thetas), len(rates))
+    for t_i, theta in enumerate(grid.thetas):
         for r_i, r in enumerate(rates):
-            point = replace(grid, rate_threshold=r, theta=theta)
+            point = replace(grid, rates=(r,), thetas=(theta,))
             if exc.failed[t_i, r_i]:
                 with pytest.raises(QuadratureNonConvergence):
                     outage_quadrature(point, tol=1e-13)
             else:
-                assert exc.value[t_i, r_i] == outage_quadrature(point, tol=1e-13).value
+                assert exc.value[t_i, r_i] == outage_quadrature(point, tol=1e-13).value.item()
     assert exc.failed[1, -1] and not exc.failed[0].any()
 
 
@@ -637,10 +690,11 @@ def test_quadrature_resolves_the_g1_drop_below_the_upper_limit(
     # about A/(lambda1*B) just below g2 = gamma/B.  One 21-node panel over
     # [0, gamma/B] stepped over that drop and was accepted, off by
     # ``parent_error``; splitting where the g1 range is 40/lambda1 fixes it.
-    q = make_query(rate=rate, p1=a, p2=b, lam1=lam1, lam2=lam2, theta=theta)
-    assert lam1 * q.gamma / a > 40.0
-    exact = fgm_outage(lam1, lam2, a, b, q.gamma, theta)
-    assert outage_quadrature(q).value == pytest.approx(exact, abs=1e-10)
+    q = make_query(rates=(rate,), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,))
+    gamma = q.gamma.item()
+    assert lam1 * gamma / a > 40.0
+    exact = fgm_outage(lam1, lam2, a, b, gamma, theta)
+    assert outage_quadrature(q).value.item() == pytest.approx(exact, abs=1e-10)
     assert parent_error > 10 * 1e-10
 
 
@@ -660,8 +714,8 @@ def test_quadrature_scan_against_the_four_term_oracle():
         gammas = (np.exp(rng.uniform(math.log(4.0), math.log(15.0), 2)) * b / lam2).tolist()
         rates = tuple(0.5 * math.log2(g + 1.0) for g in gammas)
         q = OutageQuery(rates, PowerBudget(0.0, a, b, 1.0), FadingMarginals(lam1, lam2), thetas)
-        for theta, curve in zip(thetas, outage_quadrature(q, tol=tol)):
-            for g, value in zip(q.gamma.tolist(), curve.value.tolist()):
+        for theta, row in zip(thetas, outage_quadrature(q, tol=tol).value.tolist()):
+            for g, value in zip(q.gamma.tolist(), row):
                 worst = max(worst, abs(value - fgm_outage(lam1, lam2, a, b, g, theta.theta)))
                 drops += lam1 * g / a > 40.0
     assert worst <= 10 * tol

@@ -124,6 +124,13 @@ def test_wireless_erased_first_link():
     assert b.b12 == b.b2
 
 
+def test_wireless_bounds_reject_overflow():
+    # g2*(p2 - p0) overflows to inf; at p0 = 0 the common term is 0*inf = nan
+    for p0 in (0.0, 0.5):
+        with pytest.raises(ValueError, match="gains g1=1e\\+308, g2=1e\\+308"):
+            wireless_region_bounds(PowerBudget(p0, 1.0, 5.0, 1.0), GainPair(1e308, 1e308))
+
+
 def test_wireless_cross_term_example():
     # g1=4, g2=1, p0=1, p1=p2=2, noise=1: b012 = 1/2 log2(1 + (8+2+4)/1)
     b = wireless_region_bounds(PowerBudget(1.0, 2.0, 2.0, 1.0), GainPair(4.0, 1.0))

@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
@@ -27,7 +28,6 @@ from swmac.outage import (
     QuadratureNonConvergence,
     outage_closed_form,
     outage_monte_carlo,
-    outage_monte_carlo_grid,
     outage_quadrature,
 )
 from swmac.streams import BLOCK_SIZE, derive_seed
@@ -35,11 +35,11 @@ from swmac.sweep import (
     FLAG_DEGENERATE,
     FLAG_NONCONVERGENCE,
     FLAG_OK,
+    FLAG_OUT_OF_RANGE,
+    FLAGS,
     SWEEP_HEADER,
     ComparisonReport,
-    SweepRow,
     SweepTable,
-    _none_if_nan,
     _pool_size,
     compare_methods,
     emit_comparison_csv,
@@ -51,6 +51,11 @@ from swmac.sweep import (
 )
 
 from oracles import closed_form_residual
+
+#: Flag codes as a table stores them: positions in FLAGS.
+OK, OUT_OF_RANGE, DEGENERATE, NONCONVERGENCE = (
+    FLAGS.index(f) for f in (FLAG_OK, FLAG_OUT_OF_RANGE, FLAG_DEGENERATE, FLAG_NONCONVERGENCE)
+)
 
 
 def small_config(**overrides):
@@ -66,6 +71,16 @@ def small_config(**overrides):
     return ExperimentConfig(**defaults)
 
 
+def _none_if_nan(x):
+    return None if math.isnan(x) else x
+
+
+def _same_table(a, b):
+    """Whether two tables hold the same axes and the same bits in every array."""
+    arrays = ((a.op, b.op), (a.std_err, b.std_err), (a.flag, b.flag))
+    return a.axes == b.axes and all(x.tobytes() == y.tobytes() for x, y in arrays)
+
+
 # ---------------------------------------------------------------------------
 # run_outage_sweep
 # ---------------------------------------------------------------------------
@@ -78,14 +93,13 @@ def test_single_rate_row_count():
 
 
 def test_rows_in_lexicographic_order():
+    # rows are the (budget, theta, rate, method) grid in row-major order:
+    # budgets, thetas and methods in config order, rates ascending
     cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0)))
-    rows = run_outage_sweep(cfg)
-    keys = [
-        (r.budget_id, cfg.thetas.index(DependenceParameter(r.theta)), r.rate, cfg.methods.index(r.method))
-        for r in rows
-    ]
-    assert keys == sorted(keys)
-    assert len(rows) == 2 * 3 * 3 * 3
+    table = run_outage_sweep(cfg)
+    assert table.axes == ((0, 1), (-1.0, 0.0, 1.0), (0.25, 0.5, 0.75), cfg.methods)
+    assert table.op.shape == table.std_err.shape == table.flag.shape == (2, 3, 3, 3)
+    assert len(table) == 2 * 3 * 3 * 3
 
 
 def test_sweep_rejects_budget_without_strict_common_power_margin():
@@ -100,22 +114,24 @@ def test_monte_carlo_rows_use_per_row_substreams():
     # itself, not on which other methods run in the same sweep.
     all_methods = run_outage_sweep(small_config())
     mc_only = run_outage_sweep(small_config(methods=("monte-carlo",)))
-    mc_from_full = [r for r in all_methods if r.method == "monte-carlo"]
-    assert [(r.op, r.std_err) for r in mc_from_full] == [(r.op, r.std_err) for r in mc_only]
+    m_i = all_methods.axes[3].index("monte-carlo")
+    for column in ("op", "std_err"):
+        full, alone = getattr(all_methods, column), getattr(mc_only, column)
+        assert full[..., m_i].tobytes() == alone[..., 0].tobytes()
 
 
 def test_parallel_sweep_matches_serial():
     cfg = small_config()
     serial = run_outage_sweep(cfg, workers=1)
     parallel = run_outage_sweep(cfg, workers=3)
-    assert serial == parallel
+    assert _same_table(serial, parallel)
     with pytest.raises(ValueError):
         run_outage_sweep(cfg, workers=-1)
 
 
-def test_monte_carlo_rows_equal_per_query_estimates():
+def test_monte_carlo_rows_equal_1x1_estimates():
     # One draw set per theta, keyed by (seed, theta index), scores every
-    # budget and rate; each row equals the per-query estimate on that key.
+    # budget and rate; each row equals the 1x1 estimate on that key.
     # n = 150,000 is three chunks, the last one partial.
     n = 150_000
     cfg = small_config(
@@ -123,20 +139,30 @@ def test_monte_carlo_rows_equal_per_query_estimates():
         methods=("quadrature", "monte-carlo"),
         mc_samples=n,
     )
-    rows = [r for r in run_outage_sweep(cfg) if r.method == "monte-carlo"]
-    assert len(rows) == 2 * 3 * 3
-    for row in rows:
-        t_i = cfg.thetas.index(DependenceParameter(row.theta))
-        query = OutageQuery(row.rate, cfg.budgets[row.budget_id], cfg.marginals, cfg.thetas[t_i])
-        est = outage_monte_carlo(query, n, derive_seed(cfg.seed, t_i))
-        assert (row.op, row.std_err, row.flag) == (est.value, est.std_error, FLAG_OK)
+    table = run_outage_sweep(cfg)
+    op, std_err, flag = (a[..., 1] for a in (table.op, table.std_err, table.flag))
+    assert op.shape == (2, 3, 3)
+    for b_i, t_i, r_i in np.ndindex(op.shape):
+        est = outage_monte_carlo(
+            cfg.thetas[t_i],
+            cfg.marginals,
+            (cfg.budgets[b_i],),
+            (table.axes[2][r_i],),
+            n,
+            derive_seed(cfg.seed, t_i),
+        )
+        assert (op[b_i, t_i, r_i], std_err[b_i, t_i, r_i], flag[b_i, t_i, r_i]) == (
+            est.value.item(),
+            est.std_error.item(),
+            OK,
+        )
 
 
 @pytest.mark.parametrize("workers", [2, 5])
 def test_parallel_theta_blocks_match_serial(workers):
     # 5 workers exceeds the 3 thetas; the pool is clamped, rows unchanged.
     cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0)))
-    assert run_outage_sweep(cfg, workers=workers) == run_outage_sweep(cfg, workers=1)
+    assert _same_table(run_outage_sweep(cfg, workers=workers), run_outage_sweep(cfg, workers=1))
 
 
 @pytest.mark.parametrize(
@@ -160,28 +186,45 @@ def test_pool_size_rejects_negative_workers():
         _pool_size(-1, 5, 2)
 
 
+def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # 8 host CPUs, but an affinity mask of one: --workers 0 runs serially.
+    # Where the platform has no affinity mask, the host count is used.
+    import swmac.sweep as sweep_module
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    cfg = small_config(mc_samples=1000)
+    serial = run_outage_sweep(cfg, workers=1)
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+
+
 def test_degenerate_closed_form_rows_are_annotated_not_fatal():
     cfg = small_config(
         budgets=(PowerBudget(0.0, 1.0, 1.0, 1.0),),  # P = 1
         marginals=FadingMarginals(1.0, 1.0),  # l2 - l1*P = 0
     )
-    rows = run_outage_sweep(cfg)
-    for row in rows:
-        if row.method == "closed-form":
-            assert row.flag == FLAG_DEGENERATE
-            assert row.op is None and row.std_err is None
-        else:
-            assert row.flag == FLAG_OK
-            assert 0.0 <= row.op <= 1.0
+    table = run_outage_sweep(cfg)
+    cf = cfg.methods.index("closed-form")
+    assert (table.flag[..., cf] == DEGENERATE).all()
+    assert np.isnan(table.op[..., cf]).all() and np.isnan(table.std_err[..., cf]).all()
+    others = np.delete(np.arange(len(cfg.methods)), cf)
+    assert (table.flag[..., others] == OK).all()
+    assert ((table.op[..., others] >= 0.0) & (table.op[..., others] <= 1.0)).all()
 
 
 def test_out_of_range_closed_form_rows_keep_value():
     # fig2-style budget: P = 5 exceeds l2/l1, the closed form leaves [0, 1].
     cfg = small_config(methods=("closed-form",), marginals=FadingMarginals(1.0, 1.0))
-    rows = run_outage_sweep(cfg)
-    assert any(r.flag == "out-of-range" for r in rows)
-    for r in rows:
-        assert r.op is not None
+    table = run_outage_sweep(cfg)
+    assert (table.flag == OUT_OF_RANGE).any()
+    assert not np.isnan(table.op).any()
 
 
 def _fail_quadrature_at(monkeypatch, points):
@@ -197,10 +240,10 @@ def _fail_quadrature_at(monkeypatch, points):
     def quadrature(query, tol):
         failed = np.array([[(t.theta, r) in points for r in query.rates] for t in query.thetas])
         if failed.any():
-            grid = replace(query, theta=query.thetas, rate_threshold=query.rates)
-            value = evaluate(grid, tol=tol).value
             raise QuadratureNonConvergence(
-                f"error estimate stalls at one of {sorted(points)}", value, failed
+                f"error estimate stalls at one of {sorted(points)}",
+                evaluate(query, tol=tol).value,
+                failed,
             )
         return evaluate(query, tol=tol)
 
@@ -230,27 +273,31 @@ def _flagged_config(**overrides):
     )
 
 
+def _point_query(cfg, table, b_i, t_i, r_i):
+    """The 1x1 query at one (budget, theta, rate) point of a sweep."""
+    return OutageQuery((table.axes[2][r_i],), cfg.budgets[b_i], cfg.marginals, (cfg.thetas[t_i],))
+
+
 def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
     import swmac.sweep as sweep_module
 
     _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _flagged_config(methods=("quadrature",))
-    rows = run_outage_sweep(cfg)
-    flags = {r.flag for r in rows}
-    assert flags == {FLAG_OK, FLAG_NONCONVERGENCE}
-    for row in rows:
-        theta = DependenceParameter(row.theta)
-        query = OutageQuery(row.rate, cfg.budgets[row.budget_id], cfg.marginals, theta)
-        if row.flag == FLAG_OK:
-            assert row.op == sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value
+    table = run_outage_sweep(cfg)
+    op, std_err, flag = (a[..., 0] for a in (table.op, table.std_err, table.flag))
+    assert set(np.unique(flag).tolist()) == {OK, NONCONVERGENCE}
+    for index in np.ndindex(op.shape):
+        query = _point_query(cfg, table, *index)
+        if flag[index] == OK:
+            assert op[index] == sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value.item()
         else:
-            assert row.op is None and row.std_err is None
+            assert math.isnan(op[index]) and math.isnan(std_err[index])
             with pytest.raises(QuadratureNonConvergence):
                 sweep_module.outage_quadrature(query, tol=cfg.quad_tol)
 
 
 def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch):
-    from swmac.sweep import _NONCONVERGENCE, _OK, _analytic_column
+    from swmac.sweep import _analytic_column
 
     # R = 1.55 fails for theta = -1 and 0.5 but not for 0; every other
     # (theta, rate) converges.
@@ -259,14 +306,14 @@ def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch
     rates = (0.05, 1.3, 1.55, 1.8)
     query = OutageQuery(rates, PowerBudget(0.0, 1.0, 5.0, 1.0), FadingMarginals(1.0, 1.0), thetas)
     values, flags = _analytic_column(query, "quadrature", 1e-13)
-    expected = np.full((3, 4), _OK)
-    expected[[0, 2], 2] = _NONCONVERGENCE
+    expected = np.full((3, 4), OK)
+    expected[[0, 2], 2] = NONCONVERGENCE
     assert flags.tolist() == expected.tolist()
     for t_i, theta in enumerate(thetas):
         for r_i, rate in enumerate(rates):
-            point = OutageQuery(rate, query.budget, query.marginals, theta)
-            if flags[t_i, r_i] == _OK:
-                assert values[t_i, r_i] == outage_quadrature(point, tol=1e-13).value
+            point = OutageQuery((rate,), query.budget, query.marginals, (theta,))
+            if flags[t_i, r_i] == OK:
+                assert values[t_i, r_i] == outage_quadrature(point, tol=1e-13).value.item()
             else:
                 assert math.isnan(values[t_i, r_i])
 
@@ -275,16 +322,11 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monk
     _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _flagged_config()
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    rows = run_outage_sweep(cfg, workers=1)
-    emit_csv(rows, serial)
+    table = run_outage_sweep(cfg, workers=1)
+    emit_csv(table, serial)
     emit_csv(run_outage_sweep(cfg, workers=2), parallel)
     assert serial.read_bytes() == parallel.read_bytes()
-    assert {r.flag for r in rows} == {
-        FLAG_OK,
-        FLAG_DEGENERATE,
-        FLAG_NONCONVERGENCE,
-        "out-of-range",
-    }
+    assert set(np.unique(table.flag).tolist()) == {OK, DEGENERATE, NONCONVERGENCE, OUT_OF_RANGE}
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
@@ -292,7 +334,7 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     # The budget and marginals of test_outage's ``_stalled_query``, with no
     # injected failure: QUADPACK's error estimate stalls above tol 1e-13 at
     # some of these (theta, rate) points.  One quadrature call per budget
-    # flags exactly the points whose one-point query raises.
+    # flags exactly the points whose 1x1 query raises.
     import swmac.sweep as sweep_module
 
     calls = []
@@ -313,18 +355,15 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     )
     table = run_outage_sweep(cfg)
     assert len(calls) == 1
-    flagged = 0
-    for row in table:
-        theta = DependenceParameter(row.theta)
-        point = OutageQuery(row.rate, cfg.budgets[0], cfg.marginals, theta)
+    op, flag = table.op[..., 0], table.flag[..., 0]
+    for index in np.ndindex(op.shape):
         try:
-            expected = outage_quadrature(point, tol=cfg.quad_tol).value
+            expected = outage_quadrature(_point_query(cfg, table, *index), tol=cfg.quad_tol)
         except QuadratureNonConvergence:
-            assert row.flag == FLAG_NONCONVERGENCE and row.op is None
-            flagged += 1
+            assert flag[index] == NONCONVERGENCE and math.isnan(op[index])
         else:
-            assert row.flag == FLAG_OK and row.op == expected
-    assert 0 < flagged < len(table)
+            assert flag[index] == OK and op[index] == expected.value.item()
+    assert 0 < (flag == NONCONVERGENCE).sum() < len(table)
 
 
 def _three_theta_flagged_config():
@@ -336,55 +375,55 @@ def _three_theta_flagged_config():
     )
 
 
-def _per_query_row(cfg, b_i, t_i, rate, method):
-    """The sweep row at one point, from the per-query evaluator."""
+def _expected_block(cfg, b_i, method):
+    """(op, std_err, flag) arrays over one budget's (theta, rate) block of
+    ``method``, from one grid call of its evaluator (one per theta for Monte
+    Carlo, seeded by the theta index)."""
     import swmac.sweep as sweep_module
 
-    theta = cfg.thetas[t_i]
-    query = OutageQuery(rate, cfg.budgets[b_i], cfg.marginals, theta)
-    row = SweepRow(b_i, theta.theta, rate, method, None, None, FLAG_OK)
+    budget, rates = cfg.budgets[b_i], cfg.rate_grid.values()
+    shape = (len(cfg.thetas), len(rates))
+    std_err, flag = np.full(shape, np.nan), np.full(shape, OK)
     try:
         if method == "closed-form":
-            est = outage_closed_form(query)
+            curve = outage_closed_form(OutageQuery(rates, budget, cfg.marginals, cfg.thetas))
+            op, flag = curve.value, np.where(curve.out_of_range, OUT_OF_RANGE, OK)
         elif method == "quadrature":
-            est = sweep_module.outage_quadrature(query, tol=cfg.quad_tol)
+            query = OutageQuery(rates, budget, cfg.marginals, cfg.thetas)
+            op = sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value
         else:
-            est = outage_monte_carlo(query, cfg.mc_samples, derive_seed(cfg.seed, t_i))
+            curves = [
+                outage_monte_carlo(
+                    theta, cfg.marginals, (budget,), rates, cfg.mc_samples, derive_seed(cfg.seed, t_i)
+                )
+                for t_i, theta in enumerate(cfg.thetas)
+            ]
+            op = np.concatenate([c.value for c in curves])
+            std_err = np.concatenate([c.std_error for c in curves])
     except DegenerateDenominator:
-        return replace(row, flag=FLAG_DEGENERATE)
-    except QuadratureNonConvergence:
-        return replace(row, flag=FLAG_NONCONVERGENCE)
-    return replace(row, op=est.value, std_err=est.std_error, flag=est.flag or FLAG_OK)
+        op, flag = np.full(shape, np.nan), np.full(shape, DEGENERATE)
+    except QuadratureNonConvergence as exc:
+        op = np.where(exc.failed, np.nan, exc.value)
+        flag = np.where(exc.failed, NONCONVERGENCE, OK)
+    return op, std_err, flag
 
 
-def test_sweep_table_rows_equal_per_query_results(monkeypatch):
+def test_sweep_table_blocks_equal_grid_results(monkeypatch):
+    # Each (budget, method) block of the table holds its evaluator's grid
+    # answer; test_outage checks that every grid entry equals its 1x1 query.
     _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _three_theta_flagged_config()
     table = run_outage_sweep(cfg)
     assert isinstance(table, SweepTable)
     rates = cfg.rate_grid.values()
-    expected = [
-        _per_query_row(cfg, b_i, t_i, rate, method)
-        for b_i in range(len(cfg.budgets))
-        for t_i in range(len(cfg.thetas))
-        for rate in rates
-        for method in cfg.methods
-    ]
-    assert len(table) == len(expected) == 2 * 3 * len(rates) * 3
-    assert list(table) == expected
-    assert {row.flag for row in table} == {
-        FLAG_OK,
-        FLAG_DEGENERATE,
-        FLAG_NONCONVERGENCE,
-        "out-of-range",
-    }
-    # indexing builds the same rows as iteration
-    assert [table[i] for i in range(len(table))] == expected
-    assert table[-1] == expected[-1]
-    assert table[5:11] == expected[5:11]
-    assert table[::97] == expected[::97]
-    with pytest.raises(IndexError):
-        table[len(table)]
+    assert table.axes == ((0, 1), (-1.0, 0.5, 1.0), rates, cfg.methods)
+    assert len(table) == 2 * 3 * len(rates) * 3
+    for b_i, (m_i, method) in product(range(len(cfg.budgets)), enumerate(cfg.methods)):
+        op, std_err, flag = _expected_block(cfg, b_i, method)
+        assert table.op[b_i, ..., m_i].tobytes() == op.tobytes()
+        assert table.std_err[b_i, ..., m_i].tobytes() == std_err.tobytes()
+        assert table.flag[b_i, ..., m_i].tolist() == flag.tolist()
+    assert {FLAGS[c] for c in np.unique(table.flag).tolist()} == set(FLAGS)
 
 
 def test_three_theta_flagged_csv_independent_of_workers_and_row_source(tmp_path, monkeypatch):
@@ -404,16 +443,21 @@ def test_three_theta_flagged_csv_independent_of_workers_and_row_source(tmp_path,
     lines = [SWEEP_HEADER] + [
         ",".join(
             (
-                str(r.budget_id),
-                format_value(r.theta),
-                format_value(r.rate),
-                r.method,
-                format_value(r.op),
-                format_value(r.std_err),
-                r.flag,
+                str(budget_id),
+                format_value(theta),
+                format_value(rate),
+                method,
+                format_value(_none_if_nan(op)),
+                format_value(_none_if_nan(std_err)),
+                FLAGS[flag],
             )
         )
-        for r in table
+        for (budget_id, theta, rate, method), op, std_err, flag in zip(
+            product(*table.axes),
+            table.op.ravel().tolist(),
+            table.std_err.ravel().tolist(),
+            table.flag.ravel().tolist(),
+        )
     ]
     assert serial.read_text() == "\n".join(lines) + "\n"
 
@@ -425,7 +469,8 @@ def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
     # outage.quadrature_us_p50/_p99/_calls (outage.outage_quadrature),
     # config.rate_values_us (config.RateGrid.values), all on analytic-grid,
     # and streams.substream_us (streams.substream) on mc-sweep; the Monte
-    # Carlo rows come from outage.outage_monte_carlo_grid.  A sweep that
+    # Carlo rows come from outage.outage_monte_carlo (outage.monte_carlo_ns
+    # and outage.count_ns_derived on mc-sweep).  A sweep that
     # stops calling one of them must fail here, not in the benchmark.
     import swmac.copula as copula_module
     import swmac.sweep as sweep_module
@@ -443,14 +488,14 @@ def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
 
     spy(sweep_module, "outage_closed_form")
     spy(sweep_module, "outage_quadrature")
-    spy(sweep_module, "outage_monte_carlo_grid")
+    spy(sweep_module, "outage_monte_carlo")
     spy(RateGrid, "values")
     spy(copula_module, "substream")
     run_outage_sweep(small_config(mc_samples=1000))
     assert set(calls) == {
         "outage_closed_form",
         "outage_quadrature",
-        "outage_monte_carlo_grid",
+        "outage_monte_carlo",
         "values",
         "substream",
     }
@@ -502,16 +547,13 @@ def test_emit_csv_deterministic_and_parseable(tmp_path):
 
 
 def test_emit_csv_formats_12_significant_digits(tmp_path):
-    from swmac.sweep import _OK
-
     one = (1, 1, 1, 1)
     table = SweepTable(
         ((0,), (-0.5,), (0.30000000000000004,), ("quadrature",)),
         np.full(one, 1.0 / 3.0),
         np.full(one, np.nan),
-        np.full(one, _OK),
+        np.full(one, OK),
     )
-    assert list(table) == [SweepRow(0, -0.5, 0.30000000000000004, "quadrature", 1.0 / 3.0, None, FLAG_OK)]
     path = tmp_path / "fmt.csv"
     emit_csv(table, path)
     line = path.read_text().splitlines()[1]
@@ -538,27 +580,16 @@ def test_fig2_quadrature_trends_small_slice():
         marginals=cfg.marginals,
         methods=("quadrature",),
     )
-    rows = run_outage_sweep(cfg)
-    by_curve = {}
-    for r in rows:
-        by_curve.setdefault((r.budget_id, r.theta), []).append((r.rate, r.op))
+    table = run_outage_sweep(cfg)
+    _, thetas, rates, _ = table.axes
+    assert list(thetas) == sorted(thetas) and list(rates) == sorted(rates)
+    op = table.op[..., 0]  # (budget, theta, rate)
     # OP nondecreasing in rate along each curve
-    for curve in by_curve.values():
-        ops = [op for _, op in sorted(curve)]
-        assert all(a <= b for a, b in zip(ops, ops[1:]))
+    assert (np.diff(op, axis=2) >= 0.0).all()
     # negative dependence outperforms positive at every rate
-    by_point = {}
-    for r in rows:
-        by_point.setdefault((r.budget_id, r.rate), []).append((r.theta, r.op))
-    for values in by_point.values():
-        ops = [op for _, op in sorted(values)]
-        assert all(a <= b for a, b in zip(ops, ops[1:]))
+    assert (np.diff(op, axis=1) >= 0.0).all()
     # larger p2 lowers the curve pointwise
-    for theta in {r.theta for r in rows}:
-        for rate in {r.rate for r in rows}:
-            p5 = next(r.op for r in rows if r.budget_id == 0 and r.theta == theta and r.rate == rate)
-            p10 = next(r.op for r in rows if r.budget_id == 1 and r.theta == theta and r.rate == rate)
-            assert p10 <= p5
+    assert (op[1] <= op[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -610,24 +641,37 @@ def test_compare_keeps_every_point_of_a_duplicated_theta():
     # The sweep draws MC rows per theta index, so the two theta = 0.5 blocks
     # carry different MC values; each point must be built from its own rows.
     cfg = small_config(thetas=(DependenceParameter(0.5), DependenceParameter(0.5)))
-    rows = run_outage_sweep(cfg)
+    sweep_points = _sweep_points(run_outage_sweep(cfg))
     report = compare_methods(cfg)
-    k = len(cfg.methods)
     points = _report_points(report)
-    assert len(report) == len(points) == len(rows) // k == 6
-    for i, point in enumerate(points):
-        ops = {row.method: row.op for row in rows[i * k : (i + 1) * k]}
-        assert (point.budget_id, point.theta, point.rate) == (
-            rows[i * k].budget_id,
-            rows[i * k].theta,
-            rows[i * k].rate,
-        )
+    assert len(report) == len(points) == len(sweep_points) == 6
+    for point, (key, rows) in zip(points, sweep_points):
+        ops = {method: op for method, (op, _, _) in rows.items()}
+        assert (point.budget_id, point.theta, point.rate) == key
         assert point.diffs == tuple(
             ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
             for a, b in report.pairs
         )
     mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in points]
     assert mc[:3] != mc[3:]
+
+
+def _sweep_points(table):
+    """The table read back one (budget, theta, rate) point at a time: its
+    key and, per method in config order, (op, std_err, flag) with None for
+    NaN."""
+    methods = table.axes[3]
+    columns = (a.reshape(-1, len(methods)).tolist() for a in (table.op, table.std_err, table.flag))
+    return [
+        (
+            key,
+            {
+                method: (_none_if_nan(op), _none_if_nan(std_err), FLAGS[flag])
+                for method, op, std_err, flag in zip(methods, *row)
+            },
+        )
+        for key, row in zip(product(*table.axes[:3]), zip(*columns))
+    ]
 
 
 #: One comparison point, None where the report holds NaN.
@@ -654,14 +698,12 @@ def _report_points(report):
     ]
 
 
-def _row_by_row_comparison(cfg, rows):
-    """The comparison points built one sweep point at a time from plain rows."""
-    k = len(cfg.methods)
+def _row_by_row_comparison(cfg, table):
+    """The comparison points built one sweep point at a time."""
     points = []
-    for i in range(0, len(rows), k):
-        block = rows[i : i + k]
-        ops = {row.method: row.op for row in block}
-        flags = [f"{row.method}:{row.flag}" for row in block if row.flag != FLAG_OK]
+    for key, rows in _sweep_points(table):
+        ops = {method: op for method, (op, _, _) in rows.items()}
+        flags = [f"{method}:{flag}" for method, (_, _, flag) in rows.items() if flag != FLAG_OK]
         diffs = tuple(
             ops[a] - ops[b] if ops[a] is not None and ops[b] is not None else None
             for a, b in (("closed-form", "quadrature"), ("closed-form", "monte-carlo"), ("quadrature", "monte-carlo"))
@@ -669,7 +711,7 @@ def _row_by_row_comparison(cfg, rows):
         z = None
         if ops["quadrature"] is not None:
             diff = ops["quadrature"] - ops["monte-carlo"]
-            std_err = block[2].std_err
+            std_err = rows["monte-carlo"][1]
             z = diff / std_err if std_err > 0.0 else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
             if abs(z) > 3.29:
                 flags.append("large-z")
@@ -678,8 +720,7 @@ def _row_by_row_comparison(cfg, rows):
             deviation = ops["closed-form"] - ops["quadrature"]
             if abs(deviation) > 10.0 * cfg.quad_tol:
                 flags.append("closed-form-deviation")
-        row = block[0]
-        points.append(_Point(row.budget_id, row.theta, row.rate, diffs, z, deviation, tuple(flags)))
+        points.append(_Point(*key, diffs, z, deviation, tuple(flags)))
     return points
 
 
@@ -711,7 +752,7 @@ def test_compare_equals_row_by_row_reference(tmp_path, monkeypatch):
     cfg = _three_theta_flagged_config()
     assert cfg.methods == ("closed-form", "quadrature", "monte-carlo")
     report = compare_methods(cfg)
-    expected = _row_by_row_comparison(cfg, list(run_outage_sweep(cfg)))
+    expected = _row_by_row_comparison(cfg, run_outage_sweep(cfg))
     assert _report_points(report) == expected
     got, reference = tmp_path / "got.csv", tmp_path / "reference.csv"
     _csv_writer_comparison(expected, report.pairs, reference)
@@ -899,7 +940,7 @@ def _emit_samples_of(n, path):
 
 def _monte_carlo_grid_of(n, path):
     cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)))
-    outage_monte_carlo_grid(
+    outage_monte_carlo(
         cfg.thetas[0], cfg.marginals, cfg.budgets, cfg.rate_grid.values(), n, cfg.seed
     )
 
