@@ -19,8 +19,9 @@ keys::
 
 Lists are comma-separated.  Unknown or duplicate keys are parse errors;
 values violating a domain invariant are validation errors (among them a
-non-finite rate value, or a rate axis of more than ``MAX_RATE_POINTS``
-points).  The values shown above are the defaults, applied when a key is
+non-finite rate value, a rate axis of more than ``MAX_RATE_POINTS``
+points, or ``mc_samples`` above ``MAX_SAMPLES`` with monte-carlo
+selected).  The values shown above are the defaults, applied when a key is
 omitted.
 
 The ``fig2``/``fig3``/``fig4`` presets carry the power pairs of the
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_THETAS",
     "DEFAULT_RATE_GRID",
     "MAX_RATE_POINTS",
+    "MAX_SAMPLES",
 ]
 
 
@@ -73,6 +75,10 @@ class ValidationError(ConfigError):
 
 #: Largest number of points a rate axis may have.
 MAX_RATE_POINTS = 1_000_000
+
+#: Largest Monte Carlo sample count, and largest number of gain pairs
+#: ``swmac sample`` writes.
+MAX_SAMPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -149,9 +155,10 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown method {m!r}; expected one of {METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError(f"duplicate method in {self.methods}")
-        if "monte-carlo" in self.methods and self.mc_samples < 1000:
+        if "monte-carlo" in self.methods and not 1000 <= self.mc_samples <= MAX_SAMPLES:
             raise ValidationError(
-                f"mc_samples must be >= 1000 when monte-carlo is selected, got {self.mc_samples}"
+                f"mc_samples must be in [1000, MAX_SAMPLES = {MAX_SAMPLES}] when monte-carlo "
+                f"is selected, got {self.mc_samples}"
             )
         if not 0.0 < self.quad_tol <= 1e-2:
             raise ValidationError(f"quad_tol must be in (0, 1e-2], got {self.quad_tol}")

@@ -250,9 +250,42 @@ def sample_gain_pairs(
     Returns an (n, 2) array; marginal of column i is Exp(lambda_i) and the
     joint density is :func:`joint_gain_pdf`.
     """
-    g = sample_unit_pairs(theta, n, rng)
-    _exp_inverse_pairs(marginals.lambda1, marginals.lambda2, g)
-    return g
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _gain_pairs(theta, marginals, rng.random((n, 2)))
+
+
+def _gain_pairs(
+    theta: DependenceParameter, marginals: FadingMarginals, w: np.ndarray
+) -> np.ndarray:
+    """The steps of :func:`sample_gain_pairs` after the draw, conditional
+    inversion then exponential transform: the (m, 2) raw uniforms ``w``,
+    (u1, v) per row, become gain pairs in place."""
+    w[:, 1] = _invert_conditional(theta.theta, w[:, 0], w[:, 1])
+    _exp_inverse_pairs(marginals.lambda1, marginals.lambda2, w)
+    return w
+
+
+def _uniform_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
+    """The raw (u1, v) uniforms of ``n`` pairs, as (m, 2) blocks of at most
+    ``BLOCK_SIZE`` rows; ``n`` is checked on the call, before any draw.
+
+    The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
+    drawn from the independent substream ``(seed, k)``, in consecutive
+    blocks.  Philox hands out uniforms in order however a draw is split, so
+    the blocks of a chunk equal, bit for bit, the chunk drawn whole.  This
+    is the one place that addresses gain draws; :func:`iter_gain_pair_chunks`
+    and the Monte Carlo count both read it.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    chunks = ((k, substream(seed, k)) for k in range(-(-n // CHUNK_SIZE)))
+    # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
+    return (
+        rng.random((min(BLOCK_SIZE, n - start), 2))
+        for k, rng in chunks
+        for start in range(k * CHUNK_SIZE, min((k + 1) * CHUNK_SIZE, n), BLOCK_SIZE)
+    )
 
 
 def iter_gain_pair_chunks(
@@ -265,23 +298,16 @@ def iter_gain_pair_chunks(
     most ``BLOCK_SIZE`` pairs; ``n`` is checked on the call, before any
     pair is drawn.
 
-    The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
-    drawn from the independent substream ``(seed, k)``, so any assignment
-    of chunks to workers (or any traversal order) produces the same values
-    for the same logical sample index.  Each chunk is drawn from its one
-    generator in consecutive blocks, and since :func:`sample_unit_pairs`
-    consumes uniforms in order, the concatenated blocks equal, bit for bit,
-    the whole chunk drawn at once; only the working set is smaller.
+    Chunk ``k`` of ``CHUNK_SIZE`` pairs is drawn from the independent
+    substream ``(seed, k)`` (see :func:`_uniform_blocks`), so any
+    assignment of chunks to workers (or any traversal order) produces the
+    same values for the same logical sample index.  Each block is mapped
+    through the same conditional inversion and exponential transform as
+    :func:`sample_gain_pairs`, so the concatenated blocks of a chunk equal,
+    bit for bit, the whole chunk drawn at once; only the working set is
+    smaller.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    chunks = ((k, substream(seed, k)) for k in range(-(-n // CHUNK_SIZE)))
-    # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
-    return (
-        sample_gain_pairs(theta, marginals, min(BLOCK_SIZE, n - start), rng)
-        for k, rng in chunks
-        for start in range(k * CHUNK_SIZE, min((k + 1) * CHUNK_SIZE, n), BLOCK_SIZE)
-    )
+    return (_gain_pairs(theta, marginals, w) for w in _uniform_blocks(n, seed))
 
 
 def joint_gain_pdf(

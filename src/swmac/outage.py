@@ -41,8 +41,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .copula import DependenceParameter, FadingMarginals, iter_gain_pair_chunks
+from .copula import DependenceParameter, FadingMarginals, _gain_pairs, _uniform_blocks
 from .regions import PowerBudget
+from .streams import BLOCK_SIZE
 
 __all__ = [
     "CLOSED_FORM",
@@ -466,29 +467,63 @@ def outage_monte_carlo(
 
     The ``n`` gain pairs are drawn once from the per-chunk substreams of
     ``seed`` (see :func:`~swmac.copula.iter_gain_pair_chunks`), one block
-    of at most ``streams.BLOCK_SIZE`` pairs at a time.  For each block and
-    budget the weighted sums A*g1 + B*g2 are sorted once and counted at or
-    below every gamma by binary search, so ties count as outage; integer
-    counts summed over blocks do not depend on the block size.  Entry
+    of at most ``streams.BLOCK_SIZE`` pairs at a time.  Pairs that cannot
+    be in outage are dropped from each block on their raw uniforms (see
+    below).  The rest are inverted, transformed and counted in batches of
+    at most ``BLOCK_SIZE`` kept pairs: per batch and budget the weighted
+    sums A*g1 + B*g2 are sorted once and counted at or below every gamma by
+    binary search, so ties count as outage.  Each pair's gains are those
+    :func:`~swmac.copula.iter_gain_pair_chunks` yields, bit for bit, so
+    the integer counts do not depend on the cut or the batching.  Entry
     ``[i, j]`` equals the 1x1 grid at (``budgets[i]``, ``rates[j]``) with
-    the same (n, seed) exactly.  Entries share their
-    draws (common random numbers): they are correlated with one another,
-    and each count is still Binomial(n, p) on its own.
+    the same (n, seed) exactly.  Entries share their draws (common random
+    numbers): they are correlated with one another, and each count is
+    still Binomial(n, p) on its own.
+
+    **The cut.**  With reach = max_i gamma_max_i/A_i over the budgets, a
+    pair whose first gain lies beyond reach is in outage at no (budget,
+    rate): it has fl(A_i*g1) > gamma_max_i, and since rounding is monotone
+    and B_i*g2 >= 0, its sum fl(fl(A_i*g1) + fl(B_i*g2)) >= fl(A_i*g1) lies
+    above every gamma of budget i.  Dropping it changes no count.  The cut
+    is made on the raw uniform, before the conditional inversion: a pair is
+    dropped where u1 > -expm1(-2*lambda1*reach), that is g1 > 2*reach.  The
+    factor 2 absorbs the last-bit errors of expm1, log1p and the
+    divisions, so the argument does not depend on how libm rounds.  Where
+    that threshold rounds to 1, or reach is 0, no pair is dropped.
     """
     if n < 1000:
         raise ValueError(f"n must be >= 1000, got {n}")
     for budget in budgets:
         if not budget.p0 < min(budget.p1, budget.p2):
             raise ValueError(f"outage needs p0 < min(p1, p2) strictly, got {budget}")
-    gammas = np.array([gamma_threshold(rates, budget.noise) for budget in budgets])
-    counts = np.zeros(gammas.shape, dtype=np.int64)
-    for block in iter_gain_pair_chunks(theta, marginals, n, seed):
-        for i, budget in enumerate(budgets):
-            a, b = budget.p1 - budget.p0, budget.p2 - budget.p0
-            s = a * block[:, 0] + b * block[:, 1]
+    gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
+    weights = [(budget.p1 - budget.p0, budget.p2 - budget.p0) for budget in budgets]
+    reach = max(
+        (float(gamma.max(initial=0.0)) / a for gamma, (a, _) in zip(gammas, weights)),
+        default=0.0,
+    )
+    cut = -math.expm1(-2.0 * marginals.lambda1 * reach) if reach > 0.0 else 1.0
+    counts = np.zeros((len(budgets), len(rates)), dtype=np.int64)
+
+    def count(batch: list[np.ndarray]) -> None:
+        g = _gain_pairs(theta, marginals, batch[0] if len(batch) == 1 else np.concatenate(batch))
+        for i, (a, b) in enumerate(weights):
+            s = a * g[:, 0] + b * g[:, 1]
             s.sort()
             counts[i] += np.searchsorted(s, gammas[i], side="right")
+
+    # Kept rows of consecutive blocks are counted together, so a block that
+    # keeps a few rows does not pay the fixed cost of the numpy calls alone.
+    batch, held = [], 0
+    for w in _uniform_blocks(n, seed):
+        if cut < 1.0:
+            w = np.compress(w[:, 0] <= cut, w, axis=0)
+        if held + len(w) > BLOCK_SIZE:
+            count(batch)
+            batch, held = [], 0
+        batch.append(w)
+        held += len(w)
+    count(batch)
     p_hat = counts / n
     std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
     return OutageCurve(MONTE_CARLO, p_hat, np.zeros(p_hat.shape, dtype=bool), std_error, n)
-

@@ -24,7 +24,6 @@ one block writer emits both CSVs from those arrays.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress, islice, product
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, ValidationError
+from .config import MAX_SAMPLES, ExperimentConfig, ValidationError
 from .copula import DependenceParameter, GainPair, iter_gain_pair_chunks
 from .outage import (
     CLOSED_FORM,
@@ -198,6 +197,9 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         analytic()
         blocks = [_theta_block(config, t_i, rates) for t_i in mc_blocks]
     else:
+        # imported here, so that commands that start no pool do not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             futures = [pool.submit(_theta_block, config, t_i, rates) for t_i in mc_blocks]
             analytic()  # in the parent, while the pool draws
@@ -400,8 +402,11 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     Deterministic for a fixed config seed; values come from the same
     chunked substreams as the Monte Carlo evaluator.  Pairs are drawn,
     formatted and written one block of at most ``BLOCK_SIZE`` at a time, so
-    memory does not grow with ``n``.
+    memory does not grow with ``n``.  Raises ValueError, before drawing or
+    opening ``path``, if ``n`` exceeds ``MAX_SAMPLES``.
     """
+    if n > MAX_SAMPLES:
+        raise ValueError(f"sample count must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}")
     theta = DependenceParameter(theta_value)
     blocks = iter_gain_pair_chunks(theta, config.marginals, n, config.seed)  # checks n
     with open(path, "w", newline="") as fh:

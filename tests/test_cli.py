@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from swmac.cli import main
+from swmac.config import MAX_SAMPLES
 from swmac.outage import OutageEvaluationError
 
 CONFIG_TEXT = """
@@ -204,6 +205,17 @@ def test_exit_1_on_negative_sample_count_writes_no_file(config_file, tmp_path, c
     out = tmp_path / "samples.csv"
     assert main(["sample", "--config", config_file, "--samples", "-3", "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["outage", "compare", "sample"])
+def test_exit_1_on_samples_above_the_cap_writes_no_file(command, config_file, tmp_path, capsys):
+    # checked before any draw: at the cap's 1000x a sweep would run for days
+    out = tmp_path / "x.csv"
+    samples = str(1000 * MAX_SAMPLES)
+    assert main([command, "--config", config_file, "--samples", samples, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"MAX_SAMPLES = {MAX_SAMPLES}" in err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ from swmac import ExperimentConfig, ParseError, PowerBudget, ValidationError
 from swmac.config import (
     DEFAULT_RATE_GRID,
     MAX_RATE_POINTS,
+    MAX_SAMPLES,
     RateGrid,
     load_config,
     parse_config,
@@ -180,6 +181,17 @@ def test_experiment_config_validation():
         ExperimentConfig(budgets=(budget,), mc_samples=10)
     cfg = ExperimentConfig(budgets=(budget,), methods=("quadrature",), mc_samples=10)
     assert cfg.mc_samples == 10  # no Monte Carlo selected, small n is fine
+
+
+def test_mc_samples_are_capped_when_monte_carlo_is_selected():
+    budget = PowerBudget(0.0, 1.0, 1.0, 1.0)
+    assert ExperimentConfig(budgets=(budget,), mc_samples=MAX_SAMPLES).mc_samples == MAX_SAMPLES
+    with pytest.raises(ValidationError, match=f"MAX_SAMPLES = {MAX_SAMPLES}"):
+        ExperimentConfig(budgets=(budget,), mc_samples=MAX_SAMPLES + 1)
+    with pytest.raises(ValidationError, match="MAX_SAMPLES"):
+        parse_config(f"mc_samples = {10 * MAX_SAMPLES}\n" + MINIMAL)
+    cfg = ExperimentConfig(budgets=(budget,), methods=("quadrature",), mc_samples=MAX_SAMPLES + 1)
+    assert cfg.mc_samples == MAX_SAMPLES + 1  # no Monte Carlo selected, no cap
 
 
 def test_with_overrides():

@@ -360,6 +360,88 @@ def test_monte_carlo_grid_validation():
         outage_monte_carlo(theta, marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
 
 
+# Three regimes of the cut on the first gain: off at unit noise, dropping
+# about half the pairs at noise 0.01, and nearly all of them at preset scale.
+# Each has two budgets with different weights and a rate axis that holds 0.
+CUT_THETAS = (-1.0, -0.35, 0.0, 0.6, 1.0)
+CUT_RATES = tuple(0.1 * i for i in range(31))  # 0 to 3
+CUT_REGIMES = {
+    "unit-noise": (
+        FadingMarginals(1.0, 1.0),
+        (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 1.0)),
+        CUT_RATES,
+    ),
+    "half-cut": (
+        FadingMarginals(1.0, 1.0),
+        (PowerBudget(0.0, 1.0, 5.0, 0.01), PowerBudget(0.5, 2.0, 1.0, 0.01)),
+        CUT_RATES[:26],  # reach 0.31: about 46 % of the pairs kept
+    ),
+    "preset-scale": (
+        FadingMarginals(1.0, 2.5),  # fig3
+        (PowerBudget(0.0, 1.0, 1.0, 1e-5), PowerBudget(0.0, 1.0, 10.0, 1e-5)),
+        CUT_RATES,
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CUT_REGIMES))
+def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
+    # Three chunks, the last partial: every drawn pair's weighted sum is
+    # compared with every gamma, with no cut, sort or batching.
+    from swmac.copula import iter_gain_pair_chunks
+
+    marginals, budgets, rates = CUT_REGIMES[regime]
+    n, seed = 150_000, 23
+    gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
+    for theta in map(DependenceParameter, CUT_THETAS):
+        g = np.concatenate(list(iter_gain_pair_chunks(theta, marginals, n, seed)))
+        counts = np.array(
+            [
+                np.count_nonzero(
+                    ((b.p1 - b.p0) * g[:, 0] + (b.p2 - b.p0) * g[:, 1])[:, None] <= gamma, axis=0
+                )
+                for b, gamma in zip(budgets, gammas)
+            ]
+        )
+        est = outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
+        assert est.value.tolist() == (counts / n).tolist()
+        assert est.value[:, 0].tolist() == [0.0, 0.0]  # rate 0
+
+
+def _inverted_share(monkeypatch, theta, marginals, budgets, rates, n, seed):
+    """Share of the n drawn pairs that reach the conditional inversion."""
+    import swmac.copula as copula_module
+
+    inverted = []
+    invert = copula_module._invert_conditional
+
+    def spy(th, u1, v):
+        inverted.append(len(u1))
+        return invert(th, u1, v)
+
+    monkeypatch.setattr(copula_module, "_invert_conditional", spy)
+    outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
+    monkeypatch.undo()
+    return sum(inverted) / n
+
+
+@pytest.mark.parametrize("regime,low,high", [("preset-scale", 0.0, 0.01), ("half-cut", 0.44, 0.48)])
+def test_monte_carlo_inverts_only_the_pairs_the_cut_keeps(monkeypatch, regime, low, high):
+    marginals, budgets, rates = CUT_REGIMES[regime]
+    for theta in map(DependenceParameter, CUT_THETAS):
+        share = _inverted_share(monkeypatch, theta, marginals, budgets, rates, 150_000, 23)
+        assert low < share < high
+
+
+def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
+    # the benchmark's mc-sweep: fig2 weights at noise 1, rates 0.1 to 3
+    marginals = FadingMarginals(1.0, 1.0)
+    budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0))
+    rates = CUT_RATES[1:]
+    theta = DependenceParameter(0.35)
+    assert _inverted_share(monkeypatch, theta, marginals, budgets, rates, 32_768, 5) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Closed-form defect against the exact integral
 # ---------------------------------------------------------------------------

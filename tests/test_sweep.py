@@ -188,15 +188,17 @@ def test_pool_size_rejects_negative_workers():
 
 def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
     # 8 host CPUs, but an affinity mask of one: --workers 0 runs serially.
-    # Where the platform has no affinity mask, the host count is used.
-    import swmac.sweep as sweep_module
+    # Where the platform has no affinity mask, the host count is used.  The
+    # sweep imports the pool class only when it starts one, so the spy
+    # replaces it in concurrent.futures.
+    import concurrent.futures
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
     cfg = small_config(mc_samples=1000)
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
