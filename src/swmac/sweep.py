@@ -7,10 +7,10 @@ affine in theta, so one call shares every theta-free term.  Monte Carlo
 runs once per theta block: the gain law depends on theta alone, so the
 Monte Carlo rows at one theta share a single draw set, seeded by (master
 seed, theta index) and scored against every budget and rate.  Only the
-theta blocks go to worker processes; the parent evaluates the analytic
-methods meanwhile.  Row values therefore do not depend on execution order
-or worker count, and two runs of the same config produce byte-identical
-CSV.
+theta blocks go to worker processes, one process per worker, with its
+theta slice given up front; the parent evaluates the analytic methods
+meanwhile.  Row values therefore do not depend on execution order or
+worker count, and two runs of the same config produce byte-identical CSV.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
 non-convergence) do not abort a sweep; the affected row carries an error
@@ -39,6 +39,7 @@ from .outage import (
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
+    OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
     outage_closed_form,
@@ -149,6 +150,36 @@ def _theta_block(
     return curve.value, curve.std_error
 
 
+def _theta_slice(
+    conn, config: ExperimentConfig, t_indices: range, rates: tuple[float, ...]
+) -> None:
+    """Worker body: send through ``conn`` the :func:`_theta_block` of each
+    of ``t_indices`` as a list, or the exception that stopped them."""
+    try:
+        result = [_theta_block(config, t_i, rates) for t_i in t_indices]
+    except Exception as exc:  # handed to the parent, which re-raises it
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _receive(conn, proc) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The blocks a :func:`_theta_slice` worker sent; re-raises the
+    exception it sent instead, and raises :class:`OutageEvaluationError`
+    naming its exit code if it died without answering."""
+    try:
+        result = conn.recv()
+    except EOFError:
+        proc.join()
+        raise OutageEvaluationError(
+            f"Monte Carlo worker {proc.name} exited with code {proc.exitcode} "
+            "before sending its theta blocks"
+        ) from None
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     """Processes to start for ``tasks`` independent tasks: ``workers``
     (0 = one per CPU), capped at the CPU count and at the task count."""
@@ -166,7 +197,9 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     while the parent evaluates the analytic methods; 0 means one per CPU
     this process may run on.  The pool never exceeds that CPU count or the
     number of theta blocks, and a sweep without Monte Carlo starts none.
-    Results are identical for any worker count.
+    Results are identical for any worker count.  An exception that stops a
+    worker is re-raised here with its own type; a worker that dies without
+    answering raises :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
         if not budget.p0 < min(budget.p1, budget.p2):
@@ -198,12 +231,33 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         blocks = [_theta_block(config, t_i, rates) for t_i in mc_blocks]
     else:
         # imported here, so that commands that start no pool do not pay for it
-        from concurrent.futures import ProcessPoolExecutor
+        import multiprocessing
 
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            futures = [pool.submit(_theta_block, config, t_i, rates) for t_i in mc_blocks]
-            analytic()  # in the parent, while the pool draws
-            blocks = [future.result() for future in futures]
+        # Worker w draws theta blocks w, w + pool_size, ...: every block costs
+        # the same, so a fixed slice balances as well as a task queue would.
+        pool = []
+        try:
+            for w in range(pool_size):
+                conn, child_conn = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(
+                    target=_theta_slice, args=(child_conn, config, mc_blocks[w::pool_size], rates)
+                )
+                proc.start()
+                pool.append((conn, proc))
+                # the worker now holds the only write end, so its death ends the pipe
+                child_conn.close()
+            analytic()  # in the parent, while the workers draw
+            blocks = [None] * len(mc_blocks)
+            for w, (conn, proc) in enumerate(pool):
+                blocks[w::pool_size] = _receive(conn, proc)
+        except BaseException:
+            for _, proc in pool:
+                proc.terminate()  # their blocks are no longer wanted
+            raise
+        finally:
+            for conn, proc in pool:
+                conn.close()
+                proc.join()
     if blocks:
         m_i = config.methods.index(MONTE_CARLO)
         op[..., m_i], std_err[..., m_i] = (np.stack(column, axis=1) for column in zip(*blocks))

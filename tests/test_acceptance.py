@@ -264,8 +264,9 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     start = time.perf_counter()
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
-    # At least four workers even on small hosts, so the parallel run truly
-    # interleaves row evaluation across processes.
+    # The pool is capped at the CPUs this process may run on (and at the
+    # theta count), so asking for at least four takes the largest pool the
+    # host allows; on a 1-CPU host both runs are serial.
     workers = str(max(4, os.cpu_count() or 1))
     base = ["outage", "--preset", "fig2", "--seed", "42"]
     assert main(base + ["--out", str(serial), "--workers", "1"]) == 0

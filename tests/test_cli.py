@@ -351,6 +351,29 @@ def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys)
     assert "evaluation failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error,code,prefix",
+    [(OutageEvaluationError, 2, "evaluation failed: "), (ValueError, 1, "error: ")],
+)
+def test_exit_code_of_an_exception_raised_in_a_worker(
+    forked_pool_of_two, monkeypatch, config_file, tmp_path, capsys, error, code, prefix
+):
+    import swmac.sweep
+
+    parent = os.getpid()
+
+    def failing_block(config, t_i, rates):
+        if os.getpid() == parent:
+            raise AssertionError("a theta block ran in the parent")
+        raise error("synthetic worker failure")
+
+    monkeypatch.setattr(swmac.sweep, "_theta_block", failing_block)
+    out = tmp_path / "x.csv"
+    assert main(["outage", "--config", config_file, "--workers", "0", "--out", str(out)]) == code
+    assert f"{prefix}synthetic worker failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -380,3 +403,34 @@ def test_analytic_preset_sweep_does_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+# A pooled compare: two workers, even on a 1-CPU host, draw every Monte Carlo
+# block, so the parent needs neither numpy.random nor an executor.  The
+# first line shows that importing the CLI loads no process machinery either.
+_POOLED_COMPARE_RUN = """
+import os
+import sys
+import swmac.cli
+print(*(m in sys.modules for m in ("multiprocessing", "concurrent.futures")))
+os.sched_getaffinity = lambda pid: {0, 1}
+code = swmac.cli.main(
+    ["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0", "--out", sys.argv[1]]
+)
+print(code, *(m in sys.modules for m in ("multiprocessing", "numpy.random", "concurrent.futures")))
+"""
+
+
+def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOLED_COMPARE_RUN, str(tmp_path / "compare.csv")],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "False False"
+    assert lines[-1] == "0 True False False"

@@ -1,6 +1,8 @@
 import csv
 import math
+import multiprocessing
 import os
+import time
 import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
@@ -24,6 +26,7 @@ from swmac import (
 from swmac.config import RateGrid, preset_config
 from swmac.outage import (
     DegenerateDenominator,
+    OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
     outage_closed_form,
@@ -189,22 +192,58 @@ def test_pool_size_rejects_negative_workers():
 def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
     # 8 host CPUs, but an affinity mask of one: --workers 0 runs serially.
     # Where the platform has no affinity mask, the host count is used.  The
-    # sweep imports the pool class only when it starts one, so the spy
-    # replaces it in concurrent.futures.
-    import concurrent.futures
+    # sweep imports multiprocessing only when it starts workers, so the spy
+    # replaces the process class there.
 
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a worker process was started")
 
     cfg = small_config(mc_samples=1000)
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+
+
+def test_a_worker_that_dies_without_answering_names_its_exit_code(forked_pool_of_two, monkeypatch):
+    import swmac.sweep
+
+    parent = os.getpid()
+    theta_block = swmac.sweep._theta_block
+
+    def dying_block(config, t_i, rates):
+        if os.getpid() == parent:
+            raise AssertionError("a theta block ran in the parent")
+        if t_i == 1:  # the last worker's slice: worker 0 answers
+            os._exit(3)
+        return theta_block(config, t_i, rates)
+
+    monkeypatch.setattr(swmac.sweep, "_theta_block", dying_block)
+    with pytest.raises(OutageEvaluationError, match="exited with code 3"):
+        run_outage_sweep(small_config(mc_samples=1000), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monkeypatch):
+    import swmac.sweep
+
+    def slow_block(config, t_i, rates):
+        time.sleep(600)
+
+    def failing_column(query, method, quad_tol):
+        raise RuntimeError("synthetic analytic failure")
+
+    monkeypatch.setattr(swmac.sweep, "_theta_block", slow_block)
+    monkeypatch.setattr(swmac.sweep, "_analytic_column", failing_column)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="synthetic analytic failure"):
+        run_outage_sweep(small_config(mc_samples=1000), workers=2)
+    assert time.monotonic() - start < 30  # the workers were stopped, not waited for
+    assert multiprocessing.active_children() == []
 
 
 def test_degenerate_closed_form_rows_are_annotated_not_fatal():
