@@ -13,10 +13,9 @@ Three evaluators are provided and cross-validated:
   gamma; such results are flagged ``out-of-range`` rather than rejected.
 * :func:`outage_quadrature` - exact evaluation of the defining integral
   over the triangle A*g1 + B*g2 <= gamma in the positive quadrant (the
-  inner gain integral is elementary; the outer one is QUADPACK's 21-point
-  Gauss-Kronrod panel over the whole rate axis at once, with adaptive
-  quadrature for the points that panel does not settle).  This is the
-  reference.
+  inner gain integral is elementary; the outer one is adaptive 21-point
+  Gauss-Kronrod quadrature after QUADPACK, run on numpy arrays for every
+  (theta, rate) point at once).  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  The gain law depends on
@@ -73,8 +72,13 @@ DEFAULT_QUAD_TOL = 1e-10
 #: denominator counts as degenerate.
 _DENOM_EPS_REL = 1e-9
 
-#: Relative tolerance handed to QUADPACK alongside the absolute ``tol``.
+#: Relative tolerance of quadrature alongside the absolute ``tol``.
 _QUAD_EPSREL = 1e-12
+
+#: Most panels quadrature splits one point's integral into (QUADPACK's
+#: ``limit``); a point whose error estimate is still above its bound there
+#: is nonconvergent.
+_MAX_PANELS = 200
 
 #: Mean lengths of an exponential gain beyond which quadrature treats its
 #: mass, exp(-40) or about 4e-18, as settled: the g2 axis is split at
@@ -308,20 +312,19 @@ def outage_closed_form(query: OutageQuery) -> OutageCurve:
     return OutageCurve(CLOSED_FORM, values, out_of_range)
 
 
-def _conditional_terms(d, gamma, a, b, l1, l2, exp=np.exp, expm1=np.expm1):
-    """The theta-free terms of the quadrature integrand at g2 = ``d``.
+def _conditional_terms(d, gamma, a, b, l1, l2):
+    """The theta-free terms of the quadrature integrand at the g2 nodes ``d``.
 
     With e = exp(-l2*d) and c* = (gamma - B*d)/A, the range of g1 left by
     A*g1 + B*g2 <= gamma, returns (l2*e, t, q1, q2): the Exp(lambda2)
     density of g2, t = 2*e - 1, and P[g1 <= c*] under Exp(lambda1) and
-    Exp(2*lambda1).  The same expression serves node arrays (numpy) and one
-    node (``math.exp``, ``math.expm1``).
+    Exp(2*lambda1).
     """
     c_star = (gamma - b * d) / a
-    e = exp(-l2 * d)
+    e = np.exp(-l2 * d)
     t = 2.0 * e - 1.0
-    q1 = -expm1(-l1 * c_star)
-    q2 = -expm1(-2.0 * l1 * c_star)
+    q1 = -np.expm1(-l1 * c_star)
+    q2 = -np.expm1(-2.0 * l1 * c_star)
     return l2 * e, t, q1, q2
 
 
@@ -332,33 +335,57 @@ def _conditional_integrand(th, density, t, q1, q2):
     return density * ((1.0 - th * t) * q1 + th * t * q2)
 
 
+def _panel_terms(lo, hi, gamma, a, b, l1, l2):
+    """Half-lengths of the panels [lo[i], hi[i]] and the
+    :func:`_conditional_terms` on their (panel x 21) Gauss-Kronrod nodes."""
+    hlgth = 0.5 * (hi - lo)
+    nodes = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
+    return hlgth, _conditional_terms(nodes, gamma[:, None], a, b, l1, l2)
+
+
+def _point_sums(seg, res, err, first, tol):
+    """Value, error estimate, bound max(tol, 1e-12*|value|), panel count and
+    acceptance of each point 0, 1, ..., from the dqk21 (result, abserr,
+    settled) of its panels: those where ``seg`` holds its index, in
+    position order.  Each sum adds one point's panels in that order.  A
+    point with one panel (only round 0 has them) must also pass dqagse's
+    first-panel test."""
+    count = np.bincount(seg)
+    value = np.bincount(seg, weights=res)
+    abserr = np.bincount(seg, weights=err)
+    bound = np.maximum(tol, _QUAD_EPSREL * np.abs(value))
+    done = (abserr <= bound) & ((count > 1) | first[np.cumsum(count) - count])
+    return value, abserr, bound, count, done
+
+
 def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> OutageCurve:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
     The inner g1 integral is elementary.  The outer g2 integral over
-    [0, gamma/B] is QUADPACK's first step evaluated for every rate of the
-    query at once: one 21-point Gauss-Kronrod panel with dqk21's error
-    estimate, accepted by dqagse's first-panel test.  The theta-free terms
-    on the panel's nodes are computed once; each theta combines them into
-    its own integrand.
+    [0, gamma/B] is adaptive 21-point Gauss-Kronrod quadrature with
+    QUADPACK's dqk21 error estimate, run for every (theta, rate) point of
+    the query at once.  Each point starts from one panel over [0, gamma/B],
+    cut where one panel can miss where the integrand changes:
 
-    A point the panel does not settle goes through adaptive quadrature
-    (``scipy.integrate.quad``) on its own, and so does every point where
-    one panel can miss where the integrand changes:
+    * at 40/lambda2, where gamma/B exceeds it, since g2 ~ Exp(lambda2) has
+      almost all its mass below that and one panel over a much longer
+      interval can place no node there and report a zero error;
+    * below that, where c* = 40/lambda1, where gamma/A exceeds 40/lambda1,
+      since P[g1 <= c*] then drops from about 1 to 0 within a few
+      A/(lambda1*B) below gamma/B, which one panel can step over.
 
-    * where gamma/B exceeds 40/lambda2, since g2 ~ Exp(lambda2) has almost
-      all its mass below that and one panel over a much longer interval can
-      place no node there and report a zero error.  The point is split at
-      40/lambda2.
-    * where gamma/A exceeds 40/lambda1, since P[g1 <= c*] then drops from
-      about 1 to 0 within a few A/(lambda1*B) below gamma/B, which one panel
-      can step over.  The point is split where c* = 40/lambda1, if that lies
-      below 40/lambda2.
-
-    The absolute tolerance is ``tol`` (in (0, 1e-2]).  A point is accepted
-    when its error estimate is at most max(tol, 1e-12*|value|), the bound
-    the panel and ``scipy.integrate.quad`` both work to.
+    These first panels do not depend on theta, so their integrand terms
+    are computed once and each theta combines them into its own integrand.
+    A point is accepted when its error estimate, summed over its panels, is
+    at most max(tol, 1e-12*|value|), and a point with one panel only if it
+    also passes dqagse's first-panel test.  Then, round by round, every
+    unaccepted point bisects its panels whose error estimate is above its
+    per-panel share of that bound, and always its worst one.  A point stops
+    unconverged where that would take it past ``_MAX_PANELS`` panels.  A
+    point's sums run over its own panels in position order, so each entry
+    equals its 1x1 query bit for bit.  The absolute tolerance is ``tol``
+    (in (0, 1e-2]).
 
     Every point is evaluated before any failure is raised.  Raises
     :class:`QuadratureNonConvergence`, with the failing points marked, where
@@ -370,39 +397,55 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     gamma = gamma_threshold(query.rates, query.budget.noise)
     a, b = query.weight1, query.weight2
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
+    thetas = np.array([theta.theta for theta in query.thetas])
+    n = len(gamma)
+    # The first panels' edges per rate: 0, the drop (only below the split),
+    # the split and gamma/B, each cut kept where it lies inside (0, gamma/B).
     upper = gamma / b
-    # Each point's breakpoints for adaptive quadrature, None where the panel
-    # may settle it: 40/lambda2, and below it the g2 where c* = 40/lambda1.
     split = _SPAN / l2
     drop = (gamma - _SPAN * a / l1) / b
-    breaks = [
-        tuple(x for x in (d if d < split else 0.0, split) if 0.0 < x < u) or None
-        for d, u in zip(drop.tolist(), upper.tolist())
-    ]
-    routed = np.array([x is not None for x in breaks], dtype=bool)
-    hlgth = 0.5 * upper[:, None]
-    terms = _conditional_terms(hlgth + hlgth * _GK_NODES, gamma[:, None], a, b, l1, l2)
-    thetas = [theta.theta for theta in query.thetas]
-    values, abserr = np.empty((2, len(thetas), len(gamma)))  # (theta, rate)
-    for t_i, th in enumerate(thetas):
-        values[t_i], abserr[t_i], settled = _gauss_kronrod_panel(
-            _conditional_integrand(th, *terms), upper, tol
+    cuts = (np.where(drop < split, drop, 0.0), np.full(n, split))
+    edges = np.column_stack((np.zeros(n), *cuts, upper))
+    kept = (0.0 < edges) & (edges < upper[:, None])
+    kept[:, [0, 3]] = True
+    edge_rate, edges = np.nonzero(kept)[0], edges[kept]
+    inner = edge_rate[:-1] == edge_rate[1:]
+    lo, hi, rate = edges[:-1][inner], edges[1:][inner], edge_rate[1:][inner]
+    hlgth, terms = _panel_terms(lo, hi, gamma[rate], a, b, l1, l2)
+    res, err = np.empty((2, len(thetas), len(lo)))
+    first = np.empty(res.shape, dtype=bool)
+    for t_i, th in enumerate(thetas.tolist()):
+        res[t_i], err[t_i], first[t_i] = _gauss_kronrod_panel(
+            _conditional_integrand(th, *terms), hlgth, tol
         )
-        for i in np.flatnonzero(~settled | routed).tolist():
-            from scipy import integrate  # only this fallback needs scipy
-
-            g = float(gamma[i])
-            values[t_i, i], abserr[t_i, i] = integrate.quad(
-                lambda d: _conditional_integrand(
-                    th, *_conditional_terms(d, g, a, b, l1, l2, math.exp, math.expm1)
-                ),
-                0.0,
-                g / b,
-                epsabs=tol,
-                epsrel=_QUAD_EPSREL,
-                limit=200,
-                points=breaks[i],
-            )
+    # Every panel of every (theta, rate) point, owned by point theta*n + rate
+    # and ordered by owner, then by position.
+    owner = (np.arange(len(thetas))[:, None] * n + rate).ravel()
+    res, err, first = res.ravel(), err.ravel(), first.ravel()
+    values, abserr, *_, done = _point_sums(owner, res, err, first, tol)
+    # from here on only the panels of the points round 0 left unaccepted
+    live = ~done[owner]
+    lo, hi = np.tile(lo, len(thetas))[live], np.tile(hi, len(thetas))[live]
+    owner, res, err, first = owner[live], res[live], err[live], first[live]
+    while owner.size:
+        new_point = np.r_[True, owner[1:] != owner[:-1]]
+        seg, starts = np.cumsum(new_point) - 1, np.flatnonzero(new_point)
+        values[owner[starts]], abserr[owner[starts]], bound, count, done = _point_sums(
+            seg, res, err, first, tol
+        )
+        halve = (err > (bound / count)[seg]) | (err == np.maximum.reduceat(err, starts)[seg])
+        halve &= ~done[seg]
+        capped = count + np.add.reduceat(halve, starts) > _MAX_PANELS
+        reps = np.where((done | capped)[seg], 0, 1 + halve)
+        owner, lo, hi, first = (np.repeat(x, reps) for x in (owner, lo, hi, first))
+        res, err = np.repeat(res, reps), np.repeat(err, reps)
+        new = np.flatnonzero(np.repeat(halve, reps))
+        left, right = new[0::2], new[1::2]  # each halved panel's two copies
+        hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
+        h, terms = _panel_terms(lo[new], hi[new], gamma[owner[new] % n], a, b, l1, l2)
+        th = thetas[owner[new] // n][:, None]
+        res[new], err[new], _ = _gauss_kronrod_panel(_conditional_integrand(th, *terms), h, tol)
+    values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
     errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
     unconverged = abserr > errbnd
     failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
@@ -422,23 +465,23 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
 
 
 def _gauss_kronrod_panel(
-    fv: np.ndarray, upper: np.ndarray, tol: float
+    fv: np.ndarray, hlgth: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QUADPACK's first step on [0, upper[i]] for every i at once.
+    """QUADPACK's dqk21 on every panel at once.
 
-    ``fv`` holds the integrand on the (n x 21) node array
-    ``h + h*_GK_NODES``, h = upper/2 as an (n x 1) column.  Returns
-    (result, abserr, settled): dqk21's Gauss-Kronrod result and error
-    estimate per interval, and whether dqagse would return after this panel,
-    that is abserr <= max(tol, 1e-12*|result|) with abserr != resasc, or
-    abserr == 0.  Every sum runs along the 21 nodes of one interval in a
-    fixed order, so an entry does not depend on the other intervals.
+    ``fv`` holds the integrand on the (panel x 21) node array, the nodes
+    c + h*_GK_NODES of each panel with c its centre and h = ``hlgth[i]``
+    its half-length.  Returns (result, abserr, settled):
+    dqk21's Gauss-Kronrod result and error estimate per panel, and whether
+    dqagse would return after this panel were it the first, that is abserr
+    <= max(tol, 1e-12*|result|) with abserr != resasc, or abserr == 0.
+    Every sum runs along the 21 nodes of one panel in a fixed order, so an
+    entry does not depend on the other panels.
     """
     resk = (fv * _GK_WEIGHTS).sum(axis=1)
     resg = (fv * _G_WEIGHTS).sum(axis=1)
     resabs = (np.abs(fv) * _GK_WEIGHTS).sum(axis=1)
     resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1)
-    hlgth = 0.5 * upper
     result = resk * hlgth
     resabs *= hlgth
     resasc *= hlgth

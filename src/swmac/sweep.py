@@ -24,6 +24,7 @@ one block writer emits both CSVs from those arrays.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from itertools import compress, islice, product
 from pathlib import Path
@@ -197,7 +198,8 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     while the parent evaluates the analytic methods; 0 means one per CPU
     this process may run on.  The pool never exceeds that CPU count or the
     number of theta blocks, and a sweep without Monte Carlo starts none.
-    Results are identical for any worker count.  An exception that stops a
+    On Linux the workers are forked whatever the start method.  Results
+    are identical for any worker count.  An exception that stops a
     worker is re-raised here with its own type; a worker that dies without
     answering raises :class:`OutageEvaluationError` naming its exit code.
     """
@@ -233,13 +235,17 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         # imported here, so that commands that start no pool do not pay for it
         import multiprocessing
 
+        # Forked workers start at once with the parent's modules and config;
+        # spawn and forkserver (the Linux default from Python 3.14) would
+        # re-import swmac and numpy in each.  Elsewhere fork is not safe.
+        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else multiprocessing
         # Worker w draws theta blocks w, w + pool_size, ...: every block costs
         # the same, so a fixed slice balances as well as a task queue would.
         pool = []
         try:
             for w in range(pool_size):
-                conn, child_conn = multiprocessing.Pipe(duplex=False)
-                proc = multiprocessing.Process(
+                conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
                     target=_theta_slice, args=(child_conn, config, mc_blocks[w::pool_size], rates)
                 )
                 proc.start()

@@ -380,29 +380,63 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-# A closed-form and quadrature sweep of a preset never reaches the adaptive
-# fallback, so it must not pay for importing scipy.
-_ANALYTIC_SWEEP_RUN = """
+# Every subcommand with scipy made unimportable: a pooled sweep, a
+# unit-noise quadrature sweep whose larger rates are bisected (argv[1] is
+# its config), a compare, a sample, a region and the preset list.  The last
+# line gives the exit codes and the number of quadrature rounds run.
+_WITHOUT_SCIPY_RUN = """
+import os
 import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
 import swmac.cli
-code = swmac.cli.main(
-    ["outage", "--preset", "fig2", "--methods", "closed-form,quadrature", "--out", sys.argv[1]]
-)
-print(code, "scipy" in sys.modules)
+import swmac.outage
+rounds = []
+panel_terms = swmac.outage._panel_terms
+swmac.outage._panel_terms = lambda *args: rounds.append(1) or panel_terms(*args)
+os.sched_getaffinity = lambda pid: {0, 1}
+runs = [
+    ["outage", "--preset", "fig2", "--samples", "2000", "--workers", "0", "--out", "sweep.csv"],
+    ["outage", "--config", sys.argv[1], "--methods", "quadrature", "--out", "unit.csv"],
+    ["compare", "--preset", "fig3", "--samples", "2000", "--out", "compare.csv"],
+    ["sample", "--preset", "fig2", "--samples", "1000", "--out", "samples.csv"],
+    ["region", "--preset", "fig2", "--gains", "1.5,0.5", "--out", "region.csv"],
+    ["preset", "list"],
+]
+codes = [swmac.cli.main(argv) for argv in runs]
+print(*codes, len(rounds))
+"""
+
+_UNIT_NOISE_QUADRATURE = """
+thetas = -1, 0, 1
+rate_start = 0.1
+rate_stop = 3.0
+rate_step = 0.1
+[budget]
+p1 = 1
+p2 = 5
+noise = 1
 """
 
 
-def test_analytic_preset_sweep_does_not_import_scipy(tmp_path):
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    config = tmp_path / "unit.cfg"
+    config.write_text(_UNIT_NOISE_QUADRATURE)
     proc = subprocess.run(
-        [sys.executable, "-c", _ANALYTIC_SWEEP_RUN, str(tmp_path / "sweep.csv")],
+        [sys.executable, "-c", _WITHOUT_SCIPY_RUN, str(config)],
         cwd=tmp_path,
         env=_src_env(),
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split()[-2:] == ["0", "False"]
+    *codes, rounds = proc.stdout.split()[-7:]
+    assert codes == ["0"] * 6
+    # the two quadrature calls of the fig2 sweep take one round each, the
+    # compare's one, and the unit-noise sweep's bisects
+    assert int(rounds) > 4
+    (flags,) = {row[-1] for row in read_csv(tmp_path / "unit.csv")[1:]}
+    assert flags == "ok"
 
 
 # A pooled compare: two workers, even on a 1-CPU host, draw every Monte Carlo
@@ -434,3 +468,38 @@ def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_pa
     lines = proc.stdout.splitlines()
     assert lines[0] == "False False"
     assert lines[-1] == "0 True False False"
+
+
+# A pooled compare under the forkserver start method, after a serial one;
+# the last line gives both exit codes and the class of each process started.
+_FORKSERVER_COMPARE_RUN = """
+import multiprocessing
+import os
+import sys
+from multiprocessing.process import BaseProcess
+import swmac.cli
+multiprocessing.set_start_method("forkserver")
+started = []
+start = BaseProcess.start
+BaseProcess.start = lambda self: started.append(type(self).__name__) or start(self)
+os.sched_getaffinity = lambda pid: {0, 1}
+argv = ["compare", "--preset", "fig3", "--seed", "7", "--samples", "20000", "--workers"]
+codes = [swmac.cli.main(argv + [w, "--out", out]) for w, out in zip("10", sys.argv[1:])]
+print(*codes, *started)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sweeps fork their workers on Linux only")
+def test_pooled_compare_forks_its_workers_under_forkserver(tmp_path):
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FORKSERVER_COMPARE_RUN, str(serial), str(pooled)],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 0 ForkProcess ForkProcess"
+    assert pooled.read_bytes() == serial.read_bytes()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from swmac import (
@@ -22,9 +24,16 @@ from swmac import (
     outage_monte_carlo,
     outage_quadrature,
 )
+from swmac.config import preset_config
 from swmac.outage import DEFAULT_QUAD_TOL
 
-from oracles import brute_force_outage, closed_form_residual, convolution_outage, fgm_outage
+from oracles import (
+    brute_force_outage,
+    closed_form_residual,
+    convolution_outage,
+    decimal_outage,
+    fgm_outage,
+)
 
 
 def make_query(rates=(0.5,), p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, thetas=(0.0,)):
@@ -221,33 +230,32 @@ def test_quadrature_affine_in_theta_within_tolerance():
         assert at[th] == pytest.approx(at[0.0] + th * (at[1.0] - at[0.0]), abs=2.0 * tol)
 
 
-#: QUADPACK warns where its error estimate stalls; these tests expect it.
-_stalls = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.fixture
+def one_panel(monkeypatch):
+    """Quadrature capped at one panel per point, so that every point its
+    first panels do not settle is nonconvergent."""
+    monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
 
 
-def _stalled_query(rates=(7.8,), thetas=(-1.0,)):
-    # lambda1/lambda2 = 6e8 with gamma/B near 6e5 at R = 7.8: QUADPACK's error
-    # estimate stalls at 6.5e-5 for theta = -1 and 0, above any smaller tol,
-    # while theta = 0.5 converges to 1e-13.
-    return make_query(
-        rates=rates, p1=2e-4, p2=12.8, noise=144.0, lam1=3e4, lam2=5e-5, thetas=thetas
-    )
+def _capped_query(rates=(2.0,), thetas=(-1.0,)):
+    # Unit noise, (p1, p2) = (1, 5): under ``one_panel`` R = 0.05 converges
+    # at every theta, and R = 2.0 at theta = 0 but not at -1 or 0.5.
+    return make_query(rates=rates, noise=1.0, thetas=thetas)
 
 
-@_stalls
-def test_quadrature_tol_validation_and_nonconvergence():
+def test_quadrature_tol_validation_and_nonconvergence(one_panel):
     q = make_query(rates=(0.5,))
     with pytest.raises(ValueError):
         outage_quadrature(q, tol=0.0)
     with pytest.raises(ValueError):
         outage_quadrature(q, tol=0.5)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(), tol=1e-13)
+        outage_quadrature(_capped_query())
 
 
 def test_quadrature_accepts_the_relative_error_bound():
-    # Near 1 the error bound is 1e-12*value, the bound the panel and QUADPACK
-    # work to: these error estimates exceed tol = 1e-13 but meet it.
+    # Near 1 the error bound is 1e-12*value, the bound QUADPACK works to:
+    # these error estimates exceed tol = 1e-13 but meet it.
     for rate in (2.85, 3.0):
         q = make_query(rates=(rate,), p2=1.0, thetas=(-1.0,))
         got = outage_quadrature(q, tol=1e-13).value.item()
@@ -255,10 +263,10 @@ def test_quadrature_accepts_the_relative_error_bound():
 
 
 def test_quadrature_range_check_uses_the_relative_error_bound():
-    # At tol 1e-30 the value comes out 1 ulp above 1, well inside the
+    # At tol 1e-30 the value comes out 2 ulp above 1, well inside the
     # 1e-12*value bound of the error check; it used to be rejected as
     # outside [0, 1] beyond the absolute tol.
-    got = outage_quadrature(make_query(rates=(2.7,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
+    got = outage_quadrature(make_query(rates=(2.9,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
     assert got.value.tolist() == [[1.0]]
 
 
@@ -476,14 +484,14 @@ def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noi
 
 # Unit noise: the closed form leaves [0, 1] at the small rates of the
 # (1, 5) budget, and quadrature settles the small rates in the first panel
-# and sends the larger ones through adaptive quadrature.
+# and bisects the larger ones.
 AXIS = (0.0, 0.05, 0.3, 0.75, 1.5, 2.5)
 
 # A point's flag in :func:`_evaluate`.
 _OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENT = range(4)
 
 
-def _evaluate(method, q, tol=DEFAULT_QUAD_TOL):
+def _evaluate(method, q):
     """(value, std_error, flag) arrays over the (theta, rate) grid of ``q``:
     NaN where a point has no value, and the evaluator's failure as its flag.
     Monte Carlo draws 2000 pairs from seed 4 at each theta."""
@@ -499,7 +507,7 @@ def _evaluate(method, q, tol=DEFAULT_QUAD_TOL):
             curve = outage_closed_form(q)
             value, flag = curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
         else:
-            value = outage_quadrature(q, tol=tol).value
+            value = outage_quadrature(q).value
     except DegenerateDenominator:
         value, flag = np.full(shape, np.nan), np.full(shape, _DEGENERATE)
     except QuadratureNonConvergence as exc:
@@ -508,25 +516,25 @@ def _evaluate(method, q, tol=DEFAULT_QUAD_TOL):
     return value, std_error, flag
 
 
-def _assert_grid_equals_points(method, grid, tol=DEFAULT_QUAD_TOL):
+def _assert_grid_equals_points(method, grid):
     """Check every entry of ``grid`` against its 1x1 query, bit for bit
     (NaN and flag included); returns the grid's arrays."""
-    got = _evaluate(method, grid, tol)
+    got = _evaluate(method, grid)
     assert got[0].shape == (len(grid.thetas), len(grid.rates))
     for t_i, r_i in np.ndindex(got[0].shape):
         point = replace(grid, rates=(grid.rates[r_i],), thetas=(grid.thetas[t_i],))
-        expected = _evaluate(method, point, tol)
+        expected = _evaluate(method, point)
         assert [a[t_i, r_i].tobytes() for a in got] == [a[0, 0].tobytes() for a in expected]
     return got
 
 
 #: 3-theta grids: an out-of-range closed form, a degenerate one (P = 1 with
-#: equal rates), and quadrature that misses tol 1e-13 at R = 7.8 for
-#: theta = -1 and 0 (see ``_stalled_query``).
+#: equal rates), and quadrature that misses its bound at R = 2.0 for
+#: theta = 0.5 and -1 when capped at one panel (see ``_capped_query``).
 _GRIDS = {
-    "out-of-range": (make_query(rates=AXIS, thetas=(-1.0, 0.0, 0.7)), DEFAULT_QUAD_TOL),
-    "degenerate": (make_query(rates=AXIS, p2=1.0, thetas=(-1.0, 0.0, 0.7)), DEFAULT_QUAD_TOL),
-    "nonconvergent": (_stalled_query(rates=(0.05, 7.5, 7.8), thetas=(0.5, -1.0, 0.0)), 1e-13),
+    "out-of-range": make_query(rates=AXIS, thetas=(-1.0, 0.0, 0.7)),
+    "degenerate": make_query(rates=AXIS, p2=1.0, thetas=(-1.0, 0.0, 0.7)),
+    "nonconvergent": _capped_query(rates=(0.05, 1.5, 2.0), thetas=(0.5, -1.0, 0.0)),
 }
 
 #: The flag each grid must show for the method it targets.
@@ -537,12 +545,12 @@ _TARGET_FLAGS = {
 }
 
 
-@_stalls
 @pytest.mark.parametrize("grid_name", list(_GRIDS))
 @pytest.mark.parametrize("method", METHODS)
-def test_grid_entries_equal_their_1x1_queries(method, grid_name):
-    grid, tol = _GRIDS[grid_name]
-    _, std_error, flag = _assert_grid_equals_points(method, grid, tol)
+def test_grid_entries_equal_their_1x1_queries(method, grid_name, monkeypatch):
+    if grid_name == "nonconvergent":
+        monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
+    _, std_error, flag = _assert_grid_equals_points(method, _GRIDS[grid_name])
     if (grid_name, method) in _TARGET_FLAGS:
         assert _TARGET_FLAGS[grid_name, method] in flag
     assert np.isnan(std_error).all() == (method != MONTE_CARLO)
@@ -602,9 +610,7 @@ def test_first_panel_matches_quadpack_first_step():
             lambda x: float(f(x)), 0.0, upper, epsabs=1e-10, epsrel=1e-12, full_output=1
         )[:3]
         h = np.array([[0.5 * upper]])
-        result, abserr, settled = _gauss_kronrod_panel(
-            f(h + h * _GK_NODES), np.array([upper]), 1e-10
-        )
+        result, abserr, settled = _gauss_kronrod_panel(f(h + h * _GK_NODES), h[0], 1e-10)
         assert result[0] == pytest.approx(first_step[0], rel=1e-14)
         assert abserr[0] == pytest.approx(first_step[1], rel=1e-6)
         assert bool(settled[0]) == (info["neval"] == 21)
@@ -628,50 +634,75 @@ def _quadpack_reference(q, tol):
 
 def test_first_panel_acceptance_compares_against_resasc():
     # gamma/B is about 8,800 and the mass sits near 0, so one 21-point panel
-    # over [0, gamma/B] sees almost none of it.  QUADPACK rejects that panel
-    # because its error estimate equals dqk21's resasc; testing against
-    # resabs instead would accept a value near 3e-11.
+    # over [0, gamma/B] sees almost none of it: its value is near 3e-11, with
+    # an error estimate within tol.  dqagse rejects that panel because its
+    # error estimate equals dqk21's resasc, and so does quadrature for a
+    # point left with one panel; testing against resabs instead would
+    # accept it.
+    from swmac.outage import _conditional_integrand, _gauss_kronrod_panel, _panel_terms, _point_sums
+
     q = make_query(
         rates=(5.55,), p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, thetas=(-1.0,)
     )
-    assert q.gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
+    gamma = q.gamma
+    assert gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
+    h, terms = _panel_terms(np.zeros(1), gamma / q.weight2, gamma, q.weight1, q.weight2, 0.5, 1.5)
+    panel = _gauss_kronrod_panel(_conditional_integrand(-1.0, *terms), h, 1e-10)
+    result, abserr, settled = (x.item() for x in panel)
+    assert result < 1e-10 and abserr <= 1e-10 and not settled
+    *_, done = _point_sums(np.zeros(1, dtype=int), *panel, 1e-10)
+    assert done.tolist() == [False]
+    # The point's first panels are cut at 40/lambda2, where its mass is seen.
     reference = _quadpack_reference(q, 1e-10)
     got = outage_quadrature(q, tol=1e-10).value.item()
     assert got == pytest.approx(1.0, abs=1e-9)
-    assert got == min(max(reference, 0.0), 1.0)
+    assert abs(got - reference) <= max(1e-10, 1e-12 * got)
 
 
-def test_rejected_first_panel_takes_the_quadpack_path(monkeypatch):
-    calls = []
-    quad = integrate.quad
+def _panel_edges(monkeypatch):
+    """The (lo, hi) edge lists of the panels quadrature evaluates, one entry
+    per round, filled as quadrature runs."""
+    import swmac.outage as outage_module
 
-    def spy(f, lo, hi, **kwargs):
-        calls.append(hi)
-        return quad(f, lo, hi, **kwargs)
+    rounds = []
+    panel_terms = outage_module._panel_terms
 
-    monkeypatch.setattr(integrate, "quad", spy)
-    # At preset noise every rate is settled by the panel.
+    def spy(lo, hi, *args):
+        rounds.append((lo.tolist(), hi.tolist()))
+        return panel_terms(lo, hi, *args)
+
+    monkeypatch.setattr(outage_module, "_panel_terms", spy)
+    return rounds
+
+
+def test_rejected_first_panel_is_bisected(monkeypatch):
+    rounds = _panel_edges(monkeypatch)
+    # At preset noise every rate is settled by its one panel over [0, gamma/B].
     preset = make_query(rates=tuple(r / 10 for r in range(1, 31)), noise=1e-5, thetas=(0.5,))
     assert outage_quadrature(preset).value.shape == (1, 30)
-    assert calls == []
-    # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled.
+    assert rounds == [([0.0] * 30, (preset.gamma / 5.0).tolist())]
+    # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled, and
+    # only its panel is bisected.
+    rounds.clear()
     curve = make_query(rates=(0.05, 2.5), noise=1.0, thetas=(0.5,))
     ((small, large),) = outage_quadrature(curve).value.tolist()
-    assert calls == [pytest.approx(31.0 / 5.0)]
+    small_upper, upper = (curve.gamma / 5.0).tolist()
+    assert upper == 6.2
+    assert rounds[:2] == [([0.0, 0.0], [small_upper, upper]), ([0.0, 3.1], [3.1, upper])]
+    assert all(0.0 <= x <= upper and hi[0] > 0.0 for lo, hi in rounds[2:] for x in lo + hi)
     point = make_query(rates=(2.5,), noise=1.0, thetas=(0.5,))
-    assert large == _quadpack_reference(point, 1e-10)
+    assert abs(large - _quadpack_reference(point, 1e-10)) <= max(1e-10, 1e-12 * large)
     reference = _quadpack_reference(make_query(rates=(0.05,), thetas=(0.5,)), 1e-10)
     assert small == pytest.approx(reference, rel=1e-13)
 
 
-@_stalls
-def test_nonconvergence_of_one_point_fails_the_curve():
-    # The error estimate is met at R = 0.05 and missed at 7.8.
-    outage_quadrature(_stalled_query(rates=(0.05,)), tol=1e-13)
+def test_nonconvergence_of_one_point_fails_the_curve(one_panel):
+    # The error estimate is met at R = 0.05 and missed at 2.0.
+    outage_quadrature(_capped_query(rates=(0.05,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(rates=(7.8,)), tol=1e-13)
+        outage_quadrature(_capped_query(rates=(2.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(rates=(0.05, 7.8)), tol=1e-13)
+        outage_quadrature(_capped_query(rates=(0.05, 2.0)))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
@@ -679,26 +710,23 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
     # gamma/B up to 2e23 at unit noise: one panel over [0, gamma/B] puts no
     # node where g2 ~ Exp(1) has its mass and used to return about 0,
     # flagged ok.  With B << A the upper limit is long although the outage
-    # is far from 1; both must take adaptive quadrature split at 40/lambda2.
-    calls = []
-    quad = integrate.quad
-
-    def spy(f, lo, hi, **kwargs):
-        calls.append(kwargs["points"])
-        return quad(f, lo, hi, **kwargs)
-
-    monkeypatch.setattr(integrate, "quad", spy)
+    # is far from 1; both must start from panels split at 40/lambda2.
+    rounds = _panel_edges(monkeypatch)
     huge = make_query(rates=(10.0, 20.0, 40.0), noise=1.0, thetas=(theta,))
     (got,) = outage_quadrature(huge).value.tolist()
     expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in huge.gamma.tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx([1.0] * 3, abs=1e-10)
+    u = (huge.gamma / 5.0).tolist()
+    assert rounds[0] == ([0.0, 40.0] * 3, [40.0, u[0], 40.0, u[1], 40.0, u[2]])
+    rounds.clear()
     long_axis = make_query(rates=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, thetas=(theta,))
     (got,) = outage_quadrature(long_axis).value.tolist()
     expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in long_axis.gamma.tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert 0.3 < got[0] < got[-1] < 0.99
-    assert calls == [(40.0,)] * 3 + [(80.0,)] * 3
+    u = (long_axis.gamma / 1e-3).tolist()
+    assert rounds[0] == ([0.0, 80.0] * 3, [80.0, u[0], 80.0, u[1], 80.0, u[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -723,23 +751,21 @@ def test_theta_tuple_query_equals_one_theta_queries(rates):
             assert [a[t_i].tobytes() for a in got] == [a[0].tobytes() for a in expected]
 
 
-@_stalls
-def test_nonconvergence_of_one_theta_fails_the_theta_tuple():
-    # At R = 7.8, theta = 0.5 converges and theta = -1 does not.
-    outage_quadrature(_stalled_query(rates=(0.05, 7.8), thetas=(0.5,)), tol=1e-13)
+def test_nonconvergence_of_one_theta_fails_the_theta_tuple(one_panel):
+    # At R = 2.0, theta = 0 converges and theta = -1 does not.
+    outage_quadrature(_capped_query(rates=(0.05, 2.0), thetas=(0.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_stalled_query(rates=(0.05, 7.8), thetas=(0.5, -1.0)), tol=1e-13)
+        outage_quadrature(_capped_query(rates=(0.05, 2.0), thetas=(0.0, -1.0)))
 
 
-@_stalls
-@pytest.mark.parametrize("rates", [(0.05, 7.8), (7.8,)], ids=["rate-tuple", "float-rate"])
-def test_nonconvergence_marks_the_failing_points(rates):
+@pytest.mark.parametrize("rates", [(0.05, 2.0), (2.0,)], ids=["rate-tuple", "float-rate"])
+def test_nonconvergence_marks_the_failing_points(rates, one_panel):
     # Every point is evaluated before the raise; the exception holds the
     # (theta, rate) grid of values and marks the points that failed, which
     # are exactly those whose 1x1 query raises.
-    grid = _stalled_query(rates=rates, thetas=(0.5, -1.0))
+    grid = _capped_query(rates=rates, thetas=(0.0, -1.0))
     with pytest.raises(QuadratureNonConvergence, match="theta=-1.0") as info:
-        outage_quadrature(grid, tol=1e-13)
+        outage_quadrature(grid)
     exc = info.value
     assert exc.value.shape == exc.failed.shape == (len(grid.thetas), len(rates))
     for t_i, theta in enumerate(grid.thetas):
@@ -747,9 +773,9 @@ def test_nonconvergence_marks_the_failing_points(rates):
             point = replace(grid, rates=(r,), thetas=(theta,))
             if exc.failed[t_i, r_i]:
                 with pytest.raises(QuadratureNonConvergence):
-                    outage_quadrature(point, tol=1e-13)
+                    outage_quadrature(point)
             else:
-                assert exc.value[t_i, r_i] == outage_quadrature(point, tol=1e-13).value.item()
+                assert exc.value[t_i, r_i] == outage_quadrature(point).value.item()
     assert exc.failed[1, -1] and not exc.failed[0].any()
 
 
@@ -802,3 +828,85 @@ def test_quadrature_scan_against_the_four_term_oracle():
                 drops += lam1 * g / a > 40.0
     assert worst <= 10 * tol
     assert drops >= 150
+
+
+# ---------------------------------------------------------------------------
+# Quadrature against the 60-digit decimal oracle
+# ---------------------------------------------------------------------------
+
+
+def test_decimal_oracle_matches_the_float_forms():
+    # Unit noise, where the float four-term form is exact to about 1e-16,
+    # and the equal-rate branch (a = b) against the Erlang outage at theta 0.
+    for lam1, lam2, a, b, gamma, theta in (
+        (1.0, 2.0, 1.0, 5.0, 3.0, 0.5),
+        (0.5, 1.5, 2.0, 4.0, 0.7, -1.0),
+        (1.0, 1.0, 1.0, 5.0, 31.0, 1.0),
+    ):
+        assert decimal_outage(lam1, lam2, a, b, gamma, theta) == pytest.approx(
+            fgm_outage(lam1, lam2, a, b, gamma, theta), abs=1e-15
+        )
+    assert decimal_outage(2.0, 2.0, 1.0, 1.0, 1.5, 0.0) == pytest.approx(
+        1.0 - 4.0 * math.exp(-3.0), rel=1e-15
+    )
+    # At preset scale the leading term (1 + theta)*a*b*gamma^2/2 of the
+    # series holds to O(gamma): 1 - ... has not lost the value.
+    gamma = 3e-5
+    for theta in (-0.5, 0.0, 1.0):
+        expected = (1.0 + theta) * (1.0 / 5.0) * gamma**2 / 2.0
+        assert decimal_outage(1.0, 1.0, 1.0, 5.0, gamma, theta) == pytest.approx(expected, rel=1e-4)
+
+
+def _assert_within_bound(q, tol):
+    """Every entry of the quadrature grid of ``q`` at ``tol`` is within
+    max(tol, 1e-12*|value|) of :func:`oracles.decimal_outage`."""
+    a, b = q.weight1, q.weight2
+    l1, l2 = q.marginals.lambda1, q.marginals.lambda2
+    value = outage_quadrature(q, tol=tol).value
+    for theta, row in zip(q.thetas, value.tolist()):
+        for g, v in zip(q.gamma.tolist(), row):
+            exact = decimal_outage(l1, l2, a, b, g, theta.theta)
+            assert abs(v - exact) <= max(tol, 1e-12 * abs(v)), (g, theta.theta, v, exact)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_quadrature_matches_the_decimal_oracle_on_every_preset_point(name):
+    cfg = preset_config(name)
+    for budget in cfg.budgets:
+        q = OutageQuery(cfg.rate_grid.values(), budget, cfg.marginals, cfg.thetas)
+        _assert_within_bound(q, cfg.quad_tol)
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_QUAD_TOL, 1e-13])
+def test_quadrature_matches_the_decimal_oracle_on_the_unit_noise_grid(tol):
+    # fig2's (1, 5) budget at unit noise, 21 thetas by 300 rates: the first
+    # panels settle the small rates only, and the rest are bisected.
+    rates = tuple(round(0.01 * k, 2) for k in range(1, 301))
+    thetas = tuple(round(-1.0 + 0.1 * k, 1) for k in range(21))
+    _assert_within_bound(make_query(rates=rates, thetas=thetas), tol)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    lam1=_log_uniform(-3.0, 3.0),
+    lam2=_log_uniform(-3.0, 3.0),
+    a=_log_uniform(-3.0, 3.0),
+    b=_log_uniform(-3.0, 3.0),
+    gamma=_log_uniform(-8.0, 3.0),
+    theta=st.floats(-1.0, 1.0),
+    tie=st.sampled_from([None, 1.0, 2.0]),
+)
+def test_quadrature_matches_the_decimal_oracle_over_a_scan(lam1, lam2, a, b, gamma, theta, tie):
+    # ``tie`` = k sets lambda2/B to exactly k*lambda1/A: the oracle's
+    # equal-rate branch then serves the pair (a, b) at k = 1 and the pair
+    # (2a, b) at k = 2.
+    if tie is not None:
+        lam2, b = tie * lam1, a
+    q = make_query(
+        rates=(0.5 * math.log2(gamma + 1.0),), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,)
+    )
+    _assert_within_bound(q, 1e-13)

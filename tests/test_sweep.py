@@ -29,6 +29,7 @@ from swmac.outage import (
     OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
+    gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
     outage_quadrature,
@@ -53,7 +54,7 @@ from swmac.sweep import (
     run_outage_sweep,
 )
 
-from oracles import closed_form_residual
+from oracles import closed_form_residual, decimal_outage
 
 #: Flag codes as a table stores them: positions in FLAGS.
 OK, OUT_OF_RANGE, DEGENERATE, NONCONVERGENCE = (
@@ -271,8 +272,8 @@ def test_out_of_range_closed_form_rows_keep_value():
 def _fail_quadrature_at(monkeypatch, points):
     """Make the sweep's quadrature raise QuadratureNonConvergence for every
     query holding one of ``points``, (theta, rate) pairs, with those points
-    marked failed, as QUADPACK does where its error estimate stalls (see
-    test_outage's ``_stalled_query``).  Per-query checks read
+    marked failed, as quadrature does where a point misses its error bound
+    (see test_outage's ``_capped_query``).  Per-query checks read
     ``swmac.sweep.outage_quadrature`` to see the same failures."""
     import swmac.sweep as sweep_module
 
@@ -370,12 +371,11 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monk
     assert set(np.unique(table.flag).tolist()) == {OK, DEGENERATE, NONCONVERGENCE, OUT_OF_RANGE}
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(monkeypatch):
-    # The budget and marginals of test_outage's ``_stalled_query``, with no
-    # injected failure: QUADPACK's error estimate stalls above tol 1e-13 at
-    # some of these (theta, rate) points.  One quadrature call per budget
-    # flags exactly the points whose 1x1 query raises.
+    # Unit noise with quadrature capped at one panel per point, and no
+    # injected failure: the larger of these (theta, rate) points are not
+    # settled by their first panel.  One quadrature call per budget flags
+    # exactly the points whose 1x1 query raises.
     import swmac.sweep as sweep_module
 
     calls = []
@@ -386,13 +386,12 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
         return evaluate(query, tol=tol)
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", counted)
+    monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
     cfg = small_config(
-        budgets=(PowerBudget(0.0, 2e-4, 12.8, 144.0),),
         thetas=tuple(DependenceParameter(t) for t in (-1.0, 0.0, 0.5)),
-        rate_grid=RateGrid(7.5, 8.0, 0.05),
-        marginals=FadingMarginals(3e4, 5e-5),
+        rate_grid=RateGrid(1.5, 2.5, 0.1),
+        marginals=FadingMarginals(1.0, 1.0),
         methods=("quadrature",),
-        quad_tol=1e-13,
     )
     table = run_outage_sweep(cfg)
     assert len(calls) == 1
@@ -405,6 +404,28 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
         else:
             assert flag[index] == OK and op[index] == expected.value.item()
     assert 0 < (flag == NONCONVERGENCE).sum() < len(table)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_quadrature_converges_at_an_extreme_fading_rate_ratio(tol):
+    # lambda1/lambda2 = 6e8 with gamma/B near 6e5: the outage is about 1,
+    # yet QUADPACK's error estimate used to stall here above either tol and
+    # flag every row quadrature-nonconvergence.
+    cfg = small_config(
+        budgets=(PowerBudget(0.0, 2e-4, 12.8, 144.0),),
+        thetas=(DependenceParameter(-1.0), DependenceParameter(0.0)),
+        rate_grid=RateGrid(7.7, 7.9, 0.1),
+        marginals=FadingMarginals(3e4, 5e-5),
+        methods=("quadrature",),
+        quad_tol=tol,
+    )
+    table = run_outage_sweep(cfg)
+    assert len(table) == 6 and (table.flag == OK).all()
+    gammas = gamma_threshold(table.axes[2], 144.0).tolist()
+    for (t_i, theta), (r_i, gamma) in product(enumerate(table.axes[1]), enumerate(gammas)):
+        v = table.op[0, t_i, r_i, 0]
+        exact = decimal_outage(3e4, 5e-5, 2e-4, 12.8, gamma, theta)
+        assert abs(v - exact) <= max(tol, 1e-12 * v)
 
 
 def _three_theta_flagged_config():
