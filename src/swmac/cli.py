@@ -20,7 +20,7 @@ from .config import (
     preset_names,
 )
 from .copula import GainPair
-from .outage import OutageEvaluationError
+from .outage import METHODS, OutageEvaluationError
 from .regions import VertexMembershipError
 from .sweep import (
     compare_methods,
@@ -62,7 +62,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--methods",
         metavar="LIST",
-        help="comma-separated subset of closed-form,quadrature,monte-carlo",
+        help=f"comma-separated subset of {','.join(METHODS)}",
     )
     parser.add_argument(
         "--tol", type=float, metavar="FLOAT", help="quadrature tolerance override"

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from .copula import DependenceParameter, FadingMarginals
-from .outage import DEFAULT_QUAD_TOL, METHODS
+from .outage import DEFAULT_QUAD_TOL, MAX_QUAD_TOL, METHODS, MIN_MC_SAMPLES, MONTE_CARLO
 from .regions import PowerBudget
 
 __all__ = [
@@ -155,13 +155,13 @@ class ExperimentConfig:
                 raise ValidationError(f"unknown method {m!r}; expected one of {METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValidationError(f"duplicate method in {self.methods}")
-        if "monte-carlo" in self.methods and not 1000 <= self.mc_samples <= MAX_SAMPLES:
+        if MONTE_CARLO in self.methods and not MIN_MC_SAMPLES <= self.mc_samples <= MAX_SAMPLES:
             raise ValidationError(
-                f"mc_samples must be in [1000, MAX_SAMPLES = {MAX_SAMPLES}] when monte-carlo "
-                f"is selected, got {self.mc_samples}"
+                f"mc_samples must be in [{MIN_MC_SAMPLES}, MAX_SAMPLES = {MAX_SAMPLES}] when "
+                f"{MONTE_CARLO} is selected, got {self.mc_samples}"
             )
-        if not 0.0 < self.quad_tol <= 1e-2:
-            raise ValidationError(f"quad_tol must be in (0, 1e-2], got {self.quad_tol}")
+        if not 0.0 < self.quad_tol <= MAX_QUAD_TOL:
+            raise ValidationError(f"quad_tol must be in (0, {MAX_QUAD_TOL}], got {self.quad_tol}")
 
     def with_overrides(
         self,

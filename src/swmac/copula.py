@@ -114,22 +114,13 @@ class GainPair:
 
 
 # ---------------------------------------------------------------------------
-# Array kernels.  Public operations and the bulk samplers share these, so
-# scalar and vectorized paths are bit-identical.
+# Kernels: the copula density, which the copula and joint gain densities
+# share, and the two steps of the samplers after the draw, on whole blocks.
 # ---------------------------------------------------------------------------
-
-
-def _cdf(theta, u1, u2):
-    return u1 * u2 * (1.0 + theta * (1.0 - u1) * (1.0 - u2))
 
 
 def _density(theta, u1, u2):
     return 1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
-
-
-def _conditional(theta, u1, u2):
-    # dC/du1 at (u1, u2)
-    return u2 * (1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - u2))
 
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
@@ -175,10 +166,6 @@ def _invert_conditional(theta, u1, v):
     return np.minimum(u2, 1.0, out=u2)  # u2 >= 0; rounding may pass 1
 
 
-def _exp_cdf(lam, g):
-    return -np.expm1(-lam * np.asarray(g, dtype=float))
-
-
 def _exp_inverse_pairs(lam1, lam2, u):
     # Quantiles of Exp(lam1) and Exp(lam2) for the two columns of the
     # (n, 2) array u, in place: u[:, i] <- -ln(1 - u[:, i])/lam_i, computed
@@ -197,7 +184,8 @@ def _exp_inverse_pairs(lam1, lam2, u):
 
 def copula_cdf(theta: DependenceParameter, u: UnitPair) -> float:
     """FGM copula CDF C(u1, u2) = u1*u2*(1 + theta*(1-u1)*(1-u2))."""
-    return float(_cdf(theta.theta, u.u1, u.u2))
+    th, u1, u2 = theta.theta, u.u1, u.u2
+    return float(u1 * u2 * (1.0 + th * (1.0 - u1) * (1.0 - u2)))
 
 
 def copula_density(theta: DependenceParameter, u: UnitPair) -> float:
@@ -218,7 +206,7 @@ def conditional_cdf(theta: DependenceParameter, u1: float, u2: float) -> float:
         raise ValueError(f"u1 must be in [0, 1], got {u1}")
     if not (0.0 <= u2 <= 1.0):
         raise ValueError(f"u2 must be in [0, 1], got {u2}")
-    return float(_conditional(theta.theta, u1, u2))
+    return float(u2 * (1.0 + theta.theta * (1.0 - 2.0 * u1) * (1.0 - u2)))
 
 
 def sample_unit_pairs(
@@ -325,6 +313,6 @@ def joint_gain_pdf(
     l1, l2 = marginals.lambda1, marginals.lambda2
     f1 = l1 * np.exp(-l1 * g.g1)
     f2 = l2 * np.exp(-l2 * g.g2)
-    u1 = float(_exp_cdf(l1, g.g1))
-    u2 = float(_exp_cdf(l2, g.g2))
+    u1 = float(-np.expm1(-l1 * g.g1))
+    u2 = float(-np.expm1(-l2 * g.g2))
     return float(f1 * f2 * _density(theta.theta, u1, u2))

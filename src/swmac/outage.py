@@ -30,6 +30,11 @@ result of the 1x1 query (one theta, one rate, one budget) bit for bit.
 The FGM density is affine in theta, so the analytic evaluators compute
 every theta-free exponential once per query and only combine them per
 theta.
+
+Each shared rule is stated here once: the budget rule p0 < min(p1, p2) in
+:func:`_gain_weights`, the range of any evaluator's result in
+:class:`OutageCurve`, and the acceptance of a quadrature point in
+:func:`_point_sums`.
 """
 
 from __future__ import annotations
@@ -67,6 +72,10 @@ MONTE_CARLO = "monte-carlo"
 METHODS = (CLOSED_FORM, QUADRATURE, MONTE_CARLO)
 
 DEFAULT_QUAD_TOL = 1e-10
+#: Largest quadrature tolerance; a tolerance lies in (0, MAX_QUAD_TOL].
+MAX_QUAD_TOL = 1e-2
+#: Fewest gain pairs a Monte Carlo estimate may draw.
+MIN_MC_SAMPLES = 1000
 
 #: Relative threshold (w.r.t. lambda2) below which a closed-form
 #: denominator counts as degenerate.
@@ -167,8 +176,7 @@ class OutageQuery:
 
     ``rates`` is a tuple of rates and ``thetas`` a tuple of dependence
     parameters (tuples, not arrays, so queries stay hashable and
-    comparable).  Requires p0 strictly below min(p1, p2) so both gain
-    weights are positive.
+    comparable).  The budget must pass :func:`_gain_weights`.
     """
 
     rates: tuple[float, ...]
@@ -180,22 +188,17 @@ class OutageQuery:
         for rate in self.rates:
             if not rate >= 0.0:
                 raise ValueError(f"rates must be >= 0, got {rate}")
-        if not self.budget.p0 < min(self.budget.p1, self.budget.p2):
-            raise ValueError(
-                "outage queries need p0 < min(p1, p2) strictly so both gain "
-                f"weights are positive; got p0={self.budget.p0}, "
-                f"p1={self.budget.p1}, p2={self.budget.p2}"
-            )
+        _gain_weights(self.budget)
 
     @property
     def weight1(self) -> float:
         """Weight A = p1 - p0 on the first gain."""
-        return self.budget.p1 - self.budget.p0
+        return _gain_weights(self.budget)[0]
 
     @property
     def weight2(self) -> float:
         """Weight B = p2 - p0 on the second gain."""
-        return self.budget.p2 - self.budget.p0
+        return _gain_weights(self.budget)[1]
 
     @property
     def power_ratio(self) -> float:
@@ -212,25 +215,36 @@ class OutageQuery:
 class OutageCurve:
     """Outage estimates over a grid, one array entry per grid point.
 
-    ``value`` holds the probabilities, ``std_error`` (Monte Carlo only) their
-    standard errors, and ``out_of_range`` marks the closed-form values
-    outside [0, 1]; all share one shape, an axis per grid axis.  Every value
-    but a closed-form one lies in [0, 1], and every standard error is >= 0.
+    ``value`` holds the probabilities, ``out_of_range`` marks the values
+    outside [0, 1], and ``std_error`` (Monte Carlo only) holds standard
+    errors; all share one shape, an axis per grid axis.  Every value not
+    marked lies in [0, 1], and every standard error is >= 0.  Only the
+    closed form marks values; quadrature and Monte Carlo mark none.
     """
 
-    method: str
     value: np.ndarray
     out_of_range: np.ndarray
     std_error: Optional[np.ndarray] = None
-    samples: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.method != CLOSED_FORM and not ((self.value >= 0.0) & (self.value <= 1.0)).all():
-            raise ValueError(f"{self.method} estimates must be in [0, 1], got {self.value}")
+        if not ((self.value >= 0.0) & (self.value <= 1.0) | self.out_of_range).all():
+            raise ValueError(f"unmarked estimates must be in [0, 1], got {self.value}")
         if self.std_error is not None and not (self.std_error >= 0.0).all():
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+
+
+def _gain_weights(budget: PowerBudget) -> tuple[float, float]:
+    """The gain weights (A, B) = (p1 - p0, p2 - p0) of ``budget``.
+
+    Raises ValueError unless p0 < min(p1, p2) strictly, so that both
+    weights are positive.
+    """
+    if not budget.p0 < min(budget.p1, budget.p2):
+        raise ValueError(
+            "outage needs p0 < min(p1, p2) strictly so both gain weights are "
+            f"positive; got p0={budget.p0}, p1={budget.p1}, p2={budget.p2}"
+        )
+    return budget.p1 - budget.p0, budget.p2 - budget.p0
 
 
 def gamma_threshold(rates: Sequence[float], noise: float) -> np.ndarray:
@@ -283,7 +297,8 @@ def outage_closed_form(query: OutageQuery) -> OutageCurve:
     so it deviates from the exact probability (see
     :func:`outage_quadrature`); at theta = 0 the deviation equals
     l1*P*exp(-l2*gamma/B)/(l2 - l1*P).  Values outside [0, 1] are returned
-    and marked in ``out_of_range``.
+    and marked in ``out_of_range``, and so are the NaNs that fading rates
+    near the float limit give.
 
     Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
     (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
@@ -301,15 +316,14 @@ def outage_closed_form(query: OutageQuery) -> OutageCurve:
                 f"denominator {name} = {d} is within {eps} of zero "
                 f"(lambda1={l1}, lambda2={l2}, P={p})"
             )
-    gamma = gamma_threshold(query.rates, query.budget.noise)
+    gamma = query.gamma
     e1 = _libm_exp(-l1 * gamma / query.weight1)
     e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
     base = l2 * e1 / d1
     bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
     thetas = np.array([theta.theta for theta in query.thetas])
     values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
-    out_of_range = (values < 0.0) | (values > 1.0)
-    return OutageCurve(CLOSED_FORM, values, out_of_range)
+    return OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)))
 
 
 def _conditional_terms(d, gamma, a, b, l1, l2):
@@ -345,11 +359,12 @@ def _panel_terms(lo, hi, gamma, a, b, l1, l2):
 
 def _point_sums(seg, res, err, first, tol):
     """Value, error estimate, bound max(tol, 1e-12*|value|), panel count and
-    acceptance of each point 0, 1, ..., from the dqk21 (result, abserr,
-    settled) of its panels: those where ``seg`` holds its index, in
-    position order.  Each sum adds one point's panels in that order.  A
-    point with one panel (only round 0 has them) must also pass dqagse's
-    first-panel test."""
+    acceptance of each point 0, 1, ..., from the dqk21 result and abserr of
+    its panels: those where ``seg`` holds its index, in position order.
+    Each sum adds one point's panels in that order.  A point is accepted
+    when its error estimate is within its bound, and a point with one panel
+    (only round 0 has them) only if that panel's ``first`` is also set:
+    dqagse's first-panel test, abserr != resasc or abserr == 0."""
     count = np.bincount(seg)
     value = np.bincount(seg, weights=res)
     abserr = np.bincount(seg, weights=err)
@@ -385,16 +400,16 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     unconverged where that would take it past ``_MAX_PANELS`` panels.  A
     point's sums run over its own panels in position order, so each entry
     equals its 1x1 query bit for bit.  The absolute tolerance is ``tol``
-    (in (0, 1e-2]).
+    (in (0, ``MAX_QUAD_TOL``]).
 
     Every point is evaluated before any failure is raised.  Raises
     :class:`QuadratureNonConvergence`, with the failing points marked, where
     the error estimate exceeds that bound or the value leaves [0, 1] by more
     than it.
     """
-    if not 0.0 < tol <= 1e-2:
-        raise ValueError(f"tol must be in (0, 1e-2], got {tol}")
-    gamma = gamma_threshold(query.rates, query.budget.noise)
+    if not 0.0 < tol <= MAX_QUAD_TOL:
+        raise ValueError(f"tol must be in (0, {MAX_QUAD_TOL}], got {tol}")
+    gamma = query.gamma
     a, b = query.weight1, query.weight2
     l1, l2 = query.marginals.lambda1, query.marginals.lambda2
     thetas = np.array([theta.theta for theta in query.thetas])
@@ -412,12 +427,12 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     inner = edge_rate[:-1] == edge_rate[1:]
     lo, hi, rate = edges[:-1][inner], edges[1:][inner], edge_rate[1:][inner]
     hlgth, terms = _panel_terms(lo, hi, gamma[rate], a, b, l1, l2)
-    res, err = np.empty((2, len(thetas), len(lo)))
-    first = np.empty(res.shape, dtype=bool)
+    res, err, asc = np.empty((3, len(thetas), len(lo)))
     for t_i, th in enumerate(thetas.tolist()):
-        res[t_i], err[t_i], first[t_i] = _gauss_kronrod_panel(
-            _conditional_integrand(th, *terms), hlgth, tol
+        res[t_i], err[t_i], asc[t_i] = _gauss_kronrod_panel(
+            _conditional_integrand(th, *terms), hlgth
         )
+    first = (err != asc) | (err == 0.0)
     # Every panel of every (theta, rate) point, owned by point theta*n + rate
     # and ordered by owner, then by position.
     owner = (np.arange(len(thetas))[:, None] * n + rate).ravel()
@@ -444,7 +459,7 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
         h, terms = _panel_terms(lo[new], hi[new], gamma[owner[new] % n], a, b, l1, l2)
         th = thetas[owner[new] // n][:, None]
-        res[new], err[new], _ = _gauss_kronrod_panel(_conditional_integrand(th, *terms), h, tol)
+        res[new], err[new], _ = _gauss_kronrod_panel(_conditional_integrand(th, *terms), h)
     values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
     errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
     unconverged = abserr > errbnd
@@ -461,22 +476,22 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
             clamped,
             failed,
         )
-    return OutageCurve(QUADRATURE, clamped, np.zeros(clamped.shape, dtype=bool))
+    return OutageCurve(clamped, np.zeros(clamped.shape, dtype=bool))
 
 
 def _gauss_kronrod_panel(
-    fv: np.ndarray, hlgth: np.ndarray, tol: float
+    fv: np.ndarray, hlgth: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QUADPACK's dqk21 on every panel at once.
 
     ``fv`` holds the integrand on the (panel x 21) node array, the nodes
     c + h*_GK_NODES of each panel with c its centre and h = ``hlgth[i]``
-    its half-length.  Returns (result, abserr, settled):
-    dqk21's Gauss-Kronrod result and error estimate per panel, and whether
-    dqagse would return after this panel were it the first, that is abserr
-    <= max(tol, 1e-12*|result|) with abserr != resasc, or abserr == 0.
-    Every sum runs along the 21 nodes of one panel in a fixed order, so an
-    entry does not depend on the other panels.
+    its half-length.  Returns dqk21's (result, abserr, resasc) per panel:
+    the Gauss-Kronrod result, its error estimate, and the integral of
+    |f - mean f| that dqagse's first-panel test compares abserr against
+    (see :func:`_point_sums`, which alone decides acceptance).  Every sum
+    runs along the 21 nodes of one panel in a fixed order, so an entry
+    does not depend on the other panels.
     """
     resk = (fv * _GK_WEIGHTS).sum(axis=1)
     resg = (fv * _G_WEIGHTS).sum(axis=1)
@@ -492,9 +507,7 @@ def _gauss_kronrod_panel(
     )
     floored = resabs > _UFLOW / (50.0 * _EPMACH)
     abserr[floored] = np.maximum(_EPMACH * 50.0 * resabs[floored], abserr[floored])
-    errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(result))
-    settled = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
-    return result, abserr, settled
+    return result, abserr, resasc
 
 
 def outage_monte_carlo(
@@ -534,13 +547,10 @@ def outage_monte_carlo(
     divisions, so the argument does not depend on how libm rounds.  Where
     that threshold rounds to 1, or reach is 0, no pair is dropped.
     """
-    if n < 1000:
-        raise ValueError(f"n must be >= 1000, got {n}")
-    for budget in budgets:
-        if not budget.p0 < min(budget.p1, budget.p2):
-            raise ValueError(f"outage needs p0 < min(p1, p2) strictly, got {budget}")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
+    weights = [_gain_weights(budget) for budget in budgets]
     gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
-    weights = [(budget.p1 - budget.p0, budget.p2 - budget.p0) for budget in budgets]
     reach = max(
         (float(gamma.max(initial=0.0)) / a for gamma, (a, _) in zip(gammas, weights)),
         default=0.0,
@@ -569,4 +579,4 @@ def outage_monte_carlo(
     count(batch)
     p_hat = counts / n
     std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
-    return OutageCurve(MONTE_CARLO, p_hat, np.zeros(p_hat.shape, dtype=bool), std_error, n)
+    return OutageCurve(p_hat, np.zeros(p_hat.shape, dtype=bool), std_error)

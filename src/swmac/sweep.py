@@ -43,6 +43,7 @@ from .outage import (
     OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
+    _gain_weights,
     outage_closed_form,
     outage_monte_carlo,
     outage_quadrature,
@@ -204,11 +205,10 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     answering raises :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
-        if not budget.p0 < min(budget.p1, budget.p2):
-            raise ValidationError(
-                f"budget {i}: outage sweeps need p0 < min(p1, p2) strictly, "
-                f"got p0={budget.p0}, p1={budget.p1}, p2={budget.p2}"
-            )
+        try:
+            _gain_weights(budget)
+        except ValueError as exc:
+            raise ValidationError(f"budget {i}: {exc}") from None
     rates = config.rate_grid.values()
     shape = (len(config.budgets), len(config.thetas), len(rates), len(config.methods))
     op = np.full(shape, np.nan)

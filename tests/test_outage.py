@@ -24,8 +24,10 @@ from swmac import (
     outage_monte_carlo,
     outage_quadrature,
 )
-from swmac.config import preset_config
+from swmac.cli import main
+from swmac.config import ExperimentConfig, RateGrid, ValidationError, preset_config
 from swmac.outage import DEFAULT_QUAD_TOL
+from swmac.sweep import run_outage_sweep
 
 from oracles import (
     brute_force_outage,
@@ -103,32 +105,85 @@ def test_query_derived_quantities():
     assert q.gamma == pytest.approx([3e-5], rel=1e-15)
 
 
-def test_estimate_validation():
-    # the checks on one point: a 1x1 curve
-    ok = np.zeros((1, 1), dtype=bool)
-    with pytest.raises(ValueError):
-        OutageCurve(QUADRATURE, np.array([[1.2]]), ok)
-    with pytest.raises(ValueError):
-        OutageCurve("bogus", np.array([[0.5]]), ok)
-    with pytest.raises(ValueError):
-        OutageCurve(MONTE_CARLO, np.array([[0.5]]), ok, std_error=np.array([[-0.1]]))
-    flagged = OutageCurve(CLOSED_FORM, np.array([[-0.25]]), ~ok)
-    assert flagged.value.item() == -0.25
+@pytest.mark.parametrize("bad", [1.2, math.nan])
+@pytest.mark.parametrize("shape", [(1, 1), (2,)], ids=["1x1", "grid"])
+def test_curve_rejects_an_unmarked_value_outside_the_unit_interval(shape, bad):
+    value = np.full(shape, 0.5)
+    value.flat[-1] = bad
+    with pytest.raises(ValueError, match="unmarked estimates must be in"):
+        OutageCurve(value, np.zeros(shape, dtype=bool))
 
 
-def test_curve_validation_matches_estimate():
-    # the same checks hold entrywise on a grid
-    ok = np.zeros(2, dtype=bool)
-    for value in ([0.5, 1.2], [0.5, math.nan]):
-        with pytest.raises(ValueError):
-            OutageCurve(QUADRATURE, np.array(value), out_of_range=ok)
-    with pytest.raises(ValueError):
-        OutageCurve("bogus", np.array([0.5, 0.5]), out_of_range=ok)
-    with pytest.raises(ValueError):
-        OutageCurve(MONTE_CARLO, np.array([0.5, 0.5]), ok, std_error=np.array([0.1, -0.1]))
-    flagged = OutageCurve(CLOSED_FORM, np.array([-0.25, 0.5]), np.array([True, False]))
-    assert flagged.value.tolist() == [-0.25, 0.5]
-    assert flagged.out_of_range.tolist() == [True, False]
+@pytest.mark.parametrize("shape", [(1, 1), (2,)], ids=["1x1", "grid"])
+def test_curve_accepts_a_marked_value_outside_the_unit_interval(shape):
+    value = np.full(shape, 0.5)
+    value.flat[0] = -0.25
+    marked = np.zeros(shape, dtype=bool)
+    marked.flat[0] = True
+    curve = OutageCurve(value, marked)
+    assert curve.value.flat[0] == -0.25 and curve.out_of_range.flat[0]
+    assert curve.std_error is None
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2,)], ids=["1x1", "grid"])
+def test_curve_rejects_a_negative_std_error(shape):
+    std_error = np.full(shape, 0.1)
+    std_error.flat[-1] = -0.1
+    with pytest.raises(ValueError, match="std_error must be >= 0"):
+        OutageCurve(np.full(shape, 0.5), np.zeros(shape, dtype=bool), std_error)
+    # the rule holds for a marked value too
+    with pytest.raises(ValueError, match="std_error must be >= 0"):
+        OutageCurve(np.full(shape, 0.5), np.ones(shape, dtype=bool), std_error)
+
+
+# p0 equal to the smaller cap, on either side: one weight is then zero.
+_BOUNDARY_BUDGETS = {
+    "p0=p1": PowerBudget(1.0, 1.0, 5.0, 1.0),
+    "p0=p2": PowerBudget(2.0, 3.0, 2.0, 1.0),
+}
+
+
+def _query_entry(budget, tmp_path):
+    with pytest.raises(ValueError, match=r"p0 < min\(p1, p2\) strictly"):
+        make_query(p0=budget.p0, p1=budget.p1, p2=budget.p2)
+
+
+def _monte_carlo_entry(budget, tmp_path):
+    # the rule holds for every budget, not only the first
+    budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), budget)
+    theta, marginals = DependenceParameter(0.0), FadingMarginals(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"p0 < min\(p1, p2\) strictly"):
+        outage_monte_carlo(theta, marginals, budgets, (0.5,), 1000, 1)
+
+
+def _sweep_entry(budget, tmp_path):
+    config = ExperimentConfig(
+        budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), budget),
+        rate_grid=RateGrid(0.5, 0.5, 0.1),
+        mc_samples=1000,
+    )
+    with pytest.raises(ValidationError, match=r"budget 1: .*p0 < min\(p1, p2\) strictly"):
+        run_outage_sweep(config, workers=2)
+
+
+def _cli_entry(budget, tmp_path):
+    path, out = tmp_path / "boundary.txt", tmp_path / "boundary.csv"
+    path.write_text(
+        "rate_start = 0.5\nrate_stop = 0.5\nmc_samples = 1000\n"
+        f"[budget]\np0 = {budget.p0}\np1 = {budget.p1}\np2 = {budget.p2}\nnoise = 1\n"
+    )
+    assert main(["outage", "--config", str(path), "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("budget", list(_BOUNDARY_BUDGETS.values()), ids=list(_BOUNDARY_BUDGETS))
+@pytest.mark.parametrize(
+    "entry",
+    [_query_entry, _monte_carlo_entry, _sweep_entry, _cli_entry],
+    ids=["query", "monte-carlo", "sweep", "cli"],
+)
+def test_every_entry_point_rejects_p0_at_the_smaller_cap(entry, budget, tmp_path):
+    entry(budget, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +207,16 @@ def test_closed_form_small_gamma_out_of_range_example():
     assert est.value.item() == pytest.approx(-0.25, abs=1e-15)
     assert est.out_of_range.tolist() == [[True]]
     assert outage_quadrature(q).value.tolist() == [[0.0]]
+
+
+def test_closed_form_marks_the_nan_of_overflowing_terms():
+    # l1*P overflows at lambda = 1e308, and 2*l2*e1 = inf*0 is NaN: the value
+    # is no probability, so it is marked like any value outside [0, 1]
+    q = make_query(rates=(0.0, 0.5), lam1=1e308, lam2=1e308, thetas=(1.0,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = outage_closed_form(q)
+    assert np.isnan(est.value).all()
+    assert est.out_of_range.tolist() == [[True, True]]
 
 
 def test_closed_form_all_three_denominators_checked():
@@ -183,7 +248,7 @@ def test_closed_form_affine_in_theta_exactly():
 def test_quadrature_zero_gamma_is_exactly_zero():
     est = outage_quadrature(make_query(rates=(0.0,)))
     assert est.value.tolist() == [[0.0]]
-    assert est.method == QUADRATURE
+    assert est.out_of_range.tolist() == [[False]] and est.std_error is None
 
 
 def test_quadrature_unit_independent_case():
@@ -279,7 +344,6 @@ def test_monte_carlo_zero_gamma():
     est = monte_carlo(make_query(rates=(0.0,)), 10_000, seed=1)
     assert est.value.tolist() == [[0.0]]
     assert est.std_error.tolist() == [[0.0]]
-    assert est.samples == 10_000
 
 
 def test_monte_carlo_certain_event():
@@ -596,7 +660,7 @@ def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
 
 
 def test_first_panel_matches_quadpack_first_step():
-    from swmac.outage import _GK_NODES, _gauss_kronrod_panel
+    from swmac.outage import _GK_NODES, _gauss_kronrod_panel, _point_sums
 
     for f, upper in (
         (lambda x: np.exp(-x) * np.sin(3.0 * x), 2.0),  # settled by the panel
@@ -610,9 +674,13 @@ def test_first_panel_matches_quadpack_first_step():
             lambda x: float(f(x)), 0.0, upper, epsabs=1e-10, epsrel=1e-12, full_output=1
         )[:3]
         h = np.array([[0.5 * upper]])
-        result, abserr, settled = _gauss_kronrod_panel(f(h + h * _GK_NODES), h[0], 1e-10)
+        result, abserr, resasc = _gauss_kronrod_panel(f(h + h * _GK_NODES), h[0])
         assert result[0] == pytest.approx(first_step[0], rel=1e-14)
         assert abserr[0] == pytest.approx(first_step[1], rel=1e-6)
+        # dqagse returns after its first panel exactly where a point left
+        # with that one panel is accepted
+        first = (abserr != resasc) | (abserr == 0.0)
+        *_, settled = _point_sums(np.zeros(1, dtype=int), result, abserr, first, 1e-10)
         assert bool(settled[0]) == (info["neval"] == 21)
 
 
@@ -632,7 +700,7 @@ def _quadpack_reference(q, tol):
     return integrate.quad(inner, 0.0, gamma / b, epsabs=tol, epsrel=1e-12, limit=200)[0]
 
 
-def test_first_panel_acceptance_compares_against_resasc():
+def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     # gamma/B is about 8,800 and the mass sits near 0, so one 21-point panel
     # over [0, gamma/B] sees almost none of it: its value is near 3e-11, with
     # an error estimate within tol.  dqagse rejects that panel because its
@@ -647,16 +715,22 @@ def test_first_panel_acceptance_compares_against_resasc():
     gamma = q.gamma
     assert gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
     h, terms = _panel_terms(np.zeros(1), gamma / q.weight2, gamma, q.weight1, q.weight2, 0.5, 1.5)
-    panel = _gauss_kronrod_panel(_conditional_integrand(-1.0, *terms), h, 1e-10)
-    result, abserr, settled = (x.item() for x in panel)
-    assert result < 1e-10 and abserr <= 1e-10 and not settled
-    *_, done = _point_sums(np.zeros(1, dtype=int), *panel, 1e-10)
+    result, abserr, resasc = _gauss_kronrod_panel(_conditional_integrand(-1.0, *terms), h)
+    assert result.item() < 1e-10 and abserr.item() <= 1e-10
+    assert abserr.item() == resasc.item() != 0.0
+    first = (abserr != resasc) | (abserr == 0.0)
+    *_, done = _point_sums(np.zeros(1, dtype=int), result, abserr, first, 1e-10)
     assert done.tolist() == [False]
     # The point's first panels are cut at 40/lambda2, where its mass is seen.
     reference = _quadpack_reference(q, 1e-10)
     got = outage_quadrature(q, tol=1e-10).value.item()
     assert got == pytest.approx(1.0, abs=1e-9)
     assert abs(got - reference) <= max(1e-10, 1e-12 * got)
+    # Without the cuts the point starts from that one panel, which quadrature
+    # itself must reject and bisect until the mass is found.
+    monkeypatch.setattr("swmac.outage._SPAN", math.inf)
+    uncut = outage_quadrature(q, tol=1e-10).value.item()
+    assert abs(uncut - reference) <= max(1e-10, 1e-12 * uncut)
 
 
 def _panel_edges(monkeypatch):
@@ -910,3 +984,42 @@ def test_quadrature_matches_the_decimal_oracle_over_a_scan(lam1, lam2, a, b, gam
         rates=(0.5 * math.log2(gamma + 1.0),), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,)
     )
     _assert_within_bound(q, 1e-13)
+
+
+def _assert_curve_invariant(curve, marks):
+    # every unmarked value lies in [0, 1] and no standard error is negative;
+    # only the closed form marks values
+    inside = (curve.value >= 0.0) & (curve.value <= 1.0)
+    assert (inside | curve.out_of_range).all()
+    assert curve.out_of_range.any() <= marks
+    assert curve.std_error is None or (curve.std_error >= 0.0).all()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    lam1=_log_uniform(-2.0, 2.0),
+    lam2=_log_uniform(-2.0, 2.0),
+    p1=_log_uniform(-2.0, 2.0),
+    p2=_log_uniform(-2.0, 2.0),
+    share=st.floats(0.0, 0.9),
+    noise=_log_uniform(-5.0, 1.0),
+    rates=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3),
+    thetas=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+)
+def test_every_evaluator_satisfies_the_curve_invariant(
+    lam1, lam2, p1, p2, share, noise, rates, thetas
+):
+    q = make_query(
+        rates=tuple(rates), p0=share * min(p1, p2), p1=p1, p2=p2, noise=noise,
+        lam1=lam1, lam2=lam2, thetas=thetas,
+    )
+    try:
+        _assert_curve_invariant(outage_closed_form(q), marks=True)
+    except DegenerateDenominator:
+        pass
+    try:
+        _assert_curve_invariant(outage_quadrature(q), marks=False)
+    except QuadratureNonConvergence:
+        pass
+    curve = outage_monte_carlo(q.thetas[0], q.marginals, (q.budget,), q.rates, 1000, 3)
+    _assert_curve_invariant(curve, marks=False)
