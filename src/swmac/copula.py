@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -254,26 +254,42 @@ def _gain_pairs(
     return w
 
 
-def _uniform_blocks(n: int, seed: int) -> Iterator[np.ndarray]:
+def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterator[np.ndarray]:
     """The raw (u1, v) uniforms of ``n`` pairs, as (m, 2) blocks of at most
     ``BLOCK_SIZE`` rows; ``n`` is checked on the call, before any draw.
 
     The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
     drawn from the independent substream ``(seed, k)``, in consecutive
     blocks.  Philox hands out uniforms in order however a draw is split, so
-    the blocks of a chunk equal, bit for bit, the chunk drawn whole.  This
-    is the one place that addresses gain draws; :func:`iter_gain_pair_chunks`
-    and the Monte Carlo count both read it.
+    the blocks of a chunk equal, bit for bit, the chunk drawn whole.  Block
+    ``b`` holds pairs ``[b*BLOCK_SIZE, min((b + 1)*BLOCK_SIZE, n))``;
+    ``blocks``, an increasing range of block indices, draws only those
+    blocks (default: all of them).  Philox is counter-based, so a block
+    drawn alone, after advancing the generator over the blocks skipped,
+    equals the same block drawn in sequence.  This is the one place that
+    addresses gain draws; :func:`iter_gain_pair_chunks` and the Monte Carlo
+    count both read it.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    chunks = ((k, substream(seed, k)) for k in range(-(-n // CHUNK_SIZE)))
+    if blocks is None:
+        blocks = range(-(-n // BLOCK_SIZE))
     # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
-    return (
-        rng.random((min(BLOCK_SIZE, n - start), 2))
-        for k, rng in chunks
-        for start in range(k * CHUNK_SIZE, min((k + 1) * CHUNK_SIZE, n), BLOCK_SIZE)
-    )
+    per_chunk = CHUNK_SIZE // BLOCK_SIZE
+
+    def draw() -> Iterator[np.ndarray]:
+        chunk = None
+        for b in blocks:
+            k, j = divmod(b, per_chunk)  # the chunk, and the block within it
+            if k != chunk:
+                chunk, rng, undrawn = k, substream(seed, k), 0
+            if j > undrawn:
+                # a block takes 2*BLOCK_SIZE uniforms; one Philox counter step gives 4
+                rng.bit_generator.advance((j - undrawn) * BLOCK_SIZE // 2)
+            yield rng.random((min(BLOCK_SIZE, n - b * BLOCK_SIZE), 2))
+            undrawn = j + 1
+
+    return draw()
 
 
 def iter_gain_pair_chunks(
@@ -281,10 +297,12 @@ def iter_gain_pair_chunks(
     marginals: FadingMarginals,
     n: int,
     seed: int,
+    blocks: Optional[range] = None,
 ) -> Iterator[np.ndarray]:
     """``n`` correlated gain pairs, drawn lazily and yielded in blocks of at
     most ``BLOCK_SIZE`` pairs; ``n`` is checked on the call, before any
-    pair is drawn.
+    pair is drawn.  ``blocks`` selects blocks by index, as in
+    :func:`_uniform_blocks`.
 
     Chunk ``k`` of ``CHUNK_SIZE`` pairs is drawn from the independent
     substream ``(seed, k)`` (see :func:`_uniform_blocks`), so any
@@ -295,7 +313,7 @@ def iter_gain_pair_chunks(
     bit for bit, the whole chunk drawn at once; only the working set is
     smaller.
     """
-    return (_gain_pairs(theta, marginals, w) for w in _uniform_blocks(n, seed))
+    return (_gain_pairs(theta, marginals, w) for w in _uniform_blocks(n, seed, blocks))
 
 
 def joint_gain_pdf(

@@ -317,12 +317,15 @@ def outage_closed_form(query: OutageQuery) -> OutageCurve:
                 f"(lambda1={l1}, lambda2={l2}, P={p})"
             )
     gamma = query.gamma
-    e1 = _libm_exp(-l1 * gamma / query.weight1)
-    e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
-    base = l2 * e1 / d1
-    bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
     thetas = np.array([theta.theta for theta in query.thetas])
-    values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
+    # fading rates near the float limit overflow, as in (2*l2)*e1 = inf*0:
+    # the NaNs that follow are marked out of range below
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1 = _libm_exp(-l1 * gamma / query.weight1)
+        e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
+        base = l2 * e1 / d1
+        bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
+        values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
     return OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)))
 
 

@@ -12,6 +12,10 @@ theta slice given up front; the parent evaluates the analytic methods
 meanwhile.  Row values therefore do not depend on execution order or
 worker count, and two runs of the same config produce byte-identical CSV.
 
+Sampled gain pairs fan out through the same pool: each block of pairs can
+be drawn alone, so workers draw and format strided blocks and the parent
+writes their texts in block order, the same bytes for any worker count.
+
 Evaluator failures (degenerate closed-form denominators, quadrature
 non-convergence) do not abort a sweep; the affected row carries an error
 flag and an empty value instead.
@@ -25,15 +29,17 @@ from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, islice, product
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .config import MAX_SAMPLES, ExperimentConfig, ValidationError
-from .copula import DependenceParameter, GainPair, iter_gain_pair_chunks
+from .copula import DependenceParameter, FadingMarginals, GainPair, iter_gain_pair_chunks
 from .outage import (
     CLOSED_FORM,
     METHODS,
@@ -152,21 +158,26 @@ def _theta_block(
     return curve.value, curve.std_error
 
 
-def _theta_slice(
-    conn, config: ExperimentConfig, t_indices: range, rates: tuple[float, ...]
-) -> None:
-    """Worker body: send through ``conn`` the :func:`_theta_block` of each
-    of ``t_indices`` as a list, or the exception that stopped them."""
+def _theta_blocks(
+    config: ExperimentConfig, rates: tuple[float, ...], t_indices: range
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The :func:`_theta_block` of each of ``t_indices``, lazily."""
+    return (_theta_block(config, t_i, rates) for t_i in t_indices)
+
+
+def _send_results(conn, work: Callable[[range], Iterable], indices: range) -> None:
+    """Worker body: send through ``conn`` each result of ``work(indices)``
+    as soon as it is done, or the exception that stopped them."""
     try:
-        result = [_theta_block(config, t_i, rates) for t_i in t_indices]
+        for result in work(indices):
+            conn.send(result)
     except Exception as exc:  # handed to the parent, which re-raises it
-        result = exc
-    conn.send(result)
+        conn.send(exc)
     conn.close()
 
 
-def _receive(conn, proc) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks a :func:`_theta_slice` worker sent; re-raises the
+def _receive(conn, proc):
+    """The next result a :func:`_send_results` worker sent; re-raises the
     exception it sent instead, and raises :class:`OutageEvaluationError`
     naming its exit code if it died without answering."""
     try:
@@ -174,8 +185,8 @@ def _receive(conn, proc) -> list[tuple[np.ndarray, np.ndarray]]:
     except EOFError:
         proc.join()
         raise OutageEvaluationError(
-            f"Monte Carlo worker {proc.name} exited with code {proc.exitcode} "
-            "before sending its theta blocks"
+            f"worker {proc.name} exited with code {proc.exitcode} "
+            "before sending all its results"
         ) from None
     if isinstance(result, BaseException):
         raise result
@@ -191,18 +202,71 @@ def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     return max(1, min(workers or cpus, cpus, tasks))
 
 
+@contextmanager
+def _fanned_out(work: Callable[[range], Iterable], items: int, workers: int) -> Iterator[Iterator]:
+    """The results of ``work(range(items))``, in item order, computed on a
+    pool of worker processes; ``work(indices)`` yields one result per index.
+
+    ``workers`` counts the processes, 0 meaning one per CPU this process
+    may run on; the pool never exceeds that CPU count or ``items``.  A pool
+    of one is ``work`` itself, run in this process as the results are read.
+    Otherwise worker w computes items w, w + k, ... of a pool of k and sends
+    each result as soon as it is done, and item i is read from worker
+    i mod k.  On Linux the workers are forked whatever the start method.
+    An exception that stops a worker is re-raised with its own type when
+    its item is read; a worker that dies without answering raises
+    :class:`OutageEvaluationError` naming its exit code.  On leaving the
+    block every worker has ended: on an error they are stopped first.
+    """
+    # the CPUs this process may run on, where the platform reports them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = _pool_size(workers, items, cpus)
+    if pool_size == 1:
+        yield work(range(items))
+        return
+    # imported here, so that commands that start no pool do not pay for it
+    import multiprocessing
+
+    # Forked workers start at once with the parent's modules and arguments;
+    # spawn and forkserver (the Linux default from Python 3.14) would
+    # re-import swmac and numpy in each.  Elsewhere fork is not safe.
+    ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else multiprocessing
+    # Every item costs about the same, so a fixed stride balances the
+    # workers as well as a task queue would.
+    pool = []
+    try:
+        for w in range(pool_size):
+            conn, child_conn = ctx.Pipe(duplex=False)
+            proc = ctx.Process(
+                target=_send_results, args=(child_conn, work, range(w, items, pool_size))
+            )
+            proc.start()
+            pool.append((conn, proc))
+            # the worker now holds the only write end, so its death ends the pipe
+            child_conn.close()
+        yield (_receive(*pool[i % pool_size]) for i in range(items))
+    except BaseException:
+        for _, proc in pool:
+            proc.terminate()  # their results are no longer wanted
+        raise
+    finally:
+        for conn, proc in pool:
+            conn.close()
+            proc.join()
+
+
 def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
     in lexicographic (budget, theta, rate, method) index order.
 
     ``workers`` > 1 fans the Monte Carlo theta blocks out across processes
-    while the parent evaluates the analytic methods; 0 means one per CPU
-    this process may run on.  The pool never exceeds that CPU count or the
-    number of theta blocks, and a sweep without Monte Carlo starts none.
-    On Linux the workers are forked whatever the start method.  Results
-    are identical for any worker count.  An exception that stops a
-    worker is re-raised here with its own type; a worker that dies without
-    answering raises :class:`OutageEvaluationError` naming its exit code.
+    (see :func:`_fanned_out`) while the parent evaluates the analytic
+    methods; 0 means one per CPU this process may run on.  The pool never
+    exceeds that CPU count or the number of theta blocks, and a sweep
+    without Monte Carlo starts none.  Results are identical for any worker
+    count.  An exception that stops a worker is re-raised here with its own
+    type; a worker that dies without answering raises
+    :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
         try:
@@ -214,8 +278,9 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     op = np.full(shape, np.nan)
     std_err = np.full(shape, np.nan)
     flag = np.full(shape, _OK, dtype=np.int8)
-
-    def analytic() -> None:
+    mc_blocks = len(config.thetas) if MONTE_CARLO in config.methods else 0
+    with _fanned_out(partial(_theta_blocks, config, rates), mc_blocks, workers) as results:
+        # the analytic methods, in the parent while any workers draw
         for b_i, budget in enumerate(config.budgets):
             query = OutageQuery(rates, budget, config.marginals, config.thetas)
             for m_i, method in enumerate(config.methods):
@@ -223,47 +288,7 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                     op[b_i, ..., m_i], flag[b_i, ..., m_i] = _analytic_column(
                         query, method, config.quad_tol
                     )
-
-    mc_blocks = range(len(config.thetas)) if MONTE_CARLO in config.methods else range(0)
-    # the CPUs this process may run on, where the platform reports them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = _pool_size(workers, len(mc_blocks), cpus)
-    if pool_size == 1:
-        analytic()
-        blocks = [_theta_block(config, t_i, rates) for t_i in mc_blocks]
-    else:
-        # imported here, so that commands that start no pool do not pay for it
-        import multiprocessing
-
-        # Forked workers start at once with the parent's modules and config;
-        # spawn and forkserver (the Linux default from Python 3.14) would
-        # re-import swmac and numpy in each.  Elsewhere fork is not safe.
-        ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else multiprocessing
-        # Worker w draws theta blocks w, w + pool_size, ...: every block costs
-        # the same, so a fixed slice balances as well as a task queue would.
-        pool = []
-        try:
-            for w in range(pool_size):
-                conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_theta_slice, args=(child_conn, config, mc_blocks[w::pool_size], rates)
-                )
-                proc.start()
-                pool.append((conn, proc))
-                # the worker now holds the only write end, so its death ends the pipe
-                child_conn.close()
-            analytic()  # in the parent, while the workers draw
-            blocks = [None] * len(mc_blocks)
-            for w, (conn, proc) in enumerate(pool):
-                blocks[w::pool_size] = _receive(conn, proc)
-        except BaseException:
-            for _, proc in pool:
-                proc.terminate()  # their blocks are no longer wanted
-            raise
-        finally:
-            for conn, proc in pool:
-                conn.close()
-                proc.join()
+        blocks = list(results)
     if blocks:
         m_i = config.methods.index(MONTE_CARLO)
         op[..., m_i], std_err[..., m_i] = (np.stack(column, axis=1) for column in zip(*blocks))
@@ -456,23 +481,40 @@ def emit_region(
     return vertices
 
 
+def _sample_texts(
+    theta: DependenceParameter, marginals: FadingMarginals, n: int, seed: int, blocks: range
+) -> Iterator[str]:
+    """The CSV lines of the gain pairs of each of ``blocks``, one text per
+    block, lazily."""
+    return (
+        "%r,%r\n" * len(block) % tuple(block.ravel().tolist())
+        for block in iter_gain_pair_chunks(theta, marginals, n, seed, blocks)
+    )
+
+
 def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str | Path) -> None:
     """Write ``n`` correlated gain pairs as CSV (columns g1, g2).
 
     Deterministic for a fixed config seed; values come from the same
-    chunked substreams as the Monte Carlo evaluator.  Pairs are drawn,
-    formatted and written one block of at most ``BLOCK_SIZE`` at a time, so
-    memory does not grow with ``n``.  Raises ValueError, before drawing or
-    opening ``path``, if ``n`` exceeds ``MAX_SAMPLES``.
+    chunked substreams as the Monte Carlo evaluator.  Pairs are drawn and
+    formatted one block of at most ``BLOCK_SIZE`` at a time, on one worker
+    process per CPU this process may run on (see :func:`_fanned_out`), and
+    each block's text is written as it is read, so memory does not grow
+    with ``n``.  Each block can be drawn alone, so the bytes do not depend
+    on the worker count.  Raises ValueError, before drawing or opening
+    ``path``, if ``n`` exceeds ``MAX_SAMPLES``.
     """
     if n > MAX_SAMPLES:
         raise ValueError(f"sample count must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}")
     theta = DependenceParameter(theta_value)
-    blocks = iter_gain_pair_chunks(theta, config.marginals, n, config.seed)  # checks n
-    with open(path, "w", newline="") as fh:
-        fh.write("g1,g2\n")
-        for block in blocks:
-            fh.write("%r,%r\n" * len(block) % tuple(block.ravel().tolist()))
+    texts = partial(_sample_texts, theta, config.marginals, n, config.seed)
+    # n < 0 makes no items, so no pool: the texts are made here, checking n
+    with _fanned_out(texts, -(-n // BLOCK_SIZE), 0) as blocks:
+        # opened once the pool has started, so that no worker inherits it
+        with open(path, "w", newline="") as fh:
+            fh.write("g1,g2\n")
+            for text in blocks:
+                fh.write(text)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

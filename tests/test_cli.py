@@ -1,7 +1,9 @@
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -43,6 +45,19 @@ def test_outage_with_config(config_file, tmp_path, capsys):
     assert parsed[0] == ["budget_id", "theta", "rate", "method", "op", "std_err", "flag"]
     assert len(parsed) == 1 + 1 * 3 * 2 * 3
     assert "wrote 18 rows" in capsys.readouterr().out
+
+
+def test_closed_form_at_fading_rates_near_the_float_limit_warns_nothing(tmp_path, capsys):
+    # 2*l2 - P*l1 overflows to NaN: every row is marked, and nothing printed
+    config = tmp_path / "huge.cfg"
+    config.write_text("lambda1 = 1e308\nlambda2 = 1e308\nmethods = closed-form\n" + CONFIG_TEXT)
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["outage", "--config", str(config), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out)[1:]
+    assert len(rows) == 6 and {row[-1] for row in rows} == {"out-of-range"}
 
 
 def test_outage_with_preset_and_overrides(tmp_path):
@@ -355,23 +370,33 @@ def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys)
     "error,code,prefix",
     [(OutageEvaluationError, 2, "evaluation failed: "), (ValueError, 1, "error: ")],
 )
+@pytest.mark.parametrize(
+    "command,item,argv",
+    [
+        pytest.param("outage", "_theta_block", ["--workers", "0"], id="outage"),
+        pytest.param("sample", "_sample_texts", ["--samples", "10000"], id="sample"),  # 3 blocks
+    ],
+)
 def test_exit_code_of_an_exception_raised_in_a_worker(
-    forked_pool_of_two, monkeypatch, config_file, tmp_path, capsys, error, code, prefix
+    forked_pool_of_two, monkeypatch, config_file, tmp_path, capsys, command, item, argv,
+    error, code, prefix,
 ):
     import swmac.sweep
 
     parent = os.getpid()
 
-    def failing_block(config, t_i, rates):
+    def failing_item(*args):
         if os.getpid() == parent:
-            raise AssertionError("a theta block ran in the parent")
+            raise AssertionError("an item ran in the parent")
         raise error("synthetic worker failure")
 
-    monkeypatch.setattr(swmac.sweep, "_theta_block", failing_block)
+    monkeypatch.setattr(swmac.sweep, item, failing_item)
     out = tmp_path / "x.csv"
-    assert main(["outage", "--config", config_file, "--workers", "0", "--out", str(out)]) == code
+    assert main([command, "--config", config_file, *argv, "--out", str(out)]) == code
     assert f"{prefix}synthetic worker failure" in capsys.readouterr().err
-    assert not out.exists()
+    assert multiprocessing.active_children() == []
+    if command == "outage":  # a sweep writes its CSV only once every row is in
+        assert not out.exists()
 
 
 def test_help_exits_zero():
@@ -439,25 +464,28 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert flags == "ok"
 
 
-# A pooled compare: two workers, even on a 1-CPU host, draw every Monte Carlo
-# block, so the parent needs neither numpy.random nor an executor.  The
-# first line shows that importing the CLI loads no process machinery either.
-_POOLED_COMPARE_RUN = """
+# A pooled compare and a pooled sample: two workers, even on a 1-CPU host,
+# draw every Monte Carlo block and every block of pairs, so the parent needs
+# neither numpy.random nor an executor.  The first line shows that importing
+# the CLI loads no process machinery either.
+_POOLED_RUN = """
 import os
 import sys
 import swmac.cli
 print(*(m in sys.modules for m in ("multiprocessing", "concurrent.futures")))
 os.sched_getaffinity = lambda pid: {0, 1}
-code = swmac.cli.main(
-    ["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0", "--out", sys.argv[1]]
-)
-print(code, *(m in sys.modules for m in ("multiprocessing", "numpy.random", "concurrent.futures")))
+codes = [
+    swmac.cli.main(["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0",
+                    "--out", sys.argv[1]]),
+    swmac.cli.main(["sample", "--preset", "fig2", "--samples", "200000", "--out", sys.argv[2]]),
+]
+print(*codes, *(m in sys.modules for m in ("multiprocessing", "numpy.random", "concurrent.futures")))
 """
 
 
 def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", _POOLED_COMPARE_RUN, str(tmp_path / "compare.csv")],
+        [sys.executable, "-c", _POOLED_RUN, str(tmp_path / "compare.csv"), str(tmp_path / "s.csv")],
         cwd=tmp_path,
         env=_src_env(),
         capture_output=True,
@@ -467,7 +495,7 @@ def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_pa
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False False"
-    assert lines[-1] == "0 True False False"
+    assert lines[-1] == "0 0 True False False"
 
 
 # A pooled compare under the forkserver start method, after a serial one;

@@ -18,7 +18,7 @@ from swmac import (
     sample_gain_pairs,
     sample_unit_pairs,
 )
-from swmac.copula import iter_gain_pair_chunks
+from swmac.copula import _uniform_blocks, iter_gain_pair_chunks
 from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
 from oracles import empirical_spearman, pearson_corr_target, spearman_rho_target
@@ -361,6 +361,20 @@ def test_chunked_sampler_blocks_equal_whole_chunk_draws(unit_marginals, n):
         for k, start in enumerate(range(0, n, CHUNK_SIZE))
     ]
     np.testing.assert_array_equal(np.concatenate(blocks), np.concatenate(whole))
+
+
+@pytest.mark.parametrize(
+    "n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 70_000, 200_000]
+)
+def test_strided_blocks_equal_the_same_rows_of_the_whole_draw(n):
+    whole = list(_uniform_blocks(n, 17))
+    for stride in (1, 2, 3):
+        for offset in range(stride):
+            strided = list(_uniform_blocks(n, 17, range(offset, len(whole), stride)))
+            expected = whole[offset::stride]
+            assert len(strided) == len(expected)
+            for got, want in zip(strided, expected):
+                np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

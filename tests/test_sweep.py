@@ -5,6 +5,7 @@ import os
 import time
 import tracemalloc
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import product
 
@@ -210,22 +211,51 @@ def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
 
 
-def test_a_worker_that_dies_without_answering_names_its_exit_code(forked_pool_of_two, monkeypatch):
+def _pooled_sweep(monkeypatch, item, tmp_path):
+    """A sweep on two workers whose theta block ``t_i`` is ``item(t_i, draw)``,
+    ``draw`` computing the block itself."""
     import swmac.sweep
 
-    parent = os.getpid()
     theta_block = swmac.sweep._theta_block
 
-    def dying_block(config, t_i, rates):
-        if os.getpid() == parent:
-            raise AssertionError("a theta block ran in the parent")
-        if t_i == 1:  # the last worker's slice: worker 0 answers
-            os._exit(3)
-        return theta_block(config, t_i, rates)
+    def patched(config, t_i, rates):
+        return item(t_i, lambda: theta_block(config, t_i, rates))
 
-    monkeypatch.setattr(swmac.sweep, "_theta_block", dying_block)
+    monkeypatch.setattr(swmac.sweep, "_theta_block", patched)
+    run_outage_sweep(small_config(mc_samples=1000), workers=2)
+
+
+def _pooled_sample(monkeypatch, item, tmp_path):
+    """Three blocks of samples on two workers, block ``b``'s text being
+    ``item(b, draw)``, ``draw`` computing the text itself."""
+    import swmac.sweep
+
+    sample_texts = swmac.sweep._sample_texts
+
+    def patched(theta, marginals, n, seed, blocks):
+        for b in blocks:
+            block = range(b, b + 1)
+            yield item(b, lambda: next(sample_texts(theta, marginals, n, seed, block)))
+
+    monkeypatch.setattr(swmac.sweep, "_sample_texts", patched)
+    emit_samples(small_config(), 0.9, 3 * BLOCK_SIZE, tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("pooled", [_pooled_sweep, _pooled_sample])
+def test_a_worker_that_dies_without_answering_names_its_exit_code(
+    forked_pool_of_two, monkeypatch, tmp_path, pooled
+):
+    parent = os.getpid()
+
+    def dying(i, compute):
+        if os.getpid() == parent:
+            raise AssertionError("an item ran in the parent")
+        if i == 1:  # the last worker's slice: worker 0 answers
+            os._exit(3)
+        return compute()
+
     with pytest.raises(OutageEvaluationError, match="exited with code 3"):
-        run_outage_sweep(small_config(mc_samples=1000), workers=2)
+        pooled(monkeypatch, dying, tmp_path)
     assert multiprocessing.active_children() == []
 
 
@@ -982,6 +1012,26 @@ def test_emit_samples_equals_pair_by_pair_writer(tmp_path):
     assert path.read_text() == expected
 
 
+@contextmanager
+def _on_cpus(*cpus):
+    """Within the block this process may run on ``cpus`` only, so that
+    ``emit_samples`` pools one worker per entry, even on a 1-CPU host."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+        yield
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 70_000, 200_000])
+def test_pooled_emit_samples_writes_the_serial_bytes(forked_pool_of_two, tmp_path, n):
+    cfg = small_config()
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    with _on_cpus(0):
+        emit_samples(cfg, -0.4, n, serial)
+    emit_samples(cfg, -0.4, n, pooled)
+    assert pooled.read_bytes() == serial.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
 def test_emit_samples_deterministic(tmp_path):
     cfg = small_config()
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -997,7 +1047,14 @@ def test_emit_samples_deterministic(tmp_path):
 
 
 def _emit_samples_of(n, path):
-    emit_samples(small_config(), 0.9, n, path)
+    with _on_cpus(0):
+        emit_samples(small_config(), 0.9, n, path)
+
+
+def _pooled_emit_samples_of(n, path):
+    # the parent only reads and writes each block's text
+    with _on_cpus(0, 1):
+        emit_samples(small_config(), 0.9, n, path)
 
 
 def _monte_carlo_grid_of(n, path):
@@ -1007,7 +1064,7 @@ def _monte_carlo_grid_of(n, path):
     )
 
 
-@pytest.mark.parametrize("run", [_emit_samples_of, _monte_carlo_grid_of])
+@pytest.mark.parametrize("run", [_emit_samples_of, _pooled_emit_samples_of, _monte_carlo_grid_of])
 def test_streaming_memory_does_not_grow_with_sample_count(run, tmp_path):
     # Peak traced allocation above the memory held before the call: at
     # 200,000 pairs (several substream chunks) it stays within 2x of the
