@@ -115,7 +115,8 @@ class GainPair:
 
 # ---------------------------------------------------------------------------
 # Kernels: the copula density, which the copula and joint gain densities
-# share, and the two steps of the samplers after the draw, on whole blocks.
+# share, and the two steps after the draw, on whole blocks, which the
+# samplers and the Monte Carlo count share.
 # ---------------------------------------------------------------------------
 
 
@@ -166,15 +167,20 @@ def _invert_conditional(theta, u1, v):
     return np.minimum(u2, 1.0, out=u2)  # u2 >= 0; rounding may pass 1
 
 
-def _exp_inverse_pairs(lam1, lam2, u):
-    # Quantiles of Exp(lam1) and Exp(lam2) for the two columns of the
-    # (n, 2) array u, in place: u[:, i] <- -ln(1 - u[:, i])/lam_i, computed
-    # as ln(1 - u[:, i])/(-lam_i), which has the same bits (IEEE division
-    # commutes with negation).
+def _exp_quantile(u, *lams):
+    """Quantiles -ln(1 - u)/lam of Exp(lam), in place on ``u``: an (m,)
+    array with one rate, or an (m, k) array with one rate per column.
+    Computed as ln(1 - u)/(-lam), which has the same bits (IEEE division
+    commutes with negation).  The sampler and the Monte Carlo count both
+    transform through this kernel, so their gains agree bit for bit."""
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    for col, lam in enumerate((lam1, lam2)):
-        np.divide(u[:, col], -lam, out=u[:, col])
+    # one division per column by a scalar: a broadcast row of rates would
+    # make numpy loop over rows of length k
+    columns = u.reshape(len(u), len(lams))
+    for col, lam in enumerate(lams):
+        np.divide(columns[:, col], -lam, out=columns[:, col])
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +256,7 @@ def _gain_pairs(
     inversion then exponential transform: the (m, 2) raw uniforms ``w``,
     (u1, v) per row, become gain pairs in place."""
     w[:, 1] = _invert_conditional(theta.theta, w[:, 0], w[:, 1])
-    _exp_inverse_pairs(marginals.lambda1, marginals.lambda2, w)
-    return w
+    return _exp_quantile(w, marginals.lambda1, marginals.lambda2)
 
 
 def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterator[np.ndarray]:

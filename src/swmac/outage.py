@@ -18,14 +18,16 @@ Three evaluators are provided and cross-validated:
   (theta, rate) point at once).  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
-  (seed, n) regardless of execution parallelism.  The gain law depends on
-  theta alone, so one draw set at one theta scores a whole (budget x rate)
-  grid.
+  (seed, n) regardless of execution parallelism.  One draw set scores a
+  whole (theta x budget x rate) grid: the uniforms and the first gain do
+  not depend on theta, so they are drawn and transformed once, and only
+  the conditional inversion of the second gain and the count run per
+  theta (common random numbers across the theta axis).
 
 A query holds a tuple of rates (a rate axis) and a tuple of
 :class:`DependenceParameter` (a theta axis).  The closed form and
 quadrature answer with one (theta x rate) :class:`OutageCurve`, and Monte
-Carlo with one (budget x rate) curve at one theta.  Each entry equals the
+Carlo with one (theta x budget x rate) curve.  Each entry equals the
 result of the 1x1 query (one theta, one rate, one budget) bit for bit.
 The FGM density is affine in theta, so the analytic evaluators compute
 every theta-free exponential once per query and only combine them per
@@ -45,7 +47,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .copula import DependenceParameter, FadingMarginals, _gain_pairs, _uniform_blocks
+from .copula import (
+    DependenceParameter,
+    FadingMarginals,
+    _exp_quantile,
+    _invert_conditional,
+    _uniform_blocks,
+)
 from .regions import PowerBudget
 from .streams import BLOCK_SIZE
 
@@ -514,41 +522,46 @@ def _gauss_kronrod_panel(
 
 
 def outage_monte_carlo(
-    theta: DependenceParameter,
+    thetas: Sequence[DependenceParameter],
     marginals: FadingMarginals,
     budgets: Sequence[PowerBudget],
     rates: Sequence[float],
     n: int,
     seed: int,
 ) -> OutageCurve:
-    """Monte Carlo outage at every (budget, rate) pair from one draw set,
-    as one (budget, rate) :class:`OutageCurve`.
+    """Monte Carlo outage at every (theta, budget, rate) point from one draw
+    set, as one (theta, budget, rate) :class:`OutageCurve`.
 
-    The ``n`` gain pairs are drawn once from the per-chunk substreams of
-    ``seed`` (see :func:`~swmac.copula.iter_gain_pair_chunks`), one block
-    of at most ``streams.BLOCK_SIZE`` pairs at a time.  Pairs that cannot
-    be in outage are dropped from each block on their raw uniforms (see
-    below).  The rest are inverted, transformed and counted in batches of
-    at most ``BLOCK_SIZE`` kept pairs: per batch and budget the weighted
-    sums A*g1 + B*g2 are sorted once and counted at or below every gamma by
-    binary search, so ties count as outage.  Each pair's gains are those
-    :func:`~swmac.copula.iter_gain_pair_chunks` yields, bit for bit, so
-    the integer counts do not depend on the cut or the batching.  Entry
-    ``[i, j]`` equals the 1x1 grid at (``budgets[i]``, ``rates[j]``) with
-    the same (n, seed) exactly.  Entries share their draws (common random
-    numbers): they are correlated with one another, and each count is
-    still Binomial(n, p) on its own.
+    The raw uniforms (u1, v) of ``n`` pairs are drawn once from the
+    per-chunk substreams of ``seed`` (see
+    :func:`~swmac.copula.iter_gain_pair_chunks`), one block of at most
+    ``streams.BLOCK_SIZE`` pairs at a time, and serve every theta.  Pairs
+    that cannot be in outage are dropped from each block on their raw
+    uniforms (see below).  The rest are counted in batches of at most
+    ``BLOCK_SIZE`` kept pairs.  Per batch, the first gains and their
+    weighted values A*g1 are computed once, since neither depends on theta.
+    Per theta, the conditional inversion gives the second gains, and per
+    budget the sums A*g1 + B*g2 are sorted once and counted at or below
+    every gamma by binary search, so ties count as outage.  Each pair's
+    gains at a theta are those :func:`~swmac.copula.iter_gain_pair_chunks`
+    yields at that theta, bit for bit, so the integer counts do not depend
+    on the cut, the batching or the other thetas.  Entry ``[t, i, j]``
+    equals the 1x1x1 grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``)
+    with the same (n, seed) exactly.  Entries share their draws (common
+    random numbers across theta, budget and rate): they are correlated with
+    one another, and each count is still Binomial(n, p) on its own.
 
     **The cut.**  With reach = max_i gamma_max_i/A_i over the budgets, a
     pair whose first gain lies beyond reach is in outage at no (budget,
     rate): it has fl(A_i*g1) > gamma_max_i, and since rounding is monotone
     and B_i*g2 >= 0, its sum fl(fl(A_i*g1) + fl(B_i*g2)) >= fl(A_i*g1) lies
-    above every gamma of budget i.  Dropping it changes no count.  The cut
-    is made on the raw uniform, before the conditional inversion: a pair is
-    dropped where u1 > -expm1(-2*lambda1*reach), that is g1 > 2*reach.  The
-    factor 2 absorbs the last-bit errors of expm1, log1p and the
-    divisions, so the argument does not depend on how libm rounds.  Where
-    that threshold rounds to 1, or reach is 0, no pair is dropped.
+    above every gamma of budget i.  Dropping it changes no count, at any
+    theta, since g1 does not depend on theta.  The cut is made on the raw
+    uniform, before the conditional inversion: a pair is dropped where
+    u1 > -expm1(-2*lambda1*reach), that is g1 > 2*reach.  The factor 2
+    absorbs the last-bit errors of expm1, log1p and the divisions, so the
+    argument does not depend on how libm rounds.  Where that threshold
+    rounds to 1, or reach is 0, no pair is dropped.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
@@ -559,14 +572,21 @@ def outage_monte_carlo(
         default=0.0,
     )
     cut = -math.expm1(-2.0 * marginals.lambda1 * reach) if reach > 0.0 else 1.0
-    counts = np.zeros((len(budgets), len(rates)), dtype=np.int64)
+    counts = np.zeros((len(thetas), len(budgets), len(rates)), dtype=np.int64)
 
     def count(batch: list[np.ndarray]) -> None:
-        g = _gain_pairs(theta, marginals, batch[0] if len(batch) == 1 else np.concatenate(batch))
-        for i, (a, b) in enumerate(weights):
-            s = a * g[:, 0] + b * g[:, 1]
-            s.sort()
-            counts[i] += np.searchsorted(s, gammas[i], side="right")
+        w = batch[0] if len(batch) == 1 else np.concatenate(batch)
+        # contiguous columns: every theta's inversion reads them
+        u1, v = w.T.copy()
+        g1 = _exp_quantile(u1.copy(), marginals.lambda1)
+        weighted = [a * g1 for a, _ in weights]
+        # the steps of copula._gain_pairs for the second gain, per theta
+        for t, theta in enumerate(thetas):
+            g2 = _exp_quantile(_invert_conditional(theta.theta, u1, v), marginals.lambda2)
+            for i, (_, b) in enumerate(weights):
+                s = weighted[i] + b * g2
+                s.sort()
+                counts[t, i] += np.searchsorted(s, gammas[i], side="right")
 
     # Kept rows of consecutive blocks are counted together, so a block that
     # keeps a few rows does not pay the fixed cost of the numpy calls alone.

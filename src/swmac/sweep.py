@@ -4,13 +4,15 @@ A sweep evaluates every (budget, theta, rate, method) combination of a
 config and returns the rows in lexicographic index order.  The analytic
 methods run once per budget over every theta and rate: their values are
 affine in theta, so one call shares every theta-free term.  Monte Carlo
-runs once per theta block: the gain law depends on theta alone, so the
-Monte Carlo rows at one theta share a single draw set, seeded by (master
-seed, theta index) and scored against every budget and rate.  Only the
-theta blocks go to worker processes, one process per worker, with its
-theta slice given up front; the parent evaluates the analytic methods
-meanwhile.  Row values therefore do not depend on execution order or
-worker count, and two runs of the same config produce byte-identical CSV.
+runs once per theta slice: every Monte Carlo row of a sweep is scored
+against one draw set, keyed by ``derive_seed(seed, 0)`` (common random
+numbers across theta, budget and rate), and one evaluator call draws it
+once for all the thetas of its slice.  Only the theta slices go to worker
+processes, one process per worker, with its slice given up front; the
+parent evaluates the analytic methods meanwhile.  A row's value depends
+on its (theta, budget, rate) alone, not on execution order, worker count
+or where its theta sits in the config, and two runs of the same config
+produce byte-identical CSV.
 
 Sampled gain pairs fan out through the same pool: each block of pairs can
 be drawn alone, so workers draw and format strided blocks and the parent
@@ -142,27 +144,25 @@ def _analytic_column(
         return np.where(exc.failed, np.nan, exc.value), np.where(exc.failed, _NONCONVERGENCE, _OK)
 
 
-def _theta_block(
-    config: ExperimentConfig, t_i: int, rates: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo values and standard errors at theta index ``t_i`` as
-    (budget, rate) arrays, from one draw set."""
-    curve = outage_monte_carlo(
-        config.thetas[t_i],
-        config.marginals,
-        config.budgets,
-        rates,
-        config.mc_samples,
-        derive_seed(config.seed, t_i),
-    )
-    return curve.value, curve.std_error
-
-
 def _theta_blocks(
     config: ExperimentConfig, rates: tuple[float, ...], t_indices: range
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The :func:`_theta_block` of each of ``t_indices``, lazily."""
-    return (_theta_block(config, t_i, rates) for t_i in t_indices)
+    """Monte Carlo values and standard errors at each theta index of
+    ``t_indices``, in order, as (budget, rate) arrays, lazily: one
+    evaluator call scores the whole slice from the sweep's one draw set,
+    keyed by ``derive_seed(config.seed, 0)``.  A row therefore depends on
+    its (theta, budget, rate), not on where its theta sits in the config.
+    An empty slice draws nothing."""
+    if t_indices:
+        curve = outage_monte_carlo(
+            tuple(config.thetas[t_i] for t_i in t_indices),
+            config.marginals,
+            config.budgets,
+            rates,
+            config.mc_samples,
+            derive_seed(config.seed, 0),
+        )
+        yield from zip(curve.value, curve.std_error)
 
 
 def _send_results(conn, work: Callable[[range], Iterable], indices: range) -> None:
@@ -259,13 +259,13 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
     in lexicographic (budget, theta, rate, method) index order.
 
-    ``workers`` > 1 fans the Monte Carlo theta blocks out across processes
-    (see :func:`_fanned_out`) while the parent evaluates the analytic
-    methods; 0 means one per CPU this process may run on.  The pool never
-    exceeds that CPU count or the number of theta blocks, and a sweep
-    without Monte Carlo starts none.  Results are identical for any worker
-    count.  An exception that stops a worker is re-raised here with its own
-    type; a worker that dies without answering raises
+    ``workers`` > 1 fans the Monte Carlo thetas out across processes (see
+    :func:`_fanned_out`), each drawing once for its slice, while the parent
+    evaluates the analytic methods; 0 means one per CPU this process may
+    run on.  The pool never exceeds that CPU count or the number of thetas,
+    and a sweep without Monte Carlo starts none.  Results are identical for
+    any worker count.  An exception that stops a worker is re-raised here
+    with its own type; a worker that dies without answering raises
     :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
@@ -278,8 +278,8 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     op = np.full(shape, np.nan)
     std_err = np.full(shape, np.nan)
     flag = np.full(shape, _OK, dtype=np.int8)
-    mc_blocks = len(config.thetas) if MONTE_CARLO in config.methods else 0
-    with _fanned_out(partial(_theta_blocks, config, rates), mc_blocks, workers) as results:
+    mc_thetas = len(config.thetas) if MONTE_CARLO in config.methods else 0
+    with _fanned_out(partial(_theta_blocks, config, rates), mc_thetas, workers) as results:
         # the analytic methods, in the parent while any workers draw
         for b_i, budget in enumerate(config.budgets):
             query = OutageQuery(rates, budget, config.marginals, config.thetas)
@@ -501,20 +501,29 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     process per CPU this process may run on (see :func:`_fanned_out`), and
     each block's text is written as it is read, so memory does not grow
     with ``n``.  Each block can be drawn alone, so the bytes do not depend
-    on the worker count.  Raises ValueError, before drawing or opening
-    ``path``, if ``n`` exceeds ``MAX_SAMPLES``.
+    on the worker count.  The text goes to a temporary file beside
+    ``path``, renamed onto ``path`` once every block is in, so a run that
+    fails part-way leaves neither file.  Raises ValueError, before drawing
+    or opening a file, if ``n`` exceeds ``MAX_SAMPLES``.
     """
     if n > MAX_SAMPLES:
         raise ValueError(f"sample count must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}")
     theta = DependenceParameter(theta_value)
     texts = partial(_sample_texts, theta, config.marginals, n, config.seed)
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     # n < 0 makes no items, so no pool: the texts are made here, checking n
     with _fanned_out(texts, -(-n // BLOCK_SIZE), 0) as blocks:
         # opened once the pool has started, so that no worker inherits it
-        with open(path, "w", newline="") as fh:
-            fh.write("g1,g2\n")
-            for text in blocks:
-                fh.write(text)
+        try:
+            with open(temporary, "w", newline="") as fh:
+                fh.write("g1,g2\n")
+                for text in blocks:
+                    fh.write(text)
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

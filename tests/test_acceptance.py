@@ -147,7 +147,7 @@ def test_criterion_4_cross_method_agreement():
             for r_i, rate in enumerate((0.25, 0.5, 1.0, 1.5, 2.0)):
                 theta = DependenceParameter(theta_value)
                 seed = derive_seed(master_seed, b_i, t_i, r_i)
-                mc = outage_monte_carlo(theta, marginals, (budget,), (rate,), 1_000_000, seed)
+                mc = outage_monte_carlo((theta,), marginals, (budget,), (rate,), 1_000_000, seed)
                 quad = outage_quadrature(OutageQuery((rate,), budget, marginals, (theta,)))
                 total += 1
                 if abs(quad.value.item() - mc.value.item()) <= 3.29 * mc.std_error.item():

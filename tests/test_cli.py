@@ -373,7 +373,7 @@ def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys)
 @pytest.mark.parametrize(
     "command,item,argv",
     [
-        pytest.param("outage", "_theta_block", ["--workers", "0"], id="outage"),
+        pytest.param("outage", "_theta_blocks", ["--workers", "0"], id="outage"),
         pytest.param("sample", "_sample_texts", ["--samples", "10000"], id="sample"),  # 3 blocks
     ],
 )
@@ -395,8 +395,10 @@ def test_exit_code_of_an_exception_raised_in_a_worker(
     assert main([command, "--config", config_file, *argv, "--out", str(out)]) == code
     assert f"{prefix}synthetic worker failure" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
-    if command == "outage":  # a sweep writes its CSV only once every row is in
-        assert not out.exists()
+    # a sweep writes its CSV only once every row is in, and sample renames
+    # its temporary file onto the CSV only once every block is in
+    assert not out.exists()
+    assert not list(tmp_path.glob(".x.csv.*"))
 
 
 def test_help_exits_zero():

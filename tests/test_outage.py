@@ -48,9 +48,10 @@ def make_query(rates=(0.5,), p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1
 
 
 def monte_carlo(q, n, seed):
-    """Monte Carlo at the query's one theta: a (1 x rate) curve."""
-    (theta,) = q.thetas
-    return outage_monte_carlo(theta, q.marginals, (q.budget,), q.rates, n, seed)
+    """Monte Carlo over the query's (theta x rate) grid at its one budget,
+    from one draw set: a (theta x rate) curve."""
+    curve = outage_monte_carlo(q.thetas, q.marginals, (q.budget,), q.rates, n, seed)
+    return OutageCurve(curve.value[:, 0], curve.out_of_range[:, 0], curve.std_error[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +154,7 @@ def _monte_carlo_entry(budget, tmp_path):
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), budget)
     theta, marginals = DependenceParameter(0.0), FadingMarginals(1.0, 1.0)
     with pytest.raises(ValueError, match=r"p0 < min\(p1, p2\) strictly"):
-        outage_monte_carlo(theta, marginals, budgets, (0.5,), 1000, 1)
+        outage_monte_carlo((theta,), marginals, budgets, (0.5,), 1000, 1)
 
 
 def _sweep_entry(budget, tmp_path):
@@ -396,17 +397,17 @@ def test_monte_carlo_grid_entries_equal_single_point_estimates():
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5))
     rates = (0.0, 0.25, 0.8, 1.5)
     n, seed = 70_000, 19  # two chunks, the second partial
-    grid = outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
-    assert grid.value.shape == grid.std_error.shape == (len(budgets), len(rates))
+    grid = outage_monte_carlo((theta,), marginals, budgets, rates, n, seed)
+    assert grid.value.shape == grid.std_error.shape == (1, len(budgets), len(rates))
     for i, budget in enumerate(budgets):
         for j, rate in enumerate(rates):
-            single = outage_monte_carlo(theta, marginals, (budget,), (rate,), n, seed)
-            assert (grid.value[i, j], grid.std_error[i, j]) == (
+            single = outage_monte_carlo((theta,), marginals, (budget,), (rate,), n, seed)
+            assert (grid.value[0, i, j], grid.std_error[0, i, j]) == (
                 single.value.item(),
                 single.std_error.item(),
             )
-    assert grid.value[0, 0] == 0.0
-    assert grid.value[0].tolist() == sorted(grid.value[0].tolist())
+    assert grid.value[0, 0, 0] == 0.0
+    assert grid.value[0, 0].tolist() == sorted(grid.value[0, 0].tolist())
 
 
 def test_monte_carlo_grid_counts_ties_as_outage():
@@ -420,16 +421,16 @@ def test_monte_carlo_grid_counts_ties_as_outage():
     assert len(np.unique(sums)) == 1000
     budget = PowerBudget(0.0, 1.0, 5.0, float(sums[499]))
     assert gamma_threshold((0.5,), budget.noise).tolist() == [sums[499]]
-    est = outage_monte_carlo(theta, marginals, (budget,), (0.5,), 1000, 5)
-    assert est.value.tolist() == [[0.5]]
+    est = outage_monte_carlo((theta,), marginals, (budget,), (0.5,), 1000, 5)
+    assert est.value.tolist() == [[[0.5]]]
 
 
 def test_monte_carlo_grid_validation():
     theta, marginals = DependenceParameter(0.0), FadingMarginals(1.0, 1.0)
     with pytest.raises(ValueError):
-        outage_monte_carlo(theta, marginals, (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,), 999, 1)
+        outage_monte_carlo((theta,), marginals, (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,), 999, 1)
     with pytest.raises(ValueError):
-        outage_monte_carlo(theta, marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
+        outage_monte_carlo((theta,), marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
 
 
 # Three regimes of the cut on the first gain: off at unit noise, dropping
@@ -459,13 +460,17 @@ CUT_REGIMES = {
 @pytest.mark.parametrize("regime", sorted(CUT_REGIMES))
 def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
     # Three chunks, the last partial: every drawn pair's weighted sum is
-    # compared with every gamma, with no cut, sort or batching.
+    # compared with every gamma, with no cut, sort or batching, at each
+    # theta of one call.
     from swmac.copula import iter_gain_pair_chunks
 
     marginals, budgets, rates = CUT_REGIMES[regime]
     n, seed = 150_000, 23
     gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
-    for theta in map(DependenceParameter, CUT_THETAS):
+    thetas = tuple(map(DependenceParameter, CUT_THETAS))
+    est = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
+    assert est.value[:, :, 0].tolist() == [[0.0, 0.0]] * len(thetas)  # rate 0
+    for t, theta in enumerate(thetas):
         g = np.concatenate(list(iter_gain_pair_chunks(theta, marginals, n, seed)))
         counts = np.array(
             [
@@ -475,34 +480,54 @@ def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
                 for b, gamma in zip(budgets, gammas)
             ]
         )
-        est = outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
-        assert est.value.tolist() == (counts / n).tolist()
-        assert est.value[:, 0].tolist() == [0.0, 0.0]  # rate 0
+        assert est.value[t].tolist() == (counts / n).tolist()
 
 
-def _inverted_share(monkeypatch, theta, marginals, budgets, rates, n, seed):
-    """Share of the n drawn pairs that reach the conditional inversion."""
-    import swmac.copula as copula_module
+@pytest.mark.parametrize("regime", sorted(CUT_REGIMES))
+def test_monte_carlo_theta_entries_equal_one_theta_calls(regime):
+    # One draw set serves the whole theta axis: entry [t] equals, bit for
+    # bit, the call at thetas[t] alone, and a repeated theta gets the same
+    # entries.  Three chunks, the last partial; the first-gain cut is off at
+    # unit noise and drops pairs in the other two regimes.
+    marginals, budgets, rates = CUT_REGIMES[regime]
+    thetas = tuple(map(DependenceParameter, (0.6, -1.0, 0.0, 0.6, -0.35, 1.0)))
+    n, seed = 150_000, 31
+    grid = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
+    assert grid.value.shape == grid.std_error.shape == (len(thetas), len(budgets), len(rates))
+    for t, theta in enumerate(thetas):
+        alone = outage_monte_carlo((theta,), marginals, budgets, rates, n, seed)
+        assert grid.value[t].tobytes() == alone.value[0].tobytes()
+        assert grid.std_error[t].tobytes() == alone.std_error[0].tobytes()
+    assert grid.value[0].tobytes() == grid.value[3].tobytes()
+    if regime != "preset-scale":  # where every count is 0
+        assert len({grid.value[t].tobytes() for t in range(len(thetas))}) == 5
 
-    inverted = []
-    invert = copula_module._invert_conditional
+
+def _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, n, seed):
+    """Share of the n drawn pairs that reach the conditional inversion, per
+    theta of one call."""
+    import swmac.outage as outage_module
+
+    inverted = {}
+    invert = outage_module._invert_conditional
 
     def spy(th, u1, v):
-        inverted.append(len(u1))
+        inverted[th] = inverted.get(th, 0) + len(u1)
         return invert(th, u1, v)
 
-    monkeypatch.setattr(copula_module, "_invert_conditional", spy)
-    outage_monte_carlo(theta, marginals, budgets, rates, n, seed)
+    monkeypatch.setattr(outage_module, "_invert_conditional", spy)
+    outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
     monkeypatch.undo()
-    return sum(inverted) / n
+    return [inverted[theta.theta] / n for theta in thetas]
 
 
 @pytest.mark.parametrize("regime,low,high", [("preset-scale", 0.0, 0.01), ("half-cut", 0.44, 0.48)])
 def test_monte_carlo_inverts_only_the_pairs_the_cut_keeps(monkeypatch, regime, low, high):
     marginals, budgets, rates = CUT_REGIMES[regime]
-    for theta in map(DependenceParameter, CUT_THETAS):
-        share = _inverted_share(monkeypatch, theta, marginals, budgets, rates, 150_000, 23)
-        assert low < share < high
+    thetas = tuple(map(DependenceParameter, CUT_THETAS))
+    shares = _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, 150_000, 23)
+    assert len(set(shares)) == 1  # the cut does not depend on theta
+    assert low < shares[0] < high
 
 
 def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
@@ -511,7 +536,7 @@ def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0))
     rates = CUT_RATES[1:]
     theta = DependenceParameter(0.35)
-    assert _inverted_share(monkeypatch, theta, marginals, budgets, rates, 32_768, 5) == 1.0
+    assert _inverted_shares(monkeypatch, (theta,), marginals, budgets, rates, 32_768, 5) == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -558,15 +583,14 @@ _OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENT = range(4)
 def _evaluate(method, q):
     """(value, std_error, flag) arrays over the (theta, rate) grid of ``q``:
     NaN where a point has no value, and the evaluator's failure as its flag.
-    Monte Carlo draws 2000 pairs from seed 4 at each theta."""
+    Monte Carlo scores every theta from one draw set of 2000 pairs, seed 4."""
     shape = (len(q.thetas), len(q.rates))
     std_error = np.full(shape, np.nan)
     flag = np.full(shape, _OK)
     try:
         if method == MONTE_CARLO:
-            rows = [monte_carlo(replace(q, thetas=(t,)), 2000, 4) for t in q.thetas]
-            value = np.concatenate([c.value for c in rows])
-            std_error = np.concatenate([c.std_error for c in rows])
+            curve = monte_carlo(q, 2000, 4)
+            value, std_error = curve.value, curve.std_error
         elif method == CLOSED_FORM:
             curve = outage_closed_form(q)
             value, flag = curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
@@ -1021,5 +1045,5 @@ def test_every_evaluator_satisfies_the_curve_invariant(
         _assert_curve_invariant(outage_quadrature(q), marks=False)
     except QuadratureNonConvergence:
         pass
-    curve = outage_monte_carlo(q.thetas[0], q.marginals, (q.budget,), q.rates, 1000, 3)
+    curve = outage_monte_carlo(q.thetas, q.marginals, (q.budget,), q.rates, 1000, 3)
     _assert_curve_invariant(curve, marks=False)

@@ -114,9 +114,9 @@ def test_sweep_rejects_budget_without_strict_common_power_margin():
 
 
 def test_monte_carlo_rows_use_per_row_substreams():
-    # Monte Carlo draws are keyed by (seed, theta index), so the value at a
-    # sweep point depends only on the seed, the theta index and the point
-    # itself, not on which other methods run in the same sweep.
+    # Monte Carlo draws are keyed by derive_seed(seed, 0), so the value at a
+    # sweep point depends only on the seed and the point itself, not on
+    # which other methods run in the same sweep.
     all_methods = run_outage_sweep(small_config())
     mc_only = run_outage_sweep(small_config(methods=("monte-carlo",)))
     m_i = all_methods.axes[3].index("monte-carlo")
@@ -135,9 +135,13 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_monte_carlo_rows_equal_1x1_estimates():
-    # One draw set per theta, keyed by (seed, theta index), scores every
-    # budget and rate; each row equals the 1x1 estimate on that key.
+    # Every Monte Carlo row of a sweep is scored against one draw set, keyed
+    # by derive_seed(seed, 0): each row equals the 1x1 estimate on that key
+    # and the frequency of A*g1 + B*g2 <= gamma over the pairs that
+    # iter_gain_pair_chunks yields at its theta from that key.
     # n = 150,000 is three chunks, the last one partial.
+    from swmac.copula import iter_gain_pair_chunks
+
     n = 150_000
     cfg = small_config(
         budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)),
@@ -147,20 +151,63 @@ def test_monte_carlo_rows_equal_1x1_estimates():
     table = run_outage_sweep(cfg)
     op, std_err, flag = (a[..., 1] for a in (table.op, table.std_err, table.flag))
     assert op.shape == (2, 3, 3)
-    for b_i, t_i, r_i in np.ndindex(op.shape):
-        est = outage_monte_carlo(
-            cfg.thetas[t_i],
-            cfg.marginals,
-            (cfg.budgets[b_i],),
-            (table.axes[2][r_i],),
-            n,
-            derive_seed(cfg.seed, t_i),
-        )
-        assert (op[b_i, t_i, r_i], std_err[b_i, t_i, r_i], flag[b_i, t_i, r_i]) == (
-            est.value.item(),
-            est.std_error.item(),
-            OK,
-        )
+    seed, rates = derive_seed(cfg.seed, 0), table.axes[2]
+    for t_i, theta in enumerate(cfg.thetas):
+        g = np.concatenate(list(iter_gain_pair_chunks(theta, cfg.marginals, n, seed)))
+        for b_i, budget in enumerate(cfg.budgets):
+            sums = (budget.p1 - budget.p0) * g[:, 0] + (budget.p2 - budget.p0) * g[:, 1]
+            gammas = gamma_threshold(rates, budget.noise).tolist()
+            for r_i, (rate, gamma) in enumerate(zip(rates, gammas)):
+                est = outage_monte_carlo((theta,), cfg.marginals, (budget,), (rate,), n, seed)
+                assert (op[b_i, t_i, r_i], std_err[b_i, t_i, r_i], flag[b_i, t_i, r_i]) == (
+                    est.value.item(),
+                    est.std_error.item(),
+                    OK,
+                )
+                assert op[b_i, t_i, r_i] == np.count_nonzero(sums <= gamma) / n
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_monte_carlo_row_does_not_depend_on_the_other_thetas(forked_pool_of_two, workers):
+    # Common random numbers across theta: thetas added before 0.5 in the
+    # config leave its rows as they are, serial or pooled.
+    methods = ("monte-carlo",)
+    alone = run_outage_sweep(small_config(thetas=(DependenceParameter(0.5),), methods=methods))
+    thetas = tuple(map(DependenceParameter, (-1.0, 0.2, 0.5)))
+    table = run_outage_sweep(small_config(thetas=thetas, methods=methods), workers=workers)
+    for column in ("op", "std_err"):
+        assert getattr(table, column)[:, 2].tobytes() == getattr(alone, column)[:, 0].tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 7])
+def test_a_serial_sweep_draws_once_whatever_its_theta_count(monkeypatch, count):
+    # One _uniform_blocks call, and one substream per chunk: each Philox
+    # block is drawn once for every theta.  70,000 pairs are two chunks.
+    import swmac.copula as copula_module
+    import swmac.outage as outage_module
+
+    calls = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append((name, args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(outage_module, "_uniform_blocks")
+    spy(copula_module, "substream")
+    thetas = tuple(map(DependenceParameter, np.linspace(-1.0, 1.0, count).tolist()))
+    cfg = small_config(thetas=thetas, methods=("monte-carlo",), mc_samples=70_000)
+    run_outage_sweep(cfg, workers=1)
+    seed = derive_seed(cfg.seed, 0)
+    assert calls == [
+        ("_uniform_blocks", (70_000, seed)),
+        ("substream", (seed, 0)),
+        ("substream", (seed, 1)),
+    ]
 
 
 @pytest.mark.parametrize("workers", [2, 5])
@@ -216,12 +263,13 @@ def _pooled_sweep(monkeypatch, item, tmp_path):
     ``draw`` computing the block itself."""
     import swmac.sweep
 
-    theta_block = swmac.sweep._theta_block
+    theta_blocks = swmac.sweep._theta_blocks
 
-    def patched(config, t_i, rates):
-        return item(t_i, lambda: theta_block(config, t_i, rates))
+    def patched(config, rates, t_indices):
+        blocks = theta_blocks(config, rates, t_indices)
+        return (item(t_i, lambda: next(blocks)) for t_i in t_indices)
 
-    monkeypatch.setattr(swmac.sweep, "_theta_block", patched)
+    monkeypatch.setattr(swmac.sweep, "_theta_blocks", patched)
     run_outage_sweep(small_config(mc_samples=1000), workers=2)
 
 
@@ -262,13 +310,13 @@ def test_a_worker_that_dies_without_answering_names_its_exit_code(
 def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monkeypatch):
     import swmac.sweep
 
-    def slow_block(config, t_i, rates):
+    def slow_blocks(config, rates, t_indices):
         time.sleep(600)
 
     def failing_column(query, method, quad_tol):
         raise RuntimeError("synthetic analytic failure")
 
-    monkeypatch.setattr(swmac.sweep, "_theta_block", slow_block)
+    monkeypatch.setattr(swmac.sweep, "_theta_blocks", slow_blocks)
     monkeypatch.setattr(swmac.sweep, "_analytic_column", failing_column)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="synthetic analytic failure"):
@@ -469,8 +517,8 @@ def _three_theta_flagged_config():
 
 def _expected_block(cfg, b_i, method):
     """(op, std_err, flag) arrays over one budget's (theta, rate) block of
-    ``method``, from one grid call of its evaluator (one per theta for Monte
-    Carlo, seeded by the theta index)."""
+    ``method``, from one grid call of its evaluator (for Monte Carlo, seeded
+    by derive_seed(seed, 0))."""
     import swmac.sweep as sweep_module
 
     budget, rates = cfg.budgets[b_i], cfg.rate_grid.values()
@@ -484,14 +532,11 @@ def _expected_block(cfg, b_i, method):
             query = OutageQuery(rates, budget, cfg.marginals, cfg.thetas)
             op = sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value
         else:
-            curves = [
-                outage_monte_carlo(
-                    theta, cfg.marginals, (budget,), rates, cfg.mc_samples, derive_seed(cfg.seed, t_i)
-                )
-                for t_i, theta in enumerate(cfg.thetas)
-            ]
-            op = np.concatenate([c.value for c in curves])
-            std_err = np.concatenate([c.std_error for c in curves])
+            seed = derive_seed(cfg.seed, 0)
+            curve = outage_monte_carlo(
+                cfg.thetas, cfg.marginals, (budget,), rates, cfg.mc_samples, seed
+            )
+            op, std_err = curve.value[:, 0], curve.std_error[:, 0]
     except DegenerateDenominator:
         op, flag = np.full(shape, np.nan), np.full(shape, DEGENERATE)
     except QuadratureNonConvergence as exc:
@@ -730,8 +775,9 @@ def test_compare_quadrature_against_monte_carlo():
 
 
 def test_compare_keeps_every_point_of_a_duplicated_theta():
-    # The sweep draws MC rows per theta index, so the two theta = 0.5 blocks
-    # carry different MC values; each point must be built from its own rows.
+    # Each point must be built from its own rows.  Every theta shares the
+    # sweep's one draw set, so the two theta = 0.5 blocks carry the same MC
+    # values.
     cfg = small_config(thetas=(DependenceParameter(0.5), DependenceParameter(0.5)))
     sweep_points = _sweep_points(run_outage_sweep(cfg))
     report = compare_methods(cfg)
@@ -745,7 +791,7 @@ def test_compare_keeps_every_point_of_a_duplicated_theta():
             for a, b in report.pairs
         )
     mc = [p.diffs[report.pairs.index(("quadrature", "monte-carlo"))] for p in points]
-    assert mc[:3] != mc[3:]
+    assert mc[:3] == mc[3:]
 
 
 def _sweep_points(table):
@@ -1059,9 +1105,7 @@ def _pooled_emit_samples_of(n, path):
 
 def _monte_carlo_grid_of(n, path):
     cfg = small_config(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)))
-    outage_monte_carlo(
-        cfg.thetas[0], cfg.marginals, cfg.budgets, cfg.rate_grid.values(), n, cfg.seed
-    )
+    outage_monte_carlo(cfg.thetas, cfg.marginals, cfg.budgets, cfg.rate_grid.values(), n, cfg.seed)
 
 
 @pytest.mark.parametrize("run", [_emit_samples_of, _pooled_emit_samples_of, _monte_carlo_grid_of])
