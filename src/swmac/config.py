@@ -80,6 +80,9 @@ MAX_RATE_POINTS = 1_000_000
 #: ``swmac sample`` writes.
 MAX_SAMPLES = 10**8
 
+#: Largest master seed: a seed is an unsigned 64-bit integer.
+MAX_SEED = (1 << 64) - 1
+
 
 @dataclass(frozen=True)
 class RateGrid:
@@ -160,6 +163,8 @@ class ExperimentConfig:
                 f"mc_samples must be in [{MIN_MC_SAMPLES}, MAX_SAMPLES = {MAX_SAMPLES}] when "
                 f"{MONTE_CARLO} is selected, got {self.mc_samples}"
             )
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValidationError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
         if not 0.0 < self.quad_tol <= MAX_QUAD_TOL:
             raise ValidationError(f"quad_tol must be in (0, {MAX_QUAD_TOL}], got {self.quad_tol}")
 

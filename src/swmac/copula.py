@@ -8,7 +8,9 @@ spans weak negative (theta < 0) through weak positive (theta > 0)
 dependence, with theta = 0 the independence copula.  Composing it with the
 exponential marginals F_i(g) = 1 - exp(-lambda_i*g) of squared Rayleigh
 channel gains gives the joint law of a correlated gain pair; the sampler
-draws from that law by conditional inversion.
+draws from that law by conditional inversion, whose theta-free terms are
+computed apart from its per-theta step so that one draw can be inverted
+at many thetas.
 
 All analytical functions here are pure.  Samplers mutate only the
 generator passed in; concurrent sampling requires independent substreams
@@ -116,7 +118,10 @@ class GainPair:
 # ---------------------------------------------------------------------------
 # Kernels: the copula density, which the copula and joint gain densities
 # share, and the two steps after the draw, on whole blocks, which the
-# samplers and the Monte Carlo count share.
+# samplers and the Monte Carlo count share.  The conditional inversion is
+# split in two: a theta-free prelude, which the Monte Carlo count computes
+# once per batch for all its thetas, and a per-theta step into buffers the
+# caller provides.
 # ---------------------------------------------------------------------------
 
 
@@ -127,8 +132,23 @@ def _density(theta, u1, u2):
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
-def _invert_conditional(theta, u1, v):
-    """Solve conditional(theta, u1, u2) = v for u2 in [0, 1].
+def _inversion_prelude(u1, v):
+    """The theta-free terms of :func:`_inversion_step`: (c, 4*v, 2*v) with
+    c = 1 - 2*u1, each a new array of the broadcast shape of ``u1`` and
+    ``v``.  One prelude serves the inversion at every theta."""
+    shape = np.broadcast(u1, v).shape
+    c, v4, v2 = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(u1, 2.0, out=c)
+    np.subtract(1.0, c, out=c)
+    np.multiply(v, 4.0, out=v4)
+    np.multiply(v, 2.0, out=v2)
+    return c, v4, v2
+
+
+def _inversion_step(theta, prelude, out, a, den):
+    """Solve conditional(theta, u1, u2) = v for u2 in [0, 1], into ``out``,
+    from the :func:`_inversion_prelude` of (u1, v); ``a`` and ``den`` are
+    scratch buffers of the same shape.  Returns ``out``.
 
     With a = theta*(1 - 2*u1) the equation is the quadratic
     a*u2^2 - (1 + a)*u2 + v = 0 whose in-range root is
@@ -137,34 +157,35 @@ def _invert_conditional(theta, u1, v):
     which is stable for all a (a -> 0 gives u2 = v exactly, so no
     degenerate-case branch is needed).
 
-    Every step writes into one of three preallocated buffers; the
-    operations, and so the bits, are those of the plain expression
-    theta*(1 - 2*u1), (1 + a)^2 - 4*a*v, ... evaluated left to right.
-    The samplers call this once per block, so it keeps its numpy calls
-    few: their fixed cost is a large share of a block's time.
+    The operations, and so the bits, are those of the plain expression
+    theta*(1 - 2*u1), (1 + a)^2 - 4*a*v, ... evaluated left to right:
+    scaling by 4 is exact, so a*(4*v) rounds the same real number as
+    (a*4)*v.  The samplers call this once per block and the Monte Carlo
+    count once per theta of a batch, so it keeps its numpy calls few and
+    allocates nothing: their fixed cost is a large share of a block's time.
     """
-    u1 = np.asarray(u1, dtype=float)
-    v = np.asarray(v, dtype=float)
-    shape = np.broadcast(u1, v).shape
-    a, den, u2 = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.multiply(u1, 2.0, out=a)
-    np.subtract(1.0, a, out=a)
-    np.multiply(a, theta, out=a)  # a = theta*(1 - 2*u1)
+    c, v4, v2 = prelude
+    np.multiply(c, theta, out=a)  # a = theta*(1 - 2*u1)
     np.add(a, 1.0, out=den)  # 1 + a
-    np.multiply(a, 4.0, out=a)
-    np.multiply(a, v, out=a)  # 4*a*v
-    np.multiply(den, den, out=u2)
-    np.subtract(u2, a, out=u2)  # disc
-    np.maximum(u2, 0.0, out=u2)
-    np.sqrt(u2, out=u2)
-    np.add(den, u2, out=den)
-    # den == 0 only at (a, v) = (-1, 0), where the root 2*v/den is 0.  Any
-    # other den is at least 2**-53 (1 + a) or sqrt(4*v) (a = -1), so
-    # raising den to the smallest subnormal changes no other quotient.
-    np.maximum(den, _SMALLEST_SUBNORMAL, out=den)
-    np.multiply(v, 2.0, out=u2)
-    np.divide(u2, den, out=u2)
-    return np.minimum(u2, 1.0, out=u2)  # u2 >= 0; rounding may pass 1
+    np.multiply(a, v4, out=a)  # 4*a*v
+    np.multiply(den, den, out=out)
+    np.subtract(out, a, out=out)  # disc
+    # Raising disc (>= 0 but for rounding) to the smallest subnormal, not to
+    # 0, keeps den > 0 at (a, v) = (-1, 0), where the root 2*v/den is 0, and
+    # changes no bit elsewhere: a nonzero 1 + a is at least 2**-53, which
+    # absorbs sqrt(2**-1074), and a positive disc is at least 2**-1074.
+    np.maximum(out, _SMALLEST_SUBNORMAL, out=out)
+    np.sqrt(out, out=out)
+    np.add(den, out, out=den)
+    np.divide(v2, den, out=out)
+    return np.minimum(out, 1.0, out=out)  # u2 >= 0; rounding may pass 1
+
+
+def _invert_conditional(theta, u1, v):
+    """:func:`_inversion_step` at one theta, in new arrays."""
+    prelude = _inversion_prelude(u1, v)
+    out, a, den = (np.empty_like(term) for term in prelude)
+    return _inversion_step(theta, prelude, out, a, den)
 
 
 def _exp_quantile(u, *lams):

@@ -19,10 +19,12 @@ Three evaluators are provided and cross-validated:
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores a
-  whole (theta x budget x rate) grid: the uniforms and the first gain do
-  not depend on theta, so they are drawn and transformed once, and only
-  the conditional inversion of the second gain and the count run per
-  theta (common random numbers across the theta axis).
+  whole (theta x budget x rate) grid: the uniforms, the first gain and
+  the theta-free terms of the conditional inversion are computed once per
+  batch, and only the rest of the inversion and the count run per theta
+  (common random numbers across the theta axis).  A call can count a
+  share of the draw's blocks; the integer counts of disjoint shares add
+  up to those of the whole draw.
 
 A query holds a tuple of rates (a rate axis) and a tuple of
 :class:`DependenceParameter` (a theta axis).  The closed form and
@@ -51,7 +53,8 @@ from .copula import (
     DependenceParameter,
     FadingMarginals,
     _exp_quantile,
-    _invert_conditional,
+    _inversion_prelude,
+    _inversion_step,
     _uniform_blocks,
 )
 from .regions import PowerBudget
@@ -224,21 +227,33 @@ class OutageCurve:
     """Outage estimates over a grid, one array entry per grid point.
 
     ``value`` holds the probabilities, ``out_of_range`` marks the values
-    outside [0, 1], and ``std_error`` (Monte Carlo only) holds standard
-    errors; all share one shape, an axis per grid axis.  Every value not
-    marked lies in [0, 1], and every standard error is >= 0.  Only the
-    closed form marks values; quadrature and Monte Carlo mark none.
+    outside [0, 1], and, for Monte Carlo only, ``std_error`` holds standard
+    errors and ``counts`` the integer event counts; all share one shape, an
+    axis per grid axis.  Every value not marked lies in [0, 1], and every
+    standard error is >= 0.  Only the closed form marks values; quadrature
+    and Monte Carlo mark none.
     """
 
     value: np.ndarray
     out_of_range: np.ndarray
     std_error: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         if not ((self.value >= 0.0) & (self.value <= 1.0) | self.out_of_range).all():
             raise ValueError(f"unmarked estimates must be in [0, 1], got {self.value}")
         if self.std_error is not None and not (self.std_error >= 0.0).all():
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray, n: int) -> "OutageCurve":
+        """The Monte Carlo curve of integer event ``counts`` out of ``n``
+        pairs: the frequency p = counts/n and its standard error
+        sqrt(p*(1 - p)/n).  A count summed over shares of the draws gives
+        the same bits as the whole draw counted at once."""
+        p_hat = counts / n
+        std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
+        return cls(p_hat, np.zeros(p_hat.shape, dtype=bool), std_error, counts)
 
 
 def _gain_weights(budget: PowerBudget) -> tuple[float, float]:
@@ -528,28 +543,39 @@ def outage_monte_carlo(
     rates: Sequence[float],
     n: int,
     seed: int,
+    blocks: Optional[range] = None,
 ) -> OutageCurve:
     """Monte Carlo outage at every (theta, budget, rate) point from one draw
-    set, as one (theta, budget, rate) :class:`OutageCurve`.
+    set, as one (theta, budget, rate) :class:`OutageCurve` that carries the
+    integer event counts.
 
     The raw uniforms (u1, v) of ``n`` pairs are drawn once from the
     per-chunk substreams of ``seed`` (see
     :func:`~swmac.copula.iter_gain_pair_chunks`), one block of at most
-    ``streams.BLOCK_SIZE`` pairs at a time, and serve every theta.  Pairs
-    that cannot be in outage are dropped from each block on their raw
+    ``streams.BLOCK_SIZE`` pairs at a time, and serve every theta.
+    ``blocks``, an increasing range of block indices, counts only the pairs
+    of those blocks (default: all of them), and the value and standard
+    error are then over the pairs drawn: the counts of disjoint shares of
+    the blocks add up, bit for bit, to the counts of the whole draw, which
+    :meth:`OutageCurve.from_counts` turns into the whole estimate.
+
+    Pairs that cannot be in outage are dropped from each block on their raw
     uniforms (see below).  The rest are counted in batches of at most
-    ``BLOCK_SIZE`` kept pairs.  Per batch, the first gains and their
-    weighted values A*g1 are computed once, since neither depends on theta.
-    Per theta, the conditional inversion gives the second gains, and per
-    budget the sums A*g1 + B*g2 are sorted once and counted at or below
-    every gamma by binary search, so ties count as outage.  Each pair's
-    gains at a theta are those :func:`~swmac.copula.iter_gain_pair_chunks`
-    yields at that theta, bit for bit, so the integer counts do not depend
-    on the cut, the batching or the other thetas.  Entry ``[t, i, j]``
-    equals the 1x1x1 grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``)
-    with the same (n, seed) exactly.  Entries share their draws (common
-    random numbers across theta, budget and rate): they are correlated with
-    one another, and each count is still Binomial(n, p) on its own.
+    ``BLOCK_SIZE`` kept pairs.  Per batch, everything that does not depend
+    on theta is computed once: the first gains and their weighted values
+    A*g1, and the theta-free terms of the conditional inversion
+    (:func:`~swmac.copula._inversion_prelude`).  Per theta, the inversion
+    step gives the second gains, and per budget the sums A*g1 + B*g2 are
+    sorted and counted at or below every gamma by binary search, so ties
+    count as outage; these per-theta steps reuse a few buffers allocated
+    once per batch.  Each pair's gains at a theta are those
+    :func:`~swmac.copula.iter_gain_pair_chunks` yields at that theta, bit
+    for bit, so the integer counts do not depend on the cut, the batching,
+    the shares or the other thetas.  Entry ``[t, i, j]`` equals the 1x1x1
+    grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with the same
+    (n, seed) exactly.  Entries share their draws (common random numbers
+    across theta, budget and rate): they are correlated with one another,
+    and each count is still Binomial(n, p) on its own.
 
     **The cut.**  With reach = max_i gamma_max_i/A_i over the budgets, a
     pair whose first gain lies beyond reach is in outage at no (budget,
@@ -565,6 +591,10 @@ def outage_monte_carlo(
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
+    if blocks is not None and not (
+        blocks and blocks.step > 0 and 0 <= blocks[0] and blocks[-1] < -(-n // BLOCK_SIZE)
+    ):
+        raise ValueError(f"blocks must be a nonempty increasing range of blocks of n, got {blocks}")
     weights = [_gain_weights(budget) for budget in budgets]
     gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
     reach = max(
@@ -576,22 +606,25 @@ def outage_monte_carlo(
 
     def count(batch: list[np.ndarray]) -> None:
         w = batch[0] if len(batch) == 1 else np.concatenate(batch)
-        # contiguous columns: every theta's inversion reads them
+        # contiguous columns: the prelude and the first gain read them
         u1, v = w.T.copy()
-        g1 = _exp_quantile(u1.copy(), marginals.lambda1)
+        prelude = _inversion_prelude(u1, v)
+        g1 = _exp_quantile(u1, marginals.lambda1)
         weighted = [a * g1 for a, _ in weights]
+        g2, a, den, s = np.empty((4, len(g1)))
         # the steps of copula._gain_pairs for the second gain, per theta
         for t, theta in enumerate(thetas):
-            g2 = _exp_quantile(_invert_conditional(theta.theta, u1, v), marginals.lambda2)
+            _exp_quantile(_inversion_step(theta.theta, prelude, g2, a, den), marginals.lambda2)
             for i, (_, b) in enumerate(weights):
-                s = weighted[i] + b * g2
+                np.add(weighted[i], np.multiply(b, g2, out=s), out=s)
                 s.sort()
                 counts[t, i] += np.searchsorted(s, gammas[i], side="right")
 
     # Kept rows of consecutive blocks are counted together, so a block that
     # keeps a few rows does not pay the fixed cost of the numpy calls alone.
-    batch, held = [], 0
-    for w in _uniform_blocks(n, seed):
+    batch, held, drawn = [], 0, 0
+    for w in _uniform_blocks(n, seed, blocks=blocks):
+        drawn += len(w)
         if cut < 1.0:
             w = np.compress(w[:, 0] <= cut, w, axis=0)
         if held + len(w) > BLOCK_SIZE:
@@ -600,6 +633,4 @@ def outage_monte_carlo(
         batch.append(w)
         held += len(w)
     count(batch)
-    p_hat = counts / n
-    std_error = np.sqrt(p_hat * (1.0 - p_hat) / n)
-    return OutageCurve(p_hat, np.zeros(p_hat.shape, dtype=bool), std_error)
+    return OutageCurve.from_counts(counts, drawn)

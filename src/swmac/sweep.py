@@ -3,16 +3,17 @@
 A sweep evaluates every (budget, theta, rate, method) combination of a
 config and returns the rows in lexicographic index order.  The analytic
 methods run once per budget over every theta and rate: their values are
-affine in theta, so one call shares every theta-free term.  Monte Carlo
-runs once per theta slice: every Monte Carlo row of a sweep is scored
-against one draw set, keyed by ``derive_seed(seed, 0)`` (common random
-numbers across theta, budget and rate), and one evaluator call draws it
-once for all the thetas of its slice.  Only the theta slices go to worker
-processes, one process per worker, with its slice given up front; the
-parent evaluates the analytic methods meanwhile.  A row's value depends
-on its (theta, budget, rate) alone, not on execution order, worker count
-or where its theta sits in the config, and two runs of the same config
-produce byte-identical CSV.
+affine in theta, so one call shares every theta-free term.  Every Monte
+Carlo row of a sweep is scored against one draw set, keyed by
+``derive_seed(seed, 0)`` (common random numbers across theta, budget and
+rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one contiguous
+share per worker process, given up front; each worker makes one evaluator
+call that draws only its share and counts every theta over it, and the
+parent, which evaluates the analytic methods meanwhile, adds the integer
+event counts and forms the values and standard errors once.  A row's
+value depends on its (theta, budget, rate) alone, not on execution order,
+worker count or where its theta sits in the config, and two runs of the
+same config produce byte-identical CSV.
 
 Sampled gain pairs fan out through the same pool: each block of pairs can
 be drawn alone, so workers draw and format strided blocks and the parent
@@ -48,6 +49,7 @@ from .outage import (
     MONTE_CARLO,
     QUADRATURE,
     DegenerateDenominator,
+    OutageCurve,
     OutageEvaluationError,
     OutageQuery,
     QuadratureNonConvergence,
@@ -144,25 +146,28 @@ def _analytic_column(
         return np.where(exc.failed, np.nan, exc.value), np.where(exc.failed, _NONCONVERGENCE, _OK)
 
 
-def _theta_blocks(
-    config: ExperimentConfig, rates: tuple[float, ...], t_indices: range
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Monte Carlo values and standard errors at each theta index of
-    ``t_indices``, in order, as (budget, rate) arrays, lazily: one
-    evaluator call scores the whole slice from the sweep's one draw set,
-    keyed by ``derive_seed(config.seed, 0)``.  A row therefore depends on
-    its (theta, budget, rate), not on where its theta sits in the config.
-    An empty slice draws nothing."""
-    if t_indices:
-        curve = outage_monte_carlo(
-            tuple(config.thetas[t_i] for t_i in t_indices),
-            config.marginals,
-            config.budgets,
-            rates,
-            config.mc_samples,
-            derive_seed(config.seed, 0),
-        )
-        yield from zip(curve.value, curve.std_error)
+def _share_counts(
+    config: ExperimentConfig, rates: tuple[float, ...], shares: Sequence[range], indices: range
+) -> Iterator[np.ndarray]:
+    """The Monte Carlo event counts, as (theta, budget, rate) arrays, of
+    each share ``shares[i]`` of the draw's blocks for i in ``indices``, in
+    order, lazily: one evaluator call counts every theta over a share of
+    the sweep's one draw set, keyed by ``derive_seed(config.seed, 0)``
+    (derived here, per share, so that neither a parent that only adds
+    counts nor a sweep without Monte Carlo loads the sampler).  A row
+    therefore depends on its (theta, budget, rate), not on where its theta
+    sits in the config or how the blocks are shared."""
+    for i in indices:
+        yield outage_monte_carlo(
+            config.thetas, config.marginals, config.budgets, rates, config.mc_samples,
+            derive_seed(config.seed, 0), blocks=shares[i],
+        ).counts
+
+
+def _block_shares(blocks: int, k: int) -> list[range]:
+    """``k`` contiguous shares of ``range(blocks)``, in order, whose sizes
+    differ by at most one; none is empty when ``k <= blocks``."""
+    return [range(w * blocks // k, (w + 1) * blocks // k) for w in range(k)]
 
 
 def _send_results(conn, work: Callable[[range], Iterable], indices: range) -> None:
@@ -202,6 +207,12 @@ def _pool_size(workers: int, tasks: int, cpus: Optional[int]) -> int:
     return max(1, min(workers or cpus, cpus, tasks))
 
 
+def _cpus() -> Optional[int]:
+    """The CPUs this process may run on, where the platform reports them,
+    else the host's CPU count (None if unknown)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 @contextmanager
 def _fanned_out(work: Callable[[range], Iterable], items: int, workers: int) -> Iterator[Iterator]:
     """The results of ``work(range(items))``, in item order, computed on a
@@ -218,9 +229,7 @@ def _fanned_out(work: Callable[[range], Iterable], items: int, workers: int) -> 
     :class:`OutageEvaluationError` naming its exit code.  On leaving the
     block every worker has ended: on an error they are stopped first.
     """
-    # the CPUs this process may run on, where the platform reports them
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = _pool_size(workers, items, cpus)
+    pool_size = _pool_size(workers, items, _cpus())
     if pool_size == 1:
         yield work(range(items))
         return
@@ -259,13 +268,17 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
     in lexicographic (budget, theta, rate, method) index order.
 
-    ``workers`` > 1 fans the Monte Carlo thetas out across processes (see
-    :func:`_fanned_out`), each drawing once for its slice, while the parent
-    evaluates the analytic methods; 0 means one per CPU this process may
-    run on.  The pool never exceeds that CPU count or the number of thetas,
-    and a sweep without Monte Carlo starts none.  Results are identical for
-    any worker count.  An exception that stops a worker is re-raised here
-    with its own type; a worker that dies without answering raises
+    ``workers`` > 1 splits the Monte Carlo draw across processes (see
+    :func:`_fanned_out`) while the parent evaluates the analytic methods; 0
+    means one per CPU this process may run on.  Of k workers, worker w
+    counts every theta over the w-th of k contiguous shares of the draw's
+    blocks of ``BLOCK_SIZE`` pairs, drawing only those blocks, and the
+    parent adds the integer counts and forms each value and standard error
+    once, so results are identical for any worker count.  The pool never
+    exceeds that CPU count or the number of blocks: a sweep of at most
+    ``BLOCK_SIZE`` samples, or without Monte Carlo, starts none.  An
+    exception that stops a worker is re-raised here with its own type; a
+    worker that dies without answering raises
     :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
@@ -278,8 +291,11 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     op = np.full(shape, np.nan)
     std_err = np.full(shape, np.nan)
     flag = np.full(shape, _OK, dtype=np.int8)
-    mc_thetas = len(config.thetas) if MONTE_CARLO in config.methods else 0
-    with _fanned_out(partial(_theta_blocks, config, rates), mc_thetas, workers) as results:
+    shares = []
+    if MONTE_CARLO in config.methods:
+        blocks = -(-config.mc_samples // BLOCK_SIZE)
+        shares = _block_shares(blocks, _pool_size(workers, blocks, _cpus()))
+    with _fanned_out(partial(_share_counts, config, rates, shares), len(shares), workers) as results:
         # the analytic methods, in the parent while any workers draw
         for b_i, budget in enumerate(config.budgets):
             query = OutageQuery(rates, budget, config.marginals, config.thetas)
@@ -288,10 +304,12 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
                     op[b_i, ..., m_i], flag[b_i, ..., m_i] = _analytic_column(
                         query, method, config.quad_tol
                     )
-        blocks = list(results)
-    if blocks:
+        counts = list(results)
+    if counts:
         m_i = config.methods.index(MONTE_CARLO)
-        op[..., m_i], std_err[..., m_i] = (np.stack(column, axis=1) for column in zip(*blocks))
+        curve = OutageCurve.from_counts(sum(counts), config.mc_samples)
+        # (theta, budget, rate) to the table's (budget, theta, rate)
+        op[..., m_i], std_err[..., m_i] = (a.swapaxes(0, 1) for a in (curve.value, curve.std_error))
     axes = (
         tuple(range(len(config.budgets))),
         tuple(theta.theta for theta in config.thetas),

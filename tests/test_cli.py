@@ -234,6 +234,30 @@ def test_exit_1_on_samples_above_the_cap_writes_no_file(command, config_file, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-5", str(1 << 64)])  # would alias 2**64 - 5 and 0
+@pytest.mark.parametrize("source", ["flag", "key"])
+@pytest.mark.parametrize("command", ["outage", "sample"])
+def test_exit_1_on_a_seed_outside_64_bits_writes_no_file(command, source, seed, tmp_path, capsys):
+    config = tmp_path / "cfg.txt"
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "x.csv")]
+    if source == "flag":
+        config.write_text(CONFIG_TEXT)
+        argv += ["--seed", seed]
+    else:
+        config.write_text(CONFIG_TEXT.replace("seed = 3", f"seed = {seed}"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed must be in [0, 2**64 - 1]" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_the_largest_64_bit_seed_runs(config_file, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["outage", "--config", config_file, "--seed", str((1 << 64) - 1), "--out", str(out)]
+    assert main(argv) == 0
+    assert len(read_csv(out)) == 1 + 18
+
+
 def test_exit_1_on_single_method_compare(config_file, tmp_path):
     code = main(
         ["compare", "--config", config_file, "--methods", "quadrature", "--out", str(tmp_path / "c.csv")]
@@ -373,7 +397,7 @@ def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys)
 @pytest.mark.parametrize(
     "command,item,argv",
     [
-        pytest.param("outage", "_theta_blocks", ["--workers", "0"], id="outage"),
+        pytest.param("outage", "_share_counts", ["--workers", "0"], id="outage"),  # 2 blocks
         pytest.param("sample", "_sample_texts", ["--samples", "10000"], id="sample"),  # 3 blocks
     ],
 )
@@ -498,6 +522,29 @@ def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_pa
     lines = proc.stdout.splitlines()
     assert lines[0] == "False False"
     assert lines[-1] == "0 0 True False False"
+
+
+# An analytic-only sweep: no Monte Carlo share is counted, so the seed is
+# never derived and the process never loads numpy.random.
+_ANALYTIC_RUN = """
+import sys
+import swmac.cli
+argv = ["outage", "--preset", "fig2", "--methods", "closed-form,quadrature", "--out", sys.argv[1]]
+print(swmac.cli.main(argv), "numpy.random" in sys.modules)
+"""
+
+
+def test_an_analytic_sweep_leaves_the_sampler_out_of_the_process(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _ANALYTIC_RUN, str(tmp_path / "analytic.csv")],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # A pooled compare under the forkserver start method, after a serial one;

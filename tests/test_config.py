@@ -111,6 +111,8 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         ("methods = bogus\n" + MINIMAL, "unknown method"),
         ("methods = monte-carlo\nmc_samples = 10\n" + MINIMAL, "mc_samples"),
         ("quad_tol = 0.5\n" + MINIMAL, "quad_tol"),
+        ("seed = -5\n" + MINIMAL, "seed"),  # would alias 2**64 - 5
+        ("seed = 0x10000000000000000\n" + MINIMAL, "seed"),  # 2**64 would alias 0
         ("rate_step = -1\n" + MINIMAL, "step"),
         ("sigma1_sq = -0.5\n" + MINIMAL, "sigma1_sq"),
         ("[budget]\np0 = 2\np1 = 1\np2 = 1\nnoise = 1\n", "p0"),

@@ -259,6 +259,48 @@ def test_invert_conditional_denominator_root(theta_value):
     assert float(_invert_conditional_reference(theta_value, u1, 0.0)) == 0.0
 
 
+def _plain_inversion(theta, u1, v):
+    # The conditional inversion as one plain expression, evaluated left to
+    # right in Python floats: the oracle of the split kernel.
+    a = theta * (1.0 - 2.0 * u1)
+    disc = (1.0 + a) * (1.0 + a) - 4.0 * a * v
+    den = (1.0 + a) + math.sqrt(max(disc, 0.0))
+    return min(2.0 * v / den, 1.0) if den > 0.0 else 0.0
+
+
+_BELOW_ONE = 1.0 - 2.0**-53
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+split_thetas = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 1e-310, -5e-324]), thetas_strategy)
+split_u1 = st.one_of(st.sampled_from([0.0, 0.5, _BELOW_ONE]), unit_open)
+split_v = st.one_of(st.sampled_from([0.0, 5e-324, _BELOW_ONE]), unit_open)
+
+
+@settings(max_examples=300)
+@given(split_thetas, st.lists(st.tuples(split_u1, split_v), min_size=1, max_size=20))
+def test_split_inversion_kernel_is_bit_identical_to_the_plain_expression(theta_value, points):
+    # The theta-free prelude (1 - 2*u1, 4*v, 2*v) plus the per-theta step
+    # into caller buffers equals the plain expression bit for bit: scaling
+    # by 4 is exact, so a*(4*v) rounds as (4*a)*v does.  theta = 1e-310
+    # makes a subnormal a; theta = +-1 with u1 at 0 or 1 and v = 0 is the
+    # zero-denominator root.
+    from swmac.copula import _inversion_prelude, _inversion_step
+
+    u1, v = np.array(points).T
+    prelude = _inversion_prelude(u1, v)
+    out, a, den = np.full((3, len(u1)), np.nan)
+    got = _inversion_step(theta_value, prelude, out, a, den)
+    assert got is out
+    want = np.array([_plain_inversion(theta_value, x, y) for x, y in points])
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sample_unit_pairs_bitwise_matches_the_plain_expression(theta):
+    w = substream(29).random((5000, 2))
+    want = [(u1, _plain_inversion(theta.theta, u1, v)) for u1, v in w.tolist()]
+    got = sample_unit_pairs(theta, 5000, substream(29))
+    assert np.array_equal(_bits(got), _bits(np.array(want)))
+
+
 def test_sample_gain_pairs_bitwise_matches_reference_composition(theta):
     marginals = FadingMarginals(0.7, 2.5)
     n = 5000

@@ -509,13 +509,13 @@ def _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, n, seed):
     import swmac.outage as outage_module
 
     inverted = {}
-    invert = outage_module._invert_conditional
+    step = outage_module._inversion_step
 
-    def spy(th, u1, v):
-        inverted[th] = inverted.get(th, 0) + len(u1)
-        return invert(th, u1, v)
+    def spy(th, prelude, *buffers):
+        inverted[th] = inverted.get(th, 0) + len(prelude[0])
+        return step(th, prelude, *buffers)
 
-    monkeypatch.setattr(outage_module, "_invert_conditional", spy)
+    monkeypatch.setattr(outage_module, "_inversion_step", spy)
     outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
     monkeypatch.undo()
     return [inverted[theta.theta] / n for theta in thetas]

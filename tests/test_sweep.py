@@ -45,6 +45,7 @@ from swmac.sweep import (
     SWEEP_HEADER,
     ComparisonReport,
     SweepTable,
+    _block_shares,
     _pool_size,
     compare_methods,
     emit_comparison_csv,
@@ -217,6 +218,61 @@ def test_parallel_theta_blocks_match_serial(workers):
     assert _same_table(run_outage_sweep(cfg, workers=workers), run_outage_sweep(cfg, workers=1))
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_path, cpus):
+    # One theta, so the pool is capped by the draw's 18 blocks (the last
+    # partial), not by the theta count; at unit noise the first-gain cut
+    # keeps nearly every pair, so every share runs the per-theta kernel.
+    # Each share records where it ran and which blocks it counted.
+    import swmac.sweep
+
+    cfg = small_config(
+        thetas=(DependenceParameter(0.35),), methods=("monte-carlo",), mc_samples=70_000
+    )
+    serial = run_outage_sweep(cfg, workers=1)
+    share_counts = swmac.sweep._share_counts
+
+    def recorded(config, rates, shares, indices):
+        for i, counts in zip(indices, share_counts(config, rates, shares, indices)):
+            (tmp_path / f"{os.getpid()}-{i}").write_text(f"{shares[i].start} {shares[i].stop}")
+            yield counts
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(swmac.sweep, "_share_counts", recorded)
+    pooled = run_outage_sweep(cfg, workers=0)
+    for column in ("op", "std_err", "flag"):
+        assert getattr(pooled, column).tobytes() == getattr(serial, column).tobytes()
+    records = [(path.name.split("-"), path.read_text().split()) for path in tmp_path.iterdir()]
+    assert len({pid for (pid, _), _ in records}) == cpus
+    assert str(os.getpid()) not in {pid for (pid, _), _ in records}
+    shares = sorted((int(start), int(stop)) for _, (start, stop) in records)
+    assert [b for share in shares for b in range(*share)] == list(range(18))
+
+
+# a pool never exceeds the block count, so k <= blocks
+@pytest.mark.parametrize(
+    "blocks,k", [(1, 1), (2, 2), (3, 2), (5, 3), (18, 2), (18, 3), (25, 7), (1531, 7)]
+)
+def test_block_shares_cover_every_block_once(blocks, k):
+    shares = _block_shares(blocks, k)
+    assert len(shares) == k
+    assert [b for share in shares for b in share] == list(range(blocks))
+    assert all(share.step == 1 for share in shares)
+    assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+@pytest.mark.parametrize("n", [1000, BLOCK_SIZE])
+def test_a_sweep_of_one_block_starts_no_pool(monkeypatch, n):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process was started")
+
+    cfg = small_config(mc_samples=n)
+    serial = run_outage_sweep(cfg, workers=1)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+
+
 @pytest.mark.parametrize(
     "workers,tasks,cpus,expected",
     [
@@ -247,7 +303,7 @@ def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker process was started")
 
-    cfg = small_config(mc_samples=1000)
+    cfg = small_config(mc_samples=10_000)  # three blocks, enough for a pool of two
     serial = run_outage_sweep(cfg, workers=1)
     monkeypatch.setattr(multiprocessing, "Process", no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -259,18 +315,19 @@ def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
 
 
 def _pooled_sweep(monkeypatch, item, tmp_path):
-    """A sweep on two workers whose theta block ``t_i`` is ``item(t_i, draw)``,
-    ``draw`` computing the block itself."""
+    """A sweep on two workers, one share of the draw's three blocks each,
+    whose share ``i``'s counts are ``item(i, draw)``, ``draw`` computing the
+    counts themselves."""
     import swmac.sweep
 
-    theta_blocks = swmac.sweep._theta_blocks
+    share_counts = swmac.sweep._share_counts
 
-    def patched(config, rates, t_indices):
-        blocks = theta_blocks(config, rates, t_indices)
-        return (item(t_i, lambda: next(blocks)) for t_i in t_indices)
+    def patched(config, rates, shares, indices):
+        counts = share_counts(config, rates, shares, indices)
+        return (item(i, lambda: next(counts)) for i in indices)
 
-    monkeypatch.setattr(swmac.sweep, "_theta_blocks", patched)
-    run_outage_sweep(small_config(mc_samples=1000), workers=2)
+    monkeypatch.setattr(swmac.sweep, "_share_counts", patched)
+    run_outage_sweep(small_config(mc_samples=10_000), workers=2)
 
 
 def _pooled_sample(monkeypatch, item, tmp_path):
@@ -310,17 +367,17 @@ def test_a_worker_that_dies_without_answering_names_its_exit_code(
 def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monkeypatch):
     import swmac.sweep
 
-    def slow_blocks(config, rates, t_indices):
+    def slow_counts(config, rates, shares, indices):
         time.sleep(600)
 
     def failing_column(query, method, quad_tol):
         raise RuntimeError("synthetic analytic failure")
 
-    monkeypatch.setattr(swmac.sweep, "_theta_blocks", slow_blocks)
+    monkeypatch.setattr(swmac.sweep, "_share_counts", slow_counts)
     monkeypatch.setattr(swmac.sweep, "_analytic_column", failing_column)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="synthetic analytic failure"):
-        run_outage_sweep(small_config(mc_samples=1000), workers=2)
+        run_outage_sweep(small_config(mc_samples=10_000), workers=2)
     assert time.monotonic() - start < 30  # the workers were stopped, not waited for
     assert multiprocessing.active_children() == []
 
