@@ -38,6 +38,7 @@ from typing import Optional
 from .copula import DependenceParameter, FadingMarginals
 from .outage import DEFAULT_QUAD_TOL, MAX_QUAD_TOL, METHODS, MIN_MC_SAMPLES, MONTE_CARLO
 from .regions import PowerBudget
+from .streams import MAX_SEED
 
 __all__ = [
     "ConfigError",
@@ -79,9 +80,6 @@ MAX_RATE_POINTS = 1_000_000
 #: Largest Monte Carlo sample count, and largest number of gain pairs
 #: ``swmac sample`` writes.
 MAX_SAMPLES = 10**8
-
-#: Largest master seed: a seed is an unsigned 64-bit integer.
-MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)

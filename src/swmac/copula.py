@@ -7,10 +7,10 @@ The Farlie-Gumbel-Morgenstern (FGM) family
 spans weak negative (theta < 0) through weak positive (theta > 0)
 dependence, with theta = 0 the independence copula.  Composing it with the
 exponential marginals F_i(g) = 1 - exp(-lambda_i*g) of squared Rayleigh
-channel gains gives the joint law of a correlated gain pair; the sampler
-draws from that law by conditional inversion, whose theta-free terms are
-computed apart from its per-theta step so that one draw can be inverted
-at many thetas.
+channel gains gives the joint law of a correlated gain pair.  Its
+conditional law has one kernel, which outage quadrature shares; the sampler
+inverts that law, with its theta-free terms computed apart from its
+per-theta step so that one draw can be inverted at many thetas.
 
 All analytical functions here are pure.  Samplers mutate only the
 generator passed in; concurrent sampling requires independent substreams
@@ -116,17 +116,27 @@ class GainPair:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: the copula density, which the copula and joint gain densities
-# share, and the two steps after the draw, on whole blocks, which the
-# samplers and the Monte Carlo count share.  The conditional inversion is
-# split in two: a theta-free prelude, which the Monte Carlo count computes
-# once per batch for all its thetas, and a per-theta step into buffers the
-# caller provides.
+# Kernels: the copula density and the conditional law, each shared by the
+# copula and the gain evaluators, and the two steps after the draw, on whole
+# blocks, which the samplers and the Monte Carlo count share.  The
+# conditional inversion is split in two: a theta-free prelude, which the
+# Monte Carlo count computes once per batch for all its thetas, and a
+# per-theta step into buffers the caller provides.
 # ---------------------------------------------------------------------------
 
 
 def _density(theta, u1, u2):
     return 1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
+
+
+def _conditional_law(theta, u, p, p_bar):
+    """P[X <= x | Y = y] = u*(1 + theta*(1 - 2*p)*(1 - u)), u = F_X(x), p = F_Y(y),
+    at a scalar or broadcast theta, as u*((1 - |theta|) + |theta|*(u + 2*q*(1 - u)))
+    with q = ``p_bar`` = 1 - p, passed in as it may be exact where 1 - p is not,
+    for theta >= 0, and q = p below.  No term is negative, so none cancels."""
+    mag = np.abs(theta)
+    q = np.where(theta >= 0.0, p_bar, p)
+    return u * ((1.0 - mag) + mag * (u + 2.0 * q * (1.0 - u)))
 
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
@@ -146,12 +156,12 @@ def _inversion_prelude(u1, v):
 
 
 def _inversion_step(theta, prelude, out, a, den):
-    """Solve conditional(theta, u1, u2) = v for u2 in [0, 1], into ``out``,
-    from the :func:`_inversion_prelude` of (u1, v); ``a`` and ``den`` are
-    scratch buffers of the same shape.  Returns ``out``.
+    """Solve _conditional_law(theta, u2, u1, 1 - u1) = v for u2 in [0, 1],
+    into ``out``, from the :func:`_inversion_prelude` of (u1, v); ``a`` and
+    ``den`` are scratch buffers of the same shape.  Returns ``out``.
 
-    With a = theta*(1 - 2*u1) the equation is the quadratic
-    a*u2^2 - (1 + a)*u2 + v = 0 whose in-range root is
+    With a = theta*(1 - 2*u1) the law is u2*(1 + a*(1 - u2)), so the
+    equation is a*u2^2 - (1 + a)*u2 + v = 0, whose in-range root is
     ((1 + a) - sqrt((1 + a)^2 - 4*a*v)) / (2*a).  It is evaluated in the
     algebraically identical conjugate form 2*v / ((1 + a) + sqrt(disc)),
     which is stable for all a (a -> 0 gives u2 = v exactly, so no
@@ -229,11 +239,8 @@ def conditional_cdf(theta: DependenceParameter, u1: float, u2: float) -> float:
 
     Monotone nondecreasing in u2 for fixed (theta, u1); maps 0 -> 0 and 1 -> 1.
     """
-    if not (0.0 <= u1 <= 1.0):
-        raise ValueError(f"u1 must be in [0, 1], got {u1}")
-    if not (0.0 <= u2 <= 1.0):
-        raise ValueError(f"u2 must be in [0, 1], got {u2}")
-    return float(u2 * (1.0 + theta.theta * (1.0 - 2.0 * u1) * (1.0 - u2)))
+    u = UnitPair(u1, u2)
+    return float(_conditional_law(theta.theta, u.u2, u.u1, 1.0 - u.u1))
 
 
 def sample_unit_pairs(

@@ -12,10 +12,10 @@ Three evaluators are provided and cross-validated:
   deviates from the exact probability and can leave [0, 1] at small
   gamma; such results are flagged ``out-of-range`` rather than rejected.
 * :func:`outage_quadrature` - exact evaluation of the defining integral
-  over the triangle A*g1 + B*g2 <= gamma in the positive quadrant (the
-  inner gain integral is elementary; the outer one is adaptive 21-point
-  Gauss-Kronrod quadrature after QUADPACK, run on numpy arrays for every
-  (theta, rate) point at once).  This is the reference.
+  over the triangle A*g1 + B*g2 <= gamma in the positive quadrant: the
+  inner integral is the FGM conditional law, summed without cancellation,
+  and the outer one adaptive 21-point Gauss-Kronrod quadrature after
+  QUADPACK, on arrays for every (theta, rate) point.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores a
@@ -52,6 +52,7 @@ import numpy as np
 from .copula import (
     DependenceParameter,
     FadingMarginals,
+    _conditional_law,
     _exp_quantile,
     _inversion_prelude,
     _inversion_step,
@@ -356,23 +357,13 @@ def _conditional_terms(d, gamma, a, b, l1, l2):
     """The theta-free terms of the quadrature integrand at the g2 nodes ``d``.
 
     With e = exp(-l2*d) and c* = (gamma - B*d)/A, the range of g1 left by
-    A*g1 + B*g2 <= gamma, returns (l2*e, t, q1, q2): the Exp(lambda2)
-    density of g2, t = 2*e - 1, and P[g1 <= c*] under Exp(lambda1) and
-    Exp(2*lambda1).
+    A*g1 + B*g2 <= gamma, returns (l2*e, u, p, e): the density of g2, the
+    marginal CDFs u = P[g1 <= c*] and p = P[g2 <= d], and 1 - p = e, from
+    which :func:`~swmac.copula._conditional_law` gives P[g1 <= c* | g2].
     """
     c_star = (gamma - b * d) / a
     e = np.exp(-l2 * d)
-    t = 2.0 * e - 1.0
-    q1 = -np.expm1(-l1 * c_star)
-    q2 = -np.expm1(-2.0 * l1 * c_star)
-    return l2 * e, t, q1, q2
-
-
-def _conditional_integrand(th, density, t, q1, q2):
-    """The quadrature integrand at theta = ``th`` from
-    :func:`_conditional_terms`: the density of g2 times the FGM conditional
-    probability P[g1 <= c* | g2], (1 - th*t)*q1 + th*t*q2."""
-    return density * ((1.0 - th * t) * q1 + th * t * q2)
+    return l2 * e, -np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e
 
 
 def _panel_terms(lo, hi, gamma, a, b, l1, l2):
@@ -452,17 +443,13 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     edge_rate, edges = np.nonzero(kept)[0], edges[kept]
     inner = edge_rate[:-1] == edge_rate[1:]
     lo, hi, rate = edges[:-1][inner], edges[1:][inner], edge_rate[1:][inner]
-    hlgth, terms = _panel_terms(lo, hi, gamma[rate], a, b, l1, l2)
-    res, err, asc = np.empty((3, len(thetas), len(lo)))
-    for t_i, th in enumerate(thetas.tolist()):
-        res[t_i], err[t_i], asc[t_i] = _gauss_kronrod_panel(
-            _conditional_integrand(th, *terms), hlgth
-        )
-    first = (err != asc) | (err == 0.0)
+    hlgth, (density, *law) = _panel_terms(lo, hi, gamma[rate], a, b, l1, l2)
     # Every panel of every (theta, rate) point, owned by point theta*n + rate
     # and ordered by owner, then by position.
+    panels = [_gauss_kronrod_panel(density * _conditional_law(th, *law), hlgth) for th in thetas]
+    res, err, asc = np.hstack([np.empty((3, 0)), *panels])  # (3, 0): a query may have no theta
+    first = (err != asc) | (err == 0.0)
     owner = (np.arange(len(thetas))[:, None] * n + rate).ravel()
-    res, err, first = res.ravel(), err.ravel(), first.ravel()
     values, abserr, *_, done = _point_sums(owner, res, err, first, tol)
     # from here on only the panels of the points round 0 left unaccepted
     live = ~done[owner]
@@ -483,9 +470,9 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
         new = np.flatnonzero(np.repeat(halve, reps))
         left, right = new[0::2], new[1::2]  # each halved panel's two copies
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
-        h, terms = _panel_terms(lo[new], hi[new], gamma[owner[new] % n], a, b, l1, l2)
+        h, (density, *law) = _panel_terms(lo[new], hi[new], gamma[owner[new] % n], a, b, l1, l2)
         th = thetas[owner[new] // n][:, None]
-        res[new], err[new], _ = _gauss_kronrod_panel(_conditional_integrand(th, *terms), h)
+        res[new], err[new], _ = _gauss_kronrod_panel(density * _conditional_law(th, *law), h)
     values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
     errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
     unconverged = abserr > errbnd

@@ -1,17 +1,18 @@
 """Deterministic substream derivation for reproducible parallel sampling.
 
 Every random draw in this package is addressed by an integer path under a
-single 64-bit master seed.  A path maps to an independent counter-based
-(Philox) generator, so any partition of work across workers consumes
-identical values for the same logical index, and serial and parallel runs
-agree bit for bit.
+single master seed in [0, MAX_SEED]; any other seed raises ValueError.  A
+path maps to an independent counter-based (Philox) generator, so any
+partition of work across workers consumes identical values for the same
+logical index, and serial and parallel runs agree bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+#: Largest master seed: a seed is an unsigned 64-bit integer.
+MAX_SEED = (1 << 64) - 1
 
 #: Number of logical draws per substream chunk used by the chunked samplers.
 #: A chunk is the unit of addressing: chunk ``k`` has its own substream.
@@ -30,8 +31,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     The same (seed, path) always yields the same stream, and distinct paths
     yield statistically independent streams.
     """
-    ss = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed: int, *path: int) -> int:
@@ -40,5 +40,11 @@ def derive_seed(seed: int, *path: int) -> int:
     Useful when a component (e.g. a sweep row) needs its own seed that it
     can further partition into chunks.
     """
-    ss = np.random.SeedSequence(int(seed) & _MASK64, spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
+    """The seed sequence of (seed, path); the one check of the seed."""
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(int(p) for p in path))

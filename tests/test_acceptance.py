@@ -265,7 +265,7 @@ def test_criterion_8_end_to_end_determinism(tmp_path):
     serial = tmp_path / "serial.csv"
     parallel = tmp_path / "parallel.csv"
     # The pool is capped at the CPUs this process may run on (and at the
-    # theta count), so asking for at least four takes the largest pool the
+    # block count), so asking for at least four takes the largest pool the
     # host allows; on a 1-CPU host both runs are serial.
     workers = str(max(4, os.cpu_count() or 1))
     base = ["outage", "--preset", "fig2", "--seed", "42"]

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -195,6 +196,31 @@ def test_conditional_cdf_boundaries(theta, u1):
 def test_conditional_cdf_examples():
     assert conditional_cdf(DependenceParameter(0.0), 0.3, 0.6) == pytest.approx(0.6)
     assert conditional_cdf(DependenceParameter(1.0), 0.0, 0.5) == pytest.approx(0.75)
+
+
+def _log_uniform_probability():
+    # log-uniform down to 1e-300, and the same distances below 1
+    tiny = st.floats(-300.0, 0.0).map(lambda e: 10.0**e)
+    return st.one_of(tiny, tiny.map(lambda x: 1.0 - x), st.sampled_from([0.0, 0.5, 1.0]))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(
+    theta=st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), thetas_strategy),
+    u1=_log_uniform_probability(),
+    u2=_log_uniform_probability(),
+)
+# u2*(1 + theta*(1 - 2*u1)*(1 - u2)) rounds this one to 0.0, not 5.44e-119
+@example(theta=-1.0, u1=1.86e-197, u2=7.38e-60)
+def test_conditional_cdf_is_exact_to_4_ulp_against_rationals(theta, u1, u2):
+    # The same float inputs in exact rational arithmetic; a result of at
+    # least 1e-290 is within 4 ulp relative however small it is, at
+    # theta = -1 too, where u2*(1 - (1 - 2*u1)*(1 - u2)) would cancel.
+    th, x, y = Fraction(theta), Fraction(u1), Fraction(u2)
+    exact = y * (1 + th * (1 - 2 * x) * (1 - y))
+    got = conditional_cdf(DependenceParameter(theta), u1, u2)
+    if exact >= Fraction(1e-290):
+        assert abs(Fraction(got) - exact) <= 4 * Fraction(2.0**-52) * exact, (got, float(exact))
 
 
 @given(thetas_strategy, probabilities, probabilities, probabilities)

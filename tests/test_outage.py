@@ -369,6 +369,12 @@ def test_monte_carlo_rejects_tiny_sample_count():
         monte_carlo(make_query(), 999, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-5, 2**64])  # would alias 2**64 - 5 and 0
+def test_monte_carlo_rejects_a_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+        monte_carlo(make_query(), 5000, seed=seed)
+
+
 def test_monte_carlo_deterministic_for_seed():
     q = make_query(thetas=(0.3,))
     a = monte_carlo(q, 50_000, seed=77)
@@ -731,15 +737,18 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     # error estimate equals dqk21's resasc, and so does quadrature for a
     # point left with one panel; testing against resabs instead would
     # accept it.
-    from swmac.outage import _conditional_integrand, _gauss_kronrod_panel, _panel_terms, _point_sums
+    from swmac.copula import _conditional_law
+    from swmac.outage import _gauss_kronrod_panel, _panel_terms, _point_sums
 
     q = make_query(
         rates=(5.55,), p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, thetas=(-1.0,)
     )
     gamma = q.gamma
     assert gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
-    h, terms = _panel_terms(np.zeros(1), gamma / q.weight2, gamma, q.weight1, q.weight2, 0.5, 1.5)
-    result, abserr, resasc = _gauss_kronrod_panel(_conditional_integrand(-1.0, *terms), h)
+    h, (density, *law) = _panel_terms(
+        np.zeros(1), gamma / q.weight2, gamma, q.weight1, q.weight2, 0.5, 1.5
+    )
+    result, abserr, resasc = _gauss_kronrod_panel(density * _conditional_law(-1.0, *law), h)
     assert result.item() < 1e-10 and abserr.item() <= 1e-10
     assert abserr.item() == resasc.item() != 0.0
     first = (abserr != resasc) | (abserr == 0.0)
@@ -975,6 +984,22 @@ def test_quadrature_matches_the_decimal_oracle_on_every_preset_point(name):
         _assert_within_bound(q, cfg.quad_tol)
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
+def test_quadrature_is_exact_to_1e_14_relative_on_every_preset_point(name):
+    # The conditional law is summed from nonnegative terms, so theta = -1,
+    # where the outage is smallest, loses no digits to cancellation.
+    cfg = preset_config(name)
+    for budget in cfg.budgets:
+        q = OutageQuery(cfg.rate_grid.values(), budget, cfg.marginals, cfg.thetas)
+        a, b = q.weight1, q.weight2
+        l1, l2 = q.marginals.lambda1, q.marginals.lambda2
+        value = outage_quadrature(q, tol=cfg.quad_tol).value
+        for theta, row in zip(q.thetas, value.tolist()):
+            for g, v in zip(q.gamma.tolist(), row):
+                exact = decimal_outage(l1, l2, a, b, g, theta.theta)
+                assert abs(v - exact) <= 1e-14 * exact, (g, theta.theta, v, exact)
+
+
 @pytest.mark.parametrize("tol", [DEFAULT_QUAD_TOL, 1e-13])
 def test_quadrature_matches_the_decimal_oracle_on_the_unit_noise_grid(tol):
     # fig2's (1, 5) budget at unit noise, 21 thetas by 300 rates: the first
@@ -1047,3 +1072,10 @@ def test_every_evaluator_satisfies_the_curve_invariant(
         pass
     curve = outage_monte_carlo(q.thetas, q.marginals, (q.budget,), q.rates, 1000, 3)
     _assert_curve_invariant(curve, marks=False)
+
+
+def test_an_empty_theta_axis_gives_empty_curves():
+    q = make_query(rates=(0.5, 1.0), thetas=())
+    assert outage_closed_form(q).value.shape == (0, 2)
+    assert outage_quadrature(q).value.shape == (0, 2)
+    assert monte_carlo(q, 1000, seed=1).value.shape == (0, 2)

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, derive_seed, substream
+from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, MAX_SEED, derive_seed, substream
 
 
 def test_same_path_same_stream():
@@ -27,10 +28,18 @@ def test_derive_seed_stable_and_path_sensitive():
     assert 0 <= derive_seed(7, 1, 2) < 2**64
 
 
-def test_seed_is_masked_to_64_bits():
-    a = substream(2**64 + 5).random(4)
-    b = substream(5).random(4)
-    np.testing.assert_array_equal(a, b)
+@pytest.mark.parametrize("seed", [-5, 2**64])  # would alias 2**64 - 5 and 0
+@pytest.mark.parametrize("derive", [substream, derive_seed])
+def test_a_seed_outside_64_bits_is_rejected(derive, seed):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+        derive(seed, 0)
+
+
+def test_the_largest_seed_still_draws():
+    assert MAX_SEED == 2**64 - 1
+    assert substream(MAX_SEED, 3).random(4).shape == (4,)
+    assert not np.array_equal(substream(MAX_SEED).random(4), substream(0).random(4))
+    assert 0 <= derive_seed(MAX_SEED, 3) < 2**64
 
 
 def test_chunk_size_is_positive_power_of_two():
