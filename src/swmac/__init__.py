@@ -44,7 +44,7 @@ from .outage import (
     DegenerateDenominator,
     OutageCurve,
     OutageEvaluationError,
-    OutageQuery,
+    PartialEvaluation,
     QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
@@ -100,9 +100,9 @@ __all__ = [
     "QUADRATURE",
     "MONTE_CARLO",
     "METHODS",
-    "OutageQuery",
     "OutageCurve",
     "OutageEvaluationError",
+    "PartialEvaluation",
     "DegenerateDenominator",
     "QuadratureNonConvergence",
     "gamma_threshold",

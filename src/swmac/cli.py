@@ -8,6 +8,7 @@ membership check).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -77,7 +78,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = _Parser(prog="swmac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
+from .streams import BLOCK_SIZE, CHUNK_SIZE, _seed_sequence, substream
 
 __all__ = [
     "DependenceParameter",
@@ -289,7 +289,8 @@ def _gain_pairs(
 
 def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterator[np.ndarray]:
     """The raw (u1, v) uniforms of ``n`` pairs, as (m, 2) blocks of at most
-    ``BLOCK_SIZE`` rows; ``n`` is checked on the call, before any draw.
+    ``BLOCK_SIZE`` rows; ``n`` and ``seed`` are checked on the call, before
+    any draw.
 
     The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
     drawn from the independent substream ``(seed, k)``, in consecutive
@@ -305,6 +306,7 @@ def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterat
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    _seed_sequence(seed, ())  # the seed rule of streams, here and not at the first draw
     if blocks is None:
         blocks = range(-(-n // BLOCK_SIZE))
     # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
@@ -333,8 +335,8 @@ def iter_gain_pair_chunks(
     blocks: Optional[range] = None,
 ) -> Iterator[np.ndarray]:
     """``n`` correlated gain pairs, drawn lazily and yielded in blocks of at
-    most ``BLOCK_SIZE`` pairs; ``n`` is checked on the call, before any
-    pair is drawn.  ``blocks`` selects blocks by index, as in
+    most ``BLOCK_SIZE`` pairs; ``n`` and ``seed`` are checked on the call,
+    before any pair is drawn.  ``blocks`` selects blocks by index, as in
     :func:`_uniform_blocks`.
 
     Chunk ``k`` of ``CHUNK_SIZE`` pairs is drawn from the independent

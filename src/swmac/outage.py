@@ -15,30 +15,28 @@ Three evaluators are provided and cross-validated:
   over the triangle A*g1 + B*g2 <= gamma in the positive quadrant: the
   inner integral is the FGM conditional law, summed without cancellation,
   and the outer one adaptive 21-point Gauss-Kronrod quadrature after
-  QUADPACK, on arrays for every (theta, rate) point.  This is the reference.
+  QUADPACK, on arrays over every grid point at once.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
-  (seed, n) regardless of execution parallelism.  One draw set scores a
-  whole (theta x budget x rate) grid: the uniforms, the first gain and
-  the theta-free terms of the conditional inversion are computed once per
-  batch, and only the rest of the inversion and the count run per theta
-  (common random numbers across the theta axis).  A call can count a
-  share of the draw's blocks; the integer counts of disjoint shares add
-  up to those of the whole draw.
+  (seed, n) regardless of execution parallelism.  One draw set scores the
+  whole grid: the uniforms, the first gain and the theta-free terms of the
+  conditional inversion are computed once per batch, and only the rest of
+  the inversion and the count run per theta (common random numbers across
+  the theta axis).  A call can count a share of the draw's blocks; the
+  integer counts of disjoint shares add up to those of the whole draw.
 
-A query holds a tuple of rates (a rate axis) and a tuple of
-:class:`DependenceParameter` (a theta axis).  The closed form and
-quadrature answer with one (theta x rate) :class:`OutageCurve`, and Monte
-Carlo with one (theta x budget x rate) curve.  Each entry equals the
-result of the 1x1 query (one theta, one rate, one budget) bit for bit.
-The FGM density is affine in theta, so the analytic evaluators compute
-every theta-free exponential once per query and only combine them per
-theta.
+Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
+answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
+equal to its 1x1x1 call bit for bit.  The FGM density is affine in theta,
+so the analytic evaluators compute every theta-free exponential once per
+call.  One that fails at some points raises, once every point is
+computed, a :class:`PartialEvaluation` that holds the curve and marks them.
 
 Each shared rule is stated here once: the budget rule p0 < min(p1, p2) in
-:func:`_gain_weights`, the range of any evaluator's result in
-:class:`OutageCurve`, and the acceptance of a quadrature point in
-:func:`_point_sums`.
+:func:`_gain_weights`, the per-budget weights and thresholds every
+evaluator reads in :func:`_budget_axes`, the range of any evaluator's
+result in :class:`OutageCurve`, and the acceptance of a quadrature point
+in :func:`_point_sums`.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ __all__ = [
     "OutageEvaluationError",
     "DegenerateDenominator",
     "QuadratureNonConvergence",
-    "OutageQuery",
+    "PartialEvaluation",
     "OutageCurve",
     "gamma_threshold",
     "outage_closed_form",
@@ -162,65 +160,29 @@ class OutageEvaluationError(RuntimeError):
     """An outage evaluator could not produce a value."""
 
 
-class DegenerateDenominator(OutageEvaluationError):
-    """A closed-form denominator is too close to zero for the given
-    marginals and power ratio; use quadrature at such parameter points."""
+class PartialEvaluation(OutageEvaluationError):
+    """An evaluator has no value at some points of its grid.
 
-
-class QuadratureNonConvergence(OutageEvaluationError):
-    """Quadrature could not meet the requested tolerance at some points.
-
-    ``value`` and ``failed`` are (theta, rate) arrays over the query's theta
-    and rate axes: ``failed`` marks the points that missed the tolerance,
-    and ``value`` holds the result of every other point.  The message
-    describes the first failing point.
+    ``curve`` is the evaluator's whole (theta, budget, rate)
+    :class:`OutageCurve`, and ``failed`` a boolean array of its shape that
+    marks the points without a value; every other point holds its result.
+    The message describes the first failed point.
     """
 
-    def __init__(self, message: str, value: np.ndarray, failed: np.ndarray) -> None:
+    def __init__(self, message: str, curve: OutageCurve, failed: np.ndarray) -> None:
         super().__init__(message)
-        self.value = value
+        self.curve = curve
         self.failed = failed
 
 
-@dataclass(frozen=True)
-class OutageQuery:
-    """A (theta x rate) grid of outage-probability evaluation points.
+class DegenerateDenominator(PartialEvaluation):
+    """A closed-form denominator is too close to zero for the marginals and
+    a budget's power ratio, at every point of that budget; use quadrature
+    at such parameter points."""
 
-    ``rates`` is a tuple of rates and ``thetas`` a tuple of dependence
-    parameters (tuples, not arrays, so queries stay hashable and
-    comparable).  The budget must pass :func:`_gain_weights`.
-    """
 
-    rates: tuple[float, ...]
-    budget: PowerBudget
-    marginals: FadingMarginals
-    thetas: tuple[DependenceParameter, ...]
-
-    def __post_init__(self) -> None:
-        for rate in self.rates:
-            if not rate >= 0.0:
-                raise ValueError(f"rates must be >= 0, got {rate}")
-        _gain_weights(self.budget)
-
-    @property
-    def weight1(self) -> float:
-        """Weight A = p1 - p0 on the first gain."""
-        return _gain_weights(self.budget)[0]
-
-    @property
-    def weight2(self) -> float:
-        """Weight B = p2 - p0 on the second gain."""
-        return _gain_weights(self.budget)[1]
-
-    @property
-    def power_ratio(self) -> float:
-        """Weight ratio P = B/A = (p2 - p0)/(p1 - p0)."""
-        return self.weight2 / self.weight1
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """Received-power thresholds N*(2^(2R) - 1), one per rate."""
-        return gamma_threshold(self.rates, self.budget.noise)
+class QuadratureNonConvergence(PartialEvaluation):
+    """Quadrature could not meet the requested tolerance at some points."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,6 +233,18 @@ def _gain_weights(budget: PowerBudget) -> tuple[float, float]:
     return budget.p1 - budget.p0, budget.p2 - budget.p0
 
 
+def _budget_axes(
+    budgets: Sequence[PowerBudget], rates: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gain weights A and B of ``budgets``, as (budget, 1) columns, and
+    their thresholds gamma at ``rates``, a (budget, rate) array: the
+    per-budget terms every evaluator reads, checked by
+    :func:`_gain_weights` and :func:`gamma_threshold`."""
+    weights = np.array([_gain_weights(budget) for budget in budgets]).reshape(-1, 2)
+    gamma = [gamma_threshold(rates, budget.noise) for budget in budgets]
+    return weights[:, :1], weights[:, 1:], np.array(gamma).reshape(len(budgets), len(rates))
+
+
 def gamma_threshold(rates: Sequence[float], noise: float) -> np.ndarray:
     """Received-power thresholds gamma = N*(2^(2R) - 1), one per rate.
 
@@ -300,12 +274,17 @@ def gamma_threshold(rates: Sequence[float], noise: float) -> np.ndarray:
 def _libm_exp(x: np.ndarray) -> np.ndarray:
     """exp of each entry through libm, bit-identical to ``math.exp``
     (numpy's SIMD exp can differ from it in the last bit)."""
-    return np.array([math.exp(v) for v in x.tolist()])
+    return np.array([math.exp(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def outage_closed_form(query: OutageQuery) -> OutageCurve:
-    """Analytic sum-rate outage expression, over the query's whole
-    (theta x rate) grid.
+def outage_closed_form(
+    thetas: Sequence[DependenceParameter],
+    marginals: FadingMarginals,
+    budgets: Sequence[PowerBudget],
+    rates: Sequence[float],
+) -> OutageCurve:
+    """Analytic sum-rate outage expression, over the whole (theta x budget
+    x rate) grid.
 
     With P = B/A, gamma = N*(2^(2R) - 1) and exponential rates
     (lambda1, lambda2):
@@ -315,42 +294,48 @@ def outage_closed_form(query: OutageQuery) -> OutageCurve:
                                 - l2*e2/(l2 - 2*P*l1) + l2*e2/(l2 - l1*P) ) ]
 
     where e1 = exp(-l1*gamma/A) and e2 = exp(-2*l1*gamma/A).  The
-    expression is affine in theta: its two terms are computed once per rate
-    and combined per theta.  Its derivation integrates the first gain from
-    (gamma - B*g2)/A to infinity without clamping that lower limit at zero,
-    so it deviates from the exact probability (see
+    expression is affine in theta: its two terms are computed once per
+    (budget, rate) and combined per theta.  Its derivation integrates the
+    first gain from (gamma - B*g2)/A to infinity without clamping that lower
+    limit at zero, so it deviates from the exact probability (see
     :func:`outage_quadrature`); at theta = 0 the deviation equals
     l1*P*exp(-l2*gamma/B)/(l2 - l1*P).  Values outside [0, 1] are returned
     and marked in ``out_of_range``, and so are the NaNs that fading rates
     near the float limit give.
 
-    Raises :class:`DegenerateDenominator` when any of (l2 - l1*P),
-    (2*l2 - P*l1), (l2 - 2*P*l1) is within 1e-9*l2 of zero; they depend on
-    (lambda, P) only, so the whole grid is degenerate or none of it.
+    A budget is degenerate, with NaN values, where any of (l2 - l1*P),
+    (2*l2 - P*l1), (l2 - 2*P*l1), which depend on (lambda, P) only, is
+    within 1e-9*l2 of zero.  Once every budget is computed, raises
+    :class:`DegenerateDenominator` with the degenerate budgets marked failed.
     """
-    l1, l2 = query.marginals.lambda1, query.marginals.lambda2
-    p = query.power_ratio
+    l1, l2 = marginals.lambda1, marginals.lambda2
+    a, b, gamma = _budget_axes(budgets, rates)
     eps = _DENOM_EPS_REL * l2
-    d1 = l2 - l1 * p
-    d2 = 2.0 * l2 - p * l1
-    d3 = l2 - 2.0 * p * l1
-    for name, d in (("l2 - l1*P", d1), ("2*l2 - P*l1", d2), ("l2 - 2*P*l1", d3)):
-        if abs(d) < eps:
-            raise DegenerateDenominator(
-                f"denominator {name} = {d} is within {eps} of zero "
-                f"(lambda1={l1}, lambda2={l2}, P={p})"
-            )
-    gamma = query.gamma
-    thetas = np.array([theta.theta for theta in query.thetas])
+    th = np.array([theta.theta for theta in thetas])[:, None, None]
     # fading rates near the float limit overflow, as in (2*l2)*e1 = inf*0:
     # the NaNs that follow are marked out of range below
     with np.errstate(over="ignore", invalid="ignore"):
-        e1 = _libm_exp(-l1 * gamma / query.weight1)
-        e2 = _libm_exp(-2.0 * l1 * gamma / query.weight1)
+        p = b / a
+        d = np.stack((l2 - l1 * p, 2.0 * l2 - p * l1, l2 - 2.0 * p * l1))  # (3, budget, 1)
+        degenerate = np.abs(d) < eps
+        # a degenerate budget's denominators are NaN, and so are its values
+        d1, d2, d3 = np.where(degenerate.any(axis=0), np.nan, d)
+        e1 = _libm_exp(-l1 * gamma / a)
+        e2 = _libm_exp(-2.0 * l1 * gamma / a)
         base = l2 * e1 / d1
         bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
-        values = 1.0 - (base + thetas[:, None] * bracket)  # (theta, rate)
-    return OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)))
+        values = 1.0 - (base + th * bracket)  # (theta, budget, rate)
+    curve = OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)))
+    if degenerate.any():
+        i, k = np.argwhere(degenerate[..., 0].T)[0]  # the first budget's first
+        name = ("l2 - l1*P", "2*l2 - P*l1", "l2 - 2*P*l1")[k]
+        raise DegenerateDenominator(
+            f"denominator {name} = {d[k, i, 0]} is within {eps} of zero "
+            f"(lambda1={l1}, lambda2={l2}, P={p[i, 0]}) for budget {i}",
+            curve,
+            np.zeros(values.shape, dtype=bool) | degenerate.any(axis=0),
+        )
+    return curve
 
 
 def _conditional_terms(d, gamma, a, b, l1, l2):
@@ -366,12 +351,15 @@ def _conditional_terms(d, gamma, a, b, l1, l2):
     return l2 * e, -np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e
 
 
-def _panel_terms(lo, hi, gamma, a, b, l1, l2):
+def _panel_terms(lo, hi, point, gamma, a, b, l1, l2):
     """Half-lengths of the panels [lo[i], hi[i]] and the
-    :func:`_conditional_terms` on their (panel x 21) Gauss-Kronrod nodes."""
+    :func:`_conditional_terms` on their (panel x 21) Gauss-Kronrod nodes;
+    ``gamma``, ``a`` and ``b`` hold every point's terms, and ``point[i]``
+    is the point of panel i."""
     hlgth = 0.5 * (hi - lo)
     nodes = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
-    return hlgth, _conditional_terms(nodes, gamma[:, None], a, b, l1, l2)
+    terms = (x[point][:, None] for x in (gamma, a, b))
+    return hlgth, _conditional_terms(nodes, *terms, l1, l2)
 
 
 def _point_sums(seg, res, err, first, tol):
@@ -390,14 +378,20 @@ def _point_sums(seg, res, err, first, tol):
     return value, abserr, bound, count, done
 
 
-def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> OutageCurve:
+def outage_quadrature(
+    thetas: Sequence[DependenceParameter],
+    marginals: FadingMarginals,
+    budgets: Sequence[PowerBudget],
+    rates: Sequence[float],
+    tol: float = DEFAULT_QUAD_TOL,
+) -> OutageCurve:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
     The inner g1 integral is elementary.  The outer g2 integral over
     [0, gamma/B] is adaptive 21-point Gauss-Kronrod quadrature with
-    QUADPACK's dqk21 error estimate, run for every (theta, rate) point of
-    the query at once.  Each point starts from one panel over [0, gamma/B],
+    QUADPACK's dqk21 error estimate, run for every (theta, budget, rate)
+    point at once.  Each point starts from one panel over [0, gamma/B],
     cut where one panel can miss where the integrand changes:
 
     * at 40/lambda2, where gamma/B exceeds it, since g2 ~ Exp(lambda2) has
@@ -416,40 +410,43 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     per-panel share of that bound, and always its worst one.  A point stops
     unconverged where that would take it past ``_MAX_PANELS`` panels.  A
     point's sums run over its own panels in position order, so each entry
-    equals its 1x1 query bit for bit.  The absolute tolerance is ``tol``
+    equals its 1x1x1 call bit for bit.  The absolute tolerance is ``tol``
     (in (0, ``MAX_QUAD_TOL``]).
 
     Every point is evaluated before any failure is raised.  Raises
     :class:`QuadratureNonConvergence`, with the failing points marked, where
     the error estimate exceeds that bound or the value leaves [0, 1] by more
-    than it.
+    than it; its curve holds every point's value, clamped into [0, 1].
     """
     if not 0.0 < tol <= MAX_QUAD_TOL:
         raise ValueError(f"tol must be in (0, {MAX_QUAD_TOL}], got {tol}")
-    gamma = query.gamma
-    a, b = query.weight1, query.weight2
-    l1, l2 = query.marginals.lambda1, query.marginals.lambda2
-    thetas = np.array([theta.theta for theta in query.thetas])
+    a, b, gamma = _budget_axes(budgets, rates)
+    shape = (len(thetas), *gamma.shape)
+    # one axis of (budget, rate) points, each with its own weights
+    a, b, gamma = (np.broadcast_to(x, gamma.shape).ravel() for x in (a, b, gamma))
+    l1, l2 = marginals.lambda1, marginals.lambda2
+    thetas = np.array([theta.theta for theta in thetas])
     n = len(gamma)
-    # The first panels' edges per rate: 0, the drop (only below the split),
+    # The first panels' edges per point: 0, the drop (only below the split),
     # the split and gamma/B, each cut kept where it lies inside (0, gamma/B).
     upper = gamma / b
     split = _SPAN / l2
-    drop = (gamma - _SPAN * a / l1) / b
+    with np.errstate(over="ignore"):  # A/lambda1 near the float limit: no drop to cut at
+        drop = (gamma - _SPAN * a / l1) / b
     cuts = (np.where(drop < split, drop, 0.0), np.full(n, split))
     edges = np.column_stack((np.zeros(n), *cuts, upper))
     kept = (0.0 < edges) & (edges < upper[:, None])
     kept[:, [0, 3]] = True
-    edge_rate, edges = np.nonzero(kept)[0], edges[kept]
-    inner = edge_rate[:-1] == edge_rate[1:]
-    lo, hi, rate = edges[:-1][inner], edges[1:][inner], edge_rate[1:][inner]
-    hlgth, (density, *law) = _panel_terms(lo, hi, gamma[rate], a, b, l1, l2)
-    # Every panel of every (theta, rate) point, owned by point theta*n + rate
+    edge_point, edges = np.nonzero(kept)[0], edges[kept]
+    inner = edge_point[:-1] == edge_point[1:]
+    lo, hi, point = edges[:-1][inner], edges[1:][inner], edge_point[1:][inner]
+    hlgth, (density, *law) = _panel_terms(lo, hi, point, gamma, a, b, l1, l2)
+    # Every panel of every (theta, point) pair, owned by theta*n + point
     # and ordered by owner, then by position.
     panels = [_gauss_kronrod_panel(density * _conditional_law(th, *law), hlgth) for th in thetas]
-    res, err, asc = np.hstack([np.empty((3, 0)), *panels])  # (3, 0): a query may have no theta
+    res, err, asc = np.hstack([np.empty((3, 0)), *panels])  # (3, 0): a call may have no theta
     first = (err != asc) | (err == 0.0)
-    owner = (np.arange(len(thetas))[:, None] * n + rate).ravel()
+    owner = (np.arange(len(thetas))[:, None] * n + point).ravel()
     values, abserr, *_, done = _point_sums(owner, res, err, first, tol)
     # from here on only the panels of the points round 0 left unaccepted
     live = ~done[owner]
@@ -470,7 +467,7 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
         new = np.flatnonzero(np.repeat(halve, reps))
         left, right = new[0::2], new[1::2]  # each halved panel's two copies
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
-        h, (density, *law) = _panel_terms(lo[new], hi[new], gamma[owner[new] % n], a, b, l1, l2)
+        h, (density, *law) = _panel_terms(lo[new], hi[new], owner[new] % n, gamma, a, b, l1, l2)
         th = thetas[owner[new] // n][:, None]
         res[new], err[new], _ = _gauss_kronrod_panel(density * _conditional_law(th, *law), h)
     values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
@@ -479,17 +476,18 @@ def outage_quadrature(query: OutageQuery, tol: float = DEFAULT_QUAD_TOL) -> Outa
     failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
     # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
     clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    curve = OutageCurve(clamped.reshape(shape), np.zeros(shape, dtype=bool))
     if failed.any():
         t_i, i = np.argwhere(failed)[0]
         raise QuadratureNonConvergence(
             f"error estimate {abserr[t_i, i]} exceeds {errbnd[t_i, i]} for gamma={gamma[i]}, "
-            f"A={a}, B={b}, theta={thetas[t_i]}"
+            f"A={a[i]}, B={b[i]}, theta={thetas[t_i]}"
             if unconverged[t_i, i]
             else f"integral {values[t_i, i]} is outside [0, 1] beyond {errbnd[t_i, i]}",
-            clamped,
-            failed,
+            curve,
+            failed.reshape(shape),
         )
-    return OutageCurve(clamped, np.zeros(clamped.shape, dtype=bool))
+    return curve
 
 
 def _gauss_kronrod_panel(
@@ -582,12 +580,9 @@ def outage_monte_carlo(
         blocks and blocks.step > 0 and 0 <= blocks[0] and blocks[-1] < -(-n // BLOCK_SIZE)
     ):
         raise ValueError(f"blocks must be a nonempty increasing range of blocks of n, got {blocks}")
-    weights = [_gain_weights(budget) for budget in budgets]
-    gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
-    reach = max(
-        (float(gamma.max(initial=0.0)) / a for gamma, (a, _) in zip(gammas, weights)),
-        default=0.0,
-    )
+    weight1, weight2, gammas = _budget_axes(budgets, rates)
+    with np.errstate(over="ignore"):  # an infinite reach cuts no pair
+        reach = float((gammas.max(axis=1, initial=0.0) / weight1[:, 0]).max(initial=0.0))
     cut = -math.expm1(-2.0 * marginals.lambda1 * reach) if reach > 0.0 else 1.0
     counts = np.zeros((len(thetas), len(budgets), len(rates)), dtype=np.int64)
 
@@ -597,12 +592,12 @@ def outage_monte_carlo(
         u1, v = w.T.copy()
         prelude = _inversion_prelude(u1, v)
         g1 = _exp_quantile(u1, marginals.lambda1)
-        weighted = [a * g1 for a, _ in weights]
+        weighted = weight1 * g1  # (budget, pair)
         g2, a, den, s = np.empty((4, len(g1)))
         # the steps of copula._gain_pairs for the second gain, per theta
         for t, theta in enumerate(thetas):
             _exp_quantile(_inversion_step(theta.theta, prelude, g2, a, den), marginals.lambda2)
-            for i, (_, b) in enumerate(weights):
+            for i, b in enumerate(weight2[:, 0]):
                 np.add(weighted[i], np.multiply(b, g2, out=s), out=s)
                 s.sort()
                 counts[t, i] += np.searchsorted(s, gammas[i], side="right")

@@ -1,10 +1,10 @@
 """Sweep execution, cross-method comparison, and deterministic CSV output.
 
 A sweep evaluates every (budget, theta, rate, method) combination of a
-config and returns the rows in lexicographic index order.  The analytic
-methods run once per budget over every theta and rate: their values are
-affine in theta, so one call shares every theta-free term.  Every Monte
-Carlo row of a sweep is scored against one draw set, keyed by
+config and returns the rows in lexicographic index order.  Each analytic
+method makes one call over the whole (theta, budget, rate) grid: its
+values are affine in theta, so one call shares every theta-free term.
+Every Monte Carlo row of a sweep is scored against one draw set, keyed by
 ``derive_seed(seed, 0)`` (common random numbers across theta, budget and
 rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one contiguous
 share per worker process, given up front; each worker makes one evaluator
@@ -20,8 +20,10 @@ be drawn alone, so workers draw and format strided blocks and the parent
 writes their texts in block order, the same bytes for any worker count.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
-non-convergence) do not abort a sweep; the affected row carries an error
-flag and an empty value instead.
+non-convergence) do not abort a sweep: an analytic evaluator that fails at
+some points raises :class:`~swmac.outage.PartialEvaluation` with its whole
+curve, and the rows it marks failed carry an error flag and an empty value
+instead.
 
 A sweep is a dense (budget, theta, rate, method) grid of arrays, and a
 comparison holds arrays over the same grid's (budget, theta, rate) points;
@@ -48,11 +50,9 @@ from .outage import (
     METHODS,
     MONTE_CARLO,
     QUADRATURE,
-    DegenerateDenominator,
     OutageCurve,
     OutageEvaluationError,
-    OutageQuery,
-    QuadratureNonConvergence,
+    PartialEvaluation,
     _gain_weights,
     outage_closed_form,
     outage_monte_carlo,
@@ -127,23 +127,25 @@ class SweepTable:
 
 
 def _analytic_column(
-    query: OutageQuery, method: str, quad_tol: float
+    config: ExperimentConfig, rates: tuple[float, ...], method: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Values (NaN where a row has none) and flag codes of one budget's
-    (theta, rate) grid of an analytic method, from one evaluator call on a
-    query with a theta tuple and a rate tuple.  A degenerate closed form
-    flags the whole grid; quadrature flags the points it marks failed."""
+    """Values (NaN where a row has none) and flag codes of an analytic
+    method, as (budget, theta, rate) arrays, from one evaluator call over
+    the config's whole grid.  The points a :class:`PartialEvaluation` marks
+    failed carry the method's failure flag, and the rest the curve's range
+    flag."""
+    if method == CLOSED_FORM:
+        evaluate, failure = outage_closed_form, _DEGENERATE
+    else:
+        evaluate, failure = partial(outage_quadrature, tol=config.quad_tol), _NONCONVERGENCE
     try:
-        if method == CLOSED_FORM:
-            curve = outage_closed_form(query)
-            return curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
-        value = outage_quadrature(query, tol=quad_tol).value
-        return value, np.full(value.shape, _OK)
-    except DegenerateDenominator:
-        shape = (len(query.thetas), len(query.rates))
-        return np.full(shape, np.nan), np.full(shape, _DEGENERATE)
-    except QuadratureNonConvergence as exc:
-        return np.where(exc.failed, np.nan, exc.value), np.where(exc.failed, _NONCONVERGENCE, _OK)
+        curve, failed = evaluate(config.thetas, config.marginals, config.budgets, rates), False
+    except PartialEvaluation as exc:
+        curve, failed = exc.curve, exc.failed
+    value = np.where(failed, np.nan, curve.value)
+    flag = np.where(failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
+    # (theta, budget, rate) to the table's (budget, theta, rate)
+    return value.swapaxes(0, 1), flag.swapaxes(0, 1)
 
 
 def _share_counts(
@@ -297,13 +299,9 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         shares = _block_shares(blocks, _pool_size(workers, blocks, _cpus()))
     with _fanned_out(partial(_share_counts, config, rates, shares), len(shares), workers) as results:
         # the analytic methods, in the parent while any workers draw
-        for b_i, budget in enumerate(config.budgets):
-            query = OutageQuery(rates, budget, config.marginals, config.thetas)
-            for m_i, method in enumerate(config.methods):
-                if method != MONTE_CARLO:
-                    op[b_i, ..., m_i], flag[b_i, ..., m_i] = _analytic_column(
-                        query, method, config.quad_tol
-                    )
+        for m_i, method in enumerate(config.methods):
+            if method != MONTE_CARLO:
+                op[..., m_i], flag[..., m_i] = _analytic_column(config, rates, method)
         counts = list(results)
     if counts:
         m_i = config.methods.index(MONTE_CARLO)

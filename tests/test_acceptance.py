@@ -16,11 +16,11 @@ from swmac import (
     DependenceParameter,
     FadingMarginals,
     GainPair,
-    OutageQuery,
     PowerBudget,
     UnitPair,
     copula_cdf,
     copula_density,
+    gamma_threshold,
     gaussian_region_bounds,
     outage_closed_form,
     outage_monte_carlo,
@@ -103,14 +103,10 @@ def test_criterion_2_sampler_statistics():
 
 
 def test_criterion_3_independent_case_exactness():
-    unit = OutageQuery(
-        rates=(0.5,),  # gamma = 1 at noise 1
-        budget=PowerBudget(0.0, 1.0, 1.0, 1.0),
-        marginals=FadingMarginals(1.0, 1.0),
-        thetas=(DependenceParameter(0.0),),
-    )
-    assert unit.gamma == pytest.approx([1.0], rel=1e-15)
-    assert outage_quadrature(unit).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
+    zero = (DependenceParameter(0.0),)
+    unit = (zero, FadingMarginals(1.0, 1.0), (PowerBudget(0.0, 1.0, 1.0, 1.0),), (0.5,))
+    assert gamma_threshold((0.5,), 1.0) == pytest.approx([1.0], rel=1e-15)  # noise 1
+    assert outage_quadrature(*unit).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
 
     # 20-point (lambda1, lambda2, p1, p2, rate) grid against the
     # convolution formula.
@@ -122,14 +118,9 @@ def test_criterion_3_independent_case_exactness():
     ]
     assert len(grid) == 20
     for l1, l2, p1, p2, rate in grid:
-        query = OutageQuery(
-            rates=(rate,),
-            budget=PowerBudget(0.0, p1, p2, 1.0),
-            marginals=FadingMarginals(l1, l2),
-            thetas=(DependenceParameter(0.0),),
-        )
-        expected = convolution_outage(l1, l2, query.weight1, query.weight2, query.gamma.item())
-        assert outage_quadrature(query).value.item() == pytest.approx(expected, abs=1e-9)
+        point = (zero, FadingMarginals(l1, l2), (PowerBudget(0.0, p1, p2, 1.0),), (rate,))
+        expected = convolution_outage(l1, l2, p1, p2, gamma_threshold((rate,), 1.0).item())
+        assert outage_quadrature(*point).value.item() == pytest.approx(expected, abs=1e-9)
     _report(3, "independent-case exactness")
 
 
@@ -148,7 +139,7 @@ def test_criterion_4_cross_method_agreement():
                 theta = DependenceParameter(theta_value)
                 seed = derive_seed(master_seed, b_i, t_i, r_i)
                 mc = outage_monte_carlo((theta,), marginals, (budget,), (rate,), 1_000_000, seed)
-                quad = outage_quadrature(OutageQuery((rate,), budget, marginals, (theta,)))
+                quad = outage_quadrature((theta,), marginals, (budget,), (rate,))
                 total += 1
                 if abs(quad.value.item() - mc.value.item()) <= 3.29 * mc.std_error.item():
                     agreements += 1
@@ -161,14 +152,9 @@ def test_criterion_4_cross_method_agreement():
 
 def test_criterion_5_closed_form_verbatim_and_defect():
     # (a) The closed form is affine in theta, exactly.
-    base = dict(
-        budget=PowerBudget(0.0, 1.0, 5.0, 1.0),
-        marginals=FadingMarginals(1.0, 2.0),
-    )
-    grid = OutageQuery(
-        rates=(0.7,), thetas=tuple(DependenceParameter(th) for th in THETA_GRID), **base
-    )
-    values = dict(zip(THETA_GRID, outage_closed_form(grid).value[:, 0].tolist()))
+    thetas = tuple(DependenceParameter(th) for th in THETA_GRID)
+    grid = (thetas, FadingMarginals(1.0, 2.0), (PowerBudget(0.0, 1.0, 5.0, 1.0),), (0.7,))
+    values = dict(zip(THETA_GRID, outage_closed_form(*grid).value[:, 0, 0].tolist()))
     slope = values[1.0] - values[0.0]
     for th, value in values.items():
         assert value == pytest.approx(values[0.0] + th * slope, abs=1e-12)
@@ -182,31 +168,31 @@ def test_criterion_5_closed_form_verbatim_and_defect():
         (1.0, 1.0, 1.0, 5.0, 0.5),
         (1.5, 0.7, 2.0, 3.0, 1.0),
     ):
-        query = OutageQuery(
-            rates=(rate,),
-            budget=PowerBudget(0.0, p1, p2, 1.0),
-            marginals=FadingMarginals(l1, l2),
-            thetas=(DependenceParameter(0.0),),
+        point = (
+            (DependenceParameter(0.0),),
+            FadingMarginals(l1, l2),
+            (PowerBudget(0.0, p1, p2, 1.0),),
+            (rate,),
         )
-        gamma = query.gamma.item()
-        closed = outage_closed_form(query).value.item()
-        residual = closed_form_residual(l1, l2, query.weight1, query.weight2, gamma)
-        oracle_check = convolution_outage(l1, l2, query.weight1, query.weight2, gamma) - closed
+        gamma = gamma_threshold((rate,), 1.0).item()
+        closed = outage_closed_form(*point).value.item()
+        residual = closed_form_residual(l1, l2, p1, p2, gamma)
+        oracle_check = convolution_outage(l1, l2, p1, p2, gamma) - closed
         assert oracle_check == pytest.approx(residual, abs=1e-12)
-        deviation = outage_quadrature(query).value.item() - closed
+        deviation = outage_quadrature(*point).value.item() - closed
         assert deviation == pytest.approx(residual, abs=1e-8)
 
     # (c) The small-gamma out-of-range behaviour is reproduced and flagged.
-    small_gamma = OutageQuery(
-        rates=(0.0,),
-        budget=PowerBudget(0.0, 5.0, 1.0, 1.0),
-        marginals=FadingMarginals(1.0, 1.0),
-        thetas=(DependenceParameter(0.0),),
+    small_gamma = (
+        (DependenceParameter(0.0),),
+        FadingMarginals(1.0, 1.0),
+        (PowerBudget(0.0, 5.0, 1.0, 1.0),),
+        (0.0,),
     )
-    flagged = outage_closed_form(small_gamma)
+    flagged = outage_closed_form(*small_gamma)
     assert flagged.value.item() == pytest.approx(-0.25, abs=1e-15)
-    assert flagged.out_of_range.tolist() == [[True]]
-    assert outage_quadrature(small_gamma).value.tolist() == [[0.0]]
+    assert flagged.out_of_range.tolist() == [[[True]]]
+    assert outage_quadrature(*small_gamma).value.tolist() == [[[0.0]]]
     _report(5, "closed-form fidelity and defect quantification")
 
 

@@ -365,6 +365,27 @@ def test_exit_2_when_a_region_vertex_fails_membership(module, optimize, tmp_path
     assert not out.exists()
 
 
+def test_the_shared_parser_gives_a_fresh_process_bytes_after_a_failed_parse(
+    config_file, tmp_path, capsys
+):
+    # the parser is built once per process: a call that fails to parse
+    # leaves nothing behind that a later call would see
+    argv = ["outage", "--config", config_file, "--seed", "9", "--workers", "1"]
+    assert main(["outage", "--config", config_file, "--seed", "x"]) == 1
+    assert main(["outage", "--nonsense"]) == 1
+    assert main([*argv, "--out", str(tmp_path / "reused.csv")]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "swmac", *argv, "--out", str(tmp_path / "fresh.csv")],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reused.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
 def test_python_dash_m_runs_the_cli(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "swmac", "preset", "list"],

@@ -445,6 +445,17 @@ def test_strided_blocks_equal_the_same_rows_of_the_whole_draw(n):
                 np.testing.assert_array_equal(got, want)
 
 
+
+@pytest.mark.parametrize("seed", [-5, 2**64])
+def test_a_seed_outside_64_bits_raises_on_the_call_not_at_the_first_draw(unit_marginals, seed):
+    # the generators are lazy, but their arguments are checked when they are
+    # made, by the one seed rule of streams
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+        iter_gain_pair_chunks(DependenceParameter(0.0), unit_marginals, 10, seed)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+        _uniform_blocks(10, seed)
+
+
 # ---------------------------------------------------------------------------
 # Joint PDF
 # ---------------------------------------------------------------------------

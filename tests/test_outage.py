@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from swmac import (
     DependenceParameter,
     FadingMarginals,
     OutageCurve,
-    OutageQuery,
+    PartialEvaluation,
     PowerBudget,
     QuadratureNonConvergence,
     gamma_threshold,
@@ -38,24 +38,39 @@ from oracles import (
 )
 
 
-def make_query(rates=(0.5,), p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, thetas=(0.0,)):
-    return OutageQuery(
-        rates=rates,
-        budget=PowerBudget(p0, p1, p2, noise),
-        marginals=FadingMarginals(lam1, lam2),
-        thetas=tuple(DependenceParameter(t) for t in thetas),
+class Grid(NamedTuple):
+    """The grid arguments every evaluator takes: ``outage_closed_form(*g)``."""
+
+    thetas: tuple
+    marginals: FadingMarginals
+    budgets: tuple
+    rates: tuple
+
+
+def make_grid(rates=(0.5,), p0=0.0, p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=1.0, thetas=(0.0,)):
+    """A one-budget grid."""
+    return Grid(
+        tuple(DependenceParameter(t) for t in thetas),
+        FadingMarginals(lam1, lam2),
+        (PowerBudget(p0, p1, p2, noise),),
+        rates,
     )
 
 
-def monte_carlo(q, n, seed):
-    """Monte Carlo over the query's (theta x rate) grid at its one budget,
-    from one draw set: a (theta x rate) curve."""
-    curve = outage_monte_carlo(q.thetas, q.marginals, (q.budget,), q.rates, n, seed)
-    return OutageCurve(curve.value[:, 0], curve.out_of_range[:, 0], curve.std_error[:, 0])
+def weights(g):
+    """The gain weights (A, B) of the one budget of ``g``."""
+    (budget,) = g.budgets
+    return budget.p1 - budget.p0, budget.p2 - budget.p0
+
+
+def gammas(g):
+    """The thresholds of the one budget of ``g``, one per rate."""
+    (budget,) = g.budgets
+    return gamma_threshold(g.rates, budget.noise)
 
 
 # ---------------------------------------------------------------------------
-# gamma_threshold and query plumbing
+# gamma_threshold and grid plumbing
 # ---------------------------------------------------------------------------
 
 
@@ -92,18 +107,24 @@ def test_gamma_threshold_rejects_non_finite_gamma(rate, noise):
 
 
 def test_query_rejects_common_power_reaching_either_cap():
-    with pytest.raises(ValueError):
-        make_query(p0=1.0, p1=1.0, p2=5.0)
-    with pytest.raises(ValueError):
-        make_query(rates=(-0.5,))
+    for evaluate in (outage_closed_form, outage_quadrature):
+        with pytest.raises(ValueError):
+            evaluate(*make_grid(p0=1.0, p1=1.0, p2=5.0))
+        with pytest.raises(ValueError):
+            evaluate(*make_grid(rates=(-0.5,)))
 
 
 def test_query_derived_quantities():
-    q = make_query(rates=(1.0,), p0=0.5, p1=1.0, p2=5.0, noise=1e-5)
-    assert q.weight1 == 0.5
-    assert q.weight2 == 4.5
-    assert q.power_ratio == 9.0
-    assert q.gamma == pytest.approx([3e-5], rel=1e-15)
+    # the per-budget terms every evaluator reads, one row per budget
+    from swmac.outage import _budget_axes
+
+    budgets = (PowerBudget(0.5, 1.0, 5.0, 1e-5), PowerBudget(0.0, 2.0, 1.0, 1.0))
+    a, b, gamma = _budget_axes(budgets, (1.0, 0.5))
+    assert (a.tolist(), b.tolist()) == ([[0.5], [2.0]], [[4.5], [1.0]])
+    assert (b / a)[0, 0] == 9.0
+    assert gamma[0] == pytest.approx([3e-5, 1e-5], rel=1e-15)
+    assert gamma[1].tolist() == [3.0, 1.0]
+    assert [x.shape for x in _budget_axes((), (1.0, 0.5))] == [(0, 1), (0, 1), (0, 2)]
 
 
 @pytest.mark.parametrize("bad", [1.2, math.nan])
@@ -144,9 +165,12 @@ _BOUNDARY_BUDGETS = {
 }
 
 
-def _query_entry(budget, tmp_path):
-    with pytest.raises(ValueError, match=r"p0 < min\(p1, p2\) strictly"):
-        make_query(p0=budget.p0, p1=budget.p1, p2=budget.p2)
+def _analytic_entry(budget, tmp_path):
+    # the rule holds for every budget, not only the first
+    grid = make_grid()._replace(budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), budget))
+    for evaluate in (outage_closed_form, outage_quadrature):
+        with pytest.raises(ValueError, match=r"p0 < min\(p1, p2\) strictly"):
+            evaluate(*grid)
 
 
 def _monte_carlo_entry(budget, tmp_path):
@@ -180,7 +204,7 @@ def _cli_entry(budget, tmp_path):
 @pytest.mark.parametrize("budget", list(_BOUNDARY_BUDGETS.values()), ids=list(_BOUNDARY_BUDGETS))
 @pytest.mark.parametrize(
     "entry",
-    [_query_entry, _monte_carlo_entry, _sweep_entry, _cli_entry],
+    [_analytic_entry, _monte_carlo_entry, _sweep_entry, _cli_entry],
     ids=["query", "monte-carlo", "sweep", "cli"],
 )
 def test_every_entry_point_rejects_p0_at_the_smaller_cap(entry, budget, tmp_path):
@@ -193,49 +217,71 @@ def test_every_entry_point_rejects_p0_at_the_smaller_cap(entry, budget, tmp_path
 
 
 def test_closed_form_theta_zero_reduces_to_base_term():
-    q = make_query(rates=(0.8,), p1=2.0, p2=3.0, lam1=1.0, lam2=2.5, thetas=(0.0,))
-    got = outage_closed_form(q).value.item()
-    p = q.power_ratio
-    expected = 1.0 - 2.5 * math.exp(-1.0 * q.gamma.item() / q.weight1) / (2.5 - 1.0 * p)
+    q = make_grid(rates=(0.8,), p1=2.0, p2=3.0, lam1=1.0, lam2=2.5, thetas=(0.0,))
+    got = outage_closed_form(*q).value.item()
+    a, b = weights(q)
+    expected = 1.0 - 2.5 * math.exp(-1.0 * gammas(q).item() / a) / (2.5 - 1.0 * (b / a))
     assert got == pytest.approx(expected, rel=1e-15)
 
 
 def test_closed_form_small_gamma_out_of_range_example():
     # gamma = 0, theta = 0, unit rates, weight ratio 0.2: the formula gives
     # 1 - 1/0.8 = -0.25 while the true probability is 0.
-    q = make_query(rates=(0.0,), p1=5.0, p2=1.0, thetas=(0.0,))
-    est = outage_closed_form(q)
+    q = make_grid(rates=(0.0,), p1=5.0, p2=1.0, thetas=(0.0,))
+    est = outage_closed_form(*q)
     assert est.value.item() == pytest.approx(-0.25, abs=1e-15)
-    assert est.out_of_range.tolist() == [[True]]
-    assert outage_quadrature(q).value.tolist() == [[0.0]]
+    assert est.out_of_range.tolist() == [[[True]]]
+    assert outage_quadrature(*q).value.tolist() == [[[0.0]]]
 
 
 def test_closed_form_marks_the_nan_of_overflowing_terms():
     # l1*P overflows at lambda = 1e308, and 2*l2*e1 = inf*0 is NaN: the value
     # is no probability, so it is marked like any value outside [0, 1]
-    q = make_query(rates=(0.0, 0.5), lam1=1e308, lam2=1e308, thetas=(1.0,))
+    q = make_grid(rates=(0.0, 0.5), lam1=1e308, lam2=1e308, thetas=(1.0,))
     with np.errstate(over="ignore", invalid="ignore"):
-        est = outage_closed_form(q)
+        est = outage_closed_form(*q)
     assert np.isnan(est.value).all()
-    assert est.out_of_range.tolist() == [[True, True]]
+    assert est.out_of_range.tolist() == [[[True, True]]]
 
 
 def test_closed_form_all_three_denominators_checked():
     # l2 - l1*P = 0 at P = 1, equal rates
-    with pytest.raises(DegenerateDenominator):
-        outage_closed_form(make_query(p1=1.0, p2=1.0, lam1=1.0, lam2=1.0))
+    with pytest.raises(DegenerateDenominator, match=r"l2 - l1\*P = 0\.0"):
+        outage_closed_form(*make_grid(p1=1.0, p2=1.0, lam1=1.0, lam2=1.0))
     # 2*l2 - P*l1 = 0 at P = 2, l1 = 2, l2 = 2: 4 - 4 = 0
-    with pytest.raises(DegenerateDenominator):
-        outage_closed_form(make_query(p1=1.0, p2=2.0, lam1=2.0, lam2=2.0))
+    with pytest.raises(DegenerateDenominator, match=r"2\*l2 - P\*l1 = 0\.0"):
+        outage_closed_form(*make_grid(p1=1.0, p2=2.0, lam1=2.0, lam2=2.0))
     # l2 - 2*P*l1 = 0 at P = 0.5, unit rates: 1 - 1 = 0
-    with pytest.raises(DegenerateDenominator):
-        outage_closed_form(make_query(p1=2.0, p2=1.0, lam1=1.0, lam2=1.0))
+    with pytest.raises(DegenerateDenominator, match=r"l2 - 2\*P\*l1 = 0\.0"):
+        outage_closed_form(*make_grid(p1=2.0, p2=1.0, lam1=1.0, lam2=1.0))
+
+
+def test_a_degenerate_budget_fails_only_its_own_points():
+    # (regular, degenerate, regular): the closed form computes every budget,
+    # then raises with exactly the middle budget's points marked failed
+    budgets = (
+        PowerBudget(0.0, 1.0, 5.0, 1.0),
+        PowerBudget(0.0, 1.0, 1.0, 1.0),  # P = 1 with equal rates: l2 - l1*P = 0
+        PowerBudget(0.3, 2.0, 1.0, 0.5),
+    )
+    grid = make_grid(rates=AXIS, thetas=(-1.0, 0.0, 0.7))._replace(budgets=budgets)
+    with pytest.raises(DegenerateDenominator, match="for budget 1") as info:
+        outage_closed_form(*grid)
+    exc = info.value
+    assert isinstance(exc, PartialEvaluation)
+    assert exc.failed.shape == exc.curve.value.shape == (3, 3, len(AXIS))
+    assert exc.failed[:, 1].all() and not exc.failed[:, [0, 2]].any()
+    assert np.isnan(exc.curve.value[:, 1]).all() and exc.curve.out_of_range[:, 1].all()
+    for i in (0, 2):
+        alone = outage_closed_form(*grid._replace(budgets=(budgets[i],)))
+        assert exc.curve.value[:, i].tobytes() == alone.value[:, 0].tobytes()
+        assert exc.curve.out_of_range[:, i].tolist() == alone.out_of_range[:, 0].tolist()
 
 
 def test_closed_form_affine_in_theta_exactly():
     thetas = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0)
-    q = make_query(rates=(0.7,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
-    at = dict(zip(thetas, outage_closed_form(q).value[:, 0].tolist()))
+    q = make_grid(rates=(0.7,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
+    at = dict(zip(thetas, outage_closed_form(*q).value[:, 0, 0].tolist()))
     slope = at[1.0] - at[0.0]
     for th, value in at.items():
         assert value == pytest.approx(at[0.0] + th * slope, abs=1e-12)
@@ -247,15 +293,15 @@ def test_closed_form_affine_in_theta_exactly():
 
 
 def test_quadrature_zero_gamma_is_exactly_zero():
-    est = outage_quadrature(make_query(rates=(0.0,)))
-    assert est.value.tolist() == [[0.0]]
-    assert est.out_of_range.tolist() == [[False]] and est.std_error is None
+    est = outage_quadrature(*make_grid(rates=(0.0,)))
+    assert est.value.tolist() == [[[0.0]]]
+    assert est.out_of_range.tolist() == [[[False]]] and est.std_error is None
 
 
 def test_quadrature_unit_independent_case():
     # A = B = 1, unit rates, gamma = 1: P[g1 + g2 <= 1] = 1 - 2/e
-    q = make_query(rates=(0.5,), p1=1.0, p2=1.0, noise=1.0, thetas=(0.0,))
-    assert outage_quadrature(q).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
+    q = make_grid(rates=(0.5,), p1=1.0, p2=1.0, noise=1.0, thetas=(0.0,))
+    assert outage_quadrature(*q).value.item() == pytest.approx(1.0 - 2.0 / math.e, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -268,21 +314,21 @@ def test_quadrature_unit_independent_case():
     ],
 )
 def test_quadrature_matches_convolution_at_theta_zero(lam1, lam2, p1, p2, noise, rate):
-    q = make_query(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
-    expected = convolution_outage(lam1, lam2, q.weight1, q.weight2, q.gamma.item())
-    assert outage_quadrature(q).value.item() == pytest.approx(expected, abs=1e-9)
+    q = make_grid(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
+    expected = convolution_outage(lam1, lam2, *weights(q), gammas(q).item())
+    assert outage_quadrature(*q).value.item() == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", [-1.0, -0.3, 0.6, 1.0])
 def test_quadrature_matches_brute_force_oracle(theta):
-    q = make_query(rates=(0.75,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=(theta,))
-    expected = brute_force_outage(1.0, 2.0, q.weight1, q.weight2, q.gamma.item(), theta)
-    assert outage_quadrature(q).value.item() == pytest.approx(expected, abs=1e-8)
+    q = make_grid(rates=(0.75,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=(theta,))
+    expected = brute_force_outage(1.0, 2.0, *weights(q), gammas(q).item(), theta)
+    assert outage_quadrature(*q).value.item() == pytest.approx(expected, abs=1e-8)
 
 
 def test_quadrature_nondecreasing_in_rate():
     rates = tuple(np.arange(0.1, 2.1, 0.1).tolist())
-    (values,) = outage_quadrature(make_query(rates=rates, noise=1.0, thetas=(0.5,))).value.tolist()
+    ((values,),) = outage_quadrature(*make_grid(rates=rates, noise=1.0, thetas=(0.5,))).value.tolist()
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -290,8 +336,8 @@ def test_quadrature_nondecreasing_in_rate():
 def test_quadrature_affine_in_theta_within_tolerance():
     tol = 1e-10
     thetas = (0.0, 1.0, -1.0, -0.5, 0.5)
-    q = make_query(rates=(0.6,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
-    at = dict(zip(thetas, outage_quadrature(q, tol=tol).value[:, 0].tolist()))
+    q = make_grid(rates=(0.6,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
+    at = dict(zip(thetas, outage_quadrature(*q, tol=tol).value[:, 0, 0].tolist()))
     for th in (-1.0, -0.5, 0.5):
         assert at[th] == pytest.approx(at[0.0] + th * (at[1.0] - at[0.0]), abs=2.0 * tol)
 
@@ -303,37 +349,37 @@ def one_panel(monkeypatch):
     monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
 
 
-def _capped_query(rates=(2.0,), thetas=(-1.0,)):
+def _capped_grid(rates=(2.0,), thetas=(-1.0,)):
     # Unit noise, (p1, p2) = (1, 5): under ``one_panel`` R = 0.05 converges
     # at every theta, and R = 2.0 at theta = 0 but not at -1 or 0.5.
-    return make_query(rates=rates, noise=1.0, thetas=thetas)
+    return make_grid(rates=rates, noise=1.0, thetas=thetas)
 
 
 def test_quadrature_tol_validation_and_nonconvergence(one_panel):
-    q = make_query(rates=(0.5,))
+    q = make_grid(rates=(0.5,))
     with pytest.raises(ValueError):
-        outage_quadrature(q, tol=0.0)
+        outage_quadrature(*q, tol=0.0)
     with pytest.raises(ValueError):
-        outage_quadrature(q, tol=0.5)
+        outage_quadrature(*q, tol=0.5)
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_capped_query())
+        outage_quadrature(*_capped_grid())
 
 
 def test_quadrature_accepts_the_relative_error_bound():
     # Near 1 the error bound is 1e-12*value, the bound QUADPACK works to:
     # these error estimates exceed tol = 1e-13 but meet it.
     for rate in (2.85, 3.0):
-        q = make_query(rates=(rate,), p2=1.0, thetas=(-1.0,))
-        got = outage_quadrature(q, tol=1e-13).value.item()
-        assert got == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, q.gamma.item(), -1.0), abs=1e-13)
+        q = make_grid(rates=(rate,), p2=1.0, thetas=(-1.0,))
+        got = outage_quadrature(*q, tol=1e-13).value.item()
+        assert got == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, gammas(q).item(), -1.0), abs=1e-13)
 
 
 def test_quadrature_range_check_uses_the_relative_error_bound():
     # At tol 1e-30 the value comes out 2 ulp above 1, well inside the
     # 1e-12*value bound of the error check; it used to be rejected as
     # outside [0, 1] beyond the absolute tol.
-    got = outage_quadrature(make_query(rates=(2.9,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
-    assert got.value.tolist() == [[1.0]]
+    got = outage_quadrature(*make_grid(rates=(2.9,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
+    assert got.value.tolist() == [[[1.0]]]
 
 
 # ---------------------------------------------------------------------------
@@ -342,57 +388,57 @@ def test_quadrature_range_check_uses_the_relative_error_bound():
 
 
 def test_monte_carlo_zero_gamma():
-    est = monte_carlo(make_query(rates=(0.0,)), 10_000, seed=1)
-    assert est.value.tolist() == [[0.0]]
-    assert est.std_error.tolist() == [[0.0]]
+    est = outage_monte_carlo(*make_grid(rates=(0.0,)), 10_000, seed=1)
+    assert est.value.tolist() == [[[0.0]]]
+    assert est.std_error.tolist() == [[[0.0]]]
 
 
 def test_monte_carlo_certain_event():
     # gamma = 1000 with unit weights: outage is essentially certain.
-    q = make_query(rates=(0.5 * math.log2(1001.0),), p1=1.0, p2=1.0, noise=1.0)
-    est = monte_carlo(q, 10_000, seed=2)
-    assert est.value.tolist() == [[1.0]]
-    assert est.std_error.tolist() == [[0.0]]
+    q = make_grid(rates=(0.5 * math.log2(1001.0),), p1=1.0, p2=1.0, noise=1.0)
+    est = outage_monte_carlo(*q, 10_000, seed=2)
+    assert est.value.tolist() == [[[1.0]]]
+    assert est.std_error.tolist() == [[[0.0]]]
 
 
 def test_monte_carlo_agrees_with_quadrature():
     # theta = 0.5, unit rates, A = 1, B = 5, gamma = 3
-    q = make_query(rates=(0.5 * math.log2(4.0),), p1=1.0, p2=5.0, noise=1.0, thetas=(0.5,))
-    assert q.gamma == pytest.approx([3.0], rel=1e-15)
-    mc = monte_carlo(q, 1_000_000, seed=3)
-    quad = outage_quadrature(q)
+    q = make_grid(rates=(0.5 * math.log2(4.0),), p1=1.0, p2=5.0, noise=1.0, thetas=(0.5,))
+    assert gammas(q) == pytest.approx([3.0], rel=1e-15)
+    mc = outage_monte_carlo(*q, 1_000_000, seed=3)
+    quad = outage_quadrature(*q)
     assert abs(quad.value.item() - mc.value.item()) <= 3.29 * mc.std_error.item()
 
 
 def test_monte_carlo_rejects_tiny_sample_count():
     with pytest.raises(ValueError):
-        monte_carlo(make_query(), 999, seed=1)
+        outage_monte_carlo(*make_grid(), 999, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-5, 2**64])  # would alias 2**64 - 5 and 0
 def test_monte_carlo_rejects_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
-        monte_carlo(make_query(), 5000, seed=seed)
+        outage_monte_carlo(*make_grid(), 5000, seed=seed)
 
 
 def test_monte_carlo_deterministic_for_seed():
-    q = make_query(thetas=(0.3,))
-    a = monte_carlo(q, 50_000, seed=77)
-    b = monte_carlo(q, 50_000, seed=77)
+    q = make_grid(thetas=(0.3,))
+    a = outage_monte_carlo(*q, 50_000, seed=77)
+    b = outage_monte_carlo(*q, 50_000, seed=77)
     assert a.value.tolist() == b.value.tolist()
-    assert monte_carlo(q, 50_000, seed=78).value.tolist() != a.value.tolist()
+    assert outage_monte_carlo(*q, 50_000, seed=78).value.tolist() != a.value.tolist()
 
 
 def test_monte_carlo_matches_manual_chunk_accumulation():
     from swmac.copula import iter_gain_pair_chunks
 
-    q = make_query(thetas=(-0.4,), rates=(0.6,))
+    q = make_grid(thetas=(-0.4,), rates=(0.6,))
     n, seed = 150_000, 11
-    est = monte_carlo(q, n, seed)
+    est = outage_monte_carlo(*q, n, seed)
     chunks = list(iter_gain_pair_chunks(q.thetas[0], q.marginals, n, seed))
-    gamma = q.gamma.item()
+    (a, b), gamma = weights(q), gammas(q).item()
     count = sum(
-        int(np.count_nonzero(q.weight1 * c[:, 0] + q.weight2 * c[:, 1] <= gamma))
+        int(np.count_nonzero(a * c[:, 0] + b * c[:, 1] <= gamma))
         for c in reversed(chunks)
     )
     assert est.value.item() == count / n
@@ -561,20 +607,20 @@ def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
 )
 def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noise, rate):
     tol = 1e-10
-    q = make_query(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
-    gamma = q.gamma.item()
-    residual = closed_form_residual(lam1, lam2, q.weight1, q.weight2, gamma)
-    closed = outage_closed_form(q).value.item()
+    q = make_grid(rates=(rate,), p1=p1, p2=p2, noise=noise, lam1=lam1, lam2=lam2, thetas=(0.0,))
+    gamma = gammas(q).item()
+    residual = closed_form_residual(lam1, lam2, *weights(q), gamma)
+    closed = outage_closed_form(*q).value.item()
     # The residual formula itself is pre-verified against the convolution oracle.
-    assert convolution_outage(lam1, lam2, q.weight1, q.weight2, gamma) - closed == pytest.approx(
+    assert convolution_outage(lam1, lam2, *weights(q), gamma) - closed == pytest.approx(
         residual, abs=1e-12
     )
-    got = outage_quadrature(q, tol=tol).value.item() - closed
+    got = outage_quadrature(*q, tol=tol).value.item() - closed
     assert got == pytest.approx(residual, abs=10.0 * tol)
 
 
 # ---------------------------------------------------------------------------
-# The grid contract: every entry equals its 1x1 query bit for bit
+# The grid contract: every entry equals its 1x1x1 call bit for bit
 # ---------------------------------------------------------------------------
 
 # Unit noise: the closed form leaves [0, 1] at the small rates of the
@@ -586,49 +632,56 @@ AXIS = (0.0, 0.05, 0.3, 0.75, 1.5, 2.5)
 _OK, _OUT_OF_RANGE, _DEGENERATE, _NONCONVERGENT = range(4)
 
 
-def _evaluate(method, q):
-    """(value, std_error, flag) arrays over the (theta, rate) grid of ``q``:
-    NaN where a point has no value, and the evaluator's failure as its flag.
-    Monte Carlo scores every theta from one draw set of 2000 pairs, seed 4."""
-    shape = (len(q.thetas), len(q.rates))
-    std_error = np.full(shape, np.nan)
-    flag = np.full(shape, _OK)
+def _evaluate(method, g):
+    """(value, std_error, flag) arrays over the (theta, budget, rate) grid
+    ``g``: NaN where a point has no value, and the evaluator's failure as
+    its flag.  Monte Carlo scores every point from one draw set of 2000
+    pairs, seed 4."""
+    if method == MONTE_CARLO:
+        curve = outage_monte_carlo(*g, 2000, 4)
+        return curve.value, curve.std_error, np.full(curve.value.shape, _OK)
+    if method == CLOSED_FORM:
+        evaluate, error, failure = outage_closed_form, DegenerateDenominator, _DEGENERATE
+    else:
+        evaluate, error, failure = outage_quadrature, QuadratureNonConvergence, _NONCONVERGENT
+    failed = False
     try:
-        if method == MONTE_CARLO:
-            curve = monte_carlo(q, 2000, 4)
-            value, std_error = curve.value, curve.std_error
-        elif method == CLOSED_FORM:
-            curve = outage_closed_form(q)
-            value, flag = curve.value, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK)
-        else:
-            value = outage_quadrature(q).value
-    except DegenerateDenominator:
-        value, flag = np.full(shape, np.nan), np.full(shape, _DEGENERATE)
-    except QuadratureNonConvergence as exc:
-        value = np.where(exc.failed, np.nan, exc.value)
-        flag = np.where(exc.failed, _NONCONVERGENT, _OK)
-    return value, std_error, flag
+        curve = evaluate(*g)
+    except error as exc:
+        curve, failed = exc.curve, exc.failed
+    value = np.where(failed, np.nan, curve.value)
+    flag = np.where(failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
+    return value, np.full(value.shape, np.nan), flag
 
 
 def _assert_grid_equals_points(method, grid):
-    """Check every entry of ``grid`` against its 1x1 query, bit for bit
+    """Check every entry of ``grid`` against its 1x1x1 call, bit for bit
     (NaN and flag included); returns the grid's arrays."""
     got = _evaluate(method, grid)
-    assert got[0].shape == (len(grid.thetas), len(grid.rates))
-    for t_i, r_i in np.ndindex(got[0].shape):
-        point = replace(grid, rates=(grid.rates[r_i],), thetas=(grid.thetas[t_i],))
+    assert got[0].shape == (len(grid.thetas), len(grid.budgets), len(grid.rates))
+    for t_i, b_i, r_i in np.ndindex(got[0].shape):
+        point = grid._replace(
+            thetas=(grid.thetas[t_i],), budgets=(grid.budgets[b_i],), rates=(grid.rates[r_i],)
+        )
         expected = _evaluate(method, point)
-        assert [a[t_i, r_i].tobytes() for a in got] == [a[0, 0].tobytes() for a in expected]
+        assert [a[t_i, b_i, r_i].tobytes() for a in got] == [a.tobytes() for a in expected]
     return got
 
 
-#: 3-theta grids: an out-of-range closed form, a degenerate one (P = 1 with
-#: equal rates), and quadrature that misses its bound at R = 2.0 for
-#: theta = 0.5 and -1 when capped at one panel (see ``_capped_query``).
+#: A second budget for the grids below, with p0 > 0 and its own noise.
+_SECOND_BUDGET = PowerBudget(0.3, 2.0, 1.0, 0.5)
+
+#: 3-theta, 2-budget grids: an out-of-range closed form, a degenerate one
+#: (P = 1 with equal rates) beside a regular budget, and quadrature that
+#: misses its bound at R = 2.0 for theta = 0.5 and -1 when capped at one
+#: panel (see ``_capped_grid``).
 _GRIDS = {
-    "out-of-range": make_query(rates=AXIS, thetas=(-1.0, 0.0, 0.7)),
-    "degenerate": make_query(rates=AXIS, p2=1.0, thetas=(-1.0, 0.0, 0.7)),
-    "nonconvergent": _capped_query(rates=(0.05, 1.5, 2.0), thetas=(0.5, -1.0, 0.0)),
+    name: grid._replace(budgets=grid.budgets + (_SECOND_BUDGET,))
+    for name, grid in (
+        ("out-of-range", make_grid(rates=AXIS, thetas=(-1.0, 0.0, 0.7))),
+        ("degenerate", make_grid(rates=AXIS, p2=1.0, thetas=(-1.0, 0.0, 0.7))),
+        ("nonconvergent", _capped_grid(rates=(0.05, 1.5, 2.0), thetas=(0.5, -1.0, 0.0))),
+    )
 }
 
 #: The flag each grid must show for the method it targets.
@@ -661,16 +714,6 @@ def test_gamma_threshold_tuple_equals_scalar_calls():
             gamma_threshold(bad_rates, noise)
 
 
-def test_tuple_query_is_hashable_and_validated():
-    q = make_query(rates=(0.1, 0.2))
-    assert q == make_query(rates=(0.1, 0.2))
-    assert hash(q) == hash(make_query(rates=(0.1, 0.2)))
-    assert q.rates == (0.1, 0.2)
-    assert q.gamma.tolist() == [make_query(rates=(r,)).gamma.item() for r in (0.1, 0.2)]
-    with pytest.raises(ValueError):
-        make_query(rates=(0.1, -0.2))
-
-
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.7])
 @pytest.mark.parametrize(
     "p1,p2", [(1.0, 5.0), (1.0, 1.0)], ids=["out-of-range-budget", "degenerate-budget"]
@@ -678,7 +721,7 @@ def test_tuple_query_is_hashable_and_validated():
 def test_tuple_query_equals_per_rate_scalar_calls(p1, p2, theta):
     # one theta along the rate axis; the closed form fails for the whole
     # curve (l2 - l1*P = 0) or leaves [0, 1] at some rates
-    curve = make_query(rates=AXIS, p1=p1, p2=p2, noise=1.0, thetas=(theta,))
+    curve = make_grid(rates=AXIS, p1=p1, p2=p2, noise=1.0, thetas=(theta,))
     _, _, closed = _assert_grid_equals_points(CLOSED_FORM, curve)
     if p1 == p2:
         assert (closed == _DEGENERATE).all()
@@ -715,9 +758,9 @@ def test_first_panel_matches_quadpack_first_step():
 
 
 def _quadpack_reference(q, tol):
-    a, b = q.weight1, q.weight2
+    a, b = weights(q)
     l1, l2 = q.marginals.lambda1, q.marginals.lambda2
-    ((th,), (gamma,)) = ([t.theta for t in q.thetas], q.gamma.tolist())
+    ((th,), (gamma,)) = ([t.theta for t in q.thetas], gammas(q).tolist())
 
     def inner(d):
         c_star = (gamma - b * d) / a
@@ -740,14 +783,12 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     from swmac.copula import _conditional_law
     from swmac.outage import _gauss_kronrod_panel, _panel_terms, _point_sums
 
-    q = make_query(
+    q = make_grid(
         rates=(5.55,), p0=0.5, p1=4.0, p2=1.0, noise=2.0, lam1=0.5, lam2=1.5, thetas=(-1.0,)
     )
-    gamma = q.gamma
-    assert gamma.item() / q.weight2 == pytest.approx(8776.0, rel=1e-3)
-    h, (density, *law) = _panel_terms(
-        np.zeros(1), gamma / q.weight2, gamma, q.weight1, q.weight2, 0.5, 1.5
-    )
+    gamma, (a, b) = gammas(q), np.array(weights(q))[:, None]
+    assert gamma.item() / b.item() == pytest.approx(8776.0, rel=1e-3)
+    h, (density, *law) = _panel_terms(np.zeros(1), gamma / b, [0], gamma, a, b, 0.5, 1.5)
     result, abserr, resasc = _gauss_kronrod_panel(density * _conditional_law(-1.0, *law), h)
     assert result.item() < 1e-10 and abserr.item() <= 1e-10
     assert abserr.item() == resasc.item() != 0.0
@@ -756,13 +797,13 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     assert done.tolist() == [False]
     # The point's first panels are cut at 40/lambda2, where its mass is seen.
     reference = _quadpack_reference(q, 1e-10)
-    got = outage_quadrature(q, tol=1e-10).value.item()
+    got = outage_quadrature(*q, tol=1e-10).value.item()
     assert got == pytest.approx(1.0, abs=1e-9)
     assert abs(got - reference) <= max(1e-10, 1e-12 * got)
     # Without the cuts the point starts from that one panel, which quadrature
     # itself must reject and bisect until the mass is found.
     monkeypatch.setattr("swmac.outage._SPAN", math.inf)
-    uncut = outage_quadrature(q, tol=1e-10).value.item()
+    uncut = outage_quadrature(*q, tol=1e-10).value.item()
     assert abs(uncut - reference) <= max(1e-10, 1e-12 * uncut)
 
 
@@ -785,31 +826,31 @@ def _panel_edges(monkeypatch):
 def test_rejected_first_panel_is_bisected(monkeypatch):
     rounds = _panel_edges(monkeypatch)
     # At preset noise every rate is settled by its one panel over [0, gamma/B].
-    preset = make_query(rates=tuple(r / 10 for r in range(1, 31)), noise=1e-5, thetas=(0.5,))
-    assert outage_quadrature(preset).value.shape == (1, 30)
-    assert rounds == [([0.0] * 30, (preset.gamma / 5.0).tolist())]
+    preset = make_grid(rates=tuple(r / 10 for r in range(1, 31)), noise=1e-5, thetas=(0.5,))
+    assert outage_quadrature(*preset).value.shape == (1, 1, 30)
+    assert rounds == [([0.0] * 30, (gammas(preset) / 5.0).tolist())]
     # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled, and
     # only its panel is bisected.
     rounds.clear()
-    curve = make_query(rates=(0.05, 2.5), noise=1.0, thetas=(0.5,))
-    ((small, large),) = outage_quadrature(curve).value.tolist()
-    small_upper, upper = (curve.gamma / 5.0).tolist()
+    curve = make_grid(rates=(0.05, 2.5), noise=1.0, thetas=(0.5,))
+    (((small, large),),) = outage_quadrature(*curve).value.tolist()
+    small_upper, upper = (gammas(curve) / 5.0).tolist()
     assert upper == 6.2
     assert rounds[:2] == [([0.0, 0.0], [small_upper, upper]), ([0.0, 3.1], [3.1, upper])]
     assert all(0.0 <= x <= upper and hi[0] > 0.0 for lo, hi in rounds[2:] for x in lo + hi)
-    point = make_query(rates=(2.5,), noise=1.0, thetas=(0.5,))
+    point = make_grid(rates=(2.5,), noise=1.0, thetas=(0.5,))
     assert abs(large - _quadpack_reference(point, 1e-10)) <= max(1e-10, 1e-12 * large)
-    reference = _quadpack_reference(make_query(rates=(0.05,), thetas=(0.5,)), 1e-10)
+    reference = _quadpack_reference(make_grid(rates=(0.05,), thetas=(0.5,)), 1e-10)
     assert small == pytest.approx(reference, rel=1e-13)
 
 
 def test_nonconvergence_of_one_point_fails_the_curve(one_panel):
     # The error estimate is met at R = 0.05 and missed at 2.0.
-    outage_quadrature(_capped_query(rates=(0.05,)))
+    outage_quadrature(*_capped_grid(rates=(0.05,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_capped_query(rates=(2.0,)))
+        outage_quadrature(*_capped_grid(rates=(2.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_capped_query(rates=(0.05, 2.0)))
+        outage_quadrature(*_capped_grid(rates=(0.05, 2.0)))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
@@ -819,20 +860,20 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
     # flagged ok.  With B << A the upper limit is long although the outage
     # is far from 1; both must start from panels split at 40/lambda2.
     rounds = _panel_edges(monkeypatch)
-    huge = make_query(rates=(10.0, 20.0, 40.0), noise=1.0, thetas=(theta,))
-    (got,) = outage_quadrature(huge).value.tolist()
-    expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in huge.gamma.tolist()]
+    huge = make_grid(rates=(10.0, 20.0, 40.0), noise=1.0, thetas=(theta,))
+    ((got,),) = outage_quadrature(*huge).value.tolist()
+    expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in gammas(huge).tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx([1.0] * 3, abs=1e-10)
-    u = (huge.gamma / 5.0).tolist()
+    u = (gammas(huge) / 5.0).tolist()
     assert rounds[0] == ([0.0, 40.0] * 3, [40.0, u[0], 40.0, u[1], 40.0, u[2]])
     rounds.clear()
-    long_axis = make_query(rates=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, thetas=(theta,))
-    (got,) = outage_quadrature(long_axis).value.tolist()
-    expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in long_axis.gamma.tolist()]
+    long_axis = make_grid(rates=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, thetas=(theta,))
+    ((got,),) = outage_quadrature(*long_axis).value.tolist()
+    expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in gammas(long_axis).tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert 0.3 < got[0] < got[-1] < 0.99
-    u = (long_axis.gamma / 1e-3).tolist()
+    u = (gammas(long_axis) / 1e-3).tolist()
     assert rounds[0] == ([0.0, 80.0] * 3, [80.0, u[0], 80.0, u[1], 80.0, u[2]])
 
 
@@ -847,43 +888,43 @@ THETA_AXIS_RATES = (0.05, 0.75, 2.5, 3.0, 10.0)
 
 @pytest.mark.parametrize("rates", [THETA_AXIS_RATES, (0.75,)], ids=["rate-tuple", "float-rate"])
 def test_theta_tuple_query_equals_one_theta_queries(rates):
-    # each theta row of the grid equals the one-theta query along the same
+    # each theta row of the grid equals the one-theta call along the same
     # rates ("float-rate": a single rate)
-    grid = make_query(rates=rates, noise=1.0, thetas=(-1.0, 0.0, 1.0, 0.0))  # 0 repeated
+    grid = make_grid(rates=rates, noise=1.0, thetas=(-1.0, 0.0, 1.0, 0.0))  # 0 repeated
     for method in METHODS:
         got = _evaluate(method, grid)
-        assert got[0].shape == (4, len(rates))
+        assert got[0].shape == (4, 1, len(rates))
         for t_i, theta in enumerate(grid.thetas):
-            expected = _evaluate(method, replace(grid, thetas=(theta,)))
+            expected = _evaluate(method, grid._replace(thetas=(theta,)))
             assert [a[t_i].tobytes() for a in got] == [a[0].tobytes() for a in expected]
 
 
 def test_nonconvergence_of_one_theta_fails_the_theta_tuple(one_panel):
     # At R = 2.0, theta = 0 converges and theta = -1 does not.
-    outage_quadrature(_capped_query(rates=(0.05, 2.0), thetas=(0.0,)))
+    outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0,)))
     with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(_capped_query(rates=(0.05, 2.0), thetas=(0.0, -1.0)))
+        outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0, -1.0)))
 
 
 @pytest.mark.parametrize("rates", [(0.05, 2.0), (2.0,)], ids=["rate-tuple", "float-rate"])
 def test_nonconvergence_marks_the_failing_points(rates, one_panel):
     # Every point is evaluated before the raise; the exception holds the
-    # (theta, rate) grid of values and marks the points that failed, which
-    # are exactly those whose 1x1 query raises.
-    grid = _capped_query(rates=rates, thetas=(0.0, -1.0))
+    # (theta, budget, rate) curve and marks the points that failed, which
+    # are exactly those whose 1x1x1 call raises.
+    grid = _capped_grid(rates=rates, thetas=(0.0, -1.0))
     with pytest.raises(QuadratureNonConvergence, match="theta=-1.0") as info:
-        outage_quadrature(grid)
+        outage_quadrature(*grid)
     exc = info.value
-    assert exc.value.shape == exc.failed.shape == (len(grid.thetas), len(rates))
+    assert exc.curve.value.shape == exc.failed.shape == (len(grid.thetas), 1, len(rates))
     for t_i, theta in enumerate(grid.thetas):
         for r_i, r in enumerate(rates):
-            point = replace(grid, rates=(r,), thetas=(theta,))
-            if exc.failed[t_i, r_i]:
+            point = grid._replace(rates=(r,), thetas=(theta,))
+            if exc.failed[t_i, 0, r_i]:
                 with pytest.raises(QuadratureNonConvergence):
-                    outage_quadrature(point)
+                    outage_quadrature(*point)
             else:
-                assert exc.value[t_i, r_i] == outage_quadrature(point).value.item()
-    assert exc.failed[1, -1] and not exc.failed[0].any()
+                assert exc.curve.value[t_i, 0, r_i] == outage_quadrature(*point).value.item()
+    assert exc.failed[1, 0, -1] and not exc.failed[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -905,11 +946,11 @@ def test_quadrature_resolves_the_g1_drop_below_the_upper_limit(
     # about A/(lambda1*B) just below g2 = gamma/B.  One 21-node panel over
     # [0, gamma/B] stepped over that drop and was accepted, off by
     # ``parent_error``; splitting where the g1 range is 40/lambda1 fixes it.
-    q = make_query(rates=(rate,), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,))
-    gamma = q.gamma.item()
+    q = make_grid(rates=(rate,), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,))
+    gamma = gammas(q).item()
     assert lam1 * gamma / a > 40.0
     exact = fgm_outage(lam1, lam2, a, b, gamma, theta)
-    assert outage_quadrature(q).value.item() == pytest.approx(exact, abs=1e-10)
+    assert outage_quadrature(*q).value.item() == pytest.approx(exact, abs=1e-10)
     assert parent_error > 10 * 1e-10
 
 
@@ -926,11 +967,11 @@ def test_quadrature_scan_against_the_four_term_oracle():
         lam1, b = np.exp(rng.uniform(0.0, math.log(10.0), 2)).tolist()
         lam2, a = np.exp(rng.uniform(math.log(0.1), 0.0, 2)).tolist()
         thetas = tuple(DependenceParameter(t) for t in rng.uniform(-1.0, 1.0, 2).tolist())
-        gammas = (np.exp(rng.uniform(math.log(4.0), math.log(15.0), 2)) * b / lam2).tolist()
-        rates = tuple(0.5 * math.log2(g + 1.0) for g in gammas)
-        q = OutageQuery(rates, PowerBudget(0.0, a, b, 1.0), FadingMarginals(lam1, lam2), thetas)
-        for theta, row in zip(thetas, outage_quadrature(q, tol=tol).value.tolist()):
-            for g, value in zip(q.gamma.tolist(), row):
+        targets = (np.exp(rng.uniform(math.log(4.0), math.log(15.0), 2)) * b / lam2).tolist()
+        rates = tuple(0.5 * math.log2(g + 1.0) for g in targets)
+        q = Grid(thetas, FadingMarginals(lam1, lam2), (PowerBudget(0.0, a, b, 1.0),), rates)
+        for theta, (row,) in zip(thetas, outage_quadrature(*q, tol=tol).value.tolist()):
+            for g, value in zip(gammas(q).tolist(), row):
                 worst = max(worst, abs(value - fgm_outage(lam1, lam2, a, b, g, theta.theta)))
                 drops += lam1 * g / a > 40.0
     assert worst <= 10 * tol
@@ -964,24 +1005,34 @@ def test_decimal_oracle_matches_the_float_forms():
         assert decimal_outage(1.0, 1.0, 1.0, 5.0, gamma, theta) == pytest.approx(expected, rel=1e-4)
 
 
+def _against_the_oracle(q, tol):
+    """(value, :func:`oracles.decimal_outage`, gamma, theta) of every entry
+    of the quadrature grid of ``q`` at ``tol``, from one call."""
+    l1, l2 = q.marginals.lambda1, q.marginals.lambda2
+    value = outage_quadrature(*q, tol=tol).value.tolist()
+    for b_i, budget in enumerate(q.budgets):
+        a, b = budget.p1 - budget.p0, budget.p2 - budget.p0
+        for r_i, g in enumerate(gamma_threshold(q.rates, budget.noise).tolist()):
+            for t_i, theta in enumerate(q.thetas):
+                exact = decimal_outage(l1, l2, a, b, g, theta.theta)
+                yield value[t_i][b_i][r_i], exact, g, theta.theta
+
+
 def _assert_within_bound(q, tol):
     """Every entry of the quadrature grid of ``q`` at ``tol`` is within
     max(tol, 1e-12*|value|) of :func:`oracles.decimal_outage`."""
-    a, b = q.weight1, q.weight2
-    l1, l2 = q.marginals.lambda1, q.marginals.lambda2
-    value = outage_quadrature(q, tol=tol).value
-    for theta, row in zip(q.thetas, value.tolist()):
-        for g, v in zip(q.gamma.tolist(), row):
-            exact = decimal_outage(l1, l2, a, b, g, theta.theta)
-            assert abs(v - exact) <= max(tol, 1e-12 * abs(v)), (g, theta.theta, v, exact)
+    for v, exact, g, theta in _against_the_oracle(q, tol):
+        assert abs(v - exact) <= max(tol, 1e-12 * abs(v)), (g, theta, v, exact)
+
+
+def _preset_grid(cfg):
+    return Grid(cfg.thetas, cfg.marginals, cfg.budgets, cfg.rate_grid.values())
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
 def test_quadrature_matches_the_decimal_oracle_on_every_preset_point(name):
     cfg = preset_config(name)
-    for budget in cfg.budgets:
-        q = OutageQuery(cfg.rate_grid.values(), budget, cfg.marginals, cfg.thetas)
-        _assert_within_bound(q, cfg.quad_tol)
+    _assert_within_bound(_preset_grid(cfg), cfg.quad_tol)
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
@@ -989,15 +1040,8 @@ def test_quadrature_is_exact_to_1e_14_relative_on_every_preset_point(name):
     # The conditional law is summed from nonnegative terms, so theta = -1,
     # where the outage is smallest, loses no digits to cancellation.
     cfg = preset_config(name)
-    for budget in cfg.budgets:
-        q = OutageQuery(cfg.rate_grid.values(), budget, cfg.marginals, cfg.thetas)
-        a, b = q.weight1, q.weight2
-        l1, l2 = q.marginals.lambda1, q.marginals.lambda2
-        value = outage_quadrature(q, tol=cfg.quad_tol).value
-        for theta, row in zip(q.thetas, value.tolist()):
-            for g, v in zip(q.gamma.tolist(), row):
-                exact = decimal_outage(l1, l2, a, b, g, theta.theta)
-                assert abs(v - exact) <= 1e-14 * exact, (g, theta.theta, v, exact)
+    for v, exact, g, theta in _against_the_oracle(_preset_grid(cfg), cfg.quad_tol):
+        assert abs(v - exact) <= 1e-14 * exact, (g, theta, v, exact)
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_QUAD_TOL, 1e-13])
@@ -1006,7 +1050,7 @@ def test_quadrature_matches_the_decimal_oracle_on_the_unit_noise_grid(tol):
     # panels settle the small rates only, and the rest are bisected.
     rates = tuple(round(0.01 * k, 2) for k in range(1, 301))
     thetas = tuple(round(-1.0 + 0.1 * k, 1) for k in range(21))
-    _assert_within_bound(make_query(rates=rates, thetas=thetas), tol)
+    _assert_within_bound(make_grid(rates=rates, thetas=thetas), tol)
 
 
 def _log_uniform(lo, hi):
@@ -1029,7 +1073,7 @@ def test_quadrature_matches_the_decimal_oracle_over_a_scan(lam1, lam2, a, b, gam
     # (2a, b) at k = 2.
     if tie is not None:
         lam2, b = tie * lam1, a
-    q = make_query(
+    q = make_grid(
         rates=(0.5 * math.log2(gamma + 1.0),), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,)
     )
     _assert_within_bound(q, 1e-13)
@@ -1058,24 +1102,23 @@ def _assert_curve_invariant(curve, marks):
 def test_every_evaluator_satisfies_the_curve_invariant(
     lam1, lam2, p1, p2, share, noise, rates, thetas
 ):
-    q = make_query(
+    q = make_grid(
         rates=tuple(rates), p0=share * min(p1, p2), p1=p1, p2=p2, noise=noise,
         lam1=lam1, lam2=lam2, thetas=thetas,
     )
     try:
-        _assert_curve_invariant(outage_closed_form(q), marks=True)
-    except DegenerateDenominator:
-        pass
+        _assert_curve_invariant(outage_closed_form(*q), marks=True)
+    except DegenerateDenominator as exc:
+        _assert_curve_invariant(exc.curve, marks=True)
     try:
-        _assert_curve_invariant(outage_quadrature(q), marks=False)
-    except QuadratureNonConvergence:
-        pass
-    curve = outage_monte_carlo(q.thetas, q.marginals, (q.budget,), q.rates, 1000, 3)
-    _assert_curve_invariant(curve, marks=False)
+        _assert_curve_invariant(outage_quadrature(*q), marks=False)
+    except QuadratureNonConvergence as exc:
+        _assert_curve_invariant(exc.curve, marks=False)
+    _assert_curve_invariant(outage_monte_carlo(*q, 1000, 3), marks=False)
 
 
 def test_an_empty_theta_axis_gives_empty_curves():
-    q = make_query(rates=(0.5, 1.0), thetas=())
-    assert outage_closed_form(q).value.shape == (0, 2)
-    assert outage_quadrature(q).value.shape == (0, 2)
-    assert monte_carlo(q, 1000, seed=1).value.shape == (0, 2)
+    q = make_grid(rates=(0.5, 1.0), thetas=())
+    assert outage_closed_form(*q).value.shape == (0, 1, 2)
+    assert outage_quadrature(*q).value.shape == (0, 1, 2)
+    assert outage_monte_carlo(*q, 1000, seed=1).value.shape == (0, 1, 2)

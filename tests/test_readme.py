@@ -25,4 +25,4 @@ def test_library_example_runs_and_gives_the_documented_shapes(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "(2, 3) (2, 1, 3) (2, 1, 3) True\n"
+    assert proc.stdout == "(2, 1, 3) (2, 1, 3) (2, 1, 3) True\n"

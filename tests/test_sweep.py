@@ -28,7 +28,6 @@ from swmac.config import RateGrid, preset_config
 from swmac.outage import (
     DegenerateDenominator,
     OutageEvaluationError,
-    OutageQuery,
     QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
@@ -370,7 +369,7 @@ def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monke
     def slow_counts(config, rates, shares, indices):
         time.sleep(600)
 
-    def failing_column(query, method, quad_tol):
+    def failing_column(config, rates, method):
         raise RuntimeError("synthetic analytic failure")
 
     monkeypatch.setattr(swmac.sweep, "_share_counts", slow_counts)
@@ -406,23 +405,24 @@ def test_out_of_range_closed_form_rows_keep_value():
 
 def _fail_quadrature_at(monkeypatch, points):
     """Make the sweep's quadrature raise QuadratureNonConvergence for every
-    query holding one of ``points``, (theta, rate) pairs, with those points
-    marked failed, as quadrature does where a point misses its error bound
-    (see test_outage's ``_capped_query``).  Per-query checks read
-    ``swmac.sweep.outage_quadrature`` to see the same failures."""
+    grid holding one of ``points``, (theta, rate) pairs, with those points
+    marked failed at every budget, as quadrature does where a point misses
+    its error bound (see test_outage's ``_capped_grid``).  Per-point checks
+    read ``swmac.sweep.outage_quadrature`` to see the same failures."""
     import swmac.sweep as sweep_module
 
     evaluate = sweep_module.outage_quadrature
 
-    def quadrature(query, tol):
-        failed = np.array([[(t.theta, r) in points for r in query.rates] for t in query.thetas])
+    def quadrature(thetas, marginals, budgets, rates, tol):
+        curve = evaluate(thetas, marginals, budgets, rates, tol=tol)
+        failed = np.array([[(t.theta, r) in points for r in rates] for t in thetas])[:, None]
         if failed.any():
             raise QuadratureNonConvergence(
                 f"error estimate stalls at one of {sorted(points)}",
-                evaluate(query, tol=tol).value,
-                failed,
+                curve,
+                failed & np.ones(curve.value.shape, dtype=bool),
             )
-        return evaluate(query, tol=tol)
+        return curve
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", quadrature)
 
@@ -450,9 +450,9 @@ def _flagged_config(**overrides):
     )
 
 
-def _point_query(cfg, table, b_i, t_i, r_i):
-    """The 1x1 query at one (budget, theta, rate) point of a sweep."""
-    return OutageQuery((table.axes[2][r_i],), cfg.budgets[b_i], cfg.marginals, (cfg.thetas[t_i],))
+def _point_grid(cfg, table, b_i, t_i, r_i):
+    """The 1x1x1 grid at one (budget, theta, rate) point of a sweep."""
+    return (cfg.thetas[t_i],), cfg.marginals, (cfg.budgets[b_i],), (table.axes[2][r_i],)
 
 
 def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
@@ -464,13 +464,13 @@ def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
     op, std_err, flag = (a[..., 0] for a in (table.op, table.std_err, table.flag))
     assert set(np.unique(flag).tolist()) == {OK, NONCONVERGENCE}
     for index in np.ndindex(op.shape):
-        query = _point_query(cfg, table, *index)
+        point = _point_grid(cfg, table, *index)
         if flag[index] == OK:
-            assert op[index] == sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value.item()
+            assert op[index] == sweep_module.outage_quadrature(*point, tol=cfg.quad_tol).value.item()
         else:
             assert math.isnan(op[index]) and math.isnan(std_err[index])
             with pytest.raises(QuadratureNonConvergence):
-                sweep_module.outage_quadrature(query, tol=cfg.quad_tol)
+                sweep_module.outage_quadrature(*point, tol=cfg.quad_tol)
 
 
 def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch):
@@ -481,18 +481,21 @@ def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch
     _fail_quadrature_at(monkeypatch, {(-1.0, 1.55), (0.5, 1.55)})
     thetas = tuple(DependenceParameter(t) for t in (-1.0, 0.0, 0.5))
     rates = (0.05, 1.3, 1.55, 1.8)
-    query = OutageQuery(rates, PowerBudget(0.0, 1.0, 5.0, 1.0), FadingMarginals(1.0, 1.0), thetas)
-    values, flags = _analytic_column(query, "quadrature", 1e-13)
-    expected = np.full((3, 4), OK)
-    expected[[0, 2], 2] = NONCONVERGENCE
+    cfg = small_config(
+        budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0),), thetas=thetas,
+        marginals=FadingMarginals(1.0, 1.0), quad_tol=1e-13,
+    )
+    values, flags = _analytic_column(cfg, rates, "quadrature")
+    expected = np.full((1, 3, 4), OK)
+    expected[0, [0, 2], 2] = NONCONVERGENCE
     assert flags.tolist() == expected.tolist()
     for t_i, theta in enumerate(thetas):
         for r_i, rate in enumerate(rates):
-            point = OutageQuery((rate,), query.budget, query.marginals, (theta,))
-            if flags[t_i, r_i] == OK:
-                assert values[t_i, r_i] == outage_quadrature(point, tol=1e-13).value.item()
+            point = ((theta,), cfg.marginals, cfg.budgets, (rate,))
+            if flags[0, t_i, r_i] == OK:
+                assert values[0, t_i, r_i] == outage_quadrature(*point, tol=1e-13).value.item()
             else:
-                assert math.isnan(values[t_i, r_i])
+                assert math.isnan(values[0, t_i, r_i])
 
 
 def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monkeypatch):
@@ -509,16 +512,16 @@ def test_serial_and_parallel_csv_byte_identical_with_flagged_rows(tmp_path, monk
 def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(monkeypatch):
     # Unit noise with quadrature capped at one panel per point, and no
     # injected failure: the larger of these (theta, rate) points are not
-    # settled by their first panel.  One quadrature call per budget flags
-    # exactly the points whose 1x1 query raises.
+    # settled by their first panel.  One quadrature call flags exactly the
+    # points whose 1x1x1 call raises.
     import swmac.sweep as sweep_module
 
     calls = []
     evaluate = sweep_module.outage_quadrature
 
-    def counted(query, tol):
-        calls.append(query)
-        return evaluate(query, tol=tol)
+    def counted(*grid, tol):
+        calls.append(grid)
+        return evaluate(*grid, tol=tol)
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", counted)
     monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
@@ -533,7 +536,7 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     op, flag = table.op[..., 0], table.flag[..., 0]
     for index in np.ndindex(op.shape):
         try:
-            expected = outage_quadrature(_point_query(cfg, table, *index), tol=cfg.quad_tol)
+            expected = outage_quadrature(*_point_grid(cfg, table, *index), tol=cfg.quad_tol)
         except QuadratureNonConvergence:
             assert flag[index] == NONCONVERGENCE and math.isnan(op[index])
         else:
@@ -574,37 +577,33 @@ def _three_theta_flagged_config():
 
 def _expected_block(cfg, b_i, method):
     """(op, std_err, flag) arrays over one budget's (theta, rate) block of
-    ``method``, from one grid call of its evaluator (for Monte Carlo, seeded
-    by derive_seed(seed, 0))."""
+    ``method``, from one call of its evaluator on that budget alone (for
+    Monte Carlo, seeded by derive_seed(seed, 0))."""
     import swmac.sweep as sweep_module
 
-    budget, rates = cfg.budgets[b_i], cfg.rate_grid.values()
-    shape = (len(cfg.thetas), len(rates))
-    std_err, flag = np.full(shape, np.nan), np.full(shape, OK)
+    grid = (cfg.thetas, cfg.marginals, (cfg.budgets[b_i],), cfg.rate_grid.values())
+    failed, failure, std_err = False, OK, None
     try:
         if method == "closed-form":
-            curve = outage_closed_form(OutageQuery(rates, budget, cfg.marginals, cfg.thetas))
-            op, flag = curve.value, np.where(curve.out_of_range, OUT_OF_RANGE, OK)
+            curve = outage_closed_form(*grid)
         elif method == "quadrature":
-            query = OutageQuery(rates, budget, cfg.marginals, cfg.thetas)
-            op = sweep_module.outage_quadrature(query, tol=cfg.quad_tol).value
+            curve = sweep_module.outage_quadrature(*grid, tol=cfg.quad_tol)
         else:
-            seed = derive_seed(cfg.seed, 0)
-            curve = outage_monte_carlo(
-                cfg.thetas, cfg.marginals, (budget,), rates, cfg.mc_samples, seed
-            )
-            op, std_err = curve.value[:, 0], curve.std_error[:, 0]
-    except DegenerateDenominator:
-        op, flag = np.full(shape, np.nan), np.full(shape, DEGENERATE)
+            curve = outage_monte_carlo(*grid, cfg.mc_samples, derive_seed(cfg.seed, 0))
+            std_err = curve.std_error[:, 0]
+    except DegenerateDenominator as exc:
+        curve, failed, failure = exc.curve, exc.failed, DEGENERATE
     except QuadratureNonConvergence as exc:
-        op = np.where(exc.failed, np.nan, exc.value)
-        flag = np.where(exc.failed, NONCONVERGENCE, OK)
-    return op, std_err, flag
+        curve, failed, failure = exc.curve, exc.failed, NONCONVERGENCE
+    op = np.where(failed, np.nan, curve.value)[:, 0]
+    flag = np.where(failed, failure, np.where(curve.out_of_range, OUT_OF_RANGE, OK))[:, 0]
+    return op, np.full(op.shape, np.nan) if std_err is None else std_err, flag
 
 
 def test_sweep_table_blocks_equal_grid_results(monkeypatch):
     # Each (budget, method) block of the table holds its evaluator's grid
-    # answer; test_outage checks that every grid entry equals its 1x1 query.
+    # answer, equal to the call on that budget alone; test_outage checks
+    # that every grid entry equals its 1x1x1 call.
     _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     cfg = _three_theta_flagged_config()
     table = run_outage_sweep(cfg)
@@ -695,10 +694,11 @@ def test_sweep_calls_the_spans_the_benchmark_traces(monkeypatch):
     }
 
 
-def test_analytic_methods_make_one_call_per_budget(monkeypatch):
-    # The analytic evaluators take the whole (theta x rate) grid of a budget
-    # in one call; one call per (budget, theta) curve would be 5 times as
-    # many on fig2.
+def test_analytic_methods_make_one_call_per_sweep(monkeypatch):
+    # The analytic evaluators take the whole (theta x budget x rate) grid in
+    # one call, even where a budget's closed form is degenerate and
+    # quadrature fails at some points; one call per budget would be 3 times
+    # as many here.
     import swmac.sweep as sweep_module
 
     calls = {}
@@ -706,19 +706,24 @@ def test_analytic_methods_make_one_call_per_budget(monkeypatch):
     def spy(name):
         original = getattr(sweep_module, name)
 
-        def counted(query, *args, **kwargs):
+        def counted(*args, **kwargs):
             calls[name] = calls.get(name, 0) + 1
-            return original(query, *args, **kwargs)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(sweep_module, name, counted)
 
+    _fail_quadrature_at(monkeypatch, _FLAGGED_FAILURES)
     spy("outage_closed_form")
     spy("outage_quadrature")
-    cfg = preset_config("fig2").with_overrides(methods=("closed-form", "quadrature"))
-    assert len(cfg.budgets) == 2 and len(cfg.thetas) == 5
+    cfg = replace(
+        _flagged_config(methods=("closed-form", "quadrature")),
+        budgets=_flagged_config().budgets + (PowerBudget(0.3, 2.0, 1.0, 0.5),),
+    )
     rows = run_outage_sweep(cfg, workers=2)
-    assert calls == {"outage_closed_form": 2, "outage_quadrature": 2}
-    assert len(rows) == 2 * 5 * len(cfg.rate_grid.values()) * 2
+    assert calls == {"outage_closed_form": 1, "outage_quadrature": 1}
+    assert len(rows) == 3 * 2 * len(cfg.rate_grid.values()) * 2
+    assert {FLAGS[c] for c in np.unique(rows.flag).tolist()} == set(FLAGS)
+    assert (rows.flag[1, ..., 0] == DEGENERATE).all() and DEGENERATE not in rows.flag[[0, 2]]
 
 
 # ---------------------------------------------------------------------------
