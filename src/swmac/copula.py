@@ -8,8 +8,10 @@ spans weak negative (theta < 0) through weak positive (theta > 0)
 dependence, with theta = 0 the independence copula.  Composing it with the
 exponential marginals F_i(g) = 1 - exp(-lambda_i*g) of squared Rayleigh
 channel gains gives the joint law of a correlated gain pair.  Its
-conditional law has one kernel, which outage quadrature shares; the sampler
-inverts that law, with its theta-free terms computed apart from its
+conditional law has one kernel, which outage quadrature shares: three
+theta-free, nonnegative parts whose combination at theta is the law, so an
+integral of the law is a combination of the integrals of its parts.  The
+sampler inverts that law, with its theta-free terms computed apart from its
 per-theta step so that one draw can be inverted at many thetas.
 
 All analytical functions here are pure.  Samplers mutate only the
@@ -129,14 +131,22 @@ def _density(theta, u1, u2):
     return 1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
 
 
-def _conditional_law(theta, u, p, p_bar):
-    """P[X <= x | Y = y] = u*(1 + theta*(1 - 2*p)*(1 - u)), u = F_X(x), p = F_Y(y),
-    at a scalar or broadcast theta, as u*((1 - |theta|) + |theta|*(u + 2*q*(1 - u)))
-    with q = ``p_bar`` = 1 - p, passed in as it may be exact where 1 - p is not,
-    for theta >= 0, and q = p below.  No term is negative, so none cancels."""
+def _conditional_parts(u, p, p_bar):
+    """The theta-free parts (L0, L+, L-) = (u, u*(u + 2*p_bar*(1 - u)),
+    u*(u + 2*p*(1 - u))) of the law P[X <= x | Y = y] =
+    u*(1 + theta*(1 - 2*p)*(1 - u)), with u = F_X(x), p = F_Y(y) and
+    p_bar = 1 - p, passed in as it may be exact where 1 - p is not.  None is
+    negative on [0, 1], and the law is their :func:`_at_theta` combination,
+    so nothing cancels, at theta = -1 either."""
+    r = 2.0 * (1.0 - u)
+    return u, u * (u + p_bar * r), u * (u + p * r)
+
+
+def _at_theta(theta, l0, l_pos, l_neg):
+    """(1 - |theta|)*l0 + |theta|*l_sign(theta), at a scalar or broadcast
+    theta: the law from its parts, or an integral of it from theirs."""
     mag = np.abs(theta)
-    q = np.where(theta >= 0.0, p_bar, p)
-    return u * ((1.0 - mag) + mag * (u + 2.0 * q * (1.0 - u)))
+    return (1.0 - mag) * l0 + mag * np.where(theta >= 0.0, l_pos, l_neg)
 
 
 _SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
@@ -156,9 +166,9 @@ def _inversion_prelude(u1, v):
 
 
 def _inversion_step(theta, prelude, out, a, den):
-    """Solve _conditional_law(theta, u2, u1, 1 - u1) = v for u2 in [0, 1],
-    into ``out``, from the :func:`_inversion_prelude` of (u1, v); ``a`` and
-    ``den`` are scratch buffers of the same shape.  Returns ``out``.
+    """Solve P[U2 <= u2 | U1 = u1] = v for u2 in [0, 1], into ``out``,
+    from the :func:`_inversion_prelude` of (u1, v); ``a`` and ``den`` are
+    scratch buffers of the same shape.  Returns ``out``.
 
     With a = theta*(1 - 2*u1) the law is u2*(1 + a*(1 - u2)), so the
     equation is a*u2^2 - (1 + a)*u2 + v = 0, whose in-range root is
@@ -240,7 +250,7 @@ def conditional_cdf(theta: DependenceParameter, u1: float, u2: float) -> float:
     Monotone nondecreasing in u2 for fixed (theta, u1); maps 0 -> 0 and 1 -> 1.
     """
     u = UnitPair(u1, u2)
-    return float(_conditional_law(theta.theta, u.u2, u.u1, 1.0 - u.u1))
+    return float(_at_theta(theta.theta, *_conditional_parts(u.u2, u.u1, 1.0 - u.u1)))
 
 
 def sample_unit_pairs(

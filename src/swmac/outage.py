@@ -13,9 +13,10 @@ Three evaluators are provided and cross-validated:
   gamma; such results are flagged ``out-of-range`` rather than rejected.
 * :func:`outage_quadrature` - exact evaluation of the defining integral
   over the triangle A*g1 + B*g2 <= gamma in the positive quadrant: the
-  inner integral is the FGM conditional law, summed without cancellation,
-  and the outer one adaptive 21-point Gauss-Kronrod quadrature after
-  QUADPACK, on arrays over every grid point at once.  This is the reference.
+  inner integral is the FGM conditional law, a nonnegative combination of
+  three theta-free parts, and the outer one adaptive 21-point
+  Gauss-Kronrod quadrature after QUADPACK, on arrays over every grid point
+  at once.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores the
@@ -29,8 +30,10 @@ Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
 answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
 equal to its 1x1x1 call bit for bit.  The FGM density is affine in theta,
 so the analytic evaluators compute every theta-free exponential once per
-call.  One that fails at some points raises, once every point is
-computed, a :class:`PartialEvaluation` that holds the curve and marks them.
+call, and quadrature integrates the law's theta-free parts once per first
+panel, of which each theta takes a combination.  One that fails at some
+points raises, once every point is computed, a :class:`PartialEvaluation`
+that holds the curve and marks them.
 
 Each shared rule is stated here once: the budget rule p0 < min(p1, p2) in
 :func:`_gain_weights`, the per-budget weights and thresholds every
@@ -50,7 +53,8 @@ import numpy as np
 from .copula import (
     DependenceParameter,
     FadingMarginals,
-    _conditional_law,
+    _at_theta,
+    _conditional_parts,
     _exp_quantile,
     _inversion_prelude,
     _inversion_step,
@@ -338,28 +342,20 @@ def outage_closed_form(
     return curve
 
 
-def _conditional_terms(d, gamma, a, b, l1, l2):
-    """The theta-free terms of the quadrature integrand at the g2 nodes ``d``.
-
-    With e = exp(-l2*d) and c* = (gamma - B*d)/A, the range of g1 left by
-    A*g1 + B*g2 <= gamma, returns (l2*e, u, p, e): the density of g2, the
-    marginal CDFs u = P[g1 <= c*] and p = P[g2 <= d], and 1 - p = e, from
-    which :func:`~swmac.copula._conditional_law` gives P[g1 <= c* | g2].
-    """
-    c_star = (gamma - b * d) / a
-    e = np.exp(-l2 * d)
-    return l2 * e, -np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e
-
-
 def _panel_terms(lo, hi, point, gamma, a, b, l1, l2):
-    """Half-lengths of the panels [lo[i], hi[i]] and the
-    :func:`_conditional_terms` on their (panel x 21) Gauss-Kronrod nodes;
+    """Half-lengths of the panels [lo[i], hi[i]], and on their (panel x 21)
+    Gauss-Kronrod nodes d the density l2*exp(-l2*d) of g2 and the
+    :func:`~swmac.copula._conditional_parts` of P[g1 <= c* | g2 = d], with
+    c* = (gamma - B*d)/A the range of g1 left by A*g1 + B*g2 <= gamma;
     ``gamma``, ``a`` and ``b`` hold every point's terms, and ``point[i]``
     is the point of panel i."""
     hlgth = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
-    terms = (x[point][:, None] for x in (gamma, a, b))
-    return hlgth, _conditional_terms(nodes, *terms, l1, l2)
+    d = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
+    gamma, a, b = (x[point][:, None] for x in (gamma, a, b))
+    with np.errstate(over="ignore"):  # a subnormal A: c* = inf, and P[g1 <= c*] = 1
+        c_star = (gamma - b * d) / a
+    e = np.exp(-l2 * d)  # 1 - P[g2 <= d], exact where 1 minus the CDF is not
+    return hlgth, l2 * e, _conditional_parts(-np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e)
 
 
 def _point_sums(seg, res, err, first, tol):
@@ -369,12 +365,14 @@ def _point_sums(seg, res, err, first, tol):
     Each sum adds one point's panels in that order.  A point is accepted
     when its error estimate is within its bound, and a point with one panel
     (only round 0 has them) only if that panel's ``first`` is also set:
-    dqagse's first-panel test, abserr != resasc or abserr == 0."""
+    dqagse's first-panel test, abserr != resasc or abserr == 0.  A point
+    with an error estimate that is not finite stops too, unaccepted."""
     count = np.bincount(seg)
     value = np.bincount(seg, weights=res)
     abserr = np.bincount(seg, weights=err)
     bound = np.maximum(tol, _QUAD_EPSREL * np.abs(value))
     done = (abserr <= bound) & ((count > 1) | first[np.cumsum(count) - count])
+    done |= ~np.isfinite(abserr)
     return value, abserr, bound, count, done
 
 
@@ -401,8 +399,9 @@ def outage_quadrature(
       since P[g1 <= c*] then drops from about 1 to 0 within a few
       A/(lambda1*B) below gamma/B, which one panel can step over.
 
-    These first panels do not depend on theta, so their integrand terms
-    are computed once and each theta combines them into its own integrand.
+    These first panels do not depend on theta, so the law's three
+    theta-free parts are integrated on them once, and each theta's dqk21
+    sums are nonnegative combinations of theirs (:func:`_first_panels`).
     A point is accepted when its error estimate, summed over its panels, is
     at most max(tol, 1e-12*|value|), and a point with one panel only if it
     also passes dqagse's first-panel test.  Then, round by round, every
@@ -413,10 +412,12 @@ def outage_quadrature(
     equals its 1x1x1 call bit for bit.  The absolute tolerance is ``tol``
     (in (0, ``MAX_QUAD_TOL``]).
 
-    Every point is evaluated before any failure is raised.  Raises
-    :class:`QuadratureNonConvergence`, with the failing points marked, where
-    the error estimate exceeds that bound or the value leaves [0, 1] by more
-    than it; its curve holds every point's value, clamped into [0, 1].
+    A point whose error estimate is not finite, as where gamma/B overflows,
+    stops at once, unconverged.  Every point is evaluated before any failure
+    is raised.  Raises :class:`QuadratureNonConvergence`, with the failing
+    points marked, where the error estimate exceeds that bound or is not
+    finite, or the value leaves [0, 1] by more than it; its curve holds
+    every point's value, clamped into [0, 1] (0 where it is NaN).
     """
     if not 0.0 < tol <= MAX_QUAD_TOL:
         raise ValueError(f"tol must be in (0, {MAX_QUAD_TOL}], got {tol}")
@@ -429,10 +430,13 @@ def outage_quadrature(
     n = len(gamma)
     # The first panels' edges per point: 0, the drop (only below the split),
     # the split and gamma/B, each cut kept where it lies inside (0, gamma/B).
-    upper = gamma / b
     split = _SPAN / l2
     with np.errstate(over="ignore"):  # A/lambda1 near the float limit: no drop to cut at
         drop = (gamma - _SPAN * a / l1) / b
+        upper = gamma / b
+    # an upper limit that overflows fails its point at once: NaN panels give
+    # a NaN error estimate, which stops a point in _point_sums
+    upper[upper == math.inf] = math.nan
     cuts = (np.where(drop < split, drop, 0.0), np.full(n, split))
     edges = np.column_stack((np.zeros(n), *cuts, upper))
     kept = (0.0 < edges) & (edges < upper[:, None])
@@ -440,11 +444,9 @@ def outage_quadrature(
     edge_point, edges = np.nonzero(kept)[0], edges[kept]
     inner = edge_point[:-1] == edge_point[1:]
     lo, hi, point = edges[:-1][inner], edges[1:][inner], edge_point[1:][inner]
-    hlgth, (density, *law) = _panel_terms(lo, hi, point, gamma, a, b, l1, l2)
     # Every panel of every (theta, point) pair, owned by theta*n + point
     # and ordered by owner, then by position.
-    panels = [_gauss_kronrod_panel(density * _conditional_law(th, *law), hlgth) for th in thetas]
-    res, err, asc = np.hstack([np.empty((3, 0)), *panels])  # (3, 0): a call may have no theta
+    res, err, asc = _first_panels(thetas, *_panel_terms(lo, hi, point, gamma, a, b, l1, l2))
     first = (err != asc) | (err == 0.0)
     owner = (np.arange(len(thetas))[:, None] * n + point).ravel()
     values, abserr, *_, done = _point_sums(owner, res, err, first, tol)
@@ -467,15 +469,15 @@ def outage_quadrature(
         new = np.flatnonzero(np.repeat(halve, reps))
         left, right = new[0::2], new[1::2]  # each halved panel's two copies
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
-        h, (density, *law) = _panel_terms(lo[new], hi[new], owner[new] % n, gamma, a, b, l1, l2)
-        th = thetas[owner[new] // n][:, None]
-        res[new], err[new], _ = _gauss_kronrod_panel(density * _conditional_law(th, *law), h)
+        h, density, parts = _panel_terms(lo[new], hi[new], owner[new] % n, gamma, a, b, l1, l2)
+        law = _at_theta(thetas[owner[new] // n][:, None], *parts)
+        res[new], err[new], _ = _gauss_kronrod_panel(density * law, h)
     values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
-    errbnd = np.maximum(tol, _QUAD_EPSREL * np.abs(values))
-    unconverged = abserr > errbnd
+    errbnd = np.fmax(tol, _QUAD_EPSREL * np.abs(values))  # tol where the value is NaN
+    unconverged = ~(abserr <= errbnd)  # a NaN error estimate too
     failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
-    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would
-    clamped = np.where(values < 0.0, 0.0, np.where(values > 1.0, 1.0, values))
+    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a NaN to 0
+    clamped = np.where(values >= 0.0, np.minimum(values, 1.0), 0.0)
     curve = OutageCurve(clamped.reshape(shape), np.zeros(shape, dtype=bool))
     if failed.any():
         t_i, i = np.argwhere(failed)[0]
@@ -508,9 +510,33 @@ def _gauss_kronrod_panel(
     resg = (fv * _G_WEIGHTS).sum(axis=1)
     resabs = (np.abs(fv) * _GK_WEIGHTS).sum(axis=1)
     resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1)
-    result = resk * hlgth
-    resabs *= hlgth
-    resasc *= hlgth
+    return _dqk21_finish(resk, resg, resabs, resasc, hlgth)
+
+
+def _first_panels(thetas, hlgth, density, parts):
+    """dqk21's (result, abserr, resasc) at every theta on the same panels,
+    theta by theta, from the :func:`_panel_terms` of their nodes.  dqk21's
+    sums are linear in the integrand, up to resasc's absolute value, so each
+    part of the law is integrated once: its Kronrod and Gauss sums and its
+    Kronrod-weighted deviations from the panel mean, which a theta combines
+    (:func:`~swmac.copula._at_theta`).  Only resasc's absolute sum runs per
+    theta.  The integrand is nonnegative, so resabs is the Kronrod sum."""
+    sums, devs = [], []
+    for part in parts:
+        fv = density * part
+        resk = (fv * _GK_WEIGHTS).sum(axis=1)
+        sums.append((resk, (fv * _G_WEIGHTS).sum(axis=1)))
+        devs.append((fv - 0.5 * resk[:, None]) * _GK_WEIGHTS)
+    resk, resg = (_at_theta(thetas[:, None], *sum_of_parts).ravel() for sum_of_parts in zip(*sums))
+    resasc = np.array([np.abs(_at_theta(th, *devs)).sum(axis=1) for th in thetas]).ravel()
+    return _dqk21_finish(resk, resg, resk, resasc, np.tile(hlgth, len(thetas)))
+
+
+def _dqk21_finish(resk, resg, resabs, resasc, hlgth):
+    """dqk21's (result, abserr, resasc) from each panel's sums over its 21
+    nodes: Kronrod, Gauss, of |f| and of |f - resk/2|, times the Kronrod
+    weights but for the Gauss sum, and from its half-length."""
+    result, resabs, resasc = resk * hlgth, resabs * hlgth, resasc * hlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
     abserr[scaled] = resasc[scaled] * np.minimum(

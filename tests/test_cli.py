@@ -60,6 +60,37 @@ def test_closed_form_at_fading_rates_near_the_float_limit_warns_nothing(tmp_path
     assert len(rows) == 6 and {row[-1] for row in rows} == {"out-of-range"}
 
 
+@pytest.mark.parametrize(
+    "p1,p2,quadrature_flag",
+    [(1.0, 1e-310, "quadrature-nonconvergence"), (1e-310, 5.0, "ok")],
+    ids=["upper-limit-overflow", "subnormal-first-weight"],
+)
+def test_analytic_sweep_on_a_subnormal_weight_warns_nothing(tmp_path, p1, p2, quadrature_flag):
+    # p2 = 1e-310 makes gamma/B overflow, and with it every panel of the
+    # point: quadrature must fail the point at once, not bisect forever.
+    # p1 = 1e-310 overflows c* = (gamma - B*g2)/A, where P[g1 <= c*] = 1.
+    # Either way no numpy warning escapes, and a child that hangs is
+    # killed, so the test fails instead of stalling the suite.
+    config = tmp_path / "subnormal.cfg"
+    config.write_text(
+        "thetas = -1, 0.5\nrate_start = 0.5\nrate_stop = 1.0\nrate_step = 0.5\n"
+        f"[budget]\np1 = {p1!r}\np2 = {p2!r}\nnoise = 1\n"
+    )
+    argv = ["outage", "--config", str(config), "--methods", "closed-form,quadrature"]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "swmac", *argv, "--out", "x.csv"],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_csv(tmp_path / "x.csv")[1:]
+    assert {row[-1] for row in rows if row[3] == "quadrature"} == {quadrature_flag}
+    assert len(rows) == 2 * 2 * 2
+
+
 def test_outage_with_preset_and_overrides(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -223,6 +223,23 @@ def test_conditional_cdf_is_exact_to_4_ulp_against_rationals(theta, u1, u2):
         assert abs(Fraction(got) - exact) <= 4 * Fraction(2.0**-52) * exact, (got, float(exact))
 
 
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(u=_log_uniform_probability(), p=_log_uniform_probability())
+def test_conditional_parts_are_nonnegative_and_bracket_the_law(u, p):
+    # (L0, L+, L-) do not depend on theta; every theta's law is a convex
+    # combination of L0 and one of the others, so it lies between them
+    from swmac.copula import _at_theta, _conditional_parts
+
+    parts = [float(x) for x in _conditional_parts(u, p, 1.0 - p)]
+    assert min(parts) >= 0.0
+    assert parts[0] == u
+    for theta in (-1.0, -0.35, 0.0, 0.6, 1.0):
+        law = float(_at_theta(theta, *parts))
+        assert law == conditional_cdf(DependenceParameter(theta), p, u)
+        pair = (parts[0], parts[1 if theta >= 0.0 else 2])
+        assert min(pair) * (1 - 1e-15) <= law <= max(pair) * (1 + 1e-15)
+
+
 @given(thetas_strategy, probabilities, probabilities, probabilities)
 def test_conditional_cdf_monotone_in_u2(theta_value, u1, x, y):
     lo, hi = sorted((x, y))

@@ -780,7 +780,7 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     # error estimate equals dqk21's resasc, and so does quadrature for a
     # point left with one panel; testing against resabs instead would
     # accept it.
-    from swmac.copula import _conditional_law
+    from swmac.copula import _at_theta
     from swmac.outage import _gauss_kronrod_panel, _panel_terms, _point_sums
 
     q = make_grid(
@@ -788,8 +788,8 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     )
     gamma, (a, b) = gammas(q), np.array(weights(q))[:, None]
     assert gamma.item() / b.item() == pytest.approx(8776.0, rel=1e-3)
-    h, (density, *law) = _panel_terms(np.zeros(1), gamma / b, [0], gamma, a, b, 0.5, 1.5)
-    result, abserr, resasc = _gauss_kronrod_panel(density * _conditional_law(-1.0, *law), h)
+    h, density, parts = _panel_terms(np.zeros(1), gamma / b, [0], gamma, a, b, 0.5, 1.5)
+    result, abserr, resasc = _gauss_kronrod_panel(density * _at_theta(-1.0, *parts), h)
     assert result.item() < 1e-10 and abserr.item() <= 1e-10
     assert abserr.item() == resasc.item() != 0.0
     first = (abserr != resasc) | (abserr == 0.0)
@@ -805,6 +805,41 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     monkeypatch.setattr("swmac.outage._SPAN", math.inf)
     uncut = outage_quadrature(*q, tol=1e-10).value.item()
     assert abs(uncut - reference) <= max(1e-10, 1e-12 * uncut)
+
+
+def test_first_panels_match_dqk21_on_the_combined_integrand(monkeypatch):
+    # Round 0 integrates the law's three theta-free parts once per panel and
+    # combines the integrals per theta; dqk21 on the integrand combined at
+    # the nodes must give the same result, error estimate and acceptance.
+    import swmac.outage as outage_module
+    from swmac.copula import _at_theta
+
+    calls = []
+    panel_terms = outage_module._panel_terms
+
+    def spy(*args):
+        calls.append(args)
+        return panel_terms(*args)
+
+    monkeypatch.setattr(outage_module, "_panel_terms", spy)
+    grid = make_grid(rates=tuple(k / 100 for k in range(1, 301)), thetas=np.linspace(-1, 1, 21))
+    outage_quadrature(*grid)
+    hlgth, density, parts = panel_terms(*calls[0])
+    thetas = np.array([-1.0, -0.35, 0.0, 0.6, 1.0])
+    result, abserr, resasc = outage_module._first_panels(thetas, hlgth, density, parts)
+    for t, theta in enumerate(thetas):
+        fv = density * _at_theta(theta, *parts)
+        expected = outage_module._gauss_kronrod_panel(fv, hlgth)
+        res, err, asc = (x[t * len(hlgth) : (t + 1) * len(hlgth)] for x in (result, abserr, resasc))
+        np.testing.assert_allclose(res, expected[0], rtol=1e-14, atol=0.0)
+        # dqk21 forms abserr from resk - resg, which cancels where a panel is
+        # nearly settled, so both sides carry a few ulp of the result there:
+        # far below the 1e-12*|value| bound that abserr is tested against
+        tolerance = 1e-12 * expected[1] + 16.0 * np.finfo(float).eps * expected[0]
+        assert (np.abs(err - expected[1]) <= tolerance).all()
+        assert ((err != asc) | (err == 0.0)).tolist() == (
+            (expected[1] != expected[2]) | (expected[1] == 0.0)
+        ).tolist()
 
 
 def _panel_edges(monkeypatch):
