@@ -354,7 +354,7 @@ def _panel_terms(lo, hi, point, gamma, a, b, l1, l2):
     gamma, a, b = (x[point][:, None] for x in (gamma, a, b))
     with np.errstate(over="ignore"):  # a subnormal A: c* = inf, and P[g1 <= c*] = 1
         c_star = (gamma - b * d) / a
-    e = np.exp(-l2 * d)  # 1 - P[g2 <= d], exact where 1 minus the CDF is not
+    e = np.exp(-l2 * d)  # 1 - P[g2 <= d], more exact than 1 minus the CDF
     return hlgth, l2 * e, _conditional_parts(-np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e)
 
 
@@ -527,7 +527,7 @@ def _first_panels(thetas, hlgth, density, parts):
         resk = (fv * _GK_WEIGHTS).sum(axis=1)
         sums.append((resk, (fv * _G_WEIGHTS).sum(axis=1)))
         devs.append((fv - 0.5 * resk[:, None]) * _GK_WEIGHTS)
-    resk, resg = (_at_theta(thetas[:, None], *sum_of_parts).ravel() for sum_of_parts in zip(*sums))
+    resk, resg = (_at_theta(thetas[:, None], *per_part).ravel() for per_part in zip(*sums))
     resasc = np.array([np.abs(_at_theta(th, *devs)).sum(axis=1) for th in thetas]).ravel()
     return _dqk21_finish(resk, resg, resk, resasc, np.tile(hlgth, len(thetas)))
 
