@@ -65,9 +65,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         metavar="LIST",
         help=f"comma-separated subset of {','.join(METHODS)}",
     )
-    parser.add_argument(
-        "--tol", type=float, metavar="FLOAT", help="quadrature tolerance override"
-    )
     parser.add_argument("--out", metavar="PATH", help="output CSV path")
     parser.add_argument(
         "--workers",
@@ -136,19 +133,13 @@ def _load(args: argparse.Namespace, samples_are_mc: bool = True) -> ExperimentCo
         seed=getattr(args, "seed", None),
         mc_samples=getattr(args, "samples", None) if samples_are_mc else None,
         methods=methods,
-        quad_tol=getattr(args, "tol", None),
-        output_path=getattr(args, "out", None),
     )
-
-
-def _out_path(config: ExperimentConfig, command: str) -> str:
-    return config.output_path or _DEFAULT_OUT[command]
 
 
 def _cmd_outage(args: argparse.Namespace) -> int:
     config = _load(args)
     rows = run_outage_sweep(config, workers=args.workers)
-    path = _out_path(config, "outage")
+    path = args.out or _DEFAULT_OUT["outage"]
     emit_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
@@ -179,7 +170,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # configuration of the sweep evaluators.
     config = _load(args, samples_are_mc=False)
     theta = args.theta if args.theta is not None else config.thetas[0].theta
-    path = _out_path(config, "sample")
+    path = args.out or _DEFAULT_OUT["sample"]
     emit_samples(config, theta, args.samples, path)
     print(f"wrote {args.samples} gain pairs (theta={theta}) to {path}")
     return 0
@@ -188,7 +179,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     report = compare_methods(config, workers=args.workers)
-    path = _out_path(config, "compare")
+    path = args.out or _DEFAULT_OUT["compare"]
     emit_comparison_csv(report, path)
     for line in report.summary_lines():
         print(line)

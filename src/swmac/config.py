@@ -7,7 +7,6 @@ keys::
 
     seed        = 1                  # 64-bit master seed
     mc_samples  = 1000000            # Monte Carlo draws per sweep point
-    quad_tol    = 1e-10              # quadrature absolute tolerance
     methods     = closed-form, quadrature, monte-carlo
     thetas      = -1, -0.5, 0, 0.5, 1
     rate_start  = 0.1                # bits per channel use
@@ -15,7 +14,6 @@ keys::
     rate_step   = 0.1
     sigma1_sq   = 0.5                # or give lambda1/lambda2 instead
     sigma2_sq   = 0.5
-    output      = sweep.csv          # optional
 
 Lists are comma-separated.  Unknown or duplicate keys are parse errors;
 values violating a domain invariant are validation errors (among them a
@@ -36,7 +34,7 @@ from pathlib import Path
 from typing import Optional
 
 from .copula import DependenceParameter, FadingMarginals
-from .outage import DEFAULT_QUAD_TOL, MAX_QUAD_TOL, METHODS, MIN_MC_SAMPLES, MONTE_CARLO
+from .outage import METHODS, MIN_MC_SAMPLES, MONTE_CARLO
 from .regions import PowerBudget
 from .streams import MAX_SEED
 
@@ -141,8 +139,6 @@ class ExperimentConfig:
     mc_samples: int = DEFAULT_MC_SAMPLES
     seed: int = DEFAULT_SEED
     methods: tuple[str, ...] = METHODS
-    quad_tol: float = DEFAULT_QUAD_TOL
-    output_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.budgets:
@@ -163,16 +159,12 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed <= MAX_SEED:
             raise ValidationError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
-        if not 0.0 < self.quad_tol <= MAX_QUAD_TOL:
-            raise ValidationError(f"quad_tol must be in (0, {MAX_QUAD_TOL}], got {self.quad_tol}")
 
     def with_overrides(
         self,
         seed: Optional[int] = None,
         mc_samples: Optional[int] = None,
         methods: Optional[tuple[str, ...]] = None,
-        quad_tol: Optional[float] = None,
-        output_path: Optional[str] = None,
     ) -> "ExperimentConfig":
         """Copy with the given fields replaced (None leaves a field alone)."""
         changes = {
@@ -181,8 +173,6 @@ class ExperimentConfig:
                 ("seed", seed),
                 ("mc_samples", mc_samples),
                 ("methods", methods),
-                ("quad_tol", quad_tol),
-                ("output_path", output_path),
             )
             if value is not None
         }
@@ -192,7 +182,6 @@ class ExperimentConfig:
 _TOP_KEYS = {
     "seed",
     "mc_samples",
-    "quad_tol",
     "methods",
     "thetas",
     "rate_start",
@@ -202,7 +191,6 @@ _TOP_KEYS = {
     "sigma2_sq",
     "lambda1",
     "lambda2",
-    "output",
 }
 _BUDGET_KEYS = {"p0", "p1", "p2", "noise"}
 
@@ -331,8 +319,6 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
         mc_samples=integer("mc_samples", DEFAULT_MC_SAMPLES),
         seed=integer("seed", DEFAULT_SEED),
         methods=methods,
-        quad_tol=num("quad_tol", DEFAULT_QUAD_TOL),
-        output_path=top["output"][0] if "output" in top else None,
     )
 
 

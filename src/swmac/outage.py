@@ -16,7 +16,7 @@ Three evaluators are provided and cross-validated:
   inner integral is the FGM conditional law, a nonnegative combination of
   three theta-free parts, and the outer one adaptive 21-point
   Gauss-Kronrod quadrature after QUADPACK, on arrays over every grid point
-  at once.  This is the reference.
+  at once, to 1e-12 relative error.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores the
@@ -85,9 +85,6 @@ MONTE_CARLO = "monte-carlo"
 #: Canonical evaluator order used by sweeps and reports.
 METHODS = (CLOSED_FORM, QUADRATURE, MONTE_CARLO)
 
-DEFAULT_QUAD_TOL = 1e-10
-#: Largest quadrature tolerance; a tolerance lies in (0, MAX_QUAD_TOL].
-MAX_QUAD_TOL = 1e-2
 #: Fewest gain pairs a Monte Carlo estimate may draw.
 MIN_MC_SAMPLES = 1000
 
@@ -95,7 +92,7 @@ MIN_MC_SAMPLES = 1000
 #: denominator counts as degenerate.
 _DENOM_EPS_REL = 1e-9
 
-#: Relative tolerance of quadrature alongside the absolute ``tol``.
+#: Quadrature's one error bound, relative: 1e-12*|value| (dqagse, epsabs = 0).
 _QUAD_EPSREL = 1e-12
 
 #: Most panels quadrature splits one point's integral into (QUADPACK's
@@ -186,7 +183,7 @@ class DegenerateDenominator(PartialEvaluation):
 
 
 class QuadratureNonConvergence(PartialEvaluation):
-    """Quadrature could not meet the requested tolerance at some points."""
+    """Quadrature could not meet its relative error bound at some points."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,8 +355,8 @@ def _panel_terms(lo, hi, point, gamma, a, b, l1, l2):
     return hlgth, l2 * e, _conditional_parts(-np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e)
 
 
-def _point_sums(seg, res, err, first, tol):
-    """Value, error estimate, bound max(tol, 1e-12*|value|), panel count and
+def _point_sums(seg, res, err, first):
+    """Value, error estimate, bound 1e-12*|value|, panel count and
     acceptance of each point 0, 1, ..., from the dqk21 result and abserr of
     its panels: those where ``seg`` holds its index, in position order.
     Each sum adds one point's panels in that order.  A point is accepted
@@ -370,7 +367,7 @@ def _point_sums(seg, res, err, first, tol):
     count = np.bincount(seg)
     value = np.bincount(seg, weights=res)
     abserr = np.bincount(seg, weights=err)
-    bound = np.maximum(tol, _QUAD_EPSREL * np.abs(value))
+    bound = _QUAD_EPSREL * np.abs(value)
     done = (abserr <= bound) & ((count > 1) | first[np.cumsum(count) - count])
     done |= ~np.isfinite(abserr)
     return value, abserr, bound, count, done
@@ -381,7 +378,6 @@ def outage_quadrature(
     marginals: FadingMarginals,
     budgets: Sequence[PowerBudget],
     rates: Sequence[float],
-    tol: float = DEFAULT_QUAD_TOL,
 ) -> OutageCurve:
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
@@ -403,24 +399,22 @@ def outage_quadrature(
     theta-free parts are integrated on them once, and each theta's dqk21
     sums are nonnegative combinations of theirs (:func:`_first_panels`).
     A point is accepted when its error estimate, summed over its panels, is
-    at most max(tol, 1e-12*|value|), and a point with one panel only if it
+    at most 1e-12*|value|, and a point with one panel only if it
     also passes dqagse's first-panel test.  Then, round by round, every
     unaccepted point bisects its panels whose error estimate is above its
     per-panel share of that bound, and always its worst one.  A point stops
     unconverged where that would take it past ``_MAX_PANELS`` panels.  A
     point's sums run over its own panels in position order, so each entry
-    equals its 1x1x1 call bit for bit.  The absolute tolerance is ``tol``
-    (in (0, ``MAX_QUAD_TOL``]).
+    equals its 1x1x1 call bit for bit.
 
-    A point whose error estimate is not finite, as where gamma/B overflows,
-    stops at once, unconverged.  Every point is evaluated before any failure
-    is raised.  Raises :class:`QuadratureNonConvergence`, with the failing
-    points marked, where the error estimate exceeds that bound or is not
-    finite, or the value leaves [0, 1] by more than it; its curve holds
-    every point's value, clamped into [0, 1] (0 where it is NaN).
+    Where gamma/B overflows, the g2 range ends at 2*40/lambda2 instead.  A
+    point whose error estimate is not finite stops at once, unconverged.
+    Every point is evaluated before any failure is raised.  Raises
+    :class:`QuadratureNonConvergence`, with the failing points marked, where
+    the error estimate exceeds that bound or is not finite, or the value
+    leaves [0, 1] by more than it; its curve holds every point's value,
+    clamped into [0, 1] (0 where it is NaN).
     """
-    if not 0.0 < tol <= MAX_QUAD_TOL:
-        raise ValueError(f"tol must be in (0, {MAX_QUAD_TOL}], got {tol}")
     a, b, gamma = _budget_axes(budgets, rates)
     shape = (len(thetas), *gamma.shape)
     # one axis of (budget, rate) points, each with its own weights
@@ -434,9 +428,9 @@ def outage_quadrature(
     with np.errstate(over="ignore"):  # A/lambda1 near the float limit: no drop to cut at
         drop = (gamma - _SPAN * a / l1) / b
         upper = gamma / b
-    # an upper limit that overflows fails its point at once: NaN panels give
-    # a NaN error estimate, which stops a point in _point_sums
-    upper[upper == math.inf] = math.nan
+    # gamma/B overflows only where B*g2 leaves c* as it is: the g2 range then
+    # ends at 2*40/lambda2, leaving out at most 2*e^(-80) of the value
+    upper[upper == math.inf] = 2.0 * split
     cuts = (np.where(drop < split, drop, 0.0), np.full(n, split))
     edges = np.column_stack((np.zeros(n), *cuts, upper))
     kept = (0.0 < edges) & (edges < upper[:, None])
@@ -449,7 +443,7 @@ def outage_quadrature(
     res, err, asc = _first_panels(thetas, *_panel_terms(lo, hi, point, gamma, a, b, l1, l2))
     first = (err != asc) | (err == 0.0)
     owner = (np.arange(len(thetas))[:, None] * n + point).ravel()
-    values, abserr, *_, done = _point_sums(owner, res, err, first, tol)
+    values, abserr, *_, done = _point_sums(owner, res, err, first)
     # from here on only the panels of the points round 0 left unaccepted
     live = ~done[owner]
     lo, hi = np.tile(lo, len(thetas))[live], np.tile(hi, len(thetas))[live]
@@ -458,7 +452,7 @@ def outage_quadrature(
         new_point = np.r_[True, owner[1:] != owner[:-1]]
         seg, starts = np.cumsum(new_point) - 1, np.flatnonzero(new_point)
         values[owner[starts]], abserr[owner[starts]], bound, count, done = _point_sums(
-            seg, res, err, first, tol
+            seg, res, err, first
         )
         halve = (err > (bound / count)[seg]) | (err == np.maximum.reduceat(err, starts)[seg])
         halve &= ~done[seg]
@@ -473,8 +467,8 @@ def outage_quadrature(
         law = _at_theta(thetas[owner[new] // n][:, None], *parts)
         res[new], err[new], _ = _gauss_kronrod_panel(density * law, h)
     values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
-    errbnd = np.fmax(tol, _QUAD_EPSREL * np.abs(values))  # tol where the value is NaN
-    unconverged = ~(abserr <= errbnd)  # a NaN error estimate too
+    errbnd = _QUAD_EPSREL * np.abs(values)
+    unconverged = ~(abserr <= errbnd)  # a NaN error estimate or value too
     failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
     # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a NaN to 0
     clamped = np.where(values >= 0.0, np.minimum(values, 1.0), 0.0)
@@ -482,8 +476,8 @@ def outage_quadrature(
     if failed.any():
         t_i, i = np.argwhere(failed)[0]
         raise QuadratureNonConvergence(
-            f"error estimate {abserr[t_i, i]} exceeds {errbnd[t_i, i]} for gamma={gamma[i]}, "
-            f"A={a[i]}, B={b[i]}, theta={thetas[t_i]}"
+            f"error estimate {abserr[t_i, i]} of the value {values[t_i, i]} exceeds "
+            f"{errbnd[t_i, i]} for gamma={gamma[i]}, A={a[i]}, B={b[i]}, theta={thetas[t_i]}"
             if unconverged[t_i, i]
             else f"integral {values[t_i, i]} is outside [0, 1] beyond {errbnd[t_i, i]}",
             curve,
@@ -536,14 +530,19 @@ def _dqk21_finish(resk, resg, resabs, resasc, hlgth):
     """dqk21's (result, abserr, resasc) from each panel's sums over its 21
     nodes: Kronrod, Gauss, of |f| and of |f - resk/2|, times the Kronrod
     weights but for the Gauss sum, and from its half-length."""
-    result, resabs, resasc = resk * hlgth, resabs * hlgth, resasc * hlgth
+    # masked steps into one scratch array, not fancy-indexed copies; no input
+    # is written, since resabs may be resk itself
+    result, resasc = resk * hlgth, resasc * hlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)
-    abserr[scaled] = resasc[scaled] * np.minimum(
-        1.0, (200.0 * abserr[scaled] / resasc[scaled]) ** 1.5
-    )
-    floored = resabs > _UFLOW / (50.0 * _EPMACH)
-    abserr[floored] = np.maximum(_EPMACH * 50.0 * resabs[floored], abserr[floored])
+    ratio = 200.0 * abserr
+    np.divide(ratio, resasc, out=ratio, where=scaled)
+    np.minimum(np.power(ratio, 1.5, out=ratio, where=scaled), 1.0, out=ratio, where=scaled)
+    np.multiply(resasc, ratio, out=abserr, where=scaled)
+    floor = np.multiply(resabs, hlgth, out=ratio)
+    floored = floor > _UFLOW / (50.0 * _EPMACH)
+    floor *= _EPMACH * 50.0
+    np.maximum(floor, abserr, out=abserr, where=floored)
     return result, abserr, resasc
 
 

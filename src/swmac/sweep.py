@@ -99,6 +99,9 @@ SWEEP_HEADER = "budget_id,theta,rate,method,op,std_err,flag"
 #: (two-sided normal 99.9% point).
 Z_FLAG_THRESHOLD = 3.29
 
+#: |closed-form - quadrature| beyond which a point is flagged (absolute).
+DEVIATION_FLAG_THRESHOLD = 1e-9
+
 
 #: Flags a sweep row can carry; a table stores a row's flag as its position
 #: in this tuple.
@@ -137,7 +140,7 @@ def _analytic_column(
     if method == CLOSED_FORM:
         evaluate, failure = outage_closed_form, _DEGENERATE
     else:
-        evaluate, failure = partial(outage_quadrature, tol=config.quad_tol), _NONCONVERGENCE
+        evaluate, failure = outage_quadrature, _NONCONVERGENCE
     try:
         curve, failed = evaluate(config.thetas, config.marginals, config.budgets, rates), False
     except PartialEvaluation as exc:
@@ -378,7 +381,7 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
 
     Requires at least two methods in the config.  One point per sweep
     point, in sweep row order.  A closed-form row deviating from quadrature
-    by more than 10x the quadrature tolerance is flagged
+    by more than 1e-9 is flagged
     ``closed-form-deviation``; a |z| above 3.29 is flagged ``large-z``;
     row-level error and out-of-range flags are propagated as
     ``<method>:<flag>`` and counted.
@@ -404,7 +407,7 @@ def compare_methods(config: ExperimentConfig, workers: int = 1) -> ComparisonRep
         (
             (flag[:, :, None] == np.arange(1, len(FLAGS))).reshape(len(op), -1),
             np.abs(z) > Z_FLAG_THRESHOLD,
-            np.abs(deviation) > 10.0 * config.quad_tol,
+            np.abs(deviation) > DEVIATION_FLAG_THRESHOLD,
         )
     )
     return ComparisonReport(

@@ -200,7 +200,7 @@ def test_criterion_6_figure_trend_reproduction():
     start = time.perf_counter()
     tol = 1e-10
     for name in ("fig2", "fig3", "fig4"):
-        config = preset_config(name).with_overrides(methods=("quadrature",), quad_tol=tol)
+        config = preset_config(name).with_overrides(methods=("quadrature",))
         table = run_outage_sweep(config)
         assert (table.flag == FLAGS.index("ok")).all()
         _, thetas, rates, _ = table.axes

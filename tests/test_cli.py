@@ -61,16 +61,21 @@ def test_closed_form_at_fading_rates_near_the_float_limit_warns_nothing(tmp_path
 
 
 @pytest.mark.parametrize(
-    "p1,p2,quadrature_flag",
-    [(1.0, 1e-310, "quadrature-nonconvergence"), (1e-310, 5.0, "ok")],
+    "p1,p2,expected",
+    [
+        (1.0, 1e-310, ("0.632120558829", "0.950212931632")),
+        (1e-310, 5.0, ("0.181269246922", "0.451188363906")),
+    ],
     ids=["upper-limit-overflow", "subnormal-first-weight"],
 )
-def test_analytic_sweep_on_a_subnormal_weight_warns_nothing(tmp_path, p1, p2, quadrature_flag):
-    # p2 = 1e-310 makes gamma/B overflow, and with it every panel of the
-    # point: quadrature must fail the point at once, not bisect forever.
+def test_analytic_sweep_on_a_subnormal_weight_warns_nothing(tmp_path, p1, p2, expected):
+    # p2 = 1e-310 makes gamma/B overflow: quadrature ends the g2 range at
+    # 2*40/lambda2 instead, where NaN panels used to be bisected forever.
     # p1 = 1e-310 overflows c* = (gamma - B*g2)/A, where P[g1 <= c*] = 1.
-    # Either way no numpy warning escapes, and a child that hangs is
-    # killed, so the test fails instead of stalling the suite.
+    # Either way the outage is the other gain's law alone at gamma over its
+    # weight, 1 - e^-1 and 1 - e^-3, or 1 - e^-0.2 and 1 - e^-0.6, no numpy
+    # warning escapes, and a child that hangs is killed, so the test fails
+    # instead of stalling the suite.
     config = tmp_path / "subnormal.cfg"
     config.write_text(
         "thetas = -1, 0.5\nrate_start = 0.5\nrate_stop = 1.0\nrate_step = 0.5\n"
@@ -87,7 +92,9 @@ def test_analytic_sweep_on_a_subnormal_weight_warns_nothing(tmp_path, p1, p2, qu
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = read_csv(tmp_path / "x.csv")[1:]
-    assert {row[-1] for row in rows if row[3] == "quadrature"} == {quadrature_flag}
+    quadrature = [row for row in rows if row[3] == "quadrature"]
+    assert {row[-1] for row in quadrature} == {"ok"}
+    assert {(row[2], row[4]) for row in quadrature} == set(zip(("0.5", "1"), expected))
     assert len(rows) == 2 * 2 * 2
 
 
@@ -104,8 +111,6 @@ def test_outage_with_preset_and_overrides(tmp_path):
             "2000",
             "--methods",
             "quadrature",
-            "--tol",
-            "1e-9",
             "--out",
             str(out),
         ]
@@ -220,6 +225,28 @@ def test_exit_1_on_invalid_config(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("thetas = 1.5\n[budget]\np1 = 1\np2 = 1\nnoise = 1\n")
     assert main(["outage", "--config", str(bad), "--out", "x.csv"]) == 1
+
+
+@pytest.mark.parametrize("command", ["outage", "compare", "sample", "region"])
+@pytest.mark.parametrize(
+    "key,flag,named",
+    [
+        ("quad_tol = 1e-8", [], "'quad_tol'"),
+        ("output = y.csv", [], "'output'"),
+        ("", ["--tol", "1e-8"], "--tol"),
+    ],
+    ids=["quad_tol-key", "output-key", "tol-flag"],
+)
+def test_exit_1_on_a_tolerance_or_output_setting_writes_no_file(
+    command, key, flag, named, tmp_path, monkeypatch, capsys
+):
+    # quadrature answers to one relative error bound, and --out alone sets
+    # the output path: either setting is refused by name, never ignored
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text(key + "\n" + CONFIG_TEXT)
+    assert main([command, "--config", "cfg.txt", *flag, "--out", "x.csv"]) == 1
+    assert named in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.txt"]
 
 
 def test_exit_1_on_usage_error(capsys):

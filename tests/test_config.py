@@ -31,10 +31,8 @@ def test_minimal_config_applies_defaults():
     assert cfg.marginals.lambda2 == 1.0
     assert cfg.seed == 1
     assert cfg.mc_samples == 1_000_000
-    assert cfg.quad_tol == 1e-10
     assert cfg.methods == ("closed-form", "quadrature", "monte-carlo")
     assert [t.theta for t in cfg.thetas] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-    assert cfg.output_path is None
 
 
 def test_load_config_reads_file(tmp_path):
@@ -48,7 +46,6 @@ def test_full_config_round_trip():
         """
         seed = 42
         mc_samples = 5000
-        quad_tol = 1e-8
         methods = quadrature, monte-carlo
         thetas = -0.5, 0.5
         rate_start = 0.2
@@ -56,7 +53,6 @@ def test_full_config_round_trip():
         rate_step = 0.2
         lambda1 = 2
         lambda2 = 3
-        output = out.csv
         [budget]
         p0 = 0.1
         p1 = 1
@@ -75,7 +71,6 @@ def test_full_config_round_trip():
     assert len(cfg.budgets) == 2
     assert cfg.budgets[1].p0 == 0.0
     assert cfg.rate_grid.values() == (0.2, 0.4, 0.6000000000000001, 0.8, 1.0)
-    assert cfg.output_path == "out.csv"
 
 
 def test_theta_out_of_range_is_validation_error():
@@ -92,6 +87,9 @@ def test_theta_out_of_range_is_validation_error():
         ("seed =\n" + MINIMAL, "missing value"),
         ("[other]\n" + MINIMAL, "unknown section"),
         ("seed = abc\n" + MINIMAL, "not an integer"),
+        # quadrature has one relative error bound, and --out sets the path
+        ("quad_tol = 0.5\n" + MINIMAL, "unknown key 'quad_tol'"),
+        ("output = out.csv\n" + MINIMAL, "unknown key 'output'"),
         (MINIMAL + "\n[budget]\np1 = 1\np2 = 1\nnoise = 1\nseed = 2\n", "unknown key"),
     ],
 )
@@ -110,7 +108,6 @@ def test_parse_errors_carry_line_numbers(text, fragment):
         ("sigma1_sq = 0.5\nlambda1 = 1\n" + MINIMAL, "not both"),
         ("methods = bogus\n" + MINIMAL, "unknown method"),
         ("methods = monte-carlo\nmc_samples = 10\n" + MINIMAL, "mc_samples"),
-        ("quad_tol = 0.5\n" + MINIMAL, "quad_tol"),
         ("seed = -5\n" + MINIMAL, "seed"),  # would alias 2**64 - 5
         ("seed = 0x10000000000000000\n" + MINIMAL, "seed"),  # 2**64 would alias 0
         ("rate_step = -1\n" + MINIMAL, "step"),
@@ -198,10 +195,9 @@ def test_mc_samples_are_capped_when_monte_carlo_is_selected():
 
 def test_with_overrides():
     cfg = parse_config(MINIMAL)
-    out = cfg.with_overrides(seed=7, methods=("quadrature",), output_path="x.csv")
+    out = cfg.with_overrides(seed=7, methods=("quadrature",))
     assert out.seed == 7
     assert out.methods == ("quadrature",)
-    assert out.output_path == "x.csv"
     assert out.budgets == cfg.budgets
     assert cfg.with_overrides() is cfg
 

@@ -26,7 +26,6 @@ from swmac import (
 )
 from swmac.cli import main
 from swmac.config import ExperimentConfig, RateGrid, ValidationError, preset_config
-from swmac.outage import DEFAULT_QUAD_TOL
 from swmac.sweep import run_outage_sweep
 
 from oracles import (
@@ -337,7 +336,7 @@ def test_quadrature_affine_in_theta_within_tolerance():
     tol = 1e-10
     thetas = (0.0, 1.0, -1.0, -0.5, 0.5)
     q = make_grid(rates=(0.6,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
-    at = dict(zip(thetas, outage_quadrature(*q, tol=tol).value[:, 0, 0].tolist()))
+    at = dict(zip(thetas, outage_quadrature(*q).value[:, 0, 0].tolist()))
     for th in (-1.0, -0.5, 0.5):
         assert at[th] == pytest.approx(at[0.0] + th * (at[1.0] - at[0.0]), abs=2.0 * tol)
 
@@ -355,30 +354,50 @@ def _capped_grid(rates=(2.0,), thetas=(-1.0,)):
     return make_grid(rates=rates, noise=1.0, thetas=thetas)
 
 
-def test_quadrature_tol_validation_and_nonconvergence(one_panel):
-    q = make_grid(rates=(0.5,))
-    with pytest.raises(ValueError):
-        outage_quadrature(*q, tol=0.0)
-    with pytest.raises(ValueError):
-        outage_quadrature(*q, tol=0.5)
+def test_quadrature_nonconvergence(one_panel):
     with pytest.raises(QuadratureNonConvergence):
         outage_quadrature(*_capped_grid())
 
 
+def test_a_point_with_a_nan_panel_fails_at_once(monkeypatch):
+    # NaN panels can never be accepted, halved or capped: a point whose error
+    # estimate is not finite stops in round 0, unconverged, and its
+    # neighbours keep their values.
+    import swmac.outage as outage_module
+
+    panel_terms, calls = outage_module._panel_terms, []
+
+    def poisoned(lo, hi, point, *args):
+        calls.append(len(lo))
+        if len(calls) > 1:
+            raise AssertionError("a NaN panel was evaluated again")
+        hlgth, density, parts = panel_terms(lo, hi, point, *args)
+        density[np.asarray(point) == 1] = np.nan
+        return hlgth, density, parts
+
+    monkeypatch.setattr(outage_module, "_panel_terms", poisoned)
+    q = make_grid(rates=(0.5, 1.0), noise=1e-5, thetas=(0.5,))
+    with pytest.raises(QuadratureNonConvergence, match="error estimate nan of the value nan") as exc:
+        outage_quadrature(*q)
+    assert exc.value.failed.tolist() == [[[False, True]]]
+    monkeypatch.undo()
+    alone = outage_quadrature(*make_grid(rates=(0.5,), noise=1e-5, thetas=(0.5,))).value.item()
+    assert exc.value.curve.value.tolist() == [[[alone, 0.0]]]
+
+
 def test_quadrature_accepts_the_relative_error_bound():
     # Near 1 the error bound is 1e-12*value, the bound QUADPACK works to:
-    # these error estimates exceed tol = 1e-13 but meet it.
+    # these error estimates exceed 1e-13 but meet it.
     for rate in (2.85, 3.0):
         q = make_grid(rates=(rate,), p2=1.0, thetas=(-1.0,))
-        got = outage_quadrature(*q, tol=1e-13).value.item()
+        got = outage_quadrature(*q).value.item()
         assert got == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, gammas(q).item(), -1.0), abs=1e-13)
 
 
 def test_quadrature_range_check_uses_the_relative_error_bound():
-    # At tol 1e-30 the value comes out 2 ulp above 1, well inside the
-    # 1e-12*value bound of the error check; it used to be rejected as
-    # outside [0, 1] beyond the absolute tol.
-    got = outage_quadrature(*make_grid(rates=(2.9,), p2=1.0, thetas=(-1.0,)), tol=1e-30)
+    # The value comes out 2 ulp above 1, well inside the 1e-12*value bound
+    # of the error check, and is clamped to 1.
+    got = outage_quadrature(*make_grid(rates=(2.9,), p2=1.0, thetas=(-1.0,)))
     assert got.value.tolist() == [[[1.0]]]
 
 
@@ -615,7 +634,7 @@ def test_theta_zero_deviation_equals_truncation_residual(lam1, lam2, p1, p2, noi
     assert convolution_outage(lam1, lam2, *weights(q), gamma) - closed == pytest.approx(
         residual, abs=1e-12
     )
-    got = outage_quadrature(*q, tol=tol).value.item() - closed
+    got = outage_quadrature(*q).value.item() - closed
     assert got == pytest.approx(residual, abs=10.0 * tol)
 
 
@@ -744,7 +763,7 @@ def test_first_panel_matches_quadpack_first_step():
         with pytest.warns(integrate.IntegrationWarning):  # limit=1 stops after one panel
             first_step = integrate.quad(lambda x: float(f(x)), 0.0, upper, limit=1)
         _, _, info = integrate.quad(
-            lambda x: float(f(x)), 0.0, upper, epsabs=1e-10, epsrel=1e-12, full_output=1
+            lambda x: float(f(x)), 0.0, upper, epsabs=0.0, epsrel=1e-12, full_output=1
         )[:3]
         h = np.array([[0.5 * upper]])
         result, abserr, resasc = _gauss_kronrod_panel(f(h + h * _GK_NODES), h[0])
@@ -753,7 +772,7 @@ def test_first_panel_matches_quadpack_first_step():
         # dqagse returns after its first panel exactly where a point left
         # with that one panel is accepted
         first = (abserr != resasc) | (abserr == 0.0)
-        *_, settled = _point_sums(np.zeros(1, dtype=int), result, abserr, first, 1e-10)
+        *_, settled = _point_sums(np.zeros(1, dtype=int), result, abserr, first)
         assert bool(settled[0]) == (info["neval"] == 21)
 
 
@@ -775,11 +794,11 @@ def _quadpack_reference(q, tol):
 
 def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     # gamma/B is about 8,800 and the mass sits near 0, so one 21-point panel
-    # over [0, gamma/B] sees almost none of it: its value is near 3e-11, with
-    # an error estimate within tol.  dqagse rejects that panel because its
-    # error estimate equals dqk21's resasc, and so does quadrature for a
-    # point left with one panel; testing against resabs instead would
-    # accept it.
+    # over [0, gamma/B] sees almost none of it: its value is near 3e-11.
+    # dqagse rejects that panel because its error estimate equals dqk21's
+    # resasc, and so does quadrature for a point left with one panel, even
+    # with an error estimate within the point's bound; testing against
+    # resabs instead would accept it.
     from swmac.copula import _at_theta
     from swmac.outage import _gauss_kronrod_panel, _panel_terms, _point_sums
 
@@ -793,17 +812,20 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     assert result.item() < 1e-10 and abserr.item() <= 1e-10
     assert abserr.item() == resasc.item() != 0.0
     first = (abserr != resasc) | (abserr == 0.0)
-    *_, done = _point_sums(np.zeros(1, dtype=int), result, abserr, first, 1e-10)
+    *_, done = _point_sums(np.zeros(1, dtype=int), result, abserr, first)
     assert done.tolist() == [False]
+    for test, accepted in ((first, False), (~first, True)):
+        *_, done = _point_sums(np.zeros(1, dtype=int), result, 1e-13 * result, test)
+        assert done.tolist() == [accepted]
     # The point's first panels are cut at 40/lambda2, where its mass is seen.
     reference = _quadpack_reference(q, 1e-10)
-    got = outage_quadrature(*q, tol=1e-10).value.item()
+    got = outage_quadrature(*q).value.item()
     assert got == pytest.approx(1.0, abs=1e-9)
     assert abs(got - reference) <= max(1e-10, 1e-12 * got)
     # Without the cuts the point starts from that one panel, which quadrature
     # itself must reject and bisect until the mass is found.
     monkeypatch.setattr("swmac.outage._SPAN", math.inf)
-    uncut = outage_quadrature(*q, tol=1e-10).value.item()
+    uncut = outage_quadrature(*q).value.item()
     assert abs(uncut - reference) <= max(1e-10, 1e-12 * uncut)
 
 
@@ -1005,7 +1027,7 @@ def test_quadrature_scan_against_the_four_term_oracle():
         targets = (np.exp(rng.uniform(math.log(4.0), math.log(15.0), 2)) * b / lam2).tolist()
         rates = tuple(0.5 * math.log2(g + 1.0) for g in targets)
         q = Grid(thetas, FadingMarginals(lam1, lam2), (PowerBudget(0.0, a, b, 1.0),), rates)
-        for theta, (row,) in zip(thetas, outage_quadrature(*q, tol=tol).value.tolist()):
+        for theta, (row,) in zip(thetas, outage_quadrature(*q).value.tolist()):
             for g, value in zip(gammas(q).tolist(), row):
                 worst = max(worst, abs(value - fgm_outage(lam1, lam2, a, b, g, theta.theta)))
                 drops += lam1 * g / a > 40.0
@@ -1040,11 +1062,11 @@ def test_decimal_oracle_matches_the_float_forms():
         assert decimal_outage(1.0, 1.0, 1.0, 5.0, gamma, theta) == pytest.approx(expected, rel=1e-4)
 
 
-def _against_the_oracle(q, tol):
+def _against_the_oracle(q):
     """(value, :func:`oracles.decimal_outage`, gamma, theta) of every entry
-    of the quadrature grid of ``q`` at ``tol``, from one call."""
+    of the quadrature grid of ``q``, from one call."""
     l1, l2 = q.marginals.lambda1, q.marginals.lambda2
-    value = outage_quadrature(*q, tol=tol).value.tolist()
+    value = outage_quadrature(*q).value.tolist()
     for b_i, budget in enumerate(q.budgets):
         a, b = budget.p1 - budget.p0, budget.p2 - budget.p0
         for r_i, g in enumerate(gamma_threshold(q.rates, budget.noise).tolist()):
@@ -1053,11 +1075,11 @@ def _against_the_oracle(q, tol):
                 yield value[t_i][b_i][r_i], exact, g, theta.theta
 
 
-def _assert_within_bound(q, tol):
-    """Every entry of the quadrature grid of ``q`` at ``tol`` is within
-    max(tol, 1e-12*|value|) of :func:`oracles.decimal_outage`."""
-    for v, exact, g, theta in _against_the_oracle(q, tol):
-        assert abs(v - exact) <= max(tol, 1e-12 * abs(v)), (g, theta, v, exact)
+def _assert_within_bound(q, abs_tol=math.inf):
+    """Every entry of the quadrature grid of ``q`` is within its error bound
+    1e-12*|value| of :func:`oracles.decimal_outage`, and within ``abs_tol``."""
+    for v, exact, g, theta in _against_the_oracle(q):
+        assert abs(v - exact) <= min(abs_tol, 1e-12 * abs(v)), (g, theta, v, exact)
 
 
 def _preset_grid(cfg):
@@ -1067,7 +1089,7 @@ def _preset_grid(cfg):
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
 def test_quadrature_matches_the_decimal_oracle_on_every_preset_point(name):
     cfg = preset_config(name)
-    _assert_within_bound(_preset_grid(cfg), cfg.quad_tol)
+    _assert_within_bound(_preset_grid(cfg))
 
 
 @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4"])
@@ -1075,17 +1097,48 @@ def test_quadrature_is_exact_to_1e_14_relative_on_every_preset_point(name):
     # The conditional law is summed from nonnegative terms, so theta = -1,
     # where the outage is smallest, loses no digits to cancellation.
     cfg = preset_config(name)
-    for v, exact, g, theta in _against_the_oracle(_preset_grid(cfg), cfg.quad_tol):
+    for v, exact, g, theta in _against_the_oracle(_preset_grid(cfg)):
         assert abs(v - exact) <= 1e-14 * exact, (g, theta, v, exact)
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_QUAD_TOL, 1e-13])
-def test_quadrature_matches_the_decimal_oracle_on_the_unit_noise_grid(tol):
+def _unit_noise_grid():
     # fig2's (1, 5) budget at unit noise, 21 thetas by 300 rates: the first
     # panels settle the small rates only, and the rest are bisected.
     rates = tuple(round(0.01 * k, 2) for k in range(1, 301))
     thetas = tuple(round(-1.0 + 0.1 * k, 1) for k in range(21))
-    _assert_within_bound(make_grid(rates=rates, thetas=thetas), tol)
+    return make_grid(rates=rates, thetas=thetas)
+
+
+@pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+def test_quadrature_matches_the_decimal_oracle_on_the_unit_noise_grid(abs_tol):
+    # Within the relative bound, and within each absolute tolerance
+    # quadrature accepted before its bound was made relative-only (the
+    # default 1e-10 and 1e-13): no point is less accurate than it was.
+    _assert_within_bound(_unit_noise_grid(), abs_tol)
+
+
+@pytest.mark.parametrize(
+    "grid,bisected",
+    [(_unit_noise_grid(), True), (_preset_grid(preset_config("fig2")), False)],
+    ids=["unit-noise", "fig2"],
+)
+def test_every_accepted_point_meets_the_relative_error_bound(grid, bisected, monkeypatch):
+    # A point is accepted, in every round, only where its error estimate is
+    # at most 1e-12*|value|, however small the value.
+    import swmac.outage as outage_module
+
+    point_sums, accepted = outage_module._point_sums, []
+
+    def spy(*args):
+        value, abserr, *_, done = sums = point_sums(*args)
+        accepted.append((value[done], abserr[done]))
+        return sums
+
+    monkeypatch.setattr(outage_module, "_point_sums", spy)
+    outage_quadrature(*grid)
+    assert (len(accepted) > 1) == bisected
+    value, abserr = (np.concatenate(x) for x in zip(*accepted))
+    assert (abserr <= 1e-12 * np.abs(value)).all()
 
 
 def _log_uniform(lo, hi):
@@ -1111,7 +1164,7 @@ def test_quadrature_matches_the_decimal_oracle_over_a_scan(lam1, lam2, a, b, gam
     q = make_grid(
         rates=(0.5 * math.log2(gamma + 1.0),), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,)
     )
-    _assert_within_bound(q, 1e-13)
+    _assert_within_bound(q)
 
 
 def _assert_curve_invariant(curve, marks):

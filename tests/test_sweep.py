@@ -413,8 +413,8 @@ def _fail_quadrature_at(monkeypatch, points):
 
     evaluate = sweep_module.outage_quadrature
 
-    def quadrature(thetas, marginals, budgets, rates, tol):
-        curve = evaluate(thetas, marginals, budgets, rates, tol=tol)
+    def quadrature(thetas, marginals, budgets, rates):
+        curve = evaluate(thetas, marginals, budgets, rates)
         failed = np.array([[(t.theta, r) in points for r in rates] for t in thetas])[:, None]
         if failed.any():
             raise QuadratureNonConvergence(
@@ -444,7 +444,6 @@ def _flagged_config(**overrides):
         thetas=(DependenceParameter(-1.0), DependenceParameter(0.5)),
         rate_grid=_FLAGGED_RATES,
         marginals=FadingMarginals(1.0, 1.0),
-        quad_tol=1e-13,
         mc_samples=2000,
         **overrides,
     )
@@ -466,11 +465,11 @@ def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
     for index in np.ndindex(op.shape):
         point = _point_grid(cfg, table, *index)
         if flag[index] == OK:
-            assert op[index] == sweep_module.outage_quadrature(*point, tol=cfg.quad_tol).value.item()
+            assert op[index] == sweep_module.outage_quadrature(*point).value.item()
         else:
             assert math.isnan(op[index]) and math.isnan(std_err[index])
             with pytest.raises(QuadratureNonConvergence):
-                sweep_module.outage_quadrature(*point, tol=cfg.quad_tol)
+                sweep_module.outage_quadrature(*point)
 
 
 def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch):
@@ -483,7 +482,7 @@ def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch
     rates = (0.05, 1.3, 1.55, 1.8)
     cfg = small_config(
         budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0),), thetas=thetas,
-        marginals=FadingMarginals(1.0, 1.0), quad_tol=1e-13,
+        marginals=FadingMarginals(1.0, 1.0),
     )
     values, flags = _analytic_column(cfg, rates, "quadrature")
     expected = np.full((1, 3, 4), OK)
@@ -493,7 +492,7 @@ def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch
         for r_i, rate in enumerate(rates):
             point = ((theta,), cfg.marginals, cfg.budgets, (rate,))
             if flags[0, t_i, r_i] == OK:
-                assert values[0, t_i, r_i] == outage_quadrature(*point, tol=1e-13).value.item()
+                assert values[0, t_i, r_i] == outage_quadrature(*point).value.item()
             else:
                 assert math.isnan(values[0, t_i, r_i])
 
@@ -519,9 +518,9 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     calls = []
     evaluate = sweep_module.outage_quadrature
 
-    def counted(*grid, tol):
+    def counted(*grid):
         calls.append(grid)
-        return evaluate(*grid, tol=tol)
+        return evaluate(*grid)
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", counted)
     monkeypatch.setattr("swmac.outage._MAX_PANELS", 1)
@@ -536,7 +535,7 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     op, flag = table.op[..., 0], table.flag[..., 0]
     for index in np.ndindex(op.shape):
         try:
-            expected = outage_quadrature(*_point_grid(cfg, table, *index), tol=cfg.quad_tol)
+            expected = outage_quadrature(*_point_grid(cfg, table, *index))
         except QuadratureNonConvergence:
             assert flag[index] == NONCONVERGENCE and math.isnan(op[index])
         else:
@@ -544,18 +543,19 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     assert 0 < (flag == NONCONVERGENCE).sum() < len(table)
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-13])
-def test_quadrature_converges_at_an_extreme_fading_rate_ratio(tol):
+@pytest.mark.parametrize("abs_tol", [1e-10, 1e-13])
+def test_quadrature_converges_at_an_extreme_fading_rate_ratio(abs_tol):
     # lambda1/lambda2 = 6e8 with gamma/B near 6e5: the outage is about 1,
-    # yet QUADPACK's error estimate used to stall here above either tol and
-    # flag every row quadrature-nonconvergence.
+    # yet QUADPACK's error estimate used to stall here above its bound and
+    # flag every row quadrature-nonconvergence.  Each value is within the
+    # relative bound and within each absolute tolerance quadrature accepted
+    # before its bound was made relative-only.
     cfg = small_config(
         budgets=(PowerBudget(0.0, 2e-4, 12.8, 144.0),),
         thetas=(DependenceParameter(-1.0), DependenceParameter(0.0)),
         rate_grid=RateGrid(7.7, 7.9, 0.1),
         marginals=FadingMarginals(3e4, 5e-5),
         methods=("quadrature",),
-        quad_tol=tol,
     )
     table = run_outage_sweep(cfg)
     assert len(table) == 6 and (table.flag == OK).all()
@@ -563,7 +563,7 @@ def test_quadrature_converges_at_an_extreme_fading_rate_ratio(tol):
     for (t_i, theta), (r_i, gamma) in product(enumerate(table.axes[1]), enumerate(gammas)):
         v = table.op[0, t_i, r_i, 0]
         exact = decimal_outage(3e4, 5e-5, 2e-4, 12.8, gamma, theta)
-        assert abs(v - exact) <= max(tol, 1e-12 * v)
+        assert abs(v - exact) <= min(abs_tol, 1e-12 * v)
 
 
 def _three_theta_flagged_config():
@@ -587,7 +587,7 @@ def _expected_block(cfg, b_i, method):
         if method == "closed-form":
             curve = outage_closed_form(*grid)
         elif method == "quadrature":
-            curve = sweep_module.outage_quadrature(*grid, tol=cfg.quad_tol)
+            curve = sweep_module.outage_quadrature(*grid)
         else:
             curve = outage_monte_carlo(*grid, cfg.mc_samples, derive_seed(cfg.seed, 0))
             std_err = curve.std_error[:, 0]
@@ -814,7 +814,7 @@ def test_compare_theta_zero_deviation_equals_residual():
         residual = closed_form_residual(1.0, 2.0, 1.0, 5.0, gamma)
         assert report.pairs == (("closed-form", "quadrature"),)
         (got,) = point.diffs
-        assert got == pytest.approx(-residual, abs=10.0 * cfg.quad_tol)
+        assert got == pytest.approx(-residual, abs=1e-9)
         assert point.closed_form_deviation == pytest.approx(got)
 
 
@@ -918,7 +918,7 @@ def _row_by_row_comparison(cfg, table):
         deviation = None
         if ops["closed-form"] is not None and ops["quadrature"] is not None:
             deviation = ops["closed-form"] - ops["quadrature"]
-            if abs(deviation) > 10.0 * cfg.quad_tol:
+            if abs(deviation) > 1e-9:
                 flags.append("closed-form-deviation")
         points.append(_Point(*key, diffs, z, deviation, tuple(flags)))
     return points
