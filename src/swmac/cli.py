@@ -1,8 +1,8 @@
 """Command-line harness for sweeps, regions, sampling, and comparisons.
 
-Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-evaluator failure (an outage evaluator, or a region vertex that fails its
-membership check).
+Exit codes: 0 success, 1 configuration or validation error (an output
+path that cannot be written among them), 2 runtime evaluator failure (an
+outage evaluator, or a region vertex that fails its membership check).
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence
 
 from .config import (
     ConfigError,
@@ -136,11 +137,22 @@ def _load(args: argparse.Namespace, samples_are_mc: bool = True) -> ExperimentCo
     )
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """Reports an OSError raised in the block, such as a missing directory
+    in ``path``, as a configuration error naming ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _cmd_outage(args: argparse.Namespace) -> int:
     config = _load(args)
     rows = run_outage_sweep(config, workers=args.workers)
     path = args.out or _DEFAULT_OUT["outage"]
-    emit_csv(rows, path)
+    with _writing(path):
+        emit_csv(rows, path)
     print(f"wrote {len(rows)} rows to {path}")
     return 0
 
@@ -160,7 +172,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
             raise ConfigError(f"--gains expects 'g1,g2', got {args.gains!r}")
         gains = GainPair(float(parts[0]), float(parts[1]))
     path = args.out or _DEFAULT_OUT["region"]
-    vertices = emit_region(budget, gains, args.r0, path)
+    with _writing(path):
+        vertices = emit_region(budget, gains, args.r0, path)
     print(f"wrote {len(vertices)} vertices to {path}")
     return 0
 
@@ -171,7 +184,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     config = _load(args, samples_are_mc=False)
     theta = args.theta if args.theta is not None else config.thetas[0].theta
     path = args.out or _DEFAULT_OUT["sample"]
-    emit_samples(config, theta, args.samples, path)
+    with _writing(path):
+        emit_samples(config, theta, args.samples, path)
     print(f"wrote {args.samples} gain pairs (theta={theta}) to {path}")
     return 0
 
@@ -180,7 +194,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     report = compare_methods(config, workers=args.workers)
     path = args.out or _DEFAULT_OUT["compare"]
-    emit_comparison_csv(report, path)
+    with _writing(path):
+        emit_comparison_csv(report, path)
     for line in report.summary_lines():
         print(line)
     print(f"wrote {len(report)} comparison rows to {path}")

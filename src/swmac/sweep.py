@@ -33,6 +33,7 @@ one block writer emits both CSVs from those arrays.
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -175,27 +176,42 @@ def _block_shares(blocks: int, k: int) -> list[range]:
     return [range(w * blocks // k, (w + 1) * blocks // k) for w in range(k)]
 
 
-def _send_results(conn, work: Callable[[range], Iterable], indices: range) -> None:
-    """Worker body: send through ``conn`` each result of ``work(indices)``
-    as soon as it is done, or the exception that stopped them."""
+def _serve(work: Callable[[range], Iterable], indices: range, fd: int, inherited: list) -> None:
+    """Worker body: write to ``fd`` each result of ``work(indices)``,
+    pickled, as soon as it is done, or the exception that stopped them,
+    then end the process.  It never returns, so a forked worker never runs
+    its parent's code or flushes its parent's buffers; it exits with code 1
+    if it could not answer, as when the work raises KeyboardInterrupt or
+    SystemExit.  It first closes the ``inherited`` read ends, so that its
+    writes fail, instead of blocking, once its parent has gone."""
+    code = 1
     try:
-        for result in work(indices):
-            conn.send(result)
-    except Exception as exc:  # handed to the parent, which re-raises it
-        conn.send(exc)
-    conn.close()
+        for pipe in inherited:
+            pipe.close()
+        with open(fd, "wb") as pipe:
+            try:
+                for result in work(indices):
+                    pipe.write(pickle.dumps(result))
+                    pipe.flush()
+            except Exception as exc:  # handed to the parent, which re-raises it
+                pipe.write(pickle.dumps(exc))
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _receive(conn, proc):
-    """The next result a :func:`_send_results` worker sent; re-raises the
-    exception it sent instead, and raises :class:`OutageEvaluationError`
-    naming its exit code if it died without answering."""
+def _receive(pipe, pid: int, unreaped: set[int]):
+    """The next result a :func:`_serve` worker wrote to ``pipe``; re-raises
+    the exception it wrote instead.  If it died without answering, or part
+    way through an answer, reaps it, taking its pid out of ``unreaped``, and
+    raises :class:`OutageEvaluationError` naming its exit code."""
     try:
-        result = conn.recv()
-    except EOFError:
-        proc.join()
+        result = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        status = os.waitpid(pid, 0)[1]
+        unreaped.remove(pid)
         raise OutageEvaluationError(
-            f"worker {proc.name} exited with code {proc.exitcode} "
+            f"worker {pid} exited with code {os.waitstatus_to_exitcode(status)} "
             "before sending all its results"
         ) from None
     if isinstance(result, BaseException):
@@ -225,48 +241,53 @@ def _fanned_out(work: Callable[[range], Iterable], items: int, workers: int) -> 
 
     ``workers`` counts the processes, 0 meaning one per CPU this process
     may run on; the pool never exceeds that CPU count or ``items``.  A pool
-    of one is ``work`` itself, run in this process as the results are read.
-    Otherwise worker w computes items w, w + k, ... of a pool of k and sends
-    each result as soon as it is done, and item i is read from worker
-    i mod k.  On Linux the workers are forked whatever the start method.
-    An exception that stops a worker is re-raised with its own type when
-    its item is read; a worker that dies without answering raises
-    :class:`OutageEvaluationError` naming its exit code.  On leaving the
-    block every worker has ended: on an error they are stopped first.
+    of one is ``work`` itself, run in this process as the results are read,
+    and so is every pool off Linux, where fork is not safe.  Otherwise
+    ``os.fork`` starts k workers, each with its own pipe; worker w computes
+    items w, w + k, ... and writes each result as soon as it is done, and
+    item i is read from worker i mod k.  An exception that stops a worker
+    is re-raised with its own type when its item is read; a worker that
+    dies without answering raises :class:`OutageEvaluationError` naming its
+    exit code.  On leaving the block every worker has been reaped, once: on
+    an error the ones still running are stopped first.
     """
     pool_size = _pool_size(workers, items, _cpus())
-    if pool_size == 1:
+    # Forked workers start at once with the parent's modules and arguments;
+    # off Linux fork is not safe.
+    if pool_size == 1 or sys.platform != "linux":
         yield work(range(items))
         return
     # imported here, so that commands that start no pool do not pay for it
-    import multiprocessing
+    import signal
 
-    # Forked workers start at once with the parent's modules and arguments;
-    # spawn and forkserver (the Linux default from Python 3.14) would
-    # re-import swmac and numpy in each.  Elsewhere fork is not safe.
-    ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else multiprocessing
     # Every item costs about the same, so a fixed stride balances the
     # workers as well as a task queue would.
-    pool = []
+    pipes, pids, unreaped = [], [], set()
     try:
         for w in range(pool_size):
-            conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_send_results, args=(child_conn, work, range(w, items, pool_size))
-            )
-            proc.start()
-            pool.append((conn, proc))
-            # the worker now holds the only write end, so its death ends the pipe
-            child_conn.close()
-        yield (_receive(*pool[i % pool_size]) for i in range(items))
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(work, range(w, items, pool_size), write_end, pipes)
+            finally:
+                # the worker now holds the only write end, so its death ends the pipe
+                os.close(write_end)
+            pids.append(pid)
+            unreaped.add(pid)
+        yield (
+            _receive(pipes[i % pool_size], pids[i % pool_size], unreaped) for i in range(items)
+        )
     except BaseException:
-        for _, proc in pool:
-            proc.terminate()  # their results are no longer wanted
+        for pid in unreaped:
+            os.kill(pid, signal.SIGTERM)  # their results are no longer wanted
         raise
     finally:
-        for conn, proc in pool:
-            conn.close()
-            proc.join()
+        for pipe in pipes:
+            pipe.close()
+        for pid in unreaped:
+            os.waitpid(pid, 0)
 
 
 def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:

@@ -1,6 +1,6 @@
 import csv
-import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -497,11 +497,101 @@ def test_exit_code_of_an_exception_raised_in_a_worker(
     out = tmp_path / "x.csv"
     assert main([command, "--config", config_file, *argv, "--out", str(out)]) == code
     assert f"{prefix}synthetic worker failure" in capsys.readouterr().err
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
     # a sweep writes its CSV only once every row is in, and sample renames
     # its temporary file onto the CSV only once every block is in
     assert not out.exists()
     assert not list(tmp_path.glob(".x.csv.*"))
+
+
+# A pooled command whose workers raise argv[1], KeyboardInterrupt or
+# SystemExit(0), from swmac.sweep's argv[2], after the parent has buffered
+# a line of standard output; the rest of argv is the command.
+_DYING_WORKER_RUN = """
+import os
+import sys
+import swmac.cli
+import swmac.sweep
+error, item, *argv = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
+parent = os.getpid()
+
+
+def dying(*args):
+    if os.getpid() == parent:
+        raise AssertionError("an item ran in the parent")
+    raise {"KeyboardInterrupt": KeyboardInterrupt, "SystemExit": SystemExit}[error](0)
+
+
+setattr(swmac.sweep, item, dying)
+print("buffered in the parent")  # a worker that flushed its stdio would print it again
+print(swmac.cli.main(argv))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
+@pytest.mark.parametrize("error", ["KeyboardInterrupt", "SystemExit"])
+@pytest.mark.parametrize(
+    "item,argv",
+    [
+        pytest.param(
+            "_share_counts", ["outage", "--preset", "fig3", "--samples", "10000", "--workers", "0"],
+            id="outage",
+        ),
+        pytest.param("_sample_texts", ["sample", "--preset", "fig3", "--samples", "10000"], id="sample"),
+    ],
+)
+def test_a_worker_stopped_by_an_interrupt_or_exit_names_its_exit_code(tmp_path, error, item, argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER_RUN, error, item, *argv, "--out", "x.csv"],
+        cwd=tmp_path,
+        env=_src_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # exit 2, and the worker ran none of its parent's code: the parent's
+    # buffered line is printed once, and no output file is written
+    assert proc.stdout.splitlines() == ["buffered in the parent", "2"]
+    assert re.fullmatch(
+        r"evaluation failed: worker \d+ exited with code [1-9]\d* before sending all its results\n",
+        proc.stderr,
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        pytest.param(
+            ["outage", "--preset", "fig3", "--samples", "10000", "--workers", "0"], "missing/x.csv",
+            id="outage",
+        ),
+        pytest.param(
+            ["compare", "--preset", "fig3", "--samples", "10000", "--workers", "0"], "missing/x.csv",
+            id="compare",
+        ),
+        pytest.param(["region", "--preset", "fig2"], "missing/x.csv", id="region"),
+        pytest.param(["sample", "--preset", "fig2", "--samples", "10000"], "missing/x.csv", id="sample"),
+        pytest.param(
+            ["sample", "--preset", "fig2", "--samples", "200000"], "dir", id="sample-onto-a-directory"
+        ),
+    ],
+)
+def test_exit_1_on_an_unwritable_output_path(forked_pool_of_two, argv, out, tmp_path, capsys):
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / out
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in err
+    # no file and no temporary file was left, and every worker was reaped
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list((tmp_path / "dir").iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_help_exits_zero():
@@ -571,20 +661,23 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
 
 # A pooled compare and a pooled sample: two workers, even on a 1-CPU host,
 # draw every Monte Carlo block and every block of pairs, so the parent needs
-# neither numpy.random nor an executor.  The first line shows that importing
-# the CLI loads no process machinery either.
+# neither numpy.random nor an executor, and it forks them itself, so it
+# loads neither multiprocessing nor the socket and subprocess modules that
+# multiprocessing would.  The first line shows that importing the CLI loads
+# no process machinery either.
 _POOLED_RUN = """
 import os
 import sys
 import swmac.cli
-print(*(m in sys.modules for m in ("multiprocessing", "concurrent.futures")))
+modules = ("multiprocessing", "socket", "subprocess", "numpy.random", "concurrent.futures")
+print(*(m in sys.modules for m in modules))
 os.sched_getaffinity = lambda pid: {0, 1}
 codes = [
     swmac.cli.main(["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0",
                     "--out", sys.argv[1]]),
     swmac.cli.main(["sample", "--preset", "fig2", "--samples", "200000", "--out", sys.argv[2]]),
 ]
-print(*codes, *(m in sys.modules for m in ("multiprocessing", "numpy.random", "concurrent.futures")))
+print(*codes, *(m in sys.modules for m in modules))
 """
 
 
@@ -599,8 +692,8 @@ def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_pa
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "False False"
-    assert lines[-1] == "0 0 True False False"
+    assert lines[0] == "False False False False False"
+    assert lines[-1] == "0 0 False False False False False"
 
 
 # An analytic-only sweep: no Monte Carlo share is counted, so the seed is
@@ -627,21 +720,20 @@ def test_an_analytic_sweep_leaves_the_sampler_out_of_the_process(tmp_path):
 
 
 # A pooled compare under the forkserver start method, after a serial one;
-# the last line gives both exit codes and the class of each process started.
+# the last line gives both exit codes and the number of processes forked.
 _FORKSERVER_COMPARE_RUN = """
 import multiprocessing
 import os
 import sys
-from multiprocessing.process import BaseProcess
 import swmac.cli
 multiprocessing.set_start_method("forkserver")
-started = []
-start = BaseProcess.start
-BaseProcess.start = lambda self: started.append(type(self).__name__) or start(self)
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(os.getpid()) or fork()
 os.sched_getaffinity = lambda pid: {0, 1}
 argv = ["compare", "--preset", "fig3", "--seed", "7", "--samples", "20000", "--workers"]
 codes = [swmac.cli.main(argv + [w, "--out", out]) for w, out in zip("10", sys.argv[1:])]
-print(*codes, *started)
+print(*codes, len(forks))
 """
 
 
@@ -657,5 +749,5 @@ def test_pooled_compare_forks_its_workers_under_forkserver(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 0 ForkProcess ForkProcess"
+    assert proc.stdout.splitlines()[-1] == "0 0 2"
     assert pooled.read_bytes() == serial.read_bytes()

@@ -1,7 +1,7 @@
 import csv
 import math
-import multiprocessing
 import os
+import sys
 import time
 import tracemalloc
 from collections import namedtuple
@@ -260,14 +260,21 @@ def test_block_shares_cover_every_block_once(blocks, k):
     assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
+def _no_pool():
+    raise AssertionError("a worker process was forked")
+
+
+def _assert_every_worker_reaped():
+    # this process has no child left, not even one that has ended unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("n", [1000, BLOCK_SIZE])
 def test_a_sweep_of_one_block_starts_no_pool(monkeypatch, n):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
     cfg = small_config(mc_samples=n)
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    monkeypatch.setattr(os, "fork", _no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
 
@@ -295,22 +302,48 @@ def test_pool_size_rejects_negative_workers():
 
 def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
     # 8 host CPUs, but an affinity mask of one: --workers 0 runs serially.
-    # Where the platform has no affinity mask, the host count is used.  The
-    # sweep imports multiprocessing only when it starts workers, so the spy
-    # replaces the process class there.
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker process was started")
-
+    # Where the platform has no affinity mask, the host count is used.
     cfg = small_config(mc_samples=10_000)  # three blocks, enough for a pool of two
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    monkeypatch.setattr(os, "fork", _no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+
+
+def test_off_linux_a_pool_runs_in_this_process(monkeypatch, tmp_path):
+    # fork is not safe there: the shares and blocks a pool of two would take
+    # are computed here instead, into the same rows and bytes
+    cfg = small_config(mc_samples=10_000)
+    serial = run_outage_sweep(cfg, workers=1)
+    with _on_cpus(0):
+        emit_samples(cfg, 0.9, 10_000, tmp_path / "serial.csv")
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "fork", _no_pool, raising=False)
+    with _on_cpus(0, 1):
+        assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+        emit_samples(cfg, 0.9, 10_000, tmp_path / "here.csv")
+    assert (tmp_path / "here.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+
+
+def _reaps(monkeypatch):
+    """The pids of the workers forked from now on, and the pid of each
+    ``os.waitpid`` call, in two lists filled as they happen."""
+    forked, reaped = [], []
+    fork, waitpid = os.fork, os.waitpid
+
+    def spied_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spied_fork)
+    monkeypatch.setattr(os, "waitpid", lambda pid, options: reaped.append(pid) or waitpid(pid, options))
+    return forked, reaped
 
 
 def _pooled_sweep(monkeypatch, item, tmp_path):
@@ -358,9 +391,38 @@ def test_a_worker_that_dies_without_answering_names_its_exit_code(
             os._exit(3)
         return compute()
 
+    forked, reaped = _reaps(monkeypatch)
     with pytest.raises(OutageEvaluationError, match="exited with code 3"):
         pooled(monkeypatch, dying, tmp_path)
-    assert multiprocessing.active_children() == []
+    # the dead worker is reaped where its death is read, and the error path
+    # stops and reaps only the other
+    assert len(forked) == 2 and sorted(reaped) == sorted(forked)
+    _assert_every_worker_reaped()
+
+
+def test_a_worker_that_dies_part_way_through_a_result_names_its_exit_code(
+    forked_pool_of_two, monkeypatch, tmp_path
+):
+    # Each worker writes the first 100 bytes of its first block's pickle;
+    # worker 0 dies drawing its second block, so block 0 is read cut short.
+    import pickle
+
+    dumps, written = pickle.dumps, []
+
+    def cut_short(obj):
+        if written:
+            os._exit(9)
+        written.append(obj)
+        return dumps(obj)[:100]
+
+    monkeypatch.setattr(pickle, "dumps", cut_short)
+    forked, reaped = _reaps(monkeypatch)
+    with pytest.raises(OutageEvaluationError, match="exited with code 9"):
+        _pooled_sample(monkeypatch, lambda b, compute: compute(), tmp_path)
+    assert written == []  # the parent pickled nothing
+    assert len(forked) == 2 and sorted(reaped) == sorted(forked)
+    _assert_every_worker_reaped()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monkeypatch):
@@ -374,11 +436,13 @@ def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monke
 
     monkeypatch.setattr(swmac.sweep, "_share_counts", slow_counts)
     monkeypatch.setattr(swmac.sweep, "_analytic_column", failing_column)
+    forked, reaped = _reaps(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="synthetic analytic failure"):
         run_outage_sweep(small_config(mc_samples=10_000), workers=2)
     assert time.monotonic() - start < 30  # the workers were stopped, not waited for
-    assert multiprocessing.active_children() == []
+    assert len(forked) == 2 and sorted(reaped) == sorted(forked)
+    _assert_every_worker_reaped()
 
 
 def test_degenerate_closed_form_rows_are_annotated_not_fatal():
@@ -1137,7 +1201,7 @@ def test_pooled_emit_samples_writes_the_serial_bytes(forked_pool_of_two, tmp_pat
         emit_samples(cfg, -0.4, n, serial)
     emit_samples(cfg, -0.4, n, pooled)
     assert pooled.read_bytes() == serial.read_bytes()
-    assert multiprocessing.active_children() == []
+    _assert_every_worker_reaped()
 
 
 def test_emit_samples_deterministic(tmp_path):
