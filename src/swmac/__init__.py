@@ -32,7 +32,6 @@ from .copula import (
     conditional_cdf,
     copula_cdf,
     copula_density,
-    joint_gain_pdf,
     sample_gain_pairs,
     sample_unit_pairs,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "conditional_cdf",
     "sample_unit_pairs",
     "sample_gain_pairs",
-    "joint_gain_pdf",
     # regions
     "PowerBudget",
     "RatePoint",

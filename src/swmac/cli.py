@@ -8,7 +8,9 @@ outage evaluator, or a region vertex that fails its membership check).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
@@ -150,10 +152,9 @@ def _writing(path: str) -> Iterator[None]:
 def _cmd_outage(args: argparse.Namespace) -> int:
     config = _load(args)
     rows = run_outage_sweep(config, workers=args.workers)
-    path = args.out or _DEFAULT_OUT["outage"]
-    with _writing(path):
-        emit_csv(rows, path)
-    print(f"wrote {len(rows)} rows to {path}")
+    with _writing(args.out):
+        emit_csv(rows, args.out)
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -171,10 +172,9 @@ def _cmd_region(args: argparse.Namespace) -> int:
         if len(parts) != 2:
             raise ConfigError(f"--gains expects 'g1,g2', got {args.gains!r}")
         gains = GainPair(float(parts[0]), float(parts[1]))
-    path = args.out or _DEFAULT_OUT["region"]
-    with _writing(path):
-        vertices = emit_region(budget, gains, args.r0, path)
-    print(f"wrote {len(vertices)} vertices to {path}")
+    with _writing(args.out):
+        vertices = emit_region(budget, gains, args.r0, args.out)
+    print(f"wrote {len(vertices)} vertices to {args.out}")
     return 0
 
 
@@ -183,22 +183,20 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     # configuration of the sweep evaluators.
     config = _load(args, samples_are_mc=False)
     theta = args.theta if args.theta is not None else config.thetas[0].theta
-    path = args.out or _DEFAULT_OUT["sample"]
-    with _writing(path):
-        emit_samples(config, theta, args.samples, path)
-    print(f"wrote {args.samples} gain pairs (theta={theta}) to {path}")
+    with _writing(args.out):
+        emit_samples(config, theta, args.samples, args.out)
+    print(f"wrote {args.samples} gain pairs (theta={theta}) to {args.out}")
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     config = _load(args)
     report = compare_methods(config, workers=args.workers)
-    path = args.out or _DEFAULT_OUT["compare"]
-    with _writing(path):
-        emit_comparison_csv(report, path)
+    with _writing(args.out):
+        emit_comparison_csv(report, args.out)
     for line in report.summary_lines():
         print(line)
-    print(f"wrote {len(report)} comparison rows to {path}")
+    print(f"wrote {len(report)} comparison rows to {args.out}")
     return 0
 
 
@@ -212,6 +210,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in _DEFAULT_OUT:
+            # checked before any work: writing onto a directory fails only at the end
+            args.out = args.out or _DEFAULT_OUT[args.command]
+            if os.path.isdir(args.out):
+                raise ConfigError(f"cannot write {args.out}: {os.strerror(errno.EISDIR)}")
         handler = {
             "outage": _cmd_outage,
             "region": _cmd_region,

@@ -40,7 +40,6 @@ __all__ = [
     "sample_unit_pairs",
     "sample_gain_pairs",
     "iter_gain_pair_chunks",
-    "joint_gain_pdf",
 ]
 
 
@@ -118,17 +117,12 @@ class GainPair:
 
 
 # ---------------------------------------------------------------------------
-# Kernels: the copula density and the conditional law, each shared by the
-# copula and the gain evaluators, and the two steps after the draw, on whole
-# blocks, which the samplers and the Monte Carlo count share.  The
-# conditional inversion is split in two: a theta-free prelude, which the
-# Monte Carlo count computes once per batch for all its thetas, and a
-# per-theta step into buffers the caller provides.
+# Kernels: the conditional law, shared by the copula and the gain evaluators,
+# and the two steps after the draw, on whole blocks, which the samplers and
+# the Monte Carlo count share.  The conditional inversion is split in two: a
+# theta-free prelude, which the Monte Carlo count computes once per batch for
+# all its thetas, and a per-theta step into buffers the caller provides.
 # ---------------------------------------------------------------------------
-
-
-def _density(theta, u1, u2):
-    return 1.0 + theta * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2)
 
 
 def _conditional_parts(u, p, p_bar):
@@ -241,7 +235,8 @@ def copula_density(theta: DependenceParameter, u: UnitPair) -> float:
     The mixed second partial of the CDF; a polynomial, nonnegative on the
     closed unit square for every theta in [-1, 1].
     """
-    return float(_density(theta.theta, u.u1, u.u2))
+    th, u1, u2 = theta.theta, u.u1, u.u2
+    return float(1.0 + th * (1.0 - 2.0 * u1) * (1.0 - 2.0 * u2))
 
 
 def conditional_cdf(theta: DependenceParameter, u1: float, u2: float) -> float:
@@ -280,7 +275,7 @@ def sample_gain_pairs(
     """Draw ``n`` correlated gain pairs: g_i = -ln(1 - u_i)/lambda_i.
 
     Returns an (n, 2) array; marginal of column i is Exp(lambda_i) and the
-    joint density is :func:`joint_gain_pdf`.
+    copula of the columns is :func:`copula_cdf`.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -360,22 +355,3 @@ def iter_gain_pair_chunks(
     """
     return (_gain_pairs(theta, marginals, w) for w in _uniform_blocks(n, seed, blocks))
 
-
-def joint_gain_pdf(
-    theta: DependenceParameter, marginals: FadingMarginals, g: GainPair
-) -> float:
-    """Joint density of the correlated gain pair.
-
-    Equals
-    lambda1*lambda2*exp(-lambda1*g1)*exp(-lambda2*g2)
-        * [1 + theta*(2*exp(-lambda1*g1) - 1)*(2*exp(-lambda2*g2) - 1)],
-    i.e. the product of the exponential marginal densities times the copula
-    density evaluated at the marginal CDFs; note 1 - 2*F_i(g) =
-    2*exp(-lambda_i*g) - 1.
-    """
-    l1, l2 = marginals.lambda1, marginals.lambda2
-    f1 = l1 * np.exp(-l1 * g.g1)
-    f2 = l2 * np.exp(-l2 * g.g2)
-    u1 = float(-np.expm1(-l1 * g.g1))
-    u2 = float(-np.expm1(-l2 * g.g2))
-    return float(f1 * f2 * _density(theta.theta, u1, u2))

@@ -15,8 +15,10 @@ Three evaluators are provided and cross-validated:
   over the triangle A*g1 + B*g2 <= gamma in the positive quadrant: the
   inner integral is the FGM conditional law, a nonnegative combination of
   three theta-free parts, and the outer one adaptive 21-point
-  Gauss-Kronrod quadrature after QUADPACK, on arrays over every grid point
-  at once, to 1e-12 relative error.  This is the reference.
+  Gauss-Kronrod quadrature after QUADPACK, which integrates each part, the
+  outage at the anchor theta = 0, 1 or -1, to 1e-12 relative error, on
+  arrays over every (budget, rate) point at once.  A theta only weights
+  the anchors.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores the
@@ -29,9 +31,8 @@ Three evaluators are provided and cross-validated:
 Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
 answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
 equal to its 1x1x1 call bit for bit.  The FGM density is affine in theta,
-so the analytic evaluators compute every theta-free exponential once per
-call, and quadrature integrates the law's theta-free parts once per first
-panel, of which each theta takes a combination.  One that fails at some
+so the analytic evaluators compute every theta-free term once per call,
+and quadrature's integrals do not depend on theta.  One that fails at some
 points raises, once every point is computed, a :class:`PartialEvaluation`
 that holds the curve and marks them.
 
@@ -382,11 +383,14 @@ def outage_quadrature(
     """Exact outage probability by integrating the joint gain density over
     the triangle A*g1 + B*g2 <= gamma in the positive quadrant.
 
-    The inner g1 integral is elementary.  The outer g2 integral over
-    [0, gamma/B] is adaptive 21-point Gauss-Kronrod quadrature with
-    QUADPACK's dqk21 error estimate, run for every (theta, budget, rate)
-    point at once.  Each point starts from one panel over [0, gamma/B],
-    cut where one panel can miss where the integrand changes:
+    The inner g1 integral is elementary: the conditional law, whose three
+    theta-free parts (:func:`~swmac.copula._conditional_parts`) give the
+    outage at the anchors theta = 0, 1 and -1.  No theta enters the outer
+    g2 integral over [0, gamma/B]: it is adaptive 21-point Gauss-Kronrod
+    quadrature with QUADPACK's dqk21 error estimate, run for each part at
+    every (budget, rate) point, all at once.  Each integral starts from one
+    panel over [0, gamma/B], cut where one panel can miss where the
+    integrand changes:
 
     * at 40/lambda2, where gamma/B exceeds it, since g2 ~ Exp(lambda2) has
       almost all its mass below that and one panel over a much longer
@@ -395,32 +399,33 @@ def outage_quadrature(
       since P[g1 <= c*] then drops from about 1 to 0 within a few
       A/(lambda1*B) below gamma/B, which one panel can step over.
 
-    These first panels do not depend on theta, so the law's three
-    theta-free parts are integrated on them once, and each theta's dqk21
-    sums are nonnegative combinations of theirs (:func:`_first_panels`).
-    A point is accepted when its error estimate, summed over its panels, is
-    at most 1e-12*|value|, and a point with one panel only if it
+    An integral is accepted when its error estimate, summed over its
+    panels, is at most 1e-12*|value|, and one with one panel only if it
     also passes dqagse's first-panel test.  Then, round by round, every
-    unaccepted point bisects its panels whose error estimate is above its
-    per-panel share of that bound, and always its worst one.  A point stops
-    unconverged where that would take it past ``_MAX_PANELS`` panels.  A
-    point's sums run over its own panels in position order, so each entry
-    equals its 1x1x1 call bit for bit.
+    unaccepted integral bisects its panels whose error estimate is above
+    its per-panel share of that bound, and always its worst one.  An
+    integral stops unconverged where that would take it past
+    ``_MAX_PANELS`` panels.  Its sums run over its own panels in position
+    order, so each entry equals its 1x1x1 call bit for bit.
 
-    Where gamma/B overflows, the g2 range ends at 2*40/lambda2 instead.  A
-    point whose error estimate is not finite stops at once, unconverged.
+    Each theta's value is :func:`~swmac.copula._at_theta` of the anchor
+    values, each clamped into [0, 1] (0 where it is NaN): both weights are
+    >= 0, so its error is at most 1e-12 of it too, and theta = 0, 1 or -1
+    gives its anchor bit for bit.  A theta fails where an anchor it gives a
+    nonzero weight fails.
+
+    Where gamma/B overflows, the g2 range ends at 2*40/lambda2 instead.  An
+    integral whose error estimate is not finite stops at once, unconverged.
     Every point is evaluated before any failure is raised.  Raises
     :class:`QuadratureNonConvergence`, with the failing points marked, where
-    the error estimate exceeds that bound or is not finite, or the value
-    leaves [0, 1] by more than it; its curve holds every point's value,
-    clamped into [0, 1] (0 where it is NaN).
+    an anchor's error estimate exceeds that bound or is not finite, or its
+    value leaves [0, 1] by more than it; its curve holds 0 at those points.
     """
     a, b, gamma = _budget_axes(budgets, rates)
     shape = (len(thetas), *gamma.shape)
     # one axis of (budget, rate) points, each with its own weights
     a, b, gamma = (np.broadcast_to(x, gamma.shape).ravel() for x in (a, b, gamma))
     l1, l2 = marginals.lambda1, marginals.lambda2
-    thetas = np.array([theta.theta for theta in thetas])
     n = len(gamma)
     # The first panels' edges per point: 0, the drop (only below the split),
     # the split and gamma/B, each cut kept where it lies inside (0, gamma/B).
@@ -438,15 +443,18 @@ def outage_quadrature(
     edge_point, edges = np.nonzero(kept)[0], edges[kept]
     inner = edge_point[:-1] == edge_point[1:]
     lo, hi, point = edges[:-1][inner], edges[1:][inner], edge_point[1:][inner]
-    # Every panel of every (theta, point) pair, owned by theta*n + point
-    # and ordered by owner, then by position.
-    res, err, asc = _first_panels(thetas, *_panel_terms(lo, hi, point, gamma, a, b, l1, l2))
+    # Every panel of each part's integral at each point, owned by part*n +
+    # point and ordered by owner, then by position: round 0 integrates the
+    # three parts on the same panels.
+    hlgth, density, parts = _panel_terms(lo, hi, point, gamma, a, b, l1, l2)
+    fv = (density * np.stack(parts)).reshape(-1, len(_GK_NODES))
+    res, err, asc = _gauss_kronrod_panel(fv, np.tile(hlgth, 3))
     first = (err != asc) | (err == 0.0)
-    owner = (np.arange(len(thetas))[:, None] * n + point).ravel()
+    owner = (np.arange(3)[:, None] * n + point).ravel()
     values, abserr, *_, done = _point_sums(owner, res, err, first)
-    # from here on only the panels of the points round 0 left unaccepted
+    # from here on only the panels of the integrals round 0 left unaccepted
     live = ~done[owner]
-    lo, hi = np.tile(lo, len(thetas))[live], np.tile(hi, len(thetas))[live]
+    lo, hi = np.tile(lo, 3)[live], np.tile(hi, 3)[live]
     owner, res, err, first = owner[live], res[live], err[live], first[live]
     while owner.size:
         new_point = np.r_[True, owner[1:] != owner[:-1]]
@@ -464,22 +472,29 @@ def outage_quadrature(
         left, right = new[0::2], new[1::2]  # each halved panel's two copies
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
         h, density, parts = _panel_terms(lo[new], hi[new], owner[new] % n, gamma, a, b, l1, l2)
-        law = _at_theta(thetas[owner[new] // n][:, None], *parts)
-        res[new], err[new], _ = _gauss_kronrod_panel(density * law, h)
-    values, abserr = values.reshape(len(thetas), n), abserr.reshape(len(thetas), n)
-    errbnd = _QUAD_EPSREL * np.abs(values)
+        own_part = np.choose((owner[new] // n)[:, None], parts)
+        res[new], err[new], _ = _gauss_kronrod_panel(density * own_part, h)
+    anchor, abserr = values.reshape(3, n), abserr.reshape(3, n)
+    errbnd = _QUAD_EPSREL * np.abs(anchor)
     unconverged = ~(abserr <= errbnd)  # a NaN error estimate or value too
-    failed = unconverged | (values < -errbnd) | (values > 1.0 + errbnd)
-    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a NaN to 0
-    clamped = np.where(values >= 0.0, np.minimum(values, 1.0), 0.0)
-    curve = OutageCurve(clamped.reshape(shape), np.zeros(shape, dtype=bool))
+    bad = unconverged | (anchor < -errbnd) | (anchor > 1.0 + errbnd)
+    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a
+    # NaN to 0, so that no zero weight multiplies a NaN
+    clamped = np.where(anchor >= 0.0, np.minimum(anchor, 1.0), 0.0)
+    th = np.array([theta.theta for theta in thetas])[:, None]
+    failed = _at_theta(th, *bad) > 0.0  # an anchor it weighs failed
+    value = np.where(failed, 0.0, _at_theta(th, *clamped)).reshape(shape)
+    curve = OutageCurve(value, np.zeros(shape, dtype=bool))
     if failed.any():
         t_i, i = np.argwhere(failed)[0]
+        theta = th[t_i, 0]
+        k = 0 if abs(theta) < 1.0 and bad[0, i] else 1 if theta > 0.0 else 2
         raise QuadratureNonConvergence(
-            f"error estimate {abserr[t_i, i]} of the value {values[t_i, i]} exceeds "
-            f"{errbnd[t_i, i]} for gamma={gamma[i]}, A={a[i]}, B={b[i]}, theta={thetas[t_i]}"
-            if unconverged[t_i, i]
-            else f"integral {values[t_i, i]} is outside [0, 1] beyond {errbnd[t_i, i]}",
+            f"error estimate {abserr[k, i]} of the value {anchor[k, i]} exceeds "
+            f"{errbnd[k, i]} for gamma={gamma[i]}, A={a[i]}, B={b[i]}, theta={theta} "
+            f"(anchor {(0.0, 1.0, -1.0)[k]})"
+            if unconverged[k, i]
+            else f"integral {anchor[k, i]} is outside [0, 1] beyond {errbnd[k, i]}",
             curve,
             failed.reshape(shape),
         )
@@ -507,31 +522,11 @@ def _gauss_kronrod_panel(
     return _dqk21_finish(resk, resg, resabs, resasc, hlgth)
 
 
-def _first_panels(thetas, hlgth, density, parts):
-    """dqk21's (result, abserr, resasc) at every theta on the same panels,
-    theta by theta, from the :func:`_panel_terms` of their nodes.  dqk21's
-    sums are linear in the integrand, up to resasc's absolute value, so each
-    part of the law is integrated once: its Kronrod and Gauss sums and its
-    Kronrod-weighted deviations from the panel mean, which a theta combines
-    (:func:`~swmac.copula._at_theta`).  Only resasc's absolute sum runs per
-    theta.  The integrand is nonnegative, so resabs is the Kronrod sum."""
-    sums, devs = [], []
-    for part in parts:
-        fv = density * part
-        resk = (fv * _GK_WEIGHTS).sum(axis=1)
-        sums.append((resk, (fv * _G_WEIGHTS).sum(axis=1)))
-        devs.append((fv - 0.5 * resk[:, None]) * _GK_WEIGHTS)
-    resk, resg = (_at_theta(thetas[:, None], *per_part).ravel() for per_part in zip(*sums))
-    resasc = np.array([np.abs(_at_theta(th, *devs)).sum(axis=1) for th in thetas]).ravel()
-    return _dqk21_finish(resk, resg, resk, resasc, np.tile(hlgth, len(thetas)))
-
-
 def _dqk21_finish(resk, resg, resabs, resasc, hlgth):
     """dqk21's (result, abserr, resasc) from each panel's sums over its 21
     nodes: Kronrod, Gauss, of |f| and of |f - resk/2|, times the Kronrod
     weights but for the Gauss sum, and from its half-length."""
-    # masked steps into one scratch array, not fancy-indexed copies; no input
-    # is written, since resabs may be resk itself
+    # masked steps into one scratch array, not fancy-indexed copies
     result, resasc = resk * hlgth, resasc * hlgth
     abserr = np.abs((resk - resg) * hlgth)
     scaled = (resasc != 0.0) & (abserr != 0.0)

@@ -594,6 +594,36 @@ def test_exit_1_on_an_unwritable_output_path(forked_pool_of_two, argv, out, tmp_
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["outage", "--preset", "fig2", "--workers", "0"],
+        ["compare", "--preset", "fig3", "--workers", "0"],
+        ["region", "--preset", "fig2"],
+        ["sample", "--preset", "fig2", "--samples", "200000"],
+    ],
+    ids=["outage", "compare", "region", "sample"],
+)
+def test_an_output_directory_is_refused_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    # the config is not loaded, no uniform is drawn and no worker is forked
+    import swmac.cli
+    import swmac.copula
+    import swmac.outage
+    import swmac.sweep
+
+    ran = []
+    for module, name in (
+        (swmac.cli, "_load"),
+        (swmac.copula, "_uniform_blocks"),
+        (swmac.outage, "_uniform_blocks"),
+        (swmac.sweep, "_fanned_out"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: ran.append(name))
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert ran == [] and list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

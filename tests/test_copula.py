@@ -15,14 +15,13 @@ from swmac import (
     conditional_cdf,
     copula_cdf,
     copula_density,
-    joint_gain_pdf,
     sample_gain_pairs,
     sample_unit_pairs,
 )
 from swmac.copula import _uniform_blocks, iter_gain_pair_chunks
 from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
-from oracles import empirical_spearman, pearson_corr_target, spearman_rho_target
+from oracles import empirical_spearman, gain_density, pearson_corr_target, spearman_rho_target
 
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 thetas_strategy = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -478,37 +477,13 @@ def test_a_seed_outside_64_bits_raises_on_the_call_not_at_the_first_draw(unit_ma
 # ---------------------------------------------------------------------------
 
 
-def test_joint_gain_pdf_examples(unit_marginals):
-    assert joint_gain_pdf(DependenceParameter(0.0), unit_marginals, GainPair(0, 0)) == 1.0
-    assert joint_gain_pdf(DependenceParameter(1.0), unit_marginals, GainPair(0, 0)) == 2.0
-
-
-def test_joint_gain_pdf_independent_factorizes_exactly():
-    m = FadingMarginals(0.7, 2.2)
-    th0 = DependenceParameter(0.0)
-    for g1, g2 in [(0.3, 1.1), (2.0, 0.05)]:
-        expected = (0.7 * math.exp(-0.7 * g1)) * (2.2 * math.exp(-2.2 * g2))
-        assert joint_gain_pdf(th0, m, GainPair(g1, g2)) == expected
-
-
-def test_joint_gain_pdf_integrates_to_one(theta):
-    m = FadingMarginals(1.0, 2.0)
-    total, _ = integrate.dblquad(
-        lambda d, c: joint_gain_pdf(theta, m, GainPair(c, d)),
-        0,
-        80.0,
-        0,
-        40.0,
-        epsabs=1e-12,
-    )
-    assert total == pytest.approx(1.0, abs=1e-9)
-
-
 def test_joint_pdf_integral_reproduces_joint_cdf(theta):
+    # the joint gain density, written out in full, integrates over a box to
+    # the copula CDF at the marginal CDFs of its corner
     m = FadingMarginals(1.5, 0.8)
     for g1, g2 in [(0.5, 1.0), (2.0, 0.4)]:
         box, _ = integrate.dblquad(
-            lambda d, c: joint_gain_pdf(theta, m, GainPair(c, d)),
+            lambda d, c: gain_density(c, d, theta.theta, m.lambda1, m.lambda2),
             0,
             g1,
             0,

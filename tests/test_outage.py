@@ -332,15 +332,6 @@ def test_quadrature_nondecreasing_in_rate():
     assert all(0.0 <= v <= 1.0 for v in values)
 
 
-def test_quadrature_affine_in_theta_within_tolerance():
-    tol = 1e-10
-    thetas = (0.0, 1.0, -1.0, -0.5, 0.5)
-    q = make_grid(rates=(0.6,), p1=1.0, p2=5.0, noise=1.0, lam1=1.0, lam2=2.0, thetas=thetas)
-    at = dict(zip(thetas, outage_quadrature(*q).value[:, 0, 0].tolist()))
-    for th in (-1.0, -0.5, 0.5):
-        assert at[th] == pytest.approx(at[0.0] + th * (at[1.0] - at[0.0]), abs=2.0 * tol)
-
-
 @pytest.fixture
 def one_panel(monkeypatch):
     """Quadrature capped at one panel per point, so that every point its
@@ -383,6 +374,43 @@ def test_a_point_with_a_nan_panel_fails_at_once(monkeypatch):
     monkeypatch.undo()
     alone = outage_quadrature(*make_grid(rates=(0.5,), noise=1e-5, thetas=(0.5,))).value.item()
     assert exc.value.curve.value.tolist() == [[[alone, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "part,weighed",
+    [
+        (0, [True, True, True, False, False]),
+        (1, [False, True, False, True, False]),
+        (2, [False, False, True, False, True]),
+    ],
+    ids=["L0", "L+", "L-"],
+)
+def test_a_failed_part_fails_only_the_thetas_that_weigh_it(part, weighed, monkeypatch):
+    # Poison one of the law's parts at one point: a theta that gives it
+    # weight 0 keeps its value, which a 0*NaN would turn to NaN (theta = 0
+    # picks L+ with weight 0, and theta = +-1 weighs L0 by 0), and a theta
+    # that weighs it fails, with no value.  The NaN part stops in round 0.
+    import swmac.outage as outage_module
+
+    panel_terms, calls = outage_module._panel_terms, []
+
+    def poisoned(lo, hi, point, *args):
+        calls.append(len(lo))
+        hlgth, density, parts = panel_terms(lo, hi, point, *args)
+        parts = list(parts)
+        parts[part] = np.where((np.asarray(point) == 1)[:, None], np.nan, parts[part])
+        return hlgth, density, tuple(parts)
+
+    q = make_grid(rates=(0.5, 1.0), noise=1e-5, thetas=(0.0, 0.5, -0.5, 1.0, -1.0))
+    clean = outage_quadrature(*q).value[:, 0]
+    monkeypatch.setattr(outage_module, "_panel_terms", poisoned)
+    with pytest.raises(QuadratureNonConvergence, match="error estimate nan of the value nan") as exc:
+        outage_quadrature(*q)
+    assert calls == [2]
+    assert exc.value.failed[:, 0].tolist() == [[False, w] for w in weighed]
+    value = exc.value.curve.value[:, 0]
+    assert value[:, 0].tobytes() == clean[:, 0].tobytes()
+    assert value[:, 1].tolist() == np.where(weighed, 0.0, clean[:, 1]).tolist()
 
 
 def test_quadrature_accepts_the_relative_error_bound():
@@ -829,41 +857,6 @@ def test_first_panel_acceptance_compares_against_resasc(monkeypatch):
     assert abs(uncut - reference) <= max(1e-10, 1e-12 * uncut)
 
 
-def test_first_panels_match_dqk21_on_the_combined_integrand(monkeypatch):
-    # Round 0 integrates the law's three theta-free parts once per panel and
-    # combines the integrals per theta; dqk21 on the integrand combined at
-    # the nodes must give the same result, error estimate and acceptance.
-    import swmac.outage as outage_module
-    from swmac.copula import _at_theta
-
-    calls = []
-    panel_terms = outage_module._panel_terms
-
-    def spy(*args):
-        calls.append(args)
-        return panel_terms(*args)
-
-    monkeypatch.setattr(outage_module, "_panel_terms", spy)
-    grid = make_grid(rates=tuple(k / 100 for k in range(1, 301)), thetas=np.linspace(-1, 1, 21))
-    outage_quadrature(*grid)
-    hlgth, density, parts = panel_terms(*calls[0])
-    thetas = np.array([-1.0, -0.35, 0.0, 0.6, 1.0])
-    result, abserr, resasc = outage_module._first_panels(thetas, hlgth, density, parts)
-    for t, theta in enumerate(thetas):
-        fv = density * _at_theta(theta, *parts)
-        expected = outage_module._gauss_kronrod_panel(fv, hlgth)
-        res, err, asc = (x[t * len(hlgth) : (t + 1) * len(hlgth)] for x in (result, abserr, resasc))
-        np.testing.assert_allclose(res, expected[0], rtol=1e-14, atol=0.0)
-        # dqk21 forms abserr from resk - resg, which cancels where a panel is
-        # nearly settled, so both sides carry a few ulp of the result there:
-        # far below the 1e-12*|value| bound that abserr is tested against
-        tolerance = 1e-12 * expected[1] + 16.0 * np.finfo(float).eps * expected[0]
-        assert (np.abs(err - expected[1]) <= tolerance).all()
-        assert ((err != asc) | (err == 0.0)).tolist() == (
-            (expected[1] != expected[2]) | (expected[1] == 0.0)
-        ).tolist()
-
-
 def _panel_edges(monkeypatch):
     """The (lo, hi) edge lists of the panels quadrature evaluates, one entry
     per round, filled as quadrature runs."""
@@ -887,13 +880,13 @@ def test_rejected_first_panel_is_bisected(monkeypatch):
     assert outage_quadrature(*preset).value.shape == (1, 1, 30)
     assert rounds == [([0.0] * 30, (gammas(preset) / 5.0).tolist())]
     # At unit noise R = 2.5 (gamma = 31, upper limit 6.2) is not settled, and
-    # only its panel is bisected.
+    # only its panel is bisected, once for each of the law's three parts.
     rounds.clear()
     curve = make_grid(rates=(0.05, 2.5), noise=1.0, thetas=(0.5,))
     (((small, large),),) = outage_quadrature(*curve).value.tolist()
     small_upper, upper = (gammas(curve) / 5.0).tolist()
     assert upper == 6.2
-    assert rounds[:2] == [([0.0, 0.0], [small_upper, upper]), ([0.0, 3.1], [3.1, upper])]
+    assert rounds[:2] == [([0.0, 0.0], [small_upper, upper]), ([0.0, 3.1] * 3, [3.1, upper] * 3)]
     assert all(0.0 <= x <= upper and hi[0] > 0.0 for lo, hi in rounds[2:] for x in lo + hi)
     point = make_grid(rates=(2.5,), noise=1.0, thetas=(0.5,))
     assert abs(large - _quadpack_reference(point, 1e-10)) <= max(1e-10, 1e-12 * large)
@@ -954,6 +947,25 @@ def test_theta_tuple_query_equals_one_theta_queries(rates):
         for t_i, theta in enumerate(grid.thetas):
             expected = _evaluate(method, grid._replace(thetas=(theta,)))
             assert [a[t_i].tobytes() for a in got] == [a[0].tobytes() for a in expected]
+
+
+def test_every_theta_is_the_combination_of_the_three_anchors_bit_for_bit():
+    # Quadrature integrates the law's three theta-free parts, which are the
+    # outage at the anchors theta = 0, 1 and -1, and only weights them per
+    # theta: the outage is affine in theta on each side of 0, exactly.
+    from swmac.copula import _at_theta
+
+    thetas = (-1.0, -0.999, -0.35, 0.0, 1e-300, 0.6, 1.0)
+    grid = make_grid(rates=THETA_AXIS_RATES, noise=1.0, thetas=thetas)
+    got = outage_quadrature(*grid).value[:, 0]
+    anchors = [
+        outage_quadrature(*grid._replace(thetas=(DependenceParameter(t),))).value[0, 0]
+        for t in (0.0, 1.0, -1.0)
+    ]
+    for t_i, theta in enumerate(thetas):
+        assert got[t_i].tobytes() == _at_theta(theta, *anchors).tobytes()
+    for theta, anchor in zip((0.0, 1.0, -1.0), anchors):
+        assert got[thetas.index(theta)].tobytes() == anchor.tobytes()
 
 
 def test_nonconvergence_of_one_theta_fails_the_theta_tuple(one_panel):
