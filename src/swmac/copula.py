@@ -132,8 +132,13 @@ def _conditional_parts(u, p, p_bar):
     p_bar = 1 - p, passed in as it may be exact where 1 - p is not.  None is
     negative on [0, 1], and the law is their :func:`_at_theta` combination,
     so nothing cancels, at theta = -1 either."""
-    r = 2.0 * (1.0 - u)
-    return u, u * (u + p_bar * r), u * (u + p * r)
+    return u, _conditional_part(u, p_bar), _conditional_part(u, p)
+
+
+def _conditional_part(u, q):
+    """L+ (``q`` = p_bar) or L- (``q`` = p) of :func:`_conditional_parts`
+    alone, u*(u + q*2*(1 - u))."""
+    return u * (u + q * (2.0 * (1.0 - u)))
 
 
 def _at_theta(theta, l0, l_pos, l_neg):

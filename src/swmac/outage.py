@@ -55,6 +55,7 @@ from .copula import (
     DependenceParameter,
     FadingMarginals,
     _at_theta,
+    _conditional_part,
     _conditional_parts,
     _exp_quantile,
     _inversion_prelude,
@@ -340,20 +341,29 @@ def outage_closed_form(
     return curve
 
 
-def _panel_terms(lo, hi, point, gamma, a, b, l1, l2):
+def _panel_terms(lo, hi, point, gamma, a, b, l1, l2, part=None):
     """Half-lengths of the panels [lo[i], hi[i]], and on their (panel x 21)
     Gauss-Kronrod nodes d the density l2*exp(-l2*d) of g2 and the
     :func:`~swmac.copula._conditional_parts` of P[g1 <= c* | g2 = d], with
     c* = (gamma - B*d)/A the range of g1 left by A*g1 + B*g2 <= gamma;
     ``gamma``, ``a`` and ``b`` hold every point's terms, and ``point[i]``
-    is the point of panel i."""
+    is the point of panel i.  Given ``part``, each panel's part index in
+    increasing order, the parts are one (panel x 21) array that holds on
+    panel i its part ``part[i]`` alone."""
     hlgth = 0.5 * (hi - lo)
     d = (0.5 * (lo + hi))[:, None] + hlgth[:, None] * _GK_NODES
     gamma, a, b = (x[point][:, None] for x in (gamma, a, b))
     with np.errstate(over="ignore"):  # a subnormal A: c* = inf, and P[g1 <= c*] = 1
         c_star = (gamma - b * d) / a
     e = np.exp(-l2 * d)  # 1 - P[g2 <= d], more exact than 1 minus the CDF
-    return hlgth, l2 * e, _conditional_parts(-np.expm1(-l1 * c_star), -np.expm1(-l2 * d), e)
+    u = -np.expm1(-l1 * c_star)
+    if part is None:
+        return hlgth, l2 * e, _conditional_parts(u, -np.expm1(-l2 * d), e)
+    # L0 is u itself; L+ needs only e, and L- only P[g2 <= d]
+    i, j = np.searchsorted(part, (1, 2))
+    u[i:j] = _conditional_part(u[i:j], e[i:j])
+    u[j:] = _conditional_part(u[j:], -np.expm1(-l2 * d[j:]))
+    return hlgth, l2 * e, u
 
 
 def _point_sums(seg, res, err, first):
@@ -471,8 +481,8 @@ def outage_quadrature(
         new = np.flatnonzero(np.repeat(halve, reps))
         left, right = new[0::2], new[1::2]  # each halved panel's two copies
         hi[left] = lo[right] = 0.5 * (lo[left] + hi[right])
-        h, density, parts = _panel_terms(lo[new], hi[new], owner[new] % n, gamma, a, b, l1, l2)
-        own_part = np.choose((owner[new] // n)[:, None], parts)
+        part, point = np.divmod(owner[new], n)  # owners increase, so parts do
+        h, density, own_part = _panel_terms(lo[new], hi[new], point, gamma, a, b, l1, l2, part)
         res[new], err[new], _ = _gauss_kronrod_panel(density * own_part, h)
     anchor, abserr = values.reshape(3, n), abserr.reshape(3, n)
     errbnd = _QUAD_EPSREL * np.abs(anchor)
@@ -519,13 +529,6 @@ def _gauss_kronrod_panel(
     resg = (fv * _G_WEIGHTS).sum(axis=1)
     resabs = (np.abs(fv) * _GK_WEIGHTS).sum(axis=1)
     resasc = (np.abs(fv - 0.5 * resk[:, None]) * _GK_WEIGHTS).sum(axis=1)
-    return _dqk21_finish(resk, resg, resabs, resasc, hlgth)
-
-
-def _dqk21_finish(resk, resg, resabs, resasc, hlgth):
-    """dqk21's (result, abserr, resasc) from each panel's sums over its 21
-    nodes: Kronrod, Gauss, of |f| and of |f - resk/2|, times the Kronrod
-    weights but for the Gauss sum, and from its half-length."""
     # masked steps into one scratch array, not fancy-indexed copies
     result, resasc = resk * hlgth, resasc * hlgth
     abserr = np.abs((resk - resg) * hlgth)

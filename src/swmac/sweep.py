@@ -449,6 +449,20 @@ def format_value(x: Optional[float]) -> str:
     return format(float(x), ".12g")
 
 
+def _formatted(column: np.ndarray) -> list[str]:
+    """Each value of ``column`` as :func:`format_value` writes it, NaN as
+    the empty string: every value through one ``%.12g`` template, or none
+    where the column is NaN throughout."""
+    nan = np.isnan(column)
+    if nan.all():
+        return [""] * len(column)
+    texts = ("%.12g\n" * len(column) % tuple(column.tolist())).split("\n")
+    texts.pop()  # the empty text after the last line feed
+    for i in np.flatnonzero(nan).tolist():
+        texts[i] = ""
+    return texts
+
+
 def _write_csv(
     path: str | Path, header: str, axes: tuple, columns: Sequence[np.ndarray],
     codes: np.ndarray, texts: Sequence[str],
@@ -456,9 +470,10 @@ def _write_csv(
     """Write one line per entry of the ``axes`` grid, in row-major order:
     the entry's key (budget id, theta, rate and any further axes), each of
     ``columns`` at 12 significant digits (empty where NaN), and last
-    ``texts[code]``.  Each axis value is formatted once, and lines are
+    ``texts[code]``.  Each axis value is formatted once.  Lines are
     formatted and written one block of ``BLOCK_SIZE`` rows at a time, so the
-    text buffers do not grow with the table.
+    text buffers do not grow with the table, and each column's values in a
+    block go through one ``%`` template (:func:`_formatted`).
     """
     budgets, thetas, rates, *rest = axes
     keys = map(
@@ -470,10 +485,7 @@ def _write_csv(
         fh.write(header + "\n")
         for start in range(0, len(codes), BLOCK_SIZE):
             block = slice(start, start + BLOCK_SIZE)
-            values = (
-                ["" if x != x else format(x, ".12g") for x in column[block].tolist()]  # NaN: None
-                for column in columns
-            )
+            values = [_formatted(column[block]) for column in columns]
             last = map(endings.__getitem__, codes[block].tolist())
             fh.write("".join(map(",".join, zip(islice(keys, BLOCK_SIZE), *values, last))))
 

@@ -11,6 +11,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmac import (
     DependenceParameter,
@@ -45,6 +47,7 @@ from swmac.sweep import (
     ComparisonReport,
     SweepTable,
     _block_shares,
+    _formatted,
     _pool_size,
     compare_methods,
     emit_comparison_csv,
@@ -829,6 +832,39 @@ def test_format_value():
     assert format_value(0.1 + 0.2) == "0.3"
 
 
+#: Values at the edges of float64: signed zeros and infinities, the
+#: smallest and largest subnormals, the smallest normal, and values near
+#: 1e+-308 and the largest float.
+_EDGE_VALUES = (
+    0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, -1e-308, 1e-307, 1e308, -1.7976931348623157e308,
+    1.7976931348623157e308,
+)
+
+
+@st.composite
+def _value_columns(draw):
+    """A float64 column of 0, 1, BLOCK_SIZE or BLOCK_SIZE + 1 values that
+    is NaN throughout, free of NaN, or mixed: drawn values and a drawn NaN
+    pattern, each repeated to the column's length."""
+    n = draw(st.sampled_from((0, 1, BLOCK_SIZE, BLOCK_SIZE + 1)))
+    kind = draw(st.sampled_from(("all-nan", "nan-free", "mixed")))
+    values = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False))
+    column = np.resize(np.array(draw(st.lists(values, min_size=1, max_size=40))), n)
+    nan = np.full(n, kind == "all-nan")
+    if kind == "mixed" and n:
+        nan = np.resize(np.array(draw(st.lists(st.booleans(), min_size=1, max_size=40))), n)
+        nan[0], nan[-1] = True, n == 1  # both kinds where n > 1
+    column[nan] = draw(st.sampled_from((math.nan, -math.nan)))
+    return column
+
+
+@settings(max_examples=150, deadline=None)
+@given(_value_columns())
+def test_the_column_template_formats_each_value_as_format_value(column):
+    assert _formatted(column) == [format_value(_none_if_nan(x)) for x in column.tolist()]
+
+
 # ---------------------------------------------------------------------------
 # Figure trends (small slice; the full grids run in the acceptance suite)
 # ---------------------------------------------------------------------------
@@ -1037,6 +1073,41 @@ def test_compare_equals_row_by_row_reference(tmp_path, monkeypatch):
         "large-z",
         "closed-form-deviation",
     } <= set(report.flag_counts)
+
+
+def test_comparison_csv_with_nan_diffs_and_infinite_z_equals_the_reference(
+    tmp_path, monkeypatch
+):
+    import swmac.sweep as sweep_module
+
+    # 3 x 2 x 5 = 30 points in blocks of 7: the first diff column is NaN
+    # throughout its first block and mixed after it, the second is NaN-free,
+    # and z holds NaN, +-inf and finite values
+    axes = ((0, 1, 2), (-0.5, 0.25), (0.1, 0.2, 0.30000000000000004, 1e-5, 2.5))
+    points = 30
+    diffs = np.column_stack(
+        (
+            np.where(np.arange(points) % 3 == 0, 1.0 / 3.0, np.nan),
+            np.linspace(-1e-300, 1e300, points),
+        )
+    )
+    diffs[:7, 0] = np.nan
+    z = np.resize(np.array([np.nan, math.inf, -math.inf, 2.5, -0.0]), points)
+    flags = (np.arange(points)[:, None] % np.array([2, 5])) == 0
+    report = ComparisonReport(
+        axes=axes,
+        pairs=(("closed-form", "quadrature"), ("quadrature", "monte-carlo")),
+        diffs=diffs,
+        z_quad_mc=z,
+        closed_form_deviation=diffs[:, 0],
+        flag_labels=("large-z", "closed-form-deviation"),
+        flags=flags,
+    )
+    monkeypatch.setattr(sweep_module, "BLOCK_SIZE", 7)  # many blocks, one partial
+    got, reference = tmp_path / "got.csv", tmp_path / "reference.csv"
+    emit_comparison_csv(report, got)
+    _csv_writer_comparison(_report_points(report), report.pairs, reference)
+    assert got.read_bytes() == reference.read_bytes()
 
 
 def test_flagged_compare_csv_independent_of_workers(tmp_path, monkeypatch):
