@@ -74,7 +74,7 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="parallel workers for the sweep (0 = one per CPU, default 1)",
+        help="most workers for the sweep's draw, sized by its work (0 = the CPUs, default 1)",
     )
 
 

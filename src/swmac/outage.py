@@ -544,6 +544,20 @@ def _gauss_kronrod_panel(
     return result, abserr, resasc
 
 
+def _first_gain_cut(lambda1: float, weight1: np.ndarray, gammas: np.ndarray) -> float:
+    """The share of pairs Monte Carlo keeps, at the weights A and thresholds
+    gamma of :func:`_budget_axes`.  With reach = max_i gamma_max_i/A_i, a
+    pair with g1 beyond reach has fl(A_i*g1) > gamma_max_i; rounding is
+    monotone and B_i*g2 >= 0, so its sum fl(fl(A_i*g1) + fl(B_i*g2)) lies
+    above every gamma of budget i, at any theta.  A pair is kept where its
+    raw uniform u1 <= -expm1(-2*lambda1*reach), g1 <= 2*reach: the factor 2
+    absorbs the last-bit errors of expm1, log1p and the divisions.  The cut
+    is 1, dropping no pair, where that rounds to 1 or reach is 0."""
+    with np.errstate(over="ignore"):  # an infinite reach cuts no pair
+        reach = float((gammas.max(axis=1, initial=0.0) / weight1[:, 0]).max(initial=0.0))
+    return -math.expm1(-2.0 * lambda1 * reach) if reach > 0.0 else 1.0
+
+
 def outage_monte_carlo(
     thetas: Sequence[DependenceParameter],
     marginals: FadingMarginals,
@@ -567,11 +581,11 @@ def outage_monte_carlo(
     the blocks add up, bit for bit, to the counts of the whole draw, which
     :meth:`OutageCurve.from_counts` turns into the whole estimate.
 
-    Pairs that cannot be in outage are dropped from each block on their raw
-    uniforms (see below).  The rest are counted in batches of at most
-    ``BLOCK_SIZE`` kept pairs.  Per batch, everything that does not depend
-    on theta is computed once: the first gains and their weighted values
-    A*g1, and the theta-free terms of the conditional inversion
+    Each block drops the pairs that cannot be in outage on their raw
+    uniforms (:func:`_first_gain_cut`); the rest are counted in batches of
+    at most ``BLOCK_SIZE`` kept pairs.  Per batch, everything that does not
+    depend on theta is computed once: the first gains and their weighted
+    values A*g1, and the theta-free terms of the conditional inversion
     (:func:`~swmac.copula._inversion_prelude`).  Per theta, the inversion
     step gives the second gains, and per budget the sums A*g1 + B*g2 are
     sorted and counted at or below every gamma by binary search, so ties
@@ -584,18 +598,6 @@ def outage_monte_carlo(
     (n, seed) exactly.  Entries share their draws (common random numbers
     across theta, budget and rate): they are correlated with one another,
     and each count is still Binomial(n, p) on its own.
-
-    **The cut.**  With reach = max_i gamma_max_i/A_i over the budgets, a
-    pair whose first gain lies beyond reach is in outage at no (budget,
-    rate): it has fl(A_i*g1) > gamma_max_i, and since rounding is monotone
-    and B_i*g2 >= 0, its sum fl(fl(A_i*g1) + fl(B_i*g2)) >= fl(A_i*g1) lies
-    above every gamma of budget i.  Dropping it changes no count, at any
-    theta, since g1 does not depend on theta.  The cut is made on the raw
-    uniform, before the conditional inversion: a pair is dropped where
-    u1 > -expm1(-2*lambda1*reach), that is g1 > 2*reach.  The factor 2
-    absorbs the last-bit errors of expm1, log1p and the divisions, so the
-    argument does not depend on how libm rounds.  Where that threshold
-    rounds to 1, or reach is 0, no pair is dropped.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
@@ -604,9 +606,7 @@ def outage_monte_carlo(
     ):
         raise ValueError(f"blocks must be a nonempty increasing range of blocks of n, got {blocks}")
     weight1, weight2, gammas = _budget_axes(budgets, rates)
-    with np.errstate(over="ignore"):  # an infinite reach cuts no pair
-        reach = float((gammas.max(axis=1, initial=0.0) / weight1[:, 0]).max(initial=0.0))
-    cut = -math.expm1(-2.0 * marginals.lambda1 * reach) if reach > 0.0 else 1.0
+    cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
     counts = np.zeros((len(thetas), len(budgets), len(rates)), dtype=np.int64)
 
     def count(batch: list[np.ndarray]) -> None:

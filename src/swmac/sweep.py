@@ -7,7 +7,8 @@ values are affine in theta, so one call shares every theta-free term.
 Every Monte Carlo row of a sweep is scored against one draw set, keyed by
 ``derive_seed(seed, 0)`` (common random numbers across theta, budget and
 rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one contiguous
-share per worker process, given up front; each worker makes one evaluator
+share per worker process, given up front, on a pool sized by the draw's
+work (see :func:`run_outage_sweep`); each worker makes one evaluator
 call that draws only its share and counts every theta over it, and the
 parent, which evaluates the analytic methods meanwhile, adds the integer
 event counts and forms the values and standard errors once.  A row's
@@ -54,6 +55,8 @@ from .outage import (
     OutageCurve,
     OutageEvaluationError,
     PartialEvaluation,
+    _budget_axes,
+    _first_gain_cut,
     _gain_weights,
     outage_closed_form,
     outage_monte_carlo,
@@ -68,7 +71,7 @@ from .regions import (
     region_vertices,
     wireless_region_bounds,
 )
-from .streams import BLOCK_SIZE, derive_seed
+from .streams import BLOCK_SIZE, CHUNK_SIZE, derive_seed
 
 __all__ = [
     "FLAG_OK",
@@ -159,10 +162,11 @@ def _share_counts(
     each share ``shares[i]`` of the draw's blocks for i in ``indices``, in
     order, lazily: one evaluator call counts every theta over a share of
     the sweep's one draw set, keyed by ``derive_seed(config.seed, 0)``
-    (derived here, per share, so that neither a parent that only adds
-    counts nor a sweep without Monte Carlo loads the sampler).  A row
-    therefore depends on its (theta, budget, rate), not on where its theta
-    sits in the config or how the blocks are shared."""
+    (derived here, per share, so that only the process that draws loads the
+    sampler: a forked worker, or the caller itself at ``workers`` = 1, but
+    never a pooled parent that only adds counts).  A row therefore depends
+    on its (theta, budget, rate), not on where its theta sits in the config
+    or how the blocks are shared."""
     for i in indices:
         yield outage_monte_carlo(
             config.thetas, config.marginals, config.budgets, rates, config.mc_samples,
@@ -240,21 +244,23 @@ def _fanned_out(work: Callable[[range], Iterable], items: int, workers: int) -> 
     pool of worker processes; ``work(indices)`` yields one result per index.
 
     ``workers`` counts the processes, 0 meaning one per CPU this process
-    may run on; the pool never exceeds that CPU count or ``items``.  A pool
-    of one is ``work`` itself, run in this process as the results are read,
-    and so is every pool off Linux, where fork is not safe.  Otherwise
-    ``os.fork`` starts k workers, each with its own pipe; worker w computes
-    items w, w + k, ... and writes each result as soon as it is done, and
-    item i is read from worker i mod k.  An exception that stops a worker
-    is re-raised with its own type when its item is read; a worker that
-    dies without answering raises :class:`OutageEvaluationError` naming its
-    exit code.  On leaving the block every worker has been reaped, once: on
-    an error the ones still running are stopped first.
+    may run on; the pool never exceeds that CPU count or ``items``.  At
+    ``workers`` = 1, with no items, or off Linux, where fork is not safe,
+    ``work`` runs in this process as the results are read.  Any other pool
+    forks, even a pool of one, so that this process never loads what the
+    work loads (the sampler, for a Monte Carlo draw): ``os.fork`` starts k
+    workers, each with its own pipe; worker w computes items w, w + k, ...
+    and writes each result as soon as it is done, and item i is read from
+    worker i mod k.  An exception that stops a worker is re-raised with its
+    own type when its item is read; a worker that dies without answering
+    raises :class:`OutageEvaluationError` naming its exit code.  On leaving
+    the block every worker has been reaped, once: on an error the ones
+    still running are stopped first.
     """
     pool_size = _pool_size(workers, items, _cpus())
     # Forked workers start at once with the parent's modules and arguments;
     # off Linux fork is not safe.
-    if pool_size == 1 or sys.platform != "linux":
+    if workers == 1 or items < 1 or sys.platform != "linux":
         yield work(range(items))
         return
     # imported here, so that commands that start no pool do not pay for it
@@ -294,17 +300,22 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     """Evaluate the full sweep; returns a :class:`SweepTable` whose rows are
     in lexicographic (budget, theta, rate, method) index order.
 
-    ``workers`` > 1 splits the Monte Carlo draw across processes (see
-    :func:`_fanned_out`) while the parent evaluates the analytic methods; 0
-    means one per CPU this process may run on.  Of k workers, worker w
-    counts every theta over the w-th of k contiguous shares of the draw's
-    blocks of ``BLOCK_SIZE`` pairs, drawing only those blocks, and the
-    parent adds the integer counts and forms each value and standard error
-    once, so results are identical for any worker count.  The pool never
-    exceeds that CPU count or the number of blocks: a sweep of at most
-    ``BLOCK_SIZE`` samples, or without Monte Carlo, starts none.  An
-    exception that stops a worker is re-raised here with its own type; a
-    worker that dies without answering raises
+    ``workers`` = 1 draws the Monte Carlo pairs in this process.  Any other
+    value caps a pool of forked processes (see :func:`_fanned_out`), 0
+    meaning one per CPU this process may run on, that draws while the
+    parent evaluates the analytic methods.  The pool is sized by the draw's
+    work, n*(1 + cut*|thetas|*|budgets|) pair units for n samples, where
+    cut is the share of pairs the first-gain cut keeps
+    (:func:`~swmac.outage._first_gain_cut`): a drawn pair costs about as
+    much as a kept pair counted at one (theta, budget).  It starts one
+    worker per ``CHUNK_SIZE`` units, at least one, and no more than the
+    draw's blocks of ``BLOCK_SIZE`` pairs, the CPUs or ``workers``.  Of k
+    workers, worker w counts every theta over the w-th of k contiguous
+    shares of the blocks, drawing only those, and the parent adds the
+    integer counts and forms each value and standard error once, so results
+    are identical for any worker count.  A sweep without Monte Carlo starts
+    no pool.  An exception that stops a worker is re-raised here with its
+    own type; a worker that dies without answering raises
     :class:`OutageEvaluationError` naming its exit code.
     """
     for i, budget in enumerate(config.budgets):
@@ -320,7 +331,11 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     shares = []
     if MONTE_CARLO in config.methods:
         blocks = -(-config.mc_samples // BLOCK_SIZE)
-        shares = _block_shares(blocks, _pool_size(workers, blocks, _cpus()))
+        weight1, _, gammas = _budget_axes(config.budgets, rates)
+        cut = _first_gain_cut(config.marginals.lambda1, weight1, gammas)
+        units = config.mc_samples * (1.0 + cut * len(config.thetas) * len(config.budgets))
+        tasks = min(blocks, int(units) // CHUNK_SIZE)
+        shares = _block_shares(blocks, _pool_size(workers, tasks, _cpus()))
     with _fanned_out(partial(_share_counts, config, rates, shares), len(shares), workers) as results:
         # the analytic methods, in the parent while any workers draw
         for m_i, method in enumerate(config.methods):

@@ -27,9 +27,11 @@ def theta(request):
 
 @pytest.fixture
 def forked_pool_of_two(monkeypatch):
-    """Sweeps at ``--workers`` 0 or 2 start two forked workers, even on a
-    1-CPU host, so that what a test patches in the parent runs in the
-    workers.  A sweep still waiting after 60 s gets a TimeoutError."""
+    """Pools may take two CPUs, even on a 1-CPU host: a sweep at
+    ``--workers`` 0 or 2 whose draw is work for two starts two forked
+    workers, and any other pool one, so that what a test patches in the
+    parent runs in the workers.  A sweep still waiting after 60 s gets a
+    TimeoutError."""
     if sys.platform != "linux":
         pytest.skip("workers see the test's patches only when forked, as on Linux")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -476,7 +476,7 @@ def test_exit_2_on_evaluator_failure(monkeypatch, config_file, tmp_path, capsys)
 @pytest.mark.parametrize(
     "command,item,argv",
     [
-        pytest.param("outage", "_share_counts", ["--workers", "0"], id="outage"),  # 2 blocks
+        pytest.param("outage", "_share_counts", ["--workers", "0"], id="outage"),  # 1 worker
         pytest.param("sample", "_sample_texts", ["--samples", "10000"], id="sample"),  # 3 blocks
     ],
 )
@@ -689,12 +689,15 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
     assert flags == "ok"
 
 
-# A pooled compare and a pooled sample: two workers, even on a 1-CPU host,
-# draw every Monte Carlo block and every block of pairs, so the parent needs
-# neither numpy.random nor an executor, and it forks them itself, so it
-# loads neither multiprocessing nor the socket and subprocess modules that
-# multiprocessing would.  The first line shows that importing the CLI loads
-# no process machinery either.
+# Two pooled compares, the second at the benchmark's compare-parallel load,
+# and a pooled sample, on two CPUs even on a 1-CPU host.  Each compare's
+# draw is work for one forked worker and the sample's 49 blocks for two;
+# the workers draw every Monte Carlo block and every block of pairs, so
+# the parent needs neither numpy.random nor an executor, and it forks them
+# itself, so it loads neither multiprocessing nor the socket and
+# subprocess modules that multiprocessing would.  The first line shows
+# that importing the CLI loads no process machinery either; the last gives
+# the exit codes, the forks per command and the modules then loaded.
 _POOLED_RUN = """
 import os
 import sys
@@ -702,12 +705,20 @@ import swmac.cli
 modules = ("multiprocessing", "socket", "subprocess", "numpy.random", "concurrent.futures")
 print(*(m in sys.modules for m in modules))
 os.sched_getaffinity = lambda pid: {0, 1}
-codes = [
-    swmac.cli.main(["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0",
-                    "--out", sys.argv[1]]),
-    swmac.cli.main(["sample", "--preset", "fig2", "--samples", "200000", "--out", sys.argv[2]]),
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(os.getpid()) or fork()
+runs = [
+    ["compare", "--preset", "fig3", "--samples", "20000", "--workers", "0", "--out", sys.argv[1]],
+    ["compare", "--preset", "fig3", "--samples", "100000", "--workers", "0", "--out", sys.argv[1]],
+    ["sample", "--preset", "fig2", "--samples", "200000", "--out", sys.argv[2]],
 ]
-print(*codes, *(m in sys.modules for m in modules))
+codes, counts = [], []
+for argv in runs:
+    codes.append(swmac.cli.main(argv))
+    counts.append(len(forks))
+    forks.clear()
+print(*codes, *counts, *(m in sys.modules for m in modules))
 """
 
 
@@ -723,7 +734,7 @@ def test_pooled_compare_leaves_the_sampler_and_executor_out_of_the_parent(tmp_pa
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "False False False False False"
-    assert lines[-1] == "0 0 False False False False False"
+    assert lines[-1] == "0 0 0 1 1 2 False False False False False"
 
 
 # An analytic-only sweep: no Monte Carlo share is counted, so the seed is
@@ -750,7 +761,8 @@ def test_an_analytic_sweep_leaves_the_sampler_out_of_the_process(tmp_path):
 
 
 # A pooled compare under the forkserver start method, after a serial one;
-# the last line gives both exit codes and the number of processes forked.
+# the last line gives both exit codes and the number of processes forked:
+# one, as the draw of 20,000 preset-scale samples is work for one worker.
 _FORKSERVER_COMPARE_RUN = """
 import multiprocessing
 import os
@@ -779,5 +791,80 @@ def test_pooled_compare_forks_its_workers_under_forkserver(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 0 2"
+    assert proc.stdout.splitlines()[-1] == "0 0 1"
     assert pooled.read_bytes() == serial.read_bytes()
+
+
+def _spied_forks(monkeypatch):
+    """A list that gains an entry at each ``os.fork`` from now on."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or fork())
+    return forked
+
+
+_UNIT_NOISE_FIG2 = """
+thetas = -1, -0.5, 0, 0.5, 1
+[budget]
+p1 = 1
+p2 = 5
+noise = 1
+"""
+
+
+# A drawn pair is one unit of work, and each pair the first-gain cut keeps
+# one more per (theta, budget); a pool starts one worker per 65,536 units.
+# At preset scale the cut keeps about 0.13 % of the pairs.
+@pytest.mark.parametrize(
+    "argv,forks",
+    [
+        # 100,629 units: one worker
+        pytest.param(["compare", "--preset", "fig3", "--samples", "100000"], 1, id="fig3-1e5"),
+        # 1,012,592 units: 15 workers, capped at the 2 CPUs
+        pytest.param(["outage", "--preset", "fig2", "--samples", "1000000"], 2, id="fig2-1e6"),
+        # the cut keeps nearly every pair: about 1.2 million units
+        pytest.param(
+            ["outage", "--config", "unit.cfg", "--methods", "monte-carlo", "--samples", "200000"],
+            2,
+            id="unit-noise-2e5",
+        ),
+    ],
+)
+def test_a_pool_is_sized_by_the_work_of_its_draw(
+    forked_pool_of_two, monkeypatch, tmp_path, argv, forks
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unit.cfg").write_text(_UNIT_NOISE_FIG2)
+    forked = _spied_forks(monkeypatch)
+    assert main([*argv, "--seed", "7", "--workers", "1", "--out", "serial.csv"]) == 0
+    assert forked == []  # --workers 1 draws in this process
+    assert main([*argv, "--seed", "7", "--workers", "0", "--out", "pooled.csv"]) == 0
+    assert len(forked) == forks
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    with pytest.raises(ChildProcessError):  # every worker has been reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+# A pool of no items runs in this process: a negative sample count makes no
+# block, so the check of the count raises here, and a sweep without Monte
+# Carlo has no share of a draw to count.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["sample", "--preset", "fig2", "--samples", "-5"], id="sample--5"),
+        pytest.param(["sample", "--preset", "fig2", "--samples", "-5000"], id="sample--5000"),
+        pytest.param(
+            ["outage", "--preset", "fig2", "--methods", "closed-form,quadrature", "--workers", "0"],
+            id="analytic-outage",
+        ),
+    ],
+)
+def test_a_pool_of_no_items_forks_nothing(forked_pool_of_two, monkeypatch, tmp_path, capsys, argv):
+    forked = _spied_forks(monkeypatch)
+    code = main([*argv, "--out", str(tmp_path / "x.csv")])
+    assert forked == []
+    if argv[0] == "sample":
+        assert code == 1
+        assert capsys.readouterr().err == f"error: n must be >= 0, got {argv[-1]}\n"
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert code == 0

@@ -129,7 +129,7 @@ def test_monte_carlo_rows_use_per_row_substreams():
 
 
 def test_parallel_sweep_matches_serial():
-    cfg = small_config()
+    cfg = small_config(mc_samples=40_000)  # work for two workers
     serial = run_outage_sweep(cfg, workers=1)
     parallel = run_outage_sweep(cfg, workers=3)
     assert _same_table(serial, parallel)
@@ -173,11 +173,16 @@ def test_monte_carlo_rows_equal_1x1_estimates():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_monte_carlo_row_does_not_depend_on_the_other_thetas(forked_pool_of_two, workers):
     # Common random numbers across theta: thetas added before 0.5 in the
-    # config leave its rows as they are, serial or pooled.
-    methods = ("monte-carlo",)
-    alone = run_outage_sweep(small_config(thetas=(DependenceParameter(0.5),), methods=methods))
+    # config leave its rows as they are, serial or pooled (two workers: the
+    # three thetas' draw is about 157,000 units of work).
+    methods, n = ("monte-carlo",), 40_000
+    alone = run_outage_sweep(
+        small_config(thetas=(DependenceParameter(0.5),), methods=methods, mc_samples=n)
+    )
     thetas = tuple(map(DependenceParameter, (-1.0, 0.2, 0.5)))
-    table = run_outage_sweep(small_config(thetas=thetas, methods=methods), workers=workers)
+    table = run_outage_sweep(
+        small_config(thetas=thetas, methods=methods, mc_samples=n), workers=workers
+    )
     for column in ("op", "std_err"):
         assert getattr(table, column)[:, 2].tobytes() == getattr(alone, column)[:, 0].tobytes()
 
@@ -222,14 +227,15 @@ def test_parallel_theta_blocks_match_serial(workers):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_path, cpus):
-    # One theta, so the pool is capped by the draw's 18 blocks (the last
-    # partial), not by the theta count; at unit noise the first-gain cut
-    # keeps nearly every pair, so every share runs the per-theta kernel.
+    # One theta, so the pool is capped by the draw's 30 blocks, not by the
+    # theta count; at unit noise the first-gain cut keeps nearly every
+    # pair, so every share runs the per-theta kernel, and the draw's work,
+    # about 236,000 pair units, starts 3 workers where 3 CPUs allow it.
     # Each share records where it ran and which blocks it counted.
     import swmac.sweep
 
     cfg = small_config(
-        thetas=(DependenceParameter(0.35),), methods=("monte-carlo",), mc_samples=70_000
+        thetas=(DependenceParameter(0.35),), methods=("monte-carlo",), mc_samples=120_000
     )
     serial = run_outage_sweep(cfg, workers=1)
     share_counts = swmac.sweep._share_counts
@@ -248,7 +254,7 @@ def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_p
     assert len({pid for (pid, _), _ in records}) == cpus
     assert str(os.getpid()) not in {pid for (pid, _), _ in records}
     shares = sorted((int(start), int(stop)) for _, (start, stop) in records)
-    assert [b for share in shares for b in range(*share)] == list(range(18))
+    assert [b for share in shares for b in range(*share)] == list(range(30))
 
 
 # a pool never exceeds the block count, so k <= blocks
@@ -273,13 +279,16 @@ def _assert_every_worker_reaped():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
 @pytest.mark.parametrize("n", [1000, BLOCK_SIZE])
-def test_a_sweep_of_one_block_starts_no_pool(monkeypatch, n):
+def test_a_sweep_of_one_block_forks_one_worker(monkeypatch, n):
+    # a pool of one still forks, so that the parent does not draw
     cfg = small_config(mc_samples=n)
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(os, "fork", _no_pool)
+    forked, reaped = _reaps(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+    assert len(forked) == 1 and reaped == forked
 
 
 @pytest.mark.parametrize(
@@ -303,24 +312,27 @@ def test_pool_size_rejects_negative_workers():
         _pool_size(-1, 5, 2)
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="workers are forked on Linux only")
 def test_workers_0_counts_the_cpus_this_process_may_run_on(monkeypatch):
-    # 8 host CPUs, but an affinity mask of one: --workers 0 runs serially.
+    # 8 host CPUs, but an affinity mask of one: --workers 0 forks one worker.
     # Where the platform has no affinity mask, the host count is used.
-    cfg = small_config(mc_samples=10_000)  # three blocks, enough for a pool of two
+    cfg = small_config(mc_samples=40_000)  # about 157,000 units, work for two
     serial = run_outage_sweep(cfg, workers=1)
-    monkeypatch.setattr(os, "fork", _no_pool)
+    forked, reaped = _reaps(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+    assert len(forked) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert _same_table(run_outage_sweep(cfg, workers=0), serial)
+    assert len(forked) == 2 and reaped == forked
 
 
 def test_off_linux_a_pool_runs_in_this_process(monkeypatch, tmp_path):
     # fork is not safe there: the shares and blocks a pool of two would take
     # are computed here instead, into the same rows and bytes
-    cfg = small_config(mc_samples=10_000)
+    cfg = small_config(mc_samples=40_000)
     serial = run_outage_sweep(cfg, workers=1)
     with _on_cpus(0):
         emit_samples(cfg, 0.9, 10_000, tmp_path / "serial.csv")
@@ -350,9 +362,9 @@ def _reaps(monkeypatch):
 
 
 def _pooled_sweep(monkeypatch, item, tmp_path):
-    """A sweep on two workers, one share of the draw's three blocks each,
-    whose share ``i``'s counts are ``item(i, draw)``, ``draw`` computing the
-    counts themselves."""
+    """A sweep on two workers, one share of the draw's ten blocks each (its
+    work, about 157,000 pair units, is enough for two), whose share ``i``'s
+    counts are ``item(i, draw)``, ``draw`` computing the counts themselves."""
     import swmac.sweep
 
     share_counts = swmac.sweep._share_counts
@@ -362,7 +374,7 @@ def _pooled_sweep(monkeypatch, item, tmp_path):
         return (item(i, lambda: next(counts)) for i in indices)
 
     monkeypatch.setattr(swmac.sweep, "_share_counts", patched)
-    run_outage_sweep(small_config(mc_samples=10_000), workers=2)
+    run_outage_sweep(small_config(mc_samples=40_000), workers=2)
 
 
 def _pooled_sample(monkeypatch, item, tmp_path):
@@ -442,7 +454,7 @@ def test_an_analytic_failure_stops_the_running_workers(forked_pool_of_two, monke
     forked, reaped = _reaps(monkeypatch)
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="synthetic analytic failure"):
-        run_outage_sweep(small_config(mc_samples=10_000), workers=2)
+        run_outage_sweep(small_config(mc_samples=40_000), workers=2)  # work for two
     assert time.monotonic() - start < 30  # the workers were stopped, not waited for
     assert len(forked) == 2 and sorted(reaped) == sorted(forked)
     _assert_every_worker_reaped()
@@ -1264,11 +1276,19 @@ def _on_cpus(*cpus):
         yield
 
 
+@contextmanager
+def _in_this_process():
+    """Within the block every pool runs in this process, as off Linux."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "platform", "darwin")
+        yield
+
+
 @pytest.mark.parametrize("n", [0, 1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 70_000, 200_000])
 def test_pooled_emit_samples_writes_the_serial_bytes(forked_pool_of_two, tmp_path, n):
     cfg = small_config()
     serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    with _on_cpus(0):
+    with _in_this_process():
         emit_samples(cfg, -0.4, n, serial)
     emit_samples(cfg, -0.4, n, pooled)
     assert pooled.read_bytes() == serial.read_bytes()
@@ -1290,7 +1310,8 @@ def test_emit_samples_deterministic(tmp_path):
 
 
 def _emit_samples_of(n, path):
-    with _on_cpus(0):
+    # drawn and formatted in this process
+    with _in_this_process():
         emit_samples(small_config(), 0.9, n, path)
 
 
