@@ -12,7 +12,7 @@ conditional law has one kernel, which outage quadrature shares: three
 theta-free, nonnegative parts whose combination at theta is the law, so an
 integral of the law is a combination of the integrals of its parts.  The
 sampler inverts that law, with its theta-free terms computed apart from its
-per-theta step so that one draw can be inverted at many thetas.
+per-theta step so that one draw can be inverted at both signed anchors.
 
 All analytical functions here are pure.  Samplers mutate only the
 generator passed in; concurrent sampling requires independent substreams
@@ -120,8 +120,13 @@ class GainPair:
 # Kernels: the conditional law, shared by the copula and the gain evaluators,
 # and the two steps after the draw, on whole blocks, which the samplers and
 # the Monte Carlo count share.  The conditional inversion is split in two: a
-# theta-free prelude, which the Monte Carlo count computes once per batch for
-# all its thetas, and a per-theta step into buffers the caller provides.
+# theta-free prelude, which the Monte Carlo count computes once per batch,
+# and a per-theta step into buffers the caller provides, which the count
+# takes at the anchors theta = 1 and -1 only.  The count samples any other
+# theta as the exact mixture of the anchors, not through this inversion, so
+# an interior theta's Monte Carlo rows are not scored on the pairs the
+# sampler yields at that theta; the anchor rows are, and every count is
+# still Binomial(n, p).
 # ---------------------------------------------------------------------------
 
 
@@ -180,8 +185,9 @@ def _inversion_step(theta, prelude, out, a, den):
     theta*(1 - 2*u1), (1 + a)^2 - 4*a*v, ... evaluated left to right:
     scaling by 4 is exact, so a*(4*v) rounds the same real number as
     (a*4)*v.  The samplers call this once per block and the Monte Carlo
-    count once per theta of a batch, so it keeps its numpy calls few and
-    allocates nothing: their fixed cost is a large share of a block's time.
+    count once per signed anchor of a batch, so it keeps its numpy calls
+    few and allocates nothing: their fixed cost is a large share of a
+    block's time.
     """
     c, v4, v2 = prelude
     np.multiply(c, theta, out=a)  # a = theta*(1 - 2*u1)

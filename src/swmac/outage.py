@@ -22,11 +22,13 @@ Three evaluators are provided and cross-validated:
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn with chunked substreams, deterministic for a fixed
   (seed, n) regardless of execution parallelism.  One draw set scores the
-  whole grid: the uniforms, the first gain and the theta-free terms of the
-  conditional inversion are computed once per batch, and only the rest of
-  the inversion and the count run per theta (common random numbers across
-  the theta axis).  A call can count a share of the draw's blocks; the
-  integer counts of disjoint shares add up to those of the whole draw.
+  whole grid (common random numbers across the theta axis), at the three
+  anchors alone: theta = 0, 1 and -1 count the pairs the sampler yields at
+  that theta, and any other theta samples the copula exactly as the
+  mixture of two anchors, so its rows are not scored on the pairs the
+  sampler yields at that theta, and every count is still Binomial(n, p).
+  A call can count a share of the draw's blocks; the integer counts of
+  disjoint shares add up to those of the whole draw.
 
 Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
 answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
@@ -63,7 +65,7 @@ from .copula import (
     _uniform_blocks,
 )
 from .regions import PowerBudget
-from .streams import BLOCK_SIZE
+from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
 __all__ = [
     "CLOSED_FORM",
@@ -558,6 +560,22 @@ def _first_gain_cut(lambda1: float, weight1: np.ndarray, gammas: np.ndarray) -> 
     return -math.expm1(-2.0 * lambda1 * reach) if reach > 0.0 else 1.0
 
 
+def _prefix_lengths(seed: int, chunk: int, size: int, mags: Sequence[float]) -> list[int]:
+    """M ~ Binomial(``size``, |theta|) for each |theta| of ``mags``: how many
+    of the first pairs of chunk ``chunk``, of ``size`` pairs, take the
+    sign(theta) anchor.  Each is drawn from the start of the substream
+    (seed, chunk, 1), so it depends on (seed, chunk, size, |theta|) alone."""
+    if not mags:
+        return []
+    rng = substream(seed, chunk, 1)
+    start = rng.bit_generator.state
+    lengths = []
+    for mag in mags:
+        rng.bit_generator.state = start
+        lengths.append(int(rng.binomial(size, mag)))
+    return lengths
+
+
 def outage_monte_carlo(
     thetas: Sequence[DependenceParameter],
     marginals: FadingMarginals,
@@ -581,23 +599,32 @@ def outage_monte_carlo(
     the blocks add up, bit for bit, to the counts of the whole draw, which
     :meth:`OutageCurve.from_counts` turns into the whole estimate.
 
+    The FGM copula is (1 - |theta|)*independence + |theta|*C_sign(theta),
+    so pairs are scored at the anchors theta = 0, 1 and -1 alone: 0
+    takes v itself as the second uniform, and 1 and -1 one
+    :func:`~swmac.copula._inversion_step` each, so their counts are over
+    the pairs ``iter_gain_pair_chunks`` yields at that theta, bit for bit.
+    A theta with 0 < |theta| < 1 samples the mixture exactly: in chunk k of
+    m_k pairs, its first M pairs by index take the sign(theta) anchor and
+    the rest the independence anchor, with M ~ Binomial(m_k, |theta|) from
+    :func:`_prefix_lengths`.  The pairs are i.i.d., so this has the law of
+    an independent choice per pair: its count is still Binomial(n, p), but
+    not over the pairs the sampler yields at that theta.
+
     Each block drops the pairs that cannot be in outage on their raw
     uniforms (:func:`_first_gain_cut`); the rest are counted in batches of
-    at most ``BLOCK_SIZE`` kept pairs.  Per batch, everything that does not
-    depend on theta is computed once: the first gains and their weighted
-    values A*g1, and the theta-free terms of the conditional inversion
-    (:func:`~swmac.copula._inversion_prelude`).  Per theta, the inversion
-    step gives the second gains, and per budget the sums A*g1 + B*g2 are
-    sorted and counted at or below every gamma by binary search, so ties
-    count as outage; these per-theta steps reuse a few buffers allocated
-    once per batch.  Each pair's gains at a theta are those
-    :func:`~swmac.copula.iter_gain_pair_chunks` yields at that theta, bit
-    for bit, so the integer counts do not depend on the cut, the batching,
-    the shares or the other thetas.  Entry ``[t, i, j]`` equals the 1x1x1
-    grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with the same
-    (n, seed) exactly.  Entries share their draws (common random numbers
-    across theta, budget and rate): they are correlated with one another,
-    and each count is still Binomial(n, p) on its own.
+    at most ``BLOCK_SIZE`` kept pairs.  A batch forms the second gains
+    only at the anchors its thetas use in it, and per budget it sorts the
+    sums A*g1 + B*g2 and counts them at or below every gamma by binary
+    search, so ties count as outage: once over the batch for each anchor
+    that some theta counts the whole batch at, and apart for the two sides
+    of a theta's prefix boundary inside the batch, or for the smaller side
+    alone where both anchors' whole counts are at hand.  The counts are
+    exact, so they do not depend on the cut, the batching, the shares or
+    the other thetas: entry ``[t, i, j]`` equals the 1x1x1 grid at
+    (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with the same (n, seed)
+    exactly.  Entries share their draws (common random numbers across
+    theta, budget and rate), so they are correlated with one another.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
@@ -607,35 +634,93 @@ def outage_monte_carlo(
         raise ValueError(f"blocks must be a nonempty increasing range of blocks of n, got {blocks}")
     weight1, weight2, gammas = _budget_axes(budgets, rates)
     cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
-    counts = np.zeros((len(thetas), len(budgets), len(rates)), dtype=np.int64)
+    th = [theta.theta for theta in thetas]
+    # the |theta| of each interior theta, each with one prefix length per chunk
+    mags = sorted({abs(t) for t in th if 0.0 < abs(t) < 1.0})
+    counts = np.zeros((len(th), len(budgets), len(rates)), dtype=np.int64)
 
-    def count(batch: list[np.ndarray]) -> None:
+    def count(batch: list[np.ndarray], prefixes: list[list[int]]) -> None:
         w = batch[0] if len(batch) == 1 else np.concatenate(batch)
+        # Each theta counts the whole batch at one anchor, or, where its
+        # prefix boundary falls inside, the rows before it (a run at the
+        # start of each block's rows) at sign(theta) and the rest at 0.
+        whole, split = {}, []
+        for u, theta in enumerate(th):
+            side = math.copysign(1.0, theta)
+            if abs(theta) in (0.0, 1.0):
+                whole[u] = theta
+                continue
+            ahead = [row[mags.index(abs(theta))] for row in prefixes]
+            signed = sum(ahead)
+            if signed in (0, len(w)):
+                whole[u] = side if signed else 0.0
+                continue
+            rows, start = np.zeros(len(w), dtype=bool), 0
+            for x, q in zip(batch, ahead):
+                rows[start : start + q] = True
+                start += len(x)
+            split.append((u, side, signed, rows))
+        used = set(whole.values()).union(*((0.0, side) for _, side, _, _ in split))
         # contiguous columns: the prelude and the first gain read them
         u1, v = w.T.copy()
-        prelude = _inversion_prelude(u1, v)
-        g1 = _exp_quantile(u1, marginals.lambda1)
-        weighted = weight1 * g1  # (budget, pair)
-        g2, a, den, s = np.empty((4, len(g1)))
-        # the steps of copula._gain_pairs for the second gain, per theta
-        for t, theta in enumerate(thetas):
-            _exp_quantile(_inversion_step(theta.theta, prelude, g2, a, den), marginals.lambda2)
+        prelude = _inversion_prelude(u1, v) if used - {0.0} else None
+        weighted = weight1 * _exp_quantile(u1, marginals.lambda1)  # (budget, pair)
+        a, den = np.empty((2, len(v)))
+        g2 = {
+            anchor: _exp_quantile(
+                _inversion_step(anchor, prelude, np.empty(len(v)), a, den) if anchor else v,
+                marginals.lambda2,
+            )
+            for anchor in used
+        }
+
+        def tally(anchor: float, rows=slice(None)) -> np.ndarray:
+            # per budget, the pairs of ``rows`` in outage at each gamma
+            g = g2[anchor][rows]
+            s, out = np.empty(len(g)), np.empty(gammas.shape, dtype=np.int64)
             for i, b in enumerate(weight2[:, 0]):
-                np.add(weighted[i], np.multiply(b, g2, out=s), out=s)
+                np.add(weighted[i][rows], np.multiply(b, g, out=s), out=s)
                 s.sort()
-                counts[t, i] += np.searchsorted(s, gammas[i], side="right")
+                out[i] = np.searchsorted(s, gammas[i], side="right")
+            return out
+
+        full = {anchor: tally(anchor) for anchor in set(whole.values())}
+        for u, anchor in whole.items():
+            counts[u] += full[anchor]
+        for u, side, signed, rows in split:
+            if {0.0, side} <= full.keys():
+                # move the smaller side of the boundary from one anchor's
+                # whole count to the other's
+                here, there = (0.0, side) if 2 * signed <= len(v) else (side, 0.0)
+                rows = rows if here == 0.0 else ~rows
+                counts[u] += full[here] - tally(here, rows) + tally(there, rows)
+            else:
+                counts[u] += tally(side, rows) + tally(0.0, ~rows)
 
     # Kept rows of consecutive blocks are counted together, so a block that
     # keeps a few rows does not pay the fixed cost of the numpy calls alone.
-    batch, held, drawn = [], 0, 0
-    for w in _uniform_blocks(n, seed, blocks=blocks):
+    per_chunk = CHUNK_SIZE // BLOCK_SIZE
+    blocks = range(-(-n // BLOCK_SIZE)) if blocks is None else blocks
+    batch, prefixes, held, drawn, chunk = [], [], 0, 0, None
+    for b, w in zip(blocks, _uniform_blocks(n, seed, blocks=blocks)):
+        k, j = divmod(b, per_chunk)  # the chunk, and the block within it
+        if k != chunk:
+            chunk, lengths = k, _prefix_lengths(seed, k, min(CHUNK_SIZE, n - k * CHUNK_SIZE), mags)
         drawn += len(w)
+        # each interior theta's pairs of this block in its prefix, before the cut
+        ahead = [min(max(m - j * BLOCK_SIZE, 0), len(w)) for m in lengths]
         if cut < 1.0:
-            w = np.compress(w[:, 0] <= cut, w, axis=0)
+            keep = w[:, 0] <= cut
+            size, w = len(w), np.compress(keep, w, axis=0)
+            # the kept pairs among them: none, all, or a count at a boundary
+            ahead = [
+                p and (len(w) if p == size else int(np.count_nonzero(keep[:p]))) for p in ahead
+            ]
         if held + len(w) > BLOCK_SIZE:
-            count(batch)
-            batch, held = [], 0
+            count(batch, prefixes)
+            batch, prefixes, held = [], [], 0
         batch.append(w)
+        prefixes.append(ahead)
         held += len(w)
-    count(batch)
+    count(batch, prefixes)
     return OutageCurve.from_counts(counts, drawn)

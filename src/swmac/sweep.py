@@ -11,14 +11,21 @@ share per worker process, given up front, on a pool sized by the draw's
 work (see :func:`run_outage_sweep`); each worker makes one evaluator
 call that draws only its share and counts every theta over it, and the
 parent, which evaluates the analytic methods meanwhile, adds the integer
-event counts and forms the values and standard errors once.  A row's
-value depends on its (theta, budget, rate) alone, not on execution order,
-worker count or where its theta sits in the config, and two runs of the
-same config produce byte-identical CSV.
+event counts and forms the values and standard errors once.  The
+evaluator scores each pair at the anchors theta = 0, 1 and -1 alone and
+samples any other theta as their exact mixture (see
+:func:`~swmac.outage.outage_monte_carlo`): the anchor rows count the pairs
+``sample`` writes at their theta, an interior theta's rows do not, and
+every count is Binomial(n, p).  A row's value depends on its (theta,
+budget, rate) alone, not on execution order, worker count or where its
+theta sits in the config, and two runs of the same config produce
+byte-identical CSV.
 
 Sampled gain pairs fan out through the same pool: each block of pairs can
 be drawn alone, so workers draw and format strided blocks and the parent
 writes their texts in block order, the same bytes for any worker count.
+Every CSV goes to a temporary file that replaces the output path only once
+it is whole.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
 non-convergence) do not abort a sweep: an analytic evaluator that fails at
@@ -304,10 +311,13 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     value caps a pool of forked processes (see :func:`_fanned_out`), 0
     meaning one per CPU this process may run on, that draws while the
     parent evaluates the analytic methods.  The pool is sized by the draw's
-    work, n*(1 + cut*|thetas|*|budgets|) pair units for n samples, where
+    work, n*(1 + cut*|anchors|*|budgets|) pair units for n samples, where
     cut is the share of pairs the first-gain cut keeps
-    (:func:`~swmac.outage._first_gain_cut`): a drawn pair costs about as
-    much as a kept pair counted at one (theta, budget).  It starts one
+    (:func:`~swmac.outage._first_gain_cut`) and the anchors are the
+    thetas 0, 1 and -1 that the config's thetas need (0 for any
+    |theta| < 1, 1 for any theta > 0, -1 for any theta < 0): a drawn pair
+    costs about as much as a kept pair counted at one (anchor, budget), at
+    most.  It starts one
     worker per ``CHUNK_SIZE`` units, at least one, and no more than the
     draw's blocks of ``BLOCK_SIZE`` pairs, the CPUs or ``workers``.  Of k
     workers, worker w counts every theta over the w-th of k contiguous
@@ -333,7 +343,11 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
         blocks = -(-config.mc_samples // BLOCK_SIZE)
         weight1, _, gammas = _budget_axes(config.budgets, rates)
         cut = _first_gain_cut(config.marginals.lambda1, weight1, gammas)
-        units = config.mc_samples * (1.0 + cut * len(config.thetas) * len(config.budgets))
+        # the anchors theta = 0, 1 and -1 the thetas need
+        th = [theta.theta for theta in config.thetas]
+        anchors = any(abs(t) < 1.0 for t in th) + any(t > 0.0 for t in th)
+        anchors += any(t < 0.0 for t in th)
+        units = config.mc_samples * (1.0 + cut * anchors * len(config.budgets))
         tasks = min(blocks, int(units) // CHUNK_SIZE)
         shares = _block_shares(blocks, _pool_size(workers, tasks, _cpus()))
     with _fanned_out(partial(_share_counts, config, rates, shares), len(shares), workers) as results:
@@ -478,6 +492,23 @@ def _formatted(column: np.ndarray) -> list[str]:
     return texts
 
 
+@contextmanager
+def _replacing(path: str | Path) -> Iterator:
+    """A text file open for writing that replaces ``path`` once the block
+    ends: the text goes to a temporary file beside ``path``, renamed onto it
+    by ``os.replace``.  A block that raises leaves ``path`` as it was and no
+    temporary file."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline="") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(
     path: str | Path, header: str, axes: tuple, columns: Sequence[np.ndarray],
     codes: np.ndarray, texts: Sequence[str],
@@ -488,7 +519,9 @@ def _write_csv(
     ``texts[code]``.  Each axis value is formatted once.  Lines are
     formatted and written one block of ``BLOCK_SIZE`` rows at a time, so the
     text buffers do not grow with the table, and each column's values in a
-    block go through one ``%`` template (:func:`_formatted`).
+    block go through one ``%`` template (:func:`_formatted`).  The file
+    is written through :func:`_replacing`, so a write that fails part-way
+    leaves ``path`` as it was.
     """
     budgets, thetas, rates, *rest = axes
     keys = map(
@@ -496,7 +529,7 @@ def _write_csv(
         product(map(str, budgets), map(format_value, thetas), map(format_value, rates), *rest),
     )
     endings = [text + "\n" for text in texts]  # the last column ends the line
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(codes), BLOCK_SIZE):
             block = slice(start, start + BLOCK_SIZE)
@@ -568,29 +601,21 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     process per CPU this process may run on (see :func:`_fanned_out`), and
     each block's text is written as it is read, so memory does not grow
     with ``n``.  Each block can be drawn alone, so the bytes do not depend
-    on the worker count.  The text goes to a temporary file beside
-    ``path``, renamed onto ``path`` once every block is in, so a run that
-    fails part-way leaves neither file.  Raises ValueError, before drawing
+    on the worker count.  The text goes through :func:`_replacing`, so a
+    run that fails part-way leaves neither file.  Raises ValueError, before drawing
     or opening a file, if ``n`` exceeds ``MAX_SAMPLES``.
     """
     if n > MAX_SAMPLES:
         raise ValueError(f"sample count must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}")
     theta = DependenceParameter(theta_value)
     texts = partial(_sample_texts, theta, config.marginals, n, config.seed)
-    path = Path(path)
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     # n < 0 makes no items, so no pool: the texts are made here, checking n
     with _fanned_out(texts, -(-n // BLOCK_SIZE), 0) as blocks:
         # opened once the pool has started, so that no worker inherits it
-        try:
-            with open(temporary, "w", newline="") as fh:
-                fh.write("g1,g2\n")
-                for text in blocks:
-                    fh.write(text)
-            os.replace(temporary, path)
-        except BaseException:
-            temporary.unlink(missing_ok=True)
-            raise
+        with _replacing(path) as fh:
+            fh.write("g1,g2\n")
+            for text in blocks:
+                fh.write(text)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

@@ -812,16 +812,17 @@ noise = 1
 
 
 # A drawn pair is one unit of work, and each pair the first-gain cut keeps
-# one more per (theta, budget); a pool starts one worker per 65,536 units.
-# At preset scale the cut keeps about 0.13 % of the pairs.
+# one more per (anchor, budget), for the anchors theta = 0, 1 and -1 the
+# thetas need; a pool starts one worker per 65,536 units.  At preset scale
+# the cut keeps about 0.13 % of the pairs.
 @pytest.mark.parametrize(
     "argv,forks",
     [
-        # 100,629 units: one worker
+        # 100,378 units: one worker
         pytest.param(["compare", "--preset", "fig3", "--samples", "100000"], 1, id="fig3-1e5"),
-        # 1,012,592 units: 15 workers, capped at the 2 CPUs
+        # 1,007,555 units: 15 workers, capped at the 2 CPUs
         pytest.param(["outage", "--preset", "fig2", "--samples", "1000000"], 2, id="fig2-1e6"),
-        # the cut keeps nearly every pair: about 1.2 million units
+        # the cut keeps nearly every pair: about 800,000 units
         pytest.param(
             ["outage", "--config", "unit.cfg", "--methods", "monte-carlo", "--samples", "200000"],
             2,

@@ -26,8 +26,10 @@ from swmac import (
 )
 from swmac.cli import main
 from swmac.config import ExperimentConfig, RateGrid, ValidationError, preset_config
+from swmac.streams import BLOCK_SIZE, CHUNK_SIZE
 from swmac.sweep import run_outage_sweep
 
+from mixture import mixture_gain_pairs
 from oracles import (
     brute_force_outage,
     closed_form_residual,
@@ -477,12 +479,11 @@ def test_monte_carlo_deterministic_for_seed():
 
 
 def test_monte_carlo_matches_manual_chunk_accumulation():
-    from swmac.copula import iter_gain_pair_chunks
-
     q = make_grid(thetas=(-0.4,), rates=(0.6,))
     n, seed = 150_000, 11
     est = outage_monte_carlo(*q, n, seed)
-    chunks = list(iter_gain_pair_chunks(q.thetas[0], q.marginals, n, seed))
+    pairs = mixture_gain_pairs(q.thetas[0], q.marginals, n, seed)
+    chunks = np.split(pairs, range(CHUNK_SIZE, n, CHUNK_SIZE))
     (a, b), gamma = weights(q), gammas(q).item()
     count = sum(
         int(np.count_nonzero(a * c[:, 0] + b * c[:, 1] <= gamma))
@@ -511,17 +512,18 @@ def test_monte_carlo_grid_entries_equal_single_point_estimates():
 
 def test_monte_carlo_grid_counts_ties_as_outage():
     # At R = 0.5, gamma = noise*(2^1 - 1) = noise exactly, so noise set to
-    # the 500th smallest drawn sum puts gamma on that sum.
-    from swmac.copula import iter_gain_pair_chunks
-
-    theta, marginals = DependenceParameter(0.2), FadingMarginals(1.0, 1.0)
-    (chunk,) = iter_gain_pair_chunks(theta, marginals, 1000, 5)
-    sums = np.sort(1.0 * chunk[:, 0] + 5.0 * chunk[:, 1])
-    assert len(np.unique(sums)) == 1000
-    budget = PowerBudget(0.0, 1.0, 5.0, float(sums[499]))
-    assert gamma_threshold((0.5,), budget.noise).tolist() == [sums[499]]
-    est = outage_monte_carlo((theta,), marginals, (budget,), (0.5,), 1000, 5)
-    assert est.value.tolist() == [[[0.5]]]
+    # the 500th smallest drawn sum puts gamma on that sum.  Theta = 0.2
+    # counts its prefix of about 200 pairs apart, 0.9 its suffix of about
+    # 100, and 1.0 is the anchor itself.
+    marginals = FadingMarginals(1.0, 1.0)
+    for theta in map(DependenceParameter, (0.2, 0.9, 1.0)):
+        pairs = mixture_gain_pairs(theta, marginals, 1000, 5)
+        sums = np.sort(1.0 * pairs[:, 0] + 5.0 * pairs[:, 1])
+        assert len(np.unique(sums)) == 1000
+        budget = PowerBudget(0.0, 1.0, 5.0, float(sums[499]))
+        assert gamma_threshold((0.5,), budget.noise).tolist() == [sums[499]]
+        est = outage_monte_carlo((theta,), marginals, (budget,), (0.5,), 1000, 5)
+        assert est.value.tolist() == [[[0.5]]]
 
 
 def test_monte_carlo_grid_validation():
@@ -532,9 +534,11 @@ def test_monte_carlo_grid_validation():
         outage_monte_carlo((theta,), marginals, (PowerBudget(1.0, 1.0, 2.0, 1.0),), (0.5,), 1000, 1)
 
 
-# Three regimes of the cut on the first gain: off at unit noise, dropping
-# about half the pairs at noise 0.01, and nearly all of them at preset scale.
-# Each has two budgets with different weights and a rate axis that holds 0.
+# Four regimes of the cut on the first gain: off at unit noise, dropping
+# about half the pairs at noise 0.01, nine tenths at noise 8.4e-4 (so that a
+# batch of kept pairs spans a chunk boundary and holds several blocks'
+# prefix runs), and nearly all of them at preset scale.  Each has two
+# budgets with different weights and a rate axis that holds 0.
 CUT_THETAS = (-1.0, -0.35, 0.0, 0.6, 1.0)
 CUT_RATES = tuple(0.1 * i for i in range(31))  # 0 to 3
 CUT_REGIMES = {
@@ -548,6 +552,11 @@ CUT_REGIMES = {
         (PowerBudget(0.0, 1.0, 5.0, 0.01), PowerBudget(0.5, 2.0, 1.0, 0.01)),
         CUT_RATES[:26],  # reach 0.31: about 46 % of the pairs kept
     ),
+    "tenth-cut": (
+        FadingMarginals(1.0, 1.0),
+        (PowerBudget(0.0, 1.0, 5.0, 8.4e-4), PowerBudget(0.5, 2.0, 1.0, 8.4e-4)),
+        CUT_RATES,  # reach 0.053: about 10 % of the pairs kept
+    ),
     "preset-scale": (
         FadingMarginals(1.0, 2.5),  # fig3
         (PowerBudget(0.0, 1.0, 1.0, 1e-5), PowerBudget(0.0, 1.0, 10.0, 1e-5)),
@@ -558,11 +567,10 @@ CUT_REGIMES = {
 
 @pytest.mark.parametrize("regime", sorted(CUT_REGIMES))
 def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
-    # Three chunks, the last partial: every drawn pair's weighted sum is
+    # Three chunks, the last partial: every scored pair's weighted sum is
     # compared with every gamma, with no cut, sort or batching, at each
-    # theta of one call.
-    from swmac.copula import iter_gain_pair_chunks
-
+    # theta of one call (at theta = -1, 0 and 1 the pairs
+    # iter_gain_pair_chunks yields at that theta).
     marginals, budgets, rates = CUT_REGIMES[regime]
     n, seed = 150_000, 23
     gammas = [gamma_threshold(rates, budget.noise) for budget in budgets]
@@ -570,7 +578,7 @@ def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
     est = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
     assert est.value[:, :, 0].tolist() == [[0.0, 0.0]] * len(thetas)  # rate 0
     for t, theta in enumerate(thetas):
-        g = np.concatenate(list(iter_gain_pair_chunks(theta, marginals, n, seed)))
+        g = mixture_gain_pairs(theta, marginals, n, seed)
         counts = np.array(
             [
                 np.count_nonzero(
@@ -604,7 +612,7 @@ def test_monte_carlo_theta_entries_equal_one_theta_calls(regime):
 
 def _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, n, seed):
     """Share of the n drawn pairs that reach the conditional inversion, per
-    theta of one call."""
+    anchor theta it is called at during one call."""
     import swmac.outage as outage_module
 
     inverted = {}
@@ -617,25 +625,106 @@ def _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, n, seed):
     monkeypatch.setattr(outage_module, "_inversion_step", spy)
     outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
     monkeypatch.undo()
-    return [inverted[theta.theta] / n for theta in thetas]
+    return {th: count / n for th, count in inverted.items()}
 
 
 @pytest.mark.parametrize("regime,low,high", [("preset-scale", 0.0, 0.01), ("half-cut", 0.44, 0.48)])
 def test_monte_carlo_inverts_only_the_pairs_the_cut_keeps(monkeypatch, regime, low, high):
+    # Only the anchors theta = 1 and -1 invert; 0 takes v itself.
     marginals, budgets, rates = CUT_REGIMES[regime]
     thetas = tuple(map(DependenceParameter, CUT_THETAS))
     shares = _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, 150_000, 23)
-    assert len(set(shares)) == 1  # the cut does not depend on theta
-    assert low < shares[0] < high
+    assert sorted(shares) == [-1.0, 1.0]
+    assert len(set(shares.values())) == 1  # the cut does not depend on theta
+    assert low < shares[1.0] < high
 
 
 def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
-    # the benchmark's mc-sweep: fig2 weights at noise 1, rates 0.1 to 3
+    # the benchmark's mc-sweep: fig2 weights at noise 1, rates 0.1 to 3.
+    # The cut keeps every pair, so the anchor theta = 1 inverts all of them;
+    # theta = 0.35 only the blocks before its prefix boundary and the one
+    # that holds it, since the blocks after it count every pair at 0; and
+    # theta = 0 none.
+    from swmac.streams import substream
+
     marginals = FadingMarginals(1.0, 1.0)
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0))
-    rates = CUT_RATES[1:]
-    theta = DependenceParameter(0.35)
-    assert _inverted_shares(monkeypatch, (theta,), marginals, budgets, rates, 32_768, 5) == [1.0]
+    rates, n = CUT_RATES[1:], 32_768
+
+    def shares(theta_value):
+        thetas = (DependenceParameter(theta_value),)
+        return _inverted_shares(monkeypatch, thetas, marginals, budgets, rates, n, 5)
+
+    assert shares(1.0) == {1.0: 1.0}
+    prefix = substream(5, 0, 1).binomial(n, 0.35)
+    assert shares(0.35) == {1.0: -(-prefix // BLOCK_SIZE) * BLOCK_SIZE / n}
+    assert shares(0.0) == {}
+
+
+def test_monte_carlo_rows_do_not_depend_on_theta_order_or_repeats():
+    # Permuting the theta axis permutes the entries, and a repeated theta
+    # gets the same ones; -0.6 and 0.6 share their prefix lengths but not
+    # their anchor.  Two chunks at unit noise.
+    marginals, budgets, rates = CUT_REGIMES["unit-noise"]
+    values = (0.6, -1.0, 0.0, -0.6, 0.05, 1.0)
+    n, seed = 70_000, 41
+    grid = outage_monte_carlo(tuple(map(DependenceParameter, values)), marginals, budgets, rates, n, seed)
+    order = (3, 5, 0, 4, 2, 1, 0, 3)
+    permuted = outage_monte_carlo(
+        tuple(DependenceParameter(values[t]) for t in order), marginals, budgets, rates, n, seed
+    )
+    assert permuted.counts.tobytes() == grid.counts[list(order)].tobytes()
+    assert grid.counts[0].tobytes() != grid.counts[3].tobytes()
+
+
+@pytest.mark.parametrize("regime", ["unit-noise", "half-cut", "tenth-cut"])
+@pytest.mark.parametrize("cuts", [(1,), (5, 6, 21), (2, 16, 17, 18, 30)])
+def test_monte_carlo_shares_add_up_to_the_whole_count(regime, cuts):
+    # Any split of the draw's 37 blocks (three chunks, the last partial)
+    # into contiguous shares: the shares' counts add up to the whole count
+    # bit for bit, with the first-gain cut off (unit noise) and on.
+    marginals, budgets, rates = CUT_REGIMES[regime]
+    thetas = tuple(map(DependenceParameter, CUT_THETAS + (0.3, -0.85)))
+    n, seed = 150_000, 29
+    whole = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
+    edges = (0, *cuts, -(-n // BLOCK_SIZE))
+    shares = [
+        outage_monte_carlo(thetas, marginals, budgets, rates, n, seed, blocks=range(lo, hi))
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    assert sum(share.counts for share in shares).tobytes() == whole.counts.tobytes()
+    assert OutageCurve.from_counts(sum(s.counts for s in shares), n).value.tobytes() == (
+        whole.value.tobytes()
+    )
+
+
+#: fig2's budgets at unit noise, with the 30 rates 0.1 to 3.0 of mc-sweep.
+_LAW_GRID = (
+    FadingMarginals(1.0, 1.0),
+    (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.0, 1.0, 10.0, 1.0)),
+    CUT_RATES[1:],
+)
+
+
+def test_monte_carlo_mixture_counts_follow_the_binomial_law():
+    # An interior theta's count is Binomial(n, p(theta)): over 60 seeds, the
+    # z-scores of its 14,400 rows against quadrature are standard normal in
+    # their first two moments, with no outlier.
+    marginals, budgets, rates = _LAW_GRID
+    thetas = tuple(map(DependenceParameter, (-0.6, -0.2, 0.3, 0.8)))
+    p = outage_quadrature(thetas, marginals, budgets, rates).value
+    n = 70_000
+    z = np.array(
+        [
+            (outage_monte_carlo(thetas, marginals, budgets, rates, n, seed).value - p)
+            / np.sqrt(p * (1.0 - p) / n)
+            for seed in range(100, 160)
+        ]
+    )
+    assert z.size == 14_400
+    assert abs(z.mean()) < 0.1
+    assert 0.9 <= z.std() <= 1.1
+    assert np.abs(z).max() < 5.0
 
 
 # ---------------------------------------------------------------------------

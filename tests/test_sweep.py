@@ -140,23 +140,25 @@ def test_parallel_sweep_matches_serial():
 def test_monte_carlo_rows_equal_1x1_estimates():
     # Every Monte Carlo row of a sweep is scored against one draw set, keyed
     # by derive_seed(seed, 0): each row equals the 1x1 estimate on that key
-    # and the frequency of A*g1 + B*g2 <= gamma over the pairs that
-    # iter_gain_pair_chunks yields at its theta from that key.
+    # and the frequency of A*g1 + B*g2 <= gamma over the pairs it scores at
+    # its theta, rebuilt by brute force (at theta = -1, 0 and 1 the pairs
+    # iter_gain_pair_chunks yields at that theta from that key).
     # n = 150,000 is three chunks, the last one partial.
-    from swmac.copula import iter_gain_pair_chunks
+    from mixture import mixture_gain_pairs
 
     n = 150_000
     cfg = small_config(
         budgets=(PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5)),
+        thetas=tuple(map(DependenceParameter, (-1.0, -0.45, 0.0, 1.0))),
         methods=("quadrature", "monte-carlo"),
         mc_samples=n,
     )
     table = run_outage_sweep(cfg)
     op, std_err, flag = (a[..., 1] for a in (table.op, table.std_err, table.flag))
-    assert op.shape == (2, 3, 3)
+    assert op.shape == (2, 4, 3)
     seed, rates = derive_seed(cfg.seed, 0), table.axes[2]
     for t_i, theta in enumerate(cfg.thetas):
-        g = np.concatenate(list(iter_gain_pair_chunks(theta, cfg.marginals, n, seed)))
+        g = mixture_gain_pairs(theta, cfg.marginals, n, seed)
         for b_i, budget in enumerate(cfg.budgets):
             sums = (budget.p1 - budget.p0) * g[:, 0] + (budget.p2 - budget.p0) * g[:, 1]
             gammas = gamma_threshold(rates, budget.noise).tolist()
@@ -174,7 +176,7 @@ def test_monte_carlo_rows_equal_1x1_estimates():
 def test_a_monte_carlo_row_does_not_depend_on_the_other_thetas(forked_pool_of_two, workers):
     # Common random numbers across theta: thetas added before 0.5 in the
     # config leave its rows as they are, serial or pooled (two workers: the
-    # three thetas' draw is about 157,000 units of work).
+    # draw at the three anchors is about 157,000 units of work).
     methods, n = ("monte-carlo",), 40_000
     alone = run_outage_sweep(
         small_config(thetas=(DependenceParameter(0.5),), methods=methods, mc_samples=n)
@@ -189,8 +191,9 @@ def test_a_monte_carlo_row_does_not_depend_on_the_other_thetas(forked_pool_of_tw
 
 @pytest.mark.parametrize("count", [1, 3, 7])
 def test_a_serial_sweep_draws_once_whatever_its_theta_count(monkeypatch, count):
-    # One _uniform_blocks call, and one substream per chunk: each Philox
-    # block is drawn once for every theta.  70,000 pairs are two chunks.
+    # One _uniform_blocks call, and one substream of uniforms per chunk:
+    # each Philox block is drawn once for every theta.  70,000 pairs are two
+    # chunks.
     import swmac.copula as copula_module
     import swmac.outage as outage_module
 
@@ -229,8 +232,9 @@ def test_parallel_theta_blocks_match_serial(workers):
 def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_path, cpus):
     # One theta, so the pool is capped by the draw's 30 blocks, not by the
     # theta count; at unit noise the first-gain cut keeps nearly every
-    # pair, so every share runs the per-theta kernel, and the draw's work,
-    # about 236,000 pair units, starts 3 workers where 3 CPUs allow it.
+    # pair, so every share counts them at the anchors 0 and 1, and the
+    # draw's work, about 354,000 pair units, starts 3 workers where 3 CPUs
+    # allow it.
     # Each share records where it ran and which blocks it counted.
     import swmac.sweep
 
@@ -1197,6 +1201,43 @@ def test_emit_comparison_csv(tmp_path):
         "flags",
     ]
     assert len(parsed) == 1 + len(report)
+
+
+# The sweep table's 27 rows and the report's 9 points, at 7 rows a block:
+# the first call of _formatted in the second block runs out of space.
+@pytest.mark.parametrize("writer,failing_call", [("sweep", 3), ("comparison", 5)])
+def test_a_csv_write_that_fails_part_way_leaves_the_old_file(
+    writer, failing_call, tmp_path, monkeypatch
+):
+    import errno
+
+    import swmac.sweep as sweep_module
+
+    cfg = small_config(mc_samples=10_000)
+    if writer == "sweep":
+        emit, result = emit_csv, run_outage_sweep(cfg)
+    else:
+        emit, result = emit_comparison_csv, compare_methods(cfg)
+    path = tmp_path / "out.csv"
+    path.write_text("the previous run's rows\n")
+    formatted, calls = sweep_module._formatted, []
+
+    def out_of_space(column):
+        calls.append(len(column))
+        if len(calls) == failing_call:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return formatted(column)
+
+    monkeypatch.setattr(sweep_module, "BLOCK_SIZE", 7)
+    monkeypatch.setattr(sweep_module, "_formatted", out_of_space)
+    with pytest.raises(OSError, match="No space left"):
+        emit(result, path)
+    assert len(calls) == failing_call
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_text() == "the previous run's rows\n"
+    monkeypatch.setattr(sweep_module, "_formatted", formatted)
+    emit(result, path)  # a whole write replaces it
+    assert len(path.read_text().splitlines()) == 1 + len(result)
 
 
 # ---------------------------------------------------------------------------
