@@ -611,20 +611,21 @@ def outage_monte_carlo(
     an independent choice per pair: its count is still Binomial(n, p), but
     not over the pairs the sampler yields at that theta.
 
-    Each block drops the pairs that cannot be in outage on their raw
-    uniforms (:func:`_first_gain_cut`); the rest are counted in batches of
-    at most ``BLOCK_SIZE`` kept pairs.  A batch forms the second gains
-    only at the anchors its thetas use in it, and per budget it sorts the
-    sums A*g1 + B*g2 and counts them at or below every gamma by binary
-    search, so ties count as outage: once over the batch for each anchor
-    that some theta counts the whole batch at, and apart for the two sides
-    of a theta's prefix boundary inside the batch, or for the smaller side
-    alone where both anchors' whole counts are at hand.  The counts are
-    exact, so they do not depend on the cut, the batching, the shares or
-    the other thetas: entry ``[t, i, j]`` equals the 1x1x1 grid at
-    (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with the same (n, seed)
-    exactly.  Entries share their draws (common random numbers across
-    theta, budget and rate), so they are correlated with one another.
+    Each block is split at every interior theta's prefix boundary inside
+    it, so that each piece lies on one side of every boundary: each theta
+    counts the whole piece at one anchor.  A piece drops the pairs that
+    cannot be in outage on their raw uniforms (:func:`_first_gain_cut`),
+    and the kept pairs of pieces that every theta counts at the same anchor
+    are counted together, in batches that hold at most ``BLOCK_SIZE`` kept
+    pairs in all.  A batch forms the second gains only at the anchors its
+    thetas use, and per anchor and budget it sorts the sums A*g1 + B*g2 and
+    counts them at or below every gamma by binary search, so ties count as
+    outage.  The counts are exact, so they do not depend on the cut, the
+    batching, the shares or the other thetas: entry ``[t, i, j]`` equals
+    the 1x1x1 grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with
+    the same (n, seed) exactly.  Entries share their draws (common random
+    numbers across theta, budget and rate), so they are correlated with one
+    another.
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
@@ -635,92 +636,62 @@ def outage_monte_carlo(
     weight1, weight2, gammas = _budget_axes(budgets, rates)
     cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
     th = [theta.theta for theta in thetas]
+    signs = [math.copysign(1.0, t) for t in th]
     # the |theta| of each interior theta, each with one prefix length per chunk
     mags = sorted({abs(t) for t in th if 0.0 < abs(t) < 1.0})
     counts = np.zeros((len(th), len(budgets), len(rates)), dtype=np.int64)
 
-    def count(batch: list[np.ndarray], prefixes: list[list[int]]) -> None:
+    def count(batch: list[np.ndarray], sides: tuple[float, ...]) -> None:
+        # theta u counts every pair of the batch at the anchor sides[u]
         w = batch[0] if len(batch) == 1 else np.concatenate(batch)
-        # Each theta counts the whole batch at one anchor, or, where its
-        # prefix boundary falls inside, the rows before it (a run at the
-        # start of each block's rows) at sign(theta) and the rest at 0.
-        whole, split = {}, []
-        for u, theta in enumerate(th):
-            side = math.copysign(1.0, theta)
-            if abs(theta) in (0.0, 1.0):
-                whole[u] = theta
-                continue
-            ahead = [row[mags.index(abs(theta))] for row in prefixes]
-            signed = sum(ahead)
-            if signed in (0, len(w)):
-                whole[u] = side if signed else 0.0
-                continue
-            rows, start = np.zeros(len(w), dtype=bool), 0
-            for x, q in zip(batch, ahead):
-                rows[start : start + q] = True
-                start += len(x)
-            split.append((u, side, signed, rows))
-        used = set(whole.values()).union(*((0.0, side) for _, side, _, _ in split))
         # contiguous columns: the prelude and the first gain read them
         u1, v = w.T.copy()
-        prelude = _inversion_prelude(u1, v) if used - {0.0} else None
+        prelude = _inversion_prelude(u1, v) if any(sides) else None
         weighted = weight1 * _exp_quantile(u1, marginals.lambda1)  # (budget, pair)
-        a, den = np.empty((2, len(v)))
-        g2 = {
-            anchor: _exp_quantile(
-                _inversion_step(anchor, prelude, np.empty(len(v)), a, den) if anchor else v,
-                marginals.lambda2,
-            )
-            for anchor in used
-        }
-
-        def tally(anchor: float, rows=slice(None)) -> np.ndarray:
-            # per budget, the pairs of ``rows`` in outage at each gamma
-            g = g2[anchor][rows]
-            s, out = np.empty(len(g)), np.empty(gammas.shape, dtype=np.int64)
+        a, den, s = np.empty((3, len(v)))
+        full = {}
+        for anchor in set(sides):
+            g = _inversion_step(anchor, prelude, np.empty(len(v)), a, den) if anchor else v
+            _exp_quantile(g, marginals.lambda2)
+            # per budget, the pairs in outage at each gamma
+            full[anchor] = out = np.empty(gammas.shape, dtype=np.int64)
             for i, b in enumerate(weight2[:, 0]):
-                np.add(weighted[i][rows], np.multiply(b, g, out=s), out=s)
+                np.add(weighted[i], np.multiply(b, g, out=s), out=s)
                 s.sort()
                 out[i] = np.searchsorted(s, gammas[i], side="right")
-            return out
-
-        full = {anchor: tally(anchor) for anchor in set(whole.values())}
-        for u, anchor in whole.items():
+        for u, anchor in enumerate(sides):
             counts[u] += full[anchor]
-        for u, side, signed, rows in split:
-            if {0.0, side} <= full.keys():
-                # move the smaller side of the boundary from one anchor's
-                # whole count to the other's
-                here, there = (0.0, side) if 2 * signed <= len(v) else (side, 0.0)
-                rows = rows if here == 0.0 else ~rows
-                counts[u] += full[here] - tally(here, rows) + tally(there, rows)
-            else:
-                counts[u] += tally(side, rows) + tally(0.0, ~rows)
 
-    # Kept rows of consecutive blocks are counted together, so a block that
-    # keeps a few rows does not pay the fixed cost of the numpy calls alone.
+    # Each block is cut at every prefix boundary inside it, and each piece's
+    # kept rows join the open batch of its sides: pieces of consecutive
+    # blocks are counted together, so a piece that keeps a few rows does not
+    # pay the fixed cost of the numpy calls alone.  Every open batch is
+    # counted before their rows in all would pass BLOCK_SIZE.
     per_chunk = CHUNK_SIZE // BLOCK_SIZE
     blocks = range(-(-n // BLOCK_SIZE)) if blocks is None else blocks
-    batch, prefixes, held, drawn, chunk = [], [], 0, 0, None
+    batches, held, drawn, chunk = {}, 0, 0, None
     for b, w in zip(blocks, _uniform_blocks(n, seed, blocks=blocks)):
         k, j = divmod(b, per_chunk)  # the chunk, and the block within it
         if k != chunk:
-            chunk, lengths = k, _prefix_lengths(seed, k, min(CHUNK_SIZE, n - k * CHUNK_SIZE), mags)
+            size = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
+            lengths = dict(zip(mags, _prefix_lengths(seed, k, size, mags)))
+            # each theta's prefix in the chunk: none at 0, all of it at 1 and -1
+            chunk, prefix = k, [lengths.get(abs(t), size if t else 0) for t in th]
         drawn += len(w)
-        # each interior theta's pairs of this block in its prefix, before the cut
-        ahead = [min(max(m - j * BLOCK_SIZE, 0), len(w)) for m in lengths]
-        if cut < 1.0:
-            keep = w[:, 0] <= cut
-            size, w = len(w), np.compress(keep, w, axis=0)
-            # the kept pairs among them: none, all, or a count at a boundary
-            ahead = [
-                p and (len(w) if p == size else int(np.count_nonzero(keep[:p]))) for p in ahead
-            ]
-        if held + len(w) > BLOCK_SIZE:
-            count(batch, prefixes)
-            batch, prefixes, held = [], [], 0
-        batch.append(w)
-        prefixes.append(ahead)
-        held += len(w)
-    count(batch, prefixes)
+        # each theta's prefix boundary in this block's rows, before the cut
+        ends = [m - j * BLOCK_SIZE for m in prefix]
+        edges = sorted({0, len(w), *(e for e in ends if 0 < e < len(w))})
+        for lo, hi in zip(edges, edges[1:]):
+            sides = tuple(side if lo < e else 0.0 for side, e in zip(signs, ends))
+            piece = w[lo:hi] if cut == 1.0 else np.compress(w[lo:hi, 0] <= cut, w[lo:hi], axis=0)
+            if not len(piece):
+                continue
+            if held + len(piece) > BLOCK_SIZE:
+                for key, batch in batches.items():
+                    count(batch, key)
+                batches, held = {}, 0
+            batches.setdefault(sides, []).append(piece)
+            held += len(piece)
+    for sides, batch in batches.items():
+        count(batch, sides)
     return OutageCurve.from_counts(counts, drawn)

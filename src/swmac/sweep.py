@@ -46,7 +46,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, islice, product
+from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -561,7 +561,9 @@ def emit_region(
     Gaussian region.  Coordinates are written with full round-trip
     precision so re-reading and re-checking membership is exact.  Returns
     the vertex list; raises :class:`VertexMembershipError`, before writing
-    anything, if a vertex fails that check.
+    anything, if a vertex fails that check.  The file is written through
+    :func:`_replacing`, so a write that fails part-way leaves ``path`` as it
+    was.
     """
     bounds = (
         wireless_region_bounds(budget, gains)
@@ -574,7 +576,7 @@ def emit_region(
             raise VertexMembershipError(
                 f"vertex ({x!r}, {y!r}) lies outside region {bounds} at r0={r0!r}"
             )
-    with open(path, "w", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write("r1,r2\n")
         for x, y in vertices:
             fh.write(f"{x!r},{y!r}\n")
@@ -626,8 +628,12 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         + [f"diff_{a}_{b}" for a, b in report.pairs]
         + ["z_quad_mc", "flags"]
     )
-    # one text per distinct flag set
-    flag_sets, codes = np.unique(report.flags, axis=0, return_inverse=True)
-    texts = [";".join(compress(report.flag_labels, row)) for row in flag_sets.tolist()]
+    # one text per distinct flag set, coded with bit j for flag_labels[j]
+    labels = report.flag_labels
+    flag_sets, codes = np.unique(report.flags @ (1 << np.arange(len(labels))), return_inverse=True)
+    texts = [
+        ";".join(label for j, label in enumerate(labels) if code >> j & 1)
+        for code in flag_sets.tolist()
+    ]
     columns = (*report.diffs.T, report.z_quad_mc)
     _write_csv(path, header, report.axes, columns, codes, texts)

@@ -642,9 +642,9 @@ def test_monte_carlo_inverts_only_the_pairs_the_cut_keeps(monkeypatch, regime, l
 def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
     # the benchmark's mc-sweep: fig2 weights at noise 1, rates 0.1 to 3.
     # The cut keeps every pair, so the anchor theta = 1 inverts all of them;
-    # theta = 0.35 only the blocks before its prefix boundary and the one
-    # that holds it, since the blocks after it count every pair at 0; and
-    # theta = 0 none.
+    # theta = 0.35 exactly the pairs of its prefix, since the block that
+    # holds its boundary is split there and the pairs after it count at 0;
+    # and theta = 0 none.
     from swmac.streams import substream
 
     marginals = FadingMarginals(1.0, 1.0)
@@ -657,7 +657,8 @@ def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
 
     assert shares(1.0) == {1.0: 1.0}
     prefix = substream(5, 0, 1).binomial(n, 0.35)
-    assert shares(0.35) == {1.0: -(-prefix // BLOCK_SIZE) * BLOCK_SIZE / n}
+    assert prefix % BLOCK_SIZE  # the boundary falls inside a block
+    assert shares(0.35) == {1.0: prefix / n}
     assert shares(0.0) == {}
 
 
@@ -696,6 +697,78 @@ def test_monte_carlo_shares_add_up_to_the_whole_count(regime, cuts):
     assert OutageCurve.from_counts(sum(s.counts for s in shares), n).value.tobytes() == (
         whole.value.tobytes()
     )
+
+
+#: Prefix lengths per chunk of a 150,000-pair draw (chunks of 65,536,
+#: 65,536 and 18,928 pairs), per |theta|: in chunk 0 two boundaries fall in
+#: block 1, in chunk 1 one falls at 0 and one on the edge of block 18, and
+#: in chunk 2 one falls at the chunk's end and one inside block 35.
+_PLACED_PREFIXES = (
+    {0.35: 5_000, 0.6: 7_000},
+    {0.35: 0, 0.6: 2 * BLOCK_SIZE},
+    {0.35: 18_928, 0.6: 3 * BLOCK_SIZE + 17},
+)
+
+
+@pytest.mark.parametrize("regime", ["unit-noise", "half-cut", "tenth-cut"])
+def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeypatch, regime):
+    # With the prefix lengths placed on the edge cases of the block split,
+    # including a boundary that -0.6 and 0.6 share, each theta's counts equal
+    # a brute-force count of every pair from the same lengths, for the whole
+    # draw and summed over shares whose edges cut the blocks that hold a
+    # boundary, and no batch holds more than BLOCK_SIZE pairs.
+    import swmac.outage as outage_module
+    from swmac.copula import iter_gain_pair_chunks
+
+    marginals, budgets, rates = CUT_REGIMES[regime]
+    n, seed = 150_000, 37
+    sizes = (CHUNK_SIZE, CHUNK_SIZE, n - 2 * CHUNK_SIZE)
+
+    def placed(seed_, chunk, size, mags):
+        assert (seed_, size) == (seed, sizes[chunk])
+        return [_PLACED_PREFIXES[chunk][mag] for mag in mags]
+
+    batch_rows = []
+    exp_quantile = outage_module._exp_quantile
+
+    def spy(u, *lams):
+        batch_rows.append(len(u))
+        return exp_quantile(u, *lams)
+
+    monkeypatch.setattr(outage_module, "_prefix_lengths", placed)
+    monkeypatch.setattr(outage_module, "_exp_quantile", spy)
+    values = (-1.0, -0.6, -0.35, 0.0, 0.35, 0.6, 1.0)
+    thetas = tuple(map(DependenceParameter, values))
+    whole = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
+    edges = (0, 1, 2, 17, 18, 35, -(-n // BLOCK_SIZE))
+    shares = sum(
+        outage_monte_carlo(thetas, marginals, budgets, rates, n, seed, blocks=range(lo, hi)).counts
+        for lo, hi in zip(edges, edges[1:])
+    )
+    assert batch_rows and max(batch_rows) <= BLOCK_SIZE
+
+    def anchor_pairs(at):
+        chunks = iter_gain_pair_chunks(DependenceParameter(at), marginals, n, seed)
+        return np.concatenate(list(chunks))
+
+    anchors = {at: anchor_pairs(at) for at in (-1.0, 0.0, 1.0)}
+    index = np.arange(n)
+    for t, theta in enumerate(values):
+        prefix = [
+            size if abs(theta) == 1.0 else lengths.get(abs(theta), 0)
+            for size, lengths in zip(sizes, _PLACED_PREFIXES)
+        ]
+        signed = (index % CHUNK_SIZE < np.array(prefix)[index // CHUNK_SIZE])[:, None]
+        g = np.where(signed, anchors[math.copysign(1.0, theta)], anchors[0.0])
+        brute = [
+            np.count_nonzero(
+                ((b.p1 - b.p0) * g[:, 0] + (b.p2 - b.p0) * g[:, 1])[:, None]
+                <= gamma_threshold(rates, b.noise),
+                axis=0,
+            )
+            for b in budgets
+        ]
+        assert whole.counts[t].tolist() == shares[t].tolist() == np.array(brute).tolist()
 
 
 #: fig2's budgets at unit noise, with the 30 rates 0.1 to 3.0 of mc-sweep.

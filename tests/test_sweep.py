@@ -1295,6 +1295,40 @@ def test_emit_region_collapses_at_full_common_rate(tmp_path):
     assert vertices == [(0.0, 0.0)]
 
 
+def test_a_region_write_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch):
+    import errno
+
+    import swmac.sweep as sweep_module
+
+    class OutOfSpaceAfterHeader:
+        """A text file whose writes fail after the first one."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    path = tmp_path / "region.csv"
+    path.write_text("the previous run's vertices\n")
+    monkeypatch.setattr(
+        sweep_module, "open", lambda *a, **k: OutOfSpaceAfterHeader(open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        emit_region(PowerBudget(0.0, 1.0, 1.0, 1.0), None, 0.0, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["region.csv"]
+    assert path.read_text() == "the previous run's vertices\n"
+
+
 def test_emit_samples_equals_pair_by_pair_writer(tmp_path):
     from swmac.copula import iter_gain_pair_chunks
 
