@@ -24,11 +24,14 @@ Three evaluators are provided and cross-validated:
   (seed, n) regardless of execution parallelism.  One draw set scores the
   whole grid (common random numbers across the theta axis), at the three
   anchors alone: theta = 0, 1 and -1 count the pairs the sampler yields at
-  that theta, and any other theta samples the copula exactly as the
-  mixture of two anchors, so its rows are not scored on the pairs the
-  sampler yields at that theta, and every count is still Binomial(n, p).
-  A call can count a share of the draw's blocks; the integer counts of
-  disjoint shares add up to those of the whole draw.
+  that theta from the same seed, and any other theta samples the copula
+  exactly as the mixture of two anchors, its first M ~ Binomial(n, |theta|)
+  pairs at the sign(theta) anchor and the rest at independence, with one M
+  per draw from the substream (seed, 0, 1).  Its rows are not scored on
+  the pairs the sampler yields at that theta, and every count is still
+  Binomial(n, p).  A call can count a share of the draw's blocks, such as
+  blocks w, w + k, ...; the integer counts of disjoint shares add up to
+  those of the whole draw.
 
 Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
 answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
@@ -65,7 +68,7 @@ from .copula import (
     _uniform_blocks,
 )
 from .regions import PowerBudget
-from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
+from .streams import BLOCK_SIZE, substream
 
 __all__ = [
     "CLOSED_FORM",
@@ -560,19 +563,19 @@ def _first_gain_cut(lambda1: float, weight1: np.ndarray, gammas: np.ndarray) -> 
     return -math.expm1(-2.0 * lambda1 * reach) if reach > 0.0 else 1.0
 
 
-def _prefix_lengths(seed: int, chunk: int, size: int, mags: Sequence[float]) -> list[int]:
-    """M ~ Binomial(``size``, |theta|) for each |theta| of ``mags``: how many
-    of the first pairs of chunk ``chunk``, of ``size`` pairs, take the
-    sign(theta) anchor.  Each is drawn from the start of the substream
-    (seed, chunk, 1), so it depends on (seed, chunk, size, |theta|) alone."""
+def _prefix_lengths(seed: int, n: int, mags: Sequence[float]) -> list[int]:
+    """M ~ Binomial(``n``, |theta|) for each |theta| of ``mags``: how many
+    of the first pairs of an ``n``-pair draw take the sign(theta) anchor.
+    Each is drawn from the start of the one substream (seed, 0, 1), so it
+    depends on (seed, n, |theta|) alone."""
     if not mags:
         return []
-    rng = substream(seed, chunk, 1)
+    rng = substream(seed, 0, 1)
     start = rng.bit_generator.state
     lengths = []
     for mag in mags:
         rng.bit_generator.state = start
-        lengths.append(int(rng.binomial(size, mag)))
+        lengths.append(int(rng.binomial(n, mag)))
     return lengths
 
 
@@ -593,34 +596,40 @@ def outage_monte_carlo(
     per-chunk substreams of ``seed`` (see
     :func:`~swmac.copula.iter_gain_pair_chunks`), one block of at most
     ``streams.BLOCK_SIZE`` pairs at a time, and serve every theta.
-    ``blocks``, an increasing range of block indices, counts only the pairs
-    of those blocks (default: all of them), and the value and standard
-    error are then over the pairs drawn: the counts of disjoint shares of
-    the blocks add up, bit for bit, to the counts of the whole draw, which
-    :meth:`OutageCurve.from_counts` turns into the whole estimate.
+    ``blocks``, an increasing range of block indices, contiguous or
+    strided, counts only the pairs of those blocks (default: all of them),
+    and the value and standard error are then over the pairs drawn: the
+    counts of disjoint shares of the blocks add up, bit for bit, to the
+    counts of the whole draw, which :meth:`OutageCurve.from_counts` turns
+    into the whole estimate.
 
     The FGM copula is (1 - |theta|)*independence + |theta|*C_sign(theta),
     so pairs are scored at the anchors theta = 0, 1 and -1 alone: 0
     takes v itself as the second uniform, and 1 and -1 one
     :func:`~swmac.copula._inversion_step` each, so their counts are over
-    the pairs ``iter_gain_pair_chunks`` yields at that theta, bit for bit.
-    A theta with 0 < |theta| < 1 samples the mixture exactly: in chunk k of
-    m_k pairs, its first M pairs by index take the sign(theta) anchor and
-    the rest the independence anchor, with M ~ Binomial(m_k, |theta|) from
-    :func:`_prefix_lengths`.  The pairs are i.i.d., so this has the law of
-    an independent choice per pair: its count is still Binomial(n, p), but
-    not over the pairs the sampler yields at that theta.
+    the pairs ``iter_gain_pair_chunks`` yields at that theta from the same
+    ``seed``, bit for bit.  (A sweep of seed S passes ``derive_seed(S, 0)``
+    here, so its anchor rows count the pairs ``swmac sample --seed
+    derive_seed(S, 0)`` writes, not those of ``--seed S``.)  A theta with
+    0 < |theta| < 1 samples the mixture exactly: the first M pairs of the
+    draw by index take the sign(theta) anchor and the rest the independence
+    anchor, with one M ~ Binomial(n, |theta|) per draw from
+    :func:`_prefix_lengths`.  The pairs are i.i.d. and M is independent of
+    them, so this has the law of an independent choice per pair: its count
+    is still Binomial(n, p), but not over the pairs the sampler yields at
+    that theta.
 
     Each block is split at every interior theta's prefix boundary inside
     it, so that each piece lies on one side of every boundary: each theta
-    counts the whole piece at one anchor.  A piece drops the pairs that
-    cannot be in outage on their raw uniforms (:func:`_first_gain_cut`),
-    and the kept pairs of pieces that every theta counts at the same anchor
-    are counted together, in batches that hold at most ``BLOCK_SIZE`` kept
-    pairs in all.  A batch forms the second gains only at the anchors its
-    thetas use, and per anchor and budget it sorts the sums A*g1 + B*g2 and
-    counts them at or below every gamma by binary search, so ties count as
-    outage.  The counts are exact, so they do not depend on the cut, the
+    counts the whole piece at one anchor, its side.  A piece drops the
+    pairs that cannot be in outage on their raw uniforms
+    (:func:`_first_gain_cut`).  A theta's side changes once in the draw, so
+    in any increasing range of blocks the pieces with the same sides follow
+    one another: their kept pairs join one open batch, counted when the
+    sides change or before it would pass ``BLOCK_SIZE`` pairs.  A batch
+    forms the second gains only at the anchors its thetas use, and per
+    anchor and budget it sorts the sums A*g1 + B*g2 and counts them at or
+    below every gamma by binary search, so ties count as outage.  The counts are exact, so they do not depend on the cut, the
     batching, the shares or the other thetas: entry ``[t, i, j]`` equals
     the 1x1x1 grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with
     the same (n, seed) exactly.  Entries share their draws (common random
@@ -637,7 +646,7 @@ def outage_monte_carlo(
     cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
     th = [theta.theta for theta in thetas]
     signs = [math.copysign(1.0, t) for t in th]
-    # the |theta| of each interior theta, each with one prefix length per chunk
+    # the |theta| of each interior theta, each with one prefix length
     mags = sorted({abs(t) for t in th if 0.0 < abs(t) < 1.0})
     counts = np.zeros((len(th), len(budgets), len(rates)), dtype=np.int64)
 
@@ -662,36 +671,30 @@ def outage_monte_carlo(
         for u, anchor in enumerate(sides):
             counts[u] += full[anchor]
 
-    # Each block is cut at every prefix boundary inside it, and each piece's
-    # kept rows join the open batch of its sides: pieces of consecutive
-    # blocks are counted together, so a piece that keeps a few rows does not
-    # pay the fixed cost of the numpy calls alone.  Every open batch is
-    # counted before their rows in all would pass BLOCK_SIZE.
-    per_chunk = CHUNK_SIZE // BLOCK_SIZE
+    # The kept rows of consecutive pieces with the same sides are counted
+    # together, so that a piece that keeps a few rows does not pay the fixed
+    # cost of the numpy calls alone.
+    lengths = dict(zip(mags, _prefix_lengths(seed, n, mags)))
+    # each theta's prefix of the draw: none at 0, all of it at 1 and -1
+    prefix = [lengths.get(abs(t), n if t else 0) for t in th]
     blocks = range(-(-n // BLOCK_SIZE)) if blocks is None else blocks
-    batches, held, drawn, chunk = {}, 0, 0, None
+    batch, held, open_sides, drawn = [], 0, None, 0
     for b, w in zip(blocks, _uniform_blocks(n, seed, blocks=blocks)):
-        k, j = divmod(b, per_chunk)  # the chunk, and the block within it
-        if k != chunk:
-            size = min(CHUNK_SIZE, n - k * CHUNK_SIZE)
-            lengths = dict(zip(mags, _prefix_lengths(seed, k, size, mags)))
-            # each theta's prefix in the chunk: none at 0, all of it at 1 and -1
-            chunk, prefix = k, [lengths.get(abs(t), size if t else 0) for t in th]
         drawn += len(w)
         # each theta's prefix boundary in this block's rows, before the cut
-        ends = [m - j * BLOCK_SIZE for m in prefix]
+        ends = [m - b * BLOCK_SIZE for m in prefix]
         edges = sorted({0, len(w), *(e for e in ends if 0 < e < len(w))})
         for lo, hi in zip(edges, edges[1:]):
             sides = tuple(side if lo < e else 0.0 for side, e in zip(signs, ends))
             piece = w[lo:hi] if cut == 1.0 else np.compress(w[lo:hi, 0] <= cut, w[lo:hi], axis=0)
             if not len(piece):
                 continue
-            if held + len(piece) > BLOCK_SIZE:
-                for key, batch in batches.items():
-                    count(batch, key)
-                batches, held = {}, 0
-            batches.setdefault(sides, []).append(piece)
+            if sides != open_sides or held + len(piece) > BLOCK_SIZE:
+                if batch:
+                    count(batch, open_sides)
+                batch, held, open_sides = [], 0, sides
+            batch.append(piece)
             held += len(piece)
-    for sides, batch in batches.items():
-        count(batch, sides)
+    if batch:
+        count(batch, open_sides)
     return OutageCurve.from_counts(counts, drawn)

@@ -6,17 +6,20 @@ method makes one call over the whole (theta, budget, rate) grid: its
 values are affine in theta, so one call shares every theta-free term.
 Every Monte Carlo row of a sweep is scored against one draw set, keyed by
 ``derive_seed(seed, 0)`` (common random numbers across theta, budget and
-rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one contiguous
+rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one strided
 share per worker process, given up front, on a pool sized by the draw's
-work (see :func:`run_outage_sweep`); each worker makes one evaluator
-call that draws only its share and counts every theta over it, and the
-parent, which evaluates the analytic methods meanwhile, adds the integer
-event counts and forms the values and standard errors once.  The
+work (see :func:`run_outage_sweep`): of k workers, worker w takes blocks
+w, w + k, ..., as ``sample``'s workers do.  Each worker makes one
+evaluator call that draws only its share and counts every theta over it,
+and the parent, which evaluates the analytic methods meanwhile, adds the
+integer event counts and forms the values and standard errors once.  The
 evaluator scores each pair at the anchors theta = 0, 1 and -1 alone and
-samples any other theta as their exact mixture (see
+samples any other theta as their exact mixture, with one prefix of the
+draw at the sign(theta) anchor (see
 :func:`~swmac.outage.outage_monte_carlo`): the anchor rows count the pairs
-``sample`` writes at their theta, an interior theta's rows do not, and
-every count is Binomial(n, p).  A row's value depends on its (theta,
+``sample --seed derive_seed(seed, 0)`` writes at their theta (not those
+of ``sample --seed seed``), an interior theta's rows do not, and every
+count is Binomial(n, p).  A row's value depends on its (theta,
 budget, rate) alone, not on execution order, worker count or where its
 theta sits in the config, and two runs of the same config produce
 byte-identical CSV.
@@ -182,9 +185,10 @@ def _share_counts(
 
 
 def _block_shares(blocks: int, k: int) -> list[range]:
-    """``k`` contiguous shares of ``range(blocks)``, in order, whose sizes
-    differ by at most one; none is empty when ``k <= blocks``."""
-    return [range(w * blocks // k, (w + 1) * blocks // k) for w in range(k)]
+    """``k`` strided shares of ``range(blocks)``: share w holds blocks w,
+    w + k, ..., so the sizes differ by at most one and none is empty when
+    ``k <= blocks``."""
+    return [range(w, blocks, k) for w in range(k)]
 
 
 def _serve(work: Callable[[range], Iterable], indices: range, fd: int, inherited: list) -> None:
@@ -320,13 +324,16 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     most.  It starts one
     worker per ``CHUNK_SIZE`` units, at least one, and no more than the
     draw's blocks of ``BLOCK_SIZE`` pairs, the CPUs or ``workers``.  Of k
-    workers, worker w counts every theta over the w-th of k contiguous
-    shares of the blocks, drawing only those, and the parent adds the
-    integer counts and forms each value and standard error once, so results
-    are identical for any worker count.  A sweep without Monte Carlo starts
-    no pool.  An exception that stops a worker is re-raised here with its
-    own type; a worker that dies without answering raises
-    :class:`OutageEvaluationError` naming its exit code.
+    workers, worker w counts every theta over blocks w, w + k, ..., drawing
+    only those: an interior theta's prefix, whose pairs cost a conditional
+    inversion that the pairs after it do not, lies at the front of the
+    draw, and strided shares, unlike contiguous ones, take as much of it as
+    of the rest.  The parent adds the integer counts and forms each value
+    and standard error once, so results are identical for any worker
+    count.  A sweep without Monte Carlo starts no pool.  An exception that
+    stops a worker is re-raised here with its own type; a worker that dies
+    without answering raises :class:`OutageEvaluationError` naming its exit
+    code.
     """
     for i, budget in enumerate(config.budgets):
         try:
@@ -630,7 +637,9 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
     )
     # one text per distinct flag set, coded with bit j for flag_labels[j]
     labels = report.flag_labels
-    flag_sets, codes = np.unique(report.flags @ (1 << np.arange(len(labels))), return_inverse=True)
+    packed = report.flags @ (1 << np.arange(len(labels)))
+    flag_sets = np.flatnonzero(np.bincount(packed))
+    codes = np.searchsorted(flag_sets, packed)
     texts = [
         ";".join(label for j, label in enumerate(labels) if code >> j & 1)
         for code in flag_sets.tolist()

@@ -1,10 +1,10 @@
 """Brute-force rebuild of the gain pairs a Monte Carlo count scores.
 
 The FGM copula at theta is the mixture (1 - |theta|)*independence +
-|theta|*C_sign(theta).  Monte Carlo samples it exactly: in chunk k of m_k
-pairs, the first M_k ~ Binomial(m_k, |theta|) pairs by index within the
-chunk, with M_k drawn from the substream (seed, k, 1), take their gains at
-the sign(theta) anchor, and the rest at the independence anchor.  This
+|theta|*C_sign(theta).  Monte Carlo samples it exactly: of the n pairs of
+a draw, the first M ~ Binomial(n, |theta|) by index, with M drawn from the
+substream (seed, 0, 1), take their gains at the sign(theta) anchor, and
+the rest at the independence anchor.  This
 module rebuilds those pairs from the sampler's pairs at the two anchors,
 pair by pair, with no cut, sort or batching.
 """
@@ -17,7 +17,7 @@ import numpy as np
 
 from swmac import DependenceParameter
 from swmac.copula import iter_gain_pair_chunks
-from swmac.streams import CHUNK_SIZE, substream
+from swmac.streams import substream
 
 
 def mixture_gain_pairs(theta, marginals, n, seed):
@@ -32,12 +32,6 @@ def mixture_gain_pairs(theta, marginals, n, seed):
 
     if theta.theta in (-1.0, 0.0, 1.0):
         return pairs(theta.theta)
-    mag = abs(theta.theta)
-    index = np.arange(n)
-    prefix = [
-        substream(seed, k, 1).binomial(min(CHUNK_SIZE, n - k * CHUNK_SIZE), mag)
-        for k in range(-(-n // CHUNK_SIZE))
-    ]
-    signed = (index % CHUNK_SIZE < np.array(prefix)[index // CHUNK_SIZE])[:, None]
+    prefix = substream(seed, 0, 1).binomial(n, abs(theta.theta))
+    signed = (np.arange(n) < prefix)[:, None]
     return np.where(signed, pairs(math.copysign(1.0, theta.theta)), pairs(0.0))
-

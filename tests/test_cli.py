@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swmac.cli import main
@@ -152,6 +153,28 @@ def test_sample_subcommand(config_file, tmp_path):
     )
     assert code == 0
     assert len(read_csv(out)) == 1501
+
+
+@pytest.mark.parametrize("theta", ["1", "0"])
+def test_anchor_monte_carlo_rows_count_the_pairs_sample_writes_at_the_derived_seed(
+    config_file, tmp_path, theta
+):
+    # A sweep of seed S draws from derive_seed(S, 0): at an anchor theta its
+    # event counts are those of the pairs sample writes at that seed.
+    from swmac.outage import gamma_threshold
+    from swmac.streams import derive_seed
+
+    sweep, pairs, n = tmp_path / "sweep.csv", tmp_path / "pairs.csv", 5000
+    argv = ["outage", "--config", config_file, "--methods", "monte-carlo", "--seed", "7"]
+    assert main(argv + ["--out", str(sweep)]) == 0
+    argv = ["sample", "--config", config_file, "--theta", theta, "--samples", str(n)]
+    assert main(argv + ["--seed", str(derive_seed(7, 0)), "--out", str(pairs)]) == 0
+    g1, g2 = (np.array(column, dtype=float) for column in zip(*read_csv(pairs)[1:]))
+    rows = [row for row in read_csv(sweep)[1:] if row[1] == theta]
+    assert len(rows) == 2
+    for row in rows:
+        gamma = gamma_threshold((float(row[2]),), 1.0).item()
+        assert round(float(row[4]) * n) == np.count_nonzero(1.0 * g1 + 5.0 * g2 <= gamma)
 
 
 def test_sample_count_is_not_the_monte_carlo_setting(config_file, tmp_path):

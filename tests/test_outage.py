@@ -699,15 +699,17 @@ def test_monte_carlo_shares_add_up_to_the_whole_count(regime, cuts):
     )
 
 
-#: Prefix lengths per chunk of a 150,000-pair draw (chunks of 65,536,
-#: 65,536 and 18,928 pairs), per |theta|: in chunk 0 two boundaries fall in
-#: block 1, in chunk 1 one falls at 0 and one on the edge of block 18, and
-#: in chunk 2 one falls at the chunk's end and one inside block 35.
-_PLACED_PREFIXES = (
-    {0.35: 5_000, 0.6: 7_000},
-    {0.35: 0, 0.6: 2 * BLOCK_SIZE},
-    {0.35: 18_928, 0.6: 3 * BLOCK_SIZE + 17},
-)
+#: Prefix lengths of a 150,000-pair draw (36 blocks of 4,096 pairs and a
+#: last one of 2,544), per |theta|: boundaries at 0, on the edge of block 18
+#: and at n, two inside block 1 and one inside the last, partial block.
+_PLACED_PREFIXES = {
+    0.2: 0,
+    0.35: 18 * BLOCK_SIZE,
+    0.45: 5_000,
+    0.6: 7_000,
+    0.8: 150_000,
+    0.9: 36 * BLOCK_SIZE + 17,
+}
 
 
 @pytest.mark.parametrize("regime", ["unit-noise", "half-cut", "tenth-cut"])
@@ -715,18 +717,18 @@ def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeyp
     # With the prefix lengths placed on the edge cases of the block split,
     # including a boundary that -0.6 and 0.6 share, each theta's counts equal
     # a brute-force count of every pair from the same lengths, for the whole
-    # draw and summed over shares whose edges cut the blocks that hold a
-    # boundary, and no batch holds more than BLOCK_SIZE pairs.
+    # draw and summed over contiguous shares whose edges cut the blocks that
+    # hold a boundary and over strided shares, and no batch holds more than
+    # BLOCK_SIZE pairs.
     import swmac.outage as outage_module
     from swmac.copula import iter_gain_pair_chunks
 
     marginals, budgets, rates = CUT_REGIMES[regime]
     n, seed = 150_000, 37
-    sizes = (CHUNK_SIZE, CHUNK_SIZE, n - 2 * CHUNK_SIZE)
 
-    def placed(seed_, chunk, size, mags):
-        assert (seed_, size) == (seed, sizes[chunk])
-        return [_PLACED_PREFIXES[chunk][mag] for mag in mags]
+    def placed(seed_, n_, mags):
+        assert (seed_, n_) == (seed, n)
+        return [_PLACED_PREFIXES[mag] for mag in mags]
 
     batch_rows = []
     exp_quantile = outage_module._exp_quantile
@@ -737,14 +739,20 @@ def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeyp
 
     monkeypatch.setattr(outage_module, "_prefix_lengths", placed)
     monkeypatch.setattr(outage_module, "_exp_quantile", spy)
-    values = (-1.0, -0.6, -0.35, 0.0, 0.35, 0.6, 1.0)
+    values = (-1.0, -0.9, -0.6, -0.35, 0.0, 0.2, 0.45, 0.6, 0.8, 1.0)
     thetas = tuple(map(DependenceParameter, values))
     whole = outage_monte_carlo(thetas, marginals, budgets, rates, n, seed)
-    edges = (0, 1, 2, 17, 18, 35, -(-n // BLOCK_SIZE))
-    shares = sum(
-        outage_monte_carlo(thetas, marginals, budgets, rates, n, seed, blocks=range(lo, hi)).counts
-        for lo, hi in zip(edges, edges[1:])
-    )
+    blocks = -(-n // BLOCK_SIZE)
+    edges = (0, 1, 2, 17, 18, 35, blocks)
+    contiguous = [range(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    strided = [[range(w, blocks, k) for w in range(k)] for k in (2, 3)]
+    share_sums = [
+        sum(
+            outage_monte_carlo(thetas, marginals, budgets, rates, n, seed, blocks=share).counts
+            for share in shares
+        )
+        for shares in (contiguous, *strided)
+    ]
     assert batch_rows and max(batch_rows) <= BLOCK_SIZE
 
     def anchor_pairs(at):
@@ -752,13 +760,9 @@ def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeyp
         return np.concatenate(list(chunks))
 
     anchors = {at: anchor_pairs(at) for at in (-1.0, 0.0, 1.0)}
-    index = np.arange(n)
     for t, theta in enumerate(values):
-        prefix = [
-            size if abs(theta) == 1.0 else lengths.get(abs(theta), 0)
-            for size, lengths in zip(sizes, _PLACED_PREFIXES)
-        ]
-        signed = (index % CHUNK_SIZE < np.array(prefix)[index // CHUNK_SIZE])[:, None]
+        prefix = n if abs(theta) == 1.0 else _PLACED_PREFIXES.get(abs(theta), 0)
+        signed = (np.arange(n) < prefix)[:, None]
         g = np.where(signed, anchors[math.copysign(1.0, theta)], anchors[0.0])
         brute = [
             np.count_nonzero(
@@ -768,7 +772,29 @@ def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeyp
             )
             for b in budgets
         ]
-        assert whole.counts[t].tolist() == shares[t].tolist() == np.array(brute).tolist()
+        assert whole.counts[t].tolist() == np.array(brute).tolist()
+        for counts in share_sums:
+            assert counts[t].tolist() == whole.counts[t].tolist()
+
+
+def test_monte_carlo_builds_one_prefix_substream_per_call(monkeypatch):
+    # Every interior theta's prefix length comes from the one substream
+    # (seed, 0, 1), however many chunks the draw spans: 150,000 pairs are
+    # three chunks.
+    import swmac.outage as outage_module
+
+    calls = []
+    substream = outage_module.substream
+
+    def spy(*path):
+        calls.append(path)
+        return substream(*path)
+
+    monkeypatch.setattr(outage_module, "substream", spy)
+    marginals, budgets, rates = CUT_REGIMES["unit-noise"]
+    thetas = tuple(map(DependenceParameter, (-0.6, 0.0, 0.35, 0.6, 1.0)))
+    outage_monte_carlo(thetas, marginals, budgets, rates, 150_000, 43)
+    assert calls == [(43, 0, 1)]
 
 
 #: fig2's budgets at unit noise, with the 30 rates 0.1 to 3.0 of mc-sweep.

@@ -246,7 +246,7 @@ def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_p
 
     def recorded(config, rates, shares, indices):
         for i, counts in zip(indices, share_counts(config, rates, shares, indices)):
-            (tmp_path / f"{os.getpid()}-{i}").write_text(f"{shares[i].start} {shares[i].stop}")
+            (tmp_path / f"{os.getpid()}-{i}").write_text(" ".join(map(str, shares[i])))
             yield counts
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -257,8 +257,8 @@ def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_p
     records = [(path.name.split("-"), path.read_text().split()) for path in tmp_path.iterdir()]
     assert len({pid for (pid, _), _ in records}) == cpus
     assert str(os.getpid()) not in {pid for (pid, _), _ in records}
-    shares = sorted((int(start), int(stop)) for _, (start, stop) in records)
-    assert [b for share in shares for b in range(*share)] == list(range(30))
+    shares = sorted(list(map(int, blocks)) for _, blocks in records)
+    assert shares == [list(range(w, 30, cpus)) for w in range(cpus)]
 
 
 # a pool never exceeds the block count, so k <= blocks
@@ -266,10 +266,11 @@ def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_p
     "blocks,k", [(1, 1), (2, 2), (3, 2), (5, 3), (18, 2), (18, 3), (25, 7), (1531, 7)]
 )
 def test_block_shares_cover_every_block_once(blocks, k):
+    # share w holds blocks w, w + k, ..., as sample's workers draw them
     shares = _block_shares(blocks, k)
     assert len(shares) == k
-    assert [b for share in shares for b in share] == list(range(blocks))
-    assert all(share.step == 1 for share in shares)
+    assert sorted(b for share in shares for b in share) == list(range(blocks))
+    assert all(share.start == w and share.step == k for w, share in enumerate(shares))
     assert max(map(len, shares)) - min(map(len, shares)) <= 1
 
 
