@@ -44,8 +44,9 @@ that holds the curve and marks them.
 Each shared rule is stated here once: the budget rule p0 < min(p1, p2) in
 :func:`_gain_weights`, the per-budget weights and thresholds every
 evaluator reads in :func:`_budget_axes`, the range of any evaluator's
-result in :class:`OutageCurve`, and the acceptance of a quadrature point
-in :func:`_point_sums`.
+result in :class:`OutageCurve`, the acceptance of a quadrature point in
+:func:`_point_sums`, and the work of a Monte Carlo draw, which sizes its
+shares, in :func:`_monte_carlo_shares`.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .copula import (
     _uniform_blocks,
 )
 from .regions import PowerBudget
-from .streams import BLOCK_SIZE, substream
+from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
 
 __all__ = [
     "CLOSED_FORM",
@@ -561,6 +562,37 @@ def _first_gain_cut(lambda1: float, weight1: np.ndarray, gammas: np.ndarray) -> 
     with np.errstate(over="ignore"):  # an infinite reach cuts no pair
         reach = float((gammas.max(axis=1, initial=0.0) / weight1[:, 0]).max(initial=0.0))
     return -math.expm1(-2.0 * lambda1 * reach) if reach > 0.0 else 1.0
+
+
+def _monte_carlo_shares(
+    thetas: Sequence[DependenceParameter], marginals: FadingMarginals,
+    budgets: Sequence[PowerBudget], rates: Sequence[float], n: int, most: int,
+) -> list[range]:
+    """The blocks of an ``n``-pair Monte Carlo draw over the (``thetas``,
+    ``budgets``, ``rates``) grid, split into at most ``most`` task shares,
+    each a ``blocks`` argument of :func:`outage_monte_carlo`.
+
+    The draw's work is n*(1 + cut*|anchors|*|budgets|) pair units, where
+    cut is the share of pairs the first-gain cut keeps
+    (:func:`_first_gain_cut`) and the anchors are the thetas 0, 1 and -1
+    that ``thetas`` need (0 for any |theta| < 1, 1 for any theta > 0, -1
+    for any theta < 0): a drawn pair costs about as much as a kept pair
+    counted at one (anchor, budget), at most.  There is one task per
+    ``CHUNK_SIZE`` units, at least one, and no more than the draw's blocks
+    of ``BLOCK_SIZE`` pairs or ``most``.  Of k tasks, task w takes blocks
+    w, w + k, ...: an interior theta's prefix, whose pairs cost a
+    conditional inversion that the pairs after it do not, lies at the front
+    of the draw, and strided shares, unlike contiguous ones, take as much
+    of it as of the rest.  The share sizes differ by at most one block.
+    """
+    blocks = -(-n // BLOCK_SIZE)
+    weight1, _, gammas = _budget_axes(budgets, rates)
+    cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
+    th = [theta.theta for theta in thetas]
+    anchors = any(abs(t) < 1.0 for t in th) + any(t > 0.0 for t in th) + any(t < 0.0 for t in th)
+    units = n * (1.0 + cut * anchors * len(budgets))
+    k = max(1, min(blocks, int(units) // CHUNK_SIZE, most))
+    return [range(w, blocks, k) for w in range(k)]
 
 
 def _prefix_lengths(seed: int, n: int, mags: Sequence[float]) -> list[int]:

@@ -6,10 +6,10 @@ method makes one call over the whole (theta, budget, rate) grid: its
 values are affine in theta, so one call shares every theta-free term.
 Every Monte Carlo row of a sweep is scored against one draw set, keyed by
 ``derive_seed(seed, 0)`` (common random numbers across theta, budget and
-rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one strided
-share per worker process, given up front, on a pool sized by the draw's
-work (see :func:`run_outage_sweep`): of k workers, worker w takes blocks
-w, w + k, ..., as ``sample``'s workers do.  Each worker makes one
+rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one share per
+worker process, given up front, as the evaluator plans them
+(:func:`~swmac.outage._monte_carlo_shares`): of k workers, worker w takes
+blocks w, w + k, ..., as ``sample``'s workers do.  Each worker makes one
 evaluator call that draws only its share and counts every theta over it,
 and the parent, which evaluates the analytic methods meanwhile, adds the
 integer event counts and forms the values and standard errors once.  The
@@ -65,23 +65,19 @@ from .outage import (
     OutageCurve,
     OutageEvaluationError,
     PartialEvaluation,
-    _budget_axes,
-    _first_gain_cut,
     _gain_weights,
+    _monte_carlo_shares,
     outage_closed_form,
     outage_monte_carlo,
     outage_quadrature,
 )
 from .regions import (
     PowerBudget,
-    RatePoint,
-    VertexMembershipError,
-    contains,
     gaussian_region_bounds,
     region_vertices,
     wireless_region_bounds,
 )
-from .streams import BLOCK_SIZE, CHUNK_SIZE, derive_seed
+from .streams import BLOCK_SIZE, derive_seed
 
 __all__ = [
     "FLAG_OK",
@@ -182,13 +178,6 @@ def _share_counts(
             config.thetas, config.marginals, config.budgets, rates, config.mc_samples,
             derive_seed(config.seed, 0), blocks=shares[i],
         ).counts
-
-
-def _block_shares(blocks: int, k: int) -> list[range]:
-    """``k`` strided shares of ``range(blocks)``: share w holds blocks w,
-    w + k, ..., so the sizes differ by at most one and none is empty when
-    ``k <= blocks``."""
-    return [range(w, blocks, k) for w in range(k)]
 
 
 def _serve(work: Callable[[range], Iterable], indices: range, fd: int, inherited: list) -> None:
@@ -314,26 +303,15 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     ``workers`` = 1 draws the Monte Carlo pairs in this process.  Any other
     value caps a pool of forked processes (see :func:`_fanned_out`), 0
     meaning one per CPU this process may run on, that draws while the
-    parent evaluates the analytic methods.  The pool is sized by the draw's
-    work, n*(1 + cut*|anchors|*|budgets|) pair units for n samples, where
-    cut is the share of pairs the first-gain cut keeps
-    (:func:`~swmac.outage._first_gain_cut`) and the anchors are the
-    thetas 0, 1 and -1 that the config's thetas need (0 for any
-    |theta| < 1, 1 for any theta > 0, -1 for any theta < 0): a drawn pair
-    costs about as much as a kept pair counted at one (anchor, budget), at
-    most.  It starts one
-    worker per ``CHUNK_SIZE`` units, at least one, and no more than the
-    draw's blocks of ``BLOCK_SIZE`` pairs, the CPUs or ``workers``.  Of k
-    workers, worker w counts every theta over blocks w, w + k, ..., drawing
-    only those: an interior theta's prefix, whose pairs cost a conditional
-    inversion that the pairs after it do not, lies at the front of the
-    draw, and strided shares, unlike contiguous ones, take as much of it as
-    of the rest.  The parent adds the integer counts and forms each value
-    and standard error once, so results are identical for any worker
-    count.  A sweep without Monte Carlo starts no pool.  An exception that
-    stops a worker is re-raised here with its own type; a worker that dies
-    without answering raises :class:`OutageEvaluationError` naming its exit
-    code.
+    parent evaluates the analytic methods.  The pool starts one worker per
+    share of the draw's blocks that :func:`~swmac.outage._monte_carlo_shares`
+    plans under that cap, and each worker counts every theta over its
+    share, drawing only that.  The parent adds the integer counts and forms
+    each value and standard error once, so results are identical for any
+    worker count.  A sweep without Monte Carlo starts no pool.  An exception
+    that stops a worker is re-raised here with its own type; a worker that
+    dies without answering raises :class:`OutageEvaluationError` naming its
+    exit code.
     """
     for i, budget in enumerate(config.budgets):
         try:
@@ -347,16 +325,12 @@ def run_outage_sweep(config: ExperimentConfig, workers: int = 1) -> SweepTable:
     flag = np.full(shape, _OK, dtype=np.int8)
     shares = []
     if MONTE_CARLO in config.methods:
-        blocks = -(-config.mc_samples // BLOCK_SIZE)
-        weight1, _, gammas = _budget_axes(config.budgets, rates)
-        cut = _first_gain_cut(config.marginals.lambda1, weight1, gammas)
-        # the anchors theta = 0, 1 and -1 the thetas need
-        th = [theta.theta for theta in config.thetas]
-        anchors = any(abs(t) < 1.0 for t in th) + any(t > 0.0 for t in th)
-        anchors += any(t < 0.0 for t in th)
-        units = config.mc_samples * (1.0 + cut * anchors * len(config.budgets))
-        tasks = min(blocks, int(units) // CHUNK_SIZE)
-        shares = _block_shares(blocks, _pool_size(workers, tasks, _cpus()))
+        # the processes workers and the CPUs allow; the shares stop at the
+        # draw's blocks themselves
+        most = _pool_size(workers, config.mc_samples, _cpus())
+        shares = _monte_carlo_shares(
+            config.thetas, config.marginals, config.budgets, rates, config.mc_samples, most
+        )
     with _fanned_out(partial(_share_counts, config, rates, shares), len(shares), workers) as results:
         # the analytic methods, in the parent while any workers draw
         for m_i, method in enumerate(config.methods):
@@ -567,8 +541,9 @@ def emit_region(
     Uses the instantaneous region when ``gains`` is given, else the
     Gaussian region.  Coordinates are written with full round-trip
     precision so re-reading and re-checking membership is exact.  Returns
-    the vertex list; raises :class:`VertexMembershipError`, before writing
-    anything, if a vertex fails that check.  The file is written through
+    the vertex list; :func:`~swmac.regions.region_vertices` raises
+    :class:`~swmac.regions.VertexMembershipError`, before anything is
+    written, if a vertex cannot be placed inside.  The file is written through
     :func:`_replacing`, so a write that fails part-way leaves ``path`` as it
     was.
     """
@@ -578,11 +553,6 @@ def emit_region(
         else gaussian_region_bounds(budget)
     )
     vertices = region_vertices(bounds, r0)
-    for x, y in vertices:
-        if not contains(bounds, RatePoint(r0, x, y)):
-            raise VertexMembershipError(
-                f"vertex ({x!r}, {y!r}) lies outside region {bounds} at r0={r0!r}"
-            )
     with _replacing(path) as fh:
         fh.write("r1,r2\n")
         for x, y in vertices:

@@ -414,8 +414,8 @@ def _src_env():
 
 
 # Runs `swmac region` with a membership test that rejects every point, in the
-# module named by argv[1]: swmac.sweep (the check on the emitted vertices) or
-# swmac.regions (the vertex snapping).
+# module named by argv[1]: swmac.regions, whose vertex snapping is the one
+# membership check a region's vertices pass.
 _REJECTING_REGION_RUN = """
 import sys
 import importlib
@@ -428,7 +428,7 @@ print(__debug__, code)
 
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "python-O"])
-@pytest.mark.parametrize("module", ["swmac.sweep", "swmac.regions"])
+@pytest.mark.parametrize("module", ["swmac.regions"])
 def test_exit_2_when_a_region_vertex_fails_membership(module, optimize, tmp_path):
     out = tmp_path / "region.csv"
     proc = subprocess.run(

@@ -26,11 +26,12 @@ from swmac import (
     gaussian_region_bounds,
     wireless_region_bounds,
 )
-from swmac.config import RateGrid, preset_config
+from swmac.config import RateGrid, parse_config, preset_config
 from swmac.outage import (
     DegenerateDenominator,
     OutageEvaluationError,
     QuadratureNonConvergence,
+    _monte_carlo_shares,
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
@@ -46,7 +47,6 @@ from swmac.sweep import (
     SWEEP_HEADER,
     ComparisonReport,
     SweepTable,
-    _block_shares,
     _formatted,
     _pool_size,
     compare_methods,
@@ -266,12 +266,46 @@ def test_pooled_block_shares_match_serial(forked_pool_of_two, monkeypatch, tmp_p
     "blocks,k", [(1, 1), (2, 2), (3, 2), (5, 3), (18, 2), (18, 3), (25, 7), (1531, 7)]
 )
 def test_block_shares_cover_every_block_once(blocks, k):
-    # share w holds blocks w, w + k, ..., as sample's workers draw them
-    shares = _block_shares(blocks, k)
+    # Ten budgets at three anchors: the first-gain cut keeps 97 % of the
+    # pairs, so the draw's work, about 30 units a pair, allows a share per
+    # block and the cap k alone bounds the share count.  Share w holds
+    # blocks w, w + k, ..., as sample's workers draw them.
+    cfg = small_config(thetas=(DependenceParameter(-1.0), DependenceParameter(0.5)))
+    shares = _monte_carlo_shares(
+        cfg.thetas, cfg.marginals, cfg.budgets * 10, cfg.rate_grid.values(), blocks * BLOCK_SIZE, k
+    )
     assert len(shares) == k
     assert sorted(b for share in shares for b in share) == list(range(blocks))
     assert all(share.start == w and share.step == k for w, share in enumerate(shares))
     assert max(map(len, shares)) - min(map(len, shares)) <= 1
+
+
+_UNIT_NOISE = parse_config(
+    "seed = 11\nmc_samples = 70000\nthetas = -1, -0.35, 0, 0.6, 1\n"
+    "rate_start = 0.1\nrate_stop = 3.0\nrate_step = 0.1\n"
+    "[budget]\np1 = 1\np2 = 5\nnoise = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "cfg,cpus,k",
+    [
+        # At preset noise the cut keeps about 0.13 % of the pairs: 100,000
+        # samples are about 100,400 units, work for one share of 65,536,
+        # and 10**6 samples about 1.01e6 units, work for 15.
+        pytest.param(preset_config("fig3").with_overrides(mc_samples=100_000), 2, 1, id="fig3-1e5"),
+        pytest.param(preset_config("fig2"), 2, 2, id="fig2-1e6"),
+        # 70,000*(1 + 3) = 280,000 units at the three anchors, work for four
+        pytest.param(_UNIT_NOISE, 2, 2, id="unit-noise-2-cpus"),
+        pytest.param(_UNIT_NOISE, 1, 1, id="unit-noise-1-cpu"),
+    ],
+)
+def test_monte_carlo_shares_follow_the_draws_work(cfg, cpus, k):
+    most = _pool_size(0, cfg.mc_samples, cpus)
+    rates = cfg.rate_grid.values()
+    shares = _monte_carlo_shares(cfg.thetas, cfg.marginals, cfg.budgets, rates, cfg.mc_samples, most)
+    blocks = -(-cfg.mc_samples // BLOCK_SIZE)
+    assert shares == [range(w, blocks, k) for w in range(k)]
 
 
 def _no_pool():
