@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .streams import BLOCK_SIZE, CHUNK_SIZE, _seed_sequence, substream
+from .streams import BLOCK_SIZE, substream
 
 __all__ = [
     "DependenceParameter",
@@ -45,12 +45,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DependenceParameter:
-    """FGM dependence parameter, dimensionless, in [-1, 1]."""
+    """FGM dependence parameter, dimensionless, in [-1, 1]; -0.0 is stored
+    as 0.0, so that it reads and writes as the independence it is."""
 
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", float(self.theta) + 0.0)
         if not (-1.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must be in [-1, 1], got {self.theta}")
 
@@ -308,37 +309,30 @@ def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterat
     ``BLOCK_SIZE`` rows; ``n`` and ``seed`` are checked on the call, before
     any draw.
 
-    The pairs are addressed in chunks of ``CHUNK_SIZE``: chunk ``k`` is
-    drawn from the independent substream ``(seed, k)``, in consecutive
-    blocks.  Philox hands out uniforms in order however a draw is split, so
-    the blocks of a chunk equal, bit for bit, the chunk drawn whole.  Block
-    ``b`` holds pairs ``[b*BLOCK_SIZE, min((b + 1)*BLOCK_SIZE, n))``;
-    ``blocks``, an increasing range of block indices, draws only those
-    blocks (default: all of them).  Philox is counter-based, so a block
-    drawn alone, after advancing the generator over the blocks skipped,
-    equals the same block drawn in sequence.  This is the one place that
-    addresses gain draws; :func:`iter_gain_pair_chunks` and the Monte Carlo
-    count both read it.
+    Every pair of ``seed`` comes from the one substream ``(seed, 0)``, pair
+    i from its uniforms 2*i and 2*i + 1, so a pair depends on (seed, i)
+    alone.  Block ``b`` holds pairs ``[b*BLOCK_SIZE, min((b + 1)*BLOCK_SIZE,
+    n))``; ``blocks``, an increasing range of block indices, draws only
+    those blocks (default: all of them).  Philox is counter-based, so a
+    block drawn alone, after advancing the generator over the blocks
+    skipped, equals the same block drawn in sequence.  This is the one
+    place that addresses gain draws; :func:`iter_gain_pair_chunks` and the
+    Monte Carlo count both read it.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    _seed_sequence(seed, ())  # the seed rule of streams, here and not at the first draw
+    rng = substream(seed, 0)  # checks the seed here, not at the first draw
     if blocks is None:
         blocks = range(-(-n // BLOCK_SIZE))
-    # BLOCK_SIZE divides CHUNK_SIZE, so no block crosses a chunk boundary
-    per_chunk = CHUNK_SIZE // BLOCK_SIZE
 
     def draw() -> Iterator[np.ndarray]:
-        chunk = None
+        undrawn = 0
         for b in blocks:
-            k, j = divmod(b, per_chunk)  # the chunk, and the block within it
-            if k != chunk:
-                chunk, rng, undrawn = k, substream(seed, k), 0
-            if j > undrawn:
-                # a block takes 2*BLOCK_SIZE uniforms; one Philox counter step gives 4
-                rng.bit_generator.advance((j - undrawn) * BLOCK_SIZE // 2)
+            # over the blocks skipped: a block takes 2*BLOCK_SIZE uniforms, and
+            # one Philox counter step gives 4
+            rng.bit_generator.advance((b - undrawn) * BLOCK_SIZE // 2)
             yield rng.random((min(BLOCK_SIZE, n - b * BLOCK_SIZE), 2))
-            undrawn = j + 1
+            undrawn = b + 1
 
     return draw()
 
@@ -355,14 +349,13 @@ def iter_gain_pair_chunks(
     before any pair is drawn.  ``blocks`` selects blocks by index, as in
     :func:`_uniform_blocks`.
 
-    Chunk ``k`` of ``CHUNK_SIZE`` pairs is drawn from the independent
-    substream ``(seed, k)`` (see :func:`_uniform_blocks`), so any
-    assignment of chunks to workers (or any traversal order) produces the
-    same values for the same logical sample index.  Each block is mapped
-    through the same conditional inversion and exponential transform as
-    :func:`sample_gain_pairs`, so the concatenated blocks of a chunk equal,
-    bit for bit, the whole chunk drawn at once; only the working set is
-    smaller.
+    Every pair is drawn from the one substream ``(seed, 0)`` (see
+    :func:`_uniform_blocks`), so any assignment of blocks to workers (or any
+    traversal order) produces the same values for the same pair index.
+    Each block is mapped through the same conditional inversion and
+    exponential transform as :func:`sample_gain_pairs`, so the concatenated
+    blocks equal, bit for bit, ``sample_gain_pairs(theta, marginals, n,
+    substream(seed, 0))``; only the working set is smaller.
     """
     return (_gain_pairs(theta, marginals, w) for w in _uniform_blocks(n, seed, blocks))
 

@@ -20,10 +20,10 @@ Three evaluators are provided and cross-validated:
   arrays over every (budget, rate) point at once.  A theta only weights
   the anchors.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
-  pairs drawn with chunked substreams, deterministic for a fixed
-  (seed, n) regardless of execution parallelism.  One draw set scores the
-  whole grid (common random numbers across the theta axis), at the three
-  anchors alone: theta = 0, 1 and -1 count the pairs the sampler yields at
+  pairs drawn from the one substream of the seed, deterministic for a
+  fixed (seed, n) regardless of execution parallelism.  One draw set
+  scores the whole grid (common random numbers across the theta axis), at
+  the three anchors alone: theta = 0, 1 and -1 count the pairs the sampler yields at
   that theta from the same seed, and any other theta samples the copula
   exactly as the mixture of two anchors, its first M ~ Binomial(n, |theta|)
   pairs at the sign(theta) anchor and the rest at independence, with one M
@@ -69,7 +69,7 @@ from .copula import (
     _uniform_blocks,
 )
 from .regions import PowerBudget
-from .streams import BLOCK_SIZE, CHUNK_SIZE, substream
+from .streams import BLOCK_SIZE, substream
 
 __all__ = [
     "CLOSED_FORM",
@@ -564,6 +564,10 @@ def _first_gain_cut(lambda1: float, weight1: np.ndarray, gammas: np.ndarray) -> 
     return -math.expm1(-2.0 * lambda1 * reach) if reach > 0.0 else 1.0
 
 
+#: Pair units of Monte Carlo work per pool task: see :func:`_monte_carlo_shares`.
+CHUNK_SIZE = 1 << 16
+
+
 def _monte_carlo_shares(
     thetas: Sequence[DependenceParameter], marginals: FadingMarginals,
     budgets: Sequence[PowerBudget], rates: Sequence[float], n: int, most: int,
@@ -624,10 +628,10 @@ def outage_monte_carlo(
     set, as one (theta, budget, rate) :class:`OutageCurve` that carries the
     integer event counts.
 
-    The raw uniforms (u1, v) of ``n`` pairs are drawn once from the
-    per-chunk substreams of ``seed`` (see
-    :func:`~swmac.copula.iter_gain_pair_chunks`), one block of at most
-    ``streams.BLOCK_SIZE`` pairs at a time, and serve every theta.
+    The raw uniforms (u1, v) of ``n`` pairs are drawn once from the one
+    substream of ``seed`` (see :func:`~swmac.copula.iter_gain_pair_chunks`),
+    one block of at most ``streams.BLOCK_SIZE`` pairs at a time, and serve
+    every theta.
     ``blocks``, an increasing range of block indices, contiguous or
     strided, counts only the pairs of those blocks (default: all of them),
     and the value and standard error are then over the pairs drawn: the
@@ -636,16 +640,14 @@ def outage_monte_carlo(
     into the whole estimate.
 
     The FGM copula is (1 - |theta|)*independence + |theta|*C_sign(theta),
-    so pairs are scored at the anchors theta = 0, 1 and -1 alone: 0
-    takes v itself as the second uniform, and 1 and -1 one
+    so pairs are scored at the anchors theta = 0, 1 and -1 alone: 0 takes
+    v itself as the second uniform, and 1 and -1 one
     :func:`~swmac.copula._inversion_step` each, so their counts are over
     the pairs ``iter_gain_pair_chunks`` yields at that theta from the same
-    ``seed``, bit for bit.  (A sweep of seed S passes ``derive_seed(S, 0)``
-    here, so its anchor rows count the pairs ``swmac sample --seed
-    derive_seed(S, 0)`` writes, not those of ``--seed S``.)  A theta with
-    0 < |theta| < 1 samples the mixture exactly: the first M pairs of the
-    draw by index take the sign(theta) anchor and the rest the independence
-    anchor, with one M ~ Binomial(n, |theta|) per draw from
+    ``seed``, bit for bit: those ``swmac sample --seed`` writes.  A theta
+    with 0 < |theta| < 1 samples the mixture exactly: the first M pairs of
+    the draw by index take the sign(theta) anchor and the rest the
+    independence anchor, with one M ~ Binomial(n, |theta|) per draw from
     :func:`_prefix_lengths`.  The pairs are i.i.d. and M is independent of
     them, so this has the law of an independent choice per pair: its count
     is still Binomial(n, p), but not over the pairs the sampler yields at

@@ -14,14 +14,10 @@ import numpy as np
 #: Largest master seed: a seed is an unsigned 64-bit integer.
 MAX_SEED = (1 << 64) - 1
 
-#: Number of logical draws per substream chunk used by the chunked samplers.
-#: A chunk is the unit of addressing: chunk ``k`` has its own substream.
-CHUNK_SIZE = 1 << 16
-
 #: Entries every streaming loop holds at once (drawn pairs, sorted sums,
-#: CSV rows).  A block is the unit of working set, not of addressing: a
-#: chunk is drawn from its one substream in consecutive blocks, which
-#: consume the generator exactly as one whole-chunk draw would.
+#: CSV rows).  A block is the unit of working set, not of addressing: the
+#: pairs of a seed are drawn from its one substream in consecutive blocks,
+#: which consume the generator exactly as one whole draw would.
 BLOCK_SIZE = 1 << 12
 
 
@@ -37,8 +33,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 def derive_seed(seed: int, *path: int) -> int:
     """64-bit child seed for the substream addressed by ``path``.
 
-    Useful when a component (e.g. a sweep row) needs its own seed that it
-    can further partition into chunks.
+    Useful when a component needs a master seed of its own for a further
+    tree of substreams.
     """
     return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
 

@@ -4,8 +4,8 @@ A sweep evaluates every (budget, theta, rate, method) combination of a
 config and returns the rows in lexicographic index order.  Each analytic
 method makes one call over the whole (theta, budget, rate) grid: its
 values are affine in theta, so one call shares every theta-free term.
-Every Monte Carlo row of a sweep is scored against one draw set, keyed by
-``derive_seed(seed, 0)`` (common random numbers across theta, budget and
+Every Monte Carlo row of a sweep is scored against one draw set, the
+pairs of the config seed (common random numbers across theta, budget and
 rate).  Its blocks of ``BLOCK_SIZE`` pairs are split into one share per
 worker process, given up front, as the evaluator plans them
 (:func:`~swmac.outage._monte_carlo_shares`): of k workers, worker w takes
@@ -17,12 +17,11 @@ evaluator scores each pair at the anchors theta = 0, 1 and -1 alone and
 samples any other theta as their exact mixture, with one prefix of the
 draw at the sign(theta) anchor (see
 :func:`~swmac.outage.outage_monte_carlo`): the anchor rows count the pairs
-``sample --seed derive_seed(seed, 0)`` writes at their theta (not those
-of ``sample --seed seed``), an interior theta's rows do not, and every
-count is Binomial(n, p).  A row's value depends on its (theta,
-budget, rate) alone, not on execution order, worker count or where its
-theta sits in the config, and two runs of the same config produce
-byte-identical CSV.
+``sample --seed seed`` writes at their theta, an interior theta's rows do
+not, and every count is Binomial(n, p).  A row's value depends on its
+(theta, budget, rate) alone, not on execution order, worker count or
+where its theta sits in the config, and two runs of the same config
+produce byte-identical CSV.
 
 Sampled gain pairs fan out through the same pool: each block of pairs can
 be drawn alone, so workers draw and format strided blocks and the parent
@@ -77,7 +76,7 @@ from .regions import (
     region_vertices,
     wireless_region_bounds,
 )
-from .streams import BLOCK_SIZE, derive_seed
+from .streams import BLOCK_SIZE
 
 __all__ = [
     "FLAG_OK",
@@ -167,16 +166,15 @@ def _share_counts(
     """The Monte Carlo event counts, as (theta, budget, rate) arrays, of
     each share ``shares[i]`` of the draw's blocks for i in ``indices``, in
     order, lazily: one evaluator call counts every theta over a share of
-    the sweep's one draw set, keyed by ``derive_seed(config.seed, 0)``
-    (derived here, per share, so that only the process that draws loads the
-    sampler: a forked worker, or the caller itself at ``workers`` = 1, but
-    never a pooled parent that only adds counts).  A row therefore depends
-    on its (theta, budget, rate), not on where its theta sits in the config
-    or how the blocks are shared."""
+    the sweep's one draw set, the pairs of ``config.seed``.  Only the
+    process that draws loads the sampler: a forked worker, or the caller
+    itself at ``workers`` = 1, but never a pooled parent that only adds
+    counts.  A row therefore depends on its (theta, budget, rate), not on
+    where its theta sits in the config or how the blocks are shared."""
     for i in indices:
         yield outage_monte_carlo(
             config.thetas, config.marginals, config.budgets, rates, config.mc_samples,
-            derive_seed(config.seed, 0), blocks=shares[i],
+            config.seed, blocks=shares[i],
         ).counts
 
 
@@ -575,14 +573,15 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
     """Write ``n`` correlated gain pairs as CSV (columns g1, g2).
 
     Deterministic for a fixed config seed; values come from the same
-    chunked substreams as the Monte Carlo evaluator.  Pairs are drawn and
-    formatted one block of at most ``BLOCK_SIZE`` at a time, on one worker
-    process per CPU this process may run on (see :func:`_fanned_out`), and
-    each block's text is written as it is read, so memory does not grow
-    with ``n``.  Each block can be drawn alone, so the bytes do not depend
-    on the worker count.  The text goes through :func:`_replacing`, so a
-    run that fails part-way leaves neither file.  Raises ValueError, before drawing
-    or opening a file, if ``n`` exceeds ``MAX_SAMPLES``.
+    substream as the Monte Carlo evaluator's, so a sweep of that seed counts
+    these pairs at theta = 0, 1 and -1.  Pairs are drawn and formatted one
+    block of at most ``BLOCK_SIZE`` at a time, on one worker process per
+    CPU this process may run on (see :func:`_fanned_out`), and each block's
+    text is written as it is read, so memory does not grow with ``n``.
+    Each block can be drawn alone, so the bytes do not depend on the worker
+    count.  The text goes through :func:`_replacing`, so a run that fails
+    part-way leaves neither file.  Raises ValueError, before drawing or
+    opening a file, if ``n`` exceeds ``MAX_SAMPLES``.
     """
     if n > MAX_SAMPLES:
         raise ValueError(f"sample count must be <= MAX_SAMPLES = {MAX_SAMPLES}, got {n}")

@@ -155,26 +155,47 @@ def test_sample_subcommand(config_file, tmp_path):
     assert len(read_csv(out)) == 1501
 
 
-@pytest.mark.parametrize("theta", ["1", "0"])
-def test_anchor_monte_carlo_rows_count_the_pairs_sample_writes_at_the_derived_seed(
-    config_file, tmp_path, theta
+@pytest.mark.parametrize("workers", ["1", "0"])
+def test_anchor_monte_carlo_rows_count_the_pairs_sample_writes_at_the_same_seed(
+    forked_pool_of_two, config_file, tmp_path, workers
 ):
-    # A sweep of seed S draws from derive_seed(S, 0): at an anchor theta its
-    # event counts are those of the pairs sample writes at that seed.
+    # A sweep of seed S draws the pairs sample --seed S writes: at an anchor
+    # theta its event counts are those of the written pairs, serial or on a
+    # pool of two.  70,000 pairs run past the first 65,536.
     from swmac.outage import gamma_threshold
-    from swmac.streams import derive_seed
 
-    sweep, pairs, n = tmp_path / "sweep.csv", tmp_path / "pairs.csv", 5000
+    sweep, n = tmp_path / "sweep.csv", 70_000
     argv = ["outage", "--config", config_file, "--methods", "monte-carlo", "--seed", "7"]
-    assert main(argv + ["--out", str(sweep)]) == 0
-    argv = ["sample", "--config", config_file, "--theta", theta, "--samples", str(n)]
-    assert main(argv + ["--seed", str(derive_seed(7, 0)), "--out", str(pairs)]) == 0
-    g1, g2 = (np.array(column, dtype=float) for column in zip(*read_csv(pairs)[1:]))
-    rows = [row for row in read_csv(sweep)[1:] if row[1] == theta]
-    assert len(rows) == 2
-    for row in rows:
-        gamma = gamma_threshold((float(row[2]),), 1.0).item()
-        assert round(float(row[4]) * n) == np.count_nonzero(1.0 * g1 + 5.0 * g2 <= gamma)
+    assert main(argv + ["--samples", str(n), "--workers", workers, "--out", str(sweep)]) == 0
+    rows = read_csv(sweep)[1:]
+    for theta in ("-1", "0", "1"):
+        pairs = tmp_path / f"pairs{theta}.csv"
+        argv = ["sample", "--config", config_file, "--theta", theta, "--samples", str(n)]
+        assert main(argv + ["--seed", "7", "--out", str(pairs)]) == 0
+        g1, g2 = (np.array(column, dtype=float) for column in zip(*read_csv(pairs)[1:]))
+        assert len(g1) == n
+        at_theta = [row for row in rows if row[1] == theta]
+        assert len(at_theta) == 2
+        for row in at_theta:
+            gamma = gamma_threshold((float(row[2]),), 1.0).item()
+            assert round(float(row[4]) * n) == np.count_nonzero(1.0 * g1 + 5.0 * g2 <= gamma)
+
+
+def test_a_negative_zero_theta_writes_the_csv_of_zero(tmp_path):
+    # thetas = -0 is independence: its rows carry the key 0, which filters
+    # such as $2 == "0" find, and every byte of the sweep at thetas = 0
+    unit_noise = "\n".join(
+        ["seed = 11", "mc_samples = 2000", "rate_start = 0.5", "rate_stop = 1.0",
+         "rate_step = 0.5", "[budget]", "p1 = 1", "p2 = 5", "noise = 1", ""]
+    )  # fmt: skip
+    written = []
+    for name, first in (("negative", "-0"), ("zero", "0")):
+        config, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+        config.write_text(f"thetas = {first}, 0.5\n" + unit_noise)
+        assert main(["outage", "--config", str(config), "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert [row[1] for row in read_csv(tmp_path / "negative.csv")[1:7]] == ["0"] * 6
 
 
 def test_sample_count_is_not_the_monte_carlo_setting(config_file, tmp_path):

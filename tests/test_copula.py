@@ -19,7 +19,7 @@ from swmac import (
     sample_unit_pairs,
 )
 from swmac.copula import _uniform_blocks, iter_gain_pair_chunks
-from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, substream
+from swmac.streams import BLOCK_SIZE, substream
 
 from oracles import empirical_spearman, gain_density, pearson_corr_target, spearman_rho_target
 
@@ -434,17 +434,20 @@ def test_chunked_sampler_is_traversal_invariant(unit_marginals):
     assert sum(len(c) for c in chunks) == 200_000
 
 
-@pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, CHUNK_SIZE + BLOCK_SIZE + 3])
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 2 * (1 << 16) + 4099])
 def test_chunked_sampler_blocks_equal_whole_chunk_draws(unit_marginals, n):
+    # The blocks of any increasing, strided range of block indices are the
+    # same rows of one substream(seed, 0) draw of all n pairs.
     th, seed = DependenceParameter(-0.7), 31
-    blocks = list(iter_gain_pair_chunks(th, unit_marginals, n, seed))
-    assert max(len(b) for b in blocks) <= BLOCK_SIZE
-    # chunk k drawn whole from its substream (seed, k)
-    whole = [
-        sample_gain_pairs(th, unit_marginals, min(CHUNK_SIZE, n - start), substream(seed, k))
-        for k, start in enumerate(range(0, n, CHUNK_SIZE))
-    ]
-    np.testing.assert_array_equal(np.concatenate(blocks), np.concatenate(whole))
+    whole = sample_gain_pairs(th, unit_marginals, n, substream(seed, 0))
+    count = -(-n // BLOCK_SIZE)
+    for stride in (1, 2, 3, 17):
+        for offset in range(min(stride, count)):
+            indices = range(offset, count, stride)
+            blocks = list(iter_gain_pair_chunks(th, unit_marginals, n, seed, indices))
+            assert len(blocks) == len(indices)
+            for b, block in zip(indices, blocks):
+                np.testing.assert_array_equal(block, whole[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE])
 
 
 @pytest.mark.parametrize(

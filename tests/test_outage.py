@@ -26,7 +26,8 @@ from swmac import (
 )
 from swmac.cli import main
 from swmac.config import ExperimentConfig, RateGrid, ValidationError, preset_config
-from swmac.streams import BLOCK_SIZE, CHUNK_SIZE
+from swmac.outage import CHUNK_SIZE
+from swmac.streams import BLOCK_SIZE
 from swmac.sweep import run_outage_sweep
 
 from mixture import mixture_gain_pairs
@@ -496,7 +497,7 @@ def test_monte_carlo_grid_entries_equal_single_point_estimates():
     theta, marginals = DependenceParameter(0.6), FadingMarginals(1.0, 2.0)
     budgets = (PowerBudget(0.0, 1.0, 5.0, 1.0), PowerBudget(0.5, 2.0, 1.0, 0.5))
     rates = (0.0, 0.25, 0.8, 1.5)
-    n, seed = 70_000, 19  # two chunks, the second partial
+    n, seed = 70_000, 19  # 18 blocks, the last partial
     grid = outage_monte_carlo((theta,), marginals, budgets, rates, n, seed)
     assert grid.value.shape == grid.std_error.shape == (1, len(budgets), len(rates))
     for i, budget in enumerate(budgets):
@@ -536,9 +537,9 @@ def test_monte_carlo_grid_validation():
 
 # Four regimes of the cut on the first gain: off at unit noise, dropping
 # about half the pairs at noise 0.01, nine tenths at noise 8.4e-4 (so that a
-# batch of kept pairs spans a chunk boundary and holds several blocks'
-# prefix runs), and nearly all of them at preset scale.  Each has two
-# budgets with different weights and a rate axis that holds 0.
+# batch of kept pairs holds several blocks' prefix runs), and nearly all of
+# them at preset scale.  Each has two budgets with different weights and a
+# rate axis that holds 0.
 CUT_THETAS = (-1.0, -0.35, 0.0, 0.6, 1.0)
 CUT_RATES = tuple(0.1 * i for i in range(31))  # 0 to 3
 CUT_REGIMES = {
@@ -567,7 +568,7 @@ CUT_REGIMES = {
 
 @pytest.mark.parametrize("regime", sorted(CUT_REGIMES))
 def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
-    # Three chunks, the last partial: every scored pair's weighted sum is
+    # 37 blocks, the last partial: every scored pair's weighted sum is
     # compared with every gamma, with no cut, sort or batching, at each
     # theta of one call (at theta = -1, 0 and 1 the pairs
     # iter_gain_pair_chunks yields at that theta).
@@ -594,7 +595,7 @@ def test_monte_carlo_counts_equal_a_brute_force_count_of_every_pair(regime):
 def test_monte_carlo_theta_entries_equal_one_theta_calls(regime):
     # One draw set serves the whole theta axis: entry [t] equals, bit for
     # bit, the call at thetas[t] alone, and a repeated theta gets the same
-    # entries.  Three chunks, the last partial; the first-gain cut is off at
+    # entries.  37 blocks, the last partial; the first-gain cut is off at
     # unit noise and drops pairs in the other two regimes.
     marginals, budgets, rates = CUT_REGIMES[regime]
     thetas = tuple(map(DependenceParameter, (0.6, -1.0, 0.0, 0.6, -0.35, 1.0)))
@@ -665,7 +666,7 @@ def test_monte_carlo_inverts_every_pair_at_unit_noise(monkeypatch):
 def test_monte_carlo_rows_do_not_depend_on_theta_order_or_repeats():
     # Permuting the theta axis permutes the entries, and a repeated theta
     # gets the same ones; -0.6 and 0.6 share their prefix lengths but not
-    # their anchor.  Two chunks at unit noise.
+    # their anchor.  18 blocks at unit noise.
     marginals, budgets, rates = CUT_REGIMES["unit-noise"]
     values = (0.6, -1.0, 0.0, -0.6, 0.05, 1.0)
     n, seed = 70_000, 41
@@ -681,9 +682,9 @@ def test_monte_carlo_rows_do_not_depend_on_theta_order_or_repeats():
 @pytest.mark.parametrize("regime", ["unit-noise", "half-cut", "tenth-cut"])
 @pytest.mark.parametrize("cuts", [(1,), (5, 6, 21), (2, 16, 17, 18, 30)])
 def test_monte_carlo_shares_add_up_to_the_whole_count(regime, cuts):
-    # Any split of the draw's 37 blocks (three chunks, the last partial)
-    # into contiguous shares: the shares' counts add up to the whole count
-    # bit for bit, with the first-gain cut off (unit noise) and on.
+    # Any split of the draw's 37 blocks (the last partial) into contiguous
+    # shares: the shares' counts add up to the whole count bit for bit, with
+    # the first-gain cut off (unit noise) and on.
     marginals, budgets, rates = CUT_REGIMES[regime]
     thetas = tuple(map(DependenceParameter, CUT_THETAS + (0.3, -0.85)))
     n, seed = 150_000, 29
@@ -779,8 +780,8 @@ def test_monte_carlo_counts_every_piece_at_its_side_of_a_placed_boundary(monkeyp
 
 def test_monte_carlo_builds_one_prefix_substream_per_call(monkeypatch):
     # Every interior theta's prefix length comes from the one substream
-    # (seed, 0, 1), however many chunks the draw spans: 150,000 pairs are
-    # three chunks.
+    # (seed, 0, 1), however many blocks the draw spans: 150,000 pairs are
+    # 37 blocks.
     import swmac.outage as outage_module
 
     calls = []

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from swmac.streams import BLOCK_SIZE, CHUNK_SIZE, MAX_SEED, derive_seed, substream
+import swmac.streams
+from swmac.outage import CHUNK_SIZE
+from swmac.streams import BLOCK_SIZE, MAX_SEED, derive_seed, substream
 
 
 def test_same_path_same_stream():
@@ -43,9 +45,13 @@ def test_the_largest_seed_still_draws():
 
 
 def test_chunk_size_is_positive_power_of_two():
+    # CHUNK_SIZE is the Monte Carlo work per pool task, not an address of
+    # any draw: it lives beside the evaluator that plans the tasks
     assert CHUNK_SIZE > 0 and CHUNK_SIZE & (CHUNK_SIZE - 1) == 0
+    assert not hasattr(swmac.streams, "CHUNK_SIZE")
 
 
 def test_block_size_is_a_power_of_two_dividing_the_chunk_size():
+    # a task's work is a whole number of blocks of pairs
     assert BLOCK_SIZE > 0 and BLOCK_SIZE & (BLOCK_SIZE - 1) == 0
     assert CHUNK_SIZE % BLOCK_SIZE == 0

@@ -37,7 +37,7 @@ from swmac.outage import (
     outage_monte_carlo,
     outage_quadrature,
 )
-from swmac.streams import BLOCK_SIZE, derive_seed
+from swmac.streams import BLOCK_SIZE
 from swmac.sweep import (
     FLAG_DEGENERATE,
     FLAG_NONCONVERGENCE,
@@ -117,7 +117,7 @@ def test_sweep_rejects_budget_without_strict_common_power_margin():
 
 
 def test_monte_carlo_rows_use_per_row_substreams():
-    # Monte Carlo draws are keyed by derive_seed(seed, 0), so the value at a
+    # Monte Carlo draws the pairs of the config seed, so the value at a
     # sweep point depends only on the seed and the point itself, not on
     # which other methods run in the same sweep.
     all_methods = run_outage_sweep(small_config())
@@ -138,12 +138,12 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_monte_carlo_rows_equal_1x1_estimates():
-    # Every Monte Carlo row of a sweep is scored against one draw set, keyed
-    # by derive_seed(seed, 0): each row equals the 1x1 estimate on that key
+    # Every Monte Carlo row of a sweep is scored against one draw set, the
+    # pairs of the config seed: each row equals the 1x1 estimate on that seed
     # and the frequency of A*g1 + B*g2 <= gamma over the pairs it scores at
     # its theta, rebuilt by brute force (at theta = -1, 0 and 1 the pairs
-    # iter_gain_pair_chunks yields at that theta from that key).
-    # n = 150,000 is three chunks, the last one partial.
+    # iter_gain_pair_chunks yields at that theta from that seed).
+    # n = 150,000 pairs end in a partial block.
     from mixture import mixture_gain_pairs
 
     n = 150_000
@@ -156,7 +156,7 @@ def test_monte_carlo_rows_equal_1x1_estimates():
     table = run_outage_sweep(cfg)
     op, std_err, flag = (a[..., 1] for a in (table.op, table.std_err, table.flag))
     assert op.shape == (2, 4, 3)
-    seed, rates = derive_seed(cfg.seed, 0), table.axes[2]
+    seed, rates = cfg.seed, table.axes[2]
     for t_i, theta in enumerate(cfg.thetas):
         g = mixture_gain_pairs(theta, cfg.marginals, n, seed)
         for b_i, budget in enumerate(cfg.budgets):
@@ -191,9 +191,8 @@ def test_a_monte_carlo_row_does_not_depend_on_the_other_thetas(forked_pool_of_tw
 
 @pytest.mark.parametrize("count", [1, 3, 7])
 def test_a_serial_sweep_draws_once_whatever_its_theta_count(monkeypatch, count):
-    # One _uniform_blocks call, and one substream of uniforms per chunk:
-    # each Philox block is drawn once for every theta.  70,000 pairs are two
-    # chunks.
+    # One _uniform_blocks call, and one substream of uniforms for all
+    # 70,000 pairs: each Philox block is drawn once for every theta.
     import swmac.copula as copula_module
     import swmac.outage as outage_module
 
@@ -213,12 +212,7 @@ def test_a_serial_sweep_draws_once_whatever_its_theta_count(monkeypatch, count):
     thetas = tuple(map(DependenceParameter, np.linspace(-1.0, 1.0, count).tolist()))
     cfg = small_config(thetas=thetas, methods=("monte-carlo",), mc_samples=70_000)
     run_outage_sweep(cfg, workers=1)
-    seed = derive_seed(cfg.seed, 0)
-    assert calls == [
-        ("_uniform_blocks", (70_000, seed)),
-        ("substream", (seed, 0)),
-        ("substream", (seed, 1)),
-    ]
+    assert calls == [("_uniform_blocks", (70_000, cfg.seed)), ("substream", (cfg.seed, 0))]
 
 
 @pytest.mark.parametrize("workers", [2, 5])
@@ -696,7 +690,7 @@ def _three_theta_flagged_config():
 def _expected_block(cfg, b_i, method):
     """(op, std_err, flag) arrays over one budget's (theta, rate) block of
     ``method``, from one call of its evaluator on that budget alone (for
-    Monte Carlo, seeded by derive_seed(seed, 0))."""
+    Monte Carlo, on the config seed)."""
     import swmac.sweep as sweep_module
 
     grid = (cfg.thetas, cfg.marginals, (cfg.budgets[b_i],), cfg.rate_grid.values())
@@ -707,7 +701,7 @@ def _expected_block(cfg, b_i, method):
         elif method == "quadrature":
             curve = sweep_module.outage_quadrature(*grid)
         else:
-            curve = outage_monte_carlo(*grid, cfg.mc_samples, derive_seed(cfg.seed, 0))
+            curve = outage_monte_carlo(*grid, cfg.mc_samples, cfg.seed)
             std_err = curve.std_error[:, 0]
     except DegenerateDenominator as exc:
         curve, failed, failure = exc.curve, exc.failed, DEGENERATE
@@ -1369,7 +1363,7 @@ def test_emit_samples_equals_pair_by_pair_writer(tmp_path):
 
     cfg = small_config()
     path = tmp_path / "s.csv"
-    emit_samples(cfg, -0.4, 70_000, path)  # two chunks, the second partial
+    emit_samples(cfg, -0.4, 70_000, path)  # 18 blocks, the last partial
     chunks = iter_gain_pair_chunks(DependenceParameter(-0.4), cfg.marginals, 70_000, cfg.seed)
     expected = "g1,g2\n" + "".join(
         f"{float(g1)!r},{float(g2)!r}\n" for chunk in chunks for g1, g2 in chunk
@@ -1439,8 +1433,8 @@ def _monte_carlo_grid_of(n, path):
 @pytest.mark.parametrize("run", [_emit_samples_of, _pooled_emit_samples_of, _monte_carlo_grid_of])
 def test_streaming_memory_does_not_grow_with_sample_count(run, tmp_path):
     # Peak traced allocation above the memory held before the call: at
-    # 200,000 pairs (several substream chunks) it stays within 2x of the
-    # peak at two blocks, since at most one block is held at a time.
+    # 200,000 pairs (49 blocks) it stays within 2x of the peak at two
+    # blocks, since at most one block is held at a time.
     path = tmp_path / "out.csv"
 
     def peak(n):
