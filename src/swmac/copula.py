@@ -306,24 +306,31 @@ def _gain_pairs(
 
 def _uniform_blocks(n: int, seed: int, blocks: Optional[range] = None) -> Iterator[np.ndarray]:
     """The raw (u1, v) uniforms of ``n`` pairs, as (m, 2) blocks of at most
-    ``BLOCK_SIZE`` rows; ``n`` and ``seed`` are checked on the call, before
-    any draw.
+    ``BLOCK_SIZE`` rows; ``n``, ``seed`` and ``blocks`` are checked on the
+    call, before any draw.
 
     Every pair of ``seed`` comes from the one substream ``(seed, 0)``, pair
     i from its uniforms 2*i and 2*i + 1, so a pair depends on (seed, i)
     alone.  Block ``b`` holds pairs ``[b*BLOCK_SIZE, min((b + 1)*BLOCK_SIZE,
-    n))``; ``blocks``, an increasing range of block indices, draws only
-    those blocks (default: all of them).  Philox is counter-based, so a
-    block drawn alone, after advancing the generator over the blocks
-    skipped, equals the same block drawn in sequence.  This is the one
-    place that addresses gain draws; :func:`iter_gain_pair_chunks` and the
-    Monte Carlo count both read it.
+    n))``; ``blocks``, an increasing range of block indices inside
+    ``range(ceil(n / BLOCK_SIZE))``, possibly empty, draws only those blocks
+    (default: all of them); any other range raises ValueError.  Philox is
+    counter-based, so a block drawn alone, after advancing the generator
+    over the blocks skipped, equals the same block drawn in sequence.  This
+    is the one place that addresses gain draws; :func:`iter_gain_pair_chunks`
+    and the Monte Carlo count both read it.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     rng = substream(seed, 0)  # checks the seed here, not at the first draw
+    count = -(-n // BLOCK_SIZE)
     if blocks is None:
-        blocks = range(-(-n // BLOCK_SIZE))
+        blocks = range(count)
+    elif blocks.step < 0 or (blocks and not (0 <= blocks[0] and blocks[-1] < count)):
+        raise ValueError(
+            f"blocks must be an increasing range inside range({count}), the blocks "
+            f"of n = {n} pairs, got {blocks}"
+        )
 
     def draw() -> Iterator[np.ndarray]:
         undrawn = 0

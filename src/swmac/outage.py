@@ -632,7 +632,7 @@ def outage_monte_carlo(
     substream of ``seed`` (see :func:`~swmac.copula.iter_gain_pair_chunks`),
     one block of at most ``streams.BLOCK_SIZE`` pairs at a time, and serve
     every theta.
-    ``blocks``, an increasing range of block indices, contiguous or
+    ``blocks``, a nonempty increasing range of block indices, contiguous or
     strided, counts only the pairs of those blocks (default: all of them),
     and the value and standard error are then over the pairs drawn: the
     counts of disjoint shares of the blocks add up, bit for bit, to the
@@ -672,10 +672,10 @@ def outage_monte_carlo(
     """
     if n < MIN_MC_SAMPLES:
         raise ValueError(f"n must be >= {MIN_MC_SAMPLES}, got {n}")
-    if blocks is not None and not (
-        blocks and blocks.step > 0 and 0 <= blocks[0] and blocks[-1] < -(-n // BLOCK_SIZE)
-    ):
-        raise ValueError(f"blocks must be a nonempty increasing range of blocks of n, got {blocks}")
+    if blocks is not None and not blocks:
+        raise ValueError(f"blocks must be a nonempty range, got {blocks}")
+    blocks = range(-(-n // BLOCK_SIZE)) if blocks is None else blocks
+    draws = _uniform_blocks(n, seed, blocks=blocks)  # checks the seed and the blocks
     weight1, weight2, gammas = _budget_axes(budgets, rates)
     cut = _first_gain_cut(marginals.lambda1, weight1, gammas)
     th = [theta.theta for theta in thetas]
@@ -711,9 +711,8 @@ def outage_monte_carlo(
     lengths = dict(zip(mags, _prefix_lengths(seed, n, mags)))
     # each theta's prefix of the draw: none at 0, all of it at 1 and -1
     prefix = [lengths.get(abs(t), n if t else 0) for t in th]
-    blocks = range(-(-n // BLOCK_SIZE)) if blocks is None else blocks
     batch, held, open_sides, drawn = [], 0, None, 0
-    for b, w in zip(blocks, _uniform_blocks(n, seed, blocks=blocks)):
+    for b, w in zip(blocks, draws):
         drawn += len(w)
         # each theta's prefix boundary in this block's rows, before the cut
         ends = [m - b * BLOCK_SIZE for m in prefix]

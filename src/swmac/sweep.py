@@ -26,6 +26,9 @@ produce byte-identical CSV.
 Sampled gain pairs fan out through the same pool: each block of pairs can
 be drawn alone, so workers draw and format strided blocks and the parent
 writes their texts in block order, the same bytes for any worker count.
+A gain is written as Python's shortest round-trip ``repr``: its digits are
+computed per block on arrays, with ``repr`` as the per-value fallback
+(:func:`_repr_lines`), so the bytes are ``repr``'s.
 Every CSV goes to a temporary file that replaces the output path only once
 it is whole.
 
@@ -47,7 +50,7 @@ import pickle
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -558,15 +561,142 @@ def emit_region(
     return vertices
 
 
+#: Entries of the text chunk table of :func:`_repr_tables`: the four digits
+#: of 0..9999, blanked five ways, then '.', ',' and a line feed.
+_CHUNK_KEYS = 10_000
+_DOT, _COMMA, _NEWLINE = range(5 * _CHUNK_KEYS, 5 * _CHUNK_KEYS + 3)
+
+
+@cache
+def _repr_tables() -> tuple[np.ndarray, ...]:
+    """The constants of :func:`_repr_lines`, built once per process.
+
+    ``tens[k]`` is 10^k for k <= 22, exact as a double, with its Veltkamp
+    halves ``tens_hi`` and ``tens_lo``; ``powers[j]`` is 10^j as an int64.
+    ``chunks`` holds 4-byte texts: entry b*10,000 + v is the four digits of
+    v with the first b blanked to 0 pad bytes (b <= 4), and the last three
+    entries are '.', ',' and a line feed, each padded.  ``blanks[c][:, L]``
+    offsets the c chunks of a number right-aligned in 4*c columns into
+    ``chunks`` so that only its last L columns show.
+    """
+    tens = np.array([float(10**k) for k in range(23)])
+    split = 134217729.0 * tens
+    tens_hi = split - (split - tens)
+    powers = np.array([10**j for j in range(18)])
+    v = np.arange(_CHUNK_KEYS)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
+    chunks = np.zeros((_NEWLINE + 1, 4), np.uint8)
+    for b in range(4):
+        chunks[b * _CHUNK_KEYS : (b + 1) * _CHUNK_KEYS, b:] = digits[:, b:]
+    chunks[_DOT:, 0] = np.frombuffer(b".,\n", np.uint8)
+    blanks = [
+        _CHUNK_KEYS * np.clip(4 * np.arange(c, 0, -1)[:, None] - np.arange(23), 0, 4)
+        for c in range(7)
+    ]
+    return tens, tens_hi, tens - tens_hi, powers, chunks.view(np.uint32).ravel(), blanks
+
+
+def _repr_lines(block: np.ndarray) -> str:
+    """The text ``"%r,%r\\n" * m % tuple(block.ravel().tolist())`` of the
+    (m, 2) float64 ``block``, computed on arrays: Python's shortest
+    round-trip ``repr`` of every value, byte for byte.
+
+    The fast path is 1e-4 <= x < 1e15 with a significand that is not a
+    power of two.  There ``repr`` is positional, and the values that read
+    back as x form an interval symmetric about it, so if any d-digit
+    decimal reads back as x the nearest one does, and ``repr`` writes the
+    nearest decimal of the fewest digits that reads back.  With X =
+    floor(log10 x), s = x*10^(16 - X) is formed exactly as hi + lo
+    (Dekker's product; 10^k is exact for k <= 22); its rounding to 17
+    digits always reads back, and its rounding to d = 16, ..., 12 digits is
+    kept while it lies within half an ulp of x, scaled by 10^(16 - X).
+    ``repr`` itself writes any value off the fast path, and any whose
+    digits rest on a near decision: a rounding within 1e-6 of a tie, a
+    round-trip test within 1e-9 relative of its bound, a digit count of 12
+    or fewer (which a rounding up to 10^17 has), or an s outside
+    [10^16, 10^17) (X off by one near a power of ten).
+
+    Each value's text is laid out in one row of fixed columns, 0 pad bytes
+    where it has no character: the integer part right-aligned ('0' for
+    x < 1), '.', the fraction digits right-aligned (leading zeros for x < 1,
+    '0' for an integral x), then ',' or a line feed.  The digits come four
+    at a time from the chunk table of :func:`_repr_tables`, in as many
+    chunks as the block's widest part needs; a ``repr`` value replaces its
+    row, and one ``bytes.translate`` drops the pad bytes.
+    """
+    tens, tens_hi, tens_lo, powers, chunks, blanks = _repr_tables()
+    values = block.ravel()
+    fast = (values >= 1e-4) & (values < 1e15) & (values.view(np.uint64) << np.uint64(12) != 0)
+    x = np.where(fast, values, 1.5)
+    exponent = np.floor(np.log10(x)).astype(np.intp)
+    k = 16 - exponent
+    # s = x*10^k = hi + lo exactly, split at its units as s_floor + frac
+    scale, scale_hi, scale_lo = tens[k], tens_hi[k], tens_lo[k]
+    split = 134217729.0 * x
+    x_hi = split - (split - x)
+    x_lo = x - x_hi
+    hi = x * scale
+    lo = ((x_hi * scale_hi - hi) + x_hi * scale_lo + x_lo * scale_hi) + x_lo * scale_lo
+    floor_lo = np.floor(lo)
+    s_floor = hi.astype(np.int64) + floor_lo.astype(np.int64)
+    frac = lo - floor_lo
+    # rows j = 1..5: s modulo 10^j, its distance to the nearest multiple, and
+    # whether that is within half an ulp of x, the 17 - j digits reading back
+    tens_j = tens[1:6, None]
+    units = (s_floor % 100_000).astype(np.float64)
+    rest = units - np.floor(units / tens_j) * tens_j + frac
+    miss = np.minimum(rest, tens_j - rest)
+    half_ulp = 0.5 * np.spacing(x) * scale
+    ok = miss < half_ulp * (1.0 - 1e-9)
+    dropped = ok.sum(axis=0)  # of the 17 digits, the trailing ones that go
+    unit = powers[dropped]
+    below = s_floor % unit
+    past_half = below + frac - 0.5 * unit  # from the tie of the kept rounding
+    fallback = (
+        ~fast
+        | (ok != (miss < half_ulp * (1.0 + 1e-9))).any(axis=0)
+        | (np.abs(past_half) < 1e-6 * unit)
+        | (dropped == 5)
+        | (s_floor < powers[16])
+        | (s_floor >= powers[17])
+    )
+    digits = s_floor - below + (past_half > 0) * unit
+    shift = powers[np.minimum(k, 17)]
+    whole = digits // shift
+    fraction = (digits - whole * shift) // unit
+    # each part right-aligned in the chunks the block's widest needs, with
+    # its columns left of its digits blanked; a repr row needs 7 chunks
+    whole_len = np.maximum(exponent, 0) + 1
+    fraction_len = np.maximum(k - dropped, 1)
+    fraction_chunks = (fraction_len.max(initial=1) + 3) // 4
+    whole_chunks = max((whole_len.max(initial=1) + 3) // 4, 5 - fraction_chunks)
+    columns = np.empty((whole_chunks + fraction_chunks + 2, len(values)), np.intp)
+    for number, shown, rows in (
+        (whole, whole_len, columns[:whole_chunks]),
+        (fraction, fraction_len, columns[whole_chunks + 1 : -1]),
+    ):
+        for r in range(len(rows) - 1, 0, -1):
+            number, rows[r] = np.divmod(number, _CHUNK_KEYS)
+        rows[0] = number
+        rows += np.take(blanks[len(rows)], shown, axis=1)
+    columns[whole_chunks] = _DOT
+    columns[-1, 0::2] = _COMMA
+    columns[-1, 1::2] = _NEWLINE
+    # a fallback row's chunks may be out of range: its row is replaced
+    text = np.ascontiguousarray(chunks.take(columns, mode="clip").T).view(np.uint8)
+    for i in np.flatnonzero(fallback).tolist():
+        line = (repr(values[i].item()) + ",\n"[i & 1]).encode()
+        text[i] = 0
+        text[i, : len(line)] = np.frombuffer(line, np.uint8)
+    return text.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _sample_texts(
     theta: DependenceParameter, marginals: FadingMarginals, n: int, seed: int, blocks: range
 ) -> Iterator[str]:
     """The CSV lines of the gain pairs of each of ``blocks``, one text per
-    block, lazily."""
-    return (
-        "%r,%r\n" * len(block) % tuple(block.ravel().tolist())
-        for block in iter_gain_pair_chunks(theta, marginals, n, seed, blocks)
-    )
+    block, lazily (see :func:`_repr_lines`)."""
+    return map(_repr_lines, iter_gain_pair_chunks(theta, marginals, n, seed, blocks))
 
 
 def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str | Path) -> None:
@@ -574,10 +704,14 @@ def emit_samples(config: ExperimentConfig, theta_value: float, n: int, path: str
 
     Deterministic for a fixed config seed; values come from the same
     substream as the Monte Carlo evaluator's, so a sweep of that seed counts
-    these pairs at theta = 0, 1 and -1.  Pairs are drawn and formatted one
-    block of at most ``BLOCK_SIZE`` at a time, on one worker process per
-    CPU this process may run on (see :func:`_fanned_out`), and each block's
-    text is written as it is read, so memory does not grow with ``n``.
+    these pairs at theta = 0, 1 and -1.  Each gain is written as Python's
+    shortest round-trip ``repr``, so it reads back bit for bit: the digits
+    are computed per block on arrays, with ``repr`` as the per-value
+    fallback (see :func:`_repr_lines`), so the bytes are ``repr``'s.  Pairs
+    are drawn and formatted one block of at most ``BLOCK_SIZE`` at a time,
+    on one worker process per CPU this process may run on (see
+    :func:`_fanned_out`), and each block's text is written as it is read,
+    so memory does not grow with ``n``.
     Each block can be drawn alone, so the bytes do not depend on the worker
     count.  The text goes through :func:`_replacing`, so a run that fails
     part-way leaves neither file.  Raises ValueError, before drawing or

@@ -206,6 +206,12 @@ def test_sample_count_is_not_the_monte_carlo_setting(config_file, tmp_path):
     assert len(read_csv(out)) == 501
 
 
+def test_sample_of_no_pairs_writes_the_header_alone(config_file, tmp_path):
+    out = tmp_path / "samples.csv"
+    assert main(["sample", "--config", config_file, "--samples", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"g1,g2\n"
+
+
 def test_compare_subcommand(config_file, tmp_path, capsys):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--config", config_file, "--out", str(out)]) == 0

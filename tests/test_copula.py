@@ -475,6 +475,24 @@ def test_a_seed_outside_64_bits_raises_on_the_call_not_at_the_first_draw(unit_ma
         _uniform_blocks(10, seed)
 
 
+@pytest.mark.parametrize(
+    "blocks", [range(7, 9), range(3, 0, -1), range(-1, 2)],
+    ids=["past-the-draw", "decreasing", "negative-start"],
+)
+def test_a_block_range_outside_the_draw_raises_on_the_call(unit_marginals, blocks):
+    # n = 5*BLOCK_SIZE pairs have blocks 0..4: a range past them raised
+    # numpy's "negative dimensions" at the first draw, and a decreasing one
+    # or one from a negative index advanced the generator backwards
+    with pytest.raises(ValueError, match=r"blocks must be an increasing range inside range\(5\)"):
+        iter_gain_pair_chunks(DependenceParameter(0.3), unit_marginals, 5 * BLOCK_SIZE, 11, blocks)
+
+
+def test_an_empty_block_range_draws_nothing(unit_marginals):
+    theta = DependenceParameter(0.3)
+    for n in (0, 5 * BLOCK_SIZE):
+        assert list(iter_gain_pair_chunks(theta, unit_marginals, n, 11, range(0))) == []
+
+
 # ---------------------------------------------------------------------------
 # Joint PDF
 # ---------------------------------------------------------------------------

@@ -471,6 +471,22 @@ def test_monte_carlo_rejects_a_seed_outside_64_bits(seed):
         outage_monte_carlo(*make_grid(), 5000, seed=seed)
 
 
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        (range(7, 9), r"increasing range inside range\(5\)"),
+        (range(3, 0, -1), r"increasing range inside range\(5\)"),
+        (range(-1, 2), r"increasing range inside range\(5\)"),
+        (range(0), r"nonempty range"),
+    ],
+    ids=["past-the-draw", "decreasing", "negative-start", "empty"],
+)
+def test_monte_carlo_rejects_a_block_range_by_name(blocks, message):
+    # n = 5*BLOCK_SIZE pairs have blocks 0..4; a count needs at least one
+    with pytest.raises(ValueError, match=r"blocks must be an? " + message):
+        outage_monte_carlo(*make_grid(), 5 * BLOCK_SIZE, seed=3, blocks=blocks)
+
+
 def test_monte_carlo_deterministic_for_seed():
     q = make_grid(thetas=(0.3,))
     a = outage_monte_carlo(*q, 50_000, seed=77)

@@ -26,7 +26,9 @@ from swmac import (
     gaussian_region_bounds,
     wireless_region_bounds,
 )
+from swmac import sweep
 from swmac.config import RateGrid, parse_config, preset_config
+from swmac.copula import iter_gain_pair_chunks
 from swmac.outage import (
     DegenerateDenominator,
     OutageEvaluationError,
@@ -49,6 +51,7 @@ from swmac.sweep import (
     SweepTable,
     _formatted,
     _pool_size,
+    _repr_lines,
     compare_methods,
     emit_comparison_csv,
     emit_csv,
@@ -1356,6 +1359,82 @@ def test_a_region_write_that_fails_part_way_leaves_the_old_file(tmp_path, monkey
         emit_region(PowerBudget(0.0, 1.0, 1.0, 1.0), None, 0.0, path)
     assert [p.name for p in tmp_path.iterdir()] == ["region.csv"]
     assert path.read_text() == "the previous run's vertices\n"
+
+
+def _repr_template(block):
+    """The text the sample writer once made with a per-float %r template."""
+    return "%r,%r\n" * len(block) % tuple(block.ravel().tolist())
+
+
+@st.composite
+def _float_blocks(draw):
+    """BLOCK_SIZE pairs of float64 of one kind: random bit patterns (NaN,
+    infinities, subnormals and negatives included), log-uniform magnitudes
+    in [1e-6, 1e17), or gain pairs of a drawn theta and fading rates."""
+    kind = draw(st.sampled_from(("bits", "log-uniform", "gains")))
+    seed = draw(st.integers(0, 2**64 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "bits":
+        return rng.integers(0, 2**64, (BLOCK_SIZE, 2), dtype=np.uint64).view(np.float64)
+    if kind == "log-uniform":
+        return np.exp(rng.uniform(math.log(1e-6), math.log(1e17), (BLOCK_SIZE, 2)))
+    theta = DependenceParameter(draw(st.sampled_from((-1.0, -0.4, 0.0, 0.3, 0.9, 1.0))))
+    lambdas = draw(st.sampled_from(((1.0, 2.5), (0.1, 10.0), (2.0, 2.0), (1e-3, 1e3))))
+    return next(iter_gain_pair_chunks(theta, FadingMarginals(*lambdas), BLOCK_SIZE, seed))
+
+
+# 150 blocks of 2*BLOCK_SIZE values: 1.2M values
+@settings(max_examples=150, deadline=None)
+@given(_float_blocks())
+def test_the_repr_kernel_writes_the_percent_r_template(block):
+    assert _repr_lines(block) == _repr_template(block)
+
+
+_REPR_EDGES = (
+    0.0, -0.0, 1e-4, 1e15, 0.5, 0.25, 1.0, 2.0, 1024.0, 2.0**-10, 2.0**49, 0.1, 0.3,
+    1234.5, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, math.inf, -math.inf,
+    math.nan, 1e-5, 1e16, 123456789012345.0, 99999999999999.99, 0.00012345678901234567,
+    9.999999999999999e14, 1.0000000000000002, 0.30000000000000004, -0.7316,
+)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        *_REPR_EDGES,
+        *(math.nextafter(edge, direction) for edge in (1e-4, 1e15) for direction in (0, math.inf)),
+        # where floor(log10(x)) may be off by one
+        *(math.nextafter(10.0**e, d) for e in range(-4, 16) for d in (0, math.inf)),
+    ],
+)
+def test_the_repr_kernel_writes_an_edge_value_as_repr(x):
+    # in either column, next to a value on the fast path
+    block = np.array([[x, 0.7316261531553476], [2.718281828459045, x], [x, x]])
+    assert _repr_lines(block) == _repr_template(block)
+
+
+def test_the_repr_kernel_writes_a_block_of_fallbacks_alone(monkeypatch):
+    # zero, powers of two, short decimals and values off [1e-4, 1e15): every
+    # value goes through repr, and the rows keep their order
+    calls = []
+    monkeypatch.setattr(sweep, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    block = np.array([[0.0, 0.5], [1.0, 2.0], [0.1, 1e-5], [1e16, math.nan], [1234.5, -3.0]])
+    assert _repr_lines(block) == _repr_template(block)
+    assert len(calls) == block.size
+
+
+def test_the_repr_kernel_writes_nearly_every_gain_itself(monkeypatch):
+    # the fast path stays the path: of 200,000 fig2 pairs at theta = 0.9,
+    # under 0.1 % of the values go through repr
+    calls = []
+    monkeypatch.setattr(sweep, "repr", lambda x: calls.append(x) or repr(x), raising=False)
+    cfg = preset_config("fig2")
+    values = 0
+    for block in iter_gain_pair_chunks(DependenceParameter(0.9), cfg.marginals, 200_000, cfg.seed):
+        _repr_lines(block)
+        values += block.size
+    assert values == 400_000
+    assert len(calls) < 1e-3 * values, len(calls)
 
 
 def test_emit_samples_equals_pair_by_pair_writer(tmp_path):
