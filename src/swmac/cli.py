@@ -9,21 +9,22 @@ from __future__ import annotations
 
 import argparse
 import errno
-import functools
 import os
 import sys
 from contextlib import contextmanager
+from functools import cache, partial
 from typing import Iterator, Optional, Sequence
 
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _read_value,
     load_config,
     preset_config,
     preset_description,
     preset_names,
 )
-from .copula import GainPair
+from .copula import DependenceParameter, GainPair
 from .outage import METHODS, OutageEvaluationError
 from .regions import VertexMembershipError
 from .sweep import (
@@ -35,13 +36,6 @@ from .sweep import (
     run_outage_sweep,
 )
 
-_DEFAULT_OUT = {
-    "outage": "sweep.csv",
-    "region": "region.csv",
-    "sample": "samples.csv",
-    "compare": "compare.csv",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the harness treats those
@@ -50,25 +44,25 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_source(parser: argparse.ArgumentParser) -> None:
+def _add_source_and_out(parser: argparse.ArgumentParser, handler, out: str) -> None:
+    """Flags of a subcommand that ``handler`` runs on a loaded config,
+    writing ``out`` unless ``--out`` names another path."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--config", metavar="PATH", help="config file to load")
-    group.add_argument(
-        "--preset", choices=preset_names(), help="built-in power scenario"
-    )
+    group.add_argument("--preset", choices=preset_names(), help="built-in power scenario")
+    parser.add_argument("--out", metavar="PATH", help=f"output CSV path (default {out})")
+    parser.set_defaults(handler=handler, out=out)
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-    parser.add_argument(
-        "--samples", type=int, metavar="N", help="Monte Carlo samples override"
-    )
-    parser.add_argument(
-        "--methods",
-        metavar="LIST",
-        help=f"comma-separated subset of {','.join(METHODS)}",
-    )
-    parser.add_argument("--out", metavar="PATH", help="output CSV path")
+    # read as the config keys are: argparse lets the reader's ParseError
+    # through, so a bad value exits 1 with the message a file's value gets
+    for flag, key, metavar, help in (
+        ("--seed", "seed", "U64", "master seed override"),
+        ("--samples", "mc_samples", "N", "Monte Carlo samples override"),
+        ("--methods", "methods", "LIST", f"comma-separated subset of {','.join(METHODS)}"),
+    ):
+        parser.add_argument(flag, type=partial(_read_value, key), metavar=metavar, help=help)
     parser.add_argument(
         "--workers",
         type=int,
@@ -78,18 +72,18 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@functools.cache
+@cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and then reused."""
     parser = _Parser(prog="swmac", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_outage = sub.add_parser("outage", help="run an outage sweep and write CSV")
-    _add_config_source(p_outage)
+    _add_source_and_out(p_outage, _cmd_outage, "sweep.csv")
     _add_sweep_flags(p_outage)
 
     p_region = sub.add_parser("region", help="write rate-region vertices as CSV")
-    _add_config_source(p_region)
+    _add_source_and_out(p_region, _cmd_region, "region.csv")
     p_region.add_argument(
         "--budget-index", type=int, default=0, metavar="I", help="budget to use (default 0)"
     )
@@ -101,10 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument(
         "--r0", type=float, default=0.0, metavar="RATE", help="common rate (default 0)"
     )
-    p_region.add_argument("--out", metavar="PATH", help="output CSV path")
 
     p_sample = sub.add_parser("sample", help="emit correlated gain pairs as CSV")
-    _add_config_source(p_sample)
+    _add_source_and_out(p_sample, _cmd_sample, "samples.csv")
     p_sample.add_argument(
         "--theta",
         type=float,
@@ -112,30 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="dependence parameter (default: first theta of the config)",
     )
     p_sample.add_argument("--samples", type=int, default=10_000, metavar="N")
-    p_sample.add_argument("--seed", type=int, metavar="U64", help="master seed override")
-    p_sample.add_argument("--out", metavar="PATH", help="output CSV path")
+    p_sample.add_argument(
+        "--seed", type=partial(_read_value, "seed"), metavar="U64", help="master seed override"
+    )
 
     p_compare = sub.add_parser(
         "compare", help="compare evaluators over a sweep; CSV plus summary"
     )
-    _add_config_source(p_compare)
+    _add_source_and_out(p_compare, _cmd_compare, "compare.csv")
     _add_sweep_flags(p_compare)
 
     p_preset = sub.add_parser("preset", help="inspect built-in presets")
     p_preset.add_argument("action", choices=["list"])
+    p_preset.set_defaults(handler=_cmd_preset)
 
     return parser
 
 
 def _load(args: argparse.Namespace, samples_are_mc: bool = True) -> ExperimentConfig:
     config = preset_config(args.preset) if args.preset else load_config(args.config)
-    methods = None
-    if getattr(args, "methods", None) is not None:
-        methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     return config.with_overrides(
         seed=getattr(args, "seed", None),
         mc_samples=getattr(args, "samples", None) if samples_are_mc else None,
-        methods=methods,
+        methods=getattr(args, "methods", None),
     )
 
 
@@ -185,6 +177,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     theta = args.theta if args.theta is not None else config.thetas[0].theta
     with _writing(args.out):
         emit_samples(config, theta, args.samples, args.out)
+    theta = DependenceParameter(theta).theta  # as drawn: -0.0 is stored as 0.0
     print(f"wrote {args.samples} gain pairs (theta={theta}) to {args.out}")
     return 0
 
@@ -210,19 +203,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in _DEFAULT_OUT:
-            # checked before any work: writing onto a directory fails only at the end
-            args.out = args.out or _DEFAULT_OUT[args.command]
-            if os.path.isdir(args.out):
-                raise ConfigError(f"cannot write {args.out}: {os.strerror(errno.EISDIR)}")
-        handler = {
-            "outage": _cmd_outage,
-            "region": _cmd_region,
-            "sample": _cmd_sample,
-            "compare": _cmd_compare,
-            "preset": _cmd_preset,
-        }[args.command]
-        return handler(args)
+        # checked before any work: writing onto a directory fails only at the end
+        if os.path.isdir(getattr(args, "out", "")):
+            raise ConfigError(f"cannot write {args.out}: {os.strerror(errno.EISDIR)}")
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -19,8 +19,8 @@ Lists are comma-separated.  Unknown or duplicate keys are parse errors;
 values violating a domain invariant are validation errors (among them a
 non-finite rate value, a rate axis of more than ``MAX_RATE_POINTS``
 points, or ``mc_samples`` above ``MAX_SAMPLES`` with monte-carlo
-selected).  The values shown above are the defaults, applied when a key is
-omitted.
+selected).  The values shown above are the defaults: a key left out keeps
+the default of its :class:`ExperimentConfig` field.
 
 The ``fig2``/``fig3``/``fig4`` presets carry the power pairs of the
 standard two-transmitter scenarios (noise 1e-5 W).
@@ -119,14 +119,15 @@ class RateGrid:
 
 DEFAULT_THETAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 DEFAULT_RATE_GRID = RateGrid(0.1, 3.0, 0.1)
+#: The variance of each branch, and of the one a file leaves out when it
+#: gives only the other.
 DEFAULT_SIGMA_SQ = 0.5
-DEFAULT_SEED = 1
-DEFAULT_MC_SAMPLES = 1_000_000
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A fully validated sweep description."""
+    """A fully validated sweep description.  Its field defaults are the
+    only defaults: a config file passes only the keys it sets."""
 
     budgets: tuple[PowerBudget, ...]
     thetas: tuple[DependenceParameter, ...] = tuple(
@@ -136,8 +137,8 @@ class ExperimentConfig:
     marginals: FadingMarginals = FadingMarginals.from_sigmas(
         DEFAULT_SIGMA_SQ, DEFAULT_SIGMA_SQ
     )
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    seed: int = DEFAULT_SEED
+    mc_samples: int = 1_000_000
+    seed: int = 1
     methods: tuple[str, ...] = METHODS
 
     def __post_init__(self) -> None:
@@ -167,50 +168,68 @@ class ExperimentConfig:
         methods: Optional[tuple[str, ...]] = None,
     ) -> "ExperimentConfig":
         """Copy with the given fields replaced (None leaves a field alone)."""
-        changes = {
-            field: value
-            for field, value in (
-                ("seed", seed),
-                ("mc_samples", mc_samples),
-                ("methods", methods),
-            )
-            if value is not None
-        }
+        changes = dict(seed=seed, mc_samples=mc_samples, methods=methods)
+        changes = {field: value for field, value in changes.items() if value is not None}
         return replace(self, **changes) if changes else self
 
 
+def _integer(text: str) -> int:
+    return int(text, 0)
+
+
+#: How the text of each top-level key is read: as one value, or, where the
+#: reader is in a list, as comma-separated items (empty items dropped).
 _TOP_KEYS = {
-    "seed",
-    "mc_samples",
-    "methods",
-    "thetas",
-    "rate_start",
-    "rate_stop",
-    "rate_step",
-    "sigma1_sq",
-    "sigma2_sq",
-    "lambda1",
-    "lambda2",
+    "seed": _integer,
+    "mc_samples": _integer,
+    "methods": [str],
+    "thetas": [float],
+    "rate_start": float,
+    "rate_stop": float,
+    "rate_step": float,
+    "sigma1_sq": float,
+    "sigma2_sq": float,
+    "lambda1": float,
+    "lambda2": float,
 }
 _BUDGET_KEYS = {"p0", "p1", "p2", "noise"}
 
 
-def _parse_number(raw: str, key: str, line: int) -> float:
+def _read_value(key: str, text: str, line: Optional[int] = None):
+    """``text`` read as the value of ``key``, from a file or a flag."""
+    how = _TOP_KEYS.get(key, float)  # every [budget] key is a number
+    is_list = isinstance(how, list)
+    read = how[0] if is_list else how
+    items = [item.strip() for item in text.split(",") if item.strip()] if is_list else [text]
+    values = []
+    for item in items:
+        try:
+            values.append(read(item))
+        except ValueError:
+            noun = "an integer" if read is _integer else "a number"
+            raise ParseError(f"value for {key!r} is not {noun}: {item!r}", line) from None
+    return tuple(values) if is_list else values[0]
+
+
+def _checked(label: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a ValueError it raises made a
+    :class:`ValidationError` under ``label``."""
     try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"value for {key!r} is not a number: {raw!r}", line) from None
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValidationError(f"{label}: {exc}") from exc
 
 
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw, 0)
-    except ValueError:
-        raise ParseError(f"value for {key!r} is not an integer: {raw!r}", line) from None
-
-
-def _parse_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _budgets(sections: list[dict[str, float]], source: str) -> tuple[PowerBudget, ...]:
+    if not sections:
+        raise ValidationError(f"{source}: at least one [budget] section is required")
+    budgets = []
+    for i, fields in enumerate(sections):
+        for key in ("p1", "p2", "noise"):
+            if key not in fields:
+                raise ValidationError(f"{source}: budget {i} is missing key {key!r}")
+        budgets.append(_checked(f"{source}: budget {i}", PowerBudget, **{"p0": 0.0, **fields}))
+    return tuple(budgets)
 
 
 def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -219,9 +238,9 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
     Raises :class:`ParseError` with a line number for grammar problems and
     :class:`ValidationError` for invariant violations.
     """
-    top: dict[str, tuple[str, int]] = {}
-    budgets_raw: list[dict[str, tuple[str, int]]] = []
-    section: Optional[dict[str, tuple[str, int]]] = None
+    top: dict = {}
+    sections: list[dict[str, float]] = []
+    section: Optional[dict[str, float]] = None
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -231,13 +250,12 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             if line != "[budget]":
                 raise ParseError(f"unknown section {line!r}; only [budget] is allowed", lineno)
             section = {}
-            budgets_raw.append(section)
+            sections.append(section)
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if not value:
             raise ParseError(f"missing value for key {key!r}", lineno)
         scope = section if section is not None else top
@@ -247,79 +265,29 @@ def parse_config(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ParseError(f"unknown key {key!r} at {where}", lineno)
         if key in scope:
             raise ParseError(f"duplicate key {key!r}", lineno)
-        scope[key] = (value, lineno)
+        scope[key] = _read_value(key, value, lineno)
 
-    if not budgets_raw:
-        raise ValidationError(f"{source}: at least one [budget] section is required")
-
-    budgets = []
-    for i, raw in enumerate(budgets_raw):
-        for req in ("p1", "p2", "noise"):
-            if req not in raw:
-                raise ValidationError(f"{source}: budget {i} is missing key {req!r}")
-        fields = {k: _parse_number(v, k, ln) for k, (v, ln) in raw.items()}
-        fields.setdefault("p0", 0.0)
-        try:
-            budgets.append(PowerBudget(**fields))
-        except ValueError as exc:
-            raise ValidationError(f"{source}: budget {i}: {exc}") from exc
-
-    def num(key: str, default: float) -> float:
-        if key not in top:
-            return default
-        raw, ln = top[key]
-        return _parse_number(raw, key, ln)
-
-    def integer(key: str, default: int) -> int:
-        if key not in top:
-            return default
-        raw, ln = top[key]
-        return _parse_int(raw, key, ln)
-
-    if ("sigma1_sq" in top or "sigma2_sq" in top) and ("lambda1" in top or "lambda2" in top):
+    fields = {"budgets": _budgets(sections, source)}
+    lambdas, sigmas = top.keys() & {"lambda1", "lambda2"}, top.keys() & {"sigma1_sq", "sigma2_sq"}
+    if lambdas and sigmas:
         raise ValidationError(
             f"{source}: give either sigma1_sq/sigma2_sq or lambda1/lambda2, not both"
         )
-    try:
-        if "lambda1" in top or "lambda2" in top:
-            marginals = FadingMarginals(num("lambda1", 1.0), num("lambda2", 1.0))
-        else:
-            marginals = FadingMarginals.from_sigmas(
-                num("sigma1_sq", DEFAULT_SIGMA_SQ), num("sigma2_sq", DEFAULT_SIGMA_SQ)
-            )
-    except ValueError as exc:
-        raise ValidationError(f"{source}: {exc}") from exc
-
-    thetas: tuple[DependenceParameter, ...]
+    if lambdas:
+        lambda1, lambda2 = top.get("lambda1", 1.0), top.get("lambda2", 1.0)
+        fields["marginals"] = _checked(source, FadingMarginals, lambda1, lambda2)
+    elif sigmas:
+        sigma1_sq = top.get("sigma1_sq", DEFAULT_SIGMA_SQ)
+        sigma2_sq = top.get("sigma2_sq", DEFAULT_SIGMA_SQ)
+        fields["marginals"] = _checked(source, FadingMarginals.from_sigmas, sigma1_sq, sigma2_sq)
     if "thetas" in top:
-        raw, ln = top["thetas"]
-        try:
-            thetas = tuple(
-                DependenceParameter(_parse_number(item, "thetas", ln))
-                for item in _parse_list(raw)
-            )
-        except ValueError as exc:
-            raise ValidationError(f"{source}: thetas: {exc}") from exc
-    else:
-        thetas = tuple(DependenceParameter(t) for t in DEFAULT_THETAS)
-
-    rate_grid = RateGrid(
-        start=num("rate_start", DEFAULT_RATE_GRID.start),
-        stop=num("rate_stop", DEFAULT_RATE_GRID.stop),
-        step=num("rate_step", DEFAULT_RATE_GRID.step),
-    )
-
-    methods = tuple(_parse_list(top["methods"][0])) if "methods" in top else METHODS
-
-    return ExperimentConfig(
-        budgets=tuple(budgets),
-        thetas=thetas,
-        rate_grid=rate_grid,
-        marginals=marginals,
-        mc_samples=integer("mc_samples", DEFAULT_MC_SAMPLES),
-        seed=integer("seed", DEFAULT_SEED),
-        methods=methods,
-    )
+        thetas = (DependenceParameter(t) for t in top["thetas"])
+        fields["thetas"] = _checked(f"{source}: thetas", tuple, thetas)
+    rates = {key.removeprefix("rate_"): v for key, v in top.items() if key.startswith("rate_")}
+    if rates:
+        fields["rate_grid"] = replace(DEFAULT_RATE_GRID, **rates)
+    fields.update((key, top[key]) for key in ("mc_samples", "seed", "methods") if key in top)
+    return ExperimentConfig(**fields)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -370,15 +338,17 @@ def preset_names() -> tuple[str, ...]:
     return tuple(_PRESETS)
 
 
-def preset_description(name: str) -> str:
+def _preset(name: str) -> dict:
     if name not in _PRESETS:
         raise ValidationError(f"unknown preset {name!r}; expected one of {preset_names()}")
-    return _PRESETS[name]["description"]
+    return _PRESETS[name]
+
+
+def preset_description(name: str) -> str:
+    return _preset(name)["description"]
 
 
 def preset_config(name: str) -> ExperimentConfig:
     """Built-in sweep configuration for a named power scenario."""
-    if name not in _PRESETS:
-        raise ValidationError(f"unknown preset {name!r}; expected one of {preset_names()}")
-    entry = _PRESETS[name]
+    entry = _preset(name)
     return ExperimentConfig(budgets=entry["budgets"], marginals=entry["marginals"])

@@ -663,10 +663,11 @@ def outage_monte_carlo(
     sides change or before it would pass ``BLOCK_SIZE`` pairs.  A batch
     forms the second gains only at the anchors its thetas use, and per
     anchor and budget it sorts the sums A*g1 + B*g2 and counts them at or
-    below every gamma by binary search, so ties count as outage.  The counts are exact, so they do not depend on the cut, the
-    batching, the shares or the other thetas: entry ``[t, i, j]`` equals
-    the 1x1x1 grid at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with
-    the same (n, seed) exactly.  Entries share their draws (common random
+    below every gamma by binary search, so ties count as outage.  The
+    counts are exact, so they do not depend on the cut, the batching, the
+    shares or the other thetas: entry ``[t, i, j]`` equals the 1x1x1 grid
+    at (``thetas[t]``, ``budgets[i]``, ``rates[j]``) with the same
+    (n, seed) exactly.  Entries share their draws (common random
     numbers across theta, budget and rate), so they are correlated with one
     another.
     """

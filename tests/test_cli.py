@@ -198,6 +198,14 @@ def test_a_negative_zero_theta_writes_the_csv_of_zero(tmp_path):
     assert [row[1] for row in read_csv(tmp_path / "negative.csv")[1:7]] == ["0"] * 6
 
 
+def test_sample_reports_the_theta_it_draws_at(config_file, tmp_path, capsys):
+    # -0.0 is stored, and drawn at, as the independence 0.0
+    out = tmp_path / "samples.csv"
+    argv = ["sample", "--config", config_file, "--theta", "-0.0", "--samples", "10"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 10 gain pairs (theta=0.0) to {out}\n"
+
+
 def test_sample_count_is_not_the_monte_carlo_setting(config_file, tmp_path):
     # Emitting fewer than 1000 pairs is fine; the mc_samples floor applies
     # to sweep evaluation only.

@@ -1,10 +1,15 @@
 import math
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import swmac.config
 from swmac import ExperimentConfig, ParseError, PowerBudget, ValidationError
 from swmac.config import (
     DEFAULT_RATE_GRID,
+    ConfigError,
     MAX_RATE_POINTS,
     MAX_SAMPLES,
     RateGrid,
@@ -242,3 +247,110 @@ def test_fig4_preset_budgets():
         PowerBudget(0.0, 10.0, 1.0, 1e-5),
     )
 
+
+
+# ---------------------------------------------------------------------------
+# Messages and documented defaults
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,kind,message",
+    [
+        ("bogus = 1\n" + MINIMAL, ParseError, "line 1: unknown key 'bogus' at top level"),
+        ("seed = 1\nseed = 2\n" + MINIMAL, ParseError, "line 2: duplicate key 'seed'"),
+        ("seed\n" + MINIMAL, ParseError, "line 1: expected 'key = value', got 'seed'"),
+        ("seed =\n" + MINIMAL, ParseError, "line 1: missing value for key 'seed'"),
+        (
+            "[other]\n" + MINIMAL,
+            ParseError,
+            "line 1: unknown section '[other]'; only [budget] is allowed",
+        ),
+        ("seed = abc\n" + MINIMAL, ParseError, "line 1: value for 'seed' is not an integer: 'abc'"),
+        ("quad_tol = 0.5\n" + MINIMAL, ParseError, "line 1: unknown key 'quad_tol' at top level"),
+        ("output = out.csv\n" + MINIMAL, ParseError, "line 1: unknown key 'output' at top level"),
+        (
+            MINIMAL + "\n[budget]\np1 = 1\np2 = 1\nnoise = 1\nseed = 2\n",
+            ParseError,
+            "line 12: unknown key 'seed' at [budget] section",
+        ),
+        ("", ValidationError, "exp.cfg: at least one [budget] section is required"),
+        ("[budget]\np1 = 1\np2 = 1\n", ValidationError, "exp.cfg: budget 0 is missing key 'noise'"),
+        (
+            "sigma1_sq = 0.5\nlambda1 = 1\n" + MINIMAL,
+            ValidationError,
+            "exp.cfg: give either sigma1_sq/sigma2_sq or lambda1/lambda2, not both",
+        ),
+        (
+            "methods = bogus\n" + MINIMAL,
+            ValidationError,
+            "unknown method 'bogus'; expected one of "
+            "('closed-form', 'quadrature', 'monte-carlo')",
+        ),
+        (
+            "methods = monte-carlo\nmc_samples = 10\n" + MINIMAL,
+            ValidationError,
+            "mc_samples must be in [1000, MAX_SAMPLES = 100000000] when monte-carlo is "
+            "selected, got 10",
+        ),
+        ("seed = -5\n" + MINIMAL, ValidationError, "seed must be in [0, 2**64 - 1], got -5"),
+        (
+            "seed = 0x10000000000000000\n" + MINIMAL,
+            ValidationError,
+            "seed must be in [0, 2**64 - 1], got 18446744073709551616",
+        ),
+        ("rate_step = -1\n" + MINIMAL, ValidationError, "rate step must be > 0, got -1.0"),
+        (
+            "sigma1_sq = -0.5\n" + MINIMAL,
+            ValidationError,
+            "exp.cfg: sigma1_sq must be > 0, got -0.5",
+        ),
+        (
+            "[budget]\np0 = 2\np1 = 1\np2 = 1\nnoise = 1\n",
+            ValidationError,
+            "exp.cfg: budget 0: p0 must satisfy 0 <= p0 <= min(p1, p2), "
+            "got p0=2.0 with p1=1.0, p2=1.0",
+        ),
+        (
+            "[budget]\np1 = 1\np2 = five\nnoise = 1\n",
+            ParseError,
+            "line 3: value for 'p2' is not a number: 'five'",
+        ),
+        (
+            "thetas = 0.5, abc\n" + MINIMAL,
+            ParseError,
+            "line 1: value for 'thetas' is not a number: 'abc'",
+        ),
+        (
+            "thetas = 0.5, 1.5\n" + MINIMAL,
+            ValidationError,
+            "exp.cfg: thetas: theta must be in [-1, 1], got 1.5",
+        ),
+        ("thetas = ,\n" + MINIMAL, ValidationError, "at least one theta is required"),
+        ("methods = ,\n" + MINIMAL, ValidationError, "methods must be nonempty"),
+    ],
+)
+def test_every_config_error_message_byte_for_byte(text, kind, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text, source="exp.cfg")
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def _readme_ini_block():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^## Config file format\n.*?^```ini\n(.*?)^```$", readme, re.M | re.S)
+    return block
+
+
+def _docstring_key_block():
+    (block,) = re.findall(r"keys::\n\n(.*?)\n\n", swmac.config.__doc__, re.S)
+    return textwrap.dedent(block) + "\n[budget]\np1 = 1\np2 = 5\nnoise = 1e-5\n"
+
+
+@pytest.mark.parametrize("block", [_readme_ini_block, _docstring_key_block])
+def test_the_documented_values_are_the_defaults(block):
+    # every key a block sets is at ExperimentConfig's default
+    expected = ExperimentConfig(budgets=(PowerBudget(0.0, 1.0, 5.0, 1e-5),))
+    assert parse_config(block()) == expected
+    assert repr(parse_config(block())) == repr(expected)
