@@ -40,11 +40,8 @@ from .outage import (
     METHODS,
     MONTE_CARLO,
     QUADRATURE,
-    DegenerateDenominator,
     OutageCurve,
     OutageEvaluationError,
-    PartialEvaluation,
-    QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
@@ -100,9 +97,6 @@ __all__ = [
     "METHODS",
     "OutageCurve",
     "OutageEvaluationError",
-    "PartialEvaluation",
-    "DegenerateDenominator",
-    "QuadratureNonConvergence",
     "gamma_threshold",
     "outage_closed_form",
     "outage_quadrature",

@@ -1,8 +1,9 @@
 """Command-line harness for sweeps, regions, sampling, and comparisons.
 
 Exit codes: 0 success, 1 configuration or validation error (an output
-path that cannot be written among them), 2 runtime evaluator failure (an
-outage evaluator, or a region vertex that fails its membership check).
+path that cannot be written among them), 2 a pool worker that died
+before sending all its results, or a region vertex that fails its
+membership check.
 """
 
 from __future__ import annotations
@@ -160,10 +161,11 @@ def _cmd_region(args: argparse.Namespace) -> int:
     budget = config.budgets[args.budget_index]
     gains = None
     if args.gains:
-        parts = args.gains.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"--gains expects 'g1,g2', got {args.gains!r}")
-        gains = GainPair(float(parts[0]), float(parts[1]))
+        try:  # a part that is no number, or other than two parts, is a ValueError
+            g1, g2 = map(float, args.gains.split(","))
+        except ValueError:
+            raise ConfigError(f"--gains expects 'g1,g2', got {args.gains!r}") from None
+        gains = GainPair(g1, g2)
     with _writing(args.out):
         vertices = emit_region(budget, gains, args.r0, args.out)
     print(f"wrote {len(vertices)} vertices to {args.out}")

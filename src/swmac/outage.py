@@ -37,9 +37,9 @@ Every evaluator takes ``(thetas, marginals, budgets, rates, ...)`` and
 answers with one (theta x budget x rate) :class:`OutageCurve`, each entry
 equal to its 1x1x1 call bit for bit.  The FGM density is affine in theta,
 so the analytic evaluators compute every theta-free term once per call,
-and quadrature's integrals do not depend on theta.  One that fails at some
-points raises, once every point is computed, a :class:`PartialEvaluation`
-that holds the curve and marks them.
+and quadrature's integrals do not depend on theta.  An analytic evaluator
+that cannot compute some points still returns its whole curve, with those
+points valued NaN and marked in ``failed``; nothing is raised for them.
 
 Each shared rule is stated here once: the budget rule p0 < min(p1, p2) in
 :func:`_gain_weights`, the per-budget weights and thresholds every
@@ -77,9 +77,6 @@ __all__ = [
     "MONTE_CARLO",
     "METHODS",
     "OutageEvaluationError",
-    "DegenerateDenominator",
-    "QuadratureNonConvergence",
-    "PartialEvaluation",
     "OutageCurve",
     "gamma_threshold",
     "outage_closed_form",
@@ -166,32 +163,7 @@ _UFLOW = float(np.finfo(float).tiny)
 
 
 class OutageEvaluationError(RuntimeError):
-    """An outage evaluator could not produce a value."""
-
-
-class PartialEvaluation(OutageEvaluationError):
-    """An evaluator has no value at some points of its grid.
-
-    ``curve`` is the evaluator's whole (theta, budget, rate)
-    :class:`OutageCurve`, and ``failed`` a boolean array of its shape that
-    marks the points without a value; every other point holds its result.
-    The message describes the first failed point.
-    """
-
-    def __init__(self, message: str, curve: OutageCurve, failed: np.ndarray) -> None:
-        super().__init__(message)
-        self.curve = curve
-        self.failed = failed
-
-
-class DegenerateDenominator(PartialEvaluation):
-    """A closed-form denominator is too close to zero for the marginals and
-    a budget's power ratio, at every point of that budget; use quadrature
-    at such parameter points."""
-
-
-class QuadratureNonConvergence(PartialEvaluation):
-    """Quadrature could not meet its relative error bound at some points."""
+    """A pool worker died before sending all its results."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,20 +171,25 @@ class OutageCurve:
     """Outage estimates over a grid, one array entry per grid point.
 
     ``value`` holds the probabilities, ``out_of_range`` marks the values
-    outside [0, 1], and, for Monte Carlo only, ``std_error`` holds standard
-    errors and ``counts`` the integer event counts; all share one shape, an
-    axis per grid axis.  Every value not marked lies in [0, 1], and every
-    standard error is >= 0.  Only the closed form marks values; quadrature
-    and Monte Carlo mark none.
+    outside [0, 1], ``failed`` the points the evaluator could not compute
+    (default: none), each valued NaN, and, for Monte Carlo only,
+    ``std_error`` holds standard errors and ``counts`` the integer event
+    counts; all share one shape, an axis per grid axis.  Every value marked
+    in neither mask lies in [0, 1], and every standard error is >= 0.  Only
+    the closed form marks values out of range, and only the analytic
+    evaluators mark points failed; Monte Carlo marks none.
     """
 
     value: np.ndarray
     out_of_range: np.ndarray
     std_error: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
+    failed: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        if not ((self.value >= 0.0) & (self.value <= 1.0) | self.out_of_range).all():
+        if self.failed is None:
+            object.__setattr__(self, "failed", np.zeros(self.value.shape, dtype=bool))
+        if not ((self.value >= 0.0) & (self.value <= 1.0) | self.out_of_range | self.failed).all():
             raise ValueError(f"unmarked estimates must be in [0, 1], got {self.value}")
         if self.std_error is not None and not (self.std_error >= 0.0).all():
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
@@ -312,10 +289,10 @@ def outage_closed_form(
     and marked in ``out_of_range``, and so are the NaNs that fading rates
     near the float limit give.
 
-    A budget is degenerate, with NaN values, where any of (l2 - l1*P),
-    (2*l2 - P*l1), (l2 - 2*P*l1), which depend on (lambda, P) only, is
-    within 1e-9*l2 of zero.  Once every budget is computed, raises
-    :class:`DegenerateDenominator` with the degenerate budgets marked failed.
+    A budget is degenerate where any of (l2 - l1*P), (2*l2 - P*l1),
+    (l2 - 2*P*l1), which depend on (lambda, P) only, is within 1e-9*l2 of
+    zero: its points are valued NaN and marked in ``failed`` (and, being
+    NaN, in ``out_of_range``), and every other budget is computed.
     """
     l1, l2 = marginals.lambda1, marginals.lambda2
     a, b, gamma = _budget_axes(budgets, rates)
@@ -326,25 +303,16 @@ def outage_closed_form(
     with np.errstate(over="ignore", invalid="ignore"):
         p = b / a
         d = np.stack((l2 - l1 * p, 2.0 * l2 - p * l1, l2 - 2.0 * p * l1))  # (3, budget, 1)
-        degenerate = np.abs(d) < eps
+        degenerate = (np.abs(d) < eps).any(axis=0)  # (budget, 1)
         # a degenerate budget's denominators are NaN, and so are its values
-        d1, d2, d3 = np.where(degenerate.any(axis=0), np.nan, d)
+        d1, d2, d3 = np.where(degenerate, np.nan, d)
         e1 = _libm_exp(-l1 * gamma / a)
         e2 = _libm_exp(-2.0 * l1 * gamma / a)
         base = l2 * e1 / d1
         bracket = l2 * e1 / d1 - 2.0 * l2 * e1 / d2 - l2 * e2 / d3 + l2 * e2 / d1
         values = 1.0 - (base + th * bracket)  # (theta, budget, rate)
-    curve = OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)))
-    if degenerate.any():
-        i, k = np.argwhere(degenerate[..., 0].T)[0]  # the first budget's first
-        name = ("l2 - l1*P", "2*l2 - P*l1", "l2 - 2*P*l1")[k]
-        raise DegenerateDenominator(
-            f"denominator {name} = {d[k, i, 0]} is within {eps} of zero "
-            f"(lambda1={l1}, lambda2={l2}, P={p[i, 0]}) for budget {i}",
-            curve,
-            np.zeros(values.shape, dtype=bool) | degenerate.any(axis=0),
-        )
-    return curve
+    failed = np.zeros(values.shape, dtype=bool) | degenerate
+    return OutageCurve(values, ~((values >= 0.0) & (values <= 1.0)), failed=failed)
 
 
 def _panel_terms(lo, hi, point, gamma, a, b, l1, l2, part=None):
@@ -432,10 +400,10 @@ def outage_quadrature(
 
     Where gamma/B overflows, the g2 range ends at 2*40/lambda2 instead.  An
     integral whose error estimate is not finite stops at once, unconverged.
-    Every point is evaluated before any failure is raised.  Raises
-    :class:`QuadratureNonConvergence`, with the failing points marked, where
-    an anchor's error estimate exceeds that bound or is not finite, or its
-    value leaves [0, 1] by more than it; its curve holds 0 at those points.
+    An anchor fails where its error estimate exceeds that bound or is not
+    finite, or its value leaves [0, 1] by more than it; the thetas that
+    weigh it are valued NaN and marked in ``failed``, and every other point
+    is computed.
     """
     a, b, gamma = _budget_axes(budgets, rates)
     shape = (len(thetas), *gamma.shape)
@@ -492,29 +460,15 @@ def outage_quadrature(
         res[new], err[new], _ = _gauss_kronrod_panel(density * own_part, h)
     anchor, abserr = values.reshape(3, n), abserr.reshape(3, n)
     errbnd = _QUAD_EPSREL * np.abs(anchor)
-    unconverged = ~(abserr <= errbnd)  # a NaN error estimate or value too
-    bad = unconverged | (anchor < -errbnd) | (anchor > 1.0 + errbnd)
+    # a NaN error estimate or value fails too
+    bad = ~(abserr <= errbnd) | (anchor < -errbnd) | (anchor > 1.0 + errbnd)
     # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a
     # NaN to 0, so that no zero weight multiplies a NaN
     clamped = np.where(anchor >= 0.0, np.minimum(anchor, 1.0), 0.0)
     th = np.array([theta.theta for theta in thetas])[:, None]
-    failed = _at_theta(th, *bad) > 0.0  # an anchor it weighs failed
-    value = np.where(failed, 0.0, _at_theta(th, *clamped)).reshape(shape)
-    curve = OutageCurve(value, np.zeros(shape, dtype=bool))
-    if failed.any():
-        t_i, i = np.argwhere(failed)[0]
-        theta = th[t_i, 0]
-        k = 0 if abs(theta) < 1.0 and bad[0, i] else 1 if theta > 0.0 else 2
-        raise QuadratureNonConvergence(
-            f"error estimate {abserr[k, i]} of the value {anchor[k, i]} exceeds "
-            f"{errbnd[k, i]} for gamma={gamma[i]}, A={a[i]}, B={b[i]}, theta={theta} "
-            f"(anchor {(0.0, 1.0, -1.0)[k]})"
-            if unconverged[k, i]
-            else f"integral {anchor[k, i]} is outside [0, 1] beyond {errbnd[k, i]}",
-            curve,
-            failed.reshape(shape),
-        )
-    return curve
+    failed = (_at_theta(th, *bad) > 0.0).reshape(shape)  # an anchor it weighs failed
+    value = np.where(failed, np.nan, _at_theta(th, *clamped).reshape(shape))
+    return OutageCurve(value, np.zeros(shape, dtype=bool), failed=failed)
 
 
 def _gauss_kronrod_panel(

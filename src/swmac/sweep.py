@@ -33,10 +33,10 @@ Every CSV goes to a temporary file that replaces the output path only once
 it is whole.
 
 Evaluator failures (degenerate closed-form denominators, quadrature
-non-convergence) do not abort a sweep: an analytic evaluator that fails at
-some points raises :class:`~swmac.outage.PartialEvaluation` with its whole
-curve, and the rows it marks failed carry an error flag and an empty value
-instead.
+non-convergence) do not abort a sweep: an analytic evaluator returns its
+whole curve with the points it could not compute marked in
+:attr:`~swmac.outage.OutageCurve.failed`, and those rows carry the
+method's error flag and an empty value.
 
 A sweep is a dense (budget, theta, rate, method) grid of arrays, and a
 comparison holds arrays over the same grid's (budget, theta, rate) points;
@@ -66,7 +66,6 @@ from .outage import (
     QUADRATURE,
     OutageCurve,
     OutageEvaluationError,
-    PartialEvaluation,
     _gain_weights,
     _monte_carlo_shares,
     outage_closed_form,
@@ -146,21 +145,16 @@ def _analytic_column(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Values (NaN where a row has none) and flag codes of an analytic
     method, as (budget, theta, rate) arrays, from one evaluator call over
-    the config's whole grid.  The points a :class:`PartialEvaluation` marks
-    failed carry the method's failure flag, and the rest the curve's range
-    flag."""
+    the config's whole grid.  The points the curve marks ``failed`` carry
+    the method's failure flag, and the rest the curve's range flag."""
     if method == CLOSED_FORM:
         evaluate, failure = outage_closed_form, _DEGENERATE
     else:
         evaluate, failure = outage_quadrature, _NONCONVERGENCE
-    try:
-        curve, failed = evaluate(config.thetas, config.marginals, config.budgets, rates), False
-    except PartialEvaluation as exc:
-        curve, failed = exc.curve, exc.failed
-    value = np.where(failed, np.nan, curve.value)
-    flag = np.where(failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
+    curve = evaluate(config.thetas, config.marginals, config.budgets, rates)
+    flag = np.where(curve.failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
     # (theta, budget, rate) to the table's (budget, theta, rate)
-    return value.swapaxes(0, 1), flag.swapaxes(0, 1)
+    return curve.value.swapaxes(0, 1), flag.swapaxes(0, 1)
 
 
 def _share_counts(

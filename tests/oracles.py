@@ -112,7 +112,10 @@ def fgm_outage(lam1: float, lam2: float, a: float, b: float, gamma: float, theta
     Each term is computed as ``1 - ...``, so the result carries an absolute
     error of about 1e-16 and loses all relative precision when the outage
     is tiny: at preset scale (outage from 1e-19 to 8e-8) it is off by up to
-    920x on fig2 rows.  Use it for unit-noise checks only."""
+    920x on fig2 rows.  Its one use is as the independent float cross-check
+    of ``decimal_outage`` in test_outage's
+    ``test_decimal_oracle_matches_the_float_forms``; gate nothing else on
+    it."""
     return (
         (1.0 + theta) * convolution_outage(lam1, lam2, a, b, gamma)
         - theta * convolution_outage(2.0 * lam1, lam2, a, b, gamma)

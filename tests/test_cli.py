@@ -324,6 +324,7 @@ def test_exit_1_on_region_validation_errors(tmp_path, config_file, capsys):
         ("inf,1", "g1 must be finite and >= 0, got inf"),
         ("1,nan", "g2 must be finite and >= 0, got nan"),
         ("1e308,1e308", "region bounds overflow for gains g1=1e+308, g2=1e+308"),
+        ("a,b", "--gains expects 'g1,g2', got 'a,b'"),
     ):
         for source in (["--config", str(common_power)], ["--preset", "fig2"]):
             capsys.readouterr()

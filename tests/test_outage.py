@@ -12,13 +12,10 @@ from swmac import (
     METHODS,
     MONTE_CARLO,
     QUADRATURE,
-    DegenerateDenominator,
     DependenceParameter,
     FadingMarginals,
     OutageCurve,
-    PartialEvaluation,
     PowerBudget,
-    QuadratureNonConvergence,
     gamma_threshold,
     outage_closed_form,
     outage_monte_carlo,
@@ -138,14 +135,20 @@ def test_curve_rejects_an_unmarked_value_outside_the_unit_interval(shape, bad):
         OutageCurve(value, np.zeros(shape, dtype=bool))
 
 
-@pytest.mark.parametrize("shape", [(1, 1), (2,)], ids=["1x1", "grid"])
-def test_curve_accepts_a_marked_value_outside_the_unit_interval(shape):
+@pytest.mark.parametrize(
+    "shape, mask",
+    [((1, 1), "out_of_range"), ((2,), "out_of_range"), ((1, 1), "failed"), ((2,), "failed")],
+    ids=["1x1", "grid", "1x1-failed", "grid-failed"],
+)
+def test_curve_accepts_a_marked_value_outside_the_unit_interval(shape, mask):
     value = np.full(shape, 0.5)
     value.flat[0] = -0.25
     marked = np.zeros(shape, dtype=bool)
     marked.flat[0] = True
-    curve = OutageCurve(value, marked)
-    assert curve.value.flat[0] == -0.25 and curve.out_of_range.flat[0]
+    masks = {"out_of_range": np.zeros(shape, dtype=bool), "failed": None, mask: marked}
+    curve = OutageCurve(value, **masks)
+    assert curve.value.flat[0] == -0.25 and getattr(curve, mask).flat[0]
+    assert not (curve.out_of_range | curve.failed).flat[1:].any()
     assert curve.std_error is None
 
 
@@ -247,37 +250,36 @@ def test_closed_form_marks_the_nan_of_overflowing_terms():
 
 
 def test_closed_form_all_three_denominators_checked():
-    # l2 - l1*P = 0 at P = 1, equal rates
-    with pytest.raises(DegenerateDenominator, match=r"l2 - l1\*P = 0\.0"):
-        outage_closed_form(*make_grid(p1=1.0, p2=1.0, lam1=1.0, lam2=1.0))
-    # 2*l2 - P*l1 = 0 at P = 2, l1 = 2, l2 = 2: 4 - 4 = 0
-    with pytest.raises(DegenerateDenominator, match=r"2\*l2 - P\*l1 = 0\.0"):
-        outage_closed_form(*make_grid(p1=1.0, p2=2.0, lam1=2.0, lam2=2.0))
-    # l2 - 2*P*l1 = 0 at P = 0.5, unit rates: 1 - 1 = 0
-    with pytest.raises(DegenerateDenominator, match=r"l2 - 2\*P\*l1 = 0\.0"):
-        outage_closed_form(*make_grid(p1=2.0, p2=1.0, lam1=1.0, lam2=1.0))
+    for grid in (
+        # l2 - l1*P = 0 at P = 1, equal rates
+        make_grid(p1=1.0, p2=1.0, lam1=1.0, lam2=1.0),
+        # 2*l2 - P*l1 = 0 at P = 2, l1 = 2, l2 = 2: 4 - 4 = 0
+        make_grid(p1=1.0, p2=2.0, lam1=2.0, lam2=2.0),
+        # l2 - 2*P*l1 = 0 at P = 0.5, unit rates: 1 - 1 = 0
+        make_grid(p1=2.0, p2=1.0, lam1=1.0, lam2=1.0),
+    ):
+        curve = outage_closed_form(*grid)
+        assert curve.failed.tolist() == [[[True]]]
+        assert np.isnan(curve.value).all() and curve.out_of_range.all()
 
 
 def test_a_degenerate_budget_fails_only_its_own_points():
     # (regular, degenerate, regular): the closed form computes every budget,
-    # then raises with exactly the middle budget's points marked failed
+    # and marks exactly the middle budget's points failed
     budgets = (
         PowerBudget(0.0, 1.0, 5.0, 1.0),
         PowerBudget(0.0, 1.0, 1.0, 1.0),  # P = 1 with equal rates: l2 - l1*P = 0
         PowerBudget(0.3, 2.0, 1.0, 0.5),
     )
     grid = make_grid(rates=AXIS, thetas=(-1.0, 0.0, 0.7))._replace(budgets=budgets)
-    with pytest.raises(DegenerateDenominator, match="for budget 1") as info:
-        outage_closed_form(*grid)
-    exc = info.value
-    assert isinstance(exc, PartialEvaluation)
-    assert exc.failed.shape == exc.curve.value.shape == (3, 3, len(AXIS))
-    assert exc.failed[:, 1].all() and not exc.failed[:, [0, 2]].any()
-    assert np.isnan(exc.curve.value[:, 1]).all() and exc.curve.out_of_range[:, 1].all()
+    curve = outage_closed_form(*grid)
+    assert curve.failed.shape == curve.value.shape == (3, 3, len(AXIS))
+    assert curve.failed[:, 1].all() and not curve.failed[:, [0, 2]].any()
+    assert np.isnan(curve.value[:, 1]).all() and curve.out_of_range[:, 1].all()
     for i in (0, 2):
         alone = outage_closed_form(*grid._replace(budgets=(budgets[i],)))
-        assert exc.curve.value[:, i].tobytes() == alone.value[:, 0].tobytes()
-        assert exc.curve.out_of_range[:, i].tolist() == alone.out_of_range[:, 0].tolist()
+        assert curve.value[:, i].tobytes() == alone.value[:, 0].tobytes()
+        assert curve.out_of_range[:, i].tolist() == alone.out_of_range[:, 0].tolist()
 
 
 def test_closed_form_affine_in_theta_exactly():
@@ -349,8 +351,8 @@ def _capped_grid(rates=(2.0,), thetas=(-1.0,)):
 
 
 def test_quadrature_nonconvergence(one_panel):
-    with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(*_capped_grid())
+    curve = outage_quadrature(*_capped_grid())
+    assert curve.failed.tolist() == [[[True]]] and np.isnan(curve.value).all()
 
 
 def test_a_point_with_a_nan_panel_fails_at_once(monkeypatch):
@@ -371,12 +373,11 @@ def test_a_point_with_a_nan_panel_fails_at_once(monkeypatch):
 
     monkeypatch.setattr(outage_module, "_panel_terms", poisoned)
     q = make_grid(rates=(0.5, 1.0), noise=1e-5, thetas=(0.5,))
-    with pytest.raises(QuadratureNonConvergence, match="error estimate nan of the value nan") as exc:
-        outage_quadrature(*q)
-    assert exc.value.failed.tolist() == [[[False, True]]]
+    curve = outage_quadrature(*q)
+    assert curve.failed.tolist() == [[[False, True]]]
     monkeypatch.undo()
     alone = outage_quadrature(*make_grid(rates=(0.5,), noise=1e-5, thetas=(0.5,))).value.item()
-    assert exc.value.curve.value.tolist() == [[[alone, 0.0]]]
+    assert curve.value[0, 0, 0] == alone and np.isnan(curve.value[0, 0, 1])
 
 
 @pytest.mark.parametrize(
@@ -407,13 +408,12 @@ def test_a_failed_part_fails_only_the_thetas_that_weigh_it(part, weighed, monkey
     q = make_grid(rates=(0.5, 1.0), noise=1e-5, thetas=(0.0, 0.5, -0.5, 1.0, -1.0))
     clean = outage_quadrature(*q).value[:, 0]
     monkeypatch.setattr(outage_module, "_panel_terms", poisoned)
-    with pytest.raises(QuadratureNonConvergence, match="error estimate nan of the value nan") as exc:
-        outage_quadrature(*q)
+    curve = outage_quadrature(*q)
     assert calls == [2]
-    assert exc.value.failed[:, 0].tolist() == [[False, w] for w in weighed]
-    value = exc.value.curve.value[:, 0]
+    assert curve.failed[:, 0].tolist() == [[False, w] for w in weighed]
+    value = curve.value[:, 0]
     assert value[:, 0].tobytes() == clean[:, 0].tobytes()
-    assert value[:, 1].tolist() == np.where(weighed, 0.0, clean[:, 1]).tolist()
+    assert value[:, 1].tobytes() == np.where(weighed, np.nan, clean[:, 1]).tobytes()
 
 
 def test_quadrature_accepts_the_relative_error_bound():
@@ -422,7 +422,8 @@ def test_quadrature_accepts_the_relative_error_bound():
     for rate in (2.85, 3.0):
         q = make_grid(rates=(rate,), p2=1.0, thetas=(-1.0,))
         got = outage_quadrature(*q).value.item()
-        assert got == pytest.approx(fgm_outage(1.0, 1.0, 1.0, 1.0, gammas(q).item(), -1.0), abs=1e-13)
+        exact = decimal_outage(1.0, 1.0, 1.0, 1.0, gammas(q).item(), -1.0)
+        assert got == pytest.approx(exact, abs=1e-13)
 
 
 def test_quadrature_range_check_uses_the_relative_error_bound():
@@ -893,17 +894,12 @@ def _evaluate(method, g):
         curve = outage_monte_carlo(*g, 2000, 4)
         return curve.value, curve.std_error, np.full(curve.value.shape, _OK)
     if method == CLOSED_FORM:
-        evaluate, error, failure = outage_closed_form, DegenerateDenominator, _DEGENERATE
+        evaluate, failure = outage_closed_form, _DEGENERATE
     else:
-        evaluate, error, failure = outage_quadrature, QuadratureNonConvergence, _NONCONVERGENT
-    failed = False
-    try:
-        curve = evaluate(*g)
-    except error as exc:
-        curve, failed = exc.curve, exc.failed
-    value = np.where(failed, np.nan, curve.value)
-    flag = np.where(failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
-    return value, np.full(value.shape, np.nan), flag
+        evaluate, failure = outage_quadrature, _NONCONVERGENT
+    curve = evaluate(*g)
+    flag = np.where(curve.failed, failure, np.where(curve.out_of_range, _OUT_OF_RANGE, _OK))
+    return curve.value, np.full(curve.value.shape, np.nan), flag
 
 
 def _assert_grid_equals_points(method, grid):
@@ -1100,12 +1096,14 @@ def test_rejected_first_panel_is_bisected(monkeypatch):
 
 
 def test_nonconvergence_of_one_point_fails_the_curve(one_panel):
-    # The error estimate is met at R = 0.05 and missed at 2.0.
-    outage_quadrature(*_capped_grid(rates=(0.05,)))
-    with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(*_capped_grid(rates=(2.0,)))
-    with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(*_capped_grid(rates=(0.05, 2.0)))
+    # The error estimate is met at R = 0.05 and missed at 2.0, which the
+    # curve marks failed beside its converged neighbour.
+    converged = outage_quadrature(*_capped_grid(rates=(0.05,)))
+    assert not converged.failed.any()
+    assert outage_quadrature(*_capped_grid(rates=(2.0,))).failed.tolist() == [[[True]]]
+    both = outage_quadrature(*_capped_grid(rates=(0.05, 2.0)))
+    assert both.failed.tolist() == [[[False, True]]]
+    assert both.value[0, 0, 0] == converged.value.item() and np.isnan(both.value[0, 0, 1])
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, -1.0])
@@ -1117,7 +1115,7 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
     rounds = _panel_edges(monkeypatch)
     huge = make_grid(rates=(10.0, 20.0, 40.0), noise=1.0, thetas=(theta,))
     ((got,),) = outage_quadrature(*huge).value.tolist()
-    expected = [fgm_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in gammas(huge).tolist()]
+    expected = [decimal_outage(1.0, 1.0, 1.0, 5.0, g, theta) for g in gammas(huge).tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx([1.0] * 3, abs=1e-10)
     u = (gammas(huge) / 5.0).tolist()
@@ -1125,7 +1123,7 @@ def test_quadrature_keeps_the_mass_when_the_upper_limit_is_huge(theta, monkeypat
     rounds.clear()
     long_axis = make_grid(rates=(0.3, 0.5, 1.0), p2=1e-3, noise=1.0, lam2=0.5, thetas=(theta,))
     ((got,),) = outage_quadrature(*long_axis).value.tolist()
-    expected = [fgm_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in gammas(long_axis).tolist()]
+    expected = [decimal_outage(1.0, 0.5, 1.0, 1e-3, g, theta) for g in gammas(long_axis).tolist()]
     assert got == pytest.approx(expected, abs=1e-10)
     assert 0.3 < got[0] < got[-1] < 0.99
     u = (gammas(long_axis) / 1e-3).tolist()
@@ -1175,30 +1173,26 @@ def test_every_theta_is_the_combination_of_the_three_anchors_bit_for_bit():
 
 def test_nonconvergence_of_one_theta_fails_the_theta_tuple(one_panel):
     # At R = 2.0, theta = 0 converges and theta = -1 does not.
-    outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0,)))
-    with pytest.raises(QuadratureNonConvergence):
-        outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0, -1.0)))
+    assert not outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0,))).failed.any()
+    curve = outage_quadrature(*_capped_grid(rates=(0.05, 2.0), thetas=(0.0, -1.0)))
+    assert curve.failed.tolist() == [[[False, False]], [[False, True]]]
 
 
 @pytest.mark.parametrize("rates", [(0.05, 2.0), (2.0,)], ids=["rate-tuple", "float-rate"])
 def test_nonconvergence_marks_the_failing_points(rates, one_panel):
-    # Every point is evaluated before the raise; the exception holds the
-    # (theta, budget, rate) curve and marks the points that failed, which
-    # are exactly those whose 1x1x1 call raises.
+    # Every point is evaluated; the (theta, budget, rate) curve marks the
+    # points that failed, exactly those whose 1x1x1 call marks its point,
+    # and values them NaN.
     grid = _capped_grid(rates=rates, thetas=(0.0, -1.0))
-    with pytest.raises(QuadratureNonConvergence, match="theta=-1.0") as info:
-        outage_quadrature(*grid)
-    exc = info.value
-    assert exc.curve.value.shape == exc.failed.shape == (len(grid.thetas), 1, len(rates))
+    curve = outage_quadrature(*grid)
+    assert curve.value.shape == curve.failed.shape == (len(grid.thetas), 1, len(rates))
     for t_i, theta in enumerate(grid.thetas):
         for r_i, r in enumerate(rates):
-            point = grid._replace(rates=(r,), thetas=(theta,))
-            if exc.failed[t_i, 0, r_i]:
-                with pytest.raises(QuadratureNonConvergence):
-                    outage_quadrature(*point)
-            else:
-                assert exc.curve.value[t_i, 0, r_i] == outage_quadrature(*point).value.item()
-    assert exc.failed[1, 0, -1] and not exc.failed[0].any()
+            alone = outage_quadrature(*grid._replace(rates=(r,), thetas=(theta,)))
+            assert alone.failed.item() == curve.failed[t_i, 0, r_i]
+            assert alone.value.tobytes() == curve.value[t_i, 0, r_i].tobytes()
+    assert curve.failed[1, 0, -1] and not curve.failed[0].any()
+    assert np.isnan(curve.value[curve.failed]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1223,7 +1217,7 @@ def test_quadrature_resolves_the_g1_drop_below_the_upper_limit(
     q = make_grid(rates=(rate,), p1=a, p2=b, lam1=lam1, lam2=lam2, thetas=(theta,))
     gamma = gammas(q).item()
     assert lam1 * gamma / a > 40.0
-    exact = fgm_outage(lam1, lam2, a, b, gamma, theta)
+    exact = decimal_outage(lam1, lam2, a, b, gamma, theta)
     assert outage_quadrature(*q).value.item() == pytest.approx(exact, abs=1e-10)
     assert parent_error > 10 * 1e-10
 
@@ -1246,7 +1240,7 @@ def test_quadrature_scan_against_the_four_term_oracle():
         q = Grid(thetas, FadingMarginals(lam1, lam2), (PowerBudget(0.0, a, b, 1.0),), rates)
         for theta, (row,) in zip(thetas, outage_quadrature(*q).value.tolist()):
             for g, value in zip(gammas(q).tolist(), row):
-                worst = max(worst, abs(value - fgm_outage(lam1, lam2, a, b, g, theta.theta)))
+                worst = max(worst, abs(value - decimal_outage(lam1, lam2, a, b, g, theta.theta)))
                 drops += lam1 * g / a > 40.0
     assert worst <= 10 * tol
     assert drops >= 150
@@ -1385,10 +1379,12 @@ def test_quadrature_matches_the_decimal_oracle_over_a_scan(lam1, lam2, a, b, gam
 
 
 def _assert_curve_invariant(curve, marks):
-    # every unmarked value lies in [0, 1] and no standard error is negative;
-    # only the closed form marks values
+    # every value marked in neither mask lies in [0, 1], every failed point
+    # is NaN and no standard error is negative; only the closed form marks
+    # values out of range
     inside = (curve.value >= 0.0) & (curve.value <= 1.0)
-    assert (inside | curve.out_of_range).all()
+    assert (inside | curve.out_of_range | curve.failed).all()
+    assert np.isnan(curve.value[curve.failed]).all()
     assert curve.out_of_range.any() <= marks
     assert curve.std_error is None or (curve.std_error >= 0.0).all()
 
@@ -1411,15 +1407,11 @@ def test_every_evaluator_satisfies_the_curve_invariant(
         rates=tuple(rates), p0=share * min(p1, p2), p1=p1, p2=p2, noise=noise,
         lam1=lam1, lam2=lam2, thetas=thetas,
     )
-    try:
-        _assert_curve_invariant(outage_closed_form(*q), marks=True)
-    except DegenerateDenominator as exc:
-        _assert_curve_invariant(exc.curve, marks=True)
-    try:
-        _assert_curve_invariant(outage_quadrature(*q), marks=False)
-    except QuadratureNonConvergence as exc:
-        _assert_curve_invariant(exc.curve, marks=False)
-    _assert_curve_invariant(outage_monte_carlo(*q, 1000, 3), marks=False)
+    _assert_curve_invariant(outage_closed_form(*q), marks=True)
+    _assert_curve_invariant(outage_quadrature(*q), marks=False)
+    mc = outage_monte_carlo(*q, 1000, 3)
+    _assert_curve_invariant(mc, marks=False)
+    assert not mc.failed.any()
 
 
 def test_an_empty_theta_axis_gives_empty_curves():

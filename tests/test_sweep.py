@@ -30,9 +30,8 @@ from swmac import sweep
 from swmac.config import RateGrid, parse_config, preset_config
 from swmac.copula import iter_gain_pair_chunks
 from swmac.outage import (
-    DegenerateDenominator,
+    OutageCurve,
     OutageEvaluationError,
-    QuadratureNonConvergence,
     _monte_carlo_shares,
     gamma_threshold,
     outage_closed_form,
@@ -519,25 +518,21 @@ def test_out_of_range_closed_form_rows_keep_value():
 
 
 def _fail_quadrature_at(monkeypatch, points):
-    """Make the sweep's quadrature raise QuadratureNonConvergence for every
-    grid holding one of ``points``, (theta, rate) pairs, with those points
-    marked failed at every budget, as quadrature does where a point misses
-    its error bound (see test_outage's ``_capped_grid``).  Per-point checks
-    read ``swmac.sweep.outage_quadrature`` to see the same failures."""
+    """Make the sweep's quadrature mark ``points``, (theta, rate) pairs,
+    failed at every budget and value them NaN, as quadrature does where a
+    point misses its error bound (see test_outage's ``_capped_grid``).
+    Per-point checks read ``swmac.sweep.outage_quadrature`` to see the same
+    failures."""
     import swmac.sweep as sweep_module
 
     evaluate = sweep_module.outage_quadrature
 
     def quadrature(thetas, marginals, budgets, rates):
         curve = evaluate(thetas, marginals, budgets, rates)
-        failed = np.array([[(t.theta, r) in points for r in rates] for t in thetas])[:, None]
-        if failed.any():
-            raise QuadratureNonConvergence(
-                f"error estimate stalls at one of {sorted(points)}",
-                curve,
-                failed & np.ones(curve.value.shape, dtype=bool),
-            )
-        return curve
+        stalled = np.array([[(t.theta, r) in points for r in rates] for t in thetas])[:, None]
+        failed = curve.failed | stalled
+        value = np.where(failed, np.nan, curve.value)
+        return OutageCurve(value, curve.out_of_range, failed=failed)
 
     monkeypatch.setattr(sweep_module, "outage_quadrature", quadrature)
 
@@ -583,8 +578,7 @@ def test_quadrature_nonconvergence_flags_only_the_failing_rows(monkeypatch):
             assert op[index] == sweep_module.outage_quadrature(*point).value.item()
         else:
             assert math.isnan(op[index]) and math.isnan(std_err[index])
-            with pytest.raises(QuadratureNonConvergence):
-                sweep_module.outage_quadrature(*point)
+            assert sweep_module.outage_quadrature(*point).failed.item()
 
 
 def test_nonconvergence_on_a_theta_tuple_flags_only_the_failing_rows(monkeypatch):
@@ -627,7 +621,7 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     # Unit noise with quadrature capped at one panel per point, and no
     # injected failure: the larger of these (theta, rate) points are not
     # settled by their first panel.  One quadrature call flags exactly the
-    # points whose 1x1x1 call raises.
+    # points whose 1x1x1 call marks its point failed.
     import swmac.sweep as sweep_module
 
     calls = []
@@ -649,9 +643,8 @@ def test_stalled_quadrature_grid_takes_one_call_and_flags_the_failing_points(mon
     assert len(calls) == 1
     op, flag = table.op[..., 0], table.flag[..., 0]
     for index in np.ndindex(op.shape):
-        try:
-            expected = outage_quadrature(*_point_grid(cfg, table, *index))
-        except QuadratureNonConvergence:
+        expected = outage_quadrature(*_point_grid(cfg, table, *index))
+        if expected.failed.item():
             assert flag[index] == NONCONVERGENCE and math.isnan(op[index])
         else:
             assert flag[index] == OK and op[index] == expected.value.item()
@@ -697,21 +690,16 @@ def _expected_block(cfg, b_i, method):
     import swmac.sweep as sweep_module
 
     grid = (cfg.thetas, cfg.marginals, (cfg.budgets[b_i],), cfg.rate_grid.values())
-    failed, failure, std_err = False, OK, None
-    try:
-        if method == "closed-form":
-            curve = outage_closed_form(*grid)
-        elif method == "quadrature":
-            curve = sweep_module.outage_quadrature(*grid)
-        else:
-            curve = outage_monte_carlo(*grid, cfg.mc_samples, cfg.seed)
-            std_err = curve.std_error[:, 0]
-    except DegenerateDenominator as exc:
-        curve, failed, failure = exc.curve, exc.failed, DEGENERATE
-    except QuadratureNonConvergence as exc:
-        curve, failed, failure = exc.curve, exc.failed, NONCONVERGENCE
-    op = np.where(failed, np.nan, curve.value)[:, 0]
-    flag = np.where(failed, failure, np.where(curve.out_of_range, OUT_OF_RANGE, OK))[:, 0]
+    std_err = None
+    if method == "closed-form":
+        curve, failure = outage_closed_form(*grid), DEGENERATE
+    elif method == "quadrature":
+        curve, failure = sweep_module.outage_quadrature(*grid), NONCONVERGENCE
+    else:
+        curve, failure = outage_monte_carlo(*grid, cfg.mc_samples, cfg.seed), OK
+        std_err = curve.std_error[:, 0]
+    op = curve.value[:, 0]
+    flag = np.where(curve.failed, failure, np.where(curve.out_of_range, OUT_OF_RANGE, OK))[:, 0]
     return op, np.full(op.shape, np.nan) if std_err is None else std_err, flag
 
 
