@@ -13,111 +13,21 @@ The package has four parts:
   configuration-driven experiment harness with deterministic CSV output.
 """
 
-from .config import (
-    ConfigError,
-    ExperimentConfig,
-    ParseError,
-    RateGrid,
-    ValidationError,
-    load_config,
-    parse_config,
-    preset_config,
-    preset_names,
-)
-from .copula import (
-    DependenceParameter,
-    FadingMarginals,
-    GainPair,
-    UnitPair,
-    conditional_cdf,
-    copula_cdf,
-    copula_density,
-    sample_gain_pairs,
-    sample_unit_pairs,
-)
-from .outage import (
-    CLOSED_FORM,
-    METHODS,
-    MONTE_CARLO,
-    QUADRATURE,
-    OutageCurve,
-    OutageEvaluationError,
-    gamma_threshold,
-    outage_closed_form,
-    outage_monte_carlo,
-    outage_quadrature,
-)
-from .regions import (
-    PowerBudget,
-    RatePoint,
-    RegionBounds,
-    VertexMembershipError,
-    contains,
-    gaussian_region_bounds,
-    region_vertices,
-    wireless_region_bounds,
-)
-from .streams import derive_seed, substream
-from .sweep import (
-    SweepTable,
-    compare_methods,
-    emit_csv,
-    emit_region,
-    emit_samples,
-    run_outage_sweep,
-)
+from . import config, copula, outage, regions, streams, sweep
+from .config import *
+from .copula import *
+from .outage import *
+from .regions import *
+from .streams import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # copula
-    "DependenceParameter",
-    "UnitPair",
-    "FadingMarginals",
-    "GainPair",
-    "copula_cdf",
-    "copula_density",
-    "conditional_cdf",
-    "sample_unit_pairs",
-    "sample_gain_pairs",
-    # regions
-    "PowerBudget",
-    "RatePoint",
-    "RegionBounds",
-    "VertexMembershipError",
-    "gaussian_region_bounds",
-    "wireless_region_bounds",
-    "contains",
-    "region_vertices",
-    # outage
-    "CLOSED_FORM",
-    "QUADRATURE",
-    "MONTE_CARLO",
-    "METHODS",
-    "OutageCurve",
-    "OutageEvaluationError",
-    "gamma_threshold",
-    "outage_closed_form",
-    "outage_quadrature",
-    "outage_monte_carlo",
-    # streams
-    "substream",
-    "derive_seed",
-    # config + sweep
-    "ConfigError",
-    "ParseError",
-    "ValidationError",
-    "RateGrid",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "preset_config",
-    "preset_names",
-    "SweepTable",
-    "run_outage_sweep",
-    "compare_methods",
-    "emit_csv",
-    "emit_region",
-    "emit_samples",
-]
+# Each module's own __all__ decides which of its names are public.
+__all__ = ["__version__"]
+__all__ += config.__all__
+__all__ += copula.__all__
+__all__ += outage.__all__
+__all__ += regions.__all__
+__all__ += streams.__all__
+__all__ += sweep.__all__

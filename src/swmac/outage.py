@@ -17,8 +17,8 @@ Three evaluators are provided and cross-validated:
   three theta-free parts, and the outer one adaptive 21-point
   Gauss-Kronrod quadrature after QUADPACK, which integrates each part, the
   outage at the anchor theta = 0, 1 or -1, to 1e-12 relative error, on
-  arrays over every (budget, rate) point at once.  A theta only weights
-  the anchors.  This is the reference.
+  arrays over a block of at most ``BLOCK_SIZE`` (budget, rate) points at a
+  time.  A theta only weights the anchors.  This is the reference.
 * :func:`outage_monte_carlo` - empirical frequency over correlated gain
   pairs drawn from the one substream of the seed, deterministic for a
   fixed (seed, n) regardless of execution parallelism.  One draw set
@@ -372,9 +372,11 @@ def outage_quadrature(
     outage at the anchors theta = 0, 1 and -1.  No theta enters the outer
     g2 integral over [0, gamma/B]: it is adaptive 21-point Gauss-Kronrod
     quadrature with QUADPACK's dqk21 error estimate, run for each part at
-    every (budget, rate) point, all at once.  Each integral starts from one
-    panel over [0, gamma/B], cut where one panel can miss where the
-    integrand changes:
+    every (budget, rate) point of a block of at most ``BLOCK_SIZE``
+    consecutive points at once, one block at a time, so a call holds the
+    panels of one block only.  Each integral starts from one panel over
+    [0, gamma/B], cut where one panel can miss where the integrand
+    changes:
 
     * at 40/lambda2, where gamma/B exceeds it, since g2 ~ Exp(lambda2) has
       almost all its mass below that and one panel over a much longer
@@ -407,8 +409,33 @@ def outage_quadrature(
     """
     a, b, gamma = _budget_axes(budgets, rates)
     shape = (len(thetas), *gamma.shape)
-    # one axis of (budget, rate) points, each with its own weights
+    # one axis of (budget, rate) points, each with its own weights, integrated
+    # one block at a time; an empty axis is one empty block
     a, b, gamma = (np.broadcast_to(x, gamma.shape).ravel() for x in (a, b, gamma))
+    blocks = [
+        _anchor_integrals(*(x[i : i + BLOCK_SIZE] for x in (a, b, gamma)), marginals)
+        for i in range(0, max(len(gamma), 1), BLOCK_SIZE)
+    ]
+    anchor, abserr = (np.concatenate(x, axis=1) for x in zip(*blocks))
+    errbnd = _QUAD_EPSREL * np.abs(anchor)
+    # a NaN error estimate or value fails too
+    bad = ~(abserr <= errbnd) | (anchor < -errbnd) | (anchor > 1.0 + errbnd)
+    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a
+    # NaN to 0, so that no zero weight multiplies a NaN
+    clamped = np.where(anchor >= 0.0, np.minimum(anchor, 1.0), 0.0)
+    th = np.array([theta.theta for theta in thetas])[:, None]
+    failed = (_at_theta(th, *bad) > 0.0).reshape(shape)  # an anchor it weighs failed
+    value = np.where(failed, np.nan, _at_theta(th, *clamped).reshape(shape))
+    return OutageCurve(value, np.zeros(shape, dtype=bool), failed=failed)
+
+
+def _anchor_integrals(
+    a: np.ndarray, b: np.ndarray, gamma: np.ndarray, marginals: FadingMarginals
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature's (3 x point) anchor values and error estimates at the
+    points of weights ``a``, ``b`` and threshold ``gamma``: the integrals of
+    the three parts, theta = 0, 1 and -1, as :func:`outage_quadrature`
+    states them, all at once."""
     l1, l2 = marginals.lambda1, marginals.lambda2
     n = len(gamma)
     # The first panels' edges per point: 0, the drop (only below the split),
@@ -458,17 +485,7 @@ def outage_quadrature(
         part, point = np.divmod(owner[new], n)  # owners increase, so parts do
         h, density, own_part = _panel_terms(lo[new], hi[new], point, gamma, a, b, l1, l2, part)
         res[new], err[new], _ = _gauss_kronrod_panel(density * own_part, h)
-    anchor, abserr = values.reshape(3, n), abserr.reshape(3, n)
-    errbnd = _QUAD_EPSREL * np.abs(anchor)
-    # a NaN error estimate or value fails too
-    bad = ~(abserr <= errbnd) | (anchor < -errbnd) | (anchor > 1.0 + errbnd)
-    # clamp the rounding excess into [0, 1], as min(max(v, 0), 1) would, and a
-    # NaN to 0, so that no zero weight multiplies a NaN
-    clamped = np.where(anchor >= 0.0, np.minimum(anchor, 1.0), 0.0)
-    th = np.array([theta.theta for theta in thetas])[:, None]
-    failed = (_at_theta(th, *bad) > 0.0).reshape(shape)  # an anchor it weighs failed
-    value = np.where(failed, np.nan, _at_theta(th, *clamped).reshape(shape))
-    return OutageCurve(value, np.zeros(shape, dtype=bool), failed=failed)
+    return values.reshape(3, n), abserr.reshape(3, n)
 
 
 def _gauss_kronrod_panel(

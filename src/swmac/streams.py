@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["substream", "derive_seed"]
+
 #: Largest master seed: a seed is an unsigned 64-bit integer.
 MAX_SEED = (1 << 64) - 1
 

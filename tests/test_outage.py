@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -1419,3 +1420,29 @@ def test_an_empty_theta_axis_gives_empty_curves():
     assert outage_closed_form(*q).value.shape == (0, 1, 2)
     assert outage_quadrature(*q).value.shape == (0, 1, 2)
     assert outage_monte_carlo(*q, 1000, seed=1).value.shape == (0, 1, 2)
+
+
+def test_an_empty_rate_axis_gives_empty_curves():
+    q = make_grid(rates=(), thetas=(-1.0, 0.5))
+    assert outage_closed_form(*q).value.shape == (2, 1, 0)
+    assert outage_quadrature(*q).value.shape == (2, 1, 0)
+    assert outage_monte_carlo(*q, 1000, seed=1).value.shape == (2, 1, 0)
+
+
+def test_quadrature_holds_one_block_of_points_at_a_time():
+    # 20,000 preset-noise points at the three anchors: integrated all at once
+    # they peak near 50 MB of traced allocation, one block at a time near 10 MB
+    rates = tuple(np.linspace(0.01, 3.0, 20_000).tolist())
+    q = make_grid(rates=rates, noise=1e-5, lam2=2.5, thetas=(-1.0, 0.0, 1.0))
+    tracemalloc.start()
+    try:
+        curve = outage_quadrature(*q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
+    # the points on both sides of a block boundary equal their 1x1x1 calls
+    for i in (0, BLOCK_SIZE - 1, BLOCK_SIZE, len(rates) - 1):
+        for t, theta in enumerate(q.thetas):
+            alone = outage_quadrature((theta,), q.marginals, q.budgets, (rates[i],))
+            assert curve.value[t, 0, i] == alone.value.item()
