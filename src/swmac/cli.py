@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FLOAT",
         help="dependence parameter (default: first theta of the config)",
     )
-    p_sample.add_argument("--samples", type=int, default=10_000, metavar="N")
+    # the pair count to write, not the config's Monte Carlo sample count
+    p_sample.add_argument("--samples", dest="pairs", type=int, default=10_000, metavar="N")
     p_sample.add_argument(
         "--seed", type=partial(_read_value, "seed"), metavar="U64", help="master seed override"
     )
@@ -123,11 +124,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace, samples_are_mc: bool = True) -> ExperimentConfig:
+def _load(args: argparse.Namespace) -> ExperimentConfig:
     config = preset_config(args.preset) if args.preset else load_config(args.config)
     return config.with_overrides(
         seed=getattr(args, "seed", None),
-        mc_samples=getattr(args, "samples", None) if samples_are_mc else None,
+        mc_samples=getattr(args, "samples", None),
         methods=getattr(args, "methods", None),
     )
 
@@ -173,14 +174,12 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    # --samples here is the emitted pair count, not the Monte Carlo
-    # configuration of the sweep evaluators.
-    config = _load(args, samples_are_mc=False)
+    config = _load(args)
     theta = args.theta if args.theta is not None else config.thetas[0].theta
     with _writing(args.out):
-        emit_samples(config, theta, args.samples, args.out)
+        emit_samples(config, theta, args.pairs, args.out)
     theta = DependenceParameter(theta).theta  # as drawn: -0.0 is stored as 0.0
-    print(f"wrote {args.samples} gain pairs (theta={theta}) to {args.out}")
+    print(f"wrote {args.pairs} gain pairs (theta={theta}) to {args.out}")
     return 0
 
 

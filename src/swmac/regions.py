@@ -190,8 +190,12 @@ def region_vertices(bounds: RegionBounds, r0: float) -> list[tuple[float, float]
 
     The polytope is {R1 <= b1, R2 <= b2, R1 + R2 <= s} with
     s = min(b12, b012 - r0), intersected with the nonnegative quadrant.
-    Vertices are returned counterclockwise starting at (0, 0), without
-    duplicates; every returned vertex satisfies :func:`contains` at r0.
+    The vertices are returned as they are built, which is counterclockwise
+    from (0, 0): the origin, (min(b1, s), 0), the corner (b1, b2) or the
+    two corners (b1, s - b1) and (s - b2, b2) the sum constraint cuts, then
+    (0, min(b2, s)).  Snapping moves a vertex toward 0 by a few ulps and
+    duplicates keep their first place; every returned vertex satisfies
+    :func:`contains` at r0.
 
     Raises ValueError when r0 > b012 (region empty at that common rate), and
     :class:`VertexMembershipError` if a vertex cannot be placed inside.
@@ -222,9 +226,4 @@ def region_vertices(bounds: RegionBounds, r0: float) -> list[tuple[float, float]
         v = _snap_inside(bounds, r0, x, y)
         if v not in vertices:
             vertices.append(v)
-    # Counterclockwise from the origin vertex; the polygon is convex and
-    # contains (0, 0), so polar angle about it orders the boundary.
-    origin = (0.0, 0.0)
-    rest = [v for v in vertices if v != origin]
-    rest.sort(key=lambda v: (math.atan2(v[1], v[0]), v[0] * v[0] + v[1] * v[1]))
-    return [origin] + rest
+    return vertices

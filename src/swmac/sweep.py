@@ -51,7 +51,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import islice, product
+from itertools import compress, islice, product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -72,12 +72,7 @@ from .outage import (
     outage_monte_carlo,
     outage_quadrature,
 )
-from .regions import (
-    PowerBudget,
-    gaussian_region_bounds,
-    region_vertices,
-    wireless_region_bounds,
-)
+from .regions import PowerBudget, region_vertices, wireless_region_bounds
 from .streams import BLOCK_SIZE
 
 __all__ = [
@@ -534,24 +529,22 @@ def emit_region(
     """Write the (R1, R2) region vertices at common rate ``r0`` as CSV.
 
     Uses the instantaneous region when ``gains`` is given, else the
-    Gaussian region.  Coordinates are written with full round-trip
-    precision so re-reading and re-checking membership is exact.  Returns
-    the vertex list; :func:`~swmac.regions.region_vertices` raises
-    :class:`~swmac.regions.VertexMembershipError`, before anything is
-    written, if a vertex cannot be placed inside.  The file is written through
-    :func:`_replacing`, so a write that fails part-way leaves ``path`` as it
-    was.
+    Gaussian region, which is the instantaneous one at unit gains.  The
+    vertices are listed counterclockwise from (0, 0), as
+    :func:`~swmac.regions.region_vertices` builds them, and each coordinate
+    is written as its shortest round-trip ``repr`` by the kernel ``sample``
+    uses (:func:`_repr_lines`), so re-reading and re-checking membership is
+    exact.  Returns the vertex list; :func:`~swmac.regions.region_vertices`
+    raises :class:`~swmac.regions.VertexMembershipError`, before anything
+    is written, if a vertex cannot be placed inside.  The file is written
+    through :func:`_replacing`, so a write that fails part-way leaves
+    ``path`` as it was.
     """
-    bounds = (
-        wireless_region_bounds(budget, gains)
-        if gains is not None
-        else gaussian_region_bounds(budget)
-    )
+    bounds = wireless_region_bounds(budget, gains if gains is not None else GainPair(1.0, 1.0))
     vertices = region_vertices(bounds, r0)
     with _replacing(path) as fh:
         fh.write("r1,r2\n")
-        for x, y in vertices:
-            fh.write(f"{x!r},{y!r}\n")
+        fh.write(_repr_lines(np.array(vertices)))
     return vertices
 
 
@@ -732,14 +725,8 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         + [f"diff_{a}_{b}" for a, b in report.pairs]
         + ["z_quad_mc", "flags"]
     )
-    # one text per distinct flag set, coded with bit j for flag_labels[j]
-    labels = report.flag_labels
-    packed = report.flags @ (1 << np.arange(len(labels)))
-    flag_sets = np.flatnonzero(np.bincount(packed))
-    codes = np.searchsorted(flag_sets, packed)
-    texts = [
-        ";".join(label for j, label in enumerate(labels) if code >> j & 1)
-        for code in flag_sets.tolist()
-    ]
+    # one text per distinct flag set, each point coded by its set's row
+    flag_sets, codes = np.unique(report.flags, axis=0, return_inverse=True)
+    texts = [";".join(compress(report.flag_labels, row)) for row in flag_sets.tolist()]
     columns = (*report.diffs.T, report.z_quad_mc)
     _write_csv(path, header, report.axes, columns, codes, texts)

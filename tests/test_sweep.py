@@ -1401,6 +1401,32 @@ def test_the_repr_kernel_writes_an_edge_value_as_repr(x):
     assert _repr_lines(block) == _repr_template(block)
 
 
+@st.composite
+def _region_cases(draw):
+    """A power budget, unit or drawn gains (each 0 or in [0, 50]), and a
+    common rate r0 = frac*b012 with frac in [0, 1]."""
+    p1 = draw(st.floats(min_value=0.1, max_value=100.0))
+    p2 = draw(st.floats(min_value=0.1, max_value=100.0))
+    p0 = draw(st.floats(min_value=0.0, max_value=min(p1, p2)))
+    budget = PowerBudget(p0, p1, p2, draw(st.floats(min_value=1e-6, max_value=10.0)))
+    gain = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=50.0))
+    gains = draw(st.one_of(st.none(), st.builds(GainPair, gain, gain)))
+    bounds = wireless_region_bounds(budget, gains or GainPair(1.0, 1.0))
+    return budget, gains, draw(st.floats(min_value=0.0, max_value=1.0)) * bounds.b012
+
+
+@settings(max_examples=300, deadline=None)
+@given(_region_cases())
+def test_the_region_csv_is_the_percent_r_template_of_its_vertices(tmp_path_factory, case):
+    # region vertices hold exact zeros and 1/2*log2 values, which no kernel
+    # test above draws
+    budget, gains, r0 = case
+    path = tmp_path_factory.getbasetemp() / "region-repr.csv"
+    vertices = emit_region(budget, gains, r0, path)
+    with open(path, newline="") as fh:
+        assert fh.read() == "r1,r2\n" + _repr_template(np.array(vertices))
+
+
 def test_the_repr_kernel_writes_a_block_of_fallbacks_alone(monkeypatch):
     # zero, powers of two, short decimals and values off [1e-4, 1e15): every
     # value goes through repr, and the rows keep their order
