@@ -43,6 +43,20 @@ __all__ = [
 ]
 
 
+def _set_floats(record, names, ok, rule) -> None:
+    """Store each field of the frozen ``record`` named in ``names`` as the
+    ``float`` of its value, in order.  A value ``ok`` refuses raises
+    ``ValueError(f"{name} {rule}, got {value}")``, with the value already a
+    float, so where two fields are bad the first in ``names`` is reported.
+    Every validated record of :mod:`swmac.copula` and
+    :mod:`swmac.regions` reads its float fields through this."""
+    for name in names:
+        value = float(getattr(record, name))
+        if not ok(value):
+            raise ValueError(f"{name} {rule}, got {value}")
+        object.__setattr__(record, name, value)
+
+
 @dataclass(frozen=True)
 class DependenceParameter:
     """FGM dependence parameter, dimensionless, in [-1, 1]; -0.0 is stored
@@ -51,9 +65,8 @@ class DependenceParameter:
     theta: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", float(self.theta) + 0.0)
-        if not (-1.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must be in [-1, 1], got {self.theta}")
+        _set_floats(self, ("theta",), lambda v: -1.0 <= v <= 1.0, "must be in [-1, 1]")
+        object.__setattr__(self, "theta", self.theta + 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,12 +77,7 @@ class UnitPair:
     u2: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u1", float(self.u1))
-        object.__setattr__(self, "u2", float(self.u2))
-        if not (0.0 <= self.u1 <= 1.0):
-            raise ValueError(f"u1 must be in [0, 1], got {self.u1}")
-        if not (0.0 <= self.u2 <= 1.0):
-            raise ValueError(f"u2 must be in [0, 1], got {self.u2}")
+        _set_floats(self, ("u1", "u2"), lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -85,11 +93,9 @@ class FadingMarginals:
     lambda2: float
 
     def __post_init__(self) -> None:
-        for name in ("lambda1", "lambda2"):
-            value = float(getattr(self, name))
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-            object.__setattr__(self, name, value)
+        _set_floats(
+            self, ("lambda1", "lambda2"), lambda v: 0.0 < v < math.inf, "must be finite and > 0"
+        )
 
     @classmethod
     def from_sigmas(cls, sigma1_sq: float, sigma2_sq: float) -> "FadingMarginals":
@@ -110,11 +116,7 @@ class GainPair:
     g2: float
 
     def __post_init__(self) -> None:
-        for name in ("g1", "g2"):
-            value = float(getattr(self, name))
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-            object.__setattr__(self, name, value)
+        _set_floats(self, ("g1", "g2"), lambda v: 0.0 <= v < math.inf, "must be finite and >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +291,7 @@ def sample_gain_pairs(
     Returns an (n, 2) array; marginal of column i is Exp(lambda_i) and the
     copula of the columns is :func:`copula_cdf`.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _gain_pairs(theta, marginals, rng.random((n, 2)))
+    return _exp_quantile(sample_unit_pairs(theta, n, rng), marginals.lambda1, marginals.lambda2)
 
 
 def _gain_pairs(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .copula import GainPair
+from .copula import GainPair, _set_floats
 
 __all__ = [
     "PowerBudget",
@@ -52,17 +52,8 @@ class PowerBudget:
     noise: float
 
     def __post_init__(self) -> None:
-        for name in ("p0", "p1", "p2", "noise"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
-        if not self.p1 > 0.0:
-            raise ValueError(f"p1 must be > 0, got {self.p1}")
-        if not self.p2 > 0.0:
-            raise ValueError(f"p2 must be > 0, got {self.p2}")
-        if not self.noise > 0.0:
-            raise ValueError(f"noise must be > 0, got {self.noise}")
+        _set_floats(self, ("p0", "p1", "p2", "noise"), math.isfinite, "must be finite")
+        _set_floats(self, ("p1", "p2", "noise"), lambda v: v > 0.0, "must be > 0")
         if not 0.0 <= self.p0 <= min(self.p1, self.p2):
             raise ValueError(
                 f"p0 must satisfy 0 <= p0 <= min(p1, p2), got p0={self.p0} "
@@ -79,11 +70,7 @@ class RatePoint:
     r2: float
 
     def __post_init__(self) -> None:
-        for name in ("r0", "r1", "r2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("r0", "r1", "r2"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _set_floats(self, ("r0", "r1", "r2"), lambda v: v >= 0.0, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,11 +83,7 @@ class RegionBounds:
     b012: float
 
     def __post_init__(self) -> None:
-        for name in ("b1", "b2", "b12", "b012"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("b1", "b2", "b12", "b012"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        _set_floats(self, ("b1", "b2", "b12", "b012"), lambda v: v >= 0.0, "must be >= 0")
         if not self.b1 <= self.b12:
             raise ValueError(f"b1={self.b1} must not exceed b12={self.b12}")
         if not self.b2 <= self.b12:

@@ -725,8 +725,13 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         + [f"diff_{a}_{b}" for a, b in report.pairs]
         + ["z_quad_mc", "flags"]
     )
-    # one text per distinct flag set, each point coded by its set's row
-    flag_sets, codes = np.unique(report.flags, axis=0, return_inverse=True)
-    texts = [";".join(compress(report.flag_labels, row)) for row in flag_sets.tolist()]
+    # a point's flag set packed into one integer, bit j for label j (there are
+    # at most 3*3 + 2 labels); one text per distinct set, each point coded by
+    # its set's index
+    bits = 1 << np.arange(report.flags.shape[1])
+    flag_sets, codes = np.unique(report.flags @ bits, return_inverse=True)
+    texts = [
+        ";".join(compress(report.flag_labels, (s & bits).tolist())) for s in flag_sets.tolist()
+    ]
     columns = (*report.diffs.T, report.z_quad_mc)
     _write_csv(path, header, report.axes, columns, codes, texts)

@@ -11,6 +11,9 @@ from swmac import (
     DependenceParameter,
     FadingMarginals,
     GainPair,
+    PowerBudget,
+    RatePoint,
+    RegionBounds,
     UnitPair,
     conditional_cdf,
     copula_cdf,
@@ -76,6 +79,45 @@ def test_gain_pair_rejects_non_finite(g1, g2):
     with pytest.raises(ValueError, match="must be finite"):
         GainPair(g1, g2)
     assert GainPair(1e308, 1e308).g1 == 1e308
+
+
+# each validated record with valid int fields, and one bad field with the
+# exact message the CLI prints after "error: "
+_RECORD_CASES = [
+    (DependenceParameter, {"theta": -1}, "theta", 2, "theta must be in [-1, 1], got 2.0"),
+    (UnitPair, {"u1": 0, "u2": 1}, "u2", 1.5, "u2 must be in [0, 1], got 1.5"),
+    (FadingMarginals, {"lambda1": 1, "lambda2": 3}, "lambda2", 0,
+     "lambda2 must be finite and > 0, got 0.0"),
+    (GainPair, {"g1": 0, "g2": 7}, "g1", -1, "g1 must be finite and >= 0, got -1.0"),
+    (PowerBudget, {"p0": 1, "p1": 2, "p2": 3, "noise": 4}, "noise", math.nan,
+     "noise must be finite, got nan"),
+    (PowerBudget, {"p0": 1, "p1": 2, "p2": 3, "noise": 4}, "noise", 0,
+     "noise must be > 0, got 0.0"),
+    (RatePoint, {"r0": 0, "r1": 1, "r2": 2}, "r1", -1, "r1 must be >= 0, got -1.0"),
+    (RegionBounds, {"b1": 1, "b2": 1, "b12": 2, "b012": 3}, "b012", math.nan,
+     "b012 must be >= 0, got nan"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, name, bad, message",
+    _RECORD_CASES,
+    ids=[f"{case[0].__name__}-{case[2]}={case[3]}" for case in _RECORD_CASES],
+)
+def test_a_record_stores_its_fields_as_floats_and_names_a_bad_field(
+    record, fields, name, bad, message
+):
+    stored = record(**fields)
+    for field, value in fields.items():
+        assert type(getattr(stored, field)) is float
+        assert getattr(stored, field) == value
+    with pytest.raises(ValueError) as raised:
+        record(**{**fields, name: bad})
+    assert str(raised.value) == message
+
+
+def test_dependence_parameter_stores_negative_zero_as_zero():
+    assert math.copysign(1.0, DependenceParameter(-0.0).theta) == 1.0
 
 
 # ---------------------------------------------------------------------------
